@@ -1,11 +1,14 @@
-"""Damped-Newton root finder for estimating equations.
+"""Newton solver for estimating equations, with Fisher scoring as fallback.
 
-Solves G(theta) = 0 for square systems. The Jacobian of G comes from
-forward differences. Each iteration first tries the undamped Newton step;
-on rejection (residual norm did not decrease, or the step left the domain)
-Levenberg damping engages at ``damping`` and escalates tenfold per further
-rejection, with plain step-halving as a last resort. Non-convergence is not
-an error: the best iterate seen is returned, flagged.
+Each equation ``G(theta) = 0`` solved here is the stationary condition of an
+objective. An iteration takes the exact Newton step when it lowers both the
+objective and ``max|G|``; otherwise it halves the scoring step (the Jacobian
+replaced by its expectation) until the objective falls. Near the root the
+objective stops changing beyond rounding, so a change within a few ulps
+counts as no rise when ``max|G|`` falls. Convergence is ``max|G| <=
+max(tol_absolute, tol_relative * scale)`` at the current iterate.
+Non-convergence is not an error: the iterate with the smallest ``max|G|``
+comes back flagged.
 """
 
 from __future__ import annotations
@@ -17,11 +20,27 @@ import numpy as np
 
 from .exceptions import NonFiniteError, PropfitError, SingularError
 
-_JAC_STEP = float(np.sqrt(np.finfo(float).eps))
-_LAMBDA_MAX = 1e10
-_MAX_HALVINGS = 15
+_MAX_HALVINGS = 20
+# Objective changes within this many ulps are rounding, not a rise.
+_OBJECTIVE_ULPS = 8
 
-Residual = Callable[[np.ndarray], np.ndarray]
+
+@dataclass(frozen=True)
+class Point:
+    """One iterate: objective, equation ``G = sum_i c_i grad f_i``, the size
+    ``scale = max_j sum_i |c_i df_i/dtheta_j|`` of its terms, and the two step
+    matrices, built only when a step needs them."""
+
+    theta: np.ndarray
+    objective: float
+    residual: np.ndarray
+    scale: float
+    jacobian: Callable[[], np.ndarray]
+    scoring: Callable[[], np.ndarray]
+
+    @property
+    def norm(self) -> float:
+        return float(np.max(np.abs(self.residual)))
 
 
 @dataclass
@@ -33,124 +52,76 @@ class SolveResult:
     tolerance: float
 
 
-def _norm(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r))) if r.size else 0.0
+Evaluate = Callable[[np.ndarray], Point]
 
 
-def _try_residual(residual: Residual, theta: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Evaluate a trial point; domain violations count as an infinitely bad step."""
+def _trial(evaluate: Evaluate, theta: np.ndarray) -> Point | None:
+    """The iterate at ``theta``; None where the equation is undefined."""
     try:
-        r = np.asarray(residual(theta), dtype=float)
+        with np.errstate(all="ignore"):  # a wild step is rejected, not reported
+            pt = evaluate(theta)
     except PropfitError:
-        return None, np.inf
-    if not np.all(np.isfinite(r)):
-        return None, np.inf
-    return r, _norm(r)
+        return None
+    return pt if np.all(np.isfinite(pt.residual)) else None
 
 
-def _fd_jacobian(residual: Residual, theta: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    p = theta.size
-    A = np.empty((r0.size, p))
-    for j in range(p):
-        h = _JAC_STEP * max(1.0, abs(theta[j]))
-        tp = theta.copy()
-        tp[j] += h
-        rj, _ = _try_residual(residual, tp)
-        if rj is None:
-            # Step into invalid territory: difference backwards instead.
-            tp[j] = theta[j] - h
-            rj, _ = _try_residual(residual, tp)
-            if rj is None:
-                raise SingularError("cannot difference the estimating equation near the iterate")
-            A[:, j] = (r0 - rj) / (theta[j] - tp[j])
-        else:
-            A[:, j] = (rj - r0) / (tp[j] - theta[j])
-    return A
-
-
-def _lm_step(A: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray | None:
-    """One Newton (lam == 0) or Levenberg-damped step; None if unsolvable."""
+def _step(matrix: np.ndarray, residual: np.ndarray) -> np.ndarray | None:
     try:
-        if lam == 0.0:
-            return np.linalg.solve(A, -r)
-        AtA = A.T @ A
-        diag = np.diag(AtA).copy()
-        floor = max(float(np.max(diag)), 1.0) * 1e-14
-        return np.linalg.solve(AtA + lam * np.diag(np.maximum(diag, floor)), -(A.T @ r))
+        delta = np.linalg.solve(matrix, -residual)
     except np.linalg.LinAlgError:
         return None
+    return delta if np.all(np.isfinite(delta)) else None
 
 
-def solve_newton(
-    residual: Residual,
-    theta0: np.ndarray,
-    *,
-    tol_relative: float = 1e-8,
-    tol_absolute: float = 1e-10,
-    max_iter: int = 100,
-    damping: float = 1e-3,
-    step_residual_factory: Callable[[np.ndarray], Residual] | None = None,
-) -> SolveResult:
-    """Drive G(theta) to zero.
+def _no_rise(new: Point, old: Point) -> bool:
+    # An objective that is +inf on both sides leaves the decision to max|G|.
+    finite = np.isfinite(old.objective)
+    slack = _OBJECTIVE_ULPS * np.spacing(abs(old.objective)) if finite else 0.0
+    return new.objective <= old.objective + slack
 
-    ``step_residual_factory``, when given, supplies a per-iterate surrogate
-    of G used only to build the Jacobian and the Newton step (the profiled
-    maximum-likelihood equation freezes its scale estimate this way); step
-    acceptance and convergence always measure the true ``residual``.
+
+def _next_point(evaluate: Evaluate, pt: Point) -> Point | None:
+    delta = _step(pt.jacobian(), pt.residual)
+    if delta is not None:
+        new = _trial(evaluate, pt.theta + delta)
+        if new is not None and new.norm < pt.norm and _no_rise(new, pt):
+            return new
+    delta = _step(pt.scoring(), pt.residual)
+    if delta is None:
+        raise SingularError("scoring matrix is singular at the iterate")
+    for _ in range(_MAX_HALVINGS):
+        new = _trial(evaluate, pt.theta + delta)
+        if new is not None and (new.objective < pt.objective
+                                or (new.norm < pt.norm and _no_rise(new, pt))):
+            return new
+        delta = 0.5 * delta
+    return None
+
+
+def solve(evaluate: Evaluate, theta0, *, tol_relative: float = 1e-8,
+          tol_absolute: float = 1e-10, max_iter: int = 100) -> SolveResult:
+    """Drive ``G(theta)`` to zero from ``theta0``.
+
+    ``evaluate`` returns the :class:`Point` at a parameter vector and raises
+    :class:`PropfitError` where the equation is undefined. ``iterations``
+    counts the iterations run, a last one that found no step included.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = np.asarray(residual(theta), dtype=float)
-    if not np.all(np.isfinite(r)):
+    pt = evaluate(np.asarray(theta0, dtype=float).copy())
+    if not np.all(np.isfinite(pt.residual)):
         raise NonFiniteError("estimating equation is non-finite at the starting point")
-    rnorm = _norm(r)
-    tol = max(tol_absolute, tol_relative * rnorm)
-
-    best_theta, best_norm = theta.copy(), rnorm
-    lam = 0.0  # pure Newton until a step gets rejected
-
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
-            return SolveResult(theta, it - 1, True, rnorm, tol)
-
-        step_residual = residual if step_residual_factory is None else step_residual_factory(theta)
-        A = _fd_jacobian(step_residual, theta, r)
-
-        accepted = False
-        trial_lam = lam
-        last_delta = None
-        while trial_lam <= _LAMBDA_MAX:
-            delta = _lm_step(A, r, trial_lam)
-            if delta is not None:
-                last_delta = delta
-                r_new, norm_new = _try_residual(residual, theta + delta)
-                if r_new is not None and norm_new < rnorm:
-                    theta = theta + delta
-                    r, rnorm = r_new, norm_new
-                    lam = 0.0 if trial_lam == 0.0 else trial_lam / 10.0
-                    if lam < 1e-12:
-                        lam = 0.0
-                    accepted = True
-                    break
-            trial_lam = damping if trial_lam == 0.0 else trial_lam * 10.0
-
-        if not accepted and last_delta is not None:
-            scale = 0.5
-            for _ in range(_MAX_HALVINGS):
-                r_new, norm_new = _try_residual(residual, theta + scale * last_delta)
-                if r_new is not None and norm_new < rnorm:
-                    theta = theta + scale * last_delta
-                    r, rnorm = r_new, norm_new
-                    accepted = True
-                    break
-                scale *= 0.5
-        if not accepted and last_delta is None:
-            raise SingularError("Newton matrix singular and damping escalation failed")
-
-        if rnorm < best_norm:
-            best_theta, best_norm = theta.copy(), rnorm
-        if not accepted:
-            return SolveResult(best_theta, it, best_norm <= tol, best_norm, tol)
-
-    if rnorm < best_norm:
-        best_theta, best_norm = theta.copy(), rnorm
-    return SolveResult(best_theta, max_iter, best_norm <= tol, best_norm, tol)
+    best, iterations = pt, 0
+    while True:
+        tol = max(tol_absolute, tol_relative * pt.scale)
+        if pt.norm <= tol:
+            return SolveResult(pt.theta, iterations, True, pt.norm, tol)
+        if iterations == max_iter:
+            break
+        iterations += 1
+        nxt = _next_point(evaluate, pt)
+        if nxt is None:
+            break
+        pt = nxt
+        if pt.norm < best.norm:
+            best = pt
+    return SolveResult(best.theta, iterations, False, best.norm,
+                       max(tol_absolute, tol_relative * best.scale))

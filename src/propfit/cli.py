@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .asymptotics import bias_order2, cov_ml_exact, cov_order2
+from .asymptotics import bias_cov
 from .checks import render_checks, run_checks
 from .config import RunConfig, load_config
 from .equivalent_dose import (
@@ -36,6 +36,7 @@ from .equivalent_dose import (
     gamma_bias_se,
     joint_bias_cov,
     partial_bleach_model,
+    resolve_mode,
 )
 from .estimators import METHODS, fit
 from .exceptions import ConfigError, ModeError, PropfitError
@@ -96,6 +97,33 @@ def _pct(bias: float, se: float) -> float:
     return 100.0 * abs(bias) / np.sqrt(mse) if mse > 0 else 0.0
 
 
+def _param_rows(names, theta, bias=None, cov=None) -> list[dict]:
+    """One report row per parameter; bias and se are NaN without ``bias``/``cov``."""
+    nan = float("nan")
+    rows = []
+    for j, name in enumerate(names):
+        row = {"name": name, "estimate": float(theta[j]), "bias": nan, "se": nan,
+               "bias_over_rmse_pct": nan}
+        if bias is not None:
+            b, se = float(bias[j]), float(np.sqrt(cov[j, j]))
+            row.update(bias=b, se=se, bias_over_rmse_pct=_pct(b, se))
+        rows.append(row)
+    return rows
+
+
+def _fit_entry(res, sigma: float, params: list[dict], **extra) -> dict:
+    return {"converged": bool(res.converged), "iterations": res.iterations,
+            "residual_norm": float(res.residual_norm), "sigma_hat": float(sigma),
+            "parameters": params, **extra}
+
+
+def _error_entry(exc: Exception, **extra) -> dict:
+    """The entry of a method whose fit raised."""
+    return {"error": f"{type(exc).__name__}: {exc}", "converged": False, "iterations": 0,
+            "residual_norm": float("nan"), "sigma_hat": float("nan"), "parameters": [],
+            **extra}
+
+
 def _fit_single(config: RunConfig, data) -> dict:
     model = config.build_model()
     entries: dict = {}
@@ -103,57 +131,30 @@ def _fit_single(config: RunConfig, data) -> dict:
         try:
             res = fit(model, data, method, config.fit_options)
         except (PropfitError, ValueError) as exc:
-            entries[method] = {"error": f"{type(exc).__name__}: {exc}", "converged": False,
-                               "iterations": 0, "residual_norm": float("nan"),
-                               "sigma_hat": float("nan"), "parameters": []}
+            entries[method] = _error_entry(exc)
             continue
-        sigma = res.sigma_hat
-        params = []
         try:
-            bias = bias_order2(method, model, data, res.theta_hat, sigma).bias
-            if method == "ml":
-                cov = cov_ml_exact(model, data, res.theta_hat, sigma).cov
-            else:
-                cov = cov_order2(model, data, res.theta_hat, sigma, method=method).cov
-            se = np.sqrt(np.diag(cov))
-            for j, name in enumerate(model.param_names):
-                params.append({"name": name, "estimate": float(res.theta_hat[j]),
-                               "bias": float(bias[j]), "se": float(se[j]),
-                               "bias_over_rmse_pct": _pct(float(bias[j]), float(se[j]))})
+            params = _param_rows(model.param_names, res.theta_hat,
+                                 *bias_cov(method, model, data, res.theta_hat, res.sigma_hat))
         except PropfitError:
-            for j, name in enumerate(model.param_names):
-                params.append({"name": name, "estimate": float(res.theta_hat[j]),
-                               "bias": float("nan"), "se": float("nan"),
-                               "bias_over_rmse_pct": float("nan")})
-        entries[method] = {"converged": bool(res.converged), "iterations": res.iterations,
-                           "residual_norm": float(res.residual_norm),
-                           "sigma_hat": float(sigma), "parameters": params}
+            params = _param_rows(model.param_names, res.theta_hat)
+        entries[method] = _fit_entry(res, res.sigma_hat, params)
     return {"kind": "fit_report", "model": config.model, "mode": None,
             "curves": {"1": data.n}, "methods": entries}
 
 
-def _mode_for(config: RunConfig, method: str) -> str:
-    if config.mode == "default":
-        return MODE_COMMON_SIGMA if method == "ml" else MODE_SEPARATE
-    if method == "dwls" and config.mode == MODE_COMMON_SIGMA:
-        if config.methods == ("dwls",):
-            raise ModeError("data-weighted least squares cannot share a scale")
-        return MODE_SEPARATE
-    return config.mode
-
-
 def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
     model = partial_bleach_model()
+    if config.methods == ("dwls",) and config.mode == MODE_COMMON_SIGMA:
+        raise ModeError("data-weighted least squares cannot share a scale")
     entries: dict = {}
     for method in config.methods:
-        mode = _mode_for(config, method)
+        mode = resolve_mode(config.mode, method)
         try:
             res = fit_two_curves(model, data1, data2, method, mode=mode,
                                  opts=config.fit_options)
         except (PropfitError, ValueError) as exc:
-            entries[method] = {"error": f"{type(exc).__name__}: {exc}", "converged": False,
-                               "iterations": 0, "residual_norm": float("nan"),
-                               "sigma_hat": float("nan"), "mode": mode, "parameters": []}
+            entries[method] = _error_entry(exc, mode=mode)
             continue
         if len(res.sigma_hats) == 1:
             sigma = res.sigma_hats[0]
@@ -161,42 +162,24 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
             # Pool the per-curve scale estimates with their degrees of freedom.
             dfs = np.array([data1.n - model.curve1.p, data2.n - model.curve2.p], dtype=float)
             sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
-        params = []
-        dose = None
+        params = _param_rows(model.param_names, res.theta_hat)
+        extra = {}
         try:
-            bias, cov = joint_bias_cov(model, data1.x, data2.x, res.theta_hat, sigma,
-                                       method, mode)
-            se = np.sqrt(np.diag(cov))
-            for j, name in enumerate(model.param_names):
-                params.append({"name": name, "estimate": float(res.theta_hat[j]),
-                               "bias": float(bias[j]), "se": float(se[j]),
-                               "bias_over_rmse_pct": _pct(float(bias[j]), float(se[j]))})
+            bias_and_cov = joint_bias_cov(model, data1.x, data2.x, res.theta_hat, sigma,
+                                          method, mode)
+            params = _param_rows(model.param_names, res.theta_hat, *bias_and_cov)
             est = gamma_bias_se(model, data1.x, data2.x, res.theta_hat, sigma, method,
-                                fit_mode=mode, bracket=config.gamma_bracket)
+                                fit_mode=mode, bracket=config.gamma_bracket,
+                                bias_and_cov=bias_and_cov)
             dose = {"gamma_hat": est.gamma_hat,
                     "equivalent_dose": est.equivalent_dose,
                     "bias": est.equivalent_dose_bias, "se": est.se,
                     "bias_over_rmse_pct": _pct(est.bias, est.se)}
         except PropfitError as exc:
-            if not params:
-                for j, name in enumerate(model.param_names):
-                    params.append({"name": name, "estimate": float(res.theta_hat[j]),
-                                   "bias": float("nan"), "se": float("nan"),
-                                   "bias_over_rmse_pct": float("nan")})
-            dose = {"gamma_hat": float("nan"), "equivalent_dose": float("nan"),
-                    "bias": float("nan"), "se": float("nan"),
-                    "bias_over_rmse_pct": float("nan"),
-                    }
-            entries[method] = {"converged": bool(res.converged), "iterations": res.iterations,
-                               "residual_norm": float(res.residual_norm),
-                               "sigma_hat": float(sigma), "mode": mode,
-                               "parameters": params, "dose": dose,
-                               "error": f"{type(exc).__name__}: {exc}"}
-            continue
-        entries[method] = {"converged": bool(res.converged), "iterations": res.iterations,
-                           "residual_norm": float(res.residual_norm),
-                           "sigma_hat": float(sigma), "mode": mode,
-                           "parameters": params, "dose": dose}
+            dose = dict.fromkeys(("gamma_hat", "equivalent_dose", "bias", "se",
+                                  "bias_over_rmse_pct"), float("nan"))
+            extra["error"] = f"{type(exc).__name__}: {exc}"
+        entries[method] = _fit_entry(res, sigma, params, mode=mode, dose=dose, **extra)
     return {"kind": "fit_report", "model": "partial_bleach", "mode": config.mode,
             "curves": {labels[0]: data1.n, labels[1]: data2.n}, "methods": entries}
 

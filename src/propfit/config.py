@@ -111,7 +111,6 @@ def parse_config(document: dict) -> RunConfig:
         tol_residual=float(fit_section.get("tol_residual", 1e-8)),
         tol_absolute=float(fit_section.get("tol_absolute", 1e-10)),
         max_iter=int(fit_section.get("max_iter", 100)),
-        damping=float(fit_section.get("damping", 1e-3)),
         start=start,
     )
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
-from .asymptotics import bias_order2, cov_ml_exact, cov_order2
+from .asymptotics import bias_cov
 from .estimators import (
     FitOptions,
     FitResult,
@@ -48,6 +48,7 @@ from .models import Array, Dataset, ModelFunction, saturating_exponential_model
 MODE_SEPARATE = "separate"
 MODE_COMMON_SIGMA = "common-sigma"
 MODES = (MODE_SEPARATE, MODE_COMMON_SIGMA)
+MODE_DEFAULT = "default"  # per-method: ML shares sigma, the rest fit separately
 
 DEFAULT_GRID_POINTS = 256
 
@@ -56,6 +57,17 @@ def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     return mode
+
+
+def resolve_mode(requested: str, method: str) -> str:
+    """The fit mode ``method`` runs in: ``"default"`` gives ML the common scale
+    and the rest separate fits; DWLS has no scale to share, so always fits
+    separately."""
+    if requested == MODE_DEFAULT:
+        return MODE_COMMON_SIGMA if method == "ml" else MODE_SEPARATE
+    if method == "dwls":
+        return MODE_SEPARATE
+    return requested
 
 
 @dataclass(frozen=True)
@@ -314,34 +326,22 @@ def joint_bias_cov(model: PartialBleachModel, x1, x2, theta, sigma: float,
             raise ModeError("data-weighted least squares has no scale to share")
         joint, idx = stacked_model(model, x1, x2)
         data = Dataset(idx, np.asarray(joint.eval(idx, theta), dtype=float))
-        bias = bias_order2(method, joint, data, theta, sigma).bias
-        if method == "ml":
-            cov = cov_ml_exact(joint, data, theta, sigma).cov
-        else:
-            cov = cov_order2(joint, data, theta, sigma, method=method).cov
-        return bias, cov
+        return bias_cov(method, joint, data, theta, sigma)
 
     alpha, beta = model.split(theta)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     d1 = Dataset(x1, np.asarray(model.curve1.eval(x1, alpha), dtype=float))
     d2 = Dataset(x2, np.asarray(model.curve2.eval(x2, beta), dtype=float))
-    bias = np.concatenate([
-        bias_order2(method, model.curve1, d1, alpha, sigma).bias,
-        bias_order2(method, model.curve2, d2, beta, sigma).bias,
-    ])
-    if method == "ml":
-        c1 = cov_ml_exact(model.curve1, d1, alpha, sigma).cov
-        c2 = cov_ml_exact(model.curve2, d2, beta, sigma).cov
-    else:
-        c1 = cov_order2(model.curve1, d1, alpha, sigma, method=method).cov
-        c2 = cov_order2(model.curve2, d2, beta, sigma, method=method).cov
-    return bias, block_diag(c1, c2)
+    b1, c1 = bias_cov(method, model.curve1, d1, alpha, sigma)
+    b2, c2 = bias_cov(method, model.curve2, d2, beta, sigma)
+    return np.concatenate([b1, b2]), block_diag(c1, c2)
 
 
 def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method: str,
                   fit_mode: str = MODE_SEPARATE,
-                  bracket: tuple[float, float] | None = None) -> DoseEstimate:
+                  bracket: tuple[float, float] | None = None,
+                  bias_and_cov: tuple[Array, Array] | None = None) -> DoseEstimate:
     """Second-order delta-method bias and standard error of the intersection dose.
 
     Solves for gamma at ``theta``, then pushes the parameter-level order-
@@ -353,13 +353,17 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
 
     The curvature term is the same order in sigma as the first and, on
     dose-response designs like the bundled one, comparable in size; dropping
-    it puts the formula visibly below Monte Carlo.
+    it puts the formula visibly below Monte Carlo. A caller that already
+    holds :func:`joint_bias_cov`'s ``(bias, cov)`` for these arguments passes
+    it as ``bias_and_cov``.
     """
     used_bracket = bracket if bracket is not None else default_gamma_bracket(model, theta)
     gamma = solve_gamma(model, theta, bracket=used_bracket)
     grad = gamma_gradient(model, theta, gamma)
     hess = gamma_hessian(model, theta, gamma)
-    bias_vec, cov = joint_bias_cov(model, x1, x2, theta, sigma, method, fit_mode)
+    if bias_and_cov is None:
+        bias_and_cov = joint_bias_cov(model, x1, x2, theta, sigma, method, fit_mode)
+    bias_vec, cov = bias_and_cov
     bias = float(grad @ bias_vec) + 0.5 * float(np.trace(hess @ cov))
     se = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
     return DoseEstimate(gamma_hat=float(gamma), bias=bias, se=se,

@@ -18,10 +18,11 @@ estimated; their sigma is reported from the unbiased rule afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ._newton import SolveResult, solve_newton
+from ._newton import Point, SolveResult, solve
 from .exceptions import DegenerateError, DomainError, ZeroMeanError, ZeroResponseError
 from .models import Array, Dataset, ModelFunction
 
@@ -39,16 +40,17 @@ def _check_method(method: str) -> str:
 class FitOptions:
     """Solver controls.
 
-    ``tol_residual`` is relative to the estimating-equation norm at the
-    starting point; ``tol_absolute`` is the floor. ``start`` is either a
-    parameter vector or ``"auto"``, which runs an unweighted least-squares
-    pre-fit from the model's data-driven hint.
+    A fit has converged when ``max|G| <= max(tol_absolute, tol_residual *
+    scale)``, where ``G`` is the estimating equation and ``scale`` is
+    ``max_j sum_i |c_i df_i/dtheta_j|``, the size of the terms of ``G =
+    sum_i c_i grad f_i`` at the current iterate. ``start`` is either a
+    parameter vector or ``"auto"``, which solves unweighted least squares
+    from the model's data-driven hint first.
     """
 
     tol_residual: float = 1e-8
     tol_absolute: float = 1e-10
     max_iter: int = 100
-    damping: float = 1e-3
     start: object = "auto"
 
     def __post_init__(self):
@@ -73,6 +75,73 @@ class FitResult:
 # Estimating equations
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Equation:
+    """An estimating equation ``G = sum_i c_i grad f_i`` and its objective.
+
+    ``weight(f, y)`` is ``c``, ``dweight`` its derivative in ``f`` and
+    ``scoring`` the signed weights ``w`` of the scoring matrix ``sum_i w_i
+    grad f_i grad f_i'``. ``objective`` is stationary at the root and +inf
+    outside its domain. ``profiled`` (ML) adds ``s^2/f`` to ``c``, with
+    ``s^2 = mean(((y-f)/f)^2)``, and ``ds^2/dtheta`` to the Jacobian.
+    """
+
+    weight: Callable[[Array, Array], Array]
+    dweight: Callable[[Array, Array], Array]
+    scoring: Callable[[Array, Array], Array]
+    objective: Callable[[Array, Array], float]
+    divides_by_f: bool = True
+    profiled: bool = False
+
+
+def _ql_objective(f: Array, y: Array) -> float:
+    q = y / f
+    return float(np.sum(q - np.log(q))) if np.all(q > 0.0) else np.inf
+
+
+def _ml_objective(f: Array, y: Array) -> float:
+    # Profiled negative log-likelihood sum(log f) + n/2 log s^2, less sum(log y).
+    q = y / f
+    if not np.all(q > 0.0):
+        return np.inf
+    s2 = float(np.mean((q - 1.0) ** 2))
+    return 0.5 * q.size * np.log(s2) - float(np.sum(np.log(q))) if s2 > 0.0 else -np.inf
+
+
+_EQUATIONS = {
+    "ml": _Equation(
+        weight=lambda f, y: y * (f - y) / f**3,
+        dweight=lambda f, y: y * (3.0 * y - 2.0 * f) / f**4,
+        scoring=lambda f, y: 1.0 / f**2,
+        objective=_ml_objective,
+        profiled=True),
+    "ql": _Equation(
+        weight=lambda f, y: (y - f) / f**2,
+        dweight=lambda f, y: (f - 2.0 * y) / f**3,
+        scoring=lambda f, y: -1.0 / f**2,
+        objective=_ql_objective),
+    "wls": _Equation(
+        weight=lambda f, y: y * (y - f) / f**3,
+        dweight=lambda f, y: y * (2.0 * f - 3.0 * y) / f**4,
+        scoring=lambda f, y: -1.0 / f**2,
+        objective=lambda f, y: 0.5 * float(np.sum(((y - f) / f) ** 2))),
+    "dwls": _Equation(
+        weight=lambda f, y: (y - f) / y**2,
+        dweight=lambda f, y: -1.0 / y**2,
+        scoring=lambda f, y: -1.0 / y**2,
+        objective=lambda f, y: 0.5 * float(np.sum(((y - f) / y) ** 2)),
+        divides_by_f=False),
+}
+
+# Unweighted least squares: only the "auto" start solves it.
+_OLS = _Equation(
+    weight=lambda f, y: y - f,
+    dweight=lambda f, y: np.full_like(f, -1.0),
+    scoring=lambda f, y: np.full_like(f, -1.0),
+    objective=lambda f, y: 0.5 * float(np.sum((y - f) ** 2)),
+    divides_by_f=False)
+
+
 def _parts(model: ModelFunction, data: Dataset, theta, need_f_nonzero: bool):
     # Hot path: validate once, then hit the raw eval/grad callables.
     theta = model.check_theta(theta)
@@ -85,7 +154,34 @@ def _parts(model: ModelFunction, data: Dataset, theta, need_f_nonzero: bool):
         G = np.asarray(model.grad_fn(data.x, theta), dtype=float)
     else:
         G = model._fd_grad(data.x, theta)
-    return f, G, data.y - f
+    return f, G
+
+
+def _point(eq: _Equation, model: ModelFunction, data: Dataset, theta,
+           sigma: float | None = None) -> Point:
+    """The solver's view of ``eq`` at ``theta``; ``sigma`` freezes ML's scale."""
+    f, G = _parts(model, data, theta, need_f_nonzero=eq.divides_by_f)
+    y = data.y
+    c = eq.weight(f, y)
+    if eq.profiled:
+        s2 = float(np.mean(((y - f) / f) ** 2)) if sigma is None else float(sigma) ** 2
+        c = c + s2 / f
+
+    def jacobian():
+        H = model.hess(data.x, theta)
+        A = np.tensordot(c, H, axes=1) + (G * eq.dweight(f, y)[:, None]).T @ G
+        if eq.profiled:
+            J = G / f[:, None]
+            ds2 = (-2.0 / data.n) * (G.T @ (y * (y - f) / f**3))
+            A += np.outer(J.sum(axis=0), ds2) - s2 * (J.T @ J)
+        return A
+
+    def scoring():
+        return (G * eq.scoring(f, y)[:, None]).T @ G
+
+    return Point(theta=theta, objective=eq.objective(f, y), residual=G.T @ c,
+                 scale=float(np.max(np.abs(c) @ np.abs(G))),
+                 jacobian=jacobian, scoring=scoring)
 
 
 def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
@@ -96,21 +192,9 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     the profiled value ``sqrt(mean(((y-f)/f)^2))`` at ``theta`` is used.
     """
     method = _check_method(method)
-    if method == "dwls":
-        if np.any(data.y == 0.0):
-            raise ZeroResponseError("data-weighted least squares requires all y != 0")
-        f, G, r = _parts(model, data, theta, need_f_nonzero=False)
-        return G.T @ (r / data.y**2)
-
-    f, G, r = _parts(model, data, theta, need_f_nonzero=True)
-    rel = r / f
-    if method == "ql":
-        return G.T @ (r / f**2)
-    if method == "wls":
-        return G.T @ ((r + rel * r) / f**2)
-    # ml
-    s2 = float(np.mean(rel**2)) if sigma is None else float(sigma) ** 2
-    return s2 * (G.T @ (1.0 / f)) - G.T @ ((r + rel * r) / f**2)
+    if method == "dwls" and np.any(data.y == 0.0):
+        raise ZeroResponseError("data-weighted least squares requires all y != 0")
+    return _point(_EQUATIONS[method], model, data, theta, sigma).residual
 
 
 # ---------------------------------------------------------------------------
@@ -144,81 +228,34 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _gauss_newton_phase(model: ModelFunction, data: Dataset, weighting: str, theta: Array,
-                        max_steps: int = 10) -> Array:
-    """Damped Gauss-Newton approach phase before the Newton solve.
-
-    Saturating dose-response curves have near-degenerate ridges where raw
-    Newton steps on the estimating equation overshoot; a few scoring steps
-    (``weighting``: "ols" for unit weights, "rel" for 1/f^2, "data" for the
-    fixed 1/y^2) land within O(sigma^2) of every method's root, where damped
-    Newton then converges quadratically. Any trouble here just returns the
-    best point so far and lets the Newton phase cope.
-    """
-    from .exceptions import PropfitError  # local: avoids import cycle at module load
-
-    def weights(f):
-        if weighting == "data":
-            return 1.0 / data.y**2
-        if weighting == "rel":
-            return 1.0 / f**2
-        return np.ones_like(f)
-
-    for _ in range(max_steps):
-        try:
-            f, G, r = _parts(model, data, theta, need_f_nonzero=weighting == "rel")
-            sw = np.sqrt(weights(f))
-            delta, *_ = np.linalg.lstsq(G * sw[:, None], r * sw, rcond=None)
-        except (PropfitError, np.linalg.LinAlgError):
-            return theta
-        if not np.all(np.isfinite(delta)):
-            return theta
-        merit = float(np.sum((sw * r) ** 2))
-        scale = 1.0
-        accepted = False
-        for _ in range(12):
-            trial = theta + scale * delta
-            try:
-                f_t, _, r_t = _parts(model, data, trial, need_f_nonzero=weighting == "rel")
-            except PropfitError:
-                scale *= 0.5
-                continue
-            if float(np.sum((np.sqrt(weights(f_t)) * r_t) ** 2)) <= merit:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            return theta
-        theta = theta + scale * delta
-        if float(np.max(np.abs(scale * delta) / np.maximum(1.0, np.abs(theta)))) < 1e-12:
-            break
-    return theta
+def _solve(eq: _Equation, model: ModelFunction, data: Dataset, theta0: Array,
+           opts: FitOptions) -> SolveResult:
+    return solve(lambda theta: _point(eq, model, data, theta), theta0,
+                 tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
+                 max_iter=opts.max_iter)
 
 
-def _resolve_start(model: ModelFunction, data: Dataset, opts: FitOptions) -> Array:
+def _resolve_start(model: ModelFunction, data: Dataset, opts: FitOptions) -> tuple[Array, int]:
+    """The starting vector and the iterations spent finding it."""
     if not isinstance(opts.start, str):
-        return model.check_theta(np.asarray(opts.start, dtype=float))
+        return model.check_theta(np.asarray(opts.start, dtype=float)), 0
     if opts.start != "auto":
         raise ValueError(f"unknown start spec {opts.start!r}")
     if model.start_hint is not None:
         hint = model.check_theta(model.start_hint(data.x, data.y))
     else:
         hint = np.ones(model.p)
-    # Unweighted least-squares pre-fit sharpens the hint before the real
-    # (weighted) equations see it.
-    return _gauss_newton_phase(model, data, "ols", hint, max_steps=40)
-
-
-def _finish(method: str, model: ModelFunction, data: Dataset, sol: SolveResult,
-            sigma_hat: float) -> FitResult:
-    return FitResult(method=method, theta_hat=sol.theta, sigma_hat=sigma_hat,
-                     iterations=sol.iterations, converged=sol.converged,
-                     residual_norm=sol.residual_norm, tolerance=sol.tolerance)
+    pre = _solve(_OLS, model, data, hint, opts)
+    return pre.theta, pre.iterations
 
 
 def fit(model: ModelFunction, data: Dataset, method: str,
         opts: FitOptions | None = None) -> FitResult:
-    """Fit one estimator; see the per-method wrappers for the contracts."""
+    """Fit one estimator; see the per-method wrappers for the contracts.
+
+    ``iterations`` counts every solver iteration, those of the unweighted
+    least-squares solve behind ``start="auto"`` included.
+    """
     method = _check_method(method)
     opts = opts or FitOptions()
     if data.n <= model.p:
@@ -226,40 +263,23 @@ def fit(model: ModelFunction, data: Dataset, method: str,
     if method == "dwls" and np.any(data.y <= 0.0):
         raise ZeroResponseError("data-weighted least squares requires all y > 0")
 
-    theta0 = _resolve_start(model, data, opts)
-    theta0 = _gauss_newton_phase(model, data, "data" if method == "dwls" else "rel", theta0)
-
+    theta0, start_iterations = _resolve_start(model, data, opts)
+    sol = _solve(_EQUATIONS[method], model, data, theta0, opts)
     if method == "ml":
-        def profiled(theta):
-            return equation_residual("ml", model, data, theta)
-
-        def frozen_factory(theta):
-            s = estimate_sigma_ml(model, data, theta)
-            return lambda th: equation_residual("ml", model, data, th, sigma=s)
-
-        sol = solve_newton(profiled, theta0,
-                           tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
-                           max_iter=opts.max_iter, damping=opts.damping,
-                           step_residual_factory=frozen_factory)
         sigma_hat = estimate_sigma_ml(model, data, sol.theta)
         if sigma_hat == 0.0:
             f = np.asarray(model.eval(data.x, sol.theta), dtype=float)
             if np.any(data.y != f):
                 raise DegenerateError("scale estimate collapsed to zero on non-interpolating data")
-        return _finish(method, model, data, sol, sigma_hat)
-
-    def residual(theta):
-        return equation_residual(method, model, data, theta)
-
-    sol = solve_newton(residual, theta0,
-                       tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
-                       max_iter=opts.max_iter, damping=opts.damping)
-    sigma_hat = estimate_sigma_unbiased(model, data, sol.theta)
-    return _finish(method, model, data, sol, sigma_hat)
+    else:
+        sigma_hat = estimate_sigma_unbiased(model, data, sol.theta)
+    return FitResult(method=method, theta_hat=sol.theta, sigma_hat=sigma_hat,
+                     iterations=start_iterations + sol.iterations, converged=sol.converged,
+                     residual_norm=sol.residual_norm, tolerance=sol.tolerance)
 
 
 def fit_ml(model: ModelFunction, data: Dataset, opts: FitOptions | None = None) -> FitResult:
-    """Profiled normal maximum likelihood (two-part sigma/theta iteration)."""
+    """Profiled normal maximum likelihood: sigma is re-estimated at every iterate."""
     return fit(model, data, "ml", opts)
 
 

@@ -23,14 +23,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equivalent_dose import (
-    MODE_COMMON_SIGMA,
-    MODE_SEPARATE,
+    MODE_DEFAULT,
+    MODES,
     PartialBleachModel,
     beta1_from_gamma,
     fit_two_curves,
     gamma_bias_se,
     joint_bias_cov,
     partial_bleach_model,
+    resolve_mode,
     solve_gamma,
 )
 from .estimators import METHODS, FitOptions, fit
@@ -51,8 +52,6 @@ QNL84_ALPHA = np.array([142853.0, 123.182, 393.065])
 QNL84_BETA2 = 192.547
 QNL84_BETA3 = 756.620
 QNL84_GAMMA = -87.45
-
-MODE_DEFAULT = "default"  # per-method: ML shares sigma, the rest fit separately
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class SimDesign:
                 raise ValueError(f"unknown method {m!r}")
         if self.start not in ("theta0", "auto"):
             raise ValueError("start must be 'theta0' or 'auto'")
-        if self.fit_mode not in (MODE_DEFAULT, MODE_SEPARATE, MODE_COMMON_SIGMA):
+        if self.fit_mode not in (MODE_DEFAULT,) + MODES:
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
 
     @property
@@ -107,11 +106,7 @@ class SimDesign:
         return names + ("gamma",) if self.two_curve else names
 
     def mode_for(self, method: str) -> str:
-        if self.fit_mode == MODE_DEFAULT:
-            return MODE_COMMON_SIGMA if method == "ml" else MODE_SEPARATE
-        if method == "dwls" and self.fit_mode == MODE_COMMON_SIGMA:
-            return MODE_SEPARATE  # scale-free equations; the mode cannot apply
-        return self.fit_mode
+        return resolve_mode(self.fit_mode, method)
 
 
 def default_partial_bleach_design(sigma_grid=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
@@ -260,11 +255,11 @@ def _formula_biases(design: SimDesign, sigma: float) -> dict[str, Array]:
     for method in design.methods:
         if design.two_curve:
             mode = design.mode_for(method)
-            bias_vec, _ = joint_bias_cov(design.model, design.x1, design.x2,
-                                         design.theta0, sigma, method, mode)
+            bias_vec, cov = joint_bias_cov(design.model, design.x1, design.x2,
+                                           design.theta0, sigma, method, mode)
             dose = gamma_bias_se(design.model, design.x1, design.x2, design.theta0,
-                                 sigma, method, fit_mode=mode,
-                                 bracket=design.gamma_bracket)
+                                 sigma, method, fit_mode=mode, bracket=design.gamma_bracket,
+                                 bias_and_cov=(bias_vec, cov))
             out[method] = np.concatenate([bias_vec, [dose.bias]])
         else:
             data = Dataset(design.x1,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from propfit import estimators
+from propfit.equivalent_dose import partial_bleach_model, stacked_model
 from propfit.estimators import (
     FitOptions,
     equation_residual,
@@ -18,6 +20,8 @@ from propfit.estimators import (
 from propfit.exceptions import ZeroResponseError
 from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset
+from propfit.simulation import DEFAULT_BLEACHED_DOSES, DEFAULT_UNBLEACHED_DOSES, QNL84_BETA2, \
+    QNL84_BETA3
 from conftest import PAPER_ALPHA, make_noisy
 
 TIGHT = FitOptions(tol_residual=1e-12, tol_absolute=1e-14)
@@ -129,6 +133,52 @@ class TestEquationResidual:
         np.testing.assert_array_equal(a, b)
 
 
+def _central_jacobian(method, model, data, theta, rel_step=1e-6):
+    cols = []
+    for j in range(theta.size):
+        h = rel_step * max(1.0, abs(theta[j]))
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        cols.append((equation_residual(method, model, data, tp)
+                     - equation_residual(method, model, data, tm)) / (tp[j] - tm[j]))
+    return np.stack(cols, axis=1)
+
+
+class TestEquationJacobian:
+    """The solver's analytic Jacobian against central differences of the equation."""
+
+    @pytest.mark.parametrize("method", ["ml", "ql", "wls", "dwls"])
+    @pytest.mark.parametrize("case", ["constant", "exponential", "saturating"])
+    def test_matches_central_differences(self, const, expo, satexp, method, case):
+        if case == "constant":
+            model, theta = const, np.array([2.0])
+            data = make_noisy(const, np.arange(6.0), theta, 0.1, seed=4)
+        elif case == "exponential":
+            model, theta = expo, np.array([10.0, 3.0])
+            data = make_noisy(expo, np.linspace(0.0, 8.0, 9), theta, 0.05, seed=4)
+        else:
+            model, theta = satexp, PAPER_ALPHA
+            data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), theta, 0.05, seed=4)
+        # Off the root, so every term of the Jacobian is exercised.
+        theta = theta * (1.0 + 0.02 * np.arange(1, theta.size + 1))
+        analytic = estimators._point(estimators._EQUATIONS[method], model, data,
+                                     theta).jacobian()
+        np.testing.assert_allclose(analytic, _central_jacobian(method, model, data, theta),
+                                   rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
+
+    def test_ml_on_stacked_common_sigma_model(self):
+        pb = partial_bleach_model()
+        joint, idx = stacked_model(pb, DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES)
+        theta = np.concatenate([PAPER_ALPHA, [95717.8, QNL84_BETA2, QNL84_BETA3]])
+        data = make_noisy(joint, idx, theta, 0.03, seed=8)
+        theta = theta * (1.0 + 0.01 * np.arange(1, 7))
+        analytic = estimators._point(estimators._EQUATIONS["ml"], joint, data,
+                                     theta).jacobian()
+        np.testing.assert_allclose(analytic, _central_jacobian("ml", joint, data, theta),
+                                   rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
+
+
 class TestRootContract:
     @pytest.mark.parametrize("method", ["ml", "ql", "wls", "dwls"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -138,6 +188,15 @@ class TestRootContract:
         assert res.converged
         r = equation_residual(method, satexp, data, res.theta_hat)
         assert np.max(np.abs(r)) <= res.tolerance
+
+    @pytest.mark.parametrize("method", ["ml", "ql", "wls", "dwls"])
+    def test_convergence_does_not_depend_on_start(self, satexp, method):
+        data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), PAPER_ALPHA, 0.05, seed=9)
+        a = fit(satexp, data, method, FitOptions(start=PAPER_ALPHA))
+        b = fit(satexp, data, method, FitOptions(start="auto"))
+        assert a.converged and b.converged
+        assert a.tolerance == pytest.approx(b.tolerance, rel=1e-6)
+        np.testing.assert_allclose(b.theta_hat, a.theta_hat, rtol=1e-8)
 
     def test_estimate_lands_within_a_few_standard_errors(self, satexp):
         # SE scale from sigma^2 (J'J)^{-1} at the truth.

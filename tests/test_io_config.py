@@ -73,6 +73,8 @@ class TestConfig:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"fit": {"tol": 1e-8}})
+        with pytest.raises(ConfigError):
+            parse_config({"fit": {"damping": 1e-3}})
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
