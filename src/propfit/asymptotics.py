@@ -137,20 +137,24 @@ def cov_ml_exact(model: ModelFunction, data: Dataset, theta, sigma: float) -> Co
     return CovarianceReport(method="ml", cov=cov, order=ML_EXACT)
 
 
-def bias_cov(method: str, model: ModelFunction, data: Dataset, theta,
-             sigma: float) -> tuple[Array, Array]:
-    """A fit's reported bias and covariance, both from one Jacobian bundle.
+def bundle_bias_cov(method: str, bundle: JacobianBundle, sigma: float) -> tuple[Array, Array]:
+    """A fit's reported bias and covariance from its Jacobian bundle.
 
     The bias is :func:`bias_order2`'s; the covariance is :func:`cov_ml_exact`'s
     for ``ml`` and :func:`cov_order2`'s otherwise.
     """
-    bundle = build_jacobian_bundle(model, data, theta)
     sigma = float(sigma)
     if method.lower() == "ml":
         cov = _finalize_cov(_ml_exact_from_bundle(bundle, sigma), "ML covariance")
     else:
         cov = _finalize_cov(sigma**2 * bundle.JtJ_inv, "order-2 covariance")
     return sigma**2 * bias_kernel(method, bundle), cov
+
+
+def bias_cov(method: str, model: ModelFunction, data: Dataset, theta,
+             sigma: float) -> tuple[Array, Array]:
+    """:func:`bundle_bias_cov` at ``theta``, building the bundle once."""
+    return bundle_bias_cov(method, build_jacobian_bundle(model, data, theta), sigma)
 
 
 def cov_ml_unreduced(model: ModelFunction, data: Dataset, theta, sigma: float) -> Array:

@@ -38,7 +38,7 @@ from .equivalent_dose import (
     partial_bleach_model,
     resolve_mode,
 )
-from .estimators import METHODS, fit
+from .estimators import METHODS, fit, resolve_start
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
 from .simulation import compare_bias_table, run_study
@@ -126,10 +126,14 @@ def _error_entry(exc: Exception, **extra) -> dict:
 
 def _fit_single(config: RunConfig, data) -> dict:
     model = config.build_model()
+    opts = config.fit_options
+    if isinstance(opts.start, str):
+        # Every method starts from the same unweighted least-squares fit.
+        opts = replace(opts, start=resolve_start(model, data.x, data.y[None, :], opts))
     entries: dict = {}
     for method in config.methods:
         try:
-            res = fit(model, data, method, config.fit_options)
+            res = fit(model, data, method, opts)
         except (PropfitError, ValueError) as exc:
             entries[method] = _error_entry(exc)
             continue
@@ -147,12 +151,18 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
     model = partial_bleach_model()
     if config.methods == ("dwls",) and config.mode == MODE_COMMON_SIGMA:
         raise ModeError("data-weighted least squares cannot share a scale")
+    opts = config.fit_options
+    starts = None
+    if isinstance(opts.start, str):
+        # Every method starts from the same unweighted least-squares fits.
+        starts = tuple(resolve_start(curve, data.x, data.y[None, :], opts)
+                       for curve, data in ((model.curve1, data1), (model.curve2, data2)))
     entries: dict = {}
     for method in config.methods:
         mode = resolve_mode(config.mode, method)
         try:
-            res = fit_two_curves(model, data1, data2, method, mode=mode,
-                                 opts=config.fit_options)
+            res = fit_two_curves(model, data1, data2, method, mode=mode, opts=opts,
+                                 starts=starts)
         except (PropfitError, ValueError) as exc:
             entries[method] = _error_entry(exc, mode=mode)
             continue
@@ -184,6 +194,11 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
             "curves": {labels[0]: data1.n, labels[1]: data2.n}, "methods": entries}
 
 
+def _num(value, spec: str) -> str:
+    """A report number as text; a missing one (NaN, null in JSON) reads ``nan``."""
+    return format(float("nan") if value is None else value, spec)
+
+
 def render_fit_text(report: dict) -> str:
     lines = [f"model: {report['model']}",
              "curves: " + ", ".join(f"{k} (n={v})" for k, v in report["curves"].items()), ""]
@@ -195,7 +210,7 @@ def render_fit_text(report: dict) -> str:
         if "error" in entry:
             lines.append(f"  error: {entry['error']}")
         if entry["parameters"]:
-            lines.append(f"  sigma estimate: {entry['sigma_hat']:.3f}")
+            lines.append(f"  sigma estimate: {_num(entry['sigma_hat'], '.3f')}")
             header = f"  {'parameter':<12}{'estimate':>14}{'bias':>12}{'se':>12}{'bias/rMSE%':>12}"
             lines.append(header)
             rows = list(entry["parameters"])
@@ -205,8 +220,9 @@ def render_fit_text(report: dict) -> str:
                                 "bias": d["bias"], "se": d["se"],
                                 "bias_over_rmse_pct": d["bias_over_rmse_pct"]}]
             for p in rows:
-                lines.append(f"  {p['name']:<12}{p['estimate']:>14.3f}{p['bias']:>12.3f}"
-                             f"{p['se']:>12.3f}{p['bias_over_rmse_pct']:>12.2f}")
+                lines.append(f"  {p['name']:<12}{_num(p['estimate'], '>14.3f')}"
+                             f"{_num(p['bias'], '>12.3f')}{_num(p['se'], '>12.3f')}"
+                             f"{_num(p['bias_over_rmse_pct'], '>12.2f')}")
         lines.append("")
     return "\n".join(lines)
 
@@ -349,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON run configuration with sim section")
     p_sim.add_argument("--seed", type=int, help="override sim.seed")
     p_sim.add_argument("--threads", type=int, default=_default_threads(),
-                       help=f"worker threads (default ${ENV_THREADS} or 1)")
+                       help="worker threads, each fitting a contiguous chunk of every "
+                            f"sigma's replicates (default ${ENV_THREADS} or 1)")
     p_sim.add_argument("--out", help="output path (both: .txt and .json)")
     p_sim.add_argument("--format", choices=["text", "json", "both"])
     p_sim.set_defaults(func=cmd_simulate)

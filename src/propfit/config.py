@@ -7,6 +7,7 @@ in the README.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -88,12 +89,20 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
+@functools.cache
+def _config_validator():
+    """The config schema's validator, checked and built on first use only."""
+    schema = load_schema("config")
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def parse_config(document: dict) -> RunConfig:
     """Validate a raw JSON document and apply defaults."""
-    schema = load_schema("config")
-    try:
-        jsonschema.validate(document, schema)
-    except jsonschema.ValidationError as exc:
+    # The error jsonschema.validate would raise, without re-checking the schema.
+    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(document))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"invalid config at {where}: {exc.message}") from None
 

@@ -25,25 +25,20 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq
 
-from .asymptotics import bias_cov
-from .estimators import (
-    FitOptions,
-    FitResult,
-    estimate_sigma_ml,
-    estimate_sigma_unbiased,
-    fit,
-)
+from .asymptotics import bundle_bias_cov
+from .estimators import FitBatch, FitOptions, FitResult, Start, fit_batch
 from .exceptions import (
     DomainError,
     ModeError,
     MultipleRootWarning,
     NoBracketError,
+    PropfitError,
     TangencyError,
+    first_errors,
 )
-from .models import Array, Dataset, ModelFunction, saturating_exponential_model
+from .jacobian import JacobianBundle, build_jacobian_bundle
+from .models import Array, Dataset, ModelFunction, fault_error, saturating_exponential_model
 
 MODE_SEPARATE = "separate"
 MODE_COMMON_SIGMA = "common-sigma"
@@ -112,54 +107,44 @@ def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Arr
     Returns the joint six-parameter model and the index array ``0..n1+n2-1``
     to use as its covariate; the actual doses are baked into the closure.
     The stacked form makes a common-sigma fit an ordinary single-model fit.
+    Its callables take ``theta (..., 6)`` like the curves' own.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     n1, n2 = x1.size, x2.size
     c1, c2 = model.curve1, model.curve2
-    p1 = c1.p
+    p1, p = c1.p, model.p
+    full = np.arange(n1 + n2, dtype=float)
 
     def _split_idx(ix):
         idx = np.asarray(ix)
+        if idx.shape == full.shape and np.array_equal(idx, full):
+            return slice(0, n1), x1, slice(n1, None), x2
         first = idx < n1
-        return first, x1[idx[first].astype(int)], x2[idx[~first].astype(int) - n1]
+        return first, x1[idx[first].astype(int)], ~first, x2[idx[~first].astype(int) - n1]
 
-    def ev(ix, t):
-        first, d1, d2 = _split_idx(ix)
-        out = np.empty(ix.size)
-        out[first] = c1.eval_fn(d1, t[:p1])
-        out[~first] = c2.eval_fn(d2, t[p1:])
-        return out
-
-    def gr(ix, t):
-        first, d1, d2 = _split_idx(ix)
-        out = np.zeros((ix.size, model.p))
-        out[first, :p1] = c1.grad_fn(d1, t[:p1])
-        out[~first, p1:] = c2.grad_fn(d2, t[p1:])
-        return out
-
-    def he(ix, t):
-        first, d1, d2 = _split_idx(ix)
-        out = np.zeros((ix.size, model.p, model.p))
-        out[np.ix_(first, range(p1), range(p1))] = c1.hess_fn(d1, t[:p1])
-        out[np.ix_(~first, range(p1, model.p), range(p1, model.p))] = c2.hess_fn(d2, t[p1:])
+    def _blocks(ix, t, fn1, fn2, tail):
+        sel1, d1, sel2, d2 = _split_idx(ix)
+        out = np.zeros(t.shape[:-1] + (np.size(ix),) + tail)
+        out[(..., sel1) + (slice(0, p1),) * len(tail)] = fn1(d1, t[..., :p1])
+        out[(..., sel2) + (slice(p1, p),) * len(tail)] = fn2(d2, t[..., p1:])
         return out
 
     def guard(ix, t):
-        ok1 = c1.domain_guard is None or c1.domain_guard(x1, t[:p1])
-        ok2 = c2.domain_guard is None or c2.domain_guard(x2, t[p1:])
-        return ok1 and ok2
+        ok1 = True if c1.domain_guard is None else c1.domain_guard(x1, t[..., :p1])
+        ok2 = True if c2.domain_guard is None else c2.domain_guard(x2, t[..., p1:])
+        return np.logical_and(ok1, ok2)
 
     joint = ModelFunction(
         name=f"{c1.name}+{c2.name}",
-        p=model.p,
+        p=p,
         param_names=model.param_names,
-        eval_fn=ev,
-        grad_fn=gr,
-        hess_fn=he,
+        eval_fn=lambda ix, t: _blocks(ix, t, c1.eval_fn, c2.eval_fn, ()),
+        grad_fn=lambda ix, t: _blocks(ix, t, c1.grad_fn, c2.grad_fn, (p,)),
+        hess_fn=lambda ix, t: _blocks(ix, t, c1.hess_fn, c2.hess_fn, (p, p)),
         domain_guard=guard,
     )
-    return joint, np.arange(n1 + n2, dtype=float)
+    return joint, full.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +166,14 @@ def beta1_from_gamma(alpha, beta2: float, beta3: float, gamma: float) -> float:
     return float(numer / denom)
 
 
+def _default_brackets(model: PartialBleachModel, theta: Array) -> tuple[Array, Array]:
+    """:func:`default_gamma_bracket` per row of ``theta (R, p)``."""
+    p1 = model.curve1.p
+    shift = np.minimum(theta[:, 1], theta[:, p1 + 1])
+    lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
+    return np.where(lo < 0.0, lo, -1.0), np.zeros(len(theta))
+
+
 def default_gamma_bracket(model: PartialBleachModel, theta) -> tuple[float, float]:
     """Scan range for the intersection: negative doses where both curves are live.
 
@@ -188,10 +181,113 @@ def default_gamma_bracket(model: PartialBleachModel, theta) -> tuple[float, floa
     exactly at -min(alpha2, beta2), as for equal-shape curve pairs, is still
     bracketed.
     """
-    alpha, beta = model.split(theta)
-    shift = min(alpha[1], beta[1])
-    lo = -shift - max(1e-3 * abs(shift), 1e-6)
-    return (lo, 0.0) if lo < 0.0 else (-1.0, 0.0)
+    lo, hi = _default_brackets(model, np.concatenate(model.split(theta))[None, :])
+    return float(lo[0]), float(hi[0])
+
+
+def _gap(model: PartialBleachModel, x: Array, alpha: Array, beta: Array):
+    """``g(x)`` per row, and per row the first curve (1 or 2) whose evaluation
+    faults and its fault code (0 where neither does)."""
+    g1, fault1 = model.curve1.eval_rows(x, alpha)
+    g2, fault2 = model.curve2.eval_rows(x, beta)
+    return g1 - g2, np.where(fault1 != 0, 1, 2), np.where(fault1 != 0, fault1, fault2)
+
+
+# Iterations of the root polish; bisection alone halves the bracket each time.
+_POLISH_MAX_ITER = 100
+
+
+def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: Array,
+            ga: Array, xtol: Array) -> Array:
+    """Roots of the gap in the brackets ``[a, b]`` (one per row, with a sign
+    change and ``g(a) = ga``), by Newton steps on the analytic slope that
+    fall back to bisection outside the bracket; stops once a step is below
+    ``xtol``."""
+    x = 0.5 * (a + b)
+    root = np.empty_like(x)
+    active = np.arange(x.size)
+    c1, c2 = model.curve1, model.curve2
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_MAX_ITER):
+            xa, al, be = x[:, None], alpha[active], beta[active]
+            g = (c1.eval_fn(xa, al) - c2.eval_fn(xa, be))[:, 0]
+            slope = (c1.dx_rows(xa, al) - c2.dx_rows(xa, be))[:, 0]
+            low = np.sign(g) == np.sign(ga)
+            a, ga = np.where(low, x, a), np.where(low, g, ga)
+            b = np.where(low, b, x)
+            new = x - g / slope
+            new = np.where((a < new) & (new < b), new, 0.5 * (a + b))
+            stop = (g == 0.0) | (np.abs(new - x) <= xtol)
+            root[active[stop]] = np.where(g == 0.0, x, new)[stop]
+            keep = ~stop
+            active, x, a, b, ga, xtol = (active[keep], new[keep], a[keep], b[keep], ga[keep],
+                                         xtol[keep])
+            if not active.size:
+                return root
+    root[active] = x
+    return root
+
+
+def solve_gamma_batch(model: PartialBleachModel, theta,
+                      bracket: tuple[float, float] | None = None,
+                      grid_points: int = DEFAULT_GRID_POINTS) -> tuple[Array, tuple]:
+    """:func:`solve_gamma` for every row of ``theta (R, p)`` at once.
+
+    Returns the roots and, per row, the exception :func:`solve_gamma` raises
+    for that row (None where it returns; such a row's root is NaN). Each
+    row's root is the same whatever else is in the stack.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != model.p:
+        raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
+    R, p1 = len(theta), model.curve1.p
+    alpha, beta = theta[:, :p1], theta[:, p1:]
+    if bracket is None:
+        lo, hi = _default_brackets(model, theta)
+    else:
+        lo, hi = float(bracket[0]), float(bracket[1])
+        if not lo < hi:
+            raise ValueError(f"invalid bracket {bracket!r}")
+        lo, hi = np.full(R, lo), np.full(R, hi)
+    xtol = 1e-8 * (hi - lo)
+
+    xs = np.linspace(lo, hi, grid_points, axis=-1)
+    gs, curve, fault = _gap(model, xs, alpha, beta)
+    with np.errstate(invalid="ignore"):
+        change = (gs[:, :-1] != 0.0) & (gs[:, 1:] != 0.0) & (
+            np.sign(gs[:, :-1]) != np.sign(gs[:, 1:]))
+    change[fault != 0] = False
+    rows, ks = np.nonzero(change)
+    polished = _polish(model, alpha[rows], beta[rows], xs[rows, ks], xs[rows, ks + 1],
+                       gs[rows, ks], xtol[rows])
+
+    gammas, errors = np.full(R, np.nan), [None] * R
+    for r in range(R):
+        if fault[r]:
+            errors[r] = fault_error(model.curve1 if curve[r] == 1 else model.curve2,
+                                    int(fault[r]))
+            continue
+        roots = [float(x) for x in xs[r, gs[r] == 0.0]] + [float(x) for x in polished[rows == r]]
+        if not roots:
+            errors[r] = NoBracketError(
+                f"no sign change of the curve gap over [{lo[r]:.6g}, {hi[r]:.6g}]")
+            continue
+        if len(roots) > 1:
+            # Collapse near-duplicates (grid zeros adjacent to sign changes).
+            roots = sorted(roots)
+            distinct = [roots[0]]
+            for root in roots[1:]:
+                if abs(root - distinct[-1]) > max(10.0 * xtol[r], 1e-12):
+                    distinct.append(root)
+            roots = distinct
+            if len(roots) > 1:
+                warnings.warn(
+                    f"{len(roots)} intersection roots found; returning the one closest to zero",
+                    MultipleRootWarning,
+                    stacklevel=2,
+                )
+        gammas[r] = min(roots, key=abs)
+    return gammas, tuple(errors)
 
 
 def solve_gamma(model: PartialBleachModel, theta, bracket: tuple[float, float] | None = None,
@@ -199,47 +295,18 @@ def solve_gamma(model: PartialBleachModel, theta, bracket: tuple[float, float] |
     """Signed intersection dose: the root of g(x, theta) closest to zero.
 
     Scans ``grid_points`` points across the bracket for sign changes and
-    polishes each with a bracketing root finder to absolute tolerance
-    ``1e-8 * (hi - lo)``.  More than one root raises
-    :class:`MultipleRootWarning` and returns the root closest to zero.
+    polishes each with Newton steps on the curves' slope, kept inside the
+    sign change by bisection, until a step is below ``1e-8 * (hi - lo)``.
+    More than one root raises :class:`MultipleRootWarning` and returns the
+    root closest to zero. A stack of one for :func:`solve_gamma_batch`.
     """
-    if bracket is None:
-        bracket = default_gamma_bracket(model, theta)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"invalid bracket {bracket!r}")
-    xtol = 1e-8 * (hi - lo)
-
-    xs = np.linspace(lo, hi, grid_points)
-    gs = np.asarray(model.intersection_gap(xs, theta), dtype=float)
-
-    roots = [float(x) for x, g in zip(xs, gs) if g == 0.0]
-    gap = lambda x: float(model.intersection_gap(float(x), theta))
-    for k in range(len(xs) - 1):
-        if gs[k] == 0.0 or gs[k + 1] == 0.0:
-            continue
-        if np.sign(gs[k]) != np.sign(gs[k + 1]):
-            roots.append(float(brentq(gap, xs[k], xs[k + 1], xtol=xtol)))
-
-    if not roots:
-        raise NoBracketError(
-            f"no sign change of the curve gap over [{lo:.6g}, {hi:.6g}]"
-        )
-    if len(roots) > 1:
-        # Collapse near-duplicates (grid zeros adjacent to sign changes).
-        roots = sorted(roots)
-        distinct = [roots[0]]
-        for r in roots[1:]:
-            if abs(r - distinct[-1]) > max(10.0 * xtol, 1e-12):
-                distinct.append(r)
-        roots = distinct
-        if len(roots) > 1:
-            warnings.warn(
-                f"{len(roots)} intersection roots found; returning the one closest to zero",
-                MultipleRootWarning,
-                stacklevel=2,
-            )
-    return min(roots, key=abs)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.p,):
+        raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
+    gammas, errors = solve_gamma_batch(model, theta[None, :], bracket, grid_points)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(gammas[0])
 
 
 def gamma_gradient(model: PartialBleachModel, theta, gamma: float) -> Array:
@@ -316,26 +383,47 @@ class DoseEstimate:
         return float(np.sign(self.gamma_hat) or 1.0) * self.bias
 
 
-def joint_bias_cov(model: PartialBleachModel, x1, x2, theta, sigma: float,
-                    method: str, fit_mode: str) -> tuple[Array, Array]:
-    """Six-parameter bias vector and covariance for the requested fit mode."""
+def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,
+                  fit_mode: str) -> tuple[JacobianBundle, ...]:
+    """The Jacobian bundles behind :func:`joint_bias_cov`: the stacked model's
+    for ``common-sigma``, one per curve for ``separate``."""
     fit_mode = _check_mode(fit_mode)
-    method = method.lower()
     if fit_mode == MODE_COMMON_SIGMA:
-        if method == "dwls":
+        if method.lower() == "dwls":
             raise ModeError("data-weighted least squares has no scale to share")
         joint, idx = stacked_model(model, x1, x2)
-        data = Dataset(idx, np.asarray(joint.eval(idx, theta), dtype=float))
-        return bias_cov(method, joint, data, theta, sigma)
-
+        return (build_jacobian_bundle(joint, Dataset(idx, joint.eval(idx, theta)), theta),)
     alpha, beta = model.split(theta)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    d1 = Dataset(x1, np.asarray(model.curve1.eval(x1, alpha), dtype=float))
-    d2 = Dataset(x2, np.asarray(model.curve2.eval(x2, beta), dtype=float))
-    b1, c1 = bias_cov(method, model.curve1, d1, alpha, sigma)
-    b2, c2 = bias_cov(method, model.curve2, d2, beta, sigma)
-    return np.concatenate([b1, b2]), block_diag(c1, c2)
+    bundles = []
+    for curve, x, t in ((model.curve1, x1, alpha), (model.curve2, x2, beta)):
+        x = np.asarray(x, dtype=float)
+        bundles.append(build_jacobian_bundle(curve, Dataset(x, curve.eval(x, t)), t))
+    return tuple(bundles)
+
+
+def bundles_bias_cov(bundles: tuple[JacobianBundle, ...], sigma: float,
+                     method: str) -> tuple[Array, Array]:
+    """Joint bias vector and block-diagonal covariance from :func:`joint_bundles`."""
+    parts = [bundle_bias_cov(method, bundle, sigma) for bundle in bundles]
+    cov = np.zeros((sum(c.shape[0] for _, c in parts),) * 2)
+    at = 0
+    for _, c in parts:
+        cov[at:at + c.shape[0], at:at + c.shape[0]] = c
+        at += c.shape[0]
+    return np.concatenate([b for b, _ in parts]), cov
+
+
+def joint_bias_cov(model: PartialBleachModel, x1, x2, theta, sigma: float,
+                   method: str, fit_mode: str) -> tuple[Array, Array]:
+    """Six-parameter bias vector and covariance for the requested fit mode."""
+    return bundles_bias_cov(joint_bundles(model, x1, x2, theta, method, fit_mode), sigma, method)
+
+
+def dose_bias_se(grad: Array, hess: Array, bias_vec: Array, cov: Array) -> tuple[float, float]:
+    """Second-order delta-method bias and standard error of gamma from its
+    gradient and Hessian and the parameters' bias and covariance."""
+    bias = float(grad @ bias_vec) + 0.5 * float(np.trace(hess @ cov))
+    return bias, float(np.sqrt(max(grad @ cov @ grad, 0.0)))
 
 
 def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method: str,
@@ -363,9 +451,7 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
     hess = gamma_hessian(model, theta, gamma)
     if bias_and_cov is None:
         bias_and_cov = joint_bias_cov(model, x1, x2, theta, sigma, method, fit_mode)
-    bias_vec, cov = bias_and_cov
-    bias = float(grad @ bias_vec) + 0.5 * float(np.trace(hess @ cov))
-    se = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    bias, se = dose_bias_se(grad, hess, *bias_and_cov)
     return DoseEstimate(gamma_hat=float(gamma), bias=bias, se=se,
                         method=method.lower(), bracket=tuple(used_bracket))
 
@@ -394,62 +480,109 @@ class TwoCurveFitResult:
     parts: tuple[FitResult, ...]
 
 
-def _split_start(model: PartialBleachModel, opts: FitOptions) -> tuple[FitOptions, FitOptions]:
+@dataclass(frozen=True)
+class TwoCurveFitBatch:
+    """Two-curve fits of a stack of dataset pairs; row ``r`` is what
+    :func:`fit_two_curves` returns for pair ``r``, or NaN numbers and its
+    exception in ``errors[r]``."""
+
+    method: str
+    mode: str
+    theta_hat: Array  # (R, p)
+    sigma_hats: Array  # (R, 2) separate, (R, 1) common-sigma
+    iterations: Array
+    converged: Array
+    residual_norm: Array
+    tolerance: Array
+    parts: tuple[FitBatch, ...]
+    errors: tuple
+
+    def result(self, r: int) -> TwoCurveFitResult:
+        """Row ``r`` as a :class:`TwoCurveFitResult`; raises the row's error if it failed."""
+        if self.errors[r] is not None:
+            raise self.errors[r]
+        return TwoCurveFitResult(
+            method=self.method, mode=self.mode, theta_hat=self.theta_hat[r].copy(),
+            sigma_hats=tuple(float(v) for v in self.sigma_hats[r]),
+            iterations=int(self.iterations[r]), converged=bool(self.converged[r]),
+            residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]),
+            parts=tuple(part.result(r) for part in self.parts))
+
+
+def _split_start(model: PartialBleachModel, opts: FitOptions,
+                 starts: tuple[Start, Start] | None) -> tuple[FitOptions, FitOptions]:
+    if starts is not None:
+        return replace(opts, start=starts[0]), replace(opts, start=starts[1])
     if isinstance(opts.start, str):
         return opts, opts
     start = np.asarray(opts.start, dtype=float)
-    a, b = model.split(start)
-    return replace(opts, start=a), replace(opts, start=b)
+    if start.shape[-1:] != (model.p,):
+        raise ValueError(f"joint theta must have shape ({model.p},), got {start.shape}")
+    p1 = model.curve1.p
+    return replace(opts, start=start[..., :p1]), replace(opts, start=start[..., p1:])
 
 
-def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,
-                   mode: str = MODE_SEPARATE, opts: FitOptions | None = None) -> TwoCurveFitResult:
-    """Fit the two curves either independently or sharing one scale.
+def fit_two_curves_batch(model: PartialBleachModel, x1, Y1, x2, Y2, method: str,
+                         mode: str = MODE_SEPARATE, opts: FitOptions | None = None,
+                         starts: tuple[Start, Start] | None = None) -> TwoCurveFitBatch:
+    """:func:`fit_two_curves` for every row pair of ``Y1 (R, n1)`` and
+    ``Y2 (R, n2)``, observed at ``x1`` and ``x2``.
 
-    ``common-sigma`` is meaningful for maximum likelihood (the profiled
-    common scale couples the two curves' equations); QL and WLS give the
-    same estimates either way, and DWLS rejects the mode outright.
+    ``starts`` are the curves' resolved ``"auto"`` starts
+    (:func:`~propfit.estimators.resolve_start`), for callers that fit several
+    methods to the same data; they stand in for ``opts.start``.
     """
     method = method.lower()
     mode = _check_mode(mode)
     opts = opts or FitOptions()
+    Y1, Y2 = np.asarray(Y1, dtype=float), np.asarray(Y2, dtype=float)
+    o1, o2 = _split_start(model, opts, starts)
+    auto = starts is not None or isinstance(opts.start, str)
 
     if mode == MODE_COMMON_SIGMA:
         if method == "dwls":
             raise ModeError(
                 "data-weighted least squares is scale-free; common-sigma mode does not apply"
             )
-        joint, idx = stacked_model(model, data1.x, data2.x)
-        stacked = Dataset(idx, np.concatenate([data1.y, data2.y]))
-        if isinstance(opts.start, str):
-            # Auto-start from separate per-curve fits of the same method.
-            o1, o2 = _split_start(model, opts)
-            pre1 = fit(model.curve1, data1, method, o1)
-            pre2 = fit(model.curve2, data2, method, o2)
-            joint_opts = replace(opts, start=np.concatenate([pre1.theta_hat, pre2.theta_hat]))
-        else:
-            joint_opts = opts
-        res = fit(joint, stacked, method, joint_opts)
-        if method == "ml":
-            sigma = estimate_sigma_ml(joint, stacked, res.theta_hat)
-        else:
-            sigma = estimate_sigma_unbiased(joint, stacked, res.theta_hat, p=joint.p)
-        return TwoCurveFitResult(
-            method=method, mode=mode, theta_hat=res.theta_hat, sigma_hats=(sigma,),
+        joint, idx = stacked_model(model, x1, x2)
+        joint_opts = opts
+        if auto:
+            # Start from separate per-curve fits of the same method.
+            pre1 = fit_batch(model.curve1, x1, Y1, method, o1)
+            pre2 = fit_batch(model.curve2, x2, Y2, method, o2)
+            joint_opts = replace(opts, start=Start(
+                theta=np.concatenate([pre1.theta_hat, pre2.theta_hat], axis=1),
+                iterations=np.zeros(len(Y1), dtype=int),
+                errors=first_errors(pre1.errors, pre2.errors)))
+        res = fit_batch(joint, idx, np.concatenate([Y1, Y2], axis=1), method, joint_opts)
+        return TwoCurveFitBatch(
+            method=method, mode=mode, theta_hat=res.theta_hat, sigma_hats=res.sigma_hat[:, None],
             iterations=res.iterations, converged=res.converged,
             residual_norm=res.residual_norm, tolerance=res.tolerance, parts=(res,),
-        )
+            errors=res.errors)
 
-    o1, o2 = _split_start(model, opts)
-    r1 = fit(model.curve1, data1, method, o1)
-    r2 = fit(model.curve2, data2, method, o2)
-    return TwoCurveFitResult(
+    r1 = fit_batch(model.curve1, x1, Y1, method, o1)
+    r2 = fit_batch(model.curve2, x2, Y2, method, o2)
+    return TwoCurveFitBatch(
         method=method, mode=mode,
-        theta_hat=np.concatenate([r1.theta_hat, r2.theta_hat]),
-        sigma_hats=(r1.sigma_hat, r2.sigma_hat),
-        iterations=max(r1.iterations, r2.iterations),
-        converged=r1.converged and r2.converged,
-        residual_norm=max(r1.residual_norm, r2.residual_norm),
-        tolerance=max(r1.tolerance, r2.tolerance),
-        parts=(r1, r2),
-    )
+        theta_hat=np.concatenate([r1.theta_hat, r2.theta_hat], axis=1),
+        sigma_hats=np.stack([r1.sigma_hat, r2.sigma_hat], axis=1),
+        iterations=np.maximum(r1.iterations, r2.iterations),
+        converged=r1.converged & r2.converged,
+        residual_norm=np.maximum(r1.residual_norm, r2.residual_norm),
+        tolerance=np.maximum(r1.tolerance, r2.tolerance),
+        parts=(r1, r2), errors=first_errors(r1.errors, r2.errors))
+
+
+def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,
+                   mode: str = MODE_SEPARATE, opts: FitOptions | None = None,
+                   starts: tuple[Start, Start] | None = None) -> TwoCurveFitResult:
+    """Fit the two curves either independently or sharing one scale.
+
+    ``common-sigma`` is meaningful for maximum likelihood (the profiled
+    common scale couples the two curves' equations); QL and WLS give the
+    same estimates either way, and DWLS rejects the mode outright. A stack
+    of one for :func:`fit_two_curves_batch`.
+    """
+    return fit_two_curves_batch(model, data1.x, data1.y[None, :], data2.x, data2.y[None, :],
+                                method, mode, opts, starts).result(0)

@@ -13,6 +13,10 @@ Each estimator is the root of an estimating equation in theta:
 
 QL, WLS and DWLS estimates never depend on how (or whether) sigma is
 estimated; their sigma is reported from the unbiased rule afterwards.
+
+:func:`fit_batch` fits one method to a stack of datasets that share their
+covariate, one row each, and :func:`fit` is a stack of one: there is one
+solver path, and a row's numbers do not depend on the rest of its stack.
 """
 
 from __future__ import annotations
@@ -22,9 +26,17 @@ from typing import Callable
 
 import numpy as np
 
-from ._newton import Point, SolveResult, solve
-from .exceptions import DegenerateError, DomainError, ZeroMeanError, ZeroResponseError
-from .models import Array, Dataset, ModelFunction
+from ._newton import Point, solve
+from .exceptions import DegenerateError, PropfitError, ZeroResponseError, first_errors
+from .models import (
+    FAULT_HESSIAN,
+    FAULT_THETA,
+    FAULT_ZERO_MEAN,
+    Array,
+    Dataset,
+    ModelFunction,
+    fault_error,
+)
 
 METHODS = ("ml", "ql", "wls", "dwls")
 
@@ -43,9 +55,10 @@ class FitOptions:
     A fit has converged when ``max|G| <= max(tol_absolute, tol_residual *
     scale)``, where ``G`` is the estimating equation and ``scale`` is
     ``max_j sum_i |c_i df_i/dtheta_j|``, the size of the terms of ``G =
-    sum_i c_i grad f_i`` at the current iterate. ``start`` is either a
-    parameter vector or ``"auto"``, which solves unweighted least squares
-    from the model's data-driven hint first.
+    sum_i c_i grad f_i`` at the current iterate. ``start`` is a parameter
+    vector (for a stack, one shared vector or one row per dataset),
+    ``"auto"``, which solves unweighted least squares from the model's
+    data-driven hint first, or a :class:`Start` already resolved.
     """
 
     tol_residual: float = 1e-8
@@ -71,6 +84,49 @@ class FitResult:
     tolerance: float
 
 
+@dataclass(frozen=True)
+class FitBatch:
+    """Fits of one method to a stack of datasets sharing their covariate.
+
+    Row ``r`` holds what :func:`fit` returns for dataset ``r``, or, where
+    that fit raises, NaN numbers and the exception in ``errors[r]``.
+    """
+
+    method: str
+    theta_hat: Array  # (R, p)
+    sigma_hat: Array  # (R,)
+    iterations: Array
+    converged: Array
+    residual_norm: Array
+    tolerance: Array
+    errors: tuple
+
+    def result(self, r: int) -> FitResult:
+        """Row ``r`` as a :class:`FitResult`; raises the row's error if it failed."""
+        if self.errors[r] is not None:
+            raise self.errors[r]
+        return FitResult(method=self.method, theta_hat=self.theta_hat[r].copy(),
+                         sigma_hat=float(self.sigma_hat[r]), iterations=int(self.iterations[r]),
+                         converged=bool(self.converged[r]),
+                         residual_norm=float(self.residual_norm[r]),
+                         tolerance=float(self.tolerance[r]))
+
+
+@dataclass(frozen=True)
+class Start:
+    """Starting vectors of a stack of fits, one row per dataset.
+
+    ``iterations`` are the solver iterations spent finding each row (they
+    count towards the fit's), ``errors`` the exception of a row that has no
+    start (None elsewhere). :func:`resolve_start` makes one; passing it as
+    ``FitOptions.start`` lets several methods share one ``"auto"`` solve.
+    """
+
+    theta: Array  # (R, p)
+    iterations: Array  # (R,)
+    errors: tuple
+
+
 # ---------------------------------------------------------------------------
 # Estimating equations
 # ---------------------------------------------------------------------------
@@ -94,18 +150,18 @@ class _Equation:
     profiled: bool = False
 
 
-def _ql_objective(f: Array, y: Array) -> float:
+def _ql_objective(f: Array, y: Array) -> Array:
     q = y / f
-    return float(np.sum(q - np.log(q))) if np.all(q > 0.0) else np.inf
+    return np.where(np.all(q > 0.0, axis=-1), np.sum(q - np.log(q), axis=-1), np.inf)
 
 
-def _ml_objective(f: Array, y: Array) -> float:
+def _ml_objective(f: Array, y: Array) -> Array:
     # Profiled negative log-likelihood sum(log f) + n/2 log s^2, less sum(log y).
     q = y / f
-    if not np.all(q > 0.0):
-        return np.inf
-    s2 = float(np.mean((q - 1.0) ** 2))
-    return 0.5 * q.size * np.log(s2) - float(np.sum(np.log(q))) if s2 > 0.0 else -np.inf
+    s2 = np.mean((q - 1.0) ** 2, axis=-1)
+    value = np.where(s2 > 0.0, 0.5 * q.shape[-1] * np.log(s2) - np.sum(np.log(q), axis=-1),
+                     -np.inf)
+    return np.where(np.all(q > 0.0, axis=-1), value, np.inf)
 
 
 _EQUATIONS = {
@@ -124,12 +180,12 @@ _EQUATIONS = {
         weight=lambda f, y: y * (y - f) / f**3,
         dweight=lambda f, y: y * (2.0 * f - 3.0 * y) / f**4,
         scoring=lambda f, y: -1.0 / f**2,
-        objective=lambda f, y: 0.5 * float(np.sum(((y - f) / f) ** 2))),
+        objective=lambda f, y: 0.5 * np.sum(((y - f) / f) ** 2, axis=-1)),
     "dwls": _Equation(
         weight=lambda f, y: (y - f) / y**2,
         dweight=lambda f, y: -1.0 / y**2,
         scoring=lambda f, y: -1.0 / y**2,
-        objective=lambda f, y: 0.5 * float(np.sum(((y - f) / y) ** 2)),
+        objective=lambda f, y: 0.5 * np.sum(((y - f) / y) ** 2, axis=-1),
         divides_by_f=False),
 }
 
@@ -138,50 +194,85 @@ _OLS = _Equation(
     weight=lambda f, y: y - f,
     dweight=lambda f, y: np.full_like(f, -1.0),
     scoring=lambda f, y: np.full_like(f, -1.0),
-    objective=lambda f, y: 0.5 * float(np.sum((y - f) ** 2)),
+    objective=lambda f, y: 0.5 * np.sum((y - f) ** 2, axis=-1),
     divides_by_f=False)
 
 
-def _parts(model: ModelFunction, data: Dataset, theta, need_f_nonzero: bool):
-    # Hot path: validate once, then hit the raw eval/grad callables.
-    theta = model.check_theta(theta)
-    if model.domain_guard is not None and not model.domain_guard(data.x, theta):
-        raise DomainError(f"model {model.name!r} is undefined at the requested point")
-    f = np.asarray(model.eval_fn(data.x, theta), dtype=float)
-    if need_f_nonzero and not np.all(f != 0.0):
-        raise ZeroMeanError("mean response is zero at an observation")
-    if model.grad_fn is not None:
-        G = np.asarray(model.grad_fn(data.x, theta), dtype=float)
-    else:
-        G = model._fd_grad(data.x, theta)
-    return f, G
+def _t(a: Array) -> Array:
+    return np.swapaxes(a, -1, -2)
 
 
-def _point(eq: _Equation, model: ModelFunction, data: Dataset, theta,
-           sigma: float | None = None) -> Point:
-    """The solver's view of ``eq`` at ``theta``; ``sigma`` freezes ML's scale."""
-    f, G = _parts(model, data, theta, need_f_nonzero=eq.divides_by_f)
-    y = data.y
-    c = eq.weight(f, y)
-    if eq.profiled:
-        s2 = float(np.mean(((y - f) / f) ** 2)) if sigma is None else float(sigma) ** 2
-        c = c + s2 / f
+class _Iterate(Point):
+    """Iterates of one equation over a stack of datasets (see :class:`Point`).
 
-    def jacobian():
-        H = model.hess(data.x, theta)
-        A = np.tensordot(c, H, axes=1) + (G * eq.dweight(f, y)[:, None]).T @ G
-        if eq.profiled:
-            J = G / f[:, None]
-            ds2 = (-2.0 / data.n) * (G.T @ (y * (y - f) / f**3))
-            A += np.outer(J.sum(axis=0), ds2) - s2 * (J.T @ J)
+    Shapes follow ``theta``: ``(p,)`` with ``y (n,)`` for a single point, or
+    ``(m, p)`` with ``y (m, n)`` for a stack.
+    """
+
+    ROWS = Point.ROWS + ("y", "f", "G", "c", "s2")
+
+    def __init__(self, eq: _Equation, model: ModelFunction, x: Array, **rows):
+        self.eq, self.model, self.x = eq, model, x
+        for name in self.ROWS:
+            setattr(self, name, rows[name])
+
+    def jacobian(self) -> Array:
+        """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
+        scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
+        eq, y, f, G, c = self.eq, self.y, self.f, self.G, self.c
+        p = G.shape[-1]
+        with np.errstate(all="ignore"):
+            H = self.model.hess_rows(self.x, self.theta)
+            bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
+            A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
+                c.shape[:-1] + (p, p))
+            A += _t(G * eq.dweight(f, y)[..., None]) @ G
+            if eq.profiled:
+                J = G / f[..., None]
+                ds2 = (-2.0 / y.shape[-1]) * (_t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
+                A += (J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
+                      - np.asarray(self.s2)[..., None, None] * (_t(J) @ J))
+        if np.any(bad):
+            self.fault[bad] = FAULT_HESSIAN
         return A
 
-    def scoring():
-        return (G * eq.scoring(f, y)[:, None]).T @ G
+    def scoring(self) -> Array:
+        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
+        with np.errstate(all="ignore"):
+            return _t(self.G * self.eq.scoring(self.f, self.y)[..., None]) @ self.G
 
-    return Point(theta=theta, objective=eq.objective(f, y), residual=G.T @ c,
-                 scale=float(np.max(np.abs(c) @ np.abs(G))),
-                 jacobian=jacobian, scoring=scoring)
+    def error(self, i: int) -> PropfitError:
+        return fault_error(self.model, int(self.fault[i]))
+
+
+def _point(eq: _Equation, model: ModelFunction, data, theta,
+           sigma: float | None = None) -> _Iterate:
+    """The solver's view of ``eq`` at ``theta (..., p)`` for ``data.y (..., n)``;
+    ``sigma`` freezes ML's scale."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (model.p,):
+        raise ValueError(f"theta must have shape ({model.p},), got {theta.shape}")
+    x, y = data.x, data.y
+    with np.errstate(all="ignore"):  # undefined rows are flagged in ``fault``
+        f = np.asarray(model.eval_fn(x, theta), dtype=float)
+        fault = model.faults(x, theta)
+        if eq.divides_by_f:
+            fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+        G = model.grad_rows(x, theta)
+        c = eq.weight(f, y)
+        s2 = None
+        if eq.profiled:
+            if sigma is None:
+                s2 = np.mean(((y - f) / f) ** 2, axis=-1)
+            else:
+                s2 = np.full(theta.shape[:-1], float(sigma) ** 2)
+            c = c + s2[..., None] / f
+        residual = (c[..., None, :] @ G)[..., 0, :]
+        scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
+        objective = eq.objective(f, y)
+    return _Iterate(eq, model, x, theta=theta, objective=objective, residual=residual,
+                    scale=scale, norm=np.max(np.abs(residual), axis=-1), fault=fault,
+                    y=y, f=f, G=G, c=c, s2=np.zeros(theta.shape[:-1]) if s2 is None else s2)
 
 
 def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
@@ -194,24 +285,35 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     method = _check_method(method)
     if method == "dwls" and np.any(data.y == 0.0):
         raise ZeroResponseError("data-weighted least squares requires all y != 0")
-    return _point(_EQUATIONS[method], model, data, theta, sigma).residual
+    pt = _point(_EQUATIONS[method], model, data, model.check_theta(theta), sigma)
+    if pt.fault:
+        raise fault_error(model, int(pt.fault))
+    return pt.residual
 
 
 # ---------------------------------------------------------------------------
 # Sigma estimates
 # ---------------------------------------------------------------------------
 
-def _rel_residuals(model: ModelFunction, data: Dataset, theta_hat) -> Array:
-    f = np.asarray(model.eval(data.x, theta_hat), dtype=float)
-    if np.any(f == 0.0):
-        raise ZeroMeanError("mean response is zero at an observation")
-    return (data.y - f) / f
+def _rel_residuals(model: ModelFunction, x: Array, Y: Array, theta) -> tuple[Array, Array, Array]:
+    """Relative residuals ``(y - f)/f`` of a stack, the means, and a fault code
+    per row (as :meth:`ModelFunction.eval` plus a zero mean)."""
+    f, fault = model.eval_rows(x, theta)
+    fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+    with np.errstate(all="ignore"):
+        return (Y - f) / f, f, fault
+
+
+def _one_row(model: ModelFunction, data: Dataset, theta_hat) -> Array:
+    rel, _, fault = _rel_residuals(model, data.x, data.y, model.check_theta(theta_hat))
+    if fault:
+        raise fault_error(model, int(fault))
+    return rel
 
 
 def estimate_sigma_ml(model: ModelFunction, data: Dataset, theta_hat) -> float:
     """Maximum-likelihood scale: sqrt(mean of squared relative residuals)."""
-    rel = _rel_residuals(model, data, theta_hat)
-    return float(np.sqrt(np.mean(rel**2)))
+    return float(np.sqrt(np.mean(_one_row(model, data, theta_hat) ** 2)))
 
 
 def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
@@ -220,7 +322,7 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
     p = model.p if p is None else int(p)
     if data.n <= p:
         raise ValueError(f"need n > p, got n={data.n}, p={p}")
-    rel = _rel_residuals(model, data, theta_hat)
+    rel = _one_row(model, data, theta_hat)
     return float(np.sqrt(np.sum(rel**2) / (data.n - p)))
 
 
@@ -228,54 +330,122 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _solve(eq: _Equation, model: ModelFunction, data: Dataset, theta0: Array,
-           opts: FitOptions) -> SolveResult:
-    return solve(lambda theta: _point(eq, model, data, theta), theta0,
-                 tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
-                 max_iter=opts.max_iter)
+@dataclass(frozen=True)
+class _Stack:
+    """Datasets sharing the covariate ``x (n,)``: responses ``y (R, n)``."""
+
+    x: Array
+    y: Array
 
 
-def _resolve_start(model: ModelFunction, data: Dataset, opts: FitOptions) -> tuple[Array, int]:
-    """The starting vector and the iterations spent finding it."""
-    if not isinstance(opts.start, str):
-        return model.check_theta(np.asarray(opts.start, dtype=float)), 0
-    if opts.start != "auto":
-        raise ValueError(f"unknown start spec {opts.start!r}")
-    if model.start_hint is not None:
-        hint = model.check_theta(model.start_hint(data.x, data.y))
+def _solve(eq: _Equation, model: ModelFunction, x: Array, Y: Array, theta0: Array,
+           opts: FitOptions):
+    def evaluate(theta, rows):
+        return _point(eq, model, _Stack(x, Y[rows]), theta)
+
+    return solve(evaluate, theta0, tol_relative=opts.tol_residual,
+                 tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
+
+
+def resolve_start(model: ModelFunction, x, Y, opts: FitOptions) -> Start:
+    """The starting vectors ``opts.start`` gives the datasets ``Y (R, n)``.
+
+    A vector applies to every row (an ``(R, p)`` array gives one per row);
+    ``"auto"`` solves unweighted least squares from the model's data-driven
+    hint, and its iterations count towards the fit's.
+    """
+    start = opts.start
+    x, Y = np.asarray(x, dtype=float), np.atleast_2d(np.asarray(Y, dtype=float))
+    R, p = len(Y), model.p
+    if isinstance(start, Start):
+        if start.theta.shape != (R, p):
+            raise ValueError(f"start must have shape ({R}, {p}), got {start.theta.shape}")
+        return start
+    if not isinstance(start, str):
+        theta = np.asarray(start, dtype=float)
+        if theta.shape == (p,):
+            theta = np.broadcast_to(theta, (R, p))
+        elif theta.shape != (R, p):
+            raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
+        errors = tuple(None if ok else fault_error(model, FAULT_THETA)
+                       for ok in np.all(np.isfinite(theta), axis=-1))
+        return Start(theta=theta, iterations=np.zeros(R, dtype=int), errors=errors)
+    if start != "auto":
+        raise ValueError(f"unknown start spec {start!r}")
+    hints = np.ones((R, p))
+    if model.start_hint is not None and R:
+        hints = np.stack([np.asarray(model.start_hint(x, y), dtype=float) for y in Y])
+        if hints.shape[1:] != (p,):
+            raise ValueError(f"theta must have shape ({p},), got {hints.shape[1:]}")
+    pre = _solve(_OLS, model, x, Y, hints, opts)
+    return Start(theta=pre.theta, iterations=pre.iterations, errors=tuple(pre.errors))
+
+
+def fit_batch(model: ModelFunction, x, Y, method: str,
+              opts: FitOptions | None = None) -> FitBatch:
+    """Fit one estimator to each row of ``Y (R, n)``, all observed at ``x (n,)``.
+
+    Row ``r`` is the fit of ``Dataset(x, Y[r])``: the same numbers, bit for
+    bit, whatever else is in the stack, and a row whose fit raises fails
+    alone (see :class:`FitBatch`). ``iterations`` counts every solver
+    iteration, those of the unweighted least-squares solve behind
+    ``start="auto"`` included.
+    """
+    method = _check_method(method)
+    opts = opts or FitOptions()
+    x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != x.size:
+        raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
+    n, p, R = x.size, model.p, len(Y)
+    if n <= p:
+        raise ValueError(f"need n > p observations, got n={n}, p={p}")
+    errors = [None] * R
+    if method == "dwls":
+        for r in np.flatnonzero(np.any(Y <= 0.0, axis=1)):
+            errors[r] = ZeroResponseError("data-weighted least squares requires all y > 0")
+
+    start = resolve_start(model, x, Y, opts)
+    errors = list(first_errors(errors, start.errors))
+    live = np.array([r for r in range(R) if errors[r] is None], dtype=int)
+    sol = _solve(_EQUATIONS[method], model, x, Y[live], start.theta[live], opts)
+    rel, f, fault = _rel_residuals(model, x, Y[live], sol.theta)
+
+    theta_hat, sigma_hat = np.full((R, p), np.nan), np.full(R, np.nan)
+    iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
+    residual_norm, tolerance = np.full(R, np.nan), np.full(R, np.nan)
+    if method == "ml":
+        sigma = np.sqrt(np.mean(rel**2, axis=-1))
+        degenerate = (sigma == 0.0) & np.any(Y[live] != f, axis=-1)
     else:
-        hint = np.ones(model.p)
-    pre = _solve(_OLS, model, data, hint, opts)
-    return pre.theta, pre.iterations
+        sigma = np.sqrt(np.sum(rel**2, axis=-1) / (n - p))
+        degenerate = np.zeros(len(live), dtype=bool)
+    for k, r in enumerate(live):
+        if sol.errors[k] is not None:
+            errors[r] = sol.errors[k]
+        elif fault[k]:
+            errors[r] = fault_error(model, int(fault[k]))
+        elif degenerate[k]:
+            errors[r] = DegenerateError(
+                "scale estimate collapsed to zero on non-interpolating data")
+        else:
+            theta_hat[r], sigma_hat[r] = sol.theta[k], sigma[k]
+            iterations[r] = start.iterations[r] + sol.iterations[k]
+            converged[r] = sol.converged[k]
+            residual_norm[r], tolerance[r] = sol.residual_norm[k], sol.tolerance[k]
+    return FitBatch(method=method, theta_hat=theta_hat, sigma_hat=sigma_hat,
+                    iterations=iterations, converged=converged, residual_norm=residual_norm,
+                    tolerance=tolerance, errors=tuple(errors))
 
 
 def fit(model: ModelFunction, data: Dataset, method: str,
         opts: FitOptions | None = None) -> FitResult:
     """Fit one estimator; see the per-method wrappers for the contracts.
 
-    ``iterations`` counts every solver iteration, those of the unweighted
-    least-squares solve behind ``start="auto"`` included.
+    A batch of one (:func:`fit_batch`). ``iterations`` counts every solver
+    iteration, those of the unweighted least-squares solve behind
+    ``start="auto"`` included.
     """
-    method = _check_method(method)
-    opts = opts or FitOptions()
-    if data.n <= model.p:
-        raise ValueError(f"need n > p observations, got n={data.n}, p={model.p}")
-    if method == "dwls" and np.any(data.y <= 0.0):
-        raise ZeroResponseError("data-weighted least squares requires all y > 0")
-
-    theta0, start_iterations = _resolve_start(model, data, opts)
-    sol = _solve(_EQUATIONS[method], model, data, theta0, opts)
-    if method == "ml":
-        sigma_hat = estimate_sigma_ml(model, data, sol.theta)
-        if sigma_hat == 0.0:
-            f = np.asarray(model.eval(data.x, sol.theta), dtype=float)
-            if np.any(data.y != f):
-                raise DegenerateError("scale estimate collapsed to zero on non-interpolating data")
-    else:
-        sigma_hat = estimate_sigma_unbiased(model, data, sol.theta)
-    return FitResult(method=method, theta_hat=sol.theta, sigma_hat=sigma_hat,
-                     iterations=start_iterations + sol.iterations, converged=sol.converged,
-                     residual_norm=sol.residual_norm, tolerance=sol.tolerance)
+    return fit_batch(model, data.x, data.y[None, :], method, opts).result(0)
 
 
 def fit_ml(model: ModelFunction, data: Dataset, opts: FitOptions | None = None) -> FitResult:

@@ -53,6 +53,11 @@ class Rejected(Exception):
     """
 
 
+def first_errors(*per_row) -> tuple:
+    """Per row, the first error (not None) among equal-length per-row sequences."""
+    return tuple(next((e for e in errs if e is not None), None) for errs in zip(*per_row))
+
+
 class MultipleRootWarning(UserWarning):
     """The intersection scan found more than one root; the one closest to zero was returned."""
 

@@ -5,6 +5,15 @@ the covariate, optional analytic first and second parameter derivatives
 (finite differences fill in when they are absent), a domain guard, and a
 data-driven starting-value hook used by the fitters.
 
+The fitters and the intersection solver work on stacks of parameter rows,
+so a model's callables take ``theta`` of shape ``(..., p)``: the leading
+dimensions broadcast against those of ``x`` (``theta[..., j, None]`` is the
+idiom), and the trailing ``n`` of the value, ``(n, p)`` of the gradient and
+``(n, p, p)`` of the Hessian follow them. A stack evaluation reports why a
+row is undefined as a fault code instead of raising, so one bad row fails
+alone; :func:`fault_error` turns a code into the exception the unbatched
+path raises.
+
 Built-in models cover the shapes the bias formulae distinguish: a constant
 mean, a fixed shape scaled by a single parameter, a two-parameter
 exponential decay, and the three-parameter saturating exponential used for
@@ -19,7 +28,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import DomainError, NonFiniteError
+from .exceptions import DomainError, NonFiniteError, PropfitError, ZeroMeanError
 
 Array = NDArray[np.float64]
 
@@ -28,8 +37,21 @@ Array = NDArray[np.float64]
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
+# Why a row of a stack evaluation is undefined; 0 means it is not.
+FAULT_THETA = 1  # non-finite parameters
+FAULT_DOMAIN = 2  # the domain guard rejects the parameters
+FAULT_VALUE = 3  # the mean is non-finite
+FAULT_ZERO_MEAN = 4  # the mean is zero at an observation
+FAULT_HESSIAN = 5  # the parameter Hessian is non-finite
+
+
 def _as_1d(x) -> Array:
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _value_shape(x, t) -> tuple[int, ...]:
+    """Shape of ``f(x, t)``: x broadcast against the rows of ``t``."""
+    return np.broadcast_shapes(np.shape(x), np.shape(t)[:-1] + (1,))
 
 
 @dataclass(frozen=True)
@@ -75,19 +97,21 @@ class ModelFunction:
     param_names : tuple of str
         Labels for the parameter vector components, used in reports.
     eval_fn : callable
-        ``(x(n,), theta(p,)) -> f(n,)``, vectorized over x.
+        ``(x(n,), theta(..., p)) -> f(..., n)``, vectorized over x and over
+        the rows of theta (see the module docstring).
     grad_fn : callable, optional
-        ``(x, theta) -> (n, p)`` analytic parameter gradient.  When absent,
-        central finite differences with step ``cbrt(eps) * max(1, |theta_j|)``
-        are used.
+        ``(x, theta) -> (..., n, p)`` analytic parameter gradient.  When
+        absent, central finite differences with step
+        ``cbrt(eps) * max(1, |theta_j|)`` are used.
     hess_fn : callable, optional
-        ``(x, theta) -> (n, p, p)`` analytic parameter Hessian.  When absent,
-        nested central differences of the gradient, symmetrized.
+        ``(x, theta) -> (..., n, p, p)`` analytic parameter Hessian.  When
+        absent, nested central differences of the gradient, symmetrized.
     dx_fn : callable, optional
-        ``(x, theta) -> (n,)`` derivative in the covariate (used by the
+        ``(x, theta) -> (..., n)`` derivative in the covariate (used by the
         curve-intersection machinery).  Finite differences when absent.
     domain_guard : callable, optional
-        ``(x, theta) -> bool``; False marks invalid evaluation points.
+        ``(x, theta) -> bool`` per row of theta; False marks invalid
+        evaluation points.
     start_hint : callable, optional
         ``(x, y) -> theta`` rough data-driven starting values.
     """
@@ -123,6 +147,45 @@ class ModelFunction:
         if self.domain_guard is not None and not self.domain_guard(_as_1d(x), theta):
             raise DomainError(f"model {self.name!r} is undefined at the requested point")
 
+    def faults(self, x, theta) -> Array:
+        """Fault code per row of ``theta (..., p)``: :data:`FAULT_THETA` or
+        :data:`FAULT_DOMAIN` where :meth:`guard` would raise, else 0."""
+        fault = np.where(np.all(np.isfinite(theta), axis=-1), 0, FAULT_THETA)
+        if self.domain_guard is not None:
+            ok = np.asarray(self.domain_guard(x, theta), dtype=bool)
+            fault = np.where((fault == 0) & ~ok, FAULT_DOMAIN, fault)
+        return fault
+
+    def eval_rows(self, x, theta) -> tuple[Array, Array]:
+        """:meth:`eval` over the rows of ``theta (..., p)``: the means and a
+        fault code per row (:data:`FAULT_VALUE` where a mean is non-finite)."""
+        theta = np.asarray(theta, dtype=float)
+        with np.errstate(all="ignore"):
+            f = np.asarray(self.eval_fn(x, theta), dtype=float)
+        fault = self.faults(x, theta)
+        return f, np.where((fault == 0) & ~np.all(np.isfinite(f), axis=-1), FAULT_VALUE, fault)
+
+    def grad_rows(self, x, theta) -> Array:
+        """The parameter gradient over the rows of ``theta``, unchecked: the
+        analytic one, else central differences."""
+        if self.grad_fn is not None:
+            return np.asarray(self.grad_fn(x, theta), dtype=float)
+        return self._fd_grad(x, theta)
+
+    def hess_rows(self, x, theta) -> Array:
+        """The parameter Hessian over the rows of ``theta``, unchecked."""
+        if self.hess_fn is not None:
+            return np.asarray(self.hess_fn(x, theta), dtype=float)
+        h = self._fd_hess(x, theta)
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+    def dx_rows(self, x, theta) -> Array:
+        """The derivative in the covariate over the rows of ``theta``, unchecked."""
+        if self.dx_fn is not None:
+            return np.asarray(self.dx_fn(x, theta), dtype=float)
+        h = _FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0))
+        return (self.eval_fn(x + h, theta) - self.eval_fn(x - h, theta)) / (2.0 * h)
+
     @property
     def has_analytic_grad(self) -> bool:
         return self.grad_fn is not None
@@ -137,11 +200,9 @@ class ModelFunction:
         """Mean response f(x, theta); scalar in, scalar out."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xv = _as_1d(x)
-        theta = self.check_theta(theta)
-        self.guard(xv, theta)
-        f = np.asarray(self.eval_fn(xv, theta), dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise NonFiniteError(f"model {self.name!r} evaluated non-finite")
+        f, fault = self.eval_rows(xv, self.check_theta(theta))
+        if fault:
+            raise fault_error(self, int(fault))
         return float(f[0]) if scalar else f
 
     def grad(self, x, theta) -> Array:
@@ -150,10 +211,7 @@ class ModelFunction:
         xv = _as_1d(x)
         theta = self.check_theta(theta)
         self.guard(xv, theta)
-        if self.grad_fn is not None:
-            g = np.asarray(self.grad_fn(xv, theta), dtype=float)
-        else:
-            g = self._fd_grad(xv, theta)
+        g = self.grad_rows(xv, theta)
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"gradient of model {self.name!r} is non-finite")
         return g[0] if scalar else g
@@ -164,11 +222,7 @@ class ModelFunction:
         xv = _as_1d(x)
         theta = self.check_theta(theta)
         self.guard(xv, theta)
-        if self.hess_fn is not None:
-            h = np.asarray(self.hess_fn(xv, theta), dtype=float)
-        else:
-            h = self._fd_hess(xv, theta)
-            h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
+        h = self.hess_rows(xv, theta)
         if not np.all(np.isfinite(h)):
             raise NonFiniteError(f"Hessian of model {self.name!r} is non-finite")
         return h[0] if scalar else h
@@ -179,12 +233,7 @@ class ModelFunction:
         xv = _as_1d(x)
         theta = self.check_theta(theta)
         self.guard(xv, theta)
-        if self.dx_fn is not None:
-            d = np.asarray(self.dx_fn(xv, theta), dtype=float)
-        else:
-            span = np.max(np.abs(xv)) if xv.size else 1.0
-            h = _FD_STEP * max(1.0, span)
-            d = (self.eval_fn(xv + h, theta) - self.eval_fn(xv - h, theta)) / (2.0 * h)
+        d = self.dx_rows(xv, theta)
         return float(d[0]) if scalar else d
 
     # -- finite differences --------------------------------------------
@@ -194,26 +243,43 @@ class ModelFunction:
 
     def _fd_grad(self, x: Array, theta: Array) -> Array:
         h = self._steps(theta)
-        g = np.empty((x.size, self.p))
+        cols = []
         for j in range(self.p):
             tp, tm = theta.copy(), theta.copy()
-            tp[j] += h[j]
-            tm[j] -= h[j]
+            tp[..., j] += h[..., j]
+            tm[..., j] -= h[..., j]
             # Divide by the step actually representable in floats.
-            g[:, j] = (self.eval_fn(x, tp) - self.eval_fn(x, tm)) / (tp[j] - tm[j])
-        return g
+            step = tp[..., j, None] - tm[..., j, None]
+            cols.append((self.eval_fn(x, tp) - self.eval_fn(x, tm)) / step)
+        return np.stack(cols, axis=-1)
 
     def _fd_hess(self, x: Array, theta: Array) -> Array:
         # Central difference of the (possibly analytic) gradient.
         h = self._steps(theta)
-        grad = self.grad_fn if self.grad_fn is not None else lambda xs, t: self._fd_grad(xs, t)
-        hess = np.empty((x.size, self.p, self.p))
+        grad = self.grad_fn if self.grad_fn is not None else self._fd_grad
+        cols = []
         for k in range(self.p):
             tp, tm = theta.copy(), theta.copy()
-            tp[k] += h[k]
-            tm[k] -= h[k]
-            hess[:, :, k] = (np.asarray(grad(x, tp)) - np.asarray(grad(x, tm))) / (tp[k] - tm[k])
-        return hess
+            tp[..., k] += h[..., k]
+            tm[..., k] -= h[..., k]
+            step = tp[..., k, None, None] - tm[..., k, None, None]
+            cols.append((np.asarray(grad(x, tp)) - np.asarray(grad(x, tm))) / step)
+        return np.stack(cols, axis=-1)
+
+
+def fault_error(model: ModelFunction, code: int) -> PropfitError:
+    """The exception the unbatched path raises for a row with fault ``code``."""
+    if code == FAULT_THETA:
+        return DomainError("parameter vector contains non-finite entries")
+    if code == FAULT_DOMAIN:
+        return DomainError(f"model {model.name!r} is undefined at the requested point")
+    if code == FAULT_VALUE:
+        return NonFiniteError(f"model {model.name!r} evaluated non-finite")
+    if code == FAULT_ZERO_MEAN:
+        return ZeroMeanError("mean response is zero at an observation")
+    if code == FAULT_HESSIAN:
+        return NonFiniteError(f"Hessian of model {model.name!r} is non-finite")
+    raise ValueError(f"unknown fault code {code!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +337,13 @@ def constant_model() -> ModelFunction:
     """Constant mean f = theta1."""
 
     def ev(x, t):
-        return np.full(x.size, t[0])
+        return t[..., :1] * np.ones(_value_shape(x, t))
 
     def gr(x, t):
-        return np.ones((x.size, 1))
+        return np.ones(_value_shape(x, t) + (1,))
 
     def he(x, t):
-        return np.zeros((x.size, 1, 1))
+        return np.zeros(_value_shape(x, t) + (1, 1))
 
     return ModelFunction(
         name="constant",
@@ -286,7 +352,7 @@ def constant_model() -> ModelFunction:
         eval_fn=ev,
         grad_fn=gr,
         hess_fn=he,
-        dx_fn=lambda x, t: np.zeros(x.size),
+        dx_fn=lambda x, t: np.zeros(_value_shape(x, t)),
         start_hint=lambda x, y: np.array([float(np.mean(y))]),
     )
 
@@ -295,13 +361,13 @@ def scaled_shape_model(g: Callable[[Array], Array], name: str = "scaled_shape") 
     """Fixed shape scaled by one parameter: f = theta1 * g(x)."""
 
     def ev(x, t):
-        return t[0] * np.asarray(g(x), dtype=float)
+        return t[..., :1] * np.asarray(g(x), dtype=float)
 
     def gr(x, t):
-        return np.asarray(g(x), dtype=float).reshape(-1, 1)
+        return np.ones(_value_shape(x, t) + (1,)) * np.asarray(g(x), dtype=float)[..., None]
 
     def he(x, t):
-        return np.zeros((x.size, 1, 1))
+        return np.zeros(_value_shape(x, t) + (1, 1))
 
     def hint(x, y):
         gx = np.asarray(g(x), dtype=float)
@@ -323,23 +389,23 @@ def exponential_decay_model() -> ModelFunction:
     """Two-parameter exponential decay f = theta1 * exp(-x / theta2)."""
 
     def ev(x, t):
-        return t[0] * np.exp(-x / t[1])
+        return t[..., 0, None] * np.exp(-x / t[..., 1, None])
 
     def gr(x, t):
-        e = np.exp(-x / t[1])
-        return np.stack([e, t[0] * x / t[1] ** 2 * e], axis=1)
+        a, b = t[..., 0, None], t[..., 1, None]
+        e = np.exp(-x / b)
+        return np.stack([e, a * x / b ** 2 * e], axis=-1)
 
     def he(x, t):
-        e = np.exp(-x / t[1])
-        n = x.size
-        h = np.zeros((n, 2, 2))
-        d12 = x / t[1] ** 2 * e
-        h[:, 0, 1] = h[:, 1, 0] = d12
-        h[:, 1, 1] = t[0] * x * e * (x - 2.0 * t[1]) / t[1] ** 4
+        a, b = t[..., 0, None], t[..., 1, None]
+        e = np.exp(-x / b)
+        h = np.zeros(e.shape + (2, 2))
+        h[..., 0, 1] = h[..., 1, 0] = x / b ** 2 * e
+        h[..., 1, 1] = a * x * e * (x - 2.0 * b) / b ** 4
         return h
 
     def dx(x, t):
-        return -t[0] / t[1] * np.exp(-x / t[1])
+        return -t[..., 0, None] / t[..., 1, None] * np.exp(-x / t[..., 1, None])
 
     def hint(x, y):
         pos = y > 0
@@ -358,7 +424,7 @@ def exponential_decay_model() -> ModelFunction:
         grad_fn=gr,
         hess_fn=he,
         dx_fn=dx,
-        domain_guard=lambda x, t: t[1] != 0.0,
+        domain_guard=lambda x, t: t[..., 1] != 0.0,
         start_hint=hint,
     )
 
@@ -372,34 +438,34 @@ def saturating_exponential_model() -> ModelFunction:
     """
 
     def _e(x, t):
-        return np.exp(-(x + t[1]) / t[2])
+        return np.exp(-(x + t[..., 1, None]) / t[..., 2, None])
 
     def ev(x, t):
-        return t[0] * (1.0 - _e(x, t))
+        return t[..., 0, None] * (1.0 - _e(x, t))
 
     def gr(x, t):
+        a1, a2, a3 = t[..., 0, None], t[..., 1, None], t[..., 2, None]
         e = _e(x, t)
         return np.stack([
             1.0 - e,
-            t[0] * e / t[2],
-            -t[0] * (x + t[1]) / t[2] ** 2 * e,
-        ], axis=1)
+            a1 * e / a3,
+            -a1 * (x + a2) / a3 ** 2 * e,
+        ], axis=-1)
 
     def he(x, t):
-        a1, a2, a3 = t
+        a1, a2, a3 = t[..., 0, None], t[..., 1, None], t[..., 2, None]
         e = _e(x, t)
         u = x + a2
-        n = x.size
-        h = np.zeros((n, 3, 3))
-        h[:, 0, 1] = h[:, 1, 0] = e / a3
-        h[:, 0, 2] = h[:, 2, 0] = -u / a3 ** 2 * e
-        h[:, 1, 1] = -a1 * e / a3 ** 2
-        h[:, 1, 2] = h[:, 2, 1] = a1 * e * (u - a3) / a3 ** 3
-        h[:, 2, 2] = a1 * e * u * (2.0 * a3 - u) / a3 ** 4
+        h = np.zeros(e.shape + (3, 3))
+        h[..., 0, 1] = h[..., 1, 0] = e / a3
+        h[..., 0, 2] = h[..., 2, 0] = -u / a3 ** 2 * e
+        h[..., 1, 1] = -a1 * e / a3 ** 2
+        h[..., 1, 2] = h[..., 2, 1] = a1 * e * (u - a3) / a3 ** 3
+        h[..., 2, 2] = a1 * e * u * (2.0 * a3 - u) / a3 ** 4
         return h
 
     def dx(x, t):
-        return t[0] / t[2] * _e(x, t)
+        return t[..., 0, None] / t[..., 2, None] * _e(x, t)
 
     def hint(x, y):
         a1 = 1.05 * float(np.max(y))
@@ -423,7 +489,7 @@ def saturating_exponential_model() -> ModelFunction:
         grad_fn=gr,
         hess_fn=he,
         dx_fn=dx,
-        domain_guard=lambda x, t: t[2] != 0.0,
+        domain_guard=lambda x, t: t[..., 2] != 0.0,
         start_hint=hint,
     )
 

@@ -6,7 +6,10 @@ random stream derived from the master seed, so results are bit-identical
 for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
-closed-form bias ``B_T`` evaluated at the true parameters.
+closed-form bias ``B_T`` evaluated at the true parameters. A sigma's
+replicates are fitted, per method and curve, as one stack (see
+:func:`~propfit.estimators.fit_batch`), whose rows come out exactly as if
+fitted one by one.
 
 The bundled two-curve default mimics the published dose-response study:
 sample sizes 16 and 13 with the fitted parameter values of that data set.
@@ -22,22 +25,27 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .asymptotics import bias_kernel
 from .equivalent_dose import (
     MODE_DEFAULT,
     MODES,
     PartialBleachModel,
     beta1_from_gamma,
-    fit_two_curves,
-    gamma_bias_se,
-    joint_bias_cov,
+    bundles_bias_cov,
+    dose_bias_se,
+    fit_two_curves_batch,
+    gamma_gradient,
+    gamma_hessian,
+    joint_bundles,
     partial_bleach_model,
     resolve_mode,
     solve_gamma,
+    solve_gamma_batch,
 )
-from .estimators import METHODS, FitOptions, fit
+from .estimators import METHODS, FitOptions, fit_batch, resolve_start
 from .exceptions import PropfitError, Rejected
+from .jacobian import build_jacobian_bundle
 from .models import Array, Dataset, ModelFunction
-from .asymptotics import bias_order2
 
 # Stand-in dose grids (Gray) echoing the published sample sizes n1=16, n2=13.
 DEFAULT_UNBLEACHED_DOSES = np.array(
@@ -52,6 +60,12 @@ QNL84_ALPHA = np.array([142853.0, 123.182, 393.065])
 QNL84_BETA2 = 192.547
 QNL84_BETA3 = 756.620
 QNL84_GAMMA = -87.45
+
+# Most replicates fitted as one stack: memory grows with the stack (a
+# stacked Hessian holds rows x n x p x p floats, about 8 MB at 1024 rows of
+# the two-curve design), while past about a thousand rows a larger stack
+# saves little time.
+STACK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -224,56 +238,103 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int):
     return None, redraws
 
 
-def _fit_replicate(design: SimDesign, datasets, n_targets: int) -> dict[str, Array]:
-    """Estimates per method for one replicate; NaNs mark failures."""
+def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Array]:
+    """Estimates per method for a stack of replicates (rows); NaNs mark failures."""
     start = design.theta0 if design.start == "theta0" else "auto"
     opts = replace(design.fit_options, start=start)
+    R = len(datasets)
+    curves = [np.stack([d[c].y for d in datasets]) for c in range(len(datasets[0]))]
     out: dict[str, Array] = {}
-    for method in design.methods:
-        est = np.full(n_targets, np.nan)
-        try:
-            if design.two_curve:
-                res = fit_two_curves(design.model, datasets[0], datasets[1], method,
-                                     mode=design.mode_for(method), opts=opts)
-                if res.converged:
-                    bracket = design.gamma_bracket
-                    gamma = solve_gamma(design.model, res.theta_hat, bracket=bracket)
-                    est = np.concatenate([res.theta_hat, [gamma]])
-            else:
-                res = fit(design.model, datasets[0], method, opts)
-                if res.converged:
-                    est = res.theta_hat.copy()
-        except PropfitError:
-            pass
-        out[method] = est
+    if design.two_curve:
+        model, (Y1, Y2) = design.model, curves
+        starts = None
+        if design.start == "auto":
+            starts = (resolve_start(model.curve1, design.x1, Y1, opts),
+                      resolve_start(model.curve2, design.x2, Y2, opts))
+        for method in design.methods:
+            est = out[method] = np.full((R, n_targets), np.nan)
+            try:
+                res = fit_two_curves_batch(model, design.x1, Y1, design.x2, Y2, method,
+                                           mode=design.mode_for(method), opts=opts,
+                                           starts=starts)
+            except PropfitError:
+                continue
+            ok = np.flatnonzero(res.converged)
+            gamma, errors = solve_gamma_batch(model, res.theta_hat[ok],
+                                              bracket=design.gamma_bracket)
+            found = np.array([e is None for e in errors], dtype=bool)
+            est[ok[found]] = np.concatenate([res.theta_hat[ok[found]], gamma[found, None]],
+                                            axis=1)
+    else:
+        for method in design.methods:
+            est = out[method] = np.full((R, n_targets), np.nan)
+            try:
+                res = fit_batch(design.model, design.x1, curves[0], method, opts)
+            except PropfitError:
+                continue
+            est[res.converged] = res.theta_hat[res.converged]
     return out
 
 
-def _formula_biases(design: SimDesign, sigma: float) -> dict[str, Array]:
-    """B_T per method: parameter biases plus the dose bias for two-curve designs."""
-    out = {}
-    for method in design.methods:
+class _FormulaBiases:
+    """B_T per method at any sigma, from truth-side pieces built once per study:
+    the Jacobian bundles per fit mode and, for two-curve designs, gamma's
+    gradient and Hessian at the true dose."""
+
+    def __init__(self, design: SimDesign, truth_gamma: float | None):
+        self.design = design
         if design.two_curve:
-            mode = design.mode_for(method)
-            bias_vec, cov = joint_bias_cov(design.model, design.x1, design.x2,
-                                           design.theta0, sigma, method, mode)
-            dose = gamma_bias_se(design.model, design.x1, design.x2, design.theta0,
-                                 sigma, method, fit_mode=mode, bracket=design.gamma_bracket,
-                                 bias_and_cov=(bias_vec, cov))
-            out[method] = np.concatenate([bias_vec, [dose.bias]])
+            model, theta = design.model, design.theta0
+            self.grad = gamma_gradient(model, theta, truth_gamma)
+            self.hess = gamma_hessian(model, theta, truth_gamma)
+            by_mode = {}
+            self.bundles = {}
+            for method in design.methods:
+                mode = design.mode_for(method)
+                if mode not in by_mode:
+                    by_mode[mode] = joint_bundles(model, design.x1, design.x2, theta, method,
+                                                  mode)
+                self.bundles[method] = by_mode[mode]
         else:
             data = Dataset(design.x1,
                            np.asarray(design.model.eval(design.x1, design.theta0), dtype=float))
-            out[method] = bias_order2(method, design.model, data, design.theta0, sigma).bias
-    return out
+            bundle = build_jacobian_bundle(design.model, data, design.theta0)
+            self.kernels = {m: bias_kernel(m, bundle) for m in design.methods}
+
+    def at(self, sigma: float) -> dict[str, Array]:
+        out = {}
+        for method in self.design.methods:
+            if self.design.two_curve:
+                bias_vec, cov = bundles_bias_cov(self.bundles[method], sigma, method)
+                dose_bias, _ = dose_bias_se(self.grad, self.hess, bias_vec, cov)
+                out[method] = np.concatenate([bias_vec, [dose_bias]])
+            else:
+                out[method] = float(sigma) ** 2 * self.kernels[method]
+        return out
+
+
+def _run_rows(design: SimDesign, sigma: float, sigma_idx: int, ks: Array, n_targets: int):
+    """Draw and fit the replicates ``ks`` of one sigma: their estimates per
+    method, rejected flags and redraw counts."""
+    drawn = [_draw_replicate(design, sigma, sigma_idx, int(k)) for k in ks]
+    redraws = np.array([n for _, n in drawn], dtype=int)
+    rejected = np.array([d is None for d, _ in drawn], dtype=bool)
+    estimates = {m: np.full((len(ks), n_targets), np.nan) for m in design.methods}
+    kept = [d for d, _ in drawn if d is not None]
+    if kept:
+        for method, est in _fit_rows(design, kept, n_targets).items():
+            estimates[method][~rejected] = est
+    return estimates, rejected, redraws
 
 
 def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     """Run the full study: generate, fit, aggregate, and attach formula biases.
 
-    Replicates are independent; with ``threads > 1`` they run on a thread
-    pool, and aggregation always happens in replicate order so the summary
-    is identical whatever the scheduling.
+    Each sigma's replicates are split into contiguous chunks, one per
+    thread but none longer than ``STACK_ROWS`` rows, and each chunk is
+    fitted as one stack (on a thread pool when ``threads > 1``). A
+    replicate's numbers do not depend on its stack, so the summary is
+    identical whatever the split.
     """
     targets = design.target_names
     n_targets = len(targets)
@@ -282,35 +343,29 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
         truths["gamma"] = float(solve_gamma(design.model, design.theta0,
                                             bracket=design.gamma_bracket))
     truth_vec = np.array([truths[t] for t in targets])
+    formulas = None
 
     results: list[MethodSigmaSummary] = []
     for sigma_idx, sigma in enumerate(design.sigma_grid):
         R = design.replicates
-        estimates = {m: np.full((R, n_targets), np.nan) for m in design.methods}
-        rejected = np.zeros(R, dtype=bool)
-        redraws = np.zeros(R, dtype=int)
+        workers = max(1, min(threads, R))
+        chunks = np.array_split(np.arange(R), max(workers, -(-R // STACK_ROWS)))
 
-        def one(k: int):
-            datasets, n_redraws = _draw_replicate(design, sigma, sigma_idx, k)
-            if datasets is None:
-                return k, None, n_redraws
-            return k, _fit_replicate(design, datasets, n_targets), n_redraws
+        def one(ks: Array):
+            return _run_rows(design, sigma, sigma_idx, ks, n_targets)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, range(R)))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(one, chunks))
         else:
-            outcomes = [one(k) for k in range(R)]
+            outcomes = [one(ks) for ks in chunks]
+        estimates = {m: np.concatenate([o[0][m] for o in outcomes]) for m in design.methods}
+        rejected = np.concatenate([o[1] for o in outcomes])
+        redraws = np.concatenate([o[2] for o in outcomes])
 
-        for k, fits, n_redraws in outcomes:
-            redraws[k] = n_redraws
-            if fits is None:
-                rejected[k] = True
-                continue
-            for m in design.methods:
-                estimates[m][k] = fits[m]
-
-        b_t = _formula_biases(design, sigma)
+        if formulas is None:
+            formulas = _FormulaBiases(design, truths.get("gamma"))
+        b_t = formulas.at(sigma)
         n_rejected = int(rejected.sum())
         for method in design.methods:
             est = estimates[method]

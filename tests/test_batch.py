@@ -1,0 +1,190 @@
+"""Stacked fits and intersections: every row as if solved alone."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from propfit.equivalent_dose import (
+    MODE_COMMON_SIGMA,
+    MODE_SEPARATE,
+    fit_two_curves,
+    fit_two_curves_batch,
+    partial_bleach_model,
+    solve_gamma,
+    solve_gamma_batch,
+)
+from propfit.estimators import FitOptions, fit, fit_batch
+from propfit.exceptions import (
+    DomainError,
+    MultipleRootWarning,
+    NoBracketError,
+    SingularError,
+    ZeroResponseError,
+)
+from propfit.models import Dataset, ModelFunction
+from propfit.simulation import (
+    DEFAULT_BLEACHED_DOSES,
+    DEFAULT_UNBLEACHED_DOSES,
+    _run_rows,
+    default_partial_bleach_design,
+)
+from conftest import PAPER_ALPHA
+
+X = np.linspace(0.0, 1000.0, 16)
+
+
+def noisy_stack(model, x, theta, sigma, rows, seed):
+    rng = np.random.default_rng(seed)
+    f = np.asarray(model.eval(x, theta))
+    return f * (1.0 + sigma * rng.standard_normal((rows, x.size)))
+
+
+def assert_rows_equal(batch, r, single):
+    np.testing.assert_array_equal(batch.theta_hat[r], single.theta_hat)
+    assert batch.sigma_hat[r] == single.sigma_hat
+    assert batch.iterations[r] == single.iterations
+    assert batch.converged[r] == single.converged
+    assert batch.residual_norm[r] == single.residual_norm
+    assert batch.tolerance[r] == single.tolerance
+
+
+class TestFitBatch:
+    @pytest.mark.parametrize("method", ["ml", "ql", "wls", "dwls"])
+    @pytest.mark.parametrize("start", ["truth", "auto"])
+    def test_rows_are_bit_identical_to_single_fits(self, satexp, method, start):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.06, rows=9, seed=21)
+        opts = FitOptions(start=PAPER_ALPHA if start == "truth" else "auto")
+        batch = fit_batch(satexp, X, Y, method, opts)
+        part = fit_batch(satexp, X, Y[3:7], method, opts)
+        for r, y in enumerate(Y):
+            assert_rows_equal(batch, r, fit(satexp, Dataset(X, y), method, opts))
+        for r in range(4):
+            assert_rows_equal(part, r, batch.result(3 + r))
+
+    @pytest.mark.parametrize("mode", [MODE_SEPARATE, MODE_COMMON_SIGMA])
+    @pytest.mark.parametrize("start", ["truth", "auto"])
+    def test_two_curve_rows_match_single_fits(self, mode, start):
+        design = default_partial_bleach_design()
+        pb, theta0 = design.model, design.theta0
+        Y1 = noisy_stack(pb.curve1, DEFAULT_UNBLEACHED_DOSES, theta0[:3], 0.03, 5, seed=22)
+        Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], 0.03, 5, seed=23)
+        opts = FitOptions(start=theta0 if start == "truth" else "auto")
+        batch = fit_two_curves_batch(pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES,
+                                     Y2, "ml", mode, opts)
+        for r in range(5):
+            one = fit_two_curves(pb, Dataset(DEFAULT_UNBLEACHED_DOSES, Y1[r]),
+                                 Dataset(DEFAULT_BLEACHED_DOSES, Y2[r]), "ml", mode, opts)
+            np.testing.assert_array_equal(batch.theta_hat[r], one.theta_hat)
+            assert batch.iterations[r] == one.iterations
+            assert tuple(batch.sigma_hats[r]) == one.sigma_hats
+
+
+class TestFailingRows:
+    def test_domain_error_fails_its_row_only(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=4, seed=24)
+        starts = np.tile(PAPER_ALPHA, (4, 1))
+        starts[2, 2] = 0.0  # alpha3 = 0 is outside the model's domain
+        batch = fit_batch(satexp, X, Y, "ql", FitOptions(start=starts))
+        assert np.all(np.isnan(batch.theta_hat[2])) and not batch.converged[2]
+        assert batch.converged[[0, 1, 3]].all()
+        message = "model 'saturating_exponential' is undefined at the requested point"
+        assert isinstance(batch.errors[2], DomainError)
+        assert str(batch.errors[2]) == message
+        with pytest.raises(DomainError, match=message):
+            fit(satexp, Dataset(X, Y[2]), "ql", FitOptions(start=starts[2]))
+        with pytest.raises(DomainError, match=message):
+            batch.result(2)
+
+    def test_singular_scoring_matrix_fails_its_row_only(self):
+        # Two parameters scaling one shape: their gradient columns coincide,
+        # so only a row that starts at an exact root avoids a step.
+        model = ModelFunction(
+            name="collinear", p=2, param_names=("a", "b"),
+            eval_fn=lambda x, t: (t[..., 0, None] + t[..., 1, None]) * np.exp(-x),
+            grad_fn=lambda x, t: np.stack([np.exp(-x)] * 2, axis=-1)
+            * np.ones(t.shape[:-1] + (1, 1)),
+            hess_fn=lambda x, t: np.zeros(t.shape[:-1] + (x.size, 2, 2)))
+        x = np.linspace(0.0, 2.0, 6)
+        theta = np.array([1.0, 1.0])
+        exact = np.asarray(model.eval(x, theta))
+        Y = np.stack([exact, exact * (1.0 + 0.01 * np.arange(6)), exact])
+        batch = fit_batch(model, x, Y, "dwls", FitOptions(start=theta))
+        assert batch.converged[[0, 2]].all()
+        np.testing.assert_array_equal(batch.theta_hat[0], theta)
+        assert isinstance(batch.errors[1], SingularError)
+        assert np.all(np.isnan(batch.theta_hat[1]))
+        with pytest.raises(SingularError, match="scoring matrix is singular at the iterate"):
+            fit(model, Dataset(x, Y[1]), "dwls", FitOptions(start=theta))
+
+    def test_nonpositive_response_fails_its_dwls_row_only(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=25)
+        Y[0, 4] = -1.0
+        batch = fit_batch(satexp, X, Y, "dwls", FitOptions(start=PAPER_ALPHA))
+        assert isinstance(batch.errors[0], ZeroResponseError)
+        assert batch.converged[1:].all()
+        with pytest.raises(ZeroResponseError,
+                           match="data-weighted least squares requires all y > 0"):
+            fit(satexp, Dataset(X, Y[0]), "dwls", FitOptions(start=PAPER_ALPHA))
+
+
+class TestSolveGammaBatch:
+    @pytest.fixture
+    def stack(self):
+        pb = partial_bleach_model()
+        beta_truth = np.array([95717.80268403766, 192.547, 756.62])
+        rows = np.array([
+            np.concatenate([PAPER_ALPHA, beta_truth]),  # one crossing, at -87.45
+            np.concatenate([PAPER_ALPHA, [396216.15, 123.252, 1155.57]]),  # two crossings
+            np.concatenate([PAPER_ALPHA, [1.7 * PAPER_ALPHA[0], PAPER_ALPHA[1],
+                                          PAPER_ALPHA[2]]]),  # none inside the bracket
+        ])
+        return pb, rows
+
+    def test_rows_match_single_solves(self, stack):
+        pb, rows = stack
+        bracket = (-122.5, -5.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gammas, errors = solve_gamma_batch(pb, rows, bracket=bracket)
+        assert [w.category for w in caught] == [MultipleRootWarning]
+        assert errors[0] is None and errors[1] is None
+        assert isinstance(errors[2], NoBracketError) and np.isnan(gammas[2])
+
+        assert gammas[0] == solve_gamma(pb, rows[0], bracket=bracket)
+        assert gammas[0] == pytest.approx(-87.45, abs=1e-6)
+        with pytest.warns(MultipleRootWarning, match="2 intersection roots found"):
+            two = solve_gamma(pb, rows[1], bracket=bracket)
+        assert gammas[1] == two
+        # The root closest to zero, where the curves meet.
+        assert -60.0 < two < -50.0  # the other crossing is near -122
+        assert abs(pb.intersection_gap(two, rows[1])) <= 1e-6 * PAPER_ALPHA[0]
+        with pytest.raises(NoBracketError, match=r"over \[-122.5, -5\]"):
+            solve_gamma(pb, rows[2], bracket=bracket)
+
+    def test_default_brackets_per_row(self, stack):
+        pb, rows = stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            gammas, errors = solve_gamma_batch(pb, rows)
+            for r in range(3):
+                if errors[r] is None:
+                    assert gammas[r] == solve_gamma(pb, rows[r])
+                else:
+                    with pytest.raises(type(errors[r]), match=str(errors[r])):
+                        solve_gamma(pb, rows[r])
+
+
+class TestStudyRows:
+    def test_replicates_do_not_depend_on_their_stack(self):
+        design = default_partial_bleach_design(sigma_grid=(0.03,), replicates=6,
+                                               master_seed=31)
+        ks = np.arange(6)
+        whole, _, _ = _run_rows(design, 0.03, 0, ks, 7)
+        chunks = [_run_rows(design, 0.03, 0, part, 7)[0] for part in np.array_split(ks, 4)]
+        alone = [_run_rows(design, 0.03, 0, ks[k:k + 1], 7)[0] for k in ks]
+        for method in design.methods:
+            np.testing.assert_array_equal(
+                whole[method], np.concatenate([c[method] for c in chunks]))
+            np.testing.assert_array_equal(
+                whole[method], np.concatenate([a[method] for a in alone]))

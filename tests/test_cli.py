@@ -108,6 +108,25 @@ class TestFitCommand:
         assert shown[1] == pytest.approx(params["bias"], abs=5e-4)
         assert shown[2] == pytest.approx(params["se"], abs=5e-4)
 
+    def test_missing_dose_renders_as_nan(self, pair_csv, tmp_path):
+        # The curves cross near -87, so a bracket of [1, 2] holds no crossing:
+        # the dose fields are missing, the parameter rows keep bias and se.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "partial_bleach", "gamma_bracket": [1.0, 2.0],
+                                   "methods": ["ql"]}))
+        out = tmp_path / "rep"
+        assert main(["fit", "--data", pair_csv, "--config", str(cfg), "--format", "both",
+                     "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "rep.json").read_text())
+        jsonschema.validate(report, load_schema("fit_report"))
+        entry = report["methods"]["ql"]
+        assert entry["error"].startswith("NoBracketError")
+        assert all(v is None for v in entry["dose"].values())
+        assert all(p["se"] is not None for p in entry["parameters"])
+        text = (tmp_path / "rep.txt").read_text()
+        dose = next(l for l in text.splitlines() if l.strip().startswith("dose"))
+        assert dose.split()[1:] == ["nan"] * 4
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2
 
