@@ -23,6 +23,7 @@ variances and the bounded ``sqrt(n) sigma`` limit laws for WLS and DWLS.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,6 @@ _BIAS_METHODS = ("ml", "ql", "wls", "dwls")
 class BiasReport:
     method: str
     bias: Array
-    sigma_used: float
     bundle: JacobianBundle
 
 
@@ -104,57 +104,60 @@ def bias_kernel(method: str, bundle: JacobianBundle) -> Array:
     return bundle.JtJ_inv @ v
 
 
+def _bias(method: str, bundle: JacobianBundle, sigma: float) -> Array:
+    return float(sigma) ** 2 * bias_kernel(method, bundle)
+
+
+def _cov_order2(bundle: JacobianBundle, sigma: float) -> Array:
+    return _finalize_cov(float(sigma) ** 2 * bundle.JtJ_inv, "order-2 covariance")
+
+
 def bias_order2(method: str, model: ModelFunction, data: Dataset, theta,
                 sigma: float) -> BiasReport:
     """Order-sigma^2 bias vector of the chosen estimator at ``theta``."""
     bundle = build_jacobian_bundle(model, data, theta)
-    return BiasReport(method=method.lower(), bias=float(sigma) ** 2 * bias_kernel(method, bundle),
-                      sigma_used=float(sigma), bundle=bundle)
+    return BiasReport(method=method.lower(), bias=_bias(method, bundle, sigma), bundle=bundle)
 
 
-def cov_order2(model: ModelFunction, data: Dataset, theta, sigma: float,
-               method: str = "all") -> CovarianceReport:
+def cov_order2(model: ModelFunction, data: Dataset, theta, sigma: float) -> CovarianceReport:
     """Order-sigma^2 covariance sigma^2 (J'J)^{-1}, shared by all four methods."""
-    bundle = build_jacobian_bundle(model, data, theta)
-    cov = _finalize_cov(float(sigma) ** 2 * bundle.JtJ_inv, "order-2 covariance")
-    return CovarianceReport(method=method, cov=cov, order=ORDER2)
+    cov = _cov_order2(build_jacobian_bundle(model, data, theta), sigma)
+    return CovarianceReport(method="all", cov=cov, order=ORDER2)
 
 
 # ---------------------------------------------------------------------------
 # Exact maximum-likelihood covariance and its information-matrix source
 # ---------------------------------------------------------------------------
 
-def _ml_exact_from_bundle(bundle: JacobianBundle, sigma: float) -> Array:
+def _cov_ml_exact(bundle: JacobianBundle, sigma: float) -> Array:
+    sigma = float(sigma)
     centered = bundle.J - bundle.Jbar
     inner = bundle.JtJ + 2.0 * sigma**2 * (centered.T @ centered)
-    return sigma**2 * np.linalg.inv(inner)
+    return _finalize_cov(sigma**2 * np.linalg.inv(inner), "ML covariance")
 
 
 def cov_ml_exact(model: ModelFunction, data: Dataset, theta, sigma: float) -> CovarianceReport:
     """Large-sample ML covariance, exact beyond order sigma^2."""
-    bundle = build_jacobian_bundle(model, data, theta)
-    cov = _finalize_cov(_ml_exact_from_bundle(bundle, float(sigma)), "ML covariance")
+    cov = _cov_ml_exact(build_jacobian_bundle(model, data, theta), sigma)
     return CovarianceReport(method="ml", cov=cov, order=ML_EXACT)
 
 
-def bundle_bias_cov(method: str, bundle: JacobianBundle, sigma: float) -> tuple[Array, Array]:
-    """A fit's reported bias and covariance from its Jacobian bundle.
+def bias_cov(method: str, bundles: Sequence[JacobianBundle], sigma: float) -> tuple[Array, Array]:
+    """A fit's reported bias and covariance from its Jacobian bundles.
 
-    The bias is :func:`bias_order2`'s; the covariance is :func:`cov_ml_exact`'s
-    for ``ml`` and :func:`cov_order2`'s otherwise.
+    Each bundle gives :func:`bias_order2`'s bias and, for ``ml``,
+    :func:`cov_ml_exact`'s covariance, else :func:`cov_order2`'s; several
+    bundles (independently fitted curves) give the concatenated bias and
+    the block-diagonal covariance.
     """
-    sigma = float(sigma)
-    if method.lower() == "ml":
-        cov = _finalize_cov(_ml_exact_from_bundle(bundle, sigma), "ML covariance")
-    else:
-        cov = _finalize_cov(sigma**2 * bundle.JtJ_inv, "order-2 covariance")
-    return sigma**2 * bias_kernel(method, bundle), cov
-
-
-def bias_cov(method: str, model: ModelFunction, data: Dataset, theta,
-             sigma: float) -> tuple[Array, Array]:
-    """:func:`bundle_bias_cov` at ``theta``, building the bundle once."""
-    return bundle_bias_cov(method, build_jacobian_bundle(model, data, theta), sigma)
+    cov_rule = _cov_ml_exact if method.lower() == "ml" else _cov_order2
+    covs = [cov_rule(bundle, sigma) for bundle in bundles]
+    cov = np.zeros((sum(c.shape[0] for c in covs),) * 2)
+    at = 0
+    for c in covs:
+        cov[at:at + c.shape[0], at:at + c.shape[0]] = c
+        at += c.shape[0]
+    return np.concatenate([_bias(method, bundle, sigma) for bundle in bundles]), cov
 
 
 def cov_ml_unreduced(model: ModelFunction, data: Dataset, theta, sigma: float) -> Array:

@@ -32,15 +32,17 @@ from .config import RunConfig, load_config
 from .equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_SEPARATE,
+    DoseEstimate,
+    dose_derivatives,
     fit_two_curves,
-    gamma_bias_se,
-    joint_bias_cov,
+    joint_bundles,
     partial_bleach_model,
     resolve_mode,
 )
 from .estimators import METHODS, fit, resolve_start
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
+from .jacobian import build_jacobian_bundle
 from .simulation import compare_bias_table, run_study
 
 ENV_THREADS = "PROPFIT_THREADS"
@@ -138,8 +140,9 @@ def _fit_single(config: RunConfig, data) -> dict:
             entries[method] = _error_entry(exc)
             continue
         try:
+            bundles = (build_jacobian_bundle(model, data, res.theta_hat),)
             params = _param_rows(model.param_names, res.theta_hat,
-                                 *bias_cov(method, model, data, res.theta_hat, res.sigma_hat))
+                                 *bias_cov(method, bundles, res.sigma_hat))
         except PropfitError:
             params = _param_rows(model.param_names, res.theta_hat)
         entries[method] = _fit_entry(res, res.sigma_hat, params)
@@ -175,12 +178,13 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
         params = _param_rows(model.param_names, res.theta_hat)
         extra = {}
         try:
-            bias_and_cov = joint_bias_cov(model, data1.x, data2.x, res.theta_hat, sigma,
-                                          method, mode)
-            params = _param_rows(model.param_names, res.theta_hat, *bias_and_cov)
-            est = gamma_bias_se(model, data1.x, data2.x, res.theta_hat, sigma, method,
-                                fit_mode=mode, bracket=config.gamma_bracket,
-                                bias_and_cov=bias_and_cov)
+            bias, cov = bias_cov(method, joint_bundles(model, data1.x, data2.x, res.theta_hat,
+                                                       method, mode), sigma)
+            params = _param_rows(model.param_names, res.theta_hat, bias, cov)
+            derivs = dose_derivatives(model, res.theta_hat, config.gamma_bracket)
+            dose_bias, dose_se = derivs.bias_se(bias, cov)
+            est = DoseEstimate(gamma_hat=derivs.gamma, bias=dose_bias, se=dose_se,
+                               method=method, bracket=derivs.bracket)
             dose = {"gamma_hat": est.gamma_hat,
                     "equivalent_dose": est.equivalent_dose,
                     "bias": est.equivalent_dose_bias, "se": est.se,
@@ -316,7 +320,13 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = run_study(design, threads=args.threads)
+    try:
+        summary = run_study(design, threads=args.threads)
+    except (PropfitError, ValueError) as exc:
+        # The design's truth has no dose or no usable formulae; run_study
+        # finds this before fitting any replicate.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     report = sim_report_dict(summary)
     fmt = args.format or config.output_format
     _write_outputs(render_sim_text(summary), dump_json(report), fmt, args.out)

@@ -26,14 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import bundle_bias_cov
-from .estimators import FitBatch, FitOptions, FitResult, Start, fit_batch
+from .asymptotics import bias_cov
+from .estimators import FitOptions, Start, fit_batch
 from .exceptions import (
     DomainError,
     ModeError,
     MultipleRootWarning,
     NoBracketError,
-    PropfitError,
     TangencyError,
     first_errors,
 )
@@ -229,8 +228,7 @@ def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: A
 
 
 def solve_gamma_batch(model: PartialBleachModel, theta,
-                      bracket: tuple[float, float] | None = None,
-                      grid_points: int = DEFAULT_GRID_POINTS) -> tuple[Array, tuple]:
+                      bracket: tuple[float, float] | None = None) -> tuple[Array, tuple]:
     """:func:`solve_gamma` for every row of ``theta (R, p)`` at once.
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
@@ -251,7 +249,7 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
         lo, hi = np.full(R, lo), np.full(R, hi)
     xtol = 1e-8 * (hi - lo)
 
-    xs = np.linspace(lo, hi, grid_points, axis=-1)
+    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
     gs, curve, fault = _gap(model, xs, alpha, beta)
     with np.errstate(invalid="ignore"):
         change = (gs[:, :-1] != 0.0) & (gs[:, 1:] != 0.0) & (
@@ -290,11 +288,11 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
     return gammas, tuple(errors)
 
 
-def solve_gamma(model: PartialBleachModel, theta, bracket: tuple[float, float] | None = None,
-                grid_points: int = DEFAULT_GRID_POINTS) -> float:
+def solve_gamma(model: PartialBleachModel, theta,
+                bracket: tuple[float, float] | None = None) -> float:
     """Signed intersection dose: the root of g(x, theta) closest to zero.
 
-    Scans ``grid_points`` points across the bracket for sign changes and
+    Scans ``DEFAULT_GRID_POINTS`` points across the bracket for sign changes and
     polishes each with Newton steps on the curves' slope, kept inside the
     sign change by bisection, until a step is below ``1e-8 * (hi - lo)``.
     More than one root raises :class:`MultipleRootWarning` and returns the
@@ -303,7 +301,7 @@ def solve_gamma(model: PartialBleachModel, theta, bracket: tuple[float, float] |
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
         raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
-    gammas, errors = solve_gamma_batch(model, theta[None, :], bracket, grid_points)
+    gammas, errors = solve_gamma_batch(model, theta[None, :], bracket)
     if errors[0] is not None:
         raise errors[0]
     return float(gammas[0])
@@ -383,10 +381,45 @@ class DoseEstimate:
         return float(np.sign(self.gamma_hat) or 1.0) * self.bias
 
 
+@dataclass(frozen=True)
+class DoseDerivatives:
+    """The intersection dose at a joint theta with its first and second
+    derivatives in the six parameters, and the bracket it was solved in."""
+
+    gamma: float
+    grad: Array
+    hess: Array
+    bracket: tuple[float, float]
+
+    def bias_se(self, bias: Array, cov: Array) -> tuple[float, float]:
+        """Second-order delta-method bias and standard error of gamma from the
+        parameters' bias vector and covariance:
+
+            bias(gamma_hat) = gamma'^T bias(theta_hat) + tr(gamma'' Cov(theta_hat)) / 2
+
+        The curvature term is the same order in sigma as the first and, on
+        dose-response designs like the bundled one, comparable in size;
+        dropping it puts the formula visibly below Monte Carlo.
+        """
+        dose_bias = float(self.grad @ bias) + 0.5 * float(np.trace(self.hess @ cov))
+        return dose_bias, float(np.sqrt(max(self.grad @ cov @ self.grad, 0.0)))
+
+
+def dose_derivatives(model: PartialBleachModel, theta,
+                     bracket: tuple[float, float] | None = None) -> DoseDerivatives:
+    """Solve for gamma at ``theta`` (in :func:`default_gamma_bracket` when
+    ``bracket`` is None) and differentiate it there."""
+    used = bracket if bracket is not None else default_gamma_bracket(model, theta)
+    gamma = solve_gamma(model, theta, bracket=used)
+    return DoseDerivatives(gamma=gamma, grad=gamma_gradient(model, theta, gamma),
+                           hess=gamma_hessian(model, theta, gamma), bracket=tuple(used))
+
+
 def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,
                   fit_mode: str) -> tuple[JacobianBundle, ...]:
-    """The Jacobian bundles behind :func:`joint_bias_cov`: the stacked model's
-    for ``common-sigma``, one per curve for ``separate``."""
+    """The Jacobian bundles of a two-curve fit in ``fit_mode``, for
+    :func:`~propfit.asymptotics.bias_cov`: the stacked model's for
+    ``common-sigma``, one per curve for ``separate``."""
     fit_mode = _check_mode(fit_mode)
     if fit_mode == MODE_COMMON_SIGMA:
         if method.lower() == "dwls":
@@ -401,59 +434,21 @@ def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,
     return tuple(bundles)
 
 
-def bundles_bias_cov(bundles: tuple[JacobianBundle, ...], sigma: float,
-                     method: str) -> tuple[Array, Array]:
-    """Joint bias vector and block-diagonal covariance from :func:`joint_bundles`."""
-    parts = [bundle_bias_cov(method, bundle, sigma) for bundle in bundles]
-    cov = np.zeros((sum(c.shape[0] for _, c in parts),) * 2)
-    at = 0
-    for _, c in parts:
-        cov[at:at + c.shape[0], at:at + c.shape[0]] = c
-        at += c.shape[0]
-    return np.concatenate([b for b, _ in parts]), cov
-
-
-def joint_bias_cov(model: PartialBleachModel, x1, x2, theta, sigma: float,
-                   method: str, fit_mode: str) -> tuple[Array, Array]:
-    """Six-parameter bias vector and covariance for the requested fit mode."""
-    return bundles_bias_cov(joint_bundles(model, x1, x2, theta, method, fit_mode), sigma, method)
-
-
-def dose_bias_se(grad: Array, hess: Array, bias_vec: Array, cov: Array) -> tuple[float, float]:
-    """Second-order delta-method bias and standard error of gamma from its
-    gradient and Hessian and the parameters' bias and covariance."""
-    bias = float(grad @ bias_vec) + 0.5 * float(np.trace(hess @ cov))
-    return bias, float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-
-
 def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method: str,
                   fit_mode: str = MODE_SEPARATE,
-                  bracket: tuple[float, float] | None = None,
-                  bias_and_cov: tuple[Array, Array] | None = None) -> DoseEstimate:
+                  bracket: tuple[float, float] | None = None) -> DoseEstimate:
     """Second-order delta-method bias and standard error of the intersection dose.
 
-    Solves for gamma at ``theta``, then pushes the parameter-level order-
+    Solves for gamma at ``theta`` and pushes the parameter-level order-
     sigma^2 bias vector and covariance (exact ML covariance for ``ml``,
-    ``sigma^2 (J'J)^{-1}`` otherwise, assembled per ``fit_mode``) through the
-    implicit-function derivatives of gamma:
-
-        bias(gamma_hat) = gamma'^T bias(theta_hat) + tr(gamma'' Cov(theta_hat)) / 2
-
-    The curvature term is the same order in sigma as the first and, on
-    dose-response designs like the bundled one, comparable in size; dropping
-    it puts the formula visibly below Monte Carlo. A caller that already
-    holds :func:`joint_bias_cov`'s ``(bias, cov)`` for these arguments passes
-    it as ``bias_and_cov``.
+    ``sigma^2 (J'J)^{-1}`` otherwise, assembled per ``fit_mode``) through
+    the implicit-function derivatives of gamma (:meth:`DoseDerivatives.bias_se`).
     """
-    used_bracket = bracket if bracket is not None else default_gamma_bracket(model, theta)
-    gamma = solve_gamma(model, theta, bracket=used_bracket)
-    grad = gamma_gradient(model, theta, gamma)
-    hess = gamma_hessian(model, theta, gamma)
-    if bias_and_cov is None:
-        bias_and_cov = joint_bias_cov(model, x1, x2, theta, sigma, method, fit_mode)
-    bias, se = dose_bias_se(grad, hess, *bias_and_cov)
-    return DoseEstimate(gamma_hat=float(gamma), bias=bias, se=se,
-                        method=method.lower(), bracket=tuple(used_bracket))
+    dose = dose_derivatives(model, theta, bracket)
+    bias, se = dose.bias_se(
+        *bias_cov(method, joint_bundles(model, x1, x2, theta, method, fit_mode), sigma))
+    return DoseEstimate(gamma_hat=dose.gamma, bias=bias, se=se, method=method.lower(),
+                        bracket=dose.bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +460,7 @@ class TwoCurveFitResult:
     """Joint result of fitting both curves.
 
     ``sigma_hats`` has two entries in separate mode (one per curve) and a
-    single shared entry in common-sigma mode. ``parts`` holds the underlying
-    per-curve fits (separate) or the single stacked fit (common-sigma).
+    single shared entry in common-sigma mode.
     """
 
     method: str
@@ -477,7 +471,6 @@ class TwoCurveFitResult:
     converged: bool
     residual_norm: float
     tolerance: float
-    parts: tuple[FitResult, ...]
 
 
 @dataclass(frozen=True)
@@ -494,7 +487,6 @@ class TwoCurveFitBatch:
     converged: Array
     residual_norm: Array
     tolerance: Array
-    parts: tuple[FitBatch, ...]
     errors: tuple
 
     def result(self, r: int) -> TwoCurveFitResult:
@@ -505,8 +497,7 @@ class TwoCurveFitBatch:
             method=self.method, mode=self.mode, theta_hat=self.theta_hat[r].copy(),
             sigma_hats=tuple(float(v) for v in self.sigma_hats[r]),
             iterations=int(self.iterations[r]), converged=bool(self.converged[r]),
-            residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]),
-            parts=tuple(part.result(r) for part in self.parts))
+            residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]))
 
 
 def _split_start(model: PartialBleachModel, opts: FitOptions,
@@ -558,8 +549,7 @@ def fit_two_curves_batch(model: PartialBleachModel, x1, Y1, x2, Y2, method: str,
         return TwoCurveFitBatch(
             method=method, mode=mode, theta_hat=res.theta_hat, sigma_hats=res.sigma_hat[:, None],
             iterations=res.iterations, converged=res.converged,
-            residual_norm=res.residual_norm, tolerance=res.tolerance, parts=(res,),
-            errors=res.errors)
+            residual_norm=res.residual_norm, tolerance=res.tolerance, errors=res.errors)
 
     r1 = fit_batch(model.curve1, x1, Y1, method, o1)
     r2 = fit_batch(model.curve2, x2, Y2, method, o2)
@@ -571,7 +561,7 @@ def fit_two_curves_batch(model: PartialBleachModel, x1, Y1, x2, Y2, method: str,
         converged=r1.converged & r2.converged,
         residual_norm=np.maximum(r1.residual_norm, r2.residual_norm),
         tolerance=np.maximum(r1.tolerance, r2.tolerance),
-        parts=(r1, r2), errors=first_errors(r1.errors, r2.errors))
+        errors=first_errors(r1.errors, r2.errors))
 
 
 def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,

@@ -99,7 +99,7 @@ def build_jacobian_bundle(model: ModelFunction, data: Dataset, theta) -> Jacobia
 
     w1 = np.einsum("ij,jk,ik->i", J, JtJ_inv, J)
 
-    if not (model.has_analytic_grad or model.has_analytic_hess):
+    if model.grad_fn is None and model.hess_fn is None:
         warnings.warn(
             "curvature weights use a doubly finite-differenced Hessian; "
             "expect relative noise near cbrt(eps)",

@@ -142,14 +142,10 @@ class ModelFunction:
             raise DomainError("parameter vector contains non-finite entries")
         return theta
 
-    def guard(self, x, theta) -> None:
-        theta = self.check_theta(theta)
-        if self.domain_guard is not None and not self.domain_guard(_as_1d(x), theta):
-            raise DomainError(f"model {self.name!r} is undefined at the requested point")
-
     def faults(self, x, theta) -> Array:
-        """Fault code per row of ``theta (..., p)``: :data:`FAULT_THETA` or
-        :data:`FAULT_DOMAIN` where :meth:`guard` would raise, else 0."""
+        """Fault code per row of ``theta (..., p)``: :data:`FAULT_THETA` where
+        it has a non-finite entry, :data:`FAULT_DOMAIN` where the domain guard
+        rejects it, else 0."""
         fault = np.where(np.all(np.isfinite(theta), axis=-1), 0, FAULT_THETA)
         if self.domain_guard is not None:
             ok = np.asarray(self.domain_guard(x, theta), dtype=bool)
@@ -186,15 +182,16 @@ class ModelFunction:
         h = _FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0))
         return (self.eval_fn(x + h, theta) - self.eval_fn(x - h, theta)) / (2.0 * h)
 
-    @property
-    def has_analytic_grad(self) -> bool:
-        return self.grad_fn is not None
-
-    @property
-    def has_analytic_hess(self) -> bool:
-        return self.hess_fn is not None
-
     # -- evaluation ---------------------------------------------------
+
+    def _checked(self, x, theta) -> tuple[Array, Array]:
+        """``x`` as 1-D and the checked ``theta``; raises what :meth:`eval`
+        raises where ``theta`` is outside the model's domain."""
+        xv, theta = _as_1d(x), self.check_theta(theta)
+        fault = self.faults(xv, theta)
+        if fault:
+            raise fault_error(self, int(fault))
+        return xv, theta
 
     def eval(self, x, theta) -> Array | float:
         """Mean response f(x, theta); scalar in, scalar out."""
@@ -208,9 +205,7 @@ class ModelFunction:
     def grad(self, x, theta) -> Array:
         """Parameter gradient; shape (p,) for scalar x, else (n, p)."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = _as_1d(x)
-        theta = self.check_theta(theta)
-        self.guard(xv, theta)
+        xv, theta = self._checked(x, theta)
         g = self.grad_rows(xv, theta)
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"gradient of model {self.name!r} is non-finite")
@@ -219,9 +214,7 @@ class ModelFunction:
     def hess(self, x, theta) -> Array:
         """Parameter Hessian; shape (p, p) for scalar x, else (n, p, p)."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = _as_1d(x)
-        theta = self.check_theta(theta)
-        self.guard(xv, theta)
+        xv, theta = self._checked(x, theta)
         h = self.hess_rows(xv, theta)
         if not np.all(np.isfinite(h)):
             raise NonFiniteError(f"Hessian of model {self.name!r} is non-finite")
@@ -230,9 +223,7 @@ class ModelFunction:
     def dx(self, x, theta) -> Array | float:
         """Derivative of the mean in the covariate."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = _as_1d(x)
-        theta = self.check_theta(theta)
-        self.guard(xv, theta)
+        xv, theta = self._checked(x, theta)
         d = self.dx_rows(xv, theta)
         return float(d[0]) if scalar else d
 

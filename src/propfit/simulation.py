@@ -25,21 +25,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .asymptotics import bias_kernel
+from .asymptotics import bias_cov
 from .equivalent_dose import (
     MODE_DEFAULT,
     MODES,
     PartialBleachModel,
     beta1_from_gamma,
-    bundles_bias_cov,
-    dose_bias_se,
+    dose_derivatives,
     fit_two_curves_batch,
-    gamma_gradient,
-    gamma_hessian,
     joint_bundles,
     partial_bleach_model,
     resolve_mode,
-    solve_gamma,
     solve_gamma_batch,
 )
 from .estimators import METHODS, FitOptions, fit_batch, resolve_start
@@ -276,43 +272,6 @@ def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Ar
     return out
 
 
-class _FormulaBiases:
-    """B_T per method at any sigma, from truth-side pieces built once per study:
-    the Jacobian bundles per fit mode and, for two-curve designs, gamma's
-    gradient and Hessian at the true dose."""
-
-    def __init__(self, design: SimDesign, truth_gamma: float | None):
-        self.design = design
-        if design.two_curve:
-            model, theta = design.model, design.theta0
-            self.grad = gamma_gradient(model, theta, truth_gamma)
-            self.hess = gamma_hessian(model, theta, truth_gamma)
-            by_mode = {}
-            self.bundles = {}
-            for method in design.methods:
-                mode = design.mode_for(method)
-                if mode not in by_mode:
-                    by_mode[mode] = joint_bundles(model, design.x1, design.x2, theta, method,
-                                                  mode)
-                self.bundles[method] = by_mode[mode]
-        else:
-            data = Dataset(design.x1,
-                           np.asarray(design.model.eval(design.x1, design.theta0), dtype=float))
-            bundle = build_jacobian_bundle(design.model, data, design.theta0)
-            self.kernels = {m: bias_kernel(m, bundle) for m in design.methods}
-
-    def at(self, sigma: float) -> dict[str, Array]:
-        out = {}
-        for method in self.design.methods:
-            if self.design.two_curve:
-                bias_vec, cov = bundles_bias_cov(self.bundles[method], sigma, method)
-                dose_bias, _ = dose_bias_se(self.grad, self.hess, bias_vec, cov)
-                out[method] = np.concatenate([bias_vec, [dose_bias]])
-            else:
-                out[method] = float(sigma) ** 2 * self.kernels[method]
-        return out
-
-
 def _run_rows(design: SimDesign, sigma: float, sigma_idx: int, ks: Array, n_targets: int):
     """Draw and fit the replicates ``ks`` of one sigma: their estimates per
     method, rejected flags and redraw counts."""
@@ -334,16 +293,31 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     thread but none longer than ``STACK_ROWS`` rows, and each chunk is
     fitted as one stack (on a thread pool when ``threads > 1``). A
     replicate's numbers do not depend on its stack, so the summary is
-    identical whatever the split.
+    identical whatever the split. The formula biases' pieces are built at
+    the truth before any replicate is fitted, so a truth without a dose or
+    with a singular design raises at once.
     """
     targets = design.target_names
     n_targets = len(targets)
     truths = {name: float(v) for name, v in zip(targets, design.theta0)}
+    model, theta0 = design.model, design.theta0
+    # B_T's sigma-free pieces at the truth: the Jacobian bundles of each fit
+    # mode and, for two curves, the dose and its derivatives.
+    dose = None
     if design.two_curve:
-        truths["gamma"] = float(solve_gamma(design.model, design.theta0,
-                                            bracket=design.gamma_bracket))
+        dose = dose_derivatives(model, theta0, design.gamma_bracket)
+        truths["gamma"] = dose.gamma
+        by_mode: dict = {}
+        bundles = {}
+        for method in design.methods:
+            mode = design.mode_for(method)
+            if mode not in by_mode:
+                by_mode[mode] = joint_bundles(model, design.x1, design.x2, theta0, method, mode)
+            bundles[method] = by_mode[mode]
+    else:
+        data = Dataset(design.x1, np.asarray(model.eval(design.x1, theta0), dtype=float))
+        bundles = dict.fromkeys(design.methods, (build_jacobian_bundle(model, data, theta0),))
     truth_vec = np.array([truths[t] for t in targets])
-    formulas = None
 
     results: list[MethodSigmaSummary] = []
     for sigma_idx, sigma in enumerate(design.sigma_grid):
@@ -363,11 +337,11 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
         rejected = np.concatenate([o[1] for o in outcomes])
         redraws = np.concatenate([o[2] for o in outcomes])
 
-        if formulas is None:
-            formulas = _FormulaBiases(design, truths.get("gamma"))
-        b_t = formulas.at(sigma)
         n_rejected = int(rejected.sum())
         for method in design.methods:
+            b_t, cov = bias_cov(method, bundles[method], sigma)
+            if dose is not None:
+                b_t = np.append(b_t, dose.bias_se(b_t, cov)[0])
             est = estimates[method]
             ok = ~np.any(np.isnan(est), axis=1)
             r_eff = int(ok.sum())
@@ -377,7 +351,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
                 vals = est[ok, j]
                 b_s = float(np.mean(vals) - truth_vec[j]) if r_eff else float("nan")
                 mc_se = float(np.std(vals, ddof=1) / np.sqrt(r_eff)) if r_eff >= 2 else 0.0
-                cells.append(SimCell(target=target, b_t=float(b_t[method][j]),
+                cells.append(SimCell(target=target, b_t=float(b_t[j]),
                                      b_s=b_s, mc_se=mc_se))
             results.append(MethodSigmaSummary(
                 method=method, sigma=sigma, r_effective=r_eff,

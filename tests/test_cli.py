@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -11,6 +12,8 @@ from propfit.cli import main
 from propfit.config import load_schema
 from propfit.equivalent_dose import beta1_from_gamma, partial_bleach_model
 from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "partial_bleach_config.json"
 
 
 @pytest.fixture
@@ -230,6 +233,26 @@ class TestSimulateCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "constant"}))
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_truth_without_formulae_exits_2(self, tmp_path, capsys):
+        # A truth whose curves do not cross in the bracket, a design whose
+        # J'J is singular, and one with no more points than parameters.
+        no_dose = dict(json.loads(DEMO_CONFIG.read_text()), gamma_bracket=[1.0, 2.0])
+        singular = {"model": "exponential", "methods": ["ql"],
+                    "sim": {"theta0": [2, 3], "x1": [1, 1, 1, 1], "sigma": [0.02],
+                            "replicates": 4, "seed": 1}}
+        too_few = {"model": "exponential", "methods": ["ql"],
+                   "sim": {"theta0": [2, 3], "x1": [1, 2], "sigma": [0.02],
+                           "replicates": 4, "seed": 1}}
+        path = tmp_path / "cfg.json"
+        for cfg, error in ((no_dose, "NoBracketError"), (singular, "SingularError"),
+                           (too_few, "ValueError")):
+            path.write_text(json.dumps(cfg))
+            assert main(["simulate", "--config", str(path), "--format", "json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {error}: ")
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
 
 class TestCheckCommand:

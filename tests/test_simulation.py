@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from propfit.asymptotics import bias_order2
+from propfit.equivalent_dose import gamma_bias_se, stacked_model
 from propfit.exceptions import Rejected
-from propfit.models import constant_model
+from propfit.models import Dataset, constant_model
 from propfit.simulation import (
     SimDesign,
     compare_bias_table,
@@ -134,6 +136,32 @@ class TestRunStudy:
             entry = summary.entry(m, 0.5)
             assert entry.rejected_count > 0
             assert entry.r_effective + entry.failure_count + entry.rejected_count == 30
+
+    def test_formula_biases_match_public_formulae(self):
+        # B_T is bias_order2 per curve for separate fits and on the stacked
+        # model for common-sigma ML, and gamma_bias_se's bias for the dose,
+        # all at theta0.
+        sigma = 0.02
+        design = default_partial_bleach_design(sigma_grid=(sigma,), replicates=2,
+                                               master_seed=4)
+        pb, x1, x2, theta0 = design.model, design.x1, design.x2, design.theta0
+        summary = run_study(design)
+        alpha, beta = pb.split(theta0)
+        joint, idx = stacked_model(pb, x1, x2)
+        for method in design.methods:
+            mode = design.mode_for(method)
+            if mode == "common-sigma":
+                expected = bias_order2(method, joint, Dataset(idx, joint.eval(idx, theta0)),
+                                       theta0, sigma).bias
+            else:
+                expected = np.concatenate([
+                    bias_order2(method, curve, Dataset(x, curve.eval(x, t)), t, sigma).bias
+                    for curve, x, t in ((pb.curve1, x1, alpha), (pb.curve2, x2, beta))])
+            dose = gamma_bias_se(pb, x1, x2, theta0, sigma, method, fit_mode=mode)
+            expected = np.append(expected, dose.bias)
+            entry = summary.entry(method, sigma)
+            got = np.array([entry.cell(t).b_t for t in design.target_names])
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_no_rejections_on_bundled_design(self):
         design = default_partial_bleach_design(sigma_grid=(0.06,), replicates=20,
