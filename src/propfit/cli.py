@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON run configuration with sim section")
     p_sim.add_argument("--seed", type=int, help="override sim.seed")
     p_sim.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads, each fitting a contiguous chunk of every "
-                            f"sigma's replicates (default ${ENV_THREADS} or 1)")
+                       help="worker threads, each fitting a contiguous chunk of the "
+                            f"study's replicates (default ${ENV_THREADS} or 1)")
     p_sim.add_argument("--out", help="output path (both: .txt and .json)")
     p_sim.add_argument("--format", choices=["text", "json", "both"])
     p_sim.set_defaults(func=cmd_simulate)

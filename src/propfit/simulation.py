@@ -6,10 +6,10 @@ random stream derived from the master seed, so results are bit-identical
 for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
-closed-form bias ``B_T`` evaluated at the true parameters. A sigma's
-replicates are fitted, per method and curve, as one stack (see
-:func:`~propfit.estimators.fit_batch`), whose rows come out exactly as if
-fitted one by one.
+closed-form bias ``B_T`` evaluated at the true parameters. The study's
+replicates, across the whole sigma grid, are fitted per method and curve
+as one stack (see :func:`~propfit.estimators.fit_batch`), whose rows come
+out exactly as if fitted one by one.
 
 The bundled two-curve default mimics the published dose-response study:
 sample sizes 16 and 13 with the fitted parameter values of that data set.
@@ -57,10 +57,10 @@ QNL84_BETA2 = 192.547
 QNL84_BETA3 = 756.620
 QNL84_GAMMA = -87.45
 
-# Most replicates fitted as one stack: memory grows with the stack (a
-# stacked Hessian holds rows x n x p x p floats, about 8 MB at 1024 rows of
-# the two-curve design), while past about a thousand rows a larger stack
-# saves little time.
+# Most of the study's replicates fitted as one stack: memory grows with the
+# stack (a stacked Hessian holds rows x n x p x p floats, about 8 MB at 1024
+# rows of the two-curve design), while past about a thousand rows a larger
+# stack saves little time.
 STACK_ROWS = 1024
 
 
@@ -272,13 +272,13 @@ def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Ar
     return out
 
 
-def _run_rows(design: SimDesign, sigma: float, sigma_idx: int, ks: Array, n_targets: int):
-    """Draw and fit the replicates ``ks`` of one sigma: their estimates per
-    method, rejected flags and redraw counts."""
-    drawn = [_draw_replicate(design, sigma, sigma_idx, int(k)) for k in ks]
+def _run_rows(design: SimDesign, cells: Array, n_targets: int):
+    """Draw and fit the replicates ``cells``, ``(sigma index, replicate)``
+    pairs: their estimates per method, rejected flags and redraw counts."""
+    drawn = [_draw_replicate(design, design.sigma_grid[i], int(i), int(k)) for i, k in cells]
     redraws = np.array([n for _, n in drawn], dtype=int)
     rejected = np.array([d is None for d, _ in drawn], dtype=bool)
-    estimates = {m: np.full((len(ks), n_targets), np.nan) for m in design.methods}
+    estimates = {m: np.full((len(cells), n_targets), np.nan) for m in design.methods}
     kept = [d for d, _ in drawn if d is not None]
     if kept:
         for method, est in _fit_rows(design, kept, n_targets).items():
@@ -289,13 +289,14 @@ def _run_rows(design: SimDesign, sigma: float, sigma_idx: int, ks: Array, n_targ
 def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     """Run the full study: generate, fit, aggregate, and attach formula biases.
 
-    Each sigma's replicates are split into contiguous chunks, one per
-    thread but none longer than ``STACK_ROWS`` rows, and each chunk is
-    fitted as one stack (on a thread pool when ``threads > 1``). A
-    replicate's numbers do not depend on its stack, so the summary is
-    identical whatever the split. The formula biases' pieces are built at
-    the truth before any replicate is fitted, so a truth without a dose or
-    with a singular design raises at once.
+    The study's replicates, sigma by sigma, are split into contiguous
+    chunks, one per thread but none longer than ``STACK_ROWS`` rows, and
+    each chunk is fitted as one stack (on a thread pool when
+    ``threads > 1``), whichever sigmas it spans. A replicate's numbers do
+    not depend on its stack, so the summary is identical whatever the
+    split. The formula biases' pieces are built at the truth before any
+    replicate is fitted, so a truth without a dose or with a singular
+    design raises at once.
     """
     targets = design.target_names
     n_targets = len(targets)
@@ -319,30 +320,34 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
         bundles = dict.fromkeys(design.methods, (build_jacobian_bundle(model, data, theta0),))
     truth_vec = np.array([truths[t] for t in targets])
 
+    S, R = len(design.sigma_grid), design.replicates
+    # The study as (sigma index, replicate) cells, sigma by sigma.
+    flat = np.stack(np.divmod(np.arange(S * R), R), axis=1)
+    workers = max(1, min(threads, S * R))
+    chunks = np.array_split(flat, max(workers, -(-(S * R) // STACK_ROWS)))
+
+    def one(chunk: Array):
+        return _run_rows(design, chunk, n_targets)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(one, chunks))
+    else:
+        outcomes = [one(chunk) for chunk in chunks]
+    # Back to per-sigma blocks: row i * R + k is replicate k of sigma i.
+    estimates = {m: np.concatenate([o[0][m] for o in outcomes]).reshape(S, R, n_targets)
+                 for m in design.methods}
+    rejected = np.concatenate([o[1] for o in outcomes]).reshape(S, R)
+    redraws = np.concatenate([o[2] for o in outcomes]).reshape(S, R)
+
     results: list[MethodSigmaSummary] = []
     for sigma_idx, sigma in enumerate(design.sigma_grid):
-        R = design.replicates
-        workers = max(1, min(threads, R))
-        chunks = np.array_split(np.arange(R), max(workers, -(-R // STACK_ROWS)))
-
-        def one(ks: Array):
-            return _run_rows(design, sigma, sigma_idx, ks, n_targets)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one, chunks))
-        else:
-            outcomes = [one(ks) for ks in chunks]
-        estimates = {m: np.concatenate([o[0][m] for o in outcomes]) for m in design.methods}
-        rejected = np.concatenate([o[1] for o in outcomes])
-        redraws = np.concatenate([o[2] for o in outcomes])
-
-        n_rejected = int(rejected.sum())
+        n_rejected = int(rejected[sigma_idx].sum())
         for method in design.methods:
             b_t, cov = bias_cov(method, bundles[method], sigma)
             if dose is not None:
                 b_t = np.append(b_t, dose.bias_se(b_t, cov)[0])
-            est = estimates[method]
+            est = estimates[method][sigma_idx]
             ok = ~np.any(np.isnan(est), axis=1)
             r_eff = int(ok.sum())
             failures = R - n_rejected - r_eff
@@ -356,7 +361,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
             results.append(MethodSigmaSummary(
                 method=method, sigma=sigma, r_effective=r_eff,
                 failure_count=failures, rejected_count=n_rejected,
-                redraw_count=int(redraws.sum()), cells=tuple(cells),
+                redraw_count=int(redraws[sigma_idx].sum()), cells=tuple(cells),
             ))
 
     return SimSummary(design=design, truths=truths, results=tuple(results))

@@ -1,14 +1,19 @@
 """Monte Carlo engine: generation, streams, determinism, aggregation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from propfit import simulation
 from propfit.asymptotics import bias_order2
 from propfit.equivalent_dose import gamma_bias_se, stacked_model
+from propfit.estimators import fit_batch
 from propfit.exceptions import Rejected
 from propfit.models import Dataset, constant_model
 from propfit.simulation import (
     SimDesign,
+    _draw_replicate,
     compare_bias_table,
     default_partial_bleach_design,
     generate_dataset,
@@ -168,6 +173,68 @@ class TestRunStudy:
                                                master_seed=9)
         summary = run_study(design)
         assert all(r.rejected_count == 0 and r.redraw_count == 0 for r in summary.results)
+
+
+class TestStudyStack:
+    """The study is fitted as one flat stack across the sigma grid."""
+
+    @staticmethod
+    def redrawing_design():
+        # theta = 1 at sigma 0.4 and 0.5 draws non-positive responses often,
+        # so both sigmas redraw, and with one redraw allowed some reject.
+        return constant_design(theta0=np.array([1.0]), sigma_grid=(0.4, 0.5),
+                               replicates=30, master_seed=13, max_redraws=1)
+
+    def test_per_sigma_bookkeeping(self):
+        design = self.redrawing_design()
+        summary = run_study(design)
+        opts = replace(design.fit_options, start=design.theta0)
+        for sigma_idx, sigma in enumerate(design.sigma_grid):
+            drawn = [_draw_replicate(design, sigma, sigma_idx, k)
+                     for k in range(design.replicates)]
+            redraws = sum(n for _, n in drawn)
+            kept = [d[0].y for d, _ in drawn if d is not None]
+            rejected = design.replicates - len(kept)
+            assert redraws > 0
+            for method in design.methods:
+                converged = fit_batch(design.model, design.x1, np.stack(kept), method,
+                                      opts).converged
+                entry = summary.entry(method, sigma)
+                assert entry.redraw_count == redraws
+                assert entry.rejected_count == rejected
+                assert entry.r_effective == int(converged.sum())
+                assert entry.failure_count == int((~converged).sum())
+        assert summary.entry("ql", 0.4).redraw_count != summary.entry("ql", 0.5).redraw_count
+        assert summary.entry("ql", 0.5).rejected_count > 0
+
+    @pytest.mark.parametrize("stack_rows", [1, 7])
+    def test_summary_does_not_depend_on_stack_rows(self, monkeypatch, stack_rows):
+        design = self.redrawing_design()
+        default = run_study(design)
+        monkeypatch.setattr(simulation, "STACK_ROWS", stack_rows)
+        split = run_study(design)
+        assert split.truths == default.truths
+        assert split.results == default.results
+
+    def test_one_stack_per_method_across_sigmas(self, monkeypatch):
+        calls = {"fit_two_curves_batch": 0, "solve_gamma_batch": 0}
+
+        def counted(name):
+            original = getattr(simulation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulation, name, counted(name))
+        design = default_partial_bleach_design(sigma_grid=(0.01, 0.02, 0.03),
+                                               replicates=10, master_seed=8)
+        assert len(design.methods) == 4
+        run_study(design, threads=1)
+        # One stack per method for all 30 replicates, not one per sigma (12).
+        assert calls == {"fit_two_curves_batch": 4, "solve_gamma_batch": 4}
 
 
 class TestSimDesignValidation:
