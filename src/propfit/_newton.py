@@ -1,13 +1,15 @@
-"""Newton solver for stacks of estimating equations, with Fisher scoring as fallback.
+"""Estimating equations and their Newton solver, with Fisher scoring as fallback.
 
-Each row of a stack is one equation ``G(theta) = 0``, the stationary
-condition of an objective. Rows share only the array operations, never a
-number, so a row's iterates are the same whatever else is in the stack. An
-iteration takes the exact Newton step when it lowers both the objective and
-``max|G|``; otherwise it halves the scoring step (the Jacobian replaced by
-its expectation) until the objective falls. Near the root the objective
-stops changing beyond rounding, so a change within a few ulps counts as no
-rise when ``max|G|`` falls. A row has converged when ``max|G| <=
+An estimating equation ``G(theta) = sum_i c_i grad f_i = 0`` is the
+stationary condition of an objective (:class:`_Equation`); :func:`_point`
+evaluates it over a stack of datasets that share their covariate, one row
+each. Rows share only the array operations, never a number, so a row's
+iterates are the same whatever else is in the stack. An iteration takes the
+exact Newton step when it lowers both the objective and ``max|G|``;
+otherwise it halves the scoring step (the Jacobian replaced by its
+expectation) until the objective falls. Near the root the objective stops
+changing beyond rounding, so a change within a few ulps counts as no rise
+when ``max|G|`` falls. A row has converged when ``max|G| <=
 max(tol_absolute, tol_relative * scale)`` at its current iterate.
 
 A row stops moving once it converges, finds no step, runs out of
@@ -20,71 +22,137 @@ singular.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import NonFiniteError, PropfitError, SingularError
+from .exceptions import NonFiniteError, SingularError
+from .models import FAULT_HESSIAN, FAULT_ZERO_MEAN, Array, ModelFunction, fault_error
 
 _MAX_HALVINGS = 20
 # Objective changes within this many ulps are rounding, not a rise.
 _OBJECTIVE_ULPS = 8
 
 
-class Point:
-    """Iterates of a stack of equations, one row each.
+@dataclass(frozen=True)
+class _Equation:
+    """An estimating equation ``G = sum_i c_i grad f_i`` and its objective.
 
-    ``theta`` is ``(m, p)``; ``objective``, ``scale`` (the size ``max_j sum_i
-    |c_i df_i/dtheta_j|`` of the terms of ``G = sum_i c_i grad f_i``), ``norm``
-    (``max|G|``) and ``fault`` are ``(m,)``; ``residual`` is ``G``, ``(m, p)``.
-    ``fault`` is 0 where the equation is defined and otherwise a code
-    :meth:`error` explains.
-    Subclasses build the step matrices in :meth:`jacobian` (which marks rows
-    whose Jacobian is undefined in ``fault``) and :meth:`scoring`, and name
-    every per-row attribute in ``ROWS`` so that :meth:`take` and :func:`join`
-    can select and merge rows.
+    ``weight(f, y)`` is ``c``, ``dweight`` its derivative in ``f`` and
+    ``scoring`` the signed weights ``w`` of the scoring matrix ``sum_i w_i
+    grad f_i grad f_i'``. ``objective`` is stationary at the root and +inf
+    outside its domain. ``profiled`` (ML) adds ``s^2/f`` to ``c``, with
+    ``s^2 = mean(((y-f)/f)^2)``, and ``ds^2/dtheta`` to the Jacobian.
     """
 
-    ROWS = ("theta", "objective", "residual", "scale", "norm", "fault")
+    weight: Callable[[Array, Array], Array]
+    dweight: Callable[[Array, Array], Array]
+    scoring: Callable[[Array, Array], Array]
+    objective: Callable[[Array, Array], float]
+    divides_by_f: bool = True
+    profiled: bool = False
 
-    theta: np.ndarray
-    objective: np.ndarray
-    residual: np.ndarray
-    scale: np.ndarray
-    norm: np.ndarray
-    fault: np.ndarray
+
+def _t(a: Array) -> Array:
+    return np.swapaxes(a, -1, -2)
+
+
+@dataclass
+class _Iterate:
+    """Iterates of one equation over a stack of datasets, one row each.
+
+    Shapes follow ``theta``: ``(m, p)`` with ``y (m, n)`` for a stack, or
+    ``(p,)`` with ``y (n,)`` for a single point. Per row: ``objective``,
+    ``scale`` (the size ``max_j sum_i |c_i df_i/dtheta_j|`` of the terms of
+    ``G``), ``norm`` (``max|G|``) and ``fault`` (0 where the equation is
+    defined, else a :func:`~propfit.models.fault_error` code); ``residual``
+    is ``G``, ``f`` the means, ``G`` their gradient, ``c`` the weights and
+    ``s2`` ML's scale (zero for the other equations).
+    """
+
+    theta: Array
+    objective: Array
+    residual: Array
+    scale: Array
+    norm: Array
+    fault: Array
+    y: Array
+    f: Array
+    G: Array
+    c: Array
+    s2: Array
 
     @property
-    def defined(self) -> np.ndarray:
+    def defined(self) -> Array:
         return (self.fault == 0) & np.isfinite(self.norm)
 
-    def take(self, index) -> "Point":
+    def take(self, index) -> "_Iterate":
         """The rows ``index`` selects (a boolean mask or positions)."""
-        new = copy.copy(self)
-        for name in self.ROWS:
-            setattr(new, name, getattr(self, name)[index])
-        return new
+        return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
 
-    def jacobian(self) -> np.ndarray:
-        raise NotImplementedError
+    def jacobian(self, eq: _Equation, model: ModelFunction, x: Array) -> Array:
+        """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
+        scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
+        y, f, G, c = self.y, self.f, self.G, self.c
+        p = G.shape[-1]
+        with np.errstate(all="ignore"):
+            H = model.hess_rows(x, self.theta)
+            bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
+            A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
+                c.shape[:-1] + (p, p))
+            A += _t(G * eq.dweight(f, y)[..., None]) @ G
+            if eq.profiled:
+                J = G / f[..., None]
+                ds2 = (-2.0 / y.shape[-1]) * (_t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
+                A += (J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
+                      - np.asarray(self.s2)[..., None, None] * (_t(J) @ J))
+        if np.any(bad):
+            self.fault[bad] = FAULT_HESSIAN
+        return A
 
-    def scoring(self) -> np.ndarray:
-        raise NotImplementedError
+    def scoring(self, eq: _Equation) -> Array:
+        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
+        with np.errstate(all="ignore"):
+            return _t(self.G * eq.scoring(self.f, self.y)[..., None]) @ self.G
 
-    def error(self, i: int) -> PropfitError:
-        raise NotImplementedError
 
-
-def join(pieces: list[Point]) -> Point:
-    """The rows of ``pieces`` (points of one stack), in order."""
+def _join(pieces: list[_Iterate]) -> _Iterate:
+    """The rows of ``pieces`` (iterates of one stack), in order."""
     if len(pieces) == 1:
         return pieces[0]
-    new = copy.copy(pieces[0])
-    for name in new.ROWS:
-        setattr(new, name, np.concatenate([getattr(p, name) for p in pieces]))
-    return new
+    return _Iterate(**{name: np.concatenate([vars(p)[name] for p in pieces])
+                       for name in vars(pieces[0])})
+
+
+def _point(eq: _Equation, model: ModelFunction, x: Array, y: Array, theta,
+           sigma: float | None = None) -> _Iterate:
+    """``eq`` at ``theta (..., p)`` for the responses ``y (..., n)`` observed at
+    ``x``; ``sigma`` freezes ML's scale. Undefined rows are flagged in
+    ``fault``, not raised."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (model.p,):
+        raise ValueError(f"theta must have shape ({model.p},), got {theta.shape}")
+    with np.errstate(all="ignore"):
+        f = np.asarray(model.eval_fn(x, theta), dtype=float)
+        fault = model.faults(x, theta)
+        if eq.divides_by_f:
+            fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+        G = model.grad_rows(x, theta)
+        c = eq.weight(f, y)
+        s2 = None
+        if eq.profiled:
+            if sigma is None:
+                s2 = np.mean(((y - f) / f) ** 2, axis=-1)
+            else:
+                s2 = np.full(theta.shape[:-1], float(sigma) ** 2)
+            c = c + s2[..., None] / f
+        residual = (c[..., None, :] @ G)[..., 0, :]
+        scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
+        objective = eq.objective(f, y)
+    return _Iterate(theta=theta, objective=objective, residual=residual, scale=scale,
+                    norm=np.max(np.abs(residual), axis=-1), fault=fault, y=y, f=f, G=G, c=c,
+                    s2=np.zeros(theta.shape[:-1]) if s2 is None else s2)
 
 
 @dataclass
@@ -110,11 +178,6 @@ class SolveResult:
         self.tolerance[rows] = tol
 
 
-# ``evaluate(theta (m, p), rows (m,))``: the iterates of the equations in
-# ``rows`` of the stack at ``theta``.
-Evaluate = Callable[[np.ndarray, np.ndarray], Point]
-
-
 def _solve_rows(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``matrix[i]^-1 rhs[i]`` per row; NaN rows where a matrix is singular."""
     if not len(rhs):
@@ -138,19 +201,21 @@ def _no_rise(new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return (new <= old) | (new <= old + _OBJECTIVE_ULPS * np.spacing(np.abs(old)))
 
 
-def _advance(evaluate: Evaluate, pt: Point, rows: np.ndarray):
-    """One iteration of every row of ``pt``.
+def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Iterate,
+             rows: np.ndarray):
+    """One iteration of every row of ``pt``, the iterate of the datasets
+    ``Y[rows]``.
 
-    Returns the next point of the rows that moved, their positions in ``pt``
-    (ascending) and ``{position: error}`` for the rows that failed.
+    Returns the next iterate of the rows that moved, their positions in
+    ``pt`` (ascending) and ``{position: error}`` for the rows that failed.
     """
     m = len(rows)
     failures = {}
-    jacobian = pt.jacobian()
+    jacobian = pt.jacobian(eq, model, x)
     live = np.arange(m)
     if pt.fault.any():
         for i in np.flatnonzero(pt.fault):
-            failures[int(i)] = pt.error(i)
+            failures[int(i)] = fault_error(model, int(pt.fault[i]))
         live = np.flatnonzero(pt.fault == 0)
         jacobian = jacobian[live]
     norm, objective = pt.norm, pt.objective
@@ -161,7 +226,7 @@ def _advance(evaluate: Evaluate, pt: Point, rows: np.ndarray):
     tried, delta = (live, delta) if finite.all() else (live[finite], delta[finite])
     newton = np.zeros(m, dtype=bool)
     if tried.size:
-        new = evaluate(pt.theta[tried] + delta, rows[tried])
+        new = _point(eq, model, x, Y[rows[tried]], pt.theta[tried] + delta)
         ok = new.defined & (new.norm < norm[tried]) & _no_rise(new.objective, objective[tried])
         if ok.all() and tried.size == m:
             return new, tried, failures
@@ -173,7 +238,7 @@ def _advance(evaluate: Evaluate, pt: Point, rows: np.ndarray):
     need = live[~newton[live]]
     if need.size:
         sub = pt.take(need)
-        step = _solve_rows(sub.scoring(), -sub.residual)
+        step = _solve_rows(sub.scoring(eq), -sub.residual)
         singular = ~np.isfinite(step).all(axis=-1)
         for i in need[singular]:
             failures[int(i)] = SingularError("scoring matrix is singular at the iterate")
@@ -181,7 +246,7 @@ def _advance(evaluate: Evaluate, pt: Point, rows: np.ndarray):
         for _ in range(_MAX_HALVINGS):
             if not pending.size:
                 break
-            new = evaluate(pt.theta[pending] + step, rows[pending])
+            new = _point(eq, model, x, Y[rows[pending]], pt.theta[pending] + step)
             old = objective[pending]
             ok = new.defined & ((new.objective < old)
                                 | ((new.norm < norm[pending]) & _no_rise(new.objective, old)))
@@ -196,16 +261,17 @@ def _advance(evaluate: Evaluate, pt: Point, rows: np.ndarray):
         return pieces[0], moved[0], failures
     positions = np.concatenate(moved)
     order = np.argsort(positions, kind="stable")
-    return join(pieces).take(order), positions[order], failures
+    return _join(pieces).take(order), positions[order], failures
 
 
-def solve(evaluate: Evaluate, theta0, *, tol_relative: float = 1e-8,
-          tol_absolute: float = 1e-10, max_iter: int = 100) -> SolveResult:
-    """Drive every row's ``G(theta)`` to zero from its row of ``theta0 (R, p)``.
+def solve(eq: _Equation, model: ModelFunction, x: Array, Y: Array, theta0, *,
+          tol_relative: float = 1e-8, tol_absolute: float = 1e-10,
+          max_iter: int = 100) -> SolveResult:
+    """Drive ``eq`` to zero for every dataset ``Y (R, n)`` observed at ``x``,
+    from its row of ``theta0 (R, p)``.
 
     ``iterations`` counts the iterations each row ran, a last one that found
-    no step included. ``evaluate`` flags, rather than raises, where an
-    equation is undefined, and must not warn on a wild trial point.
+    no step included.
     """
     theta0 = np.array(theta0, dtype=float)
     R = len(theta0)
@@ -213,12 +279,13 @@ def solve(evaluate: Evaluate, theta0, *, tol_relative: float = 1e-8,
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
                          tolerance=np.full(R, np.nan), errors=[None] * R)
     rows = np.arange(R)
-    pt = evaluate(theta0, rows)
+    pt = _point(eq, model, x, Y, theta0)
     keep = pt.defined
     if not keep.all():
         for i in np.flatnonzero(~keep):
-            result.errors[i] = pt.error(i) if pt.fault[i] else NonFiniteError(
-                "estimating equation is non-finite at the starting point")
+            result.errors[i] = (fault_error(model, int(pt.fault[i])) if pt.fault[i] else
+                                NonFiniteError("estimating equation is non-finite at the "
+                                               "starting point"))
         pt, rows = pt.take(keep), rows[keep]
     best_theta, best_norm, best_scale = pt.theta, pt.norm, pt.scale
     # Active rows start together and leave when they stop, so they share a count.
@@ -243,7 +310,7 @@ def solve(evaluate: Evaluate, theta0, *, tol_relative: float = 1e-8,
             break
         iterations += 1
 
-        nxt, moved, failures = _advance(evaluate, pt, rows)
+        nxt, moved, failures = _advance(eq, model, x, Y, pt, rows)
         for i, exc in failures.items():
             result.errors[rows[i]] = exc
         if len(moved) < len(rows):

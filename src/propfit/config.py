@@ -1,8 +1,9 @@
 """Run configuration: a strict JSON document driving fits and simulations.
 
 The schema (packaged under ``propfit/schemas/``) rejects unknown keys so a
-typo cannot silently corrupt a study. Defaults applied here are documented
-in the README.
+typo cannot silently corrupt a study. A key the document leaves out takes
+the default of the field it sets (:class:`RunConfig`, :class:`FitOptions`
+or :class:`SimDesign`); the README documents them.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class RunConfig:
             if "x2" in sim:
                 raise ConfigError("sim.x2 is only valid for the two-curve model")
             x1, x2 = sim["x1"], None
+        casts = {"reject_nonpositive": bool, "start": str, "max_redraws": int}
+        optional = {key: cast(sim[key]) for key, cast in casts.items() if key in sim}
         try:
             return SimDesign(
                 model=model,
@@ -78,12 +81,10 @@ class RunConfig:
                 replicates=int(sim["replicates"]),
                 master_seed=int(sim.get("seed", 0)),
                 methods=self.methods,
-                reject_nonpositive=bool(sim.get("reject_nonpositive", True)),
-                start=sim.get("start", "theta0"),
                 fit_mode=self.mode,
                 fit_options=self.fit_options,
                 gamma_bracket=self.gamma_bracket,
-                max_redraws=int(sim.get("max_redraws", 100)),
+                **optional,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -106,37 +107,25 @@ def parse_config(document: dict) -> RunConfig:
         where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"invalid config at {where}: {exc.message}") from None
 
-    methods = document.get("methods", "all")
-    if methods == "all":
-        methods = METHODS
-    else:
-        methods = tuple(methods)
+    fields = {key: document[key] for key in ("model", "mode") if key in document}
+    if document.get("methods", "all") != "all":
+        fields["methods"] = tuple(document["methods"])
+    if "gamma_bracket" in document:
+        fields["gamma_bracket"] = tuple(float(v) for v in document["gamma_bracket"])
+    if "format" in document.get("output", {}):
+        fields["output_format"] = document["output"]["format"]
 
     fit_section = document.get("fit", {})
-    start = fit_section.get("start", "auto")
-    if not isinstance(start, str):
-        start = np.asarray(start, dtype=float)
-    fit_options = FitOptions(
-        tol_residual=float(fit_section.get("tol_residual", 1e-8)),
-        tol_absolute=float(fit_section.get("tol_absolute", 1e-10)),
-        max_iter=int(fit_section.get("max_iter", 100)),
-        start=start,
-    )
+    casts = {"tol_residual": float, "tol_absolute": float, "max_iter": int}
+    options = {key: cast(fit_section[key]) for key, cast in casts.items() if key in fit_section}
+    if "start" in fit_section:
+        start = fit_section["start"]
+        options["start"] = start if isinstance(start, str) else np.asarray(start, dtype=float)
 
     sim = document.get("sim")
     if sim is not None and "x1" not in sim:
         raise ConfigError("sim section requires x1 (dose grid)")
-
-    bracket = document.get("gamma_bracket")
-    return RunConfig(
-        model=document.get("model", "saturating_exponential"),
-        methods=methods,
-        mode=document.get("mode", "default"),
-        gamma_bracket=None if bracket is None else (float(bracket[0]), float(bracket[1])),
-        fit_options=fit_options,
-        sim=sim,
-        output_format=document.get("output", {}).get("format", "text"),
-    )
+    return RunConfig(fit_options=FitOptions(**options), sim=sim, **fields)
 
 
 def load_config(path) -> RunConfig:

@@ -307,6 +307,42 @@ def solve_gamma(model: PartialBleachModel, theta,
     return float(gammas[0])
 
 
+def _implicit_derivatives(model: PartialBleachModel, theta, gamma: float,
+                          hessian: bool) -> tuple[Array, Array | None]:
+    """The gradient of the implicit root gamma(theta) and, when ``hessian``
+    is set, its Hessian (see :func:`gamma_gradient` and :func:`gamma_hessian`).
+
+    Each curve's gradient and slope in x are evaluated once, at gamma - h,
+    gamma and gamma + h with ``h = cbrt(eps) * max(1, |gamma|)``, and its
+    Hessian once, at gamma, only after the tangency check.
+    """
+    alpha, beta = model.split(theta)
+    c1, c2 = model.curve1, model.curve2
+    gamma = float(gamma)
+    h = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(gamma))
+    xs = np.array([gamma - h, gamma, gamma + h])
+    grad1, grad2 = c1.grad(xs, alpha), c2.grad(xs, beta)
+    dx1, dx2 = c1.dx(xs, alpha), c2.dx(xs, beta)
+    grad_theta = np.concatenate([grad1[1], -grad2[1]])
+    s1, s2 = float(dx1[1]), float(dx2[1])
+    g_x = s1 - s2
+    scale = max(abs(s1), abs(s2), 1e-300)
+    if abs(g_x) < 1e-12 * scale:
+        raise TangencyError("curves meet tangentially; dose gradient is undefined")
+    gp = -grad_theta / g_x
+    if not hessian:
+        return gp, None
+
+    p1, p = c1.p, model.p
+    g_tt = np.zeros((p, p))
+    g_tt[:p1, :p1] = c1.hess(gamma, alpha)
+    g_tt[p1:, p1:] = -c2.hess(gamma, beta)
+    g_xt = np.concatenate([(grad1[2] - grad1[0]) / (2 * h), -(grad2[2] - grad2[0]) / (2 * h)])
+    g_xx = ((dx1[2] - dx1[0]) - (dx2[2] - dx2[0])) / (2 * h)
+    return gp, -(g_tt + np.outer(g_xt, gp) + np.outer(gp, g_xt)
+                 + g_xx * np.outer(gp, gp)) / g_x
+
+
 def gamma_gradient(model: PartialBleachModel, theta, gamma: float) -> Array:
     """Derivative of the implicit root gamma(theta) in the six parameters.
 
@@ -315,17 +351,7 @@ def gamma_gradient(model: PartialBleachModel, theta, gamma: float) -> Array:
     :class:`TangencyError` when the curves' slopes at gamma are equal to
     within 1e-12 relative (the root is then not locally defined).
     """
-    alpha, beta = model.split(theta)
-    g1 = np.asarray(model.curve1.grad(float(gamma), alpha), dtype=float)
-    g2 = np.asarray(model.curve2.grad(float(gamma), beta), dtype=float)
-    grad_theta = np.concatenate([g1, -g2])
-    s1 = float(model.curve1.dx(float(gamma), alpha))
-    s2 = float(model.curve2.dx(float(gamma), beta))
-    dgdx = s1 - s2
-    scale = max(abs(s1), abs(s2), 1e-300)
-    if abs(dgdx) < 1e-12 * scale:
-        raise TangencyError("curves meet tangentially; dose gradient is undefined")
-    return -grad_theta / dgdx
+    return _implicit_derivatives(model, theta, gamma, hessian=False)[0]
 
 
 def gamma_hessian(model: PartialBleachModel, theta, gamma: float) -> Array:
@@ -339,26 +365,7 @@ def gamma_hessian(model: PartialBleachModel, theta, gamma: float) -> Array:
     derivatives come from central differences of the analytic gradient and
     slope in x.
     """
-    alpha, beta = model.split(theta)
-    c1, c2 = model.curve1, model.curve2
-    gamma = float(gamma)
-    gp = gamma_gradient(model, theta, gamma)
-    g_x = float(c1.dx(gamma, alpha)) - float(c2.dx(gamma, beta))
-
-    p1, p = c1.p, model.p
-    g_tt = np.zeros((p, p))
-    g_tt[:p1, :p1] = c1.hess(gamma, alpha)
-    g_tt[p1:, p1:] = -c2.hess(gamma, beta)
-
-    h = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(gamma))
-    g_xt = np.concatenate([
-        (np.asarray(c1.grad(gamma + h, alpha)) - np.asarray(c1.grad(gamma - h, alpha))) / (2 * h),
-        -(np.asarray(c2.grad(gamma + h, beta)) - np.asarray(c2.grad(gamma - h, beta))) / (2 * h),
-    ])
-    g_xx = ((float(c1.dx(gamma + h, alpha)) - float(c1.dx(gamma - h, alpha)))
-            - (float(c2.dx(gamma + h, beta)) - float(c2.dx(gamma - h, beta)))) / (2 * h)
-
-    return -(g_tt + np.outer(g_xt, gp) + np.outer(gp, g_xt) + g_xx * np.outer(gp, gp)) / g_x
+    return _implicit_derivatives(model, theta, gamma, hessian=True)[1]
 
 
 @dataclass(frozen=True)
@@ -411,8 +418,8 @@ def dose_derivatives(model: PartialBleachModel, theta,
     ``bracket`` is None) and differentiate it there."""
     used = bracket if bracket is not None else default_gamma_bracket(model, theta)
     gamma = solve_gamma(model, theta, bracket=used)
-    return DoseDerivatives(gamma=gamma, grad=gamma_gradient(model, theta, gamma),
-                           hess=gamma_hessian(model, theta, gamma), bracket=tuple(used))
+    grad, hess = _implicit_derivatives(model, theta, gamma, hessian=True)
+    return DoseDerivatives(gamma=gamma, grad=grad, hess=hess, bracket=tuple(used))
 
 
 def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,

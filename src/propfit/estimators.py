@@ -17,26 +17,20 @@ estimated; their sigma is reported from the unbiased rule afterwards.
 :func:`fit_batch` fits one method to a stack of datasets that share their
 covariate, one row each, and :func:`fit` is a stack of one: there is one
 solver path, and a row's numbers do not depend on the rest of its stack.
+This module holds each method's equation (its weights and objective) and
+the public API; :mod:`propfit._newton` evaluates the equations and solves
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._newton import Point, solve
-from .exceptions import DegenerateError, PropfitError, ZeroResponseError, first_errors
-from .models import (
-    FAULT_HESSIAN,
-    FAULT_THETA,
-    FAULT_ZERO_MEAN,
-    Array,
-    Dataset,
-    ModelFunction,
-    fault_error,
-)
+from ._newton import _Equation, _point, solve
+from .exceptions import DegenerateError, ZeroResponseError, first_errors
+from .models import FAULT_THETA, FAULT_ZERO_MEAN, Array, Dataset, ModelFunction, fault_error
 
 METHODS = ("ml", "ql", "wls", "dwls")
 
@@ -131,25 +125,6 @@ class Start:
 # Estimating equations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Equation:
-    """An estimating equation ``G = sum_i c_i grad f_i`` and its objective.
-
-    ``weight(f, y)`` is ``c``, ``dweight`` its derivative in ``f`` and
-    ``scoring`` the signed weights ``w`` of the scoring matrix ``sum_i w_i
-    grad f_i grad f_i'``. ``objective`` is stationary at the root and +inf
-    outside its domain. ``profiled`` (ML) adds ``s^2/f`` to ``c``, with
-    ``s^2 = mean(((y-f)/f)^2)``, and ``ds^2/dtheta`` to the Jacobian.
-    """
-
-    weight: Callable[[Array, Array], Array]
-    dweight: Callable[[Array, Array], Array]
-    scoring: Callable[[Array, Array], Array]
-    objective: Callable[[Array, Array], float]
-    divides_by_f: bool = True
-    profiled: bool = False
-
-
 def _ql_objective(f: Array, y: Array) -> Array:
     q = y / f
     return np.where(np.all(q > 0.0, axis=-1), np.sum(q - np.log(q), axis=-1), np.inf)
@@ -198,83 +173,6 @@ _OLS = _Equation(
     divides_by_f=False)
 
 
-def _t(a: Array) -> Array:
-    return np.swapaxes(a, -1, -2)
-
-
-class _Iterate(Point):
-    """Iterates of one equation over a stack of datasets (see :class:`Point`).
-
-    Shapes follow ``theta``: ``(p,)`` with ``y (n,)`` for a single point, or
-    ``(m, p)`` with ``y (m, n)`` for a stack.
-    """
-
-    ROWS = Point.ROWS + ("y", "f", "G", "c", "s2")
-
-    def __init__(self, eq: _Equation, model: ModelFunction, x: Array, **rows):
-        self.eq, self.model, self.x = eq, model, x
-        for name in self.ROWS:
-            setattr(self, name, rows[name])
-
-    def jacobian(self) -> Array:
-        """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
-        scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
-        eq, y, f, G, c = self.eq, self.y, self.f, self.G, self.c
-        p = G.shape[-1]
-        with np.errstate(all="ignore"):
-            H = self.model.hess_rows(self.x, self.theta)
-            bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
-            A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
-                c.shape[:-1] + (p, p))
-            A += _t(G * eq.dweight(f, y)[..., None]) @ G
-            if eq.profiled:
-                J = G / f[..., None]
-                ds2 = (-2.0 / y.shape[-1]) * (_t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
-                A += (J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
-                      - np.asarray(self.s2)[..., None, None] * (_t(J) @ J))
-        if np.any(bad):
-            self.fault[bad] = FAULT_HESSIAN
-        return A
-
-    def scoring(self) -> Array:
-        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
-        with np.errstate(all="ignore"):
-            return _t(self.G * self.eq.scoring(self.f, self.y)[..., None]) @ self.G
-
-    def error(self, i: int) -> PropfitError:
-        return fault_error(self.model, int(self.fault[i]))
-
-
-def _point(eq: _Equation, model: ModelFunction, data, theta,
-           sigma: float | None = None) -> _Iterate:
-    """The solver's view of ``eq`` at ``theta (..., p)`` for ``data.y (..., n)``;
-    ``sigma`` freezes ML's scale."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (model.p,):
-        raise ValueError(f"theta must have shape ({model.p},), got {theta.shape}")
-    x, y = data.x, data.y
-    with np.errstate(all="ignore"):  # undefined rows are flagged in ``fault``
-        f = np.asarray(model.eval_fn(x, theta), dtype=float)
-        fault = model.faults(x, theta)
-        if eq.divides_by_f:
-            fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
-        G = model.grad_rows(x, theta)
-        c = eq.weight(f, y)
-        s2 = None
-        if eq.profiled:
-            if sigma is None:
-                s2 = np.mean(((y - f) / f) ** 2, axis=-1)
-            else:
-                s2 = np.full(theta.shape[:-1], float(sigma) ** 2)
-            c = c + s2[..., None] / f
-        residual = (c[..., None, :] @ G)[..., 0, :]
-        scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
-        objective = eq.objective(f, y)
-    return _Iterate(eq, model, x, theta=theta, objective=objective, residual=residual,
-                    scale=scale, norm=np.max(np.abs(residual), axis=-1), fault=fault,
-                    y=y, f=f, G=G, c=c, s2=np.zeros(theta.shape[:-1]) if s2 is None else s2)
-
-
 def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
                       sigma: float | None = None) -> Array:
     """Left-hand side of the method's estimating equation at ``theta``.
@@ -285,7 +183,7 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     method = _check_method(method)
     if method == "dwls" and np.any(data.y == 0.0):
         raise ZeroResponseError("data-weighted least squares requires all y != 0")
-    pt = _point(_EQUATIONS[method], model, data, model.check_theta(theta), sigma)
+    pt = _point(_EQUATIONS[method], model, data.x, data.y, model.check_theta(theta), sigma)
     if pt.fault:
         raise fault_error(model, int(pt.fault))
     return pt.residual
@@ -311,9 +209,18 @@ def _one_row(model: ModelFunction, data: Dataset, theta_hat) -> Array:
     return rel
 
 
+def _sigma(rel: Array, p: int | None = None) -> Array:
+    """The scale per row of relative residuals ``rel (..., n)``: the
+    maximum-likelihood ``sqrt(mean(rel^2))``, or with ``p`` parameters the
+    unbiased ``sqrt(sum(rel^2) / (n - p))``."""
+    if p is None:
+        return np.sqrt(np.mean(rel**2, axis=-1))
+    return np.sqrt(np.sum(rel**2, axis=-1) / (rel.shape[-1] - p))
+
+
 def estimate_sigma_ml(model: ModelFunction, data: Dataset, theta_hat) -> float:
     """Maximum-likelihood scale: sqrt(mean of squared relative residuals)."""
-    return float(np.sqrt(np.mean(_one_row(model, data, theta_hat) ** 2)))
+    return float(_sigma(_one_row(model, data, theta_hat)))
 
 
 def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
@@ -322,30 +229,12 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
     p = model.p if p is None else int(p)
     if data.n <= p:
         raise ValueError(f"need n > p, got n={data.n}, p={p}")
-    rel = _one_row(model, data, theta_hat)
-    return float(np.sqrt(np.sum(rel**2) / (data.n - p)))
+    return float(_sigma(_one_row(model, data, theta_hat), p))
 
 
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Stack:
-    """Datasets sharing the covariate ``x (n,)``: responses ``y (R, n)``."""
-
-    x: Array
-    y: Array
-
-
-def _solve(eq: _Equation, model: ModelFunction, x: Array, Y: Array, theta0: Array,
-           opts: FitOptions):
-    def evaluate(theta, rows):
-        return _point(eq, model, _Stack(x, Y[rows]), theta)
-
-    return solve(evaluate, theta0, tol_relative=opts.tol_residual,
-                 tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
-
 
 def resolve_start(model: ModelFunction, x, Y, opts: FitOptions) -> Start:
     """The starting vectors ``opts.start`` gives the datasets ``Y (R, n)``.
@@ -377,7 +266,8 @@ def resolve_start(model: ModelFunction, x, Y, opts: FitOptions) -> Start:
         hints = np.stack([np.asarray(model.start_hint(x, y), dtype=float) for y in Y])
         if hints.shape[1:] != (p,):
             raise ValueError(f"theta must have shape ({p},), got {hints.shape[1:]}")
-    pre = _solve(_OLS, model, x, Y, hints, opts)
+    pre = solve(_OLS, model, x, Y, hints, tol_relative=opts.tol_residual,
+                tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
     return Start(theta=pre.theta, iterations=pre.iterations, errors=tuple(pre.errors))
 
 
@@ -407,17 +297,19 @@ def fit_batch(model: ModelFunction, x, Y, method: str,
     start = resolve_start(model, x, Y, opts)
     errors = list(first_errors(errors, start.errors))
     live = np.array([r for r in range(R) if errors[r] is None], dtype=int)
-    sol = _solve(_EQUATIONS[method], model, x, Y[live], start.theta[live], opts)
+    sol = solve(_EQUATIONS[method], model, x, Y[live], start.theta[live],
+                tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
+                max_iter=opts.max_iter)
     rel, f, fault = _rel_residuals(model, x, Y[live], sol.theta)
 
     theta_hat, sigma_hat = np.full((R, p), np.nan), np.full(R, np.nan)
     iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
     residual_norm, tolerance = np.full(R, np.nan), np.full(R, np.nan)
     if method == "ml":
-        sigma = np.sqrt(np.mean(rel**2, axis=-1))
+        sigma = _sigma(rel)
         degenerate = (sigma == 0.0) & np.any(Y[live] != f, axis=-1)
     else:
-        sigma = np.sqrt(np.sum(rel**2, axis=-1) / (n - p))
+        sigma = _sigma(rel, p)
         degenerate = np.zeros(len(live), dtype=bool)
     for k, r in enumerate(live):
         if sol.errors[k] is not None:

@@ -146,11 +146,14 @@ class ModelFunction:
         """Fault code per row of ``theta (..., p)``: :data:`FAULT_THETA` where
         it has a non-finite entry, :data:`FAULT_DOMAIN` where the domain guard
         rejects it, else 0."""
-        fault = np.where(np.all(np.isfinite(theta), axis=-1), 0, FAULT_THETA)
+        finite = np.all(np.isfinite(theta), axis=-1)
+        guard = True
         if self.domain_guard is not None:
-            ok = np.asarray(self.domain_guard(x, theta), dtype=bool)
-            fault = np.where((fault == 0) & ~ok, FAULT_DOMAIN, fault)
-        return fault
+            guard = np.asarray(self.domain_guard(x, theta), dtype=bool)
+        ok = finite & guard
+        if ok.all():
+            return np.zeros(ok.shape, dtype=int)
+        return np.where(finite, np.where(guard, 0, FAULT_DOMAIN), FAULT_THETA)
 
     def eval_rows(self, x, theta) -> tuple[Array, Array]:
         """:meth:`eval` over the rows of ``theta (..., p)``: the means and a

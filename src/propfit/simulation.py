@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,16 @@ class SimDesign:
     def mode_for(self, method: str) -> str:
         return resolve_mode(self.fit_mode, method)
 
+    @cached_property
+    def means(self) -> tuple[tuple[Array, Array], ...]:
+        """Each curve's covariate and its means at ``theta0``, which every
+        replicate draws around; evaluated on first use and kept."""
+        if self.two_curve:
+            alpha, beta = self.model.split(self.theta0)
+            return ((self.x1, np.asarray(self.model.curve1.eval(self.x1, alpha), dtype=float)),
+                    (self.x2, np.asarray(self.model.curve2.eval(self.x2, beta), dtype=float)))
+        return ((self.x1, np.asarray(self.model.eval(self.x1, self.theta0), dtype=float)),)
+
 
 def default_partial_bleach_design(sigma_grid=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
                                   replicates: int = 10000, master_seed: int = 20260810,
@@ -161,7 +172,13 @@ def generate_dataset(model: ModelFunction, x_grid, theta0, sigma: float,
     response lands at or below zero; callers redraw the whole replicate.
     """
     x = np.asarray(x_grid, dtype=float)
-    f = np.asarray(model.eval(x, theta0), dtype=float)
+    return _draw(x, np.asarray(model.eval(x, theta0), dtype=float), sigma, stream,
+                 reject_nonpositive)
+
+
+def _draw(x: Array, f: Array, sigma: float, stream: np.random.Generator,
+          reject_nonpositive: bool) -> Dataset:
+    """:func:`generate_dataset` around the means ``f`` at ``x``."""
     eps = stream.standard_normal(x.size)
     y = f * (1.0 + float(sigma) * eps)
     if reject_nonpositive and np.any(y <= 0.0):
@@ -219,16 +236,8 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int):
     redraws = 0
     for _ in range(design.max_redraws + 1):
         try:
-            if design.two_curve:
-                alpha, beta = design.model.split(design.theta0)
-                d1 = generate_dataset(design.model.curve1, design.x1, alpha, sigma,
-                                      stream, design.reject_nonpositive)
-                d2 = generate_dataset(design.model.curve2, design.x2, beta, sigma,
-                                      stream, design.reject_nonpositive)
-                return (d1, d2), redraws
-            d = generate_dataset(design.model, design.x1, design.theta0, sigma,
-                                 stream, design.reject_nonpositive)
-            return (d,), redraws
+            return tuple(_draw(x, f, sigma, stream, design.reject_nonpositive)
+                         for x, f in design.means), redraws
         except Rejected:
             redraws += 1
     return None, redraws
@@ -316,7 +325,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
                 by_mode[mode] = joint_bundles(model, design.x1, design.x2, theta0, method, mode)
             bundles[method] = by_mode[mode]
     else:
-        data = Dataset(design.x1, np.asarray(model.eval(design.x1, theta0), dtype=float))
+        data = Dataset(*design.means[0])
         bundles = dict.fromkeys(design.methods, (build_jacobian_bundle(model, data, theta0),))
     truth_vec = np.array([truths[t] for t in targets])
 

@@ -8,9 +8,18 @@ import jsonschema
 import numpy as np
 import pytest
 
-from propfit.cli import main
+from propfit.cli import _pct, main, round_floats
 from propfit.config import load_schema
-from propfit.equivalent_dose import beta1_from_gamma, partial_bleach_model
+from propfit.equivalent_dose import (
+    MODE_DEFAULT,
+    beta1_from_gamma,
+    fit_two_curves,
+    gamma_bias_se,
+    partial_bleach_model,
+    resolve_mode,
+)
+from propfit.estimators import METHODS
+from propfit.simulation import default_partial_bleach_design, generate_dataset, replicate_stream
 from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "partial_bleach_config.json"
@@ -129,6 +138,34 @@ class TestFitCommand:
         text = (tmp_path / "rep.txt").read_text()
         dose = next(l for l in text.splitlines() if l.strip().startswith("dose"))
         assert dose.split()[1:] == ["nan"] * 4
+
+    def test_dose_matches_library(self, tmp_path):
+        # The dose propfit fit assembles from its parts equals gamma_bias_se's.
+        design = default_partial_bleach_design()
+        pb = design.model
+        alpha, beta = pb.split(design.theta0)
+        stream = replicate_stream(5, 0, 0)
+        d1 = generate_dataset(pb.curve1, design.x1, alpha, 0.03, stream)
+        d2 = generate_dataset(pb.curve2, design.x2, beta, 0.03, stream)
+        lines = ["curve,x,y"]
+        for label, data in (("unbleached", d1), ("bleached", d2)):
+            lines += [f"{label},{float(x)!r},{float(y)!r}" for x, y in zip(data.x, data.y)]
+        path, out = tmp_path / "pair.csv", tmp_path / "rep"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--data", str(path), "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for method in METHODS:
+            mode = resolve_mode(MODE_DEFAULT, method)
+            res = fit_two_curves(pb, d1, d2, method, mode=mode)
+            sigma = res.sigma_hats[0]
+            if len(res.sigma_hats) == 2:
+                dfs = np.array([d1.n - pb.curve1.p, d2.n - pb.curve2.p], dtype=float)
+                sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
+            est = gamma_bias_se(pb, d1.x, d2.x, res.theta_hat, sigma, method, fit_mode=mode)
+            expected = {"gamma_hat": est.gamma_hat, "equivalent_dose": est.equivalent_dose,
+                        "bias": est.equivalent_dose_bias, "se": est.se,
+                        "bias_over_rmse_pct": _pct(est.bias, est.se)}
+            assert report["methods"][method]["dose"] == round_floats(expected), method
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2

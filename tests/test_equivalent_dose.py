@@ -1,5 +1,8 @@
 """Two-curve intersection machinery for the partial bleach design."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from propfit.equivalent_dose import (
     MODE_SEPARATE,
     beta1_from_gamma,
     default_gamma_bracket,
+    dose_derivatives,
     fit_two_curves,
     gamma_bias_se,
     gamma_gradient,
@@ -155,6 +159,34 @@ class TestGammaGradient:
                                        - solve_gamma(pb, tmp) + solve_gamma(pb, tmm)) / (4 * hj * hk)
         scale = np.max(np.abs(hess))
         assert np.max(np.abs(hess - fd)) <= 2e-3 * scale
+
+
+    def test_dose_derivatives_evaluate_each_curve_once(self, pb, theta0):
+        # Per curve: gradient and slope at gamma - h, gamma, gamma + h in one
+        # call each, and the Hessian at gamma.
+        calls = Counter()
+
+        def counted(curve):
+            def wrap(name):
+                fn = getattr(curve, name)
+
+                def inner(x, t):
+                    calls[name] += 1
+                    return fn(x, t)
+                return inner
+            return replace(curve, **{name: wrap(name)
+                                     for name in ("grad_fn", "dx_fn", "hess_fn")})
+
+        model = replace(pb, curve1=counted(pb.curve1), curve2=counted(pb.curve2))
+        gamma = solve_gamma(model, theta0)
+        solving = Counter(calls)  # the root polish's own slope evaluations
+        calls.clear()
+        dose = dose_derivatives(model, theta0)
+        calls.subtract(solving)
+        assert +calls == Counter(grad_fn=2, dx_fn=2, hess_fn=2)
+        assert dose.gamma == gamma
+        np.testing.assert_array_equal(dose.grad, gamma_gradient(pb, theta0, gamma))
+        np.testing.assert_array_equal(dose.hess, gamma_hessian(pb, theta0, gamma))
 
 
 class TestGammaBiasSe:

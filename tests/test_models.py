@@ -5,6 +5,8 @@ import pytest
 
 from propfit.exceptions import DomainError
 from propfit.models import (
+    FAULT_DOMAIN,
+    FAULT_THETA,
     Dataset,
     ModelFunction,
     fd_check,
@@ -45,6 +47,29 @@ class TestEval:
     def test_wrong_length_theta_rejected(self, satexp):
         with pytest.raises(ValueError):
             satexp.eval(1.0, np.array([1.0, 2.0]))
+
+
+class TestFaults:
+    # The exponential's guard rejects a zero scale theta2.
+    ROWS = np.array([[2.0, 1.0], [np.nan, 1.0], [np.inf, 0.0], [2.0, 0.0]])
+    CODES = [0, FAULT_THETA, FAULT_THETA, FAULT_DOMAIN]
+
+    def test_stack(self, expo):
+        x = np.linspace(0.0, 4.0, 5)
+        assert expo.faults(x, self.ROWS).tolist() == self.CODES
+        clean = expo.faults(x, self.ROWS[[0, 0, 0]])
+        assert clean.shape == (3,) and not clean.any()
+
+    def test_one_row(self, expo):
+        x = np.linspace(0.0, 4.0, 5)
+        for theta, code in zip(self.ROWS, self.CODES):
+            fault = expo.faults(x, theta)
+            assert fault.shape == () and int(fault) == code
+
+    def test_without_guard(self, const):
+        x = np.arange(3.0)
+        assert const.faults(x, np.array([[1.0], [np.nan]])).tolist() == [0, FAULT_THETA]
+        assert int(const.faults(x, np.array([1.0]))) == 0
 
 
 class TestGradients:
