@@ -34,12 +34,12 @@ from .equivalent_dose import (
     MODE_SEPARATE,
     DoseEstimate,
     dose_derivatives,
-    fit_two_curves,
+    fit_two_curves_methods,
     joint_bundles,
     partial_bleach_model,
     resolve_mode,
 )
-from .estimators import METHODS, fit, resolve_start
+from .estimators import METHODS, fit_methods
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
 from .jacobian import build_jacobian_bundle
@@ -126,18 +126,24 @@ def _error_entry(exc: Exception, **extra) -> dict:
             **extra}
 
 
+def _results(fit_all, methods) -> dict:
+    """Per method, the first row of ``fit_all()``'s batch, or the exception
+    raised for that row or for the whole call."""
+    try:
+        batches = fit_all()
+    except (PropfitError, ValueError) as exc:
+        return dict.fromkeys(methods, exc)
+    return {m: b.result(0) if b.errors[0] is None else b.errors[0] for m, b in batches.items()}
+
+
 def _fit_single(config: RunConfig, data) -> dict:
     model = config.build_model()
-    opts = config.fit_options
-    if isinstance(opts.start, str):
-        # Every method starts from the same unweighted least-squares fit.
-        opts = replace(opts, start=resolve_start(model, data.x, data.y[None, :], opts))
+    results = _results(lambda: fit_methods(model, data.x, data.y[None, :], config.methods,
+                                           config.fit_options), config.methods)
     entries: dict = {}
-    for method in config.methods:
-        try:
-            res = fit(model, data, method, opts)
-        except (PropfitError, ValueError) as exc:
-            entries[method] = _error_entry(exc)
+    for method, res in results.items():
+        if isinstance(res, Exception):
+            entries[method] = _error_entry(res)
             continue
         try:
             bundles = (build_jacobian_bundle(model, data, res.theta_hat),)
@@ -154,20 +160,14 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
     model = partial_bleach_model()
     if config.methods == ("dwls",) and config.mode == MODE_COMMON_SIGMA:
         raise ModeError("data-weighted least squares cannot share a scale")
-    opts = config.fit_options
-    starts = None
-    if isinstance(opts.start, str):
-        # Every method starts from the same unweighted least-squares fits.
-        starts = tuple(resolve_start(curve, data.x, data.y[None, :], opts)
-                       for curve, data in ((model.curve1, data1), (model.curve2, data2)))
+    results = _results(lambda: fit_two_curves_methods(
+        model, data1.x, data1.y[None, :], data2.x, data2.y[None, :], config.methods,
+        config.mode, config.fit_options), config.methods)
     entries: dict = {}
-    for method in config.methods:
+    for method, res in results.items():
         mode = resolve_mode(config.mode, method)
-        try:
-            res = fit_two_curves(model, data1, data2, method, mode=mode, opts=opts,
-                                 starts=starts)
-        except (PropfitError, ValueError) as exc:
-            entries[method] = _error_entry(exc, mode=mode)
+        if isinstance(res, Exception):
+            entries[method] = _error_entry(res, mode=mode)
             continue
         if len(res.sigma_hats) == 1:
             sigma = res.sigma_hats[0]
@@ -261,7 +261,8 @@ def cmd_fit(args) -> int:
         return 2
 
     report = round_floats(report)
-    _write_outputs(render_fit_text(report), dump_json(report), args.format, args.out)
+    fmt = args.format or config.output_format
+    _write_outputs(render_fit_text(report), dump_json(report), fmt, args.out)
     converged_any = any(e.get("converged") for e in report["methods"].values())
     return 0 if converged_any else 3
 
@@ -365,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--config", help="JSON run configuration")
     p_fit.add_argument("--model", choices=["constant", "exponential",
                                            "saturating_exponential", "partial_bleach"])
-    p_fit.add_argument("--method", choices=list(METHODS) + ["all"], default="all")
+    p_fit.add_argument("--method", choices=list(METHODS) + ["all"])
     p_fit.add_argument("--mode", choices=[MODE_SEPARATE, MODE_COMMON_SIGMA])
     p_fit.add_argument("--out", help="output path (both: .txt and .json)")
-    p_fit.add_argument("--format", choices=["text", "json", "both"], default="text")
+    p_fit.add_argument("--format", choices=["text", "json", "both"])
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo bias study")

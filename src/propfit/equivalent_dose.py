@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import bias_cov
-from .estimators import FitOptions, Start, fit_batch
+from .estimators import FitOptions, fit_methods
 from .exceptions import (
     DomainError,
     ModeError,
@@ -59,9 +59,8 @@ def resolve_mode(requested: str, method: str) -> str:
     separately."""
     if requested == MODE_DEFAULT:
         return MODE_COMMON_SIGMA if method == "ml" else MODE_SEPARATE
-    if method == "dwls":
-        return MODE_SEPARATE
-    return requested
+    requested = _check_mode(requested)
+    return MODE_SEPARATE if method == "dwls" else requested
 
 
 @dataclass(frozen=True)
@@ -507,10 +506,7 @@ class TwoCurveFitBatch:
             residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]))
 
 
-def _split_start(model: PartialBleachModel, opts: FitOptions,
-                 starts: tuple[Start, Start] | None) -> tuple[FitOptions, FitOptions]:
-    if starts is not None:
-        return replace(opts, start=starts[0]), replace(opts, start=starts[1])
+def _split_start(model: PartialBleachModel, opts: FitOptions) -> tuple[FitOptions, FitOptions]:
     if isinstance(opts.start, str):
         return opts, opts
     start = np.asarray(opts.start, dtype=float)
@@ -520,60 +516,70 @@ def _split_start(model: PartialBleachModel, opts: FitOptions,
     return replace(opts, start=start[..., :p1]), replace(opts, start=start[..., p1:])
 
 
-def fit_two_curves_batch(model: PartialBleachModel, x1, Y1, x2, Y2, method: str,
-                         mode: str = MODE_SEPARATE, opts: FitOptions | None = None,
-                         starts: tuple[Start, Start] | None = None) -> TwoCurveFitBatch:
-    """:func:`fit_two_curves` for every row pair of ``Y1 (R, n1)`` and
-    ``Y2 (R, n2)``, observed at ``x1`` and ``x2``.
+def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
+                           mode: str = MODE_DEFAULT,
+                           opts: FitOptions | None = None) -> dict[str, TwoCurveFitBatch]:
+    """Fit each of ``methods``, in the mode :func:`resolve_mode` gives it, to
+    every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
+    and ``x2``; returns ``{method: TwoCurveFitBatch}``.
 
-    ``starts`` are the curves' resolved ``"auto"`` starts
-    (:func:`~propfit.estimators.resolve_start`), for callers that fit several
-    methods to the same data; they stand in for ``opts.start``.
+    One :func:`~propfit.estimators.fit_methods` call per curve makes every
+    per-curve fit, so ``start="auto"`` is solved once per curve. A
+    common-sigma method then fits the stacked model from the joint start or,
+    with ``"auto"``, from its own per-curve fits, whose row errors come
+    first.
     """
-    method = method.lower()
-    mode = _check_mode(mode)
     opts = opts or FitOptions()
+    modes = {m: resolve_mode(mode, m) for m in map(str.lower, methods)}
     Y1, Y2 = np.asarray(Y1, dtype=float), np.asarray(Y2, dtype=float)
-    o1, o2 = _split_start(model, opts, starts)
-    auto = starts is not None or isinstance(opts.start, str)
+    o1, o2 = _split_start(model, opts)
+    auto = isinstance(opts.start, str)
+    per_curve = [m for m, md in modes.items() if md == MODE_SEPARATE or auto]
+    fits1 = fit_methods(model.curve1, x1, Y1, per_curve, o1)
+    fits2 = fit_methods(model.curve2, x2, Y2, per_curve, o2)
+    out = {}
+    for method, md in modes.items():
+        prior = (None,) * len(Y1)
+        if md == MODE_SEPARATE:
+            fits = (fits1[method], fits2[method])
+        else:
+            start = opts.start
+            if auto:
+                pre1, pre2 = fits1[method], fits2[method]
+                start = np.concatenate([pre1.theta_hat, pre2.theta_hat], axis=1)
+                prior = first_errors(pre1.errors, pre2.errors)
+            joint, idx = stacked_model(model, x1, x2)
+            fits = (fit_methods(joint, idx, np.concatenate([Y1, Y2], axis=1), (method,),
+                                replace(opts, start=start))[method],)
+        out[method] = TwoCurveFitBatch(
+            method=method, mode=md,
+            theta_hat=np.concatenate([f.theta_hat for f in fits], axis=1),
+            sigma_hats=np.stack([f.sigma_hat for f in fits], axis=1),
+            iterations=np.max([f.iterations for f in fits], axis=0),
+            converged=np.all([f.converged for f in fits], axis=0),
+            residual_norm=np.max([f.residual_norm for f in fits], axis=0),
+            tolerance=np.max([f.tolerance for f in fits], axis=0),
+            errors=first_errors(prior, *(f.errors for f in fits)))
+    return out
 
-    if mode == MODE_COMMON_SIGMA:
-        if method == "dwls":
-            raise ModeError(
-                "data-weighted least squares is scale-free; common-sigma mode does not apply"
-            )
-        joint, idx = stacked_model(model, x1, x2)
-        joint_opts = opts
-        if auto:
-            # Start from separate per-curve fits of the same method.
-            pre1 = fit_batch(model.curve1, x1, Y1, method, o1)
-            pre2 = fit_batch(model.curve2, x2, Y2, method, o2)
-            joint_opts = replace(opts, start=Start(
-                theta=np.concatenate([pre1.theta_hat, pre2.theta_hat], axis=1),
-                iterations=np.zeros(len(Y1), dtype=int),
-                errors=first_errors(pre1.errors, pre2.errors)))
-        res = fit_batch(joint, idx, np.concatenate([Y1, Y2], axis=1), method, joint_opts)
-        return TwoCurveFitBatch(
-            method=method, mode=mode, theta_hat=res.theta_hat, sigma_hats=res.sigma_hat[:, None],
-            iterations=res.iterations, converged=res.converged,
-            residual_norm=res.residual_norm, tolerance=res.tolerance, errors=res.errors)
 
-    r1 = fit_batch(model.curve1, x1, Y1, method, o1)
-    r2 = fit_batch(model.curve2, x2, Y2, method, o2)
-    return TwoCurveFitBatch(
-        method=method, mode=mode,
-        theta_hat=np.concatenate([r1.theta_hat, r2.theta_hat], axis=1),
-        sigma_hats=np.stack([r1.sigma_hat, r2.sigma_hat], axis=1),
-        iterations=np.maximum(r1.iterations, r2.iterations),
-        converged=r1.converged & r2.converged,
-        residual_norm=np.maximum(r1.residual_norm, r2.residual_norm),
-        tolerance=np.maximum(r1.tolerance, r2.tolerance),
-        errors=first_errors(r1.errors, r2.errors))
+def fit_two_curves_batch(model: PartialBleachModel, x1, Y1, x2, Y2, method: str,
+                         mode: str = MODE_SEPARATE,
+                         opts: FitOptions | None = None) -> TwoCurveFitBatch:
+    """:func:`fit_two_curves` for every row pair of ``Y1 (R, n1)`` and
+    ``Y2 (R, n2)``, observed at ``x1`` and ``x2``: :func:`fit_two_curves_methods`
+    with one method. A separate fit's ``iterations`` include those of
+    ``start="auto"``; a common-sigma fit counts only the stacked fit's own."""
+    method = method.lower()
+    if _check_mode(mode) == MODE_COMMON_SIGMA and method == "dwls":
+        raise ModeError(
+            "data-weighted least squares is scale-free; common-sigma mode does not apply"
+        )
+    return fit_two_curves_methods(model, x1, Y1, x2, Y2, (method,), mode, opts)[method]
 
 
 def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,
-                   mode: str = MODE_SEPARATE, opts: FitOptions | None = None,
-                   starts: tuple[Start, Start] | None = None) -> TwoCurveFitResult:
+                   mode: str = MODE_SEPARATE, opts: FitOptions | None = None) -> TwoCurveFitResult:
     """Fit the two curves either independently or sharing one scale.
 
     ``common-sigma`` is meaningful for maximum likelihood (the profiled
@@ -582,4 +588,4 @@ def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, me
     of one for :func:`fit_two_curves_batch`.
     """
     return fit_two_curves_batch(model, data1.x, data1.y[None, :], data2.x, data2.y[None, :],
-                                method, mode, opts, starts).result(0)
+                                method, mode, opts).result(0)

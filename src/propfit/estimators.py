@@ -14,9 +14,10 @@ Each estimator is the root of an estimating equation in theta:
 QL, WLS and DWLS estimates never depend on how (or whether) sigma is
 estimated; their sigma is reported from the unbiased rule afterwards.
 
-:func:`fit_batch` fits one method to a stack of datasets that share their
-covariate, one row each, and :func:`fit` is a stack of one: there is one
-solver path, and a row's numbers do not depend on the rest of its stack.
+:func:`fit_methods` fits several methods to a stack of datasets that share
+their covariate, one row each, from one shared start; :func:`fit_batch` is
+one method and :func:`fit` a stack of one. There is one solver path, and a
+row's numbers do not depend on the rest of its stack.
 This module holds each method's equation (its weights and objective) and
 the public API; :mod:`propfit._newton` evaluates the equations and solves
 them.
@@ -50,9 +51,9 @@ class FitOptions:
     scale)``, where ``G`` is the estimating equation and ``scale`` is
     ``max_j sum_i |c_i df_i/dtheta_j|``, the size of the terms of ``G =
     sum_i c_i grad f_i`` at the current iterate. ``start`` is a parameter
-    vector (for a stack, one shared vector or one row per dataset),
+    vector (for a stack, one shared vector or one row per dataset) or
     ``"auto"``, which solves unweighted least squares from the model's
-    data-driven hint first, or a :class:`Start` already resolved.
+    data-driven hint first.
     """
 
     tol_residual: float = 1e-8
@@ -104,21 +105,6 @@ class FitBatch:
                          converged=bool(self.converged[r]),
                          residual_norm=float(self.residual_norm[r]),
                          tolerance=float(self.tolerance[r]))
-
-
-@dataclass(frozen=True)
-class Start:
-    """Starting vectors of a stack of fits, one row per dataset.
-
-    ``iterations`` are the solver iterations spent finding each row (they
-    count towards the fit's), ``errors`` the exception of a row that has no
-    start (None elsewhere). :func:`resolve_start` makes one; passing it as
-    ``FitOptions.start`` lets several methods share one ``"auto"`` solve.
-    """
-
-    theta: Array  # (R, p)
-    iterations: Array  # (R,)
-    errors: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +222,13 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
 # Fitting
 # ---------------------------------------------------------------------------
 
-def resolve_start(model: ModelFunction, x, Y, opts: FitOptions) -> Start:
-    """The starting vectors ``opts.start`` gives the datasets ``Y (R, n)``.
-
-    A vector applies to every row (an ``(R, p)`` array gives one per row);
-    ``"auto"`` solves unweighted least squares from the model's data-driven
-    hint, and its iterations count towards the fit's.
-    """
-    start = opts.start
-    x, Y = np.asarray(x, dtype=float), np.atleast_2d(np.asarray(Y, dtype=float))
-    R, p = len(Y), model.p
-    if isinstance(start, Start):
-        if start.theta.shape != (R, p):
-            raise ValueError(f"start must have shape ({R}, {p}), got {start.theta.shape}")
-        return start
+def _start(model: ModelFunction, x: Array, Y: Array, opts: FitOptions):
+    """The starting vectors ``opts.start`` gives the datasets ``Y (R, n)``,
+    the iterations spent finding them and, per row, the error of a row that
+    has none. A vector applies to every row (an ``(R, p)`` array gives one
+    per row); ``"auto"`` solves unweighted least squares from the model's
+    data-driven hint."""
+    start, R, p = opts.start, len(Y), model.p
     if not isinstance(start, str):
         theta = np.asarray(start, dtype=float)
         if theta.shape == (p,):
@@ -258,7 +237,7 @@ def resolve_start(model: ModelFunction, x, Y, opts: FitOptions) -> Start:
             raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
         errors = tuple(None if ok else fault_error(model, FAULT_THETA)
                        for ok in np.all(np.isfinite(theta), axis=-1))
-        return Start(theta=theta, iterations=np.zeros(R, dtype=int), errors=errors)
+        return theta, np.zeros(R, dtype=int), errors
     if start != "auto":
         raise ValueError(f"unknown start spec {start!r}")
     hints = np.ones((R, p))
@@ -268,36 +247,17 @@ def resolve_start(model: ModelFunction, x, Y, opts: FitOptions) -> Start:
             raise ValueError(f"theta must have shape ({p},), got {hints.shape[1:]}")
     pre = solve(_OLS, model, x, Y, hints, tol_relative=opts.tol_residual,
                 tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
-    return Start(theta=pre.theta, iterations=pre.iterations, errors=tuple(pre.errors))
+    return pre.theta, pre.iterations, tuple(pre.errors)
 
 
-def fit_batch(model: ModelFunction, x, Y, method: str,
-              opts: FitOptions | None = None) -> FitBatch:
-    """Fit one estimator to each row of ``Y (R, n)``, all observed at ``x (n,)``.
-
-    Row ``r`` is the fit of ``Dataset(x, Y[r])``: the same numbers, bit for
-    bit, whatever else is in the stack, and a row whose fit raises fails
-    alone (see :class:`FitBatch`). ``iterations`` counts every solver
-    iteration, those of the unweighted least-squares solve behind
-    ``start="auto"`` included.
-    """
-    method = _check_method(method)
-    opts = opts or FitOptions()
-    x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != x.size:
-        raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
-    n, p, R = x.size, model.p, len(Y)
-    if n <= p:
-        raise ValueError(f"need n > p observations, got n={n}, p={p}")
-    errors = [None] * R
-    if method == "dwls":
-        for r in np.flatnonzero(np.any(Y <= 0.0, axis=1)):
-            errors[r] = ZeroResponseError("data-weighted least squares requires all y > 0")
-
-    start = resolve_start(model, x, Y, opts)
-    errors = list(first_errors(errors, start.errors))
+def _fit(model: ModelFunction, x: Array, Y: Array, method: str, start: Array, steps: Array,
+         errors: tuple, opts: FitOptions) -> FitBatch:
+    """One method's fits from the rows of ``start (R, p)``, found in ``steps``
+    iterations; a row with an error in ``errors`` fails with it."""
+    R, p = start.shape
+    errors = list(errors)
     live = np.array([r for r in range(R) if errors[r] is None], dtype=int)
-    sol = solve(_EQUATIONS[method], model, x, Y[live], start.theta[live],
+    sol = solve(_EQUATIONS[method], model, x, Y[live], start[live],
                 tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
                 max_iter=opts.max_iter)
     rel, f, fault = _rel_residuals(model, x, Y[live], sol.theta)
@@ -321,12 +281,50 @@ def fit_batch(model: ModelFunction, x, Y, method: str,
                 "scale estimate collapsed to zero on non-interpolating data")
         else:
             theta_hat[r], sigma_hat[r] = sol.theta[k], sigma[k]
-            iterations[r] = start.iterations[r] + sol.iterations[k]
+            iterations[r] = steps[r] + sol.iterations[k]
             converged[r] = sol.converged[k]
             residual_norm[r], tolerance[r] = sol.residual_norm[k], sol.tolerance[k]
     return FitBatch(method=method, theta_hat=theta_hat, sigma_hat=sigma_hat,
                     iterations=iterations, converged=converged, residual_norm=residual_norm,
                     tolerance=tolerance, errors=tuple(errors))
+
+
+def fit_methods(model: ModelFunction, x, Y, methods,
+                opts: FitOptions | None = None) -> dict[str, FitBatch]:
+    """Fit each of ``methods`` to each row of ``Y (R, n)``, all observed at
+    ``x (n,)``, from one start; returns ``{method: FitBatch}``.
+
+    ``start="auto"`` is solved once per row, and its iterations count in
+    every method's. Row ``r`` of a batch is the fit of ``Dataset(x, Y[r])``,
+    bit for bit, and fails alone where that fit raises (see
+    :class:`FitBatch`): with ``n <= p`` every row fails. A start whose
+    shape does not fit the model raises for the whole call.
+    """
+    methods = [_check_method(m) for m in methods]
+    opts = opts or FitOptions()
+    x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != x.size:
+        raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
+    n, p, R = x.size, model.p, len(Y)
+    if n <= p:
+        # No start is solved, and this error comes before any other.
+        short = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R
+        start, steps = np.full((R, p), np.nan), np.zeros(R, dtype=int)
+        errors = dict.fromkeys(methods, short)
+    else:
+        start, steps, start_errors = _start(model, x, Y, opts)
+        zero = tuple(ZeroResponseError("data-weighted least squares requires all y > 0")
+                     if bad else None for bad in np.any(Y <= 0.0, axis=1))
+        errors = {m: first_errors(zero, start_errors) if m == "dwls" else start_errors
+                  for m in methods}
+    return {m: _fit(model, x, Y, m, start, steps, errors[m], opts) for m in methods}
+
+
+def fit_batch(model: ModelFunction, x, Y, method: str,
+              opts: FitOptions | None = None) -> FitBatch:
+    """Fit one estimator to each row of ``Y (R, n)``, all observed at ``x (n,)``:
+    :func:`fit_methods` with one method."""
+    return fit_methods(model, x, Y, (method,), opts)[method.lower()]
 
 
 def fit(model: ModelFunction, data: Dataset, method: str,

@@ -8,7 +8,7 @@ requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
 closed-form bias ``B_T`` evaluated at the true parameters. The study's
 replicates, across the whole sigma grid, are fitted per method and curve
-as one stack (see :func:`~propfit.estimators.fit_batch`), whose rows come
+as one stack (see :func:`~propfit.estimators.fit_methods`), whose rows come
 out exactly as if fitted one by one.
 
 The bundled two-curve default mimics the published dose-response study:
@@ -33,14 +33,14 @@ from .equivalent_dose import (
     PartialBleachModel,
     beta1_from_gamma,
     dose_derivatives,
-    fit_two_curves_batch,
+    fit_two_curves_methods,
     joint_bundles,
     partial_bleach_model,
     resolve_mode,
     solve_gamma_batch,
 )
-from .estimators import METHODS, FitOptions, fit_batch, resolve_start
-from .exceptions import PropfitError, Rejected
+from .estimators import METHODS, FitOptions, fit_methods
+from .exceptions import Rejected
 from .jacobian import build_jacobian_bundle
 from .models import Array, Dataset, ModelFunction
 
@@ -249,35 +249,22 @@ def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Ar
     opts = replace(design.fit_options, start=start)
     R = len(datasets)
     curves = [np.stack([d[c].y for d in datasets]) for c in range(len(datasets[0]))]
-    out: dict[str, Array] = {}
     if design.two_curve:
-        model, (Y1, Y2) = design.model, curves
-        starts = None
-        if design.start == "auto":
-            starts = (resolve_start(model.curve1, design.x1, Y1, opts),
-                      resolve_start(model.curve2, design.x2, Y2, opts))
-        for method in design.methods:
-            est = out[method] = np.full((R, n_targets), np.nan)
-            try:
-                res = fit_two_curves_batch(model, design.x1, Y1, design.x2, Y2, method,
-                                           mode=design.mode_for(method), opts=opts,
-                                           starts=starts)
-            except PropfitError:
-                continue
-            ok = np.flatnonzero(res.converged)
-            gamma, errors = solve_gamma_batch(model, res.theta_hat[ok],
-                                              bracket=design.gamma_bracket)
-            found = np.array([e is None for e in errors], dtype=bool)
-            est[ok[found]] = np.concatenate([res.theta_hat[ok[found]], gamma[found, None]],
-                                            axis=1)
+        fits = fit_two_curves_methods(design.model, design.x1, curves[0], design.x2, curves[1],
+                                      design.methods, design.fit_mode, opts)
     else:
-        for method in design.methods:
-            est = out[method] = np.full((R, n_targets), np.nan)
-            try:
-                res = fit_batch(design.model, design.x1, curves[0], method, opts)
-            except PropfitError:
-                continue
-            est[res.converged] = res.theta_hat[res.converged]
+        fits = fit_methods(design.model, design.x1, curves[0], design.methods, opts)
+    out: dict[str, Array] = {}
+    for method, res in fits.items():
+        est = out[method] = np.full((R, n_targets), np.nan)
+        ok = np.flatnonzero(res.converged)
+        if not design.two_curve:
+            est[ok] = res.theta_hat[ok]
+            continue
+        gamma, errors = solve_gamma_batch(design.model, res.theta_hat[ok],
+                                          bracket=design.gamma_bracket)
+        found = np.array([e is None for e in errors], dtype=bool)
+        est[ok[found]] = np.concatenate([res.theta_hat[ok[found]], gamma[found, None]], axis=1)
     return out
 
 

@@ -5,16 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
+from propfit import estimators
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
+    MODE_DEFAULT,
     MODE_SEPARATE,
     fit_two_curves,
     fit_two_curves_batch,
+    fit_two_curves_methods,
     partial_bleach_model,
+    resolve_mode,
     solve_gamma,
     solve_gamma_batch,
 )
-from propfit.estimators import FitOptions, fit, fit_batch
+from propfit.estimators import METHODS, FitOptions, fit, fit_batch, fit_methods
 from propfit.exceptions import (
     DomainError,
     MultipleRootWarning,
@@ -32,6 +36,17 @@ from propfit.simulation import (
 from conftest import PAPER_ALPHA
 
 X = np.linspace(0.0, 1000.0, 16)
+
+
+def count_solves(monkeypatch) -> list:
+    """Records the equation of every solver call from now on."""
+    calls, solve = [], estimators.solve
+
+    def counted(eq, *args, **kwargs):
+        calls.append(eq)
+        return solve(eq, *args, **kwargs)
+    monkeypatch.setattr(estimators, "solve", counted)
+    return calls
 
 
 def noisy_stack(model, x, theta, sigma, rows, seed):
@@ -80,6 +95,48 @@ class TestFitBatch:
             assert tuple(batch.sigma_hats[r]) == one.sigma_hats
 
 
+class TestFitMethods:
+    def test_rows_match_one_method_fits_from_one_start(self, satexp, monkeypatch):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=5, seed=27)
+        alone = {m: fit_batch(satexp, X, Y, m) for m in METHODS}
+        calls = count_solves(monkeypatch)
+        together = fit_methods(satexp, X, Y, METHODS)
+        # One least-squares start, then one solve per method.
+        assert calls[0] is estimators._OLS and len(calls) == 1 + len(METHODS)
+        for m in METHODS:
+            for r in range(len(Y)):
+                assert_rows_equal(together[m], r, alone[m].result(r))
+
+    def test_misshapen_start_raises_for_the_call(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=2, seed=28)
+        with pytest.raises(ValueError, match=r"theta must have shape \(3,\)"):
+            fit_methods(satexp, X, Y, METHODS, FitOptions(start=PAPER_ALPHA[:2]))
+
+    @pytest.mark.parametrize("mode", [MODE_DEFAULT, MODE_SEPARATE, MODE_COMMON_SIGMA])
+    @pytest.mark.parametrize("start", ["truth", "auto"])
+    def test_two_curve_rows_match_one_method_fits(self, mode, start, monkeypatch):
+        design = default_partial_bleach_design()
+        pb, theta0 = design.model, design.theta0
+        Y1 = noisy_stack(pb.curve1, DEFAULT_UNBLEACHED_DOSES, theta0[:3], 0.03, 4, seed=29)
+        Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], 0.03, 4, seed=30)
+        opts = FitOptions(start=theta0 if start == "truth" else "auto")
+        args = (pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES, Y2)
+        alone = {m: fit_two_curves_batch(*args, m, resolve_mode(mode, m), opts)
+                 for m in METHODS}
+        calls = count_solves(monkeypatch)
+        together = fit_two_curves_methods(*args, METHODS, mode, opts)
+        shared = sum(resolve_mode(mode, m) == MODE_COMMON_SIGMA for m in METHODS)
+        if start == "auto":
+            # Per curve one start and every method's fit, then each joint fit.
+            assert len(calls) == 2 * (1 + len(METHODS)) + shared
+        for m in METHODS:
+            assert together[m].mode == resolve_mode(mode, m)
+            np.testing.assert_array_equal(together[m].theta_hat, alone[m].theta_hat)
+            np.testing.assert_array_equal(together[m].sigma_hats, alone[m].sigma_hats)
+            np.testing.assert_array_equal(together[m].iterations, alone[m].iterations)
+            assert together[m].errors == (None,) * 4
+
+
 class TestFailingRows:
     def test_domain_error_fails_its_row_only(self, satexp):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=4, seed=24)
@@ -116,6 +173,16 @@ class TestFailingRows:
         assert np.all(np.isnan(batch.theta_hat[1]))
         with pytest.raises(SingularError, match="scoring matrix is singular at the iterate"):
             fit(model, Dataset(x, Y[1]), "dwls", FitOptions(start=theta))
+
+    def test_too_few_observations_fail_every_row(self, satexp):
+        # n <= p fails every row, before a nonpositive response would.
+        Y = noisy_stack(satexp, X[:3], PAPER_ALPHA, 0.02, rows=2, seed=26)
+        Y[1, 0] = -1.0
+        for method in ("ql", "dwls"):
+            batch = fit_batch(satexp, X[:3], Y, method, FitOptions(start=PAPER_ALPHA))
+            assert np.all(np.isnan(batch.theta_hat)) and not batch.converged.any()
+            assert [type(e) for e in batch.errors] == [ValueError, ValueError]
+            assert {str(e) for e in batch.errors} == {"need n > p observations, got n=3, p=3"}
 
     def test_nonpositive_response_fails_its_dwls_row_only(self, satexp):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=25)

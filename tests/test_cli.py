@@ -8,10 +8,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from propfit.cli import _pct, main, round_floats
+from propfit.cli import _pct, main, render_sim_text, round_floats
 from propfit.config import load_schema
 from propfit.equivalent_dose import (
+    MODE_COMMON_SIGMA,
     MODE_DEFAULT,
+    MODE_SEPARATE,
     beta1_from_gamma,
     fit_two_curves,
     gamma_bias_se,
@@ -19,7 +21,13 @@ from propfit.equivalent_dose import (
     resolve_mode,
 )
 from propfit.estimators import METHODS
-from propfit.simulation import default_partial_bleach_design, generate_dataset, replicate_stream
+from propfit.models import Dataset
+from propfit.simulation import (
+    default_partial_bleach_design,
+    generate_dataset,
+    replicate_stream,
+    run_study,
+)
 from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "partial_bleach_config.json"
@@ -50,6 +58,33 @@ def pair_csv(tmp_path):
     path = tmp_path / "pair.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def noisy_pair(path, keep2=slice(None)):
+    """A two-curve CSV drawn from the bundled design at sigma 0.03, keeping
+    the bleached points ``keep2``; returns the design and the path."""
+    design = default_partial_bleach_design()
+    pb = design.model
+    alpha, beta = pb.split(design.theta0)
+    stream = replicate_stream(5, 0, 0)
+    d1 = generate_dataset(pb.curve1, design.x1, alpha, 0.03, stream)
+    d2 = generate_dataset(pb.curve2, design.x2, beta, 0.03, stream)
+    d2 = Dataset(d2.x[keep2], d2.y[keep2])
+    lines = ["curve,x,y"]
+    for label, data in (("unbleached", d1), ("bleached", d2)):
+        lines += [f"{label},{float(x)!r},{float(y)!r}" for x, y in zip(data.x, data.y)]
+    path.write_text("\n".join(lines) + "\n")
+    return design, str(path)
+
+
+SHORT = "ValueError: need n > p observations, got n=3, p=3"
+
+
+def fit_entries(tmp_path, *argv):
+    """Exit code and per-method entries of a ``propfit fit`` JSON report."""
+    out = tmp_path / "report.json"
+    code = main(["fit", *argv, "--format", "json", "--out", str(out)])
+    return code, json.loads(out.read_text())["methods"]
 
 
 @pytest.fixture
@@ -167,6 +202,51 @@ class TestFitCommand:
                         "bias_over_rmse_pct": _pct(est.bias, est.se)}
             assert report["methods"][method]["dose"] == round_floats(expected), method
 
+    def test_config_methods_and_format_apply(self, pair_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "partial_bleach", "methods": ["ql", "wls"],
+                                   "output": {"format": "json"}}))
+        assert main(["fit", "--data", pair_csv, "--config", str(cfg)]) == 0
+        assert set(json.loads(capsys.readouterr().out)["methods"]) == {"ql", "wls"}
+        # Flags still override the config.
+        assert main(["fit", "--data", pair_csv, "--config", str(cfg), "--method", "ml",
+                     "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert "method: ML" in text and "method: QL" not in text
+        cfg.write_text(json.dumps({"model": "partial_bleach", "methods": ["dwls"],
+                                   "mode": "common-sigma"}))
+        assert main(["fit", "--data", pair_csv, "--config", str(cfg)]) == 2
+
+    def test_short_curve_fails_every_method(self, tmp_path):
+        design, path = noisy_pair(tmp_path / "pair.csv", keep2=[0, 7, 12])
+        code, entries = fit_entries(tmp_path, "--data", path)
+        assert code == 3
+        assert {m: e["error"] for m, e in entries.items()} == dict.fromkeys(METHODS, SHORT)
+        # From a given start, common-sigma ML fits the 16 + 3 points jointly.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"start": [float(v) for v in design.theta0]}}))
+        code, entries = fit_entries(tmp_path, "--data", path, "--config", str(cfg))
+        assert code == 0
+        assert entries["ml"]["converged"] and entries["ml"]["mode"] == MODE_COMMON_SIGMA
+        assert "error" not in entries["ml"]
+        assert {m: entries[m]["error"] for m in ("ql", "wls", "dwls")} == dict.fromkeys(
+            ("ql", "wls", "dwls"), SHORT)
+
+    def test_short_single_curve_fails_every_method(self, const_csv, tmp_path):
+        code, entries = fit_entries(tmp_path, "--data", const_csv,
+                                    "--model", "saturating_exponential")
+        assert code == 3
+        assert {m: e["error"] for m, e in entries.items()} == dict.fromkeys(METHODS, SHORT)
+
+    @pytest.mark.parametrize("mode", [MODE_SEPARATE, MODE_COMMON_SIGMA])
+    def test_explicit_mode_per_method(self, pair_csv, tmp_path, mode):
+        code, entries = fit_entries(tmp_path, "--data", pair_csv, "--mode", mode)
+        assert code == 0
+        assert {m: e["mode"] for m, e in entries.items()} == {
+            m: resolve_mode(mode, m) for m in METHODS}
+        assert entries["dwls"]["mode"] == MODE_SEPARATE
+        assert all(e["converged"] for e in entries.values())
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2
 
@@ -260,6 +340,17 @@ class TestSimulateCommand:
         header = next(l for l in text.splitlines() if "ML:B_T" in l)
         for m in ("ML", "QL", "WLS", "DWLS"):
             assert f"{m}:B_T" in header and f"{m}:B_s" in header
+
+    def test_text_notes_fit_failures(self):
+        # At sigma 0.06 a few of this study's replicates fail; at 0.02 none do.
+        design = default_partial_bleach_design(sigma_grid=(0.02, 0.06), replicates=40,
+                                               master_seed=9)
+        summary = run_study(design)
+        noted = [e for e in summary.results if e.failure_count or e.rejected_count]
+        assert {e.sigma for e in noted} == {0.06}
+        notes = [l for l in render_sim_text(summary).splitlines() if l.startswith("note: ")]
+        assert notes == [f"note: {e.method} at sigma=0.06: {e.failure_count} fit failures, "
+                         f"{e.rejected_count} rejected replicates" for e in noted]
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"

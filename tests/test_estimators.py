@@ -287,3 +287,12 @@ class TestErrors:
         assert not res.converged
         assert np.all(np.isfinite(res.theta_hat))
         assert res.residual_norm < 1e-12  # best iterate is still excellent
+
+    def test_max_iter_returns_best_iterate_flagged(self, satexp):
+        data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), PAPER_ALPHA, 0.02, seed=2)
+        start = 1.3 * PAPER_ALPHA
+        res = fit_ql(satexp, data, FitOptions(start=start, max_iter=1))
+        assert not res.converged and res.iterations == 1
+        norm = np.max(np.abs(equation_residual("ql", satexp, data, res.theta_hat)))
+        assert res.residual_norm == pytest.approx(norm, rel=1e-12)
+        assert norm < np.max(np.abs(equation_residual("ql", satexp, data, start)))

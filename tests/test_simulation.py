@@ -7,13 +7,14 @@ import pytest
 
 from propfit import simulation
 from propfit.asymptotics import bias_order2
-from propfit.equivalent_dose import gamma_bias_se, stacked_model
-from propfit.estimators import fit_batch
+from propfit.equivalent_dose import fit_two_curves, gamma_bias_se, solve_gamma, stacked_model
+from propfit.estimators import FitOptions, fit_batch
 from propfit.exceptions import Rejected
 from propfit.models import Dataset, constant_model
 from propfit.simulation import (
     SimDesign,
     _draw_replicate,
+    _run_rows,
     compare_bias_table,
     default_partial_bleach_design,
     generate_dataset,
@@ -216,8 +217,23 @@ class TestStudyStack:
         assert split.truths == default.truths
         assert split.results == default.results
 
+    def test_auto_start_rows_match_single_fits(self):
+        design = default_partial_bleach_design(sigma_grid=(0.03,), replicates=4,
+                                               master_seed=10, start="auto")
+        cells = np.array([(0, k) for k in range(design.replicates)])
+        estimates, rejected, _ = _run_rows(design, cells, len(design.target_names))
+        assert not rejected.any()
+        opts = FitOptions(start="auto")
+        for k in range(design.replicates):
+            d1, d2 = _draw_replicate(design, 0.03, 0, k)[0]
+            for method in design.methods:
+                res = fit_two_curves(design.model, d1, d2, method, design.mode_for(method), opts)
+                gamma = solve_gamma(design.model, res.theta_hat)
+                np.testing.assert_array_equal(estimates[method][k],
+                                              np.append(res.theta_hat, gamma))
+
     def test_one_stack_per_method_across_sigmas(self, monkeypatch):
-        calls = {"fit_two_curves_batch": 0, "solve_gamma_batch": 0}
+        calls = {"fit_two_curves_methods": 0, "solve_gamma_batch": 0}
 
         def counted(name):
             original = getattr(simulation, name)
@@ -233,8 +249,9 @@ class TestStudyStack:
                                                replicates=10, master_seed=8)
         assert len(design.methods) == 4
         run_study(design, threads=1)
-        # One stack per method for all 30 replicates, not one per sigma (12).
-        assert calls == {"fit_two_curves_batch": 4, "solve_gamma_batch": 4}
+        # One fit of every method for all 30 replicates, not one per sigma
+        # (3), and one intersection stack per method, not one per sigma (12).
+        assert calls == {"fit_two_curves_methods": 1, "solve_gamma_batch": 4}
 
 
 class TestSimDesignValidation:

@@ -1,0 +1,105 @@
+"""Check that two checkouts write the same benchmark reports, byte for byte.
+
+    python3 tools/same_bytes.py PARENT CHANGE --seed N [--work DIR]
+
+The inputs of the three benchmark workloads are generated once, with
+PARENT's ``perfbench/inputs.py``. Each checkout's own ``src`` then runs in a
+fresh interpreter: ``propfit fit --format both`` on every two-curve CSV, and
+``propfit simulate --format json`` on every config at ``--threads 1`` and at
+``--threads 8``. The exit code of every call is kept next to the reports.
+Every file that differs, or exists on one side only, is listed, and the
+exit status is 1 if there is any. Nothing under ``perfbench/`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("simulate_two_curve", "simulate_two_curve_noisy", "fit_two_curve_csv")
+THREADS = (1, 8)
+
+# Runs the CLI calls given as JSON on stdin with the propfit of ``sys.argv[1]``.
+RUNNER = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import propfit
+from propfit.cli import main
+if Path(propfit.__file__).resolve().parent != Path(sys.argv[1]).resolve() / "propfit":
+    sys.exit(f"propfit was imported from {propfit.__file__}")
+calls = json.load(sys.stdin)
+codes = {out: main(argv) for out, argv in calls}
+Path(sys.argv[2]).write_text(json.dumps(codes, indent=1, sort_keys=True) + "\\n")
+"""
+
+
+def generate_inputs(parent: Path, seed: int, inputs: Path) -> None:
+    for workload in WORKLOADS:
+        subprocess.run([sys.executable, str(parent / "perfbench" / "inputs.py"),
+                        "--workload", workload, "--seed", str(seed),
+                        "--out", str(inputs / workload)], cwd=parent, check=True)
+
+
+def cli_calls(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """(output name, argv) of every CLI call, outputs under ``out``."""
+    calls = []
+    for path in sorted(inputs.glob("*/*")):
+        name = f"{path.parent.name}/{path.stem}"
+        (out / path.parent.name).mkdir(parents=True, exist_ok=True)
+        if path.suffix == ".csv":
+            calls.append((name, ["fit", "--data", str(path), "--format", "both",
+                                 "--out", str(out / name)]))
+            continue
+        for threads in THREADS:
+            calls.append((f"{name}.t{threads}", [
+                "simulate", "--config", str(path), "--threads", str(threads),
+                "--format", "json", "--out", str(out / f"{name}.t{threads}.json")]))
+    return calls
+
+
+def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
+    calls = cli_calls(inputs, out)
+    subprocess.run([sys.executable, "-c", RUNNER, str(checkout / "src"),
+                    str(out / "exit_codes.json")],
+                   input=json.dumps(calls), text=True, cwd=checkout, check=True)
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (a, b) for p in root.rglob("*") if p.is_file()})
+    return [n for n in names
+            if not ((a / n).is_file() and (b / n).is_file()
+                    and filecmp.cmp(a / n, b / n, shallow=False))]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path,
+                        help="checkout whose inputs and reports are the reference")
+    parser.add_argument("change", type=Path, help="checkout compared with it")
+    parser.add_argument("--seed", type=int, required=True, help="benchmark input seed")
+    parser.add_argument("--work", type=Path,
+                        help="directory kept for inputs and reports (default: a temporary one)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
+        inputs, out = work / "inputs", work / "out"
+        generate_inputs(args.parent.resolve(), args.seed, inputs)
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            run_checkout(checkout.resolve(), inputs, out / side)
+        diff = differing(out / "parent", out / "change")
+        compared = sum(1 for p in (out / "parent").rglob("*") if p.is_file())
+    for name in diff:
+        print(f"differs: {name}")
+    print(f"{len(diff)} of {compared} files differ (seed {args.seed})")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
