@@ -119,8 +119,6 @@ class _Iterate:
 
 def _join(pieces: list[_Iterate]) -> _Iterate:
     """The rows of ``pieces`` (iterates of one stack), in order."""
-    if len(pieces) == 1:
-        return pieces[0]
     return _Iterate(**{name: np.concatenate([vars(p)[name] for p in pieces])
                        for name in vars(pieces[0])})
 
@@ -180,8 +178,6 @@ class SolveResult:
 
 def _solve_rows(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``matrix[i]^-1 rhs[i]`` per row; NaN rows where a matrix is singular."""
-    if not len(rhs):
-        return rhs.copy()
     try:
         return np.linalg.solve(matrix, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import METHODS
 from .exceptions import SingularError
 from .jacobian import JacobianBundle, build_jacobian_bundle
 from .models import Array, Dataset, ModelFunction
@@ -35,8 +36,6 @@ from .models import Array, Dataset, ModelFunction
 ORDER2 = "order2"
 ML_EXACT = "ml_exact"
 SANDWICH = "sandwich"
-
-_BIAS_METHODS = ("ml", "ql", "wls", "dwls")
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def bias_kernel(method: str, bundle: JacobianBundle) -> Array:
     elif method == "dwls":
         v = -2.0 * S1 + 2.0 * Sw1 - 0.5 * Sw2
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {_BIAS_METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return bundle.JtJ_inv @ v
 
 

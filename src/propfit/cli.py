@@ -37,7 +37,7 @@ from .equivalent_dose import (
     fit_two_curves_methods,
     joint_bundles,
     partial_bleach_model,
-    resolve_mode,
+    resolve_modes,
 )
 from .estimators import METHODS, fit_methods
 from .exceptions import ConfigError, ModeError, PropfitError
@@ -158,14 +158,13 @@ def _fit_single(config: RunConfig, data) -> dict:
 
 def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
     model = partial_bleach_model()
-    if config.methods == ("dwls",) and config.mode == MODE_COMMON_SIGMA:
-        raise ModeError("data-weighted least squares cannot share a scale")
+    modes = resolve_modes(config.mode, config.methods)
     results = _results(lambda: fit_two_curves_methods(
         model, data1.x, data1.y[None, :], data2.x, data2.y[None, :], config.methods,
         config.mode, config.fit_options), config.methods)
     entries: dict = {}
     for method, res in results.items():
-        mode = resolve_mode(config.mode, method)
+        mode = modes[method]
         if isinstance(res, Exception):
             entries[method] = _error_entry(res, mode=mode)
             continue

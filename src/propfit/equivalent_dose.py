@@ -15,8 +15,14 @@ Fitting supports two modes. ``separate`` fits each curve on its own (each
 with its own scale estimate). ``common-sigma`` stacks the two curves into a
 single six-parameter model sharing one relative-error scale; this changes
 the maximum-likelihood estimates (the profiled scale couples the curves) but
-not QL or WLS, and is rejected for DWLS whose equations never contain the
-scale at all.
+not QL or WLS. DWLS has no scale, so it always fits separately.
+:func:`resolve_modes` owns this rule for every entry point: it maps a
+requested mode (``separate``, ``common-sigma`` or ``default``, which gives
+ML the common scale and the rest separate fits) to each method's, and
+raises :class:`~propfit.exceptions.ModeError` when ``common-sigma`` is
+requested but no method can share a scale. :func:`fit_two_curves_methods`
+fits a stack of dataset pairs; :func:`fit_two_curves` is one method on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -47,20 +53,27 @@ MODE_DEFAULT = "default"  # per-method: ML shares sigma, the rest fit separately
 DEFAULT_GRID_POINTS = 256
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return mode
-
-
 def resolve_mode(requested: str, method: str) -> str:
     """The fit mode ``method`` runs in: ``"default"`` gives ML the common scale
     and the rest separate fits; DWLS has no scale to share, so always fits
     separately."""
     if requested == MODE_DEFAULT:
         return MODE_COMMON_SIGMA if method == "ml" else MODE_SEPARATE
-    requested = _check_mode(requested)
+    if requested not in MODES:
+        raise ValueError(f"unknown mode {requested!r}; expected one of "
+                         f"{(MODE_DEFAULT,) + MODES}")
     return MODE_SEPARATE if method == "dwls" else requested
+
+
+def resolve_modes(requested: str, methods) -> dict[str, str]:
+    """``{method: mode}`` by :func:`resolve_mode` for each of ``methods``;
+    raises :class:`ModeError` when ``common-sigma`` is requested but no
+    method can share a scale."""
+    modes = {m: resolve_mode(requested, m) for m in map(str.lower, methods)}
+    if requested == MODE_COMMON_SIGMA and MODE_COMMON_SIGMA not in modes.values():
+        raise ModeError("data-weighted least squares has no scale to share; "
+                        "common-sigma mode needs ml, ql or wls")
+    return modes
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,8 @@ def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Arr
     Returns the joint six-parameter model and the index array ``0..n1+n2-1``
     to use as its covariate; the actual doses are baked into the closure.
     The stacked form makes a common-sigma fit an ordinary single-model fit.
-    Its callables take ``theta (..., 6)`` like the curves' own.
+    Its callables take ``theta (..., 6)`` like the curves' own, and only that
+    index array as covariate: any other raises ``ValueError``.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -114,18 +128,12 @@ def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Arr
     p1, p = c1.p, model.p
     full = np.arange(n1 + n2, dtype=float)
 
-    def _split_idx(ix):
-        idx = np.asarray(ix)
-        if idx.shape == full.shape and np.array_equal(idx, full):
-            return slice(0, n1), x1, slice(n1, None), x2
-        first = idx < n1
-        return first, x1[idx[first].astype(int)], ~first, x2[idx[~first].astype(int) - n1]
-
     def _blocks(ix, t, fn1, fn2, tail):
-        sel1, d1, sel2, d2 = _split_idx(ix)
-        out = np.zeros(t.shape[:-1] + (np.size(ix),) + tail)
-        out[(..., sel1) + (slice(0, p1),) * len(tail)] = fn1(d1, t[..., :p1])
-        out[(..., sel2) + (slice(p1, p),) * len(tail)] = fn2(d2, t[..., p1:])
+        if not np.array_equal(ix, full):
+            raise ValueError(f"the stacked model's covariate is the index 0..{n1 + n2 - 1}")
+        out = np.zeros(t.shape[:-1] + full.shape + tail)
+        out[(..., slice(0, n1)) + (slice(0, p1),) * len(tail)] = fn1(x1, t[..., :p1])
+        out[(..., slice(n1, None)) + (slice(p1, p),) * len(tail)] = fn2(x2, t[..., p1:])
         return out
 
     def guard(ix, t):
@@ -426,10 +434,7 @@ def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,
     """The Jacobian bundles of a two-curve fit in ``fit_mode``, for
     :func:`~propfit.asymptotics.bias_cov`: the stacked model's for
     ``common-sigma``, one per curve for ``separate``."""
-    fit_mode = _check_mode(fit_mode)
-    if fit_mode == MODE_COMMON_SIGMA:
-        if method.lower() == "dwls":
-            raise ModeError("data-weighted least squares has no scale to share")
+    if resolve_modes(fit_mode, (method,))[method.lower()] == MODE_COMMON_SIGMA:
         joint, idx = stacked_model(model, x1, x2)
         return (build_jacobian_bundle(joint, Dataset(idx, joint.eval(idx, theta)), theta),)
     alpha, beta = model.split(theta)
@@ -519,7 +524,7 @@ def _split_start(model: PartialBleachModel, opts: FitOptions) -> tuple[FitOption
 def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
                            mode: str = MODE_DEFAULT,
                            opts: FitOptions | None = None) -> dict[str, TwoCurveFitBatch]:
-    """Fit each of ``methods``, in the mode :func:`resolve_mode` gives it, to
+    """Fit each of ``methods``, in the mode :func:`resolve_modes` gives it, to
     every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
     and ``x2``; returns ``{method: TwoCurveFitBatch}``.
 
@@ -527,10 +532,11 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     per-curve fit, so ``start="auto"`` is solved once per curve. A
     common-sigma method then fits the stacked model from the joint start or,
     with ``"auto"``, from its own per-curve fits, whose row errors come
-    first.
+    first. A separate fit's ``iterations`` include those of ``start="auto"``;
+    a common-sigma fit counts only the stacked fit's own.
     """
     opts = opts or FitOptions()
-    modes = {m: resolve_mode(mode, m) for m in map(str.lower, methods)}
+    modes = resolve_modes(mode, methods)
     Y1, Y2 = np.asarray(Y1, dtype=float), np.asarray(Y2, dtype=float)
     o1, o2 = _split_start(model, opts)
     auto = isinstance(opts.start, str)
@@ -563,29 +569,10 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     return out
 
 
-def fit_two_curves_batch(model: PartialBleachModel, x1, Y1, x2, Y2, method: str,
-                         mode: str = MODE_SEPARATE,
-                         opts: FitOptions | None = None) -> TwoCurveFitBatch:
-    """:func:`fit_two_curves` for every row pair of ``Y1 (R, n1)`` and
-    ``Y2 (R, n2)``, observed at ``x1`` and ``x2``: :func:`fit_two_curves_methods`
-    with one method. A separate fit's ``iterations`` include those of
-    ``start="auto"``; a common-sigma fit counts only the stacked fit's own."""
-    method = method.lower()
-    if _check_mode(mode) == MODE_COMMON_SIGMA and method == "dwls":
-        raise ModeError(
-            "data-weighted least squares is scale-free; common-sigma mode does not apply"
-        )
-    return fit_two_curves_methods(model, x1, Y1, x2, Y2, (method,), mode, opts)[method]
-
-
 def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,
                    mode: str = MODE_SEPARATE, opts: FitOptions | None = None) -> TwoCurveFitResult:
-    """Fit the two curves either independently or sharing one scale.
-
-    ``common-sigma`` is meaningful for maximum likelihood (the profiled
-    common scale couples the two curves' equations); QL and WLS give the
-    same estimates either way, and DWLS rejects the mode outright. A stack
-    of one for :func:`fit_two_curves_batch`.
-    """
-    return fit_two_curves_batch(model, data1.x, data1.y[None, :], data2.x, data2.y[None, :],
-                                method, mode, opts).result(0)
+    """Fit the two curves either independently or sharing one scale, in the
+    mode :func:`resolve_modes` gives ``method``: a stack of one for
+    :func:`fit_two_curves_methods`."""
+    return fit_two_curves_methods(model, data1.x, data1.y[None, :], data2.x, data2.y[None, :],
+                                  (method,), mode, opts)[method.lower()].result(0)

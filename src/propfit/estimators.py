@@ -15,9 +15,9 @@ QL, WLS and DWLS estimates never depend on how (or whether) sigma is
 estimated; their sigma is reported from the unbiased rule afterwards.
 
 :func:`fit_methods` fits several methods to a stack of datasets that share
-their covariate, one row each, from one shared start; :func:`fit_batch` is
-one method and :func:`fit` a stack of one. There is one solver path, and a
-row's numbers do not depend on the rest of its stack.
+their covariate, one row each, from one shared start, and :func:`fit` is one
+method on a stack of one. There is one solver path, and a row's numbers do
+not depend on the rest of its stack.
 This module holds each method's equation (its weights and objective) and
 the public API; :mod:`propfit._newton` evaluates the equations and solves
 them.
@@ -320,39 +320,11 @@ def fit_methods(model: ModelFunction, x, Y, methods,
     return {m: _fit(model, x, Y, m, start, steps, errors[m], opts) for m in methods}
 
 
-def fit_batch(model: ModelFunction, x, Y, method: str,
-              opts: FitOptions | None = None) -> FitBatch:
-    """Fit one estimator to each row of ``Y (R, n)``, all observed at ``x (n,)``:
-    :func:`fit_methods` with one method."""
-    return fit_methods(model, x, Y, (method,), opts)[method.lower()]
-
-
 def fit(model: ModelFunction, data: Dataset, method: str,
         opts: FitOptions | None = None) -> FitResult:
-    """Fit one estimator; see the per-method wrappers for the contracts.
+    """Fit one estimator to one dataset: a stack of one for :func:`fit_methods`.
 
-    A batch of one (:func:`fit_batch`). ``iterations`` counts every solver
-    iteration, those of the unweighted least-squares solve behind
-    ``start="auto"`` included.
+    ``iterations`` counts every solver iteration, those of the unweighted
+    least-squares solve behind ``start="auto"`` included.
     """
-    return fit_batch(model, data.x, data.y[None, :], method, opts).result(0)
-
-
-def fit_ml(model: ModelFunction, data: Dataset, opts: FitOptions | None = None) -> FitResult:
-    """Profiled normal maximum likelihood: sigma is re-estimated at every iterate."""
-    return fit(model, data, "ml", opts)
-
-
-def fit_ql(model: ModelFunction, data: Dataset, opts: FitOptions | None = None) -> FitResult:
-    """Quasi-likelihood estimator with variance function f^2."""
-    return fit(model, data, "ql", opts)
-
-
-def fit_wls(model: ModelFunction, data: Dataset, opts: FitOptions | None = None) -> FitResult:
-    """Weighted least squares with fitted 1/f^2 weights."""
-    return fit(model, data, "wls", opts)
-
-
-def fit_dwls(model: ModelFunction, data: Dataset, opts: FitOptions | None = None) -> FitResult:
-    """Data-weighted least squares with fixed 1/y^2 weights; requires y > 0."""
-    return fit(model, data, "dwls", opts)
+    return fit_methods(model, data.x, data.y[None, :], (method,), opts)[method.lower()].result(0)

@@ -37,6 +37,7 @@ from .equivalent_dose import (
     joint_bundles,
     partial_bleach_model,
     resolve_mode,
+    resolve_modes,
     solve_gamma_batch,
 )
 from .estimators import METHODS, FitOptions, fit_methods
@@ -291,8 +292,9 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     ``threads > 1``), whichever sigmas it spans. A replicate's numbers do
     not depend on its stack, so the summary is identical whatever the
     split. The formula biases' pieces are built at the truth before any
-    replicate is fitted, so a truth without a dose or with a singular
-    design raises at once.
+    replicate is fitted, so a truth without a dose, a singular design or a
+    ``common-sigma`` request no method can share (:func:`resolve_modes`)
+    raises at once.
     """
     targets = design.target_names
     n_targets = len(targets)
@@ -306,8 +308,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
         truths["gamma"] = dose.gamma
         by_mode: dict = {}
         bundles = {}
-        for method in design.methods:
-            mode = design.mode_for(method)
+        for method, mode in resolve_modes(design.fit_mode, design.methods).items():
             if mode not in by_mode:
                 by_mode[mode] = joint_bundles(model, design.x1, design.x2, theta0, method, mode)
             bundles[method] = by_mode[mode]

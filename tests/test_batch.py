@@ -1,6 +1,7 @@
 """Stacked fits and intersections: every row as if solved alone."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,18 +12,18 @@ from propfit.equivalent_dose import (
     MODE_DEFAULT,
     MODE_SEPARATE,
     fit_two_curves,
-    fit_two_curves_batch,
     fit_two_curves_methods,
     partial_bleach_model,
     resolve_mode,
     solve_gamma,
     solve_gamma_batch,
 )
-from propfit.estimators import METHODS, FitOptions, fit, fit_batch, fit_methods
+from propfit.estimators import METHODS, FitOptions, fit, fit_methods
 from propfit.exceptions import (
     DomainError,
     MultipleRootWarning,
     NoBracketError,
+    NonFiniteError,
     SingularError,
     ZeroResponseError,
 )
@@ -70,8 +71,8 @@ class TestFitBatch:
     def test_rows_are_bit_identical_to_single_fits(self, satexp, method, start):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.06, rows=9, seed=21)
         opts = FitOptions(start=PAPER_ALPHA if start == "truth" else "auto")
-        batch = fit_batch(satexp, X, Y, method, opts)
-        part = fit_batch(satexp, X, Y[3:7], method, opts)
+        batch = fit_methods(satexp, X, Y, (method,), opts)[method]
+        part = fit_methods(satexp, X, Y[3:7], (method,), opts)[method]
         for r, y in enumerate(Y):
             assert_rows_equal(batch, r, fit(satexp, Dataset(X, y), method, opts))
         for r in range(4):
@@ -85,8 +86,8 @@ class TestFitBatch:
         Y1 = noisy_stack(pb.curve1, DEFAULT_UNBLEACHED_DOSES, theta0[:3], 0.03, 5, seed=22)
         Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], 0.03, 5, seed=23)
         opts = FitOptions(start=theta0 if start == "truth" else "auto")
-        batch = fit_two_curves_batch(pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES,
-                                     Y2, "ml", mode, opts)
+        batch = fit_two_curves_methods(pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES,
+                                       Y2, ("ml",), mode, opts)["ml"]
         for r in range(5):
             one = fit_two_curves(pb, Dataset(DEFAULT_UNBLEACHED_DOSES, Y1[r]),
                                  Dataset(DEFAULT_BLEACHED_DOSES, Y2[r]), "ml", mode, opts)
@@ -98,7 +99,7 @@ class TestFitBatch:
 class TestFitMethods:
     def test_rows_match_one_method_fits_from_one_start(self, satexp, monkeypatch):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=5, seed=27)
-        alone = {m: fit_batch(satexp, X, Y, m) for m in METHODS}
+        alone = {m: fit_methods(satexp, X, Y, (m,))[m] for m in METHODS}
         calls = count_solves(monkeypatch)
         together = fit_methods(satexp, X, Y, METHODS)
         # One least-squares start, then one solve per method.
@@ -121,7 +122,7 @@ class TestFitMethods:
         Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], 0.03, 4, seed=30)
         opts = FitOptions(start=theta0 if start == "truth" else "auto")
         args = (pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES, Y2)
-        alone = {m: fit_two_curves_batch(*args, m, resolve_mode(mode, m), opts)
+        alone = {m: fit_two_curves_methods(*args, (m,), resolve_mode(mode, m), opts)[m]
                  for m in METHODS}
         calls = count_solves(monkeypatch)
         together = fit_two_curves_methods(*args, METHODS, mode, opts)
@@ -142,7 +143,7 @@ class TestFailingRows:
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=4, seed=24)
         starts = np.tile(PAPER_ALPHA, (4, 1))
         starts[2, 2] = 0.0  # alpha3 = 0 is outside the model's domain
-        batch = fit_batch(satexp, X, Y, "ql", FitOptions(start=starts))
+        batch = fit_methods(satexp, X, Y, ("ql",), FitOptions(start=starts))["ql"]
         assert np.all(np.isnan(batch.theta_hat[2])) and not batch.converged[2]
         assert batch.converged[[0, 1, 3]].all()
         message = "model 'saturating_exponential' is undefined at the requested point"
@@ -166,7 +167,7 @@ class TestFailingRows:
         theta = np.array([1.0, 1.0])
         exact = np.asarray(model.eval(x, theta))
         Y = np.stack([exact, exact * (1.0 + 0.01 * np.arange(6)), exact])
-        batch = fit_batch(model, x, Y, "dwls", FitOptions(start=theta))
+        batch = fit_methods(model, x, Y, ("dwls",), FitOptions(start=theta))["dwls"]
         assert batch.converged[[0, 2]].all()
         np.testing.assert_array_equal(batch.theta_hat[0], theta)
         assert isinstance(batch.errors[1], SingularError)
@@ -174,12 +175,35 @@ class TestFailingRows:
         with pytest.raises(SingularError, match="scoring matrix is singular at the iterate"):
             fit(model, Dataset(x, Y[1]), "dwls", FitOptions(start=theta))
 
+    def test_non_finite_hessian_fails_its_row_only(self, expo):
+        # NaN Hessian wherever theta1 > 4.5: only the row fitted near 5 meets it.
+        model = replace(expo, name="nan_hessian", hess_fn=lambda x, t: np.where(
+            (t[..., 0] > 4.5)[..., None, None, None], np.nan, expo.hess_fn(x, t)))
+        x = np.linspace(0.0, 4.0, 8)
+        truths = np.array([[2.0, 1.5], [5.0, 1.5], [2.5, 1.5], [1.5, 1.5]])
+        rng = np.random.default_rng(33)
+        Y = np.stack([np.asarray(expo.eval(x, t)) * (1.0 + 0.02 * rng.standard_normal(x.size))
+                      for t in truths])
+        starts = 1.1 * truths
+        for method in ("ml", "ql"):
+            batch = fit_methods(model, x, Y, (method,), FitOptions(start=starts))[method]
+            message = "Hessian of model 'nan_hessian' is non-finite"
+            assert isinstance(batch.errors[1], NonFiniteError)
+            assert str(batch.errors[1]) == message
+            assert np.all(np.isnan(batch.theta_hat[1]))
+            with pytest.raises(NonFiniteError, match=message):
+                fit(model, Dataset(x, Y[1]), method, FitOptions(start=starts[1]))
+            for r in (0, 2, 3):
+                assert batch.converged[r]
+                assert_rows_equal(batch, r, fit(model, Dataset(x, Y[r]), method,
+                                                FitOptions(start=starts[r])))
+
     def test_too_few_observations_fail_every_row(self, satexp):
         # n <= p fails every row, before a nonpositive response would.
         Y = noisy_stack(satexp, X[:3], PAPER_ALPHA, 0.02, rows=2, seed=26)
         Y[1, 0] = -1.0
         for method in ("ql", "dwls"):
-            batch = fit_batch(satexp, X[:3], Y, method, FitOptions(start=PAPER_ALPHA))
+            batch = fit_methods(satexp, X[:3], Y, (method,), FitOptions(start=PAPER_ALPHA))[method]
             assert np.all(np.isnan(batch.theta_hat)) and not batch.converged.any()
             assert [type(e) for e in batch.errors] == [ValueError, ValueError]
             assert {str(e) for e in batch.errors} == {"need n > p observations, got n=3, p=3"}
@@ -187,7 +211,7 @@ class TestFailingRows:
     def test_nonpositive_response_fails_its_dwls_row_only(self, satexp):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=25)
         Y[0, 4] = -1.0
-        batch = fit_batch(satexp, X, Y, "dwls", FitOptions(start=PAPER_ALPHA))
+        batch = fit_methods(satexp, X, Y, ("dwls",), FitOptions(start=PAPER_ALPHA))["dwls"]
         assert isinstance(batch.errors[0], ZeroResponseError)
         assert batch.converged[1:].all()
         with pytest.raises(ZeroResponseError,
@@ -228,6 +252,23 @@ class TestSolveGammaBatch:
         assert abs(pb.intersection_gap(two, rows[1])) <= 1e-6 * PAPER_ALPHA[0]
         with pytest.raises(NoBracketError, match=r"over \[-122.5, -5\]"):
             solve_gamma(pb, rows[2], bracket=bracket)
+
+    def test_faulting_rows_name_their_curve(self, stack):
+        pb, rows = stack
+        theta = np.tile(rows[0], (4, 1))
+        theta[0, 2] = 0.0  # alpha3 = 0: the unbleached curve is undefined
+        theta[2, 5] = 0.0  # beta3 = 0: the bleached curve is undefined
+        theta[3, 3] *= 1.01
+        gammas, errors = solve_gamma_batch(pb, theta)
+        for r, curve in ((0, pb.curve1), (2, pb.curve2)):
+            message = f"model {curve.name!r} is undefined at the requested point"
+            assert isinstance(errors[r], DomainError) and str(errors[r]) == message
+            assert np.isnan(gammas[r])
+            with pytest.raises(DomainError, match=message):
+                solve_gamma(pb, theta[r])
+        for r in (1, 3):
+            assert errors[r] is None
+            assert gammas[r] == solve_gamma(pb, theta[r])
 
     def test_default_brackets_per_row(self, stack):
         pb, rows = stack

@@ -21,6 +21,7 @@ from propfit.equivalent_dose import (
     resolve_mode,
 )
 from propfit.estimators import METHODS
+from propfit.exceptions import ModeError
 from propfit.models import Dataset
 from propfit.simulation import (
     default_partial_bleach_design,
@@ -356,6 +357,28 @@ class TestSimulateCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sim": {"theta0": [1.0]}}))
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_dwls_common_sigma_alone_exits_2(self, pair_csv, tmp_path, capsys):
+        # Every entry point gives the one mode error, and simulate fits nothing.
+        cfg = dict(json.loads(DEMO_CONFIG.read_text()), methods=["dwls"], mode=MODE_COMMON_SIGMA)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        simulate = capsys.readouterr()
+        assert main(["fit", "--data", pair_csv, "--config", str(path)]) == 2
+        fit = capsys.readouterr()
+        pb, theta0 = partial_bleach_model(), np.array(cfg["sim"]["theta0"])
+        x1, x2 = np.array(cfg["sim"]["x1"], dtype=float), np.array(cfg["sim"]["x2"], dtype=float)
+        data1 = Dataset(x1, np.asarray(pb.curve1.eval(x1, theta0[:3])))
+        data2 = Dataset(x2, np.asarray(pb.curve2.eval(x2, theta0[3:])))
+        with pytest.raises(ModeError) as from_fit:
+            fit_two_curves(pb, data1, data2, "dwls", MODE_COMMON_SIGMA)
+        with pytest.raises(ModeError) as from_dose:
+            gamma_bias_se(pb, x1, x2, theta0, 0.02, "dwls", fit_mode=MODE_COMMON_SIGMA)
+        message = str(from_fit.value)
+        assert str(from_dose.value) == message
+        assert simulate.err == f"error: ModeError: {message}\n" and simulate.out == ""
+        assert fit.err == f"error: {message}\n" and fit.out == ""
 
     def test_config_without_sim_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ import pytest
 
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
+    MODE_DEFAULT,
     MODE_SEPARATE,
     beta1_from_gamma,
     default_gamma_bracket,
@@ -16,12 +17,20 @@ from propfit.equivalent_dose import (
     gamma_bias_se,
     gamma_gradient,
     gamma_hessian,
+    joint_bundles,
     partial_bleach_model,
+    resolve_modes,
     solve_gamma,
     stacked_model,
 )
 from propfit.estimators import FitOptions, equation_residual
-from propfit.exceptions import DomainError, ModeError, MultipleRootWarning, NoBracketError
+from propfit.exceptions import (
+    DomainError,
+    ModeError,
+    MultipleRootWarning,
+    NoBracketError,
+    TangencyError,
+)
 from propfit.models import Dataset
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
@@ -102,6 +111,11 @@ class TestSolveGamma:
 
 
 class TestGammaGradient:
+    def test_identical_curves_raise_tangency(self, pb):
+        theta = np.concatenate([PAPER_ALPHA, PAPER_ALPHA])
+        with pytest.raises(TangencyError, match="curves meet tangentially"):
+            gamma_gradient(pb, theta, -50.0)
+
     def test_against_resolve_oracle(self, pb, theta0):
         # Oracle: perturb each component, re-solve the intersection.
         gamma = solve_gamma(pb, theta0)
@@ -241,6 +255,12 @@ class TestStackedModel:
         assert np.all(G[:n1, 3:] == 0.0)
         assert np.all(G[n1:, :3] == 0.0)
 
+    def test_only_its_index_covariate(self, pb, theta0):
+        joint, idx = stacked_model(pb, DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES)
+        for covariate in (idx[:5], idx[::-1], 0.0):
+            with pytest.raises(ValueError, match="covariate is the index 0..28"):
+                joint.eval_fn(covariate, theta0)
+
     def test_fd_agreement(self, pb, theta0):
         from propfit.models import fd_check
 
@@ -275,6 +295,30 @@ class TestFitTwoCurves:
         sep = fit_two_curves(pb, d1, d2, method, mode=MODE_SEPARATE, opts=opts)
         sim = fit_two_curves(pb, d1, d2, method, mode=MODE_COMMON_SIGMA, opts=opts)
         np.testing.assert_allclose(sep.theta_hat, sim.theta_hat, rtol=1e-8)
+
+    def test_every_entry_point_takes_the_default_mode(self, pb, theta0):
+        # "default": ML shares the scale, the others fit separately.
+        d1, d2 = _noisy_pair(pb, theta0, 0.01, 0.06, seed=85)
+        x1, x2, opts = d1.x, d2.x, FitOptions(start=theta0)
+        for method, mode in resolve_modes(MODE_DEFAULT, ("ml", "ql")).items():
+            res = fit_two_curves(pb, d1, d2, method, MODE_DEFAULT, opts)
+            same = fit_two_curves(pb, d1, d2, method, mode, opts)
+            assert res.mode == mode
+            np.testing.assert_array_equal(res.theta_hat, same.theta_hat)
+            assert res.sigma_hats == same.sigma_hats
+            bundles = joint_bundles(pb, x1, x2, theta0, method, MODE_DEFAULT)
+            assert len(bundles) == (1 if mode == MODE_COMMON_SIGMA else 2)
+            assert gamma_bias_se(pb, x1, x2, theta0, 0.02, method, MODE_DEFAULT) == \
+                gamma_bias_se(pb, x1, x2, theta0, 0.02, method, mode)
+
+    def test_resolve_modes(self):
+        assert resolve_modes(MODE_COMMON_SIGMA, ("ML", "dwls")) == {
+            "ml": MODE_COMMON_SIGMA, "dwls": MODE_SEPARATE}
+        assert resolve_modes(MODE_SEPARATE, ("dwls",)) == {"dwls": MODE_SEPARATE}
+        with pytest.raises(ModeError, match="no scale to share"):
+            resolve_modes(MODE_COMMON_SIGMA, ("dwls",))
+        with pytest.raises(ValueError, match="unknown mode 'joint'"):
+            resolve_modes("joint", ("ml",))
 
     def test_dwls_mode_error(self, pb, theta0):
         d1, d2 = _noisy_pair(pb, theta0, 0.02, 0.02, seed=82)

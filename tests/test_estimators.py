@@ -12,10 +12,6 @@ from propfit.estimators import (
     estimate_sigma_ml,
     estimate_sigma_unbiased,
     fit,
-    fit_dwls,
-    fit_ml,
-    fit_ql,
-    fit_wls,
 )
 from propfit.exceptions import ZeroResponseError
 from propfit.jacobian import build_jacobian_bundle
@@ -31,17 +27,17 @@ class TestConstantModelClosedForms:
     """On f = theta1 every equation has an explicit root."""
 
     def test_ql_is_mean(self, const, const_123):
-        res = fit_ql(const, const_123)
+        res = fit(const, const_123, "ql")
         assert res.converged
         assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_ml_is_mean(self, const, const_123):
-        res = fit_ml(const, const_123)
+        res = fit(const, const_123, "ml")
         assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_wls_closed_form(self, const, const_123):
         # Eq. reduces to sum(y^2) - theta sum(y) = 0 -> 14/6.
-        res = fit_wls(const, const_123)
+        res = fit(const, const_123, "wls")
         assert res.theta_hat[0] == pytest.approx(14.0 / 6.0, abs=1e-9)
 
     def test_wls_against_scalar_root_oracle(self, const, const_123):
@@ -51,17 +47,17 @@ class TestConstantModelClosedForms:
                                            np.array([t]))[0])
 
         root = brentq(eq, 1.0, 5.0, xtol=1e-13)
-        res = fit_wls(const, const_123, TIGHT)
+        res = fit(const, const_123, "wls", TIGHT)
         assert res.theta_hat[0] == pytest.approx(root, abs=1e-9)
 
     def test_dwls_closed_form(self, const, const_123):
         # sum(1/y) / sum(1/y^2) = (11/6)/(49/36) = 66/49.
-        res = fit_dwls(const, const_123)
+        res = fit(const, const_123, "dwls")
         assert res.theta_hat[0] == pytest.approx(66.0 / 49.0, abs=1e-9)
 
     def test_ml_equals_ql_exactly(self, const, const_123):
-        ml = fit_ml(const, const_123, TIGHT)
-        ql = fit_ql(const, const_123, TIGHT)
+        ml = fit(const, const_123, "ml", TIGHT)
+        ql = fit(const, const_123, "ql", TIGHT)
         assert ml.theta_hat[0] == pytest.approx(ql.theta_hat[0], rel=1e-12)
 
 
@@ -114,7 +110,7 @@ class TestEquationResidual:
 
     def test_ml_nonzero_at_ql_root_on_noisy_data(self, satexp):
         data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), PAPER_ALPHA, 0.05, seed=3)
-        ql = fit_ql(satexp, data, FitOptions(start=PAPER_ALPHA))
+        ql = fit(satexp, data, "ql", FitOptions(start=PAPER_ALPHA))
         r_ml = equation_residual("ml", satexp, data, ql.theta_hat)
         assert np.max(np.abs(r_ml)) > 100.0 * ql.residual_norm
 
@@ -262,7 +258,7 @@ class TestErrors:
     def test_dwls_rejects_nonpositive_response(self, const):
         data = Dataset(np.arange(3.0), np.array([1.0, -2.0, 3.0]))
         with pytest.raises(ZeroResponseError):
-            fit_dwls(const, data)
+            fit(const, data, "dwls")
 
     def test_dwls_residual_rejects_zero_response(self, const):
         data = Dataset(np.arange(3.0), np.array([1.0, 0.0, 3.0]))
@@ -272,7 +268,7 @@ class TestErrors:
     def test_too_few_observations(self, satexp):
         data = Dataset(np.arange(3.0), np.ones(3))
         with pytest.raises(ValueError):
-            fit_ql(satexp, data)
+            fit(satexp, data, "ql")
 
     def test_unknown_method(self, const, const_123):
         with pytest.raises(ValueError):
@@ -282,8 +278,8 @@ class TestErrors:
         # A tolerance below the cancellation floor cannot be met; the best
         # iterate comes back flagged instead of an exception.
         data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), PAPER_ALPHA, 0.05, seed=1)
-        res = fit_ql(satexp, data, FitOptions(start=PAPER_ALPHA, tol_residual=1e-30,
-                                              tol_absolute=1e-300, max_iter=20))
+        res = fit(satexp, data, "ql", FitOptions(start=PAPER_ALPHA, tol_residual=1e-30,
+                                                 tol_absolute=1e-300, max_iter=20))
         assert not res.converged
         assert np.all(np.isfinite(res.theta_hat))
         assert res.residual_norm < 1e-12  # best iterate is still excellent
@@ -291,7 +287,7 @@ class TestErrors:
     def test_max_iter_returns_best_iterate_flagged(self, satexp):
         data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), PAPER_ALPHA, 0.02, seed=2)
         start = 1.3 * PAPER_ALPHA
-        res = fit_ql(satexp, data, FitOptions(start=start, max_iter=1))
+        res = fit(satexp, data, "ql", FitOptions(start=start, max_iter=1))
         assert not res.converged and res.iterations == 1
         norm = np.max(np.abs(equation_residual("ql", satexp, data, res.theta_hat)))
         assert res.residual_norm == pytest.approx(norm, rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from propfit import simulation
 from propfit.asymptotics import bias_order2
 from propfit.equivalent_dose import fit_two_curves, gamma_bias_se, solve_gamma, stacked_model
-from propfit.estimators import FitOptions, fit_batch
+from propfit.estimators import FitOptions, fit_methods
 from propfit.exceptions import Rejected
 from propfit.models import Dataset, constant_model
 from propfit.simulation import (
@@ -198,8 +198,8 @@ class TestStudyStack:
             rejected = design.replicates - len(kept)
             assert redraws > 0
             for method in design.methods:
-                converged = fit_batch(design.model, design.x1, np.stack(kept), method,
-                                      opts).converged
+                converged = fit_methods(design.model, design.x1, np.stack(kept), (method,),
+                                        opts)[method].converged
                 entry = summary.entry(method, sigma)
                 assert entry.redraw_count == redraws
                 assert entry.rejected_count == rejected
