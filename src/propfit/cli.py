@@ -32,7 +32,6 @@ from .config import RunConfig, load_config
 from .equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_SEPARATE,
-    DoseEstimate,
     dose_derivatives,
     fit_two_curves_methods,
     joint_bundles,
@@ -49,7 +48,7 @@ ENV_THREADS = "PROPFIT_THREADS"
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers
+# Output helpers
 # ---------------------------------------------------------------------------
 
 def round_floats(obj, digits: int = 12):
@@ -90,6 +89,17 @@ def _write_outputs(text: str, json_text: str, fmt: str, out: str | None) -> None
         fh.write(json_text if fmt == "json" else text)
 
 
+def _describe(exc: Exception) -> str:
+    """An error as reports and error lines show it: ``<Type>: <message>``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _input_error(exc: Exception) -> int:
+    """Print a command's one error line; returns the input-error exit code."""
+    print(f"error: {_describe(exc)}", file=sys.stderr)
+    return 2
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -121,7 +131,7 @@ def _fit_entry(res, sigma: float, params: list[dict], **extra) -> dict:
 
 def _error_entry(exc: Exception, **extra) -> dict:
     """The entry of a method whose fit raised."""
-    return {"error": f"{type(exc).__name__}: {exc}", "converged": False, "iterations": 0,
+    return {"error": _describe(exc), "converged": False, "iterations": 0,
             "residual_norm": float("nan"), "sigma_hat": float("nan"), "parameters": [],
             **extra}
 
@@ -145,13 +155,14 @@ def _fit_single(config: RunConfig, data) -> dict:
         if isinstance(res, Exception):
             entries[method] = _error_entry(res)
             continue
+        params, extra = _param_rows(model.param_names, res.theta_hat), {}
         try:
             bundles = (build_jacobian_bundle(model, data, res.theta_hat),)
             params = _param_rows(model.param_names, res.theta_hat,
                                  *bias_cov(method, bundles, res.sigma_hat))
-        except PropfitError:
-            params = _param_rows(model.param_names, res.theta_hat)
-        entries[method] = _fit_entry(res, res.sigma_hat, params)
+        except PropfitError as exc:
+            extra["error"] = _describe(exc)
+        entries[method] = _fit_entry(res, res.sigma_hat, params, **extra)
     return {"kind": "fit_report", "model": config.model, "mode": None,
             "curves": {"1": data.n}, "methods": entries}
 
@@ -180,10 +191,8 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
             bias, cov = bias_cov(method, joint_bundles(model, data1.x, data2.x, res.theta_hat,
                                                        method, mode), sigma)
             params = _param_rows(model.param_names, res.theta_hat, bias, cov)
-            derivs = dose_derivatives(model, res.theta_hat, config.gamma_bracket)
-            dose_bias, dose_se = derivs.bias_se(bias, cov)
-            est = DoseEstimate(gamma_hat=derivs.gamma, bias=dose_bias, se=dose_se,
-                               method=method, bracket=derivs.bracket)
+            est = dose_derivatives(model, res.theta_hat, config.gamma_bracket).estimate(
+                method, bias, cov)
             dose = {"gamma_hat": est.gamma_hat,
                     "equivalent_dose": est.equivalent_dose,
                     "bias": est.equivalent_dose_bias, "se": est.se,
@@ -191,7 +200,7 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
         except PropfitError as exc:
             dose = dict.fromkeys(("gamma_hat", "equivalent_dose", "bias", "se",
                                   "bias_over_rmse_pct"), float("nan"))
-            extra["error"] = f"{type(exc).__name__}: {exc}"
+            extra["error"] = _describe(exc)
         entries[method] = _fit_entry(res, sigma, params, mode=mode, dose=dose, **extra)
     return {"kind": "fit_report", "model": "partial_bleach", "mode": config.mode,
             "curves": {labels[0]: data1.n, labels[1]: data2.n}, "methods": entries}
@@ -256,8 +265,7 @@ def cmd_fit(args) -> int:
         else:
             raise ConfigError(f"expected 1 or 2 curves, found {len(labels)}")
     except (ConfigError, ModeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
 
     report = round_floats(report)
     fmt = args.format or config.output_format
@@ -318,15 +326,13 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             design = replace(design, master_seed=args.seed)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     try:
         summary = run_study(design, threads=args.threads)
     except (PropfitError, ValueError) as exc:
         # The design's truth has no dose or no usable formulae; run_study
         # finds this before fitting any replicate.
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     report = sim_report_dict(summary)
     fmt = args.format or config.output_format
     _write_outputs(render_sim_text(summary), dump_json(report), fmt, args.out)

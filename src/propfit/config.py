@@ -16,7 +16,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .equivalent_dose import partial_bleach_model
+from .equivalent_dose import MODE_DEFAULT, partial_bleach_model
 from .estimators import METHODS, FitOptions
 from .exceptions import ConfigError
 from .models import get_model
@@ -37,7 +37,7 @@ class RunConfig:
 
     model: str = "saturating_exponential"
     methods: tuple[str, ...] = METHODS
-    mode: str = "default"
+    mode: str = MODE_DEFAULT
     gamma_bracket: tuple[float, float] | None = None
     fit_options: FitOptions = field(default_factory=FitOptions)
     sim: dict | None = None

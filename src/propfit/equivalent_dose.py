@@ -16,13 +16,9 @@ with its own scale estimate). ``common-sigma`` stacks the two curves into a
 single six-parameter model sharing one relative-error scale; this changes
 the maximum-likelihood estimates (the profiled scale couples the curves) but
 not QL or WLS. DWLS has no scale, so it always fits separately.
-:func:`resolve_modes` owns this rule for every entry point: it maps a
-requested mode (``separate``, ``common-sigma`` or ``default``, which gives
-ML the common scale and the rest separate fits) to each method's, and
-raises :class:`~propfit.exceptions.ModeError` when ``common-sigma`` is
-requested but no method can share a scale. :func:`fit_two_curves_methods`
-fits a stack of dataset pairs; :func:`fit_two_curves` is one method on a
-stack of one.
+Every entry point takes each method's mode from :func:`resolve_modes`,
+the one owner of this rule. :func:`fit_two_curves_methods` fits a stack of
+dataset pairs; :func:`fit_two_curves` is one method on a stack of one.
 """
 
 from __future__ import annotations
@@ -53,23 +49,17 @@ MODE_DEFAULT = "default"  # per-method: ML shares sigma, the rest fit separately
 DEFAULT_GRID_POINTS = 256
 
 
-def resolve_mode(requested: str, method: str) -> str:
-    """The fit mode ``method`` runs in: ``"default"`` gives ML the common scale
-    and the rest separate fits; DWLS has no scale to share, so always fits
-    separately."""
-    if requested == MODE_DEFAULT:
-        return MODE_COMMON_SIGMA if method == "ml" else MODE_SEPARATE
-    if requested not in MODES:
-        raise ValueError(f"unknown mode {requested!r}; expected one of "
-                         f"{(MODE_DEFAULT,) + MODES}")
-    return MODE_SEPARATE if method == "dwls" else requested
-
-
 def resolve_modes(requested: str, methods) -> dict[str, str]:
-    """``{method: mode}`` by :func:`resolve_mode` for each of ``methods``;
-    raises :class:`ModeError` when ``common-sigma`` is requested but no
-    method can share a scale."""
-    modes = {m: resolve_mode(requested, m) for m in map(str.lower, methods)}
+    """``{method: mode}`` for each of ``methods`` under the ``requested`` mode:
+    ``"default"`` gives ML the common scale and the rest separate fits; DWLS
+    has no scale to share, so always fits separately. Raises
+    :class:`ModeError` when ``common-sigma`` is requested but no method can
+    share a scale."""
+    if requested not in (MODE_DEFAULT,) + MODES:
+        raise ValueError(f"unknown mode {requested!r}; expected one of {(MODE_DEFAULT,) + MODES}")
+    modes = {m: MODE_SEPARATE if m == "dwls" else requested for m in map(str.lower, methods)}
+    if requested == MODE_DEFAULT:
+        modes = {m: MODE_COMMON_SIGMA if m == "ml" else MODE_SEPARATE for m in modes}
     if requested == MODE_COMMON_SIGMA and MODE_COMMON_SIGMA not in modes.values():
         raise ModeError("data-weighted least squares has no scale to share; "
                         "common-sigma mode needs ml, ql or wls")
@@ -405,9 +395,9 @@ class DoseDerivatives:
     hess: Array
     bracket: tuple[float, float]
 
-    def bias_se(self, bias: Array, cov: Array) -> tuple[float, float]:
-        """Second-order delta-method bias and standard error of gamma from the
-        parameters' bias vector and covariance:
+    def estimate(self, method: str, bias: Array, cov: Array) -> DoseEstimate:
+        """``method``'s dose estimate from the parameters' bias vector and covariance,
+        with the second-order delta-method bias and standard error:
 
             bias(gamma_hat) = gamma'^T bias(theta_hat) + tr(gamma'' Cov(theta_hat)) / 2
 
@@ -416,7 +406,9 @@ class DoseDerivatives:
         dropping it puts the formula visibly below Monte Carlo.
         """
         dose_bias = float(self.grad @ bias) + 0.5 * float(np.trace(self.hess @ cov))
-        return dose_bias, float(np.sqrt(max(self.grad @ cov @ self.grad, 0.0)))
+        return DoseEstimate(gamma_hat=self.gamma, bias=dose_bias,
+                            se=float(np.sqrt(max(self.grad @ cov @ self.grad, 0.0))),
+                            method=method.lower(), bracket=self.bracket)
 
 
 def dose_derivatives(model: PartialBleachModel, theta,
@@ -446,20 +438,17 @@ def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,
 
 
 def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method: str,
-                  fit_mode: str = MODE_SEPARATE,
+                  fit_mode: str = MODE_DEFAULT,
                   bracket: tuple[float, float] | None = None) -> DoseEstimate:
     """Second-order delta-method bias and standard error of the intersection dose.
 
     Solves for gamma at ``theta`` and pushes the parameter-level order-
     sigma^2 bias vector and covariance (exact ML covariance for ``ml``,
     ``sigma^2 (J'J)^{-1}`` otherwise, assembled per ``fit_mode``) through
-    the implicit-function derivatives of gamma (:meth:`DoseDerivatives.bias_se`).
+    the implicit-function derivatives of gamma (:meth:`DoseDerivatives.estimate`).
     """
-    dose = dose_derivatives(model, theta, bracket)
-    bias, se = dose.bias_se(
-        *bias_cov(method, joint_bundles(model, x1, x2, theta, method, fit_mode), sigma))
-    return DoseEstimate(gamma_hat=dose.gamma, bias=bias, se=se, method=method.lower(),
-                        bracket=dose.bracket)
+    return dose_derivatives(model, theta, bracket).estimate(
+        method, *bias_cov(method, joint_bundles(model, x1, x2, theta, method, fit_mode), sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +559,7 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
 
 
 def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,
-                   mode: str = MODE_SEPARATE, opts: FitOptions | None = None) -> TwoCurveFitResult:
+                   mode: str = MODE_DEFAULT, opts: FitOptions | None = None) -> TwoCurveFitResult:
     """Fit the two curves either independently or sharing one scale, in the
     mode :func:`resolve_modes` gives ``method``: a stack of one for
     :func:`fit_two_curves_methods`."""

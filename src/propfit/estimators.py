@@ -159,6 +159,12 @@ _OLS = _Equation(
     divides_by_f=False)
 
 
+def _dwls_response_errors(Y: Array) -> tuple:
+    """Per row of ``Y (R, n)``, DWLS's error (its weights divide by y), or None if all y > 0."""
+    return tuple(ZeroResponseError("data-weighted least squares requires all y > 0")
+                 if bad else None for bad in np.any(Y <= 0.0, axis=1))
+
+
 def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
                       sigma: float | None = None) -> Array:
     """Left-hand side of the method's estimating equation at ``theta``.
@@ -167,8 +173,8 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     the profiled value ``sqrt(mean(((y-f)/f)^2))`` at ``theta`` is used.
     """
     method = _check_method(method)
-    if method == "dwls" and np.any(data.y == 0.0):
-        raise ZeroResponseError("data-weighted least squares requires all y != 0")
+    if method == "dwls" and (error := _dwls_response_errors(data.y[None, :])[0]) is not None:
+        raise error
     pt = _point(_EQUATIONS[method], model, data.x, data.y, model.check_theta(theta), sigma)
     if pt.fault:
         raise fault_error(model, int(pt.fault))
@@ -313,10 +319,8 @@ def fit_methods(model: ModelFunction, x, Y, methods,
         errors = dict.fromkeys(methods, short)
     else:
         start, steps, start_errors = _start(model, x, Y, opts)
-        zero = tuple(ZeroResponseError("data-weighted least squares requires all y > 0")
-                     if bad else None for bad in np.any(Y <= 0.0, axis=1))
-        errors = {m: first_errors(zero, start_errors) if m == "dwls" else start_errors
-                  for m in methods}
+        errors = {m: first_errors(_dwls_response_errors(Y), start_errors) if m == "dwls"
+                  else start_errors for m in methods}
     return {m: _fit(model, x, Y, m, start, steps, errors[m], opts) for m in methods}
 
 

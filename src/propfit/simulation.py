@@ -29,14 +29,12 @@ import numpy as np
 from .asymptotics import bias_cov
 from .equivalent_dose import (
     MODE_DEFAULT,
-    MODES,
     PartialBleachModel,
     beta1_from_gamma,
     dose_derivatives,
     fit_two_curves_methods,
     joint_bundles,
     partial_bleach_model,
-    resolve_mode,
     resolve_modes,
     solve_gamma_batch,
 )
@@ -105,8 +103,7 @@ class SimDesign:
                 raise ValueError(f"unknown method {m!r}")
         if self.start not in ("theta0", "auto"):
             raise ValueError("start must be 'theta0' or 'auto'")
-        if self.fit_mode not in (MODE_DEFAULT,) + MODES:
-            raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
+        resolve_modes(self.fit_mode, METHODS)  # raises ValueError on an unknown mode
 
     @property
     def two_curve(self) -> bool:
@@ -118,7 +115,7 @@ class SimDesign:
         return names + ("gamma",) if self.two_curve else names
 
     def mode_for(self, method: str) -> str:
-        return resolve_mode(self.fit_mode, method)
+        return resolve_modes(self.fit_mode, self.methods)[method]
 
     @cached_property
     def means(self) -> tuple[tuple[Array, Array], ...]:
@@ -343,7 +340,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
         for method in design.methods:
             b_t, cov = bias_cov(method, bundles[method], sigma)
             if dose is not None:
-                b_t = np.append(b_t, dose.bias_se(b_t, cov)[0])
+                b_t = np.append(b_t, dose.estimate(method, b_t, cov).bias)
             est = estimates[method][sigma_idx]
             ok = ~np.any(np.isnan(est), axis=1)
             r_eff = int(ok.sum())

@@ -225,6 +225,11 @@ class TestSandwich:
         with pytest.raises(ValueError):
             cov_ql_sandwich(model, data, theta, np.full(data.n, -1.0))
 
+    def test_rejects_misshapen_variance(self, expo_design):
+        model, data, theta = expo_design
+        with pytest.raises(ValueError, match=rf"var_y must have shape \({data.n},\)"):
+            cov_ql_sandwich(model, data, theta, np.ones(data.n + 1))
+
 
 class TestLimitDistribution:
     def test_mean_shift_matches_bias_formula(self, expo_design):

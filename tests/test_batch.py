@@ -14,7 +14,7 @@ from propfit.equivalent_dose import (
     fit_two_curves,
     fit_two_curves_methods,
     partial_bleach_model,
-    resolve_mode,
+    resolve_modes,
     solve_gamma,
     solve_gamma_batch,
 )
@@ -122,16 +122,16 @@ class TestFitMethods:
         Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], 0.03, 4, seed=30)
         opts = FitOptions(start=theta0 if start == "truth" else "auto")
         args = (pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES, Y2)
-        alone = {m: fit_two_curves_methods(*args, (m,), resolve_mode(mode, m), opts)[m]
-                 for m in METHODS}
+        modes = resolve_modes(mode, METHODS)
+        alone = {m: fit_two_curves_methods(*args, (m,), modes[m], opts)[m] for m in METHODS}
         calls = count_solves(monkeypatch)
         together = fit_two_curves_methods(*args, METHODS, mode, opts)
-        shared = sum(resolve_mode(mode, m) == MODE_COMMON_SIGMA for m in METHODS)
+        shared = sum(modes[m] == MODE_COMMON_SIGMA for m in METHODS)
         if start == "auto":
             # Per curve one start and every method's fit, then each joint fit.
             assert len(calls) == 2 * (1 + len(METHODS)) + shared
         for m in METHODS:
-            assert together[m].mode == resolve_mode(mode, m)
+            assert together[m].mode == modes[m]
             np.testing.assert_array_equal(together[m].theta_hat, alone[m].theta_hat)
             np.testing.assert_array_equal(together[m].sigma_hats, alone[m].sigma_hats)
             np.testing.assert_array_equal(together[m].iterations, alone[m].iterations)

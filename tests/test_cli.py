@@ -18,10 +18,10 @@ from propfit.equivalent_dose import (
     fit_two_curves,
     gamma_bias_se,
     partial_bleach_model,
-    resolve_mode,
+    resolve_modes,
 )
 from propfit.estimators import METHODS
-from propfit.exceptions import ModeError
+from propfit.exceptions import ModeError, SingularError
 from propfit.models import Dataset
 from propfit.simulation import (
     default_partial_bleach_design,
@@ -76,6 +76,16 @@ def noisy_pair(path, keep2=slice(None)):
         lines += [f"{label},{float(x)!r},{float(y)!r}" for x, y in zip(data.x, data.y)]
     path.write_text("\n".join(lines) + "\n")
     return design, str(path)
+
+
+def single_csv(path):
+    """A one-curve CSV drawn around the unbleached curve at sigma 0.03."""
+    design = default_partial_bleach_design()
+    data = generate_dataset(design.model.curve1, design.x1, design.theta0[:3], 0.03,
+                            replicate_stream(5, 0, 0))
+    path.write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n"
+                                      for x, y in zip(data.x, data.y)))
+    return str(path)
 
 
 SHORT = "ValueError: need n > p observations, got n=3, p=3"
@@ -190,8 +200,7 @@ class TestFitCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["fit", "--data", str(path), "--format", "json", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        for method in METHODS:
-            mode = resolve_mode(MODE_DEFAULT, method)
+        for method, mode in resolve_modes(MODE_DEFAULT, METHODS).items():
             res = fit_two_curves(pb, d1, d2, method, mode=mode)
             sigma = res.sigma_hats[0]
             if len(res.sigma_hats) == 2:
@@ -239,12 +248,45 @@ class TestFitCommand:
         assert code == 3
         assert {m: e["error"] for m, e in entries.items()} == dict.fromkeys(METHODS, SHORT)
 
+    @pytest.mark.parametrize("curves, error", [
+        (1, "ValueError: theta must have shape (3,), got (2,)"),
+        (2, "ValueError: joint theta must have shape (6,), got (2,)"),
+    ], ids=["1", "2"])
+    def test_misshapen_start_fails_every_method(self, tmp_path, curves, error):
+        # A two-entry start fits neither the one-curve model nor the joint
+        # one: the whole fit call raises, and every method's entry carries it.
+        path = (single_csv(tmp_path / "one.csv") if curves == 1
+                else noisy_pair(tmp_path / "pair.csv")[1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"start": [1.0, 2.0]}}))
+        code, entries = fit_entries(tmp_path, "--data", path, "--config", str(cfg))
+        assert code == 3
+        assert {m: e["error"] for m, e in entries.items()} == dict.fromkeys(METHODS, error)
+        assert all(e["parameters"] == [] for e in entries.values())
+
+    def test_single_curve_formula_failure_keeps_reason(self, tmp_path, monkeypatch):
+        # The fits converge, but the Jacobian bundle behind the formulae raises.
+        def singular(*args):
+            raise SingularError("J'J is singular")
+
+        monkeypatch.setattr("propfit.cli.build_jacobian_bundle", singular)
+        out = tmp_path / "rep"
+        assert main(["fit", "--data", single_csv(tmp_path / "one.csv"), "--model",
+                     "saturating_exponential", "--format", "both", "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "rep.json").read_text())
+        jsonschema.validate(report, load_schema("fit_report"))
+        for entry in report["methods"].values():
+            assert entry["converged"]
+            assert entry["error"] == "SingularError: J'J is singular"
+            assert [(r["bias"], r["se"]) for r in entry["parameters"]] == [(None, None)] * 3
+        text = (tmp_path / "rep.txt").read_text()
+        assert text.count("  error: SingularError: J'J is singular\n") == len(METHODS)
+
     @pytest.mark.parametrize("mode", [MODE_SEPARATE, MODE_COMMON_SIGMA])
     def test_explicit_mode_per_method(self, pair_csv, tmp_path, mode):
         code, entries = fit_entries(tmp_path, "--data", pair_csv, "--mode", mode)
         assert code == 0
-        assert {m: e["mode"] for m, e in entries.items()} == {
-            m: resolve_mode(mode, m) for m in METHODS}
+        assert {m: e["mode"] for m, e in entries.items()} == resolve_modes(mode, METHODS)
         assert entries["dwls"]["mode"] == MODE_SEPARATE
         assert all(e["converged"] for e in entries.values())
 
@@ -378,7 +420,17 @@ class TestSimulateCommand:
         message = str(from_fit.value)
         assert str(from_dose.value) == message
         assert simulate.err == f"error: ModeError: {message}\n" and simulate.out == ""
-        assert fit.err == f"error: {message}\n" and fit.out == ""
+        assert fit.err == f"error: ModeError: {message}\n" and fit.out == ""
+
+    def test_config_error_line(self, pair_csv, tmp_path, capsys):
+        # Both commands print a config error as its type and message.
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        line = "error: ConfigError: config must be a JSON object\n"
+        for argv in (["simulate", "--config", str(path)],
+                     ["fit", "--data", pair_csv, "--config", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", line)
 
     def test_config_without_sim_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -265,6 +265,15 @@ class TestErrors:
         with pytest.raises(ZeroResponseError):
             equation_residual("dwls", const, data, np.array([1.0]))
 
+    def test_dwls_residual_rejects_negative_response_as_the_fit(self, const):
+        data = Dataset(np.arange(3.0), np.array([1.0, -2.0, 3.0]))
+        with pytest.raises(ZeroResponseError) as from_fit:
+            fit(const, data, "dwls")
+        with pytest.raises(ZeroResponseError) as from_residual:
+            equation_residual("dwls", const, data, np.array([1.0]))
+        assert str(from_residual.value) == str(from_fit.value) == (
+            "data-weighted least squares requires all y > 0")
+
     def test_too_few_observations(self, satexp):
         data = Dataset(np.arange(3.0), np.ones(3))
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from propfit.estimators import FitOptions, fit_methods
 from propfit.exceptions import DomainError
 from propfit.models import (
     FAULT_DOMAIN,
@@ -109,6 +110,19 @@ class TestGradients:
         grad = model.grad(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         np.testing.assert_allclose(grad, [[1.0, 1.0], [2.0, 1.0]], rtol=1e-9)
 
+    def test_slope_finite_difference_fallback(self):
+        # scaled_shape_model has no dx_fn: its slope in x is central differences.
+        model = scaled_shape_model(lambda x: np.exp(-x / 3.0))
+        assert model.dx_fn is None
+        x = np.array([0.0, 1.0, 2.0, 40.0])
+        np.testing.assert_allclose(model.dx(x, np.array([4.0])), 4.0 * -np.exp(-x / 3.0) / 3.0,
+                                   rtol=1e-7)
+
+    def test_exponential_slope_against_central_differences(self, expo):
+        theta, x, h = np.array([2.0, 3.0]), np.array([0.0, 1.0, 4.0]), 1e-6
+        fd = (expo.eval(x + h, theta) - expo.eval(x - h, theta)) / (2 * h)
+        np.testing.assert_allclose(expo.dx(x, theta), fd, rtol=1e-8)
+
     def test_hessian_symmetry(self, satexp):
         H = satexp.hess(np.array([0.0, 50.0, 400.0]), PAPER_ALPHA)
         np.testing.assert_array_equal(H, np.transpose(H, (0, 2, 1)))
@@ -181,3 +195,25 @@ class TestStartHints:
         assert hint.shape == (3,)
         assert hint[0] > np.max(satexp_grid.y)
         assert satexp.eval(0.0, hint) > 0
+
+    def test_satexp_hint_fallbacks(self, satexp):
+        x = np.linspace(0.0, 500.0, 6)
+        # No positive response: unit saturation level and a shift of a tenth of the span.
+        np.testing.assert_array_equal(satexp.start_hint(x, -np.ones(6)), [1.0, 50.0, 500.0])
+        # A median response at or below zero has no log to take either.
+        y = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(satexp.start_hint(x, y), [2.1, 50.0, 500.0])
+
+    @pytest.mark.parametrize("theta1", [2.0, -2.0])
+    def test_exponential_hint_in_auto_fit(self, expo, theta1):
+        # Positive decaying responses give a log-linear fit; with no positive
+        # response the hint falls back to the largest |y| and the x span.
+        theta = np.array([theta1, 3.0])
+        x = np.linspace(0.0, 10.0, 12)
+        y = np.asarray(expo.eval(x, theta))
+        expected = theta if theta1 > 0 else [2.0, 10.0]
+        np.testing.assert_allclose(expo.start_hint(x, y), expected, rtol=1e-12)
+        fits = fit_methods(expo, x, y[None, :], ("ml", "ql", "wls"), FitOptions(start="auto"))
+        for batch in fits.values():
+            assert batch.converged[0]
+            np.testing.assert_allclose(batch.theta_hat[0], theta, rtol=1e-8)

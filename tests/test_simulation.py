@@ -7,9 +7,18 @@ import pytest
 
 from propfit import simulation
 from propfit.asymptotics import bias_order2
-from propfit.equivalent_dose import fit_two_curves, gamma_bias_se, solve_gamma, stacked_model
-from propfit.estimators import FitOptions, fit_methods
-from propfit.exceptions import Rejected
+from propfit.equivalent_dose import (
+    MODE_COMMON_SIGMA,
+    MODE_DEFAULT,
+    MODE_SEPARATE,
+    fit_two_curves,
+    gamma_bias_se,
+    resolve_modes,
+    solve_gamma,
+    stacked_model,
+)
+from propfit.estimators import METHODS, FitOptions, fit_methods
+from propfit.exceptions import ModeError, Rejected
 from propfit.models import Dataset, constant_model
 from propfit.simulation import (
     SimDesign,
@@ -266,6 +275,23 @@ class TestSimDesignValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             constant_design(methods=("ols",))
+
+    def test_unknown_fit_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'joint'"):
+            constant_design(fit_mode="joint")
+
+    def test_mode_for_is_resolve_modes(self):
+        # A dwls-only common-sigma design has no mode for dwls: run_study
+        # rejects it, and mode_for raises the same error.
+        for fit_mode in (MODE_DEFAULT, MODE_SEPARATE, MODE_COMMON_SIGMA):
+            design = default_partial_bleach_design(fit_mode=fit_mode)
+            assert {m: design.mode_for(m) for m in METHODS} == resolve_modes(fit_mode, METHODS)
+        design = default_partial_bleach_design(methods=("dwls",), fit_mode=MODE_COMMON_SIGMA)
+        with pytest.raises(ModeError) as from_mode:
+            design.mode_for("dwls")
+        with pytest.raises(ModeError) as from_study:
+            run_study(design)
+        assert str(from_mode.value) == str(from_study.value)
 
 
 class TestCompareBiasTable:

@@ -3,8 +3,10 @@
     python3 tools/same_bytes.py PARENT CHANGE --seed N [--work DIR]
 
 The inputs of the three benchmark workloads are generated once, with
-PARENT's ``perfbench/inputs.py``. Each checkout's own ``src`` then runs in a
-fresh interpreter: ``propfit fit --format both`` on every two-curve CSV, and
+PARENT's ``perfbench/inputs.py``, and each two-curve CSV's first curve is
+also written alone as an ``x,y`` CSV. Each checkout's own ``src`` then runs
+in a fresh interpreter: ``propfit fit --format both`` on every two-curve CSV
+and, with ``--model saturating_exponential``, on every one-curve CSV, and
 ``propfit simulate --format json`` on every config at ``--threads 1`` and at
 ``--threads 8``. The exit code of every call is kept next to the reports.
 Every file that differs, or exists on one side only, is listed, and the
@@ -14,6 +16,7 @@ exit status is 1 if there is any. Nothing under ``perfbench/`` is written.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import json
 import subprocess
@@ -23,6 +26,8 @@ from pathlib import Path
 
 WORKLOADS = ("simulate_two_curve", "simulate_two_curve_noisy", "fit_two_curve_csv")
 THREADS = (1, 8)
+# Where the one-curve CSVs cut from the two-curve inputs go, under the inputs.
+FIRST_CURVE = "fit_first_curve"
 
 # Runs the CLI calls given as JSON on stdin with the propfit of ``sys.argv[1]``.
 RUNNER = """
@@ -44,6 +49,13 @@ def generate_inputs(parent: Path, seed: int, inputs: Path) -> None:
         subprocess.run([sys.executable, str(parent / "perfbench" / "inputs.py"),
                         "--workload", workload, "--seed", str(seed),
                         "--out", str(inputs / workload)], cwd=parent, check=True)
+    pairs = sorted(inputs.glob("*/*.csv"))
+    (inputs / FIRST_CURVE).mkdir()
+    for path in pairs:
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        first = "".join(f"{r['x']},{r['y']}\n" for r in rows if r["curve"] == rows[0]["curve"])
+        (inputs / FIRST_CURVE / path.name).write_text("x,y\n" + first, encoding="utf-8")
 
 
 def cli_calls(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
@@ -53,7 +65,9 @@ def cli_calls(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
         name = f"{path.parent.name}/{path.stem}"
         (out / path.parent.name).mkdir(parents=True, exist_ok=True)
         if path.suffix == ".csv":
-            calls.append((name, ["fit", "--data", str(path), "--format", "both",
+            model = (["--model", "saturating_exponential"]
+                     if path.parent.name == FIRST_CURVE else [])
+            calls.append((name, ["fit", "--data", str(path), *model, "--format", "both",
                                  "--out", str(out / name)]))
             continue
         for threads in THREADS:
