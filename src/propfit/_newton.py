@@ -1,15 +1,16 @@
 """Estimating equations and their Newton solver, with Fisher scoring as fallback.
 
-An estimating equation ``G(theta) = sum_i c_i grad f_i = 0`` is the
-stationary condition of an objective (:class:`_Equation`); :func:`_point`
-evaluates it over a stack of datasets that share their covariate, one row
-each. Rows share only the array operations, never a number, so a row's
-iterates are the same whatever else is in the stack. An iteration takes the
-exact Newton step when it lowers both the objective and ``max|G|``;
-otherwise it halves the scoring step (the Jacobian replaced by its
-expectation) until the objective falls. Near the root the objective stops
-changing beyond rounding, so a change within a few ulps counts as no rise
-when ``max|G|`` falls. A row has converged when ``max|G| <=
+An estimating equation ``G(theta) = sum_i c_i grad f_i = 0`` is the stationary
+condition of an objective (:class:`_Equation`). :func:`_point` evaluates a
+stack of datasets that share their covariate, row ``r`` with the equation
+``k[r]`` of a table, so one solve covers every per-curve method (as one
+intersection scan covers every method's dose). Rows share only the array
+operations, never a number, so a row's iterates are the same whatever else is
+in the stack. An iteration takes the exact Newton step when it lowers both the
+objective and ``max|G|``; otherwise it halves the scoring step (the Jacobian
+replaced by its expectation) until the objective falls. Near the root the
+objective stops changing beyond rounding, so a change within a few ulps counts
+as no rise when ``max|G|`` falls. A row has converged when ``max|G| <=
 max(tol_absolute, tol_relative * scale)`` at its current iterate.
 
 A row stops moving once it converges, finds no step, runs out of
@@ -58,20 +59,34 @@ def _t(a: Array) -> Array:
     return np.swapaxes(a, -1, -2)
 
 
+def _flag(table: tuple, k: Array, name: str) -> Array:
+    """``table[k].<name>`` per row, for a boolean field ``name``."""
+    return np.array([getattr(eq, name) for eq in table])[k]
+
+
+def _pick(table: tuple, k: Array, name: str, f: Array, y: Array) -> Array:
+    """``table[k[r]].<name>(f[r], y[r])`` per row ``r``, each run of equal ``k``
+    evaluated on its own slice (a stack keeps its rows grouped by equation)."""
+    edges = [0, *(np.flatnonzero(np.diff(k)) + 1), len(k)]
+    return np.concatenate([getattr(table[k[a]], name)(f[a:b], y[a:b])
+                           for a, b in zip(edges[:-1], edges[1:])])
+
+
 @dataclass
 class _Iterate:
-    """Iterates of one equation over a stack of datasets, one row each.
+    """Iterates over a stack of datasets, one row each, row ``r`` of the
+    equation ``k[r]`` of a table: ``theta (m, p)`` with ``y (m, n)``.
 
-    Shapes follow ``theta``: ``(m, p)`` with ``y (m, n)`` for a stack, or
-    ``(p,)`` with ``y (n,)`` for a single point. Per row: ``objective``,
-    ``scale`` (the size ``max_j sum_i |c_i df_i/dtheta_j|`` of the terms of
-    ``G``), ``norm`` (``max|G|``) and ``fault`` (0 where the equation is
-    defined, else a :func:`~propfit.models.fault_error` code); ``residual``
+    Per row: ``objective``, ``scale`` (the size ``max_j sum_i |c_i
+    df_i/dtheta_j|`` of the terms of ``G``), ``norm`` (``max|G|``) and
+    ``fault`` (0 where the equation is defined, else a
+    :func:`~propfit.models.fault_error` code); ``residual``
     is ``G``, ``f`` the means, ``G`` their gradient, ``c`` the weights and
     ``s2`` ML's scale (zero for the other equations).
     """
 
     theta: Array
+    k: Array
     objective: Array
     residual: Array
     scale: Array
@@ -91,7 +106,7 @@ class _Iterate:
         """The rows ``index`` selects (a boolean mask or positions)."""
         return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
 
-    def jacobian(self, eq: _Equation, model: ModelFunction, x: Array) -> Array:
+    def jacobian(self, table: tuple, model: ModelFunction, x: Array) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
         y, f, G, c = self.y, self.f, self.G, self.c
@@ -101,20 +116,22 @@ class _Iterate:
             bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
             A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
                 c.shape[:-1] + (p, p))
-            A += _t(G * eq.dweight(f, y)[..., None]) @ G
-            if eq.profiled:
+            A += _t(G * _pick(table, self.k, "dweight", f, y)[..., None]) @ G
+            profiled = _flag(table, self.k, "profiled")
+            if profiled.any():
                 J = G / f[..., None]
                 ds2 = (-2.0 / y.shape[-1]) * (_t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
-                A += (J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
-                      - np.asarray(self.s2)[..., None, None] * (_t(J) @ J))
+                A = np.where(profiled[:, None, None], A + (
+                    J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
+                    - self.s2[:, None, None] * (_t(J) @ J)), A)
         if np.any(bad):
             self.fault[bad] = FAULT_HESSIAN
         return A
 
-    def scoring(self, eq: _Equation) -> Array:
+    def scoring(self, table: tuple) -> Array:
         """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
         with np.errstate(all="ignore"):
-            return _t(self.G * eq.scoring(self.f, self.y)[..., None]) @ self.G
+            return _t(self.G * _pick(table, self.k, "scoring", self.f, self.y)[..., None]) @ self.G
 
 
 def _join(pieces: list[_Iterate]) -> _Iterate:
@@ -123,34 +140,30 @@ def _join(pieces: list[_Iterate]) -> _Iterate:
                        for name in vars(pieces[0])})
 
 
-def _point(eq: _Equation, model: ModelFunction, x: Array, y: Array, theta,
+def _point(table: tuple, model: ModelFunction, x: Array, y: Array, theta, k,
            sigma: float | None = None) -> _Iterate:
-    """``eq`` at ``theta (..., p)`` for the responses ``y (..., n)`` observed at
-    ``x``; ``sigma`` freezes ML's scale. Undefined rows are flagged in
-    ``fault``, not raised."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (model.p,):
-        raise ValueError(f"theta must have shape ({model.p},), got {theta.shape}")
+    """The equations ``table[k]`` (one index per row) at ``theta (m, p)`` for
+    the responses ``y (m, n)`` observed at ``x``; ``sigma`` freezes ML's
+    scale. Undefined rows are flagged in ``fault``, not raised."""
+    theta, k = np.asarray(theta, dtype=float), np.asarray(k)
     with np.errstate(all="ignore"):
         f = np.asarray(model.eval_fn(x, theta), dtype=float)
         fault = model.faults(x, theta)
-        if eq.divides_by_f:
-            fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+        fault = np.where(_flag(table, k, "divides_by_f") & (fault == 0)
+                         & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
         G = model.grad_rows(x, theta)
-        c = eq.weight(f, y)
-        s2 = None
-        if eq.profiled:
-            if sigma is None:
-                s2 = np.mean(((y - f) / f) ** 2, axis=-1)
-            else:
-                s2 = np.full(theta.shape[:-1], float(sigma) ** 2)
-            c = c + s2[..., None] / f
+        c = _pick(table, k, "weight", f, y)
+        s2 = np.zeros(len(k))
+        profiled = _flag(table, k, "profiled")
+        if profiled.any():
+            s2 = np.where(profiled, np.mean(((y - f) / f) ** 2, axis=-1) if sigma is None
+                          else float(sigma) ** 2, s2)
+            c = np.where(profiled[:, None], c + s2[:, None] / f, c)
         residual = (c[..., None, :] @ G)[..., 0, :]
         scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
-        objective = eq.objective(f, y)
-    return _Iterate(theta=theta, objective=objective, residual=residual, scale=scale,
-                    norm=np.max(np.abs(residual), axis=-1), fault=fault, y=y, f=f, G=G, c=c,
-                    s2=np.zeros(theta.shape[:-1]) if s2 is None else s2)
+        objective = _pick(table, k, "objective", f, y)
+    return _Iterate(theta=theta, k=k, objective=objective, residual=residual, scale=scale,
+                    norm=np.max(np.abs(residual), axis=-1), fault=fault, y=y, f=f, G=G, c=c, s2=s2)
 
 
 @dataclass
@@ -197,7 +210,7 @@ def _no_rise(new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return (new <= old) | (new <= old + _OBJECTIVE_ULPS * np.spacing(np.abs(old)))
 
 
-def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Iterate,
+def _advance(table: tuple, model: ModelFunction, x: Array, Y: Array, pt: _Iterate,
              rows: np.ndarray):
     """One iteration of every row of ``pt``, the iterate of the datasets
     ``Y[rows]``.
@@ -207,7 +220,7 @@ def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Itera
     """
     m = len(rows)
     failures = {}
-    jacobian = pt.jacobian(eq, model, x)
+    jacobian = pt.jacobian(table, model, x)
     live = np.arange(m)
     if pt.fault.any():
         for i in np.flatnonzero(pt.fault):
@@ -222,7 +235,7 @@ def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Itera
     tried, delta = (live, delta) if finite.all() else (live[finite], delta[finite])
     newton = np.zeros(m, dtype=bool)
     if tried.size:
-        new = _point(eq, model, x, Y[rows[tried]], pt.theta[tried] + delta)
+        new = _point(table, model, x, Y[rows[tried]], pt.theta[tried] + delta, pt.k[tried])
         ok = new.defined & (new.norm < norm[tried]) & _no_rise(new.objective, objective[tried])
         if ok.all() and tried.size == m:
             return new, tried, failures
@@ -234,7 +247,7 @@ def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Itera
     need = live[~newton[live]]
     if need.size:
         sub = pt.take(need)
-        step = _solve_rows(sub.scoring(eq), -sub.residual)
+        step = _solve_rows(sub.scoring(table), -sub.residual)
         singular = ~np.isfinite(step).all(axis=-1)
         for i in need[singular]:
             failures[int(i)] = SingularError("scoring matrix is singular at the iterate")
@@ -242,7 +255,8 @@ def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Itera
         for _ in range(_MAX_HALVINGS):
             if not pending.size:
                 break
-            new = _point(eq, model, x, Y[rows[pending]], pt.theta[pending] + step)
+            new = _point(table, model, x, Y[rows[pending]], pt.theta[pending] + step,
+                         pt.k[pending])
             old = objective[pending]
             ok = new.defined & ((new.objective < old)
                                 | ((new.norm < norm[pending]) & _no_rise(new.objective, old)))
@@ -260,11 +274,11 @@ def _advance(eq: _Equation, model: ModelFunction, x: Array, Y: Array, pt: _Itera
     return _join(pieces).take(order), positions[order], failures
 
 
-def solve(eq: _Equation, model: ModelFunction, x: Array, Y: Array, theta0, *,
+def solve(table: tuple, model: ModelFunction, x: Array, Y: Array, theta0, k, *,
           tol_relative: float = 1e-8, tol_absolute: float = 1e-10,
           max_iter: int = 100) -> SolveResult:
-    """Drive ``eq`` to zero for every dataset ``Y (R, n)`` observed at ``x``,
-    from its row of ``theta0 (R, p)``.
+    """Drive the equation ``table[k[r]]`` to zero for every dataset ``Y[r]``
+    of ``Y (R, n)`` observed at ``x``, from its row of ``theta0 (R, p)``.
 
     ``iterations`` counts the iterations each row ran, a last one that found
     no step included.
@@ -275,7 +289,9 @@ def solve(eq: _Equation, model: ModelFunction, x: Array, Y: Array, theta0, *,
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
                          tolerance=np.full(R, np.nan), errors=[None] * R)
     rows = np.arange(R)
-    pt = _point(eq, model, x, Y, theta0)
+    if not R:
+        return result
+    pt = _point(table, model, x, Y, theta0, k)
     keep = pt.defined
     if not keep.all():
         for i in np.flatnonzero(~keep):
@@ -306,7 +322,7 @@ def solve(eq: _Equation, model: ModelFunction, x: Array, Y: Array, theta0, *,
             break
         iterations += 1
 
-        nxt, moved, failures = _advance(eq, model, x, Y, pt, rows)
+        nxt, moved, failures = _advance(table, model, x, Y, pt, rows)
         for i, exc in failures.items():
             result.errors[rows[i]] = exc
         if len(moved) < len(rows):

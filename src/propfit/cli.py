@@ -32,7 +32,7 @@ from .config import RunConfig, load_config
 from .equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_SEPARATE,
-    dose_derivatives,
+    dose_derivatives_batch,
     fit_two_curves_methods,
     joint_bundles,
     partial_bleach_model,
@@ -64,29 +64,35 @@ def round_floats(obj, digits: int = 12):
     return obj
 
 
-def dump_json(obj) -> str:
-    return json.dumps(round_floats(obj), indent=2, sort_keys=True) + "\n"
+def dump_json(report) -> str:
+    """A report already passed through :func:`round_floats`, as JSON text."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(text: str, json_text: str, fmt: str, out: str | None) -> None:
+def _write_outputs(text: str, json_text: str, fmt: str, out: str | None) -> int:
+    """Write a command's outputs; returns 0, or the input-error exit code
+    after printing the error line when a file cannot be written."""
     if out is None:
         if fmt in ("text", "both"):
             sys.stdout.write(text)
         if fmt in ("json", "both"):
             sys.stdout.write(json_text)
-        return
+        return 0
     if fmt == "both":
         base = out
         for suffix in (".txt", ".json"):
             if base.endswith(suffix):
                 base = base[: -len(suffix)]
-        with open(base + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(json_text)
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json_text if fmt == "json" else text)
+        files = {base + ".txt": text, base + ".json": json_text}
+    else:
+        files = {out: json_text if fmt == "json" else text}
+    try:
+        for path, content in files.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+    except OSError as exc:
+        return _input_error(exc)
+    return 0
 
 
 def _describe(exc: Exception) -> str:
@@ -173,6 +179,11 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
     results = _results(lambda: fit_two_curves_methods(
         model, data1.x, data1.y[None, :], data2.x, data2.y[None, :], config.methods,
         config.mode, config.fit_options), config.methods)
+    # Every fitted method's dose from one intersection scan.
+    fitted = [m for m, res in results.items() if not isinstance(res, Exception)]
+    doses = dict(zip(fitted, dose_derivatives_batch(
+        model, np.reshape([results[m].theta_hat for m in fitted], (-1, model.p)),
+        config.gamma_bracket)))
     entries: dict = {}
     for method, res in results.items():
         mode = modes[method]
@@ -191,8 +202,9 @@ def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
             bias, cov = bias_cov(method, joint_bundles(model, data1.x, data2.x, res.theta_hat,
                                                        method, mode), sigma)
             params = _param_rows(model.param_names, res.theta_hat, bias, cov)
-            est = dose_derivatives(model, res.theta_hat, config.gamma_bracket).estimate(
-                method, bias, cov)
+            if isinstance(doses[method], Exception):
+                raise doses[method]
+            est = doses[method].estimate(method, bias, cov)
             dose = {"gamma_hat": est.gamma_hat,
                     "equivalent_dose": est.equivalent_dose,
                     "bias": est.equivalent_dose_bias, "se": est.se,
@@ -264,14 +276,14 @@ def cmd_fit(args) -> int:
             report = _fit_pair(config, labels, d1, d2)
         else:
             raise ConfigError(f"expected 1 or 2 curves, found {len(labels)}")
-    except (ConfigError, ModeError, OSError) as exc:
+    except (ConfigError, ModeError) as exc:
         return _input_error(exc)
 
     report = round_floats(report)
     fmt = args.format or config.output_format
-    _write_outputs(render_fit_text(report), dump_json(report), fmt, args.out)
     converged_any = any(e.get("converged") for e in report["methods"].values())
-    return 0 if converged_any else 3
+    return (_write_outputs(render_fit_text(report), dump_json(report), fmt, args.out)
+            or (0 if converged_any else 3))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +345,9 @@ def cmd_simulate(args) -> int:
         # The design's truth has no dose or no usable formulae; run_study
         # finds this before fitting any replicate.
         return _input_error(exc)
-    report = sim_report_dict(summary)
+    report = round_floats(sim_report_dict(summary))
     fmt = args.format or config.output_format
-    _write_outputs(render_sim_text(summary), dump_json(report), fmt, args.out)
-    return 0
+    return _write_outputs(render_sim_text(summary), dump_json(report), fmt, args.out)
 
 
 # ---------------------------------------------------------------------------

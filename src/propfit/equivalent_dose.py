@@ -35,6 +35,7 @@ from .exceptions import (
     ModeError,
     MultipleRootWarning,
     NoBracketError,
+    PropfitError,
     TangencyError,
     first_errors,
 )
@@ -255,6 +256,8 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
     rows, ks = np.nonzero(change)
     polished = _polish(model, alpha[rows], beta[rows], xs[rows, ks], xs[rows, ks + 1],
                        gs[rows, ks], xtol[rows])
+    # Row r's polished roots are polished[first[r]:first[r + 1]]: np.nonzero sorts by row.
+    first = np.searchsorted(rows, np.arange(R + 1))
 
     gammas, errors = np.full(R, np.nan), [None] * R
     for r in range(R):
@@ -262,7 +265,7 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
             errors[r] = fault_error(model.curve1 if curve[r] == 1 else model.curve2,
                                     int(fault[r]))
             continue
-        roots = [float(x) for x in xs[r, gs[r] == 0.0]] + [float(x) for x in polished[rows == r]]
+        roots = [float(x) for x in xs[r, gs[r] == 0.0]] + polished[first[r]:first[r + 1]].tolist()
         if not roots:
             errors[r] = NoBracketError(
                 f"no sign change of the curve gap over [{lo[r]:.6g}, {hi[r]:.6g}]")
@@ -411,14 +414,39 @@ class DoseDerivatives:
                             method=method.lower(), bracket=self.bracket)
 
 
+def dose_derivatives_batch(model: PartialBleachModel, theta,
+                           bracket: tuple[float, float] | None = None) -> tuple:
+    """:func:`dose_derivatives` for every row of ``theta (R, p)``, with one
+    :func:`solve_gamma_batch` scan: per row its :class:`DoseDerivatives`, or
+    the error :func:`dose_derivatives` raises for that row."""
+    gammas, errors = solve_gamma_batch(model, theta, bracket)
+    theta = np.asarray(theta, dtype=float)
+    if bracket is None:
+        brackets = [(float(lo), float(hi)) for lo, hi in zip(*_default_brackets(model, theta))]
+    else:
+        brackets = [tuple(bracket)] * len(theta)
+    out = list(errors)
+    for r in np.flatnonzero([e is None for e in errors]):
+        try:
+            out[r] = DoseDerivatives(float(gammas[r]), *_implicit_derivatives(
+                model, theta[r], gammas[r], hessian=True), brackets[r])
+        except PropfitError as exc:
+            out[r] = exc
+    return tuple(out)
+
+
 def dose_derivatives(model: PartialBleachModel, theta,
                      bracket: tuple[float, float] | None = None) -> DoseDerivatives:
     """Solve for gamma at ``theta`` (in :func:`default_gamma_bracket` when
-    ``bracket`` is None) and differentiate it there."""
-    used = bracket if bracket is not None else default_gamma_bracket(model, theta)
-    gamma = solve_gamma(model, theta, bracket=used)
-    grad, hess = _implicit_derivatives(model, theta, gamma, hessian=True)
-    return DoseDerivatives(gamma=gamma, grad=grad, hess=hess, bracket=tuple(used))
+    ``bracket`` is None) and differentiate it there: a stack of one for
+    :func:`dose_derivatives_batch`."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.p,):
+        raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
+    dose = dose_derivatives_batch(model, theta[None, :], bracket)[0]
+    if isinstance(dose, Exception):
+        raise dose
+    return dose
 
 
 def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,

@@ -15,12 +15,11 @@ QL, WLS and DWLS estimates never depend on how (or whether) sigma is
 estimated; their sigma is reported from the unbiased rule afterwards.
 
 :func:`fit_methods` fits several methods to a stack of datasets that share
-their covariate, one row each, from one shared start, and :func:`fit` is one
-method on a stack of one. There is one solver path, and a row's numbers do
-not depend on the rest of its stack.
-This module holds each method's equation (its weights and objective) and
-the public API; :mod:`propfit._newton` evaluates the equations and solves
-them.
+their covariate, from one start and in one solve with a row per (method,
+dataset), as one intersection scan finds every method's dose; :func:`fit` is
+one method on a stack of one. A row's numbers do not depend on its stack.
+This module holds the table of equations (each method's weights and
+objective) and the public API; :mod:`propfit._newton` solves them.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._newton import _Equation, _point, solve
-from .exceptions import DegenerateError, ZeroResponseError, first_errors
+from .exceptions import ZeroResponseError, first_errors
 from .models import FAULT_THETA, FAULT_ZERO_MEAN, Array, Dataset, ModelFunction, fault_error
 
 METHODS = ("ml", "ql", "wls", "dwls")
@@ -125,38 +124,38 @@ def _ml_objective(f: Array, y: Array) -> Array:
     return np.where(np.all(q > 0.0, axis=-1), value, np.inf)
 
 
-_EQUATIONS = {
-    "ml": _Equation(
+# One row per method, in the order of ``METHODS``, then unweighted least
+# squares, which only the "auto" start solves.
+_EQUATIONS = (
+    _Equation(  # ml
         weight=lambda f, y: y * (f - y) / f**3,
         dweight=lambda f, y: y * (3.0 * y - 2.0 * f) / f**4,
         scoring=lambda f, y: 1.0 / f**2,
         objective=_ml_objective,
         profiled=True),
-    "ql": _Equation(
+    _Equation(  # ql
         weight=lambda f, y: (y - f) / f**2,
         dweight=lambda f, y: (f - 2.0 * y) / f**3,
         scoring=lambda f, y: -1.0 / f**2,
         objective=_ql_objective),
-    "wls": _Equation(
+    _Equation(  # wls
         weight=lambda f, y: y * (y - f) / f**3,
         dweight=lambda f, y: y * (2.0 * f - 3.0 * y) / f**4,
         scoring=lambda f, y: -1.0 / f**2,
         objective=lambda f, y: 0.5 * np.sum(((y - f) / f) ** 2, axis=-1)),
-    "dwls": _Equation(
+    _Equation(  # dwls
         weight=lambda f, y: (y - f) / y**2,
         dweight=lambda f, y: -1.0 / y**2,
         scoring=lambda f, y: -1.0 / y**2,
         objective=lambda f, y: 0.5 * np.sum(((y - f) / y) ** 2, axis=-1),
         divides_by_f=False),
-}
-
-# Unweighted least squares: only the "auto" start solves it.
-_OLS = _Equation(
-    weight=lambda f, y: y - f,
-    dweight=lambda f, y: np.full_like(f, -1.0),
-    scoring=lambda f, y: np.full_like(f, -1.0),
-    objective=lambda f, y: 0.5 * np.sum((y - f) ** 2, axis=-1),
-    divides_by_f=False)
+    _Equation(  # ols
+        weight=lambda f, y: y - f,
+        dweight=lambda f, y: np.full_like(f, -1.0),
+        scoring=lambda f, y: np.full_like(f, -1.0),
+        objective=lambda f, y: 0.5 * np.sum((y - f) ** 2, axis=-1),
+        divides_by_f=False),
+)
 
 
 def _dwls_response_errors(Y: Array) -> tuple:
@@ -175,27 +174,28 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     method = _check_method(method)
     if method == "dwls" and (error := _dwls_response_errors(data.y[None, :])[0]) is not None:
         raise error
-    pt = _point(_EQUATIONS[method], model, data.x, data.y, model.check_theta(theta), sigma)
-    if pt.fault:
-        raise fault_error(model, int(pt.fault))
-    return pt.residual
+    pt = _point(_EQUATIONS, model, data.x, data.y[None, :], model.check_theta(theta)[None, :],
+                [METHODS.index(method)], sigma)
+    if pt.fault[0]:
+        raise fault_error(model, int(pt.fault[0]))
+    return pt.residual[0]
 
 
 # ---------------------------------------------------------------------------
 # Sigma estimates
 # ---------------------------------------------------------------------------
 
-def _rel_residuals(model: ModelFunction, x: Array, Y: Array, theta) -> tuple[Array, Array, Array]:
-    """Relative residuals ``(y - f)/f`` of a stack, the means, and a fault code
-    per row (as :meth:`ModelFunction.eval` plus a zero mean)."""
+def _rel_residuals(model: ModelFunction, x: Array, Y: Array, theta) -> tuple[Array, Array]:
+    """Relative residuals ``(y - f)/f`` of a stack and a fault code per row (as
+    :meth:`ModelFunction.eval` plus a zero mean)."""
     f, fault = model.eval_rows(x, theta)
     fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
     with np.errstate(all="ignore"):
-        return (Y - f) / f, f, fault
+        return (Y - f) / f, fault
 
 
 def _one_row(model: ModelFunction, data: Dataset, theta_hat) -> Array:
-    rel, _, fault = _rel_residuals(model, data.x, data.y, model.check_theta(theta_hat))
+    rel, fault = _rel_residuals(model, data.x, data.y, model.check_theta(theta_hat))
     if fault:
         raise fault_error(model, int(fault))
     return rel
@@ -251,48 +251,10 @@ def _start(model: ModelFunction, x: Array, Y: Array, opts: FitOptions):
         hints = np.stack([np.asarray(model.start_hint(x, y), dtype=float) for y in Y])
         if hints.shape[1:] != (p,):
             raise ValueError(f"theta must have shape ({p},), got {hints.shape[1:]}")
-    pre = solve(_OLS, model, x, Y, hints, tol_relative=opts.tol_residual,
-                tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
-    return pre.theta, pre.iterations, tuple(pre.errors)
-
-
-def _fit(model: ModelFunction, x: Array, Y: Array, method: str, start: Array, steps: Array,
-         errors: tuple, opts: FitOptions) -> FitBatch:
-    """One method's fits from the rows of ``start (R, p)``, found in ``steps``
-    iterations; a row with an error in ``errors`` fails with it."""
-    R, p = start.shape
-    errors = list(errors)
-    live = np.array([r for r in range(R) if errors[r] is None], dtype=int)
-    sol = solve(_EQUATIONS[method], model, x, Y[live], start[live],
+    pre = solve(_EQUATIONS, model, x, Y, hints, np.full(R, len(METHODS)),
                 tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
                 max_iter=opts.max_iter)
-    rel, f, fault = _rel_residuals(model, x, Y[live], sol.theta)
-
-    theta_hat, sigma_hat = np.full((R, p), np.nan), np.full(R, np.nan)
-    iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
-    residual_norm, tolerance = np.full(R, np.nan), np.full(R, np.nan)
-    if method == "ml":
-        sigma = _sigma(rel)
-        degenerate = (sigma == 0.0) & np.any(Y[live] != f, axis=-1)
-    else:
-        sigma = _sigma(rel, p)
-        degenerate = np.zeros(len(live), dtype=bool)
-    for k, r in enumerate(live):
-        if sol.errors[k] is not None:
-            errors[r] = sol.errors[k]
-        elif fault[k]:
-            errors[r] = fault_error(model, int(fault[k]))
-        elif degenerate[k]:
-            errors[r] = DegenerateError(
-                "scale estimate collapsed to zero on non-interpolating data")
-        else:
-            theta_hat[r], sigma_hat[r] = sol.theta[k], sigma[k]
-            iterations[r] = steps[r] + sol.iterations[k]
-            converged[r] = sol.converged[k]
-            residual_norm[r], tolerance[r] = sol.residual_norm[k], sol.tolerance[k]
-    return FitBatch(method=method, theta_hat=theta_hat, sigma_hat=sigma_hat,
-                    iterations=iterations, converged=converged, residual_norm=residual_norm,
-                    tolerance=tolerance, errors=tuple(errors))
+    return pre.theta, pre.iterations, tuple(pre.errors)
 
 
 def fit_methods(model: ModelFunction, x, Y, methods,
@@ -301,12 +263,13 @@ def fit_methods(model: ModelFunction, x, Y, methods,
     ``x (n,)``, from one start; returns ``{method: FitBatch}``.
 
     ``start="auto"`` is solved once per row, and its iterations count in
-    every method's. Row ``r`` of a batch is the fit of ``Dataset(x, Y[r])``,
-    bit for bit, and fails alone where that fit raises (see
-    :class:`FitBatch`): with ``n <= p`` every row fails. A start whose
-    shape does not fit the model raises for the whole call.
+    every method's. Then one solve fits every (method, row) pair as one
+    stack. Row ``r`` of a batch is the fit of ``Dataset(x, Y[r])``, bit for
+    bit, and fails alone where that fit raises (see :class:`FitBatch`):
+    with ``n <= p`` every row fails. A start whose shape does not fit the
+    model raises for the whole call.
     """
-    methods = [_check_method(m) for m in methods]
+    methods = list(dict.fromkeys(_check_method(m) for m in methods))
     opts = opts or FitOptions()
     x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != x.size:
@@ -314,14 +277,34 @@ def fit_methods(model: ModelFunction, x, Y, methods,
     n, p, R = x.size, model.p, len(Y)
     if n <= p:
         # No start is solved, and this error comes before any other.
-        short = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R
         start, steps = np.full((R, p), np.nan), np.zeros(R, dtype=int)
-        errors = dict.fromkeys(methods, short)
+        short = ValueError(f"need n > p observations, got n={n}, p={p}")
+        start_errors = dwls_errors = (short,) * R
     else:
         start, steps, start_errors = _start(model, x, Y, opts)
-        errors = {m: first_errors(_dwls_response_errors(Y), start_errors) if m == "dwls"
-                  else start_errors for m in methods}
-    return {m: _fit(model, x, Y, m, start, steps, errors[m], opts) for m in methods}
+        dwls_errors = first_errors(_dwls_response_errors(Y), start_errors)
+    # Row i * R + r fits methods[i] to Y[r]; the stack holds the rows with no error yet.
+    errors = [e for m in methods for e in (dwls_errors if m == "dwls" else start_errors)]
+    live = np.flatnonzero([e is None for e in errors])
+    k, data = np.array([METHODS.index(m) for m in methods], dtype=int)[live // R], live % R
+    sol = solve(_EQUATIONS, model, x, Y[data], start[data], k, tol_relative=opts.tol_residual,
+                tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
+    rel, fault = _rel_residuals(model, x, Y[data], sol.theta)
+    for r, error, code in zip(live, sol.errors, fault):
+        if error or code:
+            errors[r] = error or fault_error(model, int(code))
+    ok = np.array([errors[r] is None for r in live], dtype=bool)
+    columns = {"theta_hat": sol.theta, "iterations": steps[data] + sol.iterations,
+               "sigma_hat": np.where(k == METHODS.index("ml"), _sigma(rel), _sigma(rel, p)),
+               "converged": sol.converged, "residual_norm": sol.residual_norm,
+               "tolerance": sol.tolerance}
+    for name, values in columns.items():
+        columns[name] = np.full((len(errors),) + values.shape[1:],
+                                np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
+        columns[name][live[ok]] = values[ok]
+    return {m: FitBatch(method=m, errors=tuple(errors[i * R:(i + 1) * R]),
+                        **{name: v[i * R:(i + 1) * R] for name, v in columns.items()})
+            for i, m in enumerate(methods)}
 
 
 def fit(model: ModelFunction, data: Dataset, method: str,

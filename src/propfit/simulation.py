@@ -7,9 +7,10 @@ for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
 closed-form bias ``B_T`` evaluated at the true parameters. The study's
-replicates, across the whole sigma grid, are fitted per method and curve
-as one stack (see :func:`~propfit.estimators.fit_methods`), whose rows come
-out exactly as if fitted one by one.
+replicates, across the whole sigma grid, are fitted as one stack per curve
+holding every method's rows (see :func:`~propfit.estimators.fit_methods`),
+and every method's intersections as one more; their rows come out exactly
+as if fitted one by one.
 
 The bundled two-curve default mimics the published dose-response study:
 sample sizes 16 and 13 with the fitted parameter values of that data set.
@@ -57,10 +58,11 @@ QNL84_BETA2 = 192.547
 QNL84_BETA3 = 756.620
 QNL84_GAMMA = -87.45
 
-# Most of the study's replicates fitted as one stack: memory grows with the
-# stack (a stacked Hessian holds rows x n x p x p floats, about 8 MB at 1024
-# rows of the two-curve design), while past about a thousand rows a larger
-# stack saves little time.
+# Most of the study's replicates fitted as one chunk: memory grows with the
+# chunk (a stacked Hessian holds rows x n x p x p floats, about 8 MB at 1024
+# rows of the two-curve design, and a chunk's per-curve stacks and its
+# intersection scan hold a row per replicate and method), while past about
+# a thousand replicates a larger chunk saves little time.
 STACK_ROWS = 1024
 
 
@@ -252,17 +254,19 @@ def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Ar
                                       design.methods, design.fit_mode, opts)
     else:
         fits = fit_methods(design.model, design.x1, curves[0], design.methods, opts)
-    out: dict[str, Array] = {}
-    for method, res in fits.items():
-        est = out[method] = np.full((R, n_targets), np.nan)
-        ok = np.flatnonzero(res.converged)
-        if not design.two_curve:
-            est[ok] = res.theta_hat[ok]
-            continue
-        gamma, errors = solve_gamma_batch(design.model, res.theta_hat[ok],
-                                          bracket=design.gamma_bracket)
+    rows = {m: np.flatnonzero(res.converged) for m, res in fits.items()}
+    theta = np.concatenate([fits[m].theta_hat[r] for m, r in rows.items()])
+    found = np.ones(len(theta), dtype=bool)
+    if design.two_curve:
+        # Every method's converged rows are intersected as one stack.
+        gamma, errors = solve_gamma_batch(design.model, theta, bracket=design.gamma_bracket)
         found = np.array([e is None for e in errors], dtype=bool)
-        est[ok[found]] = np.concatenate([res.theta_hat[ok[found]], gamma[found, None]], axis=1)
+        theta = np.concatenate([theta, gamma[:, None]], axis=1)
+    out: dict[str, Array] = {}
+    ends = np.cumsum([len(r) for r in rows.values()])[:-1]
+    for (method, r), t, f in zip(rows.items(), np.split(theta, ends), np.split(found, ends)):
+        out[method] = np.full((R, n_targets), np.nan)
+        out[method][r[f]] = t[f]
     return out
 
 

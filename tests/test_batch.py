@@ -1,5 +1,6 @@
 """Stacked fits and intersections: every row as if solved alone."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,8 @@ from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
     MODE_SEPARATE,
+    dose_derivatives,
+    dose_derivatives_batch,
     fit_two_curves,
     fit_two_curves_methods,
     partial_bleach_model,
@@ -25,6 +28,8 @@ from propfit.exceptions import (
     NoBracketError,
     NonFiniteError,
     SingularError,
+    TangencyError,
+    ZeroMeanError,
     ZeroResponseError,
 )
 from propfit.models import Dataset, ModelFunction
@@ -40,12 +45,12 @@ X = np.linspace(0.0, 1000.0, 16)
 
 
 def count_solves(monkeypatch) -> list:
-    """Records the equation of every solver call from now on."""
+    """Records, for every solver call from now on, its rows' equation indices."""
     calls, solve = [], estimators.solve
 
-    def counted(eq, *args, **kwargs):
-        calls.append(eq)
-        return solve(eq, *args, **kwargs)
+    def counted(table, model, x, Y, theta0, k, **kwargs):
+        calls.append(np.array(k))
+        return solve(table, model, x, Y, theta0, k, **kwargs)
     monkeypatch.setattr(estimators, "solve", counted)
     return calls
 
@@ -102,8 +107,11 @@ class TestFitMethods:
         alone = {m: fit_methods(satexp, X, Y, (m,))[m] for m in METHODS}
         calls = count_solves(monkeypatch)
         together = fit_methods(satexp, X, Y, METHODS)
-        # One least-squares start, then one solve per method.
-        assert calls[0] is estimators._OLS and len(calls) == 1 + len(METHODS)
+        # One least-squares start (the table's last equation), then one
+        # solve for every method's rows.
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], np.full(len(Y), len(METHODS)))
+        np.testing.assert_array_equal(calls[1], np.repeat(np.arange(len(METHODS)), len(Y)))
         for m in METHODS:
             for r in range(len(Y)):
                 assert_rows_equal(together[m], r, alone[m].result(r))
@@ -128,8 +136,8 @@ class TestFitMethods:
         together = fit_two_curves_methods(*args, METHODS, mode, opts)
         shared = sum(modes[m] == MODE_COMMON_SIGMA for m in METHODS)
         if start == "auto":
-            # Per curve one start and every method's fit, then each joint fit.
-            assert len(calls) == 2 * (1 + len(METHODS)) + shared
+            # Per curve one start and one fit of every method, then each joint fit.
+            assert len(calls) == 2 * 2 + shared
         for m in METHODS:
             assert together[m].mode == modes[m]
             np.testing.assert_array_equal(together[m].theta_hat, alone[m].theta_hat)
@@ -219,6 +227,110 @@ class TestFailingRows:
             fit(satexp, Dataset(X, Y[0]), "dwls", FitOptions(start=PAPER_ALPHA))
 
 
+def assert_batches_equal(batch, alone):
+    for name in ("theta_hat", "sigma_hat", "iterations", "converged", "residual_norm",
+                 "tolerance"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(alone, name))
+    assert ([(type(e), str(e)) for e in batch.errors]
+            == [(type(e), str(e)) for e in alone.errors])
+
+
+def assert_mixed_stack_rows(model, x, Y, opts):
+    """Every method's rows of one ``fit_methods(..., METHODS)`` stack equal
+    its one-method fits; returns the stack's batches."""
+    together = fit_methods(model, x, Y, METHODS, opts)
+    assert list(together) == list(METHODS)
+    for m in METHODS:
+        assert_batches_equal(together[m], fit_methods(model, x, Y, (m,), opts)[m])
+    return together
+
+
+class TestMixedStacks:
+    """The batch contract on stacks that hold every method's rows."""
+
+    @pytest.mark.parametrize("start", ["truth", "auto"])
+    def test_nonpositive_response_fails_dwls_only(self, satexp, start):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=25)
+        Y[1, 4] = -1.0
+        opts = FitOptions(start=PAPER_ALPHA if start == "truth" else "auto")
+        together = assert_mixed_stack_rows(satexp, X, Y, opts)
+        assert isinstance(together["dwls"].errors[1], ZeroResponseError)
+        assert not any(isinstance(together[m].errors[1], ZeroResponseError)
+                       for m in ("ml", "ql", "wls"))
+        for m in METHODS:
+            assert together[m].converged[[0, 2]].all()
+
+    def test_fault_mid_solve(self, expo):
+        # NaN Hessian wherever theta1 > 4.5: the row fitted near 5 fails
+        # while solving, for the methods whose iterates get there.
+        model = replace(expo, name="nan_hessian", hess_fn=lambda x, t: np.where(
+            (t[..., 0] > 4.5)[..., None, None, None], np.nan, expo.hess_fn(x, t)))
+        x = np.linspace(0.0, 4.0, 8)
+        truths = np.array([[2.0, 1.5], [5.0, 1.5], [2.5, 1.5]])
+        rng = np.random.default_rng(33)
+        Y = np.stack([np.asarray(expo.eval(x, t)) * (1.0 + 0.02 * rng.standard_normal(x.size))
+                      for t in truths])
+        together = assert_mixed_stack_rows(model, x, Y, FitOptions(start=1.1 * truths))
+        for m in ("ml", "ql"):
+            assert isinstance(together[m].errors[1], NonFiniteError)
+            assert together[m].converged[[0, 2]].all()
+
+    def test_zero_mean_start_fails_only_methods_dividing_by_it(self, satexp):
+        # alpha2 = 0 puts a zero mean at x = 0: ML, QL and WLS divide by the
+        # mean and fail at that start, while DWLS moves off it and converges.
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=34)
+        starts = np.tile(PAPER_ALPHA, (3, 1))
+        starts[1, 1] = 0.0
+        together = assert_mixed_stack_rows(satexp, X, Y, FitOptions(start=starts))
+        for m in ("ml", "ql", "wls"):
+            assert isinstance(together[m].errors[1], ZeroMeanError)
+        assert together["dwls"].converged.all()
+
+    def test_fault_after_solve(self):
+        # A line through the origin has a zero mean at x = 0: the methods
+        # that divide by the mean fail at their start, while DWLS converges
+        # and then fails, since its sigma estimate divides by the mean.
+        model = ModelFunction(
+            name="through_origin", p=1, param_names=("slope",),
+            eval_fn=lambda x, t: t[..., :1] * x,
+            grad_fn=lambda x, t: (x * np.ones(t.shape[:-1] + (1,)))[..., None],
+            hess_fn=lambda x, t: np.zeros(t.shape[:-1] + (x.size, 1, 1)))
+        x = np.arange(5.0)
+        Y = np.stack([0.1 + 2.0 * x, 0.2 + 3.0 * x])
+        together = assert_mixed_stack_rows(model, x, Y, FitOptions(start=np.array([1.0])))
+        for m in METHODS:
+            assert [type(e) for e in together[m].errors] == [ZeroMeanError] * 2
+        with pytest.raises(ZeroMeanError, match="mean response is zero at an observation"):
+            fit(model, Dataset(x, Y[0]), "dwls", FitOptions(start=np.array([1.0])))
+
+    def test_too_few_observations(self, satexp, monkeypatch):
+        Y = noisy_stack(satexp, X[:3], PAPER_ALPHA, 0.02, rows=2, seed=26)
+        calls = count_solves(monkeypatch)
+        together = assert_mixed_stack_rows(satexp, X[:3], Y, FitOptions())
+        for m in METHODS:
+            assert {str(e) for e in together[m].errors} == {
+                "need n > p observations, got n=3, p=3"}
+        # No start is solved, and every stack is empty.
+        assert [c.size for c in calls] == [0] * (1 + len(METHODS))
+
+    def test_no_methods(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=2, seed=26)
+        assert fit_methods(satexp, X, Y, ()) == {}
+
+    def test_every_row_fails_before_solving(self, satexp, monkeypatch):
+        # Non-finite starts fail every row before the solve: an empty stack.
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=26)
+        starts = np.tile(PAPER_ALPHA, (3, 1))
+        starts[:, 1] = np.nan
+        calls = count_solves(monkeypatch)
+        together = assert_mixed_stack_rows(satexp, X, Y, FitOptions(start=starts))
+        assert calls[0].size == 0
+        for m in METHODS:
+            assert [str(e) for e in together[m].errors] == [
+                "parameter vector contains non-finite entries"] * 3
+            assert np.isnan(together[m].theta_hat).all()
+
+
 class TestSolveGammaBatch:
     @pytest.fixture
     def stack(self):
@@ -281,6 +393,30 @@ class TestSolveGammaBatch:
                 else:
                     with pytest.raises(type(errors[r]), match=str(errors[r])):
                         solve_gamma(pb, rows[r])
+
+
+    def test_dose_derivatives_rows(self, stack):
+        # A crossing, no crossing in the bracket, and identical curves,
+        # whose closest root is a tangency.
+        pb, rows = stack
+        theta = np.stack([rows[0], rows[2], np.concatenate([PAPER_ALPHA, PAPER_ALPHA])])
+        for bracket in (None, (-122.5, -5.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MultipleRootWarning)
+                doses = dose_derivatives_batch(pb, theta, bracket)
+                for r, dose in enumerate(doses):
+                    if isinstance(dose, Exception):
+                        with pytest.raises(type(dose), match=re.escape(str(dose))):
+                            dose_derivatives(pb, theta[r], bracket)
+                        continue
+                    alone = dose_derivatives(pb, theta[r], bracket)
+                    assert (dose.gamma, dose.bracket) == (alone.gamma, alone.bracket)
+                    np.testing.assert_array_equal(dose.grad, alone.grad)
+                    np.testing.assert_array_equal(dose.hess, alone.hess)
+        assert isinstance(doses[1], NoBracketError) and isinstance(doses[2], TangencyError)
+        assert doses[0].bracket == (-122.5, -5.0)
+        with pytest.raises(ValueError, match=r"joint theta must have shape \(6,\)"):
+            dose_derivatives(pb, rows[0][:5])
 
 
 class TestStudyRows:

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from propfit import equivalent_dose, estimators
 from propfit.cli import _pct, main, render_sim_text, round_floats
 from propfit.config import load_schema
 from propfit.equivalent_dose import (
@@ -293,6 +294,20 @@ class TestFitCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2
 
+    def test_one_dose_scan_for_every_method(self, pair_csv, tmp_path, monkeypatch):
+        # Per curve one start and one fit of every method, then the
+        # common-sigma ML fit; and every method's dose from one scan.
+        calls = {"solve": 0, "solve_gamma_batch": 0}
+        for module, name in ((estimators, "solve"), (equivalent_dose, "solve_gamma_batch")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        code, entries = fit_entries(tmp_path, "--data", pair_csv)
+        assert code == 0 and set(entries) == set(METHODS)
+        assert all(e["dose"]["gamma_hat"] == pytest.approx(PAPER_GAMMA) for e in entries.values())
+        assert calls == {"solve": 5, "solve_gamma_batch": 1}
+
     def test_bad_csv_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -430,6 +445,16 @@ class TestSimulateCommand:
         for argv in (["simulate", "--config", str(path)],
                      ["fit", "--data", pair_csv, "--config", str(path)]):
             assert main(argv) == 2
+            assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    def test_unwritable_out_exits_2(self, pair_csv, sim_config, tmp_path, capsys, fmt):
+        # An output file in a directory that does not exist gives the error line.
+        out = tmp_path / "missing" / "r.json"
+        name = out if fmt == "json" else out.with_suffix(".txt")
+        line = f"error: FileNotFoundError: [Errno 2] No such file or directory: '{name}'\n"
+        for argv in (["fit", "--data", pair_csv], ["simulate", "--config", sim_config]):
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
             assert capsys.readouterr() == ("", line)
 
     def test_config_without_sim_exits_2(self, tmp_path):

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from propfit import estimators
 from propfit.equivalent_dose import partial_bleach_model, stacked_model
 from propfit.estimators import (
+    METHODS,
     FitOptions,
     equation_residual,
     estimate_sigma_ml,
@@ -158,8 +159,9 @@ class TestEquationJacobian:
             data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), theta, 0.05, seed=4)
         # Off the root, so every term of the Jacobian is exercised.
         theta = theta * (1.0 + 0.02 * np.arange(1, theta.size + 1))
-        eq, x = estimators._EQUATIONS[method], data.x
-        analytic = estimators._point(eq, model, x, data.y, theta).jacobian(eq, model, x)
+        table, x = estimators._EQUATIONS, data.x
+        analytic = estimators._point(table, model, x, data.y[None, :], theta[None, :],
+                                     [METHODS.index(method)]).jacobian(table, model, x)[0]
         np.testing.assert_allclose(analytic, _central_jacobian(method, model, data, theta),
                                    rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
 
@@ -169,8 +171,9 @@ class TestEquationJacobian:
         theta = np.concatenate([PAPER_ALPHA, [95717.8, QNL84_BETA2, QNL84_BETA3]])
         data = make_noisy(joint, idx, theta, 0.03, seed=8)
         theta = theta * (1.0 + 0.01 * np.arange(1, 7))
-        eq, x = estimators._EQUATIONS["ml"], data.x
-        analytic = estimators._point(eq, joint, x, data.y, theta).jacobian(eq, joint, x)
+        table, x = estimators._EQUATIONS, data.x
+        analytic = estimators._point(table, joint, x, data.y[None, :], theta[None, :],
+                                     [METHODS.index("ml")]).jacobian(table, joint, x)[0]
         np.testing.assert_allclose(analytic, _central_jacobian("ml", joint, data, theta),
                                    rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
 

@@ -259,8 +259,9 @@ class TestStudyStack:
         assert len(design.methods) == 4
         run_study(design, threads=1)
         # One fit of every method for all 30 replicates, not one per sigma
-        # (3), and one intersection stack per method, not one per sigma (12).
-        assert calls == {"fit_two_curves_methods": 1, "solve_gamma_batch": 4}
+        # (3), and one intersection stack for every method's rows, not one
+        # per method (4) or per method and sigma (12).
+        assert calls == {"fit_two_curves_methods": 1, "solve_gamma_batch": 1}
 
 
 class TestSimDesignValidation:
