@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -54,7 +55,7 @@ ENV_THREADS = "PROPFIT_THREADS"
 def round_floats(obj, digits: int = 12):
     """Recursively round floats to ``digits`` significant digits."""
     if isinstance(obj, float):
-        if not np.isfinite(obj):
+        if not math.isfinite(obj):
             return None
         return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):

@@ -231,7 +231,11 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
     for that row (None where it returns; such a row's root is NaN). Each
-    row's root is the same whatever else is in the stack.
+    row's root is the same whatever else is in the stack. A row with one
+    sign change, no grid zero and no fault takes its polished root by array
+    indexing; only rows with a fault, no crossing or more than one candidate
+    root are resolved one at a time, with :func:`solve_gamma`'s messages
+    and its :class:`MultipleRootWarning`.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != model.p:
@@ -259,8 +263,10 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
     # Row r's polished roots are polished[first[r]:first[r + 1]]: np.nonzero sorts by row.
     first = np.searchsorted(rows, np.arange(R + 1))
 
+    simple = (fault == 0) & (np.diff(first) == 1) & ~np.any(gs == 0.0, axis=1)
     gammas, errors = np.full(R, np.nan), [None] * R
-    for r in range(R):
+    gammas[simple] = polished[first[:-1][simple]]
+    for r in np.flatnonzero(~simple):
         if fault[r]:
             errors[r] = fault_error(model.curve1 if curve[r] == 1 else model.curve2,
                                     int(fault[r]))

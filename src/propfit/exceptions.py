@@ -25,10 +25,6 @@ class ZeroResponseError(PropfitError):
     """An observed response is zero (or nonpositive) where 1/y**2 weights are required."""
 
 
-class DegenerateError(PropfitError):
-    """The relative-error scale collapsed to zero on data that is not an exact fit."""
-
-
 class NoBracketError(PropfitError):
     """No sign change found when scanning for a curve-intersection root."""
 

@@ -6,11 +6,13 @@ random stream derived from the master seed, so results are bit-identical
 for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
-closed-form bias ``B_T`` evaluated at the true parameters. The study's
-replicates, across the whole sigma grid, are fitted as one stack per curve
-holding every method's rows (see :func:`~propfit.estimators.fit_methods`),
-and every method's intersections as one more; their rows come out exactly
-as if fitted one by one.
+closed-form bias ``B_T`` evaluated at the true parameters. Replicates are
+drawn straight into one response array per curve, with the draws and draw
+order of :func:`generate_dataset`. The study's replicates, across the
+whole sigma grid, are fitted as one stack per curve holding every method's
+rows (see :func:`~propfit.estimators.fit_methods`), and every method's
+intersections as one more; their rows come out exactly as if fitted one
+by one, and each (method, sigma) summary reduces every target at once.
 
 The bundled two-curve default mimics the published dose-response study:
 sample sizes 16 and 13 with the fitted parameter values of that data set.
@@ -172,15 +174,8 @@ def generate_dataset(model: ModelFunction, x_grid, theta0, sigma: float,
     response lands at or below zero; callers redraw the whole replicate.
     """
     x = np.asarray(x_grid, dtype=float)
-    return _draw(x, np.asarray(model.eval(x, theta0), dtype=float), sigma, stream,
-                 reject_nonpositive)
-
-
-def _draw(x: Array, f: Array, sigma: float, stream: np.random.Generator,
-          reject_nonpositive: bool) -> Dataset:
-    """:func:`generate_dataset` around the means ``f`` at ``x``."""
-    eps = stream.standard_normal(x.size)
-    y = f * (1.0 + float(sigma) * eps)
+    y = np.asarray(model.eval(x, theta0), dtype=float) * (
+        1.0 + float(sigma) * stream.standard_normal(x.size))
     if reject_nonpositive and np.any(y <= 0.0):
         raise Rejected
     return Dataset(x, y)
@@ -230,25 +225,30 @@ class SimSummary:
         raise KeyError((method, sigma))
 
 
-def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int):
-    """Returns (datasets, redraws) or (None, redraws) if every draw was rejected."""
+def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
+                    rows) -> tuple[bool, int]:
+    """Fill ``rows``, one row of each curve's response array, with replicate
+    ``k``'s draw as :func:`generate_dataset` would make it from the
+    replicate's stream: each attempt draws curve 1, then curve 2, and a
+    rejected curve starts the next attempt. Returns (drawn, redraws);
+    drawn is False when every attempt was rejected."""
     stream = replicate_stream(design.master_seed, sigma_idx, k)
-    redraws = 0
-    for _ in range(design.max_redraws + 1):
-        try:
-            return tuple(_draw(x, f, sigma, stream, design.reject_nonpositive)
-                         for x, f in design.means), redraws
-        except Rejected:
-            redraws += 1
-    return None, redraws
+    for redraws in range(design.max_redraws + 1):
+        for row, (_, f) in zip(rows, design.means):
+            np.multiply(f, 1.0 + sigma * stream.standard_normal(row.size), out=row)
+            if design.reject_nonpositive and np.any(row <= 0.0):
+                break
+        else:
+            return True, redraws
+    return False, design.max_redraws + 1
 
 
-def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Array]:
-    """Estimates per method for a stack of replicates (rows); NaNs mark failures."""
+def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> dict[str, Array]:
+    """Estimates per method for a stack of replicates, each curve's
+    responses one ``(rows, n)`` array; NaNs mark failures."""
     start = design.theta0 if design.start == "theta0" else "auto"
     opts = replace(design.fit_options, start=start)
-    R = len(datasets)
-    curves = [np.stack([d[c].y for d in datasets]) for c in range(len(datasets[0]))]
+    R = len(curves[0])
     if design.two_curve:
         fits = fit_two_curves_methods(design.model, design.x1, curves[0], design.x2, curves[1],
                                       design.methods, design.fit_mode, opts)
@@ -273,15 +273,16 @@ def _fit_rows(design: SimDesign, datasets: list, n_targets: int) -> dict[str, Ar
 def _run_rows(design: SimDesign, cells: Array, n_targets: int):
     """Draw and fit the replicates ``cells``, ``(sigma index, replicate)``
     pairs: their estimates per method, rejected flags and redraw counts."""
-    drawn = [_draw_replicate(design, design.sigma_grid[i], int(i), int(k)) for i, k in cells]
-    redraws = np.array([n for _, n in drawn], dtype=int)
-    rejected = np.array([d is None for d, _ in drawn], dtype=bool)
+    curves = [np.empty((len(cells), x.size)) for x, _ in design.means]
+    outcomes = [_draw_replicate(design, design.sigma_grid[i], int(i), int(k),
+                                [c[j] for c in curves]) for j, (i, k) in enumerate(cells)]
+    drawn = np.array([d for d, _ in outcomes], dtype=bool)
+    redraws = np.array([n for _, n in outcomes], dtype=int)
     estimates = {m: np.full((len(cells), n_targets), np.nan) for m in design.methods}
-    kept = [d for d, _ in drawn if d is not None]
-    if kept:
-        for method, est in _fit_rows(design, kept, n_targets).items():
-            estimates[method][~rejected] = est
-    return estimates, rejected, redraws
+    if drawn.any():
+        for method, est in _fit_rows(design, [c[drawn] for c in curves], n_targets).items():
+            estimates[method][drawn] = est
+    return estimates, ~drawn, redraws
 
 
 def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
@@ -349,17 +350,18 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
             ok = ~np.any(np.isnan(est), axis=1)
             r_eff = int(ok.sum())
             failures = R - n_rejected - r_eff
-            cells = []
-            for j, target in enumerate(targets):
-                vals = est[ok, j]
-                b_s = float(np.mean(vals) - truth_vec[j]) if r_eff else float("nan")
-                mc_se = float(np.std(vals, ddof=1) / np.sqrt(r_eff)) if r_eff >= 2 else 0.0
-                cells.append(SimCell(target=target, b_t=float(b_t[j]),
-                                     b_s=b_s, mc_se=mc_se))
+            # One contiguous row per target: reducing along it sums in the
+            # same order as the target's own 1-D column would.
+            vals = np.ascontiguousarray(est[ok].T)
+            b_s = np.mean(vals, axis=1) - truth_vec if r_eff else np.full(n_targets, np.nan)
+            mc_se = (np.std(vals, axis=1, ddof=1) / np.sqrt(r_eff) if r_eff >= 2
+                     else np.zeros(n_targets))
+            cells = tuple(SimCell(target=t, b_t=float(bt), b_s=float(bs), mc_se=float(se))
+                          for t, bt, bs, se in zip(targets, b_t, b_s, mc_se))
             results.append(MethodSigmaSummary(
                 method=method, sigma=sigma, r_effective=r_eff,
                 failure_count=failures, rejected_count=n_rejected,
-                redraw_count=int(redraws[sigma_idx].sum()), cells=tuple(cells),
+                redraw_count=int(redraws[sigma_idx].sum()), cells=cells,
             ))
 
     return SimSummary(design=design, truths=truths, results=tuple(results))

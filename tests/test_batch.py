@@ -382,6 +382,42 @@ class TestSolveGammaBatch:
             assert errors[r] is None
             assert gammas[r] == solve_gamma(pb, theta[r])
 
+    def test_mixed_rows_match_single_solves(self, stack):
+        pb, rows = stack
+        # Step 1 from -150: -100 is a grid point. Curves with shift 100
+        # both vanish there, so their gap is exactly zero on the grid.
+        bracket = (-150.0, 105.0)
+        late = 1000.0 * (1.0 - np.exp(-0.015)) / (1.0 - np.exp(-0.03))
+        theta = np.array([
+            rows[0],  # one crossing, at -87.45
+            [1000.0, 100.0, 100.0, 2000.0, 100.0, 100.0],  # only the grid zero
+            [1000.0, 100.0, 100.0, late, 100.0, 50.0],  # the grid zero and one at -98.5
+            rows[1],  # two crossings
+            [PAPER_ALPHA[0], 200.0, PAPER_ALPHA[2],
+             1.7 * PAPER_ALPHA[0], 200.0, PAPER_ALPHA[2]],  # meets at -200 only
+            np.concatenate([PAPER_ALPHA[:2], [0.0], rows[0][3:]]),  # alpha3 = 0
+        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gammas, errors = solve_gamma_batch(pb, theta, bracket=bracket)
+        together = [str(w.message) for w in caught]
+        alone = []
+        for r in range(len(theta)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if errors[r] is None:
+                    assert gammas[r] == solve_gamma(pb, theta[r], bracket=bracket)
+                else:
+                    assert np.isnan(gammas[r])
+                    with pytest.raises(type(errors[r]), match=re.escape(str(errors[r]))):
+                        solve_gamma(pb, theta[r], bracket=bracket)
+            alone += [str(w.message) for w in caught]
+        assert together == alone == ["2 intersection roots found; "
+                                     "returning the one closest to zero"] * 2
+        assert [type(e) for e in errors] == [type(None)] * 4 + [NoBracketError, DomainError]
+        assert gammas[1] == -100.0 and gammas[2] == pytest.approx(-98.5, abs=1e-6)
+        assert gammas[3] == pytest.approx(-53.6, abs=0.1)
+
     def test_default_brackets_per_row(self, stack):
         pb, rows = stack
         with warnings.catch_warnings():

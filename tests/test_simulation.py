@@ -19,7 +19,7 @@ from propfit.equivalent_dose import (
 )
 from propfit.estimators import METHODS, FitOptions, fit_methods
 from propfit.exceptions import ModeError, Rejected
-from propfit.models import Dataset, constant_model
+from propfit.models import Dataset, constant_model, saturating_exponential_model
 from propfit.simulation import (
     SimDesign,
     _draw_replicate,
@@ -200,14 +200,15 @@ class TestStudyStack:
         summary = run_study(design)
         opts = replace(design.fit_options, start=design.theta0)
         for sigma_idx, sigma in enumerate(design.sigma_grid):
-            drawn = [_draw_replicate(design, sigma, sigma_idx, k)
+            y = np.empty((design.replicates, design.x1.size))
+            drawn = [_draw_replicate(design, sigma, sigma_idx, k, [y[k]])
                      for k in range(design.replicates)]
             redraws = sum(n for _, n in drawn)
-            kept = [d[0].y for d, _ in drawn if d is not None]
+            kept = y[[d for d, _ in drawn]]
             rejected = design.replicates - len(kept)
             assert redraws > 0
             for method in design.methods:
-                converged = fit_methods(design.model, design.x1, np.stack(kept), (method,),
+                converged = fit_methods(design.model, design.x1, kept, (method,),
                                         opts)[method].converged
                 entry = summary.entry(method, sigma)
                 assert entry.redraw_count == redraws
@@ -234,7 +235,9 @@ class TestStudyStack:
         assert not rejected.any()
         opts = FitOptions(start="auto")
         for k in range(design.replicates):
-            d1, d2 = _draw_replicate(design, 0.03, 0, k)[0]
+            y1, y2 = np.empty(design.x1.size), np.empty(design.x2.size)
+            assert _draw_replicate(design, 0.03, 0, k, [y1, y2]) == (True, 0)
+            d1, d2 = Dataset(design.x1, y1), Dataset(design.x2, y2)
             for method in design.methods:
                 res = fit_two_curves(design.model, d1, d2, method, design.mode_for(method), opts)
                 gamma = solve_gamma(design.model, res.theta_hat)
@@ -262,6 +265,87 @@ class TestStudyStack:
         # (3), and one intersection stack for every method's rows, not one
         # per method (4) or per method and sigma (12).
         assert calls == {"fit_two_curves_methods": 1, "solve_gamma_batch": 1}
+
+    def test_cell_statistics_match_per_target_columns(self):
+        # Four iterations leave some of every method's fits unconverged.
+        design = SimDesign(model=saturating_exponential_model(), x1=np.linspace(0.0, 1000.0, 16),
+                           theta0=np.array([142853.0, 123.182, 393.065]), sigma_grid=(0.05,),
+                           replicates=37, master_seed=5, fit_options=FitOptions(max_iter=4))
+        summary = run_study(design)
+        cells = np.stack([np.zeros(37, dtype=int), np.arange(37)], axis=1)
+        estimates, rejected, _ = _run_rows(design, cells, 3)
+        assert not rejected.any()
+        for method in design.methods:
+            est = estimates[method]
+            ok = ~np.isnan(est).any(axis=1)
+            entry = summary.entry(method, 0.05)
+            assert entry.r_effective == ok.sum() and 2 <= entry.r_effective < 37
+            for j, target in enumerate(design.target_names):
+                column = est[ok, j]
+                np.testing.assert_array_equal(entry.cell(target).b_s,
+                                              np.mean(column) - design.theta0[j])
+                np.testing.assert_array_equal(entry.cell(target).mc_se,
+                                              np.std(column, ddof=1) / np.sqrt(ok.sum()))
+
+
+def replay(design, sigma, sigma_idx, k):
+    """Replicate ``k`` as :func:`generate_dataset` draws it from the
+    replicate's stream, curve 1, then curve 2, on each attempt: its
+    responses per curve (None when every attempt is rejected), its redraws
+    and, per rejected attempt, the index of the curve that rejected it."""
+    if design.two_curve:
+        alpha, beta = design.model.split(design.theta0)
+        curves = ((design.model.curve1, design.x1, alpha),
+                  (design.model.curve2, design.x2, beta))
+    else:
+        curves = ((design.model, design.x1, design.theta0),)
+    stream = replicate_stream(design.master_seed, sigma_idx, k)
+    rejected_at = []
+    for attempt in range(design.max_redraws + 1):
+        ys = []
+        try:
+            for model, x, theta in curves:
+                ys.append(generate_dataset(model, x, theta, sigma, stream).y)
+            return ys, attempt, rejected_at
+        except Rejected:
+            rejected_at.append(len(ys))
+    return None, design.max_redraws + 1, rejected_at
+
+
+class TestDrawOrder:
+    """The study's rows are the draws :func:`generate_dataset` makes."""
+
+    @pytest.mark.parametrize("design", [
+        TestStudyStack.redrawing_design(),
+        # At sigma 0.45 about one attempt in three is rejected, by either curve.
+        default_partial_bleach_design(sigma_grid=(0.45,), replicates=40, master_seed=17,
+                                      max_redraws=1),
+    ], ids=["constant", "two_curve"])
+    def test_rows_replay_generate_dataset(self, monkeypatch, design):
+        fitted = []
+
+        def recorded(design, curves, n_targets):
+            fitted.append(curves)
+            return {m: np.full((len(curves[0]), n_targets), np.nan) for m in design.methods}
+
+        monkeypatch.setattr(simulation, "_fit_rows", recorded)
+        S, R = len(design.sigma_grid), design.replicates
+        cells = np.stack(np.divmod(np.arange(S * R), R), axis=1)
+        _, rejected, redraws = _run_rows(design, cells, len(design.target_names))
+        [curves] = fitted
+        kept, rejected_at = [], []
+        for j, (i, k) in enumerate(cells):
+            ys, n, at = replay(design, design.sigma_grid[i], i, k)
+            assert redraws[j] == n
+            assert rejected[j] == (ys is None)
+            kept += [] if ys is None else [ys]
+            rejected_at += at
+        assert len(curves) == len(design.means)
+        for c, responses in enumerate(curves):
+            np.testing.assert_array_equal(responses, np.array([ys[c] for ys in kept]))
+        assert rejected.any() and not rejected.all()
+        # Some attempts are rejected at each curve.
+        assert set(rejected_at) == set(range(len(curves)))
 
 
 class TestSimDesignValidation:

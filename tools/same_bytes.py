@@ -4,7 +4,10 @@
 
 The inputs of the three benchmark workloads are generated once, with
 PARENT's ``perfbench/inputs.py``, and each two-curve CSV's first curve is
-also written alone as an ``x,y`` CSV. Each checkout's own ``src`` then runs
+also written alone as an ``x,y`` CSV. One more ``simulate`` config, the
+first two-curve one at sigma 0.45 with one redraw allowed, makes replicates
+redraw and some of them be rejected, which the benchmark's sigmas (at most
+0.06) never do. Each checkout's own ``src`` then runs
 in a fresh interpreter: ``propfit fit --format both`` on every two-curve CSV
 and, with ``--model saturating_exponential``, on every one-curve CSV, and
 ``propfit simulate --format json`` on every config at ``--threads 1`` and at
@@ -28,6 +31,8 @@ WORKLOADS = ("simulate_two_curve", "simulate_two_curve_noisy", "fit_two_curve_cs
 THREADS = (1, 8)
 # Where the one-curve CSVs cut from the two-curve inputs go, under the inputs.
 FIRST_CURVE = "fit_first_curve"
+# Where the redrawing simulate config goes, under the inputs.
+REDRAWING = "simulate_redrawing"
 
 # Runs the CLI calls given as JSON on stdin with the propfit of ``sys.argv[1]``.
 RUNNER = """
@@ -56,6 +61,11 @@ def generate_inputs(parent: Path, seed: int, inputs: Path) -> None:
             rows = list(csv.DictReader(fh))
         first = "".join(f"{r['x']},{r['y']}\n" for r in rows if r["curve"] == rows[0]["curve"])
         (inputs / FIRST_CURVE / path.name).write_text("x,y\n" + first, encoding="utf-8")
+    config = json.loads((inputs / WORKLOADS[0] / "simulate-000.json").read_text(encoding="utf-8"))
+    config["sim"].update(sigma=[0.45], replicates=40, max_redraws=1)
+    (inputs / REDRAWING).mkdir()
+    (inputs / REDRAWING / "simulate-045.json").write_text(json.dumps(config, indent=2) + "\n",
+                                                         encoding="utf-8")
 
 
 def cli_calls(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
