@@ -2,8 +2,8 @@
 
 Three subcommands:
 
-* ``propfit fit``      - fit CSV data (one or two curves), report estimates
-  with formula bias, standard error and bias/sqrt(MSE) per parameter.
+* ``propfit fit``      - fit CSV data (one or two curves) on one path, with
+  each fit's bias, SE and bias/sqrt(MSE) from ``equivalent_dose.formulae``.
 * ``propfit simulate`` - run a seeded Monte Carlo study from a JSON config
   and emit the formula-vs-simulation bias table.
 * ``propfit check``    - run the bundled invariant suite.
@@ -27,22 +27,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .asymptotics import bias_cov
 from .checks import render_checks, run_checks
-from .config import RunConfig, load_config
+from .config import TWO_CURVE_MODEL, RunConfig, load_config
 from .equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_SEPARATE,
-    dose_derivatives_batch,
     fit_two_curves_methods,
-    joint_bundles,
-    partial_bleach_model,
+    formulae,
     resolve_modes,
 )
 from .estimators import METHODS, fit_methods
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
-from .jacobian import build_jacobian_bundle
 from .simulation import compare_bias_table, run_study
 
 ENV_THREADS = "PROPFIT_THREADS"
@@ -113,110 +109,77 @@ def _input_error(exc: Exception) -> int:
 
 def _pct(bias: float, se: float) -> float:
     mse = bias * bias + se * se
-    return 100.0 * abs(bias) / np.sqrt(mse) if mse > 0 else 0.0
+    return 0.0 if mse == 0 else 100.0 * abs(bias) / np.sqrt(mse)
 
 
-def _param_rows(names, theta, bias=None, cov=None) -> list[dict]:
-    """One report row per parameter; bias and se are NaN without ``bias``/``cov``."""
-    nan = float("nan")
-    rows = []
-    for j, name in enumerate(names):
-        row = {"name": name, "estimate": float(theta[j]), "bias": nan, "se": nan,
-               "bias_over_rmse_pct": nan}
-        if bias is not None:
-            b, se = float(bias[j]), float(np.sqrt(cov[j, j]))
-            row.update(bias=b, se=se, bias_over_rmse_pct=_pct(b, se))
-        rows.append(row)
-    return rows
+DOSE_FIELDS = ("gamma_hat", "equivalent_dose", "bias", "se", "bias_over_rmse_pct")
 
 
-def _fit_entry(res, sigma: float, params: list[dict], **extra) -> dict:
+def _fit_entry(res, sigma: float, names, row, **extra) -> dict:
+    """A fitted method's entry: its fit and, from ``row`` (its
+    :class:`~propfit.equivalent_dose.Formulae`) at ``sigma``, each
+    parameter's bias and se and, for two curves, its dose; a piece that
+    fails leaves NaNs and its error."""
+    bias = se = np.full(len(names), np.nan)
+    if row.dose is not None:
+        extra["dose"] = dict.fromkeys(DOSE_FIELDS, float("nan"))
+    try:
+        bias, cov = row.bias_cov(sigma)
+        se = np.sqrt(np.diag(cov))
+        if row.dose is not None:
+            est = row.estimate(bias, cov)
+            extra["dose"] = dict(zip(DOSE_FIELDS, (
+                est.gamma_hat, est.equivalent_dose, est.equivalent_dose_bias, est.se,
+                _pct(est.bias, est.se))))
+    except PropfitError as exc:
+        extra["error"] = _describe(exc)
+    params = [{"name": name, "estimate": float(t), "bias": float(b), "se": float(e),
+               "bias_over_rmse_pct": _pct(float(b), float(e))}
+              for name, t, b, e in zip(names, res.theta_hat, bias, se)]
     return {"converged": bool(res.converged), "iterations": res.iterations,
             "residual_norm": float(res.residual_norm), "sigma_hat": float(sigma),
             "parameters": params, **extra}
 
 
-def _error_entry(exc: Exception, **extra) -> dict:
-    """The entry of a method whose fit raised."""
-    return {"error": _describe(exc), "converged": False, "iterations": 0,
-            "residual_norm": float("nan"), "sigma_hat": float("nan"), "parameters": [],
-            **extra}
-
-
-def _results(fit_all, methods) -> dict:
-    """Per method, the first row of ``fit_all()``'s batch, or the exception
-    raised for that row or for the whole call."""
+def _fit_report(config: RunConfig, curves: dict) -> dict:
+    """The fit report of ``curves`` (label: dataset, one or two of them):
+    every method fitted in one call, then each fit's formula row from
+    :func:`~propfit.equivalent_dose.formulae`."""
+    model, methods, opts = config.build_model(), config.methods, config.fit_options
+    data = list(curves.values())
+    xs, Ys = [d.x for d in data], [d.y[None, :] for d in data]
+    two = len(data) == 2
+    modes = resolve_modes(config.mode, methods) if two else None
     try:
-        batches = fit_all()
-    except (PropfitError, ValueError) as exc:
-        return dict.fromkeys(methods, exc)
-    return {m: b.result(0) if b.errors[0] is None else b.errors[0] for m, b in batches.items()}
-
-
-def _fit_single(config: RunConfig, data) -> dict:
-    model = config.build_model()
-    results = _results(lambda: fit_methods(model, data.x, data.y[None, :], config.methods,
-                                           config.fit_options), config.methods)
-    entries: dict = {}
-    for method, res in results.items():
-        if isinstance(res, Exception):
-            entries[method] = _error_entry(res)
-            continue
-        params, extra = _param_rows(model.param_names, res.theta_hat), {}
-        try:
-            bundles = (build_jacobian_bundle(model, data, res.theta_hat),)
-            params = _param_rows(model.param_names, res.theta_hat,
-                                 *bias_cov(method, bundles, res.sigma_hat))
-        except PropfitError as exc:
-            extra["error"] = _describe(exc)
-        entries[method] = _fit_entry(res, res.sigma_hat, params, **extra)
-    return {"kind": "fit_report", "model": config.model, "mode": None,
-            "curves": {"1": data.n}, "methods": entries}
-
-
-def _fit_pair(config: RunConfig, labels, data1, data2) -> dict:
-    model = partial_bleach_model()
-    modes = resolve_modes(config.mode, config.methods)
-    results = _results(lambda: fit_two_curves_methods(
-        model, data1.x, data1.y[None, :], data2.x, data2.y[None, :], config.methods,
-        config.mode, config.fit_options), config.methods)
-    # Every fitted method's dose from one intersection scan.
-    fitted = [m for m, res in results.items() if not isinstance(res, Exception)]
-    doses = dict(zip(fitted, dose_derivatives_batch(
-        model, np.reshape([results[m].theta_hat for m in fitted], (-1, model.p)),
-        config.gamma_bracket)))
-    entries: dict = {}
-    for method, res in results.items():
-        mode = modes[method]
-        if isinstance(res, Exception):
-            entries[method] = _error_entry(res, mode=mode)
-            continue
-        if len(res.sigma_hats) == 1:
-            sigma = res.sigma_hats[0]
+        if two:
+            batches = fit_two_curves_methods(model, xs[0], Ys[0], xs[1], Ys[1], methods,
+                                             config.mode, opts)
         else:
+            batches = fit_methods(model, xs[0], Ys[0], methods, opts)
+        fits = {m: b.result(0) if b.errors[0] is None else b.errors[0]
+                for m, b in batches.items()}
+    except (PropfitError, ValueError) as exc:
+        fits = dict.fromkeys(methods, exc)
+    rows = formulae(model, xs, {m: res.theta_hat for m, res in fits.items()
+                                if not isinstance(res, Exception)},
+                    modes, config.gamma_bracket)
+    entries: dict = {}
+    for method, res in fits.items():
+        label = {"mode": modes[method]} if two else {}
+        if isinstance(res, Exception):
+            entries[method] = {"error": _describe(res), "converged": False, "iterations": 0,
+                               "residual_norm": float("nan"), "sigma_hat": float("nan"),
+                               "parameters": [], **label}
+            continue
+        sigma = res.sigma_hats[0] if two else res.sigma_hat
+        if two and len(res.sigma_hats) == 2:
             # Pool the per-curve scale estimates with their degrees of freedom.
-            dfs = np.array([data1.n - model.curve1.p, data2.n - model.curve2.p], dtype=float)
+            dfs = np.array([d.n - c.p for d, c in zip(data, (model.curve1, model.curve2))],
+                           dtype=float)
             sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
-        params = _param_rows(model.param_names, res.theta_hat)
-        extra = {}
-        try:
-            bias, cov = bias_cov(method, joint_bundles(model, data1.x, data2.x, res.theta_hat,
-                                                       method, mode), sigma)
-            params = _param_rows(model.param_names, res.theta_hat, bias, cov)
-            if isinstance(doses[method], Exception):
-                raise doses[method]
-            est = doses[method].estimate(method, bias, cov)
-            dose = {"gamma_hat": est.gamma_hat,
-                    "equivalent_dose": est.equivalent_dose,
-                    "bias": est.equivalent_dose_bias, "se": est.se,
-                    "bias_over_rmse_pct": _pct(est.bias, est.se)}
-        except PropfitError as exc:
-            dose = dict.fromkeys(("gamma_hat", "equivalent_dose", "bias", "se",
-                                  "bias_over_rmse_pct"), float("nan"))
-            extra["error"] = _describe(exc)
-        entries[method] = _fit_entry(res, sigma, params, mode=mode, dose=dose, **extra)
-    return {"kind": "fit_report", "model": "partial_bleach", "mode": config.mode,
-            "curves": {labels[0]: data1.n, labels[1]: data2.n}, "methods": entries}
+        entries[method] = _fit_entry(res, sigma, model.param_names, rows[method], **label)
+    return {"kind": "fit_report", "model": config.model, "mode": config.mode if two else None,
+            "curves": {name: d.n for name, d in curves.items()}, "methods": entries}
 
 
 def _num(value, spec: str) -> str:
@@ -238,12 +201,9 @@ def render_fit_text(report: dict) -> str:
             lines.append(f"  sigma estimate: {_num(entry['sigma_hat'], '.3f')}")
             header = f"  {'parameter':<12}{'estimate':>14}{'bias':>12}{'se':>12}{'bias/rMSE%':>12}"
             lines.append(header)
-            rows = list(entry["parameters"])
-            if entry.get("dose"):
-                d = entry["dose"]
-                rows = rows + [{"name": "dose", "estimate": d["equivalent_dose"],
-                                "bias": d["bias"], "se": d["se"],
-                                "bias_over_rmse_pct": d["bias_over_rmse_pct"]}]
+            dose = entry.get("dose")
+            rows = entry["parameters"] + (
+                [dict(dose, name="dose", estimate=dose["equivalent_dose"])] if dose else [])
             for p in rows:
                 lines.append(f"  {p['name']:<12}{_num(p['estimate'], '>14.3f')}"
                              f"{_num(p['bias'], '>12.3f')}{_num(p['se'], '>12.3f')}"
@@ -261,22 +221,16 @@ def cmd_fit(args) -> int:
         if args.mode:
             config = replace(config, mode=args.mode)
         table = read_input_table(args.data)
-        labels = table.labels
-        if len(labels) == 1:
-            if args.model:
-                config = replace(config, model=args.model)
-            if config.two_curve:
-                raise ConfigError("two-curve model requested but the CSV has one curve")
-            report = _fit_single(config, table.single())
-        elif len(labels) == 2:
-            model_name = args.model or "partial_bleach"
-            if model_name != "partial_bleach":
-                raise ConfigError("a two-curve CSV requires the partial_bleach model")
-            config = replace(config, model="partial_bleach")
-            d1, d2 = table.pair()
-            report = _fit_pair(config, labels, d1, d2)
-        else:
-            raise ConfigError(f"expected 1 or 2 curves, found {len(labels)}")
+        count = len(table.curves)
+        if count > 2:
+            raise ConfigError(f"expected 1 or 2 curves, found {count}")
+        # A two-curve CSV takes the two-curve model, not the config's.
+        config = replace(config, model=args.model
+                         or (TWO_CURVE_MODEL if count == 2 else config.model))
+        if config.two_curve != (count == 2):
+            raise ConfigError("a two-curve CSV requires the partial_bleach model" if count == 2
+                              else "two-curve model requested but the CSV has one curve")
+        report = _fit_report(config, table.curves if count == 2 else {"1": table.single()})
     except (ConfigError, ModeError) as exc:
         return _input_error(exc)
 
@@ -393,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON run configuration with sim section")
     p_sim.add_argument("--seed", type=int, help="override sim.seed")
     p_sim.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads, each fitting a contiguous chunk of the "
-                            f"study's replicates (default ${ENV_THREADS} or 1)")
+                       help="contiguous chunks of the study's replicates, fitted on at "
+                            f"most one thread per CPU (default ${ENV_THREADS} or 1)")
     p_sim.add_argument("--out", help="output path (both: .txt and .json)")
     p_sim.add_argument("--format", choices=["text", "json", "both"])
     p_sim.set_defaults(func=cmd_simulate)

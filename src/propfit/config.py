@@ -111,7 +111,10 @@ def parse_config(document: dict) -> RunConfig:
     if document.get("methods", "all") != "all":
         fields["methods"] = tuple(document["methods"])
     if "gamma_bracket" in document:
-        fields["gamma_bracket"] = tuple(float(v) for v in document["gamma_bracket"])
+        lo, hi = fields["gamma_bracket"] = tuple(float(v) for v in document["gamma_bracket"])
+        if not -np.inf < lo < hi < np.inf:
+            raise ConfigError(f"invalid config at gamma_bracket: {[lo, hi]} is not lo < hi, "
+                              "both finite")
     if "format" in document.get("output", {}):
         fields["output_format"] = document["output"]["format"]
 
@@ -128,11 +131,18 @@ def parse_config(document: dict) -> RunConfig:
     return RunConfig(fit_options=FitOptions(**options), sim=sim, **fields)
 
 
+def _finite(text: str) -> float:
+    """A JSON number; ``NaN``, ``Infinity`` and numbers beyond the float range raise."""
+    if not np.isfinite(value := float(text)):
+        raise ConfigError(f"config holds a non-finite number: {text}")
+    return value
+
+
 def load_config(path) -> RunConfig:
     """Read, validate, and default-fill a configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -8,8 +8,9 @@ where the curves intersect, found as a root of
 
 ``beta1_from_gamma`` constructs the bleached scale so the true curves
 intersect exactly at a chosen ``gamma``; ``gamma_gradient`` differentiates
-the implicit root in the six joint parameters; ``gamma_bias_se`` pushes the
-parameter-level bias vectors and covariances through that gradient.
+the implicit root in the six joint parameters; :func:`formulae`, the one
+builder of every fit's bias, covariance and delta-method dose (one curve or
+two), pushes the parameter-level formulae through that gradient.
 
 Fitting supports two modes. ``separate`` fits each curve on its own (each
 with its own scale estimate). ``common-sigma`` stacks the two curves into a
@@ -404,27 +405,12 @@ class DoseDerivatives:
     hess: Array
     bracket: tuple[float, float]
 
-    def estimate(self, method: str, bias: Array, cov: Array) -> DoseEstimate:
-        """``method``'s dose estimate from the parameters' bias vector and covariance,
-        with the second-order delta-method bias and standard error:
-
-            bias(gamma_hat) = gamma'^T bias(theta_hat) + tr(gamma'' Cov(theta_hat)) / 2
-
-        The curvature term is the same order in sigma as the first and, on
-        dose-response designs like the bundled one, comparable in size;
-        dropping it puts the formula visibly below Monte Carlo.
-        """
-        dose_bias = float(self.grad @ bias) + 0.5 * float(np.trace(self.hess @ cov))
-        return DoseEstimate(gamma_hat=self.gamma, bias=dose_bias,
-                            se=float(np.sqrt(max(self.grad @ cov @ self.grad, 0.0))),
-                            method=method.lower(), bracket=self.bracket)
-
 
 def dose_derivatives_batch(model: PartialBleachModel, theta,
                            bracket: tuple[float, float] | None = None) -> tuple:
-    """:func:`dose_derivatives` for every row of ``theta (R, p)``, with one
-    :func:`solve_gamma_batch` scan: per row its :class:`DoseDerivatives`, or
-    the error :func:`dose_derivatives` raises for that row."""
+    """Solve for gamma at every row of ``theta (R, p)`` with one
+    :func:`solve_gamma_batch` scan and differentiate it there: per row its
+    :class:`DoseDerivatives`, or the error solving or differentiating raised."""
     gammas, errors = solve_gamma_batch(model, theta, bracket)
     theta = np.asarray(theta, dtype=float)
     if bracket is None:
@@ -441,34 +427,81 @@ def dose_derivatives_batch(model: PartialBleachModel, theta,
     return tuple(out)
 
 
-def dose_derivatives(model: PartialBleachModel, theta,
-                     bracket: tuple[float, float] | None = None) -> DoseDerivatives:
-    """Solve for gamma at ``theta`` (in :func:`default_gamma_bracket` when
-    ``bracket`` is None) and differentiate it there: a stack of one for
-    :func:`dose_derivatives_batch`."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.p,):
-        raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
-    dose = dose_derivatives_batch(model, theta[None, :], bracket)[0]
-    if isinstance(dose, Exception):
-        raise dose
-    return dose
+@dataclass(frozen=True)
+class Formulae:
+    """One fit's formula pieces at its theta, from :func:`formulae`: the
+    Jacobian bundles behind its bias and covariance and, for two curves, its
+    dose derivatives (None for one curve). A piece that could not be built
+    holds its error, which the method that needs it raises."""
+
+    method: str
+    bundles: tuple[JacobianBundle, ...] | PropfitError
+    dose: DoseDerivatives | PropfitError | None
+
+    def bias_cov(self, sigma: float) -> tuple[Array, Array]:
+        """:func:`~propfit.asymptotics.bias_cov` of the fit at ``sigma``."""
+        if isinstance(self.bundles, Exception):
+            raise self.bundles
+        return bias_cov(self.method, self.bundles, sigma)
+
+    def estimate(self, bias: Array, cov: Array) -> DoseEstimate:
+        """The fit's dose estimate from its parameters' bias vector and
+        covariance, with the second-order delta-method bias and standard error:
+
+            bias(gamma_hat) = gamma'^T bias(theta_hat) + tr(gamma'' Cov(theta_hat)) / 2
+
+        The curvature term is the same order in sigma as the first and, on
+        dose-response designs like the bundled one, comparable in size;
+        dropping it puts the formula visibly below Monte Carlo.
+        """
+        if isinstance(self.dose, Exception):
+            raise self.dose
+        d = self.dose
+        return DoseEstimate(gamma_hat=d.gamma,
+                            bias=float(d.grad @ bias) + 0.5 * float(np.trace(d.hess @ cov)),
+                            se=float(np.sqrt(max(d.grad @ cov @ d.grad, 0.0))),
+                            method=self.method, bracket=d.bracket)
 
 
-def joint_bundles(model: PartialBleachModel, x1, x2, theta, method: str,
-                  fit_mode: str) -> tuple[JacobianBundle, ...]:
-    """The Jacobian bundles of a two-curve fit in ``fit_mode``, for
-    :func:`~propfit.asymptotics.bias_cov`: the stacked model's for
-    ``common-sigma``, one per curve for ``separate``."""
-    if resolve_modes(fit_mode, (method,))[method.lower()] == MODE_COMMON_SIGMA:
-        joint, idx = stacked_model(model, x1, x2)
-        return (build_jacobian_bundle(joint, Dataset(idx, joint.eval(idx, theta)), theta),)
-    alpha, beta = model.split(theta)
-    bundles = []
-    for curve, x, t in ((model.curve1, x1, alpha), (model.curve2, x2, beta)):
-        x = np.asarray(x, dtype=float)
-        bundles.append(build_jacobian_bundle(curve, Dataset(x, curve.eval(x, t)), t))
-    return tuple(bundles)
+def _bundles(model, xs, theta: Array, mode: str | None) -> tuple[JacobianBundle, ...]:
+    """A fit's Jacobian bundles at ``theta`` (see :func:`formulae`), each on its curve's means."""
+    if mode == MODE_COMMON_SIGMA:
+        pieces = [(*stacked_model(model, *xs), theta)]
+    elif mode == MODE_SEPARATE:
+        pieces = zip((model.curve1, model.curve2), xs, model.split(theta))
+    else:
+        pieces = [(model, xs[0], theta)]
+    return tuple(build_jacobian_bundle(m, Dataset(x, m.eval(x, t)), t) for m, x, t in pieces)
+
+
+def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
+             modes: dict[str, str] | None = None,
+             bracket: tuple[float, float] | None = None) -> dict[str, Formulae]:
+    """Per method, the :class:`Formulae` of its fit at ``thetas[method]``,
+    observed at the covariates ``xs`` (one per curve).
+
+    A one-curve fit has one bundle. A two-curve fit has its dose and, in its
+    mode ``modes[method]`` (from :func:`resolve_modes`), the stacked model's
+    bundle for ``common-sigma`` or one per curve for ``separate``. Bundles
+    are built once per distinct (mode, theta), and every distinct theta's
+    dose comes from one :func:`dose_derivatives_batch` scan in ``bracket``.
+    A piece keeps the :class:`PropfitError` building it raised.
+    """
+    thetas = {m: np.asarray(t, dtype=float) for m, t in thetas.items()}
+    two = isinstance(model, PartialBleachModel)
+    distinct = {t.tobytes(): t for t in thetas.values()}
+    doses = (dict(zip(distinct, dose_derivatives_batch(model, list(distinct.values()), bracket)))
+             if two and distinct else {})
+    built, out = {}, {}
+    for method, theta in thetas.items():
+        key = (modes[method] if two else None, theta.tobytes())
+        if key not in built:
+            try:
+                built[key] = _bundles(model, xs, theta, key[0])
+            except PropfitError as exc:
+                built[key] = exc
+        out[method] = Formulae(method, built[key], doses.get(key[1]))
+    return out
 
 
 def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method: str,
@@ -479,10 +512,12 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
     Solves for gamma at ``theta`` and pushes the parameter-level order-
     sigma^2 bias vector and covariance (exact ML covariance for ``ml``,
     ``sigma^2 (J'J)^{-1}`` otherwise, assembled per ``fit_mode``) through
-    the implicit-function derivatives of gamma (:meth:`DoseDerivatives.estimate`).
+    the implicit-function derivatives of gamma: :func:`formulae` for one fit.
     """
-    return dose_derivatives(model, theta, bracket).estimate(
-        method, *bias_cov(method, joint_bundles(model, x1, x2, theta, method, fit_mode), sigma))
+    method = method.lower()
+    row = formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)),
+                   bracket)[method]
+    return row.estimate(*row.bias_cov(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ random stream derived from the master seed, so results are bit-identical
 for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
-closed-form bias ``B_T`` evaluated at the true parameters. Replicates are
+closed-form bias ``B_T`` that :func:`~propfit.equivalent_dose.formulae`
+gives at the true parameters. Replicates are
 drawn straight into one response array per curve, with the draws and draw
 order of :func:`generate_dataset`. The study's replicates, across the
 whole sigma grid, are fitted as one stack per curve holding every method's
@@ -23,27 +24,25 @@ overridden in the design.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .asymptotics import bias_cov
 from .equivalent_dose import (
     MODE_DEFAULT,
     PartialBleachModel,
     beta1_from_gamma,
-    dose_derivatives,
     fit_two_curves_methods,
-    joint_bundles,
+    formulae,
     partial_bleach_model,
     resolve_modes,
     solve_gamma_batch,
 )
 from .estimators import METHODS, FitOptions, fit_methods
 from .exceptions import Rejected
-from .jacobian import build_jacobian_bundle
 from .models import Array, Dataset, ModelFunction
 
 # Stand-in dose grids (Gray) echoing the published sample sizes n1=16, n2=13.
@@ -288,35 +287,30 @@ def _run_rows(design: SimDesign, cells: Array, n_targets: int):
 def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     """Run the full study: generate, fit, aggregate, and attach formula biases.
 
-    The study's replicates, sigma by sigma, are split into contiguous
-    chunks, one per thread but none longer than ``STACK_ROWS`` rows, and
-    each chunk is fitted as one stack (on a thread pool when
-    ``threads > 1``), whichever sigmas it spans. A replicate's numbers do
-    not depend on its stack, so the summary is identical whatever the
-    split. The formula biases' pieces are built at the truth before any
-    replicate is fitted, so a truth without a dose, a singular design or a
-    ``common-sigma`` request no method can share (:func:`resolve_modes`)
-    raises at once.
+    The study's replicates, sigma by sigma, are split into ``threads``
+    contiguous chunks (at most one per replicate), more where a chunk would
+    pass ``STACK_ROWS`` rows, and each chunk is fitted as one stack,
+    whichever sigmas it spans, on a pool of at most one thread per CPU. A replicate's numbers do not depend
+    on its stack, so the summary is identical whatever the split. The
+    formula biases' pieces (:func:`~propfit.equivalent_dose.formulae`) are
+    built at the truth before any replicate is fitted, so a truth without a
+    dose, a singular design or a ``common-sigma`` request no method can
+    share (:func:`resolve_modes`) raises at once.
     """
     targets = design.target_names
     n_targets = len(targets)
     truths = {name: float(v) for name, v in zip(targets, design.theta0)}
-    model, theta0 = design.model, design.theta0
-    # B_T's sigma-free pieces at the truth: the Jacobian bundles of each fit
-    # mode and, for two curves, the dose and its derivatives.
-    dose = None
+    # B_T's sigma-free pieces at the truth, built before any replicate is
+    # fitted; a piece that cannot be built raises here.
+    modes = resolve_modes(design.fit_mode, design.methods) if design.two_curve else None
+    rows = formulae(design.model, [x for x, _ in design.means],
+                    dict.fromkeys(design.methods, design.theta0), modes, design.gamma_bracket)
+    for row in rows.values():
+        for piece in (row.dose, row.bundles):
+            if isinstance(piece, Exception):
+                raise piece
     if design.two_curve:
-        dose = dose_derivatives(model, theta0, design.gamma_bracket)
-        truths["gamma"] = dose.gamma
-        by_mode: dict = {}
-        bundles = {}
-        for method, mode in resolve_modes(design.fit_mode, design.methods).items():
-            if mode not in by_mode:
-                by_mode[mode] = joint_bundles(model, design.x1, design.x2, theta0, method, mode)
-            bundles[method] = by_mode[mode]
-    else:
-        data = Dataset(*design.means[0])
-        bundles = dict.fromkeys(design.methods, (build_jacobian_bundle(model, data, theta0),))
+        truths["gamma"] = rows[design.methods[0]].dose.gamma
     truth_vec = np.array([truths[t] for t in targets])
 
     S, R = len(design.sigma_grid), design.replicates
@@ -329,7 +323,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
         return _run_rows(design, chunk, n_targets)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(one, chunks))
     else:
         outcomes = [one(chunk) for chunk in chunks]
@@ -343,9 +337,9 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     for sigma_idx, sigma in enumerate(design.sigma_grid):
         n_rejected = int(rejected[sigma_idx].sum())
         for method in design.methods:
-            b_t, cov = bias_cov(method, bundles[method], sigma)
-            if dose is not None:
-                b_t = np.append(b_t, dose.estimate(method, b_t, cov).bias)
+            b_t, cov = rows[method].bias_cov(sigma)
+            if design.two_curve:
+                b_t = np.append(b_t, rows[method].estimate(b_t, cov).bias)
             est = estimates[method][sigma_idx]
             ok = ~np.any(np.isnan(est), axis=1)
             r_eff = int(ok.sum())

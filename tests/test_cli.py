@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from propfit import equivalent_dose, estimators
+from propfit.asymptotics import bias_order2, cov_ml_exact, cov_order2
 from propfit.cli import _pct, main, render_sim_text, round_floats
 from propfit.config import load_schema
 from propfit.equivalent_dose import (
@@ -20,10 +21,12 @@ from propfit.equivalent_dose import (
     gamma_bias_se,
     partial_bleach_model,
     resolve_modes,
+    stacked_model,
 )
-from propfit.estimators import METHODS
+from propfit.estimators import METHODS, fit
+from propfit.io import read_input_table
 from propfit.exceptions import ModeError, SingularError
-from propfit.models import Dataset
+from propfit.models import Dataset, saturating_exponential_model
 from propfit.simulation import (
     default_partial_bleach_design,
     generate_dataset,
@@ -90,6 +93,20 @@ def single_csv(path):
 
 
 SHORT = "ValueError: need n > p observations, got n=3, p=3"
+
+
+def library_bias_cov(method, model, data, theta, sigma):
+    """A fit's bias and covariance from the public one-curve formulae."""
+    cov = cov_ml_exact if method == "ml" else cov_order2
+    return (bias_order2(method, model, data, theta, sigma).bias,
+            cov(model, data, theta, sigma).cov)
+
+
+def library_rows(names, theta, bias, se) -> list[dict]:
+    """The parameter rows a fit report should carry."""
+    return [{"name": name, "estimate": float(t), "bias": float(b), "se": float(s),
+             "bias_over_rmse_pct": 100.0 * abs(b) / np.hypot(b, s)}
+            for name, t, b, s in zip(names, theta, bias, se)]
 
 
 def fit_entries(tmp_path, *argv):
@@ -187,31 +204,51 @@ class TestFitCommand:
         assert dose.split()[1:] == ["nan"] * 4
 
     def test_dose_matches_library(self, tmp_path):
-        # The dose propfit fit assembles from its parts equals gamma_bias_se's.
-        design = default_partial_bleach_design()
-        pb = design.model
-        alpha, beta = pb.split(design.theta0)
-        stream = replicate_stream(5, 0, 0)
-        d1 = generate_dataset(pb.curve1, design.x1, alpha, 0.03, stream)
-        d2 = generate_dataset(pb.curve2, design.x2, beta, 0.03, stream)
-        lines = ["curve,x,y"]
-        for label, data in (("unbleached", d1), ("bleached", d2)):
-            lines += [f"{label},{float(x)!r},{float(y)!r}" for x, y in zip(data.x, data.y)]
-        path, out = tmp_path / "pair.csv", tmp_path / "rep"
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["fit", "--data", str(path), "--format", "json", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        for method, mode in resolve_modes(MODE_DEFAULT, METHODS).items():
-            res = fit_two_curves(pb, d1, d2, method, mode=mode)
-            sigma = res.sigma_hats[0]
-            if len(res.sigma_hats) == 2:
-                dfs = np.array([d1.n - pb.curve1.p, d2.n - pb.curve2.p], dtype=float)
-                sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
-            est = gamma_bias_se(pb, d1.x, d2.x, res.theta_hat, sigma, method, fit_mode=mode)
-            expected = {"gamma_hat": est.gamma_hat, "equivalent_dose": est.equivalent_dose,
-                        "bias": est.equivalent_dose_bias, "se": est.se,
-                        "bias_over_rmse_pct": _pct(est.bias, est.se)}
-            assert report["methods"][method]["dose"] == round_floats(expected), method
+        # In every mode, the parameter rows and the dose propfit fit reports
+        # equal those built from the library's own pieces.
+        pb = partial_bleach_model()
+        path = noisy_pair(tmp_path / "pair.csv")[1]
+        d1, d2 = read_input_table(path).pair()
+        joint, idx = stacked_model(pb, d1.x, d2.x)
+        stacked = Dataset(idx, np.concatenate([d1.y, d2.y]))
+        for requested in (MODE_DEFAULT, MODE_SEPARATE, MODE_COMMON_SIGMA):
+            flag = [] if requested == MODE_DEFAULT else ["--mode", requested]
+            code, entries = fit_entries(tmp_path, "--data", path, *flag)
+            assert code == 0
+            for method, mode in resolve_modes(requested, METHODS).items():
+                res = fit_two_curves(pb, d1, d2, method, mode=mode)
+                sigma = res.sigma_hats[0]
+                if len(res.sigma_hats) == 2:
+                    dfs = np.array([d1.n - pb.curve1.p, d2.n - pb.curve2.p], dtype=float)
+                    sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
+                    alpha, beta = pb.split(res.theta_hat)
+                    pieces = [library_bias_cov(method, pb.curve1, d1, alpha, sigma),
+                              library_bias_cov(method, pb.curve2, d2, beta, sigma)]
+                else:
+                    pieces = [library_bias_cov(method, joint, stacked, res.theta_hat, sigma)]
+                bias = np.concatenate([b for b, _ in pieces])
+                se = np.concatenate([np.sqrt(np.diag(c)) for _, c in pieces])
+                assert entries[method]["parameters"] == round_floats(
+                    library_rows(pb.param_names, res.theta_hat, bias, se)), (requested, method)
+                est = gamma_bias_se(pb, d1.x, d2.x, res.theta_hat, sigma, method,
+                                    fit_mode=mode)
+                expected = {"gamma_hat": est.gamma_hat, "equivalent_dose": est.equivalent_dose,
+                            "bias": est.equivalent_dose_bias, "se": est.se,
+                            "bias_over_rmse_pct": _pct(est.bias, est.se)}
+                assert entries[method]["dose"] == round_floats(expected), (requested, method)
+
+    def test_single_curve_rows_match_library(self, tmp_path):
+        model = saturating_exponential_model()
+        path = single_csv(tmp_path / "one.csv")
+        data = read_input_table(path).single()
+        code, entries = fit_entries(tmp_path, "--data", path, "--model", model.name)
+        assert code == 0 and set(entries) == set(METHODS)
+        for method in METHODS:
+            res = fit(model, data, method)
+            bias, cov = library_bias_cov(method, model, data, res.theta_hat, res.sigma_hat)
+            assert entries[method]["parameters"] == round_floats(
+                library_rows(model.param_names, res.theta_hat, bias, np.sqrt(np.diag(cov))))
+            assert "dose" not in entries[method] and "mode" not in entries[method]
 
     def test_config_methods_and_format_apply(self, pair_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -270,7 +307,7 @@ class TestFitCommand:
         def singular(*args):
             raise SingularError("J'J is singular")
 
-        monkeypatch.setattr("propfit.cli.build_jacobian_bundle", singular)
+        monkeypatch.setattr("propfit.equivalent_dose.build_jacobian_bundle", singular)
         out = tmp_path / "rep"
         assert main(["fit", "--data", single_csv(tmp_path / "one.csv"), "--model",
                      "saturating_exponential", "--format", "both", "--out", str(out)]) == 0
@@ -446,6 +483,23 @@ class TestSimulateCommand:
                      ["fit", "--data", pair_csv, "--config", str(path)]):
             assert main(argv) == 2
             assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("entry, message", [
+        ('"gamma_bracket": [2.0, 1.0]',
+         "invalid config at gamma_bracket: [2.0, 1.0] is not lo < hi, both finite"),
+        ('"gamma_bracket": [NaN, 0]', "config holds a non-finite number: NaN"),
+        ('"gamma_bracket": [-1e999, 0]', "config holds a non-finite number: -1e999"),
+        ('"fit": {"tol_residual": NaN}', "config holds a non-finite number: NaN"),
+        ('"fit": {"tol_residual": Infinity}', "config holds a non-finite number: Infinity"),
+    ], ids=["reversed-bracket", "nan-bracket", "overflow-bracket", "nan-tol", "inf-tol"])
+    def test_bad_config_number_exits_2(self, pair_csv, tmp_path, capsys, entry, message):
+        # A runnable config with one bad number: both commands print one error line.
+        text, path = DEMO_CONFIG.read_text(), tmp_path / "cfg.json"
+        path.write_text(text[:text.rindex("}")] + f", {entry}}}")
+        for argv in (["simulate", "--config", str(path)],
+                     ["fit", "--data", pair_csv, "--config", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: ConfigError: {message}\n")
 
     @pytest.mark.parametrize("fmt", ["json", "both"])
     def test_unwritable_out_exits_2(self, pair_csv, sim_config, tmp_path, capsys, fmt):

@@ -12,12 +12,12 @@ from propfit.equivalent_dose import (
     MODE_SEPARATE,
     beta1_from_gamma,
     default_gamma_bracket,
-    dose_derivatives,
+    dose_derivatives_batch,
     fit_two_curves,
+    formulae,
     gamma_bias_se,
     gamma_gradient,
     gamma_hessian,
-    joint_bundles,
     partial_bleach_model,
     resolve_modes,
     solve_gamma,
@@ -195,7 +195,7 @@ class TestGammaGradient:
         gamma = solve_gamma(model, theta0)
         solving = Counter(calls)  # the root polish's own slope evaluations
         calls.clear()
-        dose = dose_derivatives(model, theta0)
+        dose = dose_derivatives_batch(model, theta0[None, :])[0]
         calls.subtract(solving)
         assert +calls == Counter(grad_fn=2, dx_fn=2, hess_fn=2)
         assert dose.gamma == gamma
@@ -306,7 +306,8 @@ class TestFitTwoCurves:
             assert res.mode == mode
             np.testing.assert_array_equal(res.theta_hat, same.theta_hat)
             assert res.sigma_hats == same.sigma_hats
-            bundles = joint_bundles(pb, x1, x2, theta0, method, MODE_DEFAULT)
+            bundles = formulae(pb, (x1, x2), {method: theta0},
+                               resolve_modes(MODE_DEFAULT, (method,)))[method].bundles
             assert len(bundles) == (1 if mode == MODE_COMMON_SIGMA else 2)
             assert gamma_bias_se(pb, x1, x2, theta0, 0.02, method, MODE_DEFAULT) == \
                 gamma_bias_se(pb, x1, x2, theta0, 0.02, method, mode)

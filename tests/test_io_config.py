@@ -85,6 +85,12 @@ class TestConfig:
             parse_config({"sim": {"theta0": [1.0], "x1": [0, 1], "sigma": [0.9],
                                   "replicates": 5}})
 
+    @pytest.mark.parametrize("bracket", [[2.0, 1.0], [1.0, 1.0], [float("nan"), 0.0],
+                                         [-float("inf"), 0.0]])
+    def test_bad_gamma_bracket_rejected(self, bracket):
+        with pytest.raises(ConfigError, match="gamma_bracket"):
+            parse_config({"model": "partial_bleach", "gamma_bracket": bracket})
+
     def test_two_curve_design_built(self):
         cfg = parse_config({
             "model": "partial_bleach",

@@ -126,6 +126,31 @@ class TestRunStudy:
             for cs, ct in zip(rs.cells, rt.cells):
                 assert cs == ct  # bit-identical, not merely close
 
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [1]), (None, [1])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        # --threads sets the number of chunks; the pool never outnumbers the CPUs.
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        design = constant_design(sigma_grid=(0.01, 0.02), replicates=5)
+        serial = run_study(design, threads=1)
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        assert run_study(design, threads=100_000).results == serial.results
+        assert seen == pools
+
     def test_seed_changes_results(self):
         a = run_study(constant_design(replicates=40, master_seed=1))
         b = run_study(constant_design(replicates=40, master_seed=2))

@@ -8,8 +8,9 @@ also written alone as an ``x,y`` CSV. One more ``simulate`` config, the
 first two-curve one at sigma 0.45 with one redraw allowed, makes replicates
 redraw and some of them be rejected, which the benchmark's sigmas (at most
 0.06) never do. Each checkout's own ``src`` then runs
-in a fresh interpreter: ``propfit fit --format both`` on every two-curve CSV
-and, with ``--model saturating_exponential``, on every one-curve CSV, and
+in a fresh interpreter: ``propfit fit --format both`` on every two-curve CSV,
+once in the default mode and once with each ``--mode`` of ``MODES``, and,
+with ``--model saturating_exponential``, on every one-curve CSV, and
 ``propfit simulate --format json`` on every config at ``--threads 1`` and at
 ``--threads 8``. The exit code of every call is kept next to the reports.
 Every file that differs, or exists on one side only, is listed, and the
@@ -29,6 +30,8 @@ from pathlib import Path
 
 WORKLOADS = ("simulate_two_curve", "simulate_two_curve_noisy", "fit_two_curve_csv")
 THREADS = (1, 8)
+# The ``propfit fit --mode`` values each two-curve CSV is also fitted in.
+MODES = ("separate", "common-sigma")
 # Where the one-curve CSVs cut from the two-curve inputs go, under the inputs.
 FIRST_CURVE = "fit_first_curve"
 # Where the redrawing simulate config goes, under the inputs.
@@ -75,10 +78,14 @@ def cli_calls(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
         name = f"{path.parent.name}/{path.stem}"
         (out / path.parent.name).mkdir(parents=True, exist_ok=True)
         if path.suffix == ".csv":
-            model = (["--model", "saturating_exponential"]
-                     if path.parent.name == FIRST_CURVE else [])
-            calls.append((name, ["fit", "--data", str(path), *model, "--format", "both",
-                                 "--out", str(out / name)]))
+            fit = ["fit", "--data", str(path), "--format", "both"]
+            if path.parent.name == FIRST_CURVE:
+                calls.append((name, [*fit, "--model", "saturating_exponential",
+                                     "--out", str(out / name)]))
+                continue
+            calls.append((name, [*fit, "--out", str(out / name)]))
+            calls += [(f"{name}.{mode}", [*fit, "--mode", mode, "--out",
+                                          str(out / f"{name}.{mode}")]) for mode in MODES]
             continue
         for threads in THREADS:
             calls.append((f"{name}.t{threads}", [
