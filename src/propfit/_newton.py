@@ -23,7 +23,7 @@ singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,16 +59,31 @@ def _t(a: Array) -> Array:
     return np.swapaxes(a, -1, -2)
 
 
-def _flag(table: tuple, k: Array, name: str) -> Array:
-    """``table[k].<name>`` per row, for a boolean field ``name``."""
-    return np.array([getattr(eq, name) for eq in table])[k]
+@dataclass(frozen=True)
+class _Table:
+    """A table of estimating equations, row ``r`` of a stack solving
+    ``equations[k[r]]``, with each boolean field of the equations as one
+    array over the table, built once: ``profiled[k]`` flags a stack's rows.
+    """
+
+    equations: tuple[_Equation, ...]
+    divides_by_f: Array = field(init=False)
+    profiled: Array = field(init=False)
+
+    def __post_init__(self):
+        for name in ("divides_by_f", "profiled"):
+            object.__setattr__(self, name, np.array([getattr(eq, name) for eq in self.equations]))
 
 
-def _pick(table: tuple, k: Array, name: str, f: Array, y: Array) -> Array:
-    """``table[k[r]].<name>(f[r], y[r])`` per row ``r``, each run of equal ``k``
-    evaluated on its own slice (a stack keeps its rows grouped by equation)."""
+def _pick(table: _Table, k: Array, name: str, f: Array, y: Array) -> Array:
+    """``table.equations[k[r]].<name>(f[r], y[r])`` per row ``r``. A stack
+    keeps each equation's rows together, so one whose first and last rows
+    share an equation holds no other and takes one call on the whole stack;
+    otherwise each run of equal ``k`` is evaluated on its own slice."""
+    if k[0] == k[-1]:
+        return getattr(table.equations[k[0]], name)(f, y)
     edges = [0, *(np.flatnonzero(np.diff(k)) + 1), len(k)]
-    return np.concatenate([getattr(table[k[a]], name)(f[a:b], y[a:b])
+    return np.concatenate([getattr(table.equations[k[a]], name)(f[a:b], y[a:b])
                            for a, b in zip(edges[:-1], edges[1:])])
 
 
@@ -106,7 +121,7 @@ class _Iterate:
         """The rows ``index`` selects (a boolean mask or positions)."""
         return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
 
-    def jacobian(self, table: tuple, model: ModelFunction, x: Array) -> Array:
+    def jacobian(self, table: _Table, model: ModelFunction, x: Array) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
         y, f, G, c = self.y, self.f, self.G, self.c
@@ -117,7 +132,7 @@ class _Iterate:
             A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
                 c.shape[:-1] + (p, p))
             A += _t(G * _pick(table, self.k, "dweight", f, y)[..., None]) @ G
-            profiled = _flag(table, self.k, "profiled")
+            profiled = table.profiled[self.k]
             if profiled.any():
                 J = G / f[..., None]
                 ds2 = (-2.0 / y.shape[-1]) * (_t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
@@ -128,7 +143,7 @@ class _Iterate:
             self.fault[bad] = FAULT_HESSIAN
         return A
 
-    def scoring(self, table: tuple) -> Array:
+    def scoring(self, table: _Table) -> Array:
         """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
         with np.errstate(all="ignore"):
             return _t(self.G * _pick(table, self.k, "scoring", self.f, self.y)[..., None]) @ self.G
@@ -140,21 +155,21 @@ def _join(pieces: list[_Iterate]) -> _Iterate:
                        for name in vars(pieces[0])})
 
 
-def _point(table: tuple, model: ModelFunction, x: Array, y: Array, theta, k,
+def _point(table: _Table, model: ModelFunction, x: Array, y: Array, theta, k,
            sigma: float | None = None) -> _Iterate:
-    """The equations ``table[k]`` (one index per row) at ``theta (m, p)`` for
+    """The equations ``table.equations[k]`` (one index per row) at ``theta (m, p)`` for
     the responses ``y (m, n)`` observed at ``x``; ``sigma`` freezes ML's
     scale. Undefined rows are flagged in ``fault``, not raised."""
     theta, k = np.asarray(theta, dtype=float), np.asarray(k)
     with np.errstate(all="ignore"):
         f = np.asarray(model.eval_fn(x, theta), dtype=float)
         fault = model.faults(x, theta)
-        fault = np.where(_flag(table, k, "divides_by_f") & (fault == 0)
+        fault = np.where(table.divides_by_f[k] & (fault == 0)
                          & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
         G = model.grad_rows(x, theta)
         c = _pick(table, k, "weight", f, y)
         s2 = np.zeros(len(k))
-        profiled = _flag(table, k, "profiled")
+        profiled = table.profiled[k]
         if profiled.any():
             s2 = np.where(profiled, np.mean(((y - f) / f) ** 2, axis=-1) if sigma is None
                           else float(sigma) ** 2, s2)
@@ -210,7 +225,7 @@ def _no_rise(new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return (new <= old) | (new <= old + _OBJECTIVE_ULPS * np.spacing(np.abs(old)))
 
 
-def _advance(table: tuple, model: ModelFunction, x: Array, Y: Array, pt: _Iterate,
+def _advance(table: _Table, model: ModelFunction, x: Array, Y: Array, pt: _Iterate,
              rows: np.ndarray):
     """One iteration of every row of ``pt``, the iterate of the datasets
     ``Y[rows]``.
@@ -274,11 +289,12 @@ def _advance(table: tuple, model: ModelFunction, x: Array, Y: Array, pt: _Iterat
     return _join(pieces).take(order), positions[order], failures
 
 
-def solve(table: tuple, model: ModelFunction, x: Array, Y: Array, theta0, k, *,
+def solve(table: _Table, model: ModelFunction, x: Array, Y: Array, theta0, k, *,
           tol_relative: float = 1e-8, tol_absolute: float = 1e-10,
           max_iter: int = 100) -> SolveResult:
-    """Drive the equation ``table[k[r]]`` to zero for every dataset ``Y[r]``
-    of ``Y (R, n)`` observed at ``x``, from its row of ``theta0 (R, p)``.
+    """Drive the equation ``table.equations[k[r]]`` to zero for every dataset
+    ``Y[r]`` of ``Y (R, n)`` observed at ``x``, from its row of ``theta0 (R,
+    p)``. The rows of each equation must be contiguous in ``k``.
 
     ``iterations`` counts the iterations each row ran, a last one that found
     no step included.

@@ -7,10 +7,12 @@ where the curves intersect, found as a root of
     g(x, theta) = f1(x, alpha) - f2(x, beta) = 0.
 
 ``beta1_from_gamma`` constructs the bleached scale so the true curves
-intersect exactly at a chosen ``gamma``; ``gamma_gradient`` differentiates
-the implicit root in the six joint parameters; :func:`formulae`, the one
-builder of every fit's bias, covariance and delta-method dose (one curve or
-two), pushes the parameter-level formulae through that gradient.
+intersect exactly at a chosen ``gamma``; :func:`dose_derivatives_batch`
+solves for and differentiates the implicit root in the six joint parameters
+for a stack of parameter rows (``gamma_gradient`` and ``gamma_hessian`` are
+stacks of one); :func:`formulae`, the one builder of every fit's bias,
+covariance and delta-method dose (one curve or two), pushes the
+parameter-level formulae through those derivatives.
 
 Fitting supports two modes. ``separate`` fits each curve on its own (each
 with its own scale estimate). ``common-sigma`` stacks the two curves into a
@@ -40,8 +42,16 @@ from .exceptions import (
     TangencyError,
     first_errors,
 )
-from .jacobian import JacobianBundle, build_jacobian_bundle
-from .models import Array, Dataset, ModelFunction, fault_error, saturating_exponential_model
+from .jacobian import JacobianBundle, build_jacobian_bundles
+from .models import (
+    FAULT_GRADIENT,
+    FAULT_HESSIAN,
+    Array,
+    Dataset,
+    ModelFunction,
+    fault_error,
+    saturating_exponential_model,
+)
 
 MODE_SEPARATE = "separate"
 MODE_COMMON_SIGMA = "common-sigma"
@@ -314,40 +324,74 @@ def solve_gamma(model: PartialBleachModel, theta,
     return float(gammas[0])
 
 
-def _implicit_derivatives(model: PartialBleachModel, theta, gamma: float,
-                          hessian: bool) -> tuple[Array, Array | None]:
-    """The gradient of the implicit root gamma(theta) and, when ``hessian``
-    is set, its Hessian (see :func:`gamma_gradient` and :func:`gamma_hessian`).
+def _implicit_derivatives(model: PartialBleachModel, theta: Array, gamma: Array,
+                          hessian: bool) -> tuple[Array, Array | None, list]:
+    """Per row of ``theta (R, p)`` and its root ``gamma (R,)``: the gradient of
+    the implicit root gamma(theta) and, when ``hessian`` is set, its Hessian
+    (see :func:`gamma_gradient` and :func:`gamma_hessian`), and the error of a
+    row where they are undefined (None elsewhere; such a row's numbers mean nothing).
 
-    Each curve's gradient and slope in x are evaluated once, at gamma - h,
-    gamma and gamma + h with ``h = cbrt(eps) * max(1, |gamma|)``, and its
-    Hessian once, at gamma, only after the tangency check.
+    Each curve's gradient and slope in x are evaluated once for the stack, at
+    gamma - h, gamma and gamma + h with ``h = cbrt(eps) * max(1, |gamma|)``,
+    and its Hessian once, at gamma, on the rows that pass the tangency check.
+    A row fails, first check first, where a curve's parameters are undefined
+    there or its gradient is non-finite (curve 1, then curve 2), where the
+    curves meet tangentially, or where a curve's Hessian is non-finite.
     """
-    alpha, beta = model.split(theta)
-    c1, c2 = model.curve1, model.curve2
-    gamma = float(gamma)
-    h = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(gamma))
-    xs = np.array([gamma - h, gamma, gamma + h])
-    grad1, grad2 = c1.grad(xs, alpha), c2.grad(xs, beta)
-    dx1, dx2 = c1.dx(xs, alpha), c2.dx(xs, beta)
-    grad_theta = np.concatenate([grad1[1], -grad2[1]])
-    s1, s2 = float(dx1[1]), float(dx2[1])
-    g_x = s1 - s2
-    scale = max(abs(s1), abs(s2), 1e-300)
-    if abs(g_x) < 1e-12 * scale:
-        raise TangencyError("curves meet tangentially; dose gradient is undefined")
-    gp = -grad_theta / g_x
-    if not hessian:
-        return gp, None
+    p1 = model.curve1.p
+    curves = ((model.curve1, theta[:, :p1]), (model.curve2, theta[:, p1:]))
+    h = float(np.cbrt(np.finfo(float).eps)) * np.maximum(1.0, np.abs(gamma))
+    xs = np.stack([gamma - h, gamma, gamma + h], axis=1)
+    errors: list = [None] * len(theta)
 
-    p1, p = c1.p, model.p
-    g_tt = np.zeros((p, p))
-    g_tt[:p1, :p1] = c1.hess(gamma, alpha)
-    g_tt[p1:, p1:] = -c2.hess(gamma, beta)
-    g_xt = np.concatenate([(grad1[2] - grad1[0]) / (2 * h), -(grad2[2] - grad2[0]) / (2 * h)])
-    g_xx = ((dx1[2] - dx1[0]) - (dx2[2] - dx2[0])) / (2 * h)
-    return gp, -(g_tt + np.outer(g_xt, gp) + np.outer(gp, g_xt)
-                 + g_xx * np.outer(gp, gp)) / g_x
+    def fail(which, error) -> None:
+        """The rows ``which`` fail with ``error(r)``, unless they already have."""
+        for r in which:
+            if errors[r] is None:
+                errors[r] = error(r)
+
+    grads, slopes = [], []
+    with np.errstate(all="ignore"):
+        for curve, t in curves:
+            fault = curve.faults(xs, t)
+            fail(np.flatnonzero(fault), lambda r: fault_error(curve, int(fault[r])))
+            grads.append(curve.grad_rows(xs, t))
+            fail(np.flatnonzero(~np.all(np.isfinite(grads[-1]), axis=(1, 2))),
+                 lambda r: fault_error(curve, FAULT_GRADIENT))
+            slopes.append(curve.dx_rows(xs, t))
+        (grad1, grad2), (dx1, dx2) = grads, slopes
+        s1, s2 = dx1[:, 1], dx2[:, 1]
+        g_x = s1 - s2
+        tangent = np.abs(g_x) < 1e-12 * np.maximum(np.maximum(np.abs(s1), np.abs(s2)), 1e-300)
+        fail(np.flatnonzero(tangent),
+             lambda r: TangencyError("curves meet tangentially; dose gradient is undefined"))
+        gp = -np.concatenate([grad1[:, 1], -grad2[:, 1]], axis=1) / g_x[:, None]
+        if not hessian:
+            return gp, None, errors
+
+        rows = np.flatnonzero([e is None for e in errors])
+        g_tt = np.zeros((len(theta), model.p, model.p))
+        for (curve, t), block, sign in zip(curves, (slice(0, p1), slice(p1, None)), (1.0, -1.0)):
+            H = curve.hess_rows(gamma[rows, None], t[rows])[:, 0]
+            fail(rows[~np.all(np.isfinite(H), axis=(1, 2))],
+                 lambda r: fault_error(curve, FAULT_HESSIAN))
+            g_tt[rows, block, block] = sign * H
+        two_h = (2 * h)[:, None]
+        g_xt = np.concatenate([(grad1[:, 2] - grad1[:, 0]) / two_h,
+                               -(grad2[:, 2] - grad2[:, 0]) / two_h], axis=1)
+        g_xx = ((dx1[:, 2] - dx1[:, 0]) - (dx2[:, 2] - dx2[:, 0])) / (2 * h)
+        hess = -(g_tt + g_xt[:, :, None] * gp[:, None, :] + gp[:, :, None] * g_xt[:, None, :]
+                 + g_xx[:, None, None] * (gp[:, :, None] * gp[:, None, :])) / g_x[:, None, None]
+    return gp, hess, errors
+
+
+def _one_root(model: PartialBleachModel, theta, gamma: float, hessian: bool):
+    """:func:`_implicit_derivatives` at one joint ``theta`` and its root."""
+    theta = np.concatenate(model.split(theta))[None, :]
+    grad, hess, errors = _implicit_derivatives(model, theta, np.array([float(gamma)]), hessian)
+    if errors[0] is not None:
+        raise errors[0]
+    return grad[0], None if hess is None else hess[0]
 
 
 def gamma_gradient(model: PartialBleachModel, theta, gamma: float) -> Array:
@@ -356,9 +400,10 @@ def gamma_gradient(model: PartialBleachModel, theta, gamma: float) -> Array:
     By implicit differentiation of g(gamma, theta) = 0:
     ``d gamma / d theta = -grad_theta g / (dg/dx)``.  Raises
     :class:`TangencyError` when the curves' slopes at gamma are equal to
-    within 1e-12 relative (the root is then not locally defined).
+    within 1e-12 relative (the root is then not locally defined). A stack
+    of one for the derivatives :func:`dose_derivatives_batch` takes.
     """
-    return _implicit_derivatives(model, theta, gamma, hessian=False)[0]
+    return _one_root(model, theta, gamma, hessian=False)[0]
 
 
 def gamma_hessian(model: PartialBleachModel, theta, gamma: float) -> Array:
@@ -370,9 +415,10 @@ def gamma_hessian(model: PartialBleachModel, theta, gamma: float) -> Array:
 
     with all pieces evaluated at (gamma, theta). The mixed x/theta
     derivatives come from central differences of the analytic gradient and
-    slope in x.
+    slope in x. A stack of one for the derivatives
+    :func:`dose_derivatives_batch` takes.
     """
-    return _implicit_derivatives(model, theta, gamma, hessian=True)[1]
+    return _one_root(model, theta, gamma, hessian=True)[1]
 
 
 @dataclass(frozen=True)
@@ -409,21 +455,22 @@ class DoseDerivatives:
 def dose_derivatives_batch(model: PartialBleachModel, theta,
                            bracket: tuple[float, float] | None = None) -> tuple:
     """Solve for gamma at every row of ``theta (R, p)`` with one
-    :func:`solve_gamma_batch` scan and differentiate it there: per row its
-    :class:`DoseDerivatives`, or the error solving or differentiating raised."""
+    :func:`solve_gamma_batch` scan and differentiate every root found in one
+    array pass: per row its :class:`DoseDerivatives`, or the error solving or
+    differentiating raised (a tangency, or a curve's non-finite gradient or
+    Hessian at the root), the same as the row alone gives."""
     gammas, errors = solve_gamma_batch(model, theta, bracket)
     theta = np.asarray(theta, dtype=float)
     if bracket is None:
         brackets = [(float(lo), float(hi)) for lo, hi in zip(*_default_brackets(model, theta))]
     else:
         brackets = [tuple(bracket)] * len(theta)
+    found = np.flatnonzero([e is None for e in errors])
+    grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
-    for r in np.flatnonzero([e is None for e in errors]):
-        try:
-            out[r] = DoseDerivatives(float(gammas[r]), *_implicit_derivatives(
-                model, theta[r], gammas[r], hessian=True), brackets[r])
-        except PropfitError as exc:
-            out[r] = exc
+    for i, r in enumerate(found):
+        out[r] = (failed[i] if failed[i] is not None else
+                  DoseDerivatives(float(gammas[r]), grad[i], hess[i], brackets[r]))
     return tuple(out)
 
 
@@ -463,17 +510,6 @@ class Formulae:
                             method=self.method, bracket=d.bracket)
 
 
-def _bundles(model, xs, theta: Array, mode: str | None) -> tuple[JacobianBundle, ...]:
-    """A fit's Jacobian bundles at ``theta`` (see :func:`formulae`), each on its curve's means."""
-    if mode == MODE_COMMON_SIGMA:
-        pieces = [(*stacked_model(model, *xs), theta)]
-    elif mode == MODE_SEPARATE:
-        pieces = zip((model.curve1, model.curve2), xs, model.split(theta))
-    else:
-        pieces = [(model, xs[0], theta)]
-    return tuple(build_jacobian_bundle(m, Dataset(x, m.eval(x, t)), t) for m, x, t in pieces)
-
-
 def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
              modes: dict[str, str] | None = None,
              bracket: tuple[float, float] | None = None) -> dict[str, Formulae]:
@@ -482,25 +518,40 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
 
     A one-curve fit has one bundle. A two-curve fit has its dose and, in its
     mode ``modes[method]`` (from :func:`resolve_modes`), the stacked model's
-    bundle for ``common-sigma`` or one per curve for ``separate``. Bundles
-    are built once per distinct (mode, theta), and every distinct theta's
-    dose comes from one :func:`dose_derivatives_batch` scan in ``bracket``.
-    A piece keeps the :class:`PropfitError` building it raised.
+    bundle for ``common-sigma`` or one per curve for ``separate``. Each
+    (model, covariate) pair, so curve 1, curve 2 and the stacked model, gets
+    one :func:`~propfit.jacobian.build_jacobian_bundles` stack of the
+    distinct parameter rows its fits need, and every distinct theta's dose
+    comes from one :func:`dose_derivatives_batch` scan in ``bracket``. A
+    piece keeps the :class:`PropfitError` building it raised; a fit with a
+    failed bundle keeps the first, in curve order.
     """
     thetas = {m: np.asarray(t, dtype=float) for m, t in thetas.items()}
-    two = isinstance(model, PartialBleachModel)
-    distinct = {t.tobytes(): t for t in thetas.values()}
-    doses = (dict(zip(distinct, dose_derivatives_batch(model, list(distinct.values()), bracket)))
-             if two and distinct else {})
-    built, out = {}, {}
+    # A stack is (model, covariate, the columns of theta it takes).
+    doses, stacks, uses = {}, [(model, xs[0], slice(None))], dict.fromkeys(thetas, (0,))
+    if isinstance(model, PartialBleachModel):
+        distinct = {t.tobytes(): t for t in thetas.values()}
+        if distinct:
+            doses = dict(zip(distinct, dose_derivatives_batch(model, list(distinct.values()),
+                                                              bracket)))
+        p1 = model.curve1.p
+        stacks = [(*stacked_model(model, *xs), slice(None)),
+                  (model.curve1, xs[0], slice(0, p1)), (model.curve2, xs[1], slice(p1, None))]
+        uses = {m: (0,) if modes[m] == MODE_COMMON_SIGMA else (1, 2) for m in thetas}
+    # Per stack, the distinct rows of the fits that use it, by their bytes.
+    rows: list[dict] = [{} for _ in stacks]
     for method, theta in thetas.items():
-        key = (modes[method] if two else None, theta.tobytes())
-        if key not in built:
-            try:
-                built[key] = _bundles(model, xs, theta, key[0])
-            except PropfitError as exc:
-                built[key] = exc
-        out[method] = Formulae(method, built[key], doses.get(key[1]))
+        for i in uses[method]:
+            row = theta[stacks[i][2]]
+            rows[i][row.tobytes()] = row
+    built = [dict(zip(r, build_jacobian_bundles(m, x, list(r.values())))) if r else {}
+             for (m, x, _), r in zip(stacks, rows)]
+    out = {}
+    for method, theta in thetas.items():
+        bundles = tuple(built[i][theta[stacks[i][2]].tobytes()] for i in uses[method])
+        error = next((b for b in bundles if isinstance(b, Exception)), None)
+        out[method] = Formulae(method, bundles if error is None else error,
+                               doses.get(theta.tobytes()))
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import _Equation, _point, solve
+from ._newton import _Equation, _point, _Table, solve
 from .exceptions import ZeroResponseError, first_errors
 from .models import FAULT_THETA, FAULT_ZERO_MEAN, Array, Dataset, ModelFunction, fault_error
 
@@ -126,7 +126,7 @@ def _ml_objective(f: Array, y: Array) -> Array:
 
 # One row per method, in the order of ``METHODS``, then unweighted least
 # squares, which only the "auto" start solves.
-_EQUATIONS = (
+_EQUATIONS = _Table((
     _Equation(  # ml
         weight=lambda f, y: y * (f - y) / f**3,
         dweight=lambda f, y: y * (3.0 * y - 2.0 * f) / f**4,
@@ -155,7 +155,7 @@ _EQUATIONS = (
         scoring=lambda f, y: np.full_like(f, -1.0),
         objective=lambda f, y: 0.5 * np.sum((y - f) ** 2, axis=-1),
         divides_by_f=False),
-)
+))
 
 
 def _dwls_response_errors(Y: Array) -> tuple:

@@ -5,6 +5,11 @@ matrix of the problem: ``(J'J)^{-1}`` drives every covariance, the hat-matrix
 diagonal gives the leverages ``w1_i``, and the scaled Hessians
 ``K_i = H(x_i, theta) / f(x_i, theta)`` give the curvature weights
 ``w2_i = tr(K_i (J'J)^{-1})`` entering the bias formulae.
+
+:func:`build_jacobian_bundles` builds them for a stack of parameter rows
+that share their covariate, one model evaluation of the means, gradient and
+Hessian for the whole stack, with each row's failure kept as that row's
+error; :func:`build_jacobian_bundle` is its stack of one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DerivativeNoiseWarning, SingularError, ZeroMeanError
-from .models import Array, Dataset, ModelFunction
+from .models import FAULT_GRADIENT, FAULT_HESSIAN, Array, Dataset, ModelFunction, fault_error
 
 # Reciprocal-condition floor below which J'J is declared singular.
 RCOND_MIN = 1e-12
@@ -62,11 +67,84 @@ class JacobianBundle:
         return self.J.sum(axis=0)
 
 
+def build_jacobian_bundles(model: ModelFunction, x, thetas) -> tuple:
+    """:func:`build_jacobian_bundle` at every row of ``thetas (R, p)``, all
+    observed at the covariate ``x (n,)``, as one stack.
+
+    Returns, per row, its :class:`JacobianBundle` or the
+    :class:`~propfit.exceptions.PropfitError` the one-row builder raises for
+    it, checked in the same order: the parameters and the means (as
+    :meth:`~propfit.models.ModelFunction.eval`), a zero mean, a non-finite
+    gradient, a singular ``J'J``, a non-finite Hessian. The means, gradient
+    and Hessian are each evaluated once, on the rows still standing, and a
+    row's numbers do not depend on the rest of the stack. ``thetas`` of the
+    wrong shape, or ``n <= p``, raise ``ValueError`` for the whole call.
+    """
+    x, thetas = np.asarray(x, dtype=float), np.asarray(thetas, dtype=float)
+    n, p = x.size, model.p
+    if thetas.ndim != 2 or thetas.shape[1] != p:
+        raise ValueError(f"thetas must have shape (R, {p}), got {thetas.shape}")
+    if n <= p:
+        raise ValueError(f"need n > p observations, got n={n}, p={p}")
+    out: list = [None] * len(thetas)
+
+    f, fault = model.eval_rows(x, thetas)
+    zero = (fault == 0) & np.any(f == 0.0, axis=1)
+    for r in np.flatnonzero(fault):
+        out[r] = fault_error(model, int(fault[r]))
+    for r in np.flatnonzero(zero):
+        idx = int(np.flatnonzero(f[r] == 0.0)[0])
+        out[r] = ZeroMeanError(f"mean response is zero at x={x[idx]!r}")
+    rows = np.flatnonzero((fault == 0) & ~zero)
+
+    G = model.grad_rows(x, thetas[rows])
+    finite = np.all(np.isfinite(G), axis=(1, 2))
+    for r in rows[~finite]:
+        out[r] = fault_error(model, FAULT_GRADIENT)
+    rows = rows[finite]
+    J = G[finite] / f[rows][:, :, None]
+
+    JtJ = np.swapaxes(J, 1, 2) @ J
+    eigvals = np.linalg.eigvalsh(JtJ)
+    singular = (eigvals[:, 0] <= 0.0) | (eigvals[:, 0] < RCOND_MIN * eigvals[:, -1])
+    for r, (low, high) in zip(rows[singular], eigvals[singular][:, [0, -1]]):
+        out[r] = SingularError(
+            f"J'J is numerically singular (eigenvalue range {low:.3e}..{high:.3e})")
+    rows, J, JtJ = rows[~singular], J[~singular], JtJ[~singular]
+    JtJ_inv = np.linalg.inv(JtJ)
+    JtJ_inv = 0.5 * (JtJ_inv + np.swapaxes(JtJ_inv, 1, 2))
+    w1 = np.einsum("rij,rjk,rik->ri", J, JtJ_inv, J)
+
+    if rows.size and model.grad_fn is None and model.hess_fn is None:
+        warnings.warn(
+            "curvature weights use a doubly finite-differenced Hessian; "
+            "expect relative noise near cbrt(eps)",
+            DerivativeNoiseWarning,
+            stacklevel=2,
+        )
+    H = model.hess_rows(x, thetas[rows])
+    finite = np.all(np.isfinite(H), axis=(1, 2, 3))
+    for r in rows[~finite]:
+        out[r] = fault_error(model, FAULT_HESSIAN)
+    K = H / f[rows][:, :, None, None]
+    for i in np.flatnonzero(finite):
+        # Per row: the batched form of this contraction sums in another order.
+        out[rows[i]] = JacobianBundle(J=J[i], JtJ=JtJ[i], JtJ_inv=JtJ_inv[i],
+                                      Jbar=J[i].mean(axis=0), w1=w1[i],
+                                      w2=np.einsum("ijk,kj->i", K[i], JtJ_inv[i]), f=f[rows[i]])
+    return tuple(out)
+
+
 def build_jacobian_bundle(model: ModelFunction, data: Dataset, theta) -> JacobianBundle:
-    """Assemble the J matrix, leverages, and curvature weights at ``theta``.
+    """Assemble the J matrix, leverages, and curvature weights at ``theta``:
+    a stack of one for :func:`build_jacobian_bundles`.
 
     Raises
     ------
+    DomainError
+        If ``theta`` has a non-finite entry or is outside the model's domain.
+    NonFiniteError
+        If the means, gradient or Hessian are non-finite.
     ZeroMeanError
         If any fitted mean is zero (the relative gradient is undefined).
     SingularError
@@ -75,40 +153,7 @@ def build_jacobian_bundle(model: ModelFunction, data: Dataset, theta) -> Jacobia
     ValueError
         If the dataset does not satisfy n > p.
     """
-    theta = model.check_theta(theta)
-    n, p = data.n, model.p
-    if n <= p:
-        raise ValueError(f"need n > p observations, got n={n}, p={p}")
-
-    f = np.asarray(model.eval(data.x, theta), dtype=float)
-    if np.any(f == 0.0):
-        idx = int(np.flatnonzero(f == 0.0)[0])
-        raise ZeroMeanError(f"mean response is zero at x={data.x[idx]!r}")
-
-    G = np.asarray(model.grad(data.x, theta), dtype=float)
-    J = G / f[:, None]
-
-    JtJ = J.T @ J
-    eigvals = np.linalg.eigvalsh(JtJ)
-    if eigvals[0] <= 0.0 or eigvals[0] < RCOND_MIN * eigvals[-1]:
-        raise SingularError(
-            f"J'J is numerically singular (eigenvalue range {eigvals[0]:.3e}..{eigvals[-1]:.3e})"
-        )
-    JtJ_inv = np.linalg.inv(JtJ)
-    JtJ_inv = 0.5 * (JtJ_inv + JtJ_inv.T)
-
-    w1 = np.einsum("ij,jk,ik->i", J, JtJ_inv, J)
-
-    if model.grad_fn is None and model.hess_fn is None:
-        warnings.warn(
-            "curvature weights use a doubly finite-differenced Hessian; "
-            "expect relative noise near cbrt(eps)",
-            DerivativeNoiseWarning,
-            stacklevel=2,
-        )
-    H = np.asarray(model.hess(data.x, theta), dtype=float)
-    K = H / f[:, None, None]
-    w2 = np.einsum("ijk,kj->i", K, JtJ_inv)
-
-    return JacobianBundle(J=J, JtJ=JtJ, JtJ_inv=JtJ_inv, Jbar=J.mean(axis=0),
-                          w1=w1, w2=w2, f=f)
+    bundle = build_jacobian_bundles(model, data.x, model.check_theta(theta)[None, :])[0]
+    if isinstance(bundle, Exception):
+        raise bundle
+    return bundle

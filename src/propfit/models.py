@@ -43,6 +43,7 @@ FAULT_DOMAIN = 2  # the domain guard rejects the parameters
 FAULT_VALUE = 3  # the mean is non-finite
 FAULT_ZERO_MEAN = 4  # the mean is zero at an observation
 FAULT_HESSIAN = 5  # the parameter Hessian is non-finite
+FAULT_GRADIENT = 6  # the parameter gradient is non-finite
 
 
 def _as_1d(x) -> Array:
@@ -211,7 +212,7 @@ class ModelFunction:
         xv, theta = self._checked(x, theta)
         g = self.grad_rows(xv, theta)
         if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"gradient of model {self.name!r} is non-finite")
+            raise fault_error(self, FAULT_GRADIENT)
         return g[0] if scalar else g
 
     def hess(self, x, theta) -> Array:
@@ -220,7 +221,7 @@ class ModelFunction:
         xv, theta = self._checked(x, theta)
         h = self.hess_rows(xv, theta)
         if not np.all(np.isfinite(h)):
-            raise NonFiniteError(f"Hessian of model {self.name!r} is non-finite")
+            raise fault_error(self, FAULT_HESSIAN)
         return h[0] if scalar else h
 
     def dx(self, x, theta) -> Array | float:
@@ -273,6 +274,8 @@ def fault_error(model: ModelFunction, code: int) -> PropfitError:
         return ZeroMeanError("mean response is zero at an observation")
     if code == FAULT_HESSIAN:
         return NonFiniteError(f"Hessian of model {model.name!r} is non-finite")
+    if code == FAULT_GRADIENT:
+        return NonFiniteError(f"gradient of model {model.name!r} is non-finite")
     raise ValueError(f"unknown fault code {code!r}")
 
 
@@ -440,11 +443,11 @@ def saturating_exponential_model() -> ModelFunction:
     def gr(x, t):
         a1, a2, a3 = t[..., 0, None], t[..., 1, None], t[..., 2, None]
         e = _e(x, t)
-        return np.stack([
-            1.0 - e,
-            a1 * e / a3,
-            -a1 * (x + a2) / a3 ** 2 * e,
-        ], axis=-1)
+        g = np.empty(e.shape + (3,))
+        g[..., 0] = 1.0 - e
+        g[..., 1] = a1 * e / a3
+        g[..., 2] = -a1 * (x + a2) / a3 ** 2 * e
+        return g
 
     def he(x, t):
         a1, a2, a3 = t[..., 0, None], t[..., 1, None], t[..., 2, None]

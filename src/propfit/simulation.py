@@ -97,6 +97,8 @@ class SimDesign:
             object.__setattr__(self, "x2", np.asarray(self.x2, dtype=float))
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
+        if not self.sigma_grid:
+            raise ValueError("need at least one sigma value")
         if any(not (0.0 <= s <= 0.5) for s in self.sigma_grid):
             raise ValueError("sigma values must lie in [0, 0.5]")
         if self.replicates < 1:

@@ -289,9 +289,10 @@ class TestFactorization:
 
         model = ModelFunction(
             name="affine", p=2, param_names=("a", "b"),
-            eval_fn=lambda x, t: t[0] + t[1] * x,
-            grad_fn=lambda x, t: np.stack([np.ones_like(x), x], axis=1),
-            hess_fn=lambda x, t: np.zeros((x.size, 2, 2)),
+            eval_fn=lambda x, t: t[..., 0, None] + t[..., 1, None] * x,
+            grad_fn=lambda x, t: np.stack([np.ones_like(x), x], axis=1) * np.ones(
+                t.shape[:-1] + (1, 1)),
+            hess_fn=lambda x, t: np.zeros(t.shape[:-1] + (x.size, 2, 2)),
         )
         x = np.arange(1.0, 6.0)
         theta = np.array([2.0, 0.7])

@@ -15,10 +15,13 @@ from propfit.equivalent_dose import (
     dose_derivatives_batch,
     fit_two_curves,
     fit_two_curves_methods,
+    gamma_gradient,
+    gamma_hessian,
     partial_bleach_model,
     resolve_modes,
     solve_gamma,
     solve_gamma_batch,
+    stacked_model,
 )
 from propfit.estimators import METHODS, FitOptions, fit, fit_methods
 from propfit.exceptions import (
@@ -31,6 +34,7 @@ from propfit.exceptions import (
     ZeroMeanError,
     ZeroResponseError,
 )
+from propfit.jacobian import RCOND_MIN, build_jacobian_bundle, build_jacobian_bundles
 from propfit.models import Dataset, ModelFunction
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
@@ -482,3 +486,182 @@ class TestStudyRows:
                 whole[method], np.concatenate([c[method] for c in straddling]))
             np.testing.assert_array_equal(
                 whole[method], np.concatenate([b[method] for b in blocks]))
+
+
+# The one-row code the stacks replaced, kept as the reference they must match bit for bit.
+
+def one_row_bundle(model: ModelFunction, data: Dataset, theta):
+    theta = model.check_theta(theta)
+    if data.n <= model.p:
+        raise ValueError("n <= p")
+    f = np.asarray(model.eval(data.x, theta), dtype=float)
+    if np.any(f == 0.0):
+        idx = int(np.flatnonzero(f == 0.0)[0])
+        raise ZeroMeanError(f"mean response is zero at x={data.x[idx]!r}")
+    J = np.asarray(model.grad(data.x, theta), dtype=float) / f[:, None]
+    JtJ = J.T @ J
+    eigvals = np.linalg.eigvalsh(JtJ)
+    if eigvals[0] <= 0.0 or eigvals[0] < RCOND_MIN * eigvals[-1]:
+        raise SingularError(
+            f"J'J is numerically singular (eigenvalue range {eigvals[0]:.3e}..{eigvals[-1]:.3e})")
+    JtJ_inv = np.linalg.inv(JtJ)
+    JtJ_inv = 0.5 * (JtJ_inv + JtJ_inv.T)
+    w1 = np.einsum("ij,jk,ik->i", J, JtJ_inv, J)
+    K = np.asarray(model.hess(data.x, theta), dtype=float) / f[:, None, None]
+    return {"J": J, "JtJ": JtJ, "JtJ_inv": JtJ_inv, "Jbar": J.mean(axis=0), "w1": w1,
+            "w2": np.einsum("ijk,kj->i", K, JtJ_inv), "f": f}
+
+
+def one_row_dose_derivatives(model, theta, gamma):
+    alpha, beta = model.split(theta)
+    c1, c2 = model.curve1, model.curve2
+    h = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(gamma))
+    xs = np.array([gamma - h, gamma, gamma + h])
+    grad1, grad2 = c1.grad(xs, alpha), c2.grad(xs, beta)
+    dx1, dx2 = c1.dx(xs, alpha), c2.dx(xs, beta)
+    s1, s2 = float(dx1[1]), float(dx2[1])
+    g_x = s1 - s2
+    if abs(g_x) < 1e-12 * max(abs(s1), abs(s2), 1e-300):
+        raise TangencyError("curves meet tangentially; dose gradient is undefined")
+    gp = -np.concatenate([grad1[1], -grad2[1]]) / g_x
+    g_tt = np.zeros((6, 6))
+    g_tt[:3, :3] = c1.hess(gamma, alpha)
+    g_tt[3:, 3:] = -c2.hess(gamma, beta)
+    g_xt = np.concatenate([(grad1[2] - grad1[0]) / (2 * h), -(grad2[2] - grad2[0]) / (2 * h)])
+    g_xx = ((dx1[2] - dx1[0]) - (dx2[2] - dx2[0])) / (2 * h)
+    return gp, -(g_tt + np.outer(g_xt, gp) + np.outer(gp, g_xt)
+                 + g_xx * np.outer(gp, gp)) / g_x
+
+
+def poisoned(model, field, marker):
+    """``model`` whose ``field`` callable is NaN at rows whose first parameter is ``marker``."""
+    fn = getattr(model, field)
+
+    def nan_at_marker(x, t):
+        out = np.asarray(fn(x, t), dtype=float)
+        flag = t[..., 0] == marker
+        return np.where(flag.reshape(flag.shape + (1,) * (out.ndim - flag.ndim)), np.nan, out)
+
+    return replace(model, **{field: nan_at_marker})
+
+
+def assert_same_outcome(got, expected):
+    """``got`` (a bundle or an error) equals ``expected()`` bit for bit, or raises alike."""
+    try:
+        want = expected()
+    except Exception as exc:  # noqa: BLE001 - the reference's error is the expectation
+        assert isinstance(got, Exception), f"expected {exc!r}, got a result"
+        assert (type(got), str(got)) == (type(exc), str(exc))
+        return None
+    assert not isinstance(got, Exception), f"unexpected {got!r}"
+    return want
+
+
+class TestJacobianBundleStack:
+    def test_rows_match_the_one_row_builder(self, expo):
+        model = poisoned(poisoned(expo, "hess_fn", 7.0), "grad_fn", 9.0)
+        x = np.linspace(0.5, 6.0, 9)
+        thetas = np.array([
+            [2.0, 3.0],        # ordinary
+            [0.0, 3.0],        # zero mean
+            [2.0, 1e8],        # J'J singular: the second column is ~1e-16 of the first
+            [np.nan, 3.0],     # non-finite parameters
+            [7.0, 3.0],        # non-finite Hessian
+            [2.0, 0.0],        # outside the domain
+            [9.0, 3.0],        # non-finite gradient
+            [5.0, 1.5],        # ordinary
+        ])
+        bundles = build_jacobian_bundles(model, x, thetas)
+        data = Dataset(x, np.ones_like(x))
+        kinds = []
+        for theta, got in zip(thetas, bundles):
+            want = assert_same_outcome(got, lambda: one_row_bundle(model, data, theta))
+            alone = assert_same_outcome(got, lambda: build_jacobian_bundle(model, data, theta))
+            kinds.append(type(got).__name__)
+            if want is None:
+                continue
+            for name, value in want.items():
+                np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+                np.testing.assert_array_equal(getattr(alone, name), value, err_msg=name)
+        assert kinds == ["JacobianBundle", "ZeroMeanError", "SingularError", "DomainError",
+                         "NonFiniteError", "DomainError", "NonFiniteError", "JacobianBundle"]
+        assert "Hessian" in str(bundles[4]) and "gradient" in str(bundles[6])
+
+    def test_stacked_two_curve_rows_match(self):
+        # The models formulae stacks: each curve and the stacked model, at fitted-like rows.
+        pb = partial_bleach_model()
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        beta = np.array([95717.80268403766, 192.547, 756.62])
+        rng = np.random.default_rng(5)
+        thetas = np.concatenate([PAPER_ALPHA, beta]) * (1.0 + 0.02 * rng.standard_normal((6, 6)))
+        joint, idx = stacked_model(pb, x1, x2)
+        for model, x, rows in ((pb.curve1, x1, thetas[:, :3]), (pb.curve2, x2, thetas[:, 3:]),
+                               (joint, idx, thetas)):
+            data = Dataset(x, np.ones_like(x))
+            for theta, got in zip(rows, build_jacobian_bundles(model, x, rows)):
+                for name, value in one_row_bundle(model, data, theta).items():
+                    np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+
+    def test_whole_call_errors(self, expo):
+        x = np.linspace(0.5, 6.0, 9)
+        with pytest.raises(ValueError, match=r"thetas must have shape \(R, 2\)"):
+            build_jacobian_bundles(expo, x, np.ones(2))
+        with pytest.raises(ValueError, match="need n > p"):
+            build_jacobian_bundles(expo, x[:2], np.ones((1, 2)))
+
+
+class TestDoseDerivativeStack:
+    BETA = np.array([95717.80268403766, 192.547, 756.62])
+
+    def test_rows_match_the_one_row_code(self):
+        # A crossing, a scaled crossing, no crossing in the bracket, identical
+        # curves (a tangency at the closest root) and crossings where a
+        # curve's gradient or Hessian is non-finite.
+        pb = partial_bleach_model()
+        grad_marker, hess_marker = 1.01 * self.BETA[0], 1.02 * self.BETA[0]
+        model = replace(pb, curve2=poisoned(poisoned(pb.curve2, "grad_fn", grad_marker),
+                                            "hess_fn", hess_marker))
+        theta0 = np.concatenate([PAPER_ALPHA, self.BETA])
+        thetas = np.array([
+            theta0,
+            theta0 * np.array([2.5, 1, 1, 2.5, 1, 1]),
+            np.concatenate([PAPER_ALPHA, [1.7 * PAPER_ALPHA[0], *PAPER_ALPHA[1:]]]),
+            np.concatenate([PAPER_ALPHA, PAPER_ALPHA]),
+            np.concatenate([PAPER_ALPHA, [grad_marker, *self.BETA[1:]]]),
+            np.concatenate([PAPER_ALPHA, [hess_marker, *self.BETA[1:]]]),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            doses = dose_derivatives_batch(model, thetas, (-122.5, -5.0))
+            gammas, _ = solve_gamma_batch(model, thetas, (-122.5, -5.0))
+            kinds = []
+            for theta, gamma, dose in zip(thetas, gammas, doses):
+                kinds.append(type(dose).__name__)
+                if isinstance(dose, NoBracketError):
+                    continue
+                want = assert_same_outcome(
+                    dose, lambda: one_row_dose_derivatives(model, theta, gamma))
+                if want is None:
+                    continue
+                assert dose.gamma == gamma
+                np.testing.assert_array_equal(dose.grad, want[0])
+                np.testing.assert_array_equal(dose.hess, want[1])
+                np.testing.assert_array_equal(gamma_gradient(model, theta, gamma), want[0])
+                np.testing.assert_array_equal(gamma_hessian(model, theta, gamma), want[1])
+        assert kinds == ["DoseDerivatives", "DoseDerivatives", "NoBracketError",
+                         "TangencyError", "NonFiniteError", "NonFiniteError"]
+        assert "gradient" in str(doses[4]) and "Hessian" in str(doses[5])
+
+    def test_gradient_against_central_differences_of_the_root(self):
+        pb = partial_bleach_model()
+        theta0 = np.concatenate([PAPER_ALPHA, self.BETA])
+        thetas = np.stack([theta0, theta0 * (1.0 + 0.01 * np.arange(1, 7))])
+        for theta, dose in zip(thetas, dose_derivatives_batch(pb, thetas)):
+            fd = np.empty(6)
+            for j in range(6):
+                step = 1e-5 * max(1.0, abs(theta[j]))
+                up, down = theta.copy(), theta.copy()
+                up[j] += step
+                down[j] -= step
+                fd[j] = (solve_gamma(pb, up) - solve_gamma(pb, down)) / (2 * step)
+            np.testing.assert_allclose(dose.grad, fd, rtol=1e-4)

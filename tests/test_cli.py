@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from propfit import equivalent_dose, estimators
+from propfit import cli, equivalent_dose, estimators
 from propfit.asymptotics import bias_order2, cov_ml_exact, cov_order2
 from propfit.cli import _pct, main, render_sim_text, round_floats
 from propfit.config import load_schema
@@ -26,7 +26,7 @@ from propfit.equivalent_dose import (
 from propfit.estimators import METHODS, fit
 from propfit.io import read_input_table
 from propfit.exceptions import ModeError, SingularError
-from propfit.models import Dataset, saturating_exponential_model
+from propfit.models import Dataset, ModelFunction, saturating_exponential_model
 from propfit.simulation import (
     default_partial_bleach_design,
     generate_dataset,
@@ -303,11 +303,11 @@ class TestFitCommand:
         assert all(e["parameters"] == [] for e in entries.values())
 
     def test_single_curve_formula_failure_keeps_reason(self, tmp_path, monkeypatch):
-        # The fits converge, but the Jacobian bundle behind the formulae raises.
-        def singular(*args):
-            raise SingularError("J'J is singular")
+        # The fits converge, but every Jacobian bundle behind the formulae fails.
+        def singular(model, x, thetas):
+            return tuple(SingularError("J'J is singular") for _ in thetas)
 
-        monkeypatch.setattr("propfit.equivalent_dose.build_jacobian_bundle", singular)
+        monkeypatch.setattr("propfit.equivalent_dose.build_jacobian_bundles", singular)
         out = tmp_path / "rep"
         assert main(["fit", "--data", single_csv(tmp_path / "one.csv"), "--model",
                      "saturating_exponential", "--format", "both", "--out", str(out)]) == 0
@@ -344,6 +344,46 @@ class TestFitCommand:
         assert code == 0 and set(entries) == set(METHODS)
         assert all(e["dose"]["gamma_hat"] == pytest.approx(PAPER_GAMMA) for e in entries.values())
         assert calls == {"solve": 5, "solve_gamma_batch": 1}
+
+    def test_one_bundle_stack_per_curve_model(self, tmp_path, monkeypatch):
+        # The default mode's bundles: one stack for each curve (the separate
+        # fits' rows) and one for the stacked model (ML's row). The formulae
+        # evaluate means only for those stacks and the one dose scan's curves.
+        stacks, means, inside = [], [], []
+        build, formulae = equivalent_dose.build_jacobian_bundles, equivalent_dose.formulae
+        evaluate, evaluate_one = ModelFunction.eval_rows, ModelFunction.eval
+
+        def counted_build(model, x, thetas):
+            stacks.append((model.name, len(thetas)))
+            return build(model, x, thetas)
+
+        def counted_formulae(*args, **kwargs):
+            inside.append(True)
+            try:
+                return formulae(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_eval(model, x, theta):
+            if inside:
+                means.append(model.name)
+            return evaluate(model, x, theta)
+
+        def scalar_eval(model, x, theta):
+            assert not inside, "formulae evaluated means one at a time"
+            return evaluate_one(model, x, theta)
+
+        monkeypatch.setattr(equivalent_dose, "build_jacobian_bundles", counted_build)
+        monkeypatch.setattr(cli, "formulae", counted_formulae)
+        monkeypatch.setattr(ModelFunction, "eval_rows", counted_eval)
+        monkeypatch.setattr(ModelFunction, "eval", scalar_eval)
+        code, entries = fit_entries(tmp_path, "--data", noisy_pair(tmp_path / "pair.csv")[1])
+        assert code == 0 and all("error" not in e for e in entries.values())
+        pb = partial_bleach_model()
+        joint = stacked_model(pb, [0.0], [0.0])[0].name
+        assert sorted(stacks) == sorted([(pb.curve1.name, 3), (pb.curve2.name, 3), (joint, 1)])
+        assert sorted(means) == sorted([pb.curve1.name, pb.curve2.name, joint]
+                                       + [pb.curve1.name, pb.curve2.name])
 
     def test_bad_csv_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -451,6 +491,17 @@ class TestSimulateCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sim": {"theta0": [1.0]}}))
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_empty_sigma_grid_exits_2(self, sim_config, tmp_path, capsys):
+        # No sigma means no study: one error line and no report.
+        cfg = json.loads(Path(sim_config).read_text())
+        cfg["sim"]["sigma"] = []
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: ConfigError: invalid config at sim/sigma: [] should be non-empty\n")
+        assert not out.exists()
 
     def test_dwls_common_sigma_alone_exits_2(self, pair_csv, tmp_path, capsys):
         # Every entry point gives the one mode error, and simulate fits nothing.

@@ -89,7 +89,7 @@ class TestErrors:
         # Two parameters multiplying the same shape: J columns collinear.
         model = ModelFunction(
             name="degenerate", p=2, param_names=("a", "b"),
-            eval_fn=lambda x, t: (t[0] + t[1]) * np.exp(-x),
+            eval_fn=lambda x, t: (t[..., 0, None] + t[..., 1, None]) * np.exp(-x),
         )
         x = np.linspace(0.0, 2.0, 6)
         data = Dataset(x, (2.0) * np.exp(-x))
@@ -98,7 +98,7 @@ class TestErrors:
 
     def test_doubly_fd_hessian_warns(self):
         model = ModelFunction(name="fd_only", p=1, param_names=("a",),
-                              eval_fn=lambda x, t: t[0] * np.exp(-x))
+                              eval_fn=lambda x, t: t[..., 0, None] * np.exp(-x))
         x = np.linspace(0.0, 2.0, 5)
         data = Dataset(x, 3.0 * np.exp(-x))
         with pytest.warns(DerivativeNoiseWarning):

@@ -378,6 +378,10 @@ class TestSimDesignValidation:
         with pytest.raises(ValueError):
             constant_design(sigma_grid=(0.6,))
 
+    def test_sigma_grid_not_empty(self):
+        with pytest.raises(ValueError, match="need at least one sigma value"):
+            constant_design(sigma_grid=())
+
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             constant_design(replicates=0)
@@ -405,13 +409,6 @@ class TestSimDesignValidation:
 
 
 class TestCompareBiasTable:
-    def test_empty_sigma_grid(self):
-        design = constant_design(sigma_grid=())
-        table = compare_bias_table(run_study(design))
-        assert table.sigmas == ()
-        text = table.text()
-        assert "B_T" in text and len(text.strip().splitlines()) == 1
-
     def test_single_cell(self):
         design = constant_design(sigma_grid=(0.02,), replicates=5, methods=("ql",))
         table = compare_bias_table(run_study(design))
