@@ -2,12 +2,16 @@
 
 An estimating equation ``G(theta) = sum_i c_i grad f_i = 0`` is the stationary
 condition of an objective (:class:`_Equation`). :func:`_point` evaluates a
-stack of datasets that share their covariate, row ``r`` with the equation
-``k[r]`` of a table, so one solve covers every per-curve method (as one
-intersection scan covers every method's dose). Rows share only the array
-operations, never a number, so a row's iterates are the same whatever else is
-in the stack. An iteration takes the exact Newton step when it lowers both the
-objective and ``max|G|``; otherwise it halves the scoring step (the Jacobian
+stack of datasets (:class:`_Data`), row ``r`` with its own model, covariate
+and count of observations and the equation ``k[r]`` of a table, so one solve
+covers every method on every curve (as one intersection scan covers every
+method's dose). A row shorter than the longest is padded, and a pad adds
+exactly zero to ``G``, its Jacobian and scale, the objective and ML's scale.
+Rows share only the array operations, never a number, so a row's iterates
+are the same whatever else is in a stack of its length; padding reorders its
+sums, which changes them only to rounding. An iteration takes the exact
+Newton step when it lowers both the objective and ``max|G|``; otherwise it
+halves the scoring step (the Jacobian
 replaced by its expectation) until the objective falls. Near the root the
 objective stops changing beyond rounding, so a change within a few ulps counts
 as no rise when ``max|G|`` falls. A row has converged when ``max|G| <=
@@ -42,21 +46,90 @@ class _Equation:
 
     ``weight(f, y)`` is ``c``, ``dweight`` its derivative in ``f`` and
     ``scoring`` the signed weights ``w`` of the scoring matrix ``sum_i w_i
-    grad f_i grad f_i'``. ``objective`` is stationary at the root and +inf
-    outside its domain. ``profiled`` (ML) adds ``s^2/f`` to ``c``, with
-    ``s^2 = mean(((y-f)/f)^2)``, and ``ds^2/dtheta`` to the Jacobian.
+    grad f_i grad f_i'``. ``objective(f, y, live, n)`` is stationary at the
+    root and +inf outside its domain; it sums only where ``live`` (see
+    :class:`_Data`) and counts ``n`` observations per row. ``profiled`` (ML)
+    adds ``s^2/f`` to ``c``, with ``s^2 = mean(((y-f)/f)^2)``, and
+    ``ds^2/dtheta`` to the Jacobian.
     """
 
     weight: Callable[[Array, Array], Array]
     dweight: Callable[[Array, Array], Array]
     scoring: Callable[[Array, Array], Array]
-    objective: Callable[[Array, Array], float]
+    objective: Callable[[Array, Array, Array | None, Array], Array]
     divides_by_f: bool = True
     profiled: bool = False
 
 
 def _t(a: Array) -> Array:
     return np.swapaxes(a, -1, -2)
+
+
+def _sum(a: Array, live: Array | None) -> Array:
+    """The sum over each row's observations, ``live`` masking its pads."""
+    return np.sum(a if live is None else np.where(live, a, 0.0), axis=-1)
+
+
+@dataclass(frozen=True)
+class _Data:
+    """The datasets of a stack. Row ``r`` observes ``y[r]`` at ``x[r]`` (or at
+    a shared ``x``) under ``models[curve[r]]``: ``n[r]`` observations, then
+    pads (copies of the last) that ``live`` masks (None if there are none).
+    ``callers[r]`` is the model whose callables evaluate row ``r`` (None: ``models[0]``'s).
+    """
+
+    models: tuple[ModelFunction, ...]
+    curve: Array
+    x: Array
+    y: Array
+    n: Array
+    live: Array | None
+    callers: Array | None
+
+    def __getitem__(self, index) -> "_Data":
+        """The rows ``index`` selects (a boolean mask or positions)."""
+        return _Data(self.models, self.curve[index], self.x if self.x.ndim == 1 else self.x[index],
+                     self.y[index], self.n[index], None if self.live is None else self.live[index],
+                     None if self.callers is None else self.callers[index])
+
+    def model(self, r: int) -> ModelFunction:
+        return self.models[self.curve[r]]
+
+    def call(self, name: str, theta: Array) -> Array:
+        """``models[curve[r]].<name>(x[r], theta[r])`` per row, in one call per
+        set of callables; elementwise models give the same bits either way."""
+        if self.callers is None or not len(theta):
+            return getattr(self.models[0], name)(self.x, theta)
+        parts = [(rows, np.asarray(getattr(self.models[g], name)(self.x[rows], theta[rows])))
+                 for g in dict.fromkeys(self.callers.tolist())
+                 for rows in [np.flatnonzero(self.callers == g)]]
+        out = np.empty(theta.shape[:1] + parts[0][1].shape[1:], dtype=parts[0][1].dtype)
+        for rows, part in parts:
+            out[rows] = part
+        return out
+
+
+def _stack(curves) -> _Data:
+    """The datasets of ``curves``, each ``(model, x (n,), Y (R, n))``, as one
+    stack in curve order: one curve keeps its shared ``x``, several are
+    padded to the longest with copies of each row's last observation."""
+    models = tuple(model for model, _, _ in curves)
+    width = max(x.size for _, x, _ in curves)
+
+    def pad(a):
+        return a if a.shape[-1] == width else np.pad(
+            a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])],
+            mode="edge" if a.shape[-1] else "constant")
+
+    kernels = [(m.eval_fn, m.grad_fn, m.hess_fn, m.domain_guard) for m in models]
+    owner = np.array([kernels.index(kernel) for kernel in kernels])
+    curve = np.repeat(np.arange(len(curves)), [len(Y) for _, _, Y in curves])
+    n = np.concatenate([np.full(len(Y), x.size) for _, x, Y in curves])
+    x = curves[0][1] if len(curves) == 1 else np.concatenate(
+        [np.broadcast_to(pad(x), (len(Y), width)) for _, x, Y in curves])
+    return _Data(models, curve, x, np.concatenate([pad(Y) for _, _, Y in curves]), n,
+                 np.arange(width) < n[:, None] if np.any(n < width) else None,
+                 owner[curve] if owner.any() else None)
 
 
 @dataclass(frozen=True)
@@ -75,22 +148,22 @@ class _Table:
             object.__setattr__(self, name, np.array([getattr(eq, name) for eq in self.equations]))
 
 
-def _pick(table: _Table, k: Array, name: str, f: Array, y: Array) -> Array:
-    """``table.equations[k[r]].<name>(f[r], y[r])`` per row ``r``. A stack
-    keeps each equation's rows together, so one whose first and last rows
-    share an equation holds no other and takes one call on the whole stack;
-    otherwise each run of equal ``k`` is evaluated on its own slice."""
+def _pick(table: _Table, k: Array, name: str, *rows) -> Array:
+    """``table.equations[k[r]].<name>(*(a[r] for a in rows))`` per row ``r``
+    (None stays None). A stack keeps each equation's rows together, so one
+    whose first and last rows share an equation holds no other and takes one
+    call on the whole stack; otherwise each run of equal ``k`` gets its own."""
     if k[0] == k[-1]:
-        return getattr(table.equations[k[0]], name)(f, y)
+        return getattr(table.equations[k[0]], name)(*rows)
     edges = [0, *(np.flatnonzero(np.diff(k)) + 1), len(k)]
-    return np.concatenate([getattr(table.equations[k[a]], name)(f[a:b], y[a:b])
-                           for a, b in zip(edges[:-1], edges[1:])])
+    return np.concatenate([getattr(table.equations[k[a]], name)(
+        *(None if v is None else v[a:b] for v in rows)) for a, b in zip(edges[:-1], edges[1:])])
 
 
 @dataclass
 class _Iterate:
     """Iterates over a stack of datasets, one row each, row ``r`` of the
-    equation ``k[r]`` of a table: ``theta (m, p)`` with ``y (m, n)``.
+    equation ``k[r]`` of a table: ``theta (m, p)`` with ``data`` (:class:`_Data`).
 
     Per row: ``objective``, ``scale`` (the size ``max_j sum_i |c_i
     df_i/dtheta_j|`` of the terms of ``G``), ``norm`` (``max|G|``) and
@@ -107,7 +180,7 @@ class _Iterate:
     scale: Array
     norm: Array
     fault: Array
-    y: Array
+    data: _Data
     f: Array
     G: Array
     c: Array
@@ -121,13 +194,13 @@ class _Iterate:
         """The rows ``index`` selects (a boolean mask or positions)."""
         return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
 
-    def jacobian(self, table: _Table, model: ModelFunction, x: Array) -> Array:
+    def jacobian(self, table: _Table) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
-        y, f, G, c = self.y, self.f, self.G, self.c
+        y, f, G, c = self.data.y, self.f, self.G, self.c
         p = G.shape[-1]
         with np.errstate(all="ignore"):
-            H = model.hess_rows(x, self.theta)
+            H = self.data.call("hess_rows", self.theta)
             bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
             A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
                 c.shape[:-1] + (p, p))
@@ -135,7 +208,8 @@ class _Iterate:
             profiled = table.profiled[self.k]
             if profiled.any():
                 J = G / f[..., None]
-                ds2 = (-2.0 / y.shape[-1]) * (_t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
+                ds2 = (-2.0 / self.data.n)[:, None] * (
+                    _t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
                 A = np.where(profiled[:, None, None], A + (
                     J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
                     - self.s2[:, None, None] * (_t(J) @ J)), A)
@@ -146,39 +220,43 @@ class _Iterate:
     def scoring(self, table: _Table) -> Array:
         """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
         with np.errstate(all="ignore"):
-            return _t(self.G * _pick(table, self.k, "scoring", self.f, self.y)[..., None]) @ self.G
+            w = _pick(table, self.k, "scoring", self.f, self.data.y)
+            return _t(self.G * w[..., None]) @ self.G
 
 
-def _join(pieces: list[_Iterate]) -> _Iterate:
-    """The rows of ``pieces`` (iterates of one stack), in order."""
-    return _Iterate(**{name: np.concatenate([vars(p)[name] for p in pieces])
-                       for name in vars(pieces[0])})
+def _join(pieces: list[_Iterate], data: _Data) -> _Iterate:
+    """The rows of ``pieces`` (iterates of one stack), in order, whose datasets are ``data``."""
+    return _Iterate(data=data, **{name: np.concatenate([vars(p)[name] for p in pieces])
+                                  for name in vars(pieces[0]) if name != "data"})
 
 
-def _point(table: _Table, model: ModelFunction, x: Array, y: Array, theta, k,
-           sigma: float | None = None) -> _Iterate:
-    """The equations ``table.equations[k]`` (one index per row) at ``theta (m, p)`` for
-    the responses ``y (m, n)`` observed at ``x``; ``sigma`` freezes ML's
-    scale. Undefined rows are flagged in ``fault``, not raised."""
+def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> _Iterate:
+    """The equations ``table.equations[k]`` (one index per row) at ``theta (m, p)``
+    for the datasets ``data``; ``sigma`` freezes ML's scale. Undefined rows
+    are flagged in ``fault``, not raised."""
     theta, k = np.asarray(theta, dtype=float), np.asarray(k)
+    y, live = data.y, data.live
     with np.errstate(all="ignore"):
-        f = np.asarray(model.eval_fn(x, theta), dtype=float)
-        fault = model.faults(x, theta)
+        f = np.asarray(data.call("eval_fn", theta), dtype=float)
+        fault = data.call("faults", theta)
         fault = np.where(table.divides_by_f[k] & (fault == 0)
                          & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
-        G = model.grad_rows(x, theta)
+        G = data.call("grad_rows", theta)
         c = _pick(table, k, "weight", f, y)
         s2 = np.zeros(len(k))
         profiled = table.profiled[k]
         if profiled.any():
-            s2 = np.where(profiled, np.mean(((y - f) / f) ** 2, axis=-1) if sigma is None
+            s2 = np.where(profiled, _sum(((y - f) / f) ** 2, live) / data.n if sigma is None
                           else float(sigma) ** 2, s2)
             c = np.where(profiled[:, None], c + s2[:, None] / f, c)
+        if live is not None:
+            G, c = np.where(live[..., None], G, 0.0), np.where(live, c, 0.0)
         residual = (c[..., None, :] @ G)[..., 0, :]
         scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
-        objective = _pick(table, k, "objective", f, y)
+        objective = _pick(table, k, "objective", f, y, live, data.n)
     return _Iterate(theta=theta, k=k, objective=objective, residual=residual, scale=scale,
-                    norm=np.max(np.abs(residual), axis=-1), fault=fault, y=y, f=f, G=G, c=c, s2=s2)
+                    norm=np.max(np.abs(residual), axis=-1), fault=fault, data=data, f=f, G=G,
+                    c=c, s2=s2)
 
 
 @dataclass
@@ -225,21 +303,19 @@ def _no_rise(new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return (new <= old) | (new <= old + _OBJECTIVE_ULPS * np.spacing(np.abs(old)))
 
 
-def _advance(table: _Table, model: ModelFunction, x: Array, Y: Array, pt: _Iterate,
-             rows: np.ndarray):
-    """One iteration of every row of ``pt``, the iterate of the datasets
-    ``Y[rows]``.
+def _advance(table: _Table, pt: _Iterate):
+    """One iteration of every row of ``pt``.
 
     Returns the next iterate of the rows that moved, their positions in
     ``pt`` (ascending) and ``{position: error}`` for the rows that failed.
     """
-    m = len(rows)
+    m = len(pt.k)
     failures = {}
-    jacobian = pt.jacobian(table, model, x)
+    jacobian = pt.jacobian(table)
     live = np.arange(m)
     if pt.fault.any():
         for i in np.flatnonzero(pt.fault):
-            failures[int(i)] = fault_error(model, int(pt.fault[i]))
+            failures[int(i)] = fault_error(pt.data.model(i), int(pt.fault[i]))
         live = np.flatnonzero(pt.fault == 0)
         jacobian = jacobian[live]
     norm, objective = pt.norm, pt.objective
@@ -250,7 +326,8 @@ def _advance(table: _Table, model: ModelFunction, x: Array, Y: Array, pt: _Itera
     tried, delta = (live, delta) if finite.all() else (live[finite], delta[finite])
     newton = np.zeros(m, dtype=bool)
     if tried.size:
-        new = _point(table, model, x, Y[rows[tried]], pt.theta[tried] + delta, pt.k[tried])
+        new = _point(table, pt.data if tried.size == m else pt.data[tried],
+                     pt.theta[tried] + delta, pt.k[tried])
         ok = new.defined & (new.norm < norm[tried]) & _no_rise(new.objective, objective[tried])
         if ok.all() and tried.size == m:
             return new, tried, failures
@@ -270,8 +347,7 @@ def _advance(table: _Table, model: ModelFunction, x: Array, Y: Array, pt: _Itera
         for _ in range(_MAX_HALVINGS):
             if not pending.size:
                 break
-            new = _point(table, model, x, Y[rows[pending]], pt.theta[pending] + step,
-                         pt.k[pending])
+            new = _point(table, pt.data[pending], pt.theta[pending] + step, pt.k[pending])
             old = objective[pending]
             ok = new.defined & ((new.objective < old)
                                 | ((new.norm < norm[pending]) & _no_rise(new.objective, old)))
@@ -286,32 +362,35 @@ def _advance(table: _Table, model: ModelFunction, x: Array, Y: Array, pt: _Itera
         return pieces[0], moved[0], failures
     positions = np.concatenate(moved)
     order = np.argsort(positions, kind="stable")
-    return _join(pieces).take(order), positions[order], failures
+    return _join(pieces, pt.data[positions]).take(order), positions[order], failures
 
 
-def solve(table: _Table, model: ModelFunction, x: Array, Y: Array, theta0, k, *,
+def solve(table: _Table, data: _Data, theta0, k, *,
           tol_relative: float = 1e-8, tol_absolute: float = 1e-10,
           max_iter: int = 100) -> SolveResult:
     """Drive the equation ``table.equations[k[r]]`` to zero for every dataset
-    ``Y[r]`` of ``Y (R, n)`` observed at ``x``, from its row of ``theta0 (R,
-    p)``. The rows of each equation must be contiguous in ``k``.
+    of ``data``, from its row of ``theta0 (R, p)``. The rows of each equation
+    must be contiguous in ``k``; ``ValueError`` otherwise.
 
     ``iterations`` counts the iterations each row ran, a last one that found
     no step included.
     """
-    theta0 = np.array(theta0, dtype=float)
+    theta0, k = np.array(theta0, dtype=float), np.asarray(k)
     R = len(theta0)
+    runs = k[np.flatnonzero(np.diff(k, prepend=np.nan))].tolist()
+    if len(set(runs)) < len(runs):
+        raise ValueError("the rows of each equation must be contiguous in k")
     result = SolveResult(theta=np.full(theta0.shape, np.nan), iterations=np.zeros(R, dtype=int),
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
                          tolerance=np.full(R, np.nan), errors=[None] * R)
     rows = np.arange(R)
     if not R:
         return result
-    pt = _point(table, model, x, Y, theta0, k)
+    pt = _point(table, data, theta0, k)
     keep = pt.defined
     if not keep.all():
         for i in np.flatnonzero(~keep):
-            result.errors[i] = (fault_error(model, int(pt.fault[i])) if pt.fault[i] else
+            result.errors[i] = (fault_error(data.model(i), int(pt.fault[i])) if pt.fault[i] else
                                 NonFiniteError("estimating equation is non-finite at the "
                                                "starting point"))
         pt, rows = pt.take(keep), rows[keep]
@@ -338,7 +417,7 @@ def solve(table: _Table, model: ModelFunction, x: Array, Y: Array, theta0, k, *,
             break
         iterations += 1
 
-        nxt, moved, failures = _advance(table, model, x, Y, pt, rows)
+        nxt, moved, failures = _advance(table, pt)
         for i, exc in failures.items():
             result.errors[rows[i]] = exc
         if len(moved) < len(rows):

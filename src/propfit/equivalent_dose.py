@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import bias_cov
-from .estimators import FitOptions, fit_methods
+from .estimators import FitOptions, _fit_curves, fit_methods
 from .exceptions import (
     DomainError,
     ModeError,
@@ -108,8 +108,8 @@ class PartialBleachModel:
 def partial_bleach_model() -> PartialBleachModel:
     """Unbleached and bleached saturating exponentials with labelled parameters."""
     c1 = saturating_exponential_model()
-    c2 = replace(saturating_exponential_model(),
-                 name="saturating_exponential_bleached",
+    # The curves share their callables, so a stack of both evaluates them in one call.
+    c2 = replace(c1, name="saturating_exponential_bleached",
                  param_names=("beta1", "beta2", "beta3"))
     return PartialBleachModel(curve1=c1, curve2=c2)
 
@@ -174,12 +174,21 @@ def beta1_from_gamma(alpha, beta2: float, beta3: float, gamma: float) -> float:
     return float(numer / denom)
 
 
-def _default_brackets(model: PartialBleachModel, theta: Array) -> tuple[Array, Array]:
-    """:func:`default_gamma_bracket` per row of ``theta (R, p)``."""
-    p1 = model.curve1.p
-    shift = np.minimum(theta[:, 1], theta[:, p1 + 1])
-    lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
-    return np.where(lo < 0.0, lo, -1.0), np.zeros(len(theta))
+def _brackets(model: PartialBleachModel, theta, bracket) -> tuple[Array, Array, Array]:
+    """``theta`` as joint rows ``(R, p)``, and the scan range of each row:
+    ``bracket``'s bounds (each a float or one per row) or, for None,
+    :func:`default_gamma_bracket`'s."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != model.p:
+        raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
+    if bracket is None:
+        shift = np.minimum(theta[:, 1], theta[:, model.curve1.p + 1])
+        lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
+        return theta, np.where(lo < 0.0, lo, -1.0), np.zeros(len(theta))
+    lo, hi = np.asarray(bracket[0], dtype=float), np.asarray(bracket[1], dtype=float)
+    if not np.all(lo < hi):
+        raise ValueError(f"invalid bracket {bracket!r}")
+    return theta, np.broadcast_to(lo, (len(theta),)), np.broadcast_to(hi, (len(theta),))
 
 
 def default_gamma_bracket(model: PartialBleachModel, theta) -> tuple[float, float]:
@@ -189,7 +198,7 @@ def default_gamma_bracket(model: PartialBleachModel, theta) -> tuple[float, floa
     exactly at -min(alpha2, beta2), as for equal-shape curve pairs, is still
     bracketed.
     """
-    lo, hi = _default_brackets(model, np.concatenate(model.split(theta))[None, :])
+    _, lo, hi = _brackets(model, np.concatenate(model.split(theta))[None, :], None)
     return float(lo[0]), float(hi[0])
 
 
@@ -238,7 +247,8 @@ def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: A
 
 def solve_gamma_batch(model: PartialBleachModel, theta,
                       bracket: tuple[float, float] | None = None) -> tuple[Array, tuple]:
-    """:func:`solve_gamma` for every row of ``theta (R, p)`` at once.
+    """:func:`solve_gamma` for every row of ``theta (R, p)`` at once; each
+    bound of ``bracket`` may also give one value per row.
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
     for that row (None where it returns; such a row's root is NaN). Each
@@ -248,18 +258,9 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
     root are resolved one at a time, with :func:`solve_gamma`'s messages
     and its :class:`MultipleRootWarning`.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != model.p:
-        raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
+    theta, lo, hi = _brackets(model, theta, bracket)
     R, p1 = len(theta), model.curve1.p
     alpha, beta = theta[:, :p1], theta[:, p1:]
-    if bracket is None:
-        lo, hi = _default_brackets(model, theta)
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not lo < hi:
-            raise ValueError(f"invalid bracket {bracket!r}")
-        lo, hi = np.full(R, lo), np.full(R, hi)
     xtol = 1e-8 * (hi - lo)
 
     xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
@@ -459,18 +460,14 @@ def dose_derivatives_batch(model: PartialBleachModel, theta,
     array pass: per row its :class:`DoseDerivatives`, or the error solving or
     differentiating raised (a tangency, or a curve's non-finite gradient or
     Hessian at the root), the same as the row alone gives."""
-    gammas, errors = solve_gamma_batch(model, theta, bracket)
-    theta = np.asarray(theta, dtype=float)
-    if bracket is None:
-        brackets = [(float(lo), float(hi)) for lo, hi in zip(*_default_brackets(model, theta))]
-    else:
-        brackets = [tuple(bracket)] * len(theta)
+    theta, lo, hi = _brackets(model, theta, bracket)
+    gammas, errors = solve_gamma_batch(model, theta, (lo, hi))
     found = np.flatnonzero([e is None for e in errors])
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
     for i, r in enumerate(found):
-        out[r] = (failed[i] if failed[i] is not None else
-                  DoseDerivatives(float(gammas[r]), grad[i], hess[i], brackets[r]))
+        out[r] = failed[i] if failed[i] is not None else DoseDerivatives(
+            float(gammas[r]), grad[i], hess[i], (float(lo[r]), float(hi[r])))
     return tuple(out)
 
 
@@ -620,16 +617,6 @@ class TwoCurveFitBatch:
             residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]))
 
 
-def _split_start(model: PartialBleachModel, opts: FitOptions) -> tuple[FitOptions, FitOptions]:
-    if isinstance(opts.start, str):
-        return opts, opts
-    start = np.asarray(opts.start, dtype=float)
-    if start.shape[-1:] != (model.p,):
-        raise ValueError(f"joint theta must have shape ({model.p},), got {start.shape}")
-    p1 = model.curve1.p
-    return replace(opts, start=start[..., :p1]), replace(opts, start=start[..., p1:])
-
-
 def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
                            mode: str = MODE_DEFAULT,
                            opts: FitOptions | None = None) -> dict[str, TwoCurveFitBatch]:
@@ -637,8 +624,11 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
     and ``x2``; returns ``{method: TwoCurveFitBatch}``.
 
-    One :func:`~propfit.estimators.fit_methods` call per curve makes every
-    per-curve fit, so ``start="auto"`` is solved once per curve. A
+    Both curves' per-curve fits share one stack (see :mod:`propfit.estimators`):
+    one solve finds both curves' ``start="auto"``, one more makes every
+    per-curve fit (curves with different numbers of parameters get a stack
+    each). A curve's rows equal its own :func:`~propfit.estimators.fit_methods`
+    bit for bit, or to rounding if it is the shorter curve (padded). A
     common-sigma method then fits the stacked model from the joint start or,
     with ``"auto"``, from its own per-curve fits, whose row errors come
     first. A separate fit's ``iterations`` include those of ``start="auto"``;
@@ -647,25 +637,31 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     opts = opts or FitOptions()
     modes = resolve_modes(mode, methods)
     Y1, Y2 = np.asarray(Y1, dtype=float), np.asarray(Y2, dtype=float)
-    o1, o2 = _split_start(model, opts)
-    auto = isinstance(opts.start, str)
+    auto, p1 = isinstance(opts.start, str), model.curve1.p
+    start = opts.start if auto else np.asarray(opts.start, dtype=float)
+    if not auto and start.shape[-1:] != (model.p,):
+        raise ValueError(f"joint theta must have shape ({model.p},), got {start.shape}")
+    starts = (start, start) if auto else (start[..., :p1], start[..., p1:])
     per_curve = [m for m, md in modes.items() if md == MODE_SEPARATE or auto]
-    fits1 = fit_methods(model.curve1, x1, Y1, per_curve, o1)
-    fits2 = fit_methods(model.curve2, x2, Y2, per_curve, o2)
+    curves = ((model.curve1, x1, Y1, starts[0]), (model.curve2, x2, Y2, starts[1]))
+    if model.curve1.p == model.curve2.p:
+        fits1, fits2 = _fit_curves(curves, per_curve, opts)
+    else:  # a stack's rows share one number of parameters
+        (fits1,), (fits2,) = (_fit_curves((curve,), per_curve, opts) for curve in curves)
     out = {}
     for method, md in modes.items():
         prior = (None,) * len(Y1)
         if md == MODE_SEPARATE:
             fits = (fits1[method], fits2[method])
         else:
-            start = opts.start
+            joint_start = start
             if auto:
                 pre1, pre2 = fits1[method], fits2[method]
-                start = np.concatenate([pre1.theta_hat, pre2.theta_hat], axis=1)
+                joint_start = np.concatenate([pre1.theta_hat, pre2.theta_hat], axis=1)
                 prior = first_errors(pre1.errors, pre2.errors)
             joint, idx = stacked_model(model, x1, x2)
             fits = (fit_methods(joint, idx, np.concatenate([Y1, Y2], axis=1), (method,),
-                                replace(opts, start=start))[method],)
+                                replace(opts, start=joint_start))[method],)
         out[method] = TwoCurveFitBatch(
             method=method, mode=md,
             theta_hat=np.concatenate([f.theta_hat for f in fits], axis=1),

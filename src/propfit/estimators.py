@@ -17,7 +17,10 @@ estimated; their sigma is reported from the unbiased rule afterwards.
 :func:`fit_methods` fits several methods to a stack of datasets that share
 their covariate, from one start and in one solve with a row per (method,
 dataset), as one intersection scan finds every method's dose; :func:`fit` is
-one method on a stack of one. A row's numbers do not depend on its stack.
+one method on a stack of one. Both are the one-curve case of ``_fit_curves``,
+whose stack holds several curves, each row with its own model and covariate.
+A row's numbers do not depend on the other rows of its stack; a curve
+stacked with a longer one is padded, which changes it only to rounding.
 This module holds the table of equations (each method's weights and
 objective) and the public API; :mod:`propfit._newton` solves them.
 """
@@ -28,9 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import _Equation, _point, _Table, solve
+from ._newton import _Data, _Equation, _point, _stack, _sum, _Table, solve
 from .exceptions import ZeroResponseError, first_errors
-from .models import FAULT_THETA, FAULT_ZERO_MEAN, Array, Dataset, ModelFunction, fault_error
+from .models import (
+    FAULT_THETA,
+    FAULT_VALUE,
+    FAULT_ZERO_MEAN,
+    Array,
+    Dataset,
+    ModelFunction,
+    fault_error,
+)
 
 METHODS = ("ml", "ql", "wls", "dwls")
 
@@ -110,17 +121,16 @@ class FitBatch:
 # Estimating equations
 # ---------------------------------------------------------------------------
 
-def _ql_objective(f: Array, y: Array) -> Array:
+def _ql_objective(f: Array, y: Array, live: Array | None, n: Array) -> Array:
     q = y / f
-    return np.where(np.all(q > 0.0, axis=-1), np.sum(q - np.log(q), axis=-1), np.inf)
+    return np.where(np.all(q > 0.0, axis=-1), _sum(q - np.log(q), live), np.inf)
 
 
-def _ml_objective(f: Array, y: Array) -> Array:
+def _ml_objective(f: Array, y: Array, live: Array | None, n: Array) -> Array:
     # Profiled negative log-likelihood sum(log f) + n/2 log s^2, less sum(log y).
     q = y / f
-    s2 = np.mean((q - 1.0) ** 2, axis=-1)
-    value = np.where(s2 > 0.0, 0.5 * q.shape[-1] * np.log(s2) - np.sum(np.log(q), axis=-1),
-                     -np.inf)
+    s2 = _sum((q - 1.0) ** 2, live) / n
+    value = np.where(s2 > 0.0, 0.5 * n * np.log(s2) - _sum(np.log(q), live), -np.inf)
     return np.where(np.all(q > 0.0, axis=-1), value, np.inf)
 
 
@@ -142,18 +152,18 @@ _EQUATIONS = _Table((
         weight=lambda f, y: y * (y - f) / f**3,
         dweight=lambda f, y: y * (2.0 * f - 3.0 * y) / f**4,
         scoring=lambda f, y: -1.0 / f**2,
-        objective=lambda f, y: 0.5 * np.sum(((y - f) / f) ** 2, axis=-1)),
+        objective=lambda f, y, live, n: 0.5 * _sum(((y - f) / f) ** 2, live)),
     _Equation(  # dwls
         weight=lambda f, y: (y - f) / y**2,
         dweight=lambda f, y: -1.0 / y**2,
         scoring=lambda f, y: -1.0 / y**2,
-        objective=lambda f, y: 0.5 * np.sum(((y - f) / y) ** 2, axis=-1),
+        objective=lambda f, y, live, n: 0.5 * _sum(((y - f) / y) ** 2, live),
         divides_by_f=False),
     _Equation(  # ols
         weight=lambda f, y: y - f,
         dweight=lambda f, y: np.full_like(f, -1.0),
         scoring=lambda f, y: np.full_like(f, -1.0),
-        objective=lambda f, y: 0.5 * np.sum((y - f) ** 2, axis=-1),
+        objective=lambda f, y, live, n: 0.5 * _sum((y - f) ** 2, live),
         divides_by_f=False),
 ))
 
@@ -174,8 +184,8 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     method = _check_method(method)
     if method == "dwls" and (error := _dwls_response_errors(data.y[None, :])[0]) is not None:
         raise error
-    pt = _point(_EQUATIONS, model, data.x, data.y[None, :], model.check_theta(theta)[None, :],
-                [METHODS.index(method)], sigma)
+    pt = _point(_EQUATIONS, _stack(((model, data.x, data.y[None, :]),)),
+                model.check_theta(theta)[None, :], [METHODS.index(method)], sigma)
     if pt.fault[0]:
         raise fault_error(model, int(pt.fault[0]))
     return pt.residual[0]
@@ -185,34 +195,29 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
 # Sigma estimates
 # ---------------------------------------------------------------------------
 
-def _rel_residuals(model: ModelFunction, x: Array, Y: Array, theta) -> tuple[Array, Array]:
-    """Relative residuals ``(y - f)/f`` of a stack and a fault code per row (as
-    :meth:`ModelFunction.eval` plus a zero mean)."""
-    f, fault = model.eval_rows(x, theta)
-    fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+def _sigma(data: _Data, theta, p) -> tuple[Array, Array]:
+    """Per row of ``data`` at ``theta``, ``sqrt(sum(rel^2) / (n - p))`` of its
+    relative residuals ``rel = (y - f)/f`` (``p`` = 0 gives the ML scale) and a
+    fault code (as :meth:`ModelFunction.eval` plus a zero mean)."""
     with np.errstate(all="ignore"):
-        return (Y - f) / f, fault
+        f = np.asarray(data.call("eval_fn", theta), dtype=float)
+        fault = data.call("faults", theta)
+        fault = np.where((fault == 0) & ~np.all(np.isfinite(f), axis=-1), FAULT_VALUE, fault)
+        fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+        return np.sqrt(_sum(((data.y - f) / f) ** 2, data.live) / (data.n - p)), fault
 
 
-def _one_row(model: ModelFunction, data: Dataset, theta_hat) -> Array:
-    rel, fault = _rel_residuals(model, data.x, data.y, model.check_theta(theta_hat))
-    if fault:
-        raise fault_error(model, int(fault))
-    return rel
-
-
-def _sigma(rel: Array, p: int | None = None) -> Array:
-    """The scale per row of relative residuals ``rel (..., n)``: the
-    maximum-likelihood ``sqrt(mean(rel^2))``, or with ``p`` parameters the
-    unbiased ``sqrt(sum(rel^2) / (n - p))``."""
-    if p is None:
-        return np.sqrt(np.mean(rel**2, axis=-1))
-    return np.sqrt(np.sum(rel**2, axis=-1) / (rel.shape[-1] - p))
+def _one_row(model: ModelFunction, data: Dataset, theta_hat, p: int = 0) -> float:
+    sigma, fault = _sigma(_stack(((model, data.x, data.y[None, :]),)),
+                          model.check_theta(theta_hat)[None, :], p)
+    if fault[0]:
+        raise fault_error(model, int(fault[0]))
+    return float(sigma[0])
 
 
 def estimate_sigma_ml(model: ModelFunction, data: Dataset, theta_hat) -> float:
     """Maximum-likelihood scale: sqrt(mean of squared relative residuals)."""
-    return float(_sigma(_one_row(model, data, theta_hat)))
+    return _one_row(model, data, theta_hat)
 
 
 def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
@@ -221,40 +226,83 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
     p = model.p if p is None else int(p)
     if data.n <= p:
         raise ValueError(f"need n > p, got n={data.n}, p={p}")
-    return float(_sigma(_one_row(model, data, theta_hat), p))
+    return _one_row(model, data, theta_hat, p)
 
 
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _start(model: ModelFunction, x: Array, Y: Array, opts: FitOptions):
-    """The starting vectors ``opts.start`` gives the datasets ``Y (R, n)``,
-    the iterations spent finding them and, per row, the error of a row that
-    has none. A vector applies to every row (an ``(R, p)`` array gives one
-    per row); ``"auto"`` solves unweighted least squares from the model's
-    data-driven hint."""
-    start, R, p = opts.start, len(Y), model.p
-    if not isinstance(start, str):
-        theta = np.asarray(start, dtype=float)
-        if theta.shape == (p,):
+def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
+    """Per curve of ``curves``, ``(model, x (n,), Y (R, n), start)`` with one
+    ``R`` and ``p``, :func:`fit_methods`'s batches, from one stack: one solve
+    finds every ``"auto"`` start (the hint at the row's own ``x``), one more
+    fits every (method, curve, row), in that order."""
+    methods = list(dict.fromkeys(_check_method(m) for m in methods))
+    R = len(np.atleast_1d(curves[0][2]))
+    blocks, start, start_errors, responses, auto = [], [], [], [], []
+    for model, x, Y, spec in curves:
+        x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
+        if Y.shape != (R, x.size):
+            raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
+        n, p = x.size, model.p
+        theta, errors, response = np.full((R, p), np.nan), (None,) * R, None
+        if n <= p:
+            # No start is solved, and this error comes before any other.
+            errors = response = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R
+        elif not isinstance(spec, str):
+            theta = np.asarray(spec, dtype=float)
+            if theta.shape not in ((p,), (R, p)):
+                raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
             theta = np.broadcast_to(theta, (R, p))
-        elif theta.shape != (R, p):
-            raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
-        errors = tuple(None if ok else fault_error(model, FAULT_THETA)
-                       for ok in np.all(np.isfinite(theta), axis=-1))
-        return theta, np.zeros(R, dtype=int), errors
-    if start != "auto":
-        raise ValueError(f"unknown start spec {start!r}")
-    hints = np.ones((R, p))
-    if model.start_hint is not None and R:
-        hints = np.stack([np.asarray(model.start_hint(x, y), dtype=float) for y in Y])
-        if hints.shape[1:] != (p,):
-            raise ValueError(f"theta must have shape ({p},), got {hints.shape[1:]}")
-    pre = solve(_EQUATIONS, model, x, Y, hints, np.full(R, len(METHODS)),
-                tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
+            errors = tuple(None if ok else fault_error(model, FAULT_THETA)
+                           for ok in np.all(np.isfinite(theta), axis=-1))
+        elif spec != "auto":
+            raise ValueError(f"unknown start spec {spec!r}")
+        else:
+            theta = np.ones((R, p))
+            if model.start_hint is not None and R:
+                theta = np.stack([np.asarray(model.start_hint(x, y), dtype=float) for y in Y])
+                if theta.shape[1:] != (p,):
+                    raise ValueError(f"theta must have shape ({p},), got {theta.shape[1:]}")
+            auto.extend(range(len(blocks) * R, (len(blocks) + 1) * R))
+        blocks.append((model, x, Y))
+        start.append(theta)
+        start_errors.extend(errors)
+        responses.extend(response or _dwls_response_errors(Y))
+    data, start, steps = _stack(blocks), np.concatenate(start), np.zeros(len(start_errors), int)
+    tols = dict(tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
                 max_iter=opts.max_iter)
-    return pre.theta, pre.iterations, tuple(pre.errors)
+    if auto:
+        pre = solve(_EQUATIONS, data[auto], start[auto], np.full(len(auto), len(METHODS)), **tols)
+        start[auto], steps[auto] = pre.theta, pre.iterations
+        for r, error in zip(auto, pre.errors):
+            start_errors[r] = error
+    dwls_errors = first_errors(responses, start_errors)
+    # Row i * CR + c * R + r fits methods[i] to curve c's Y[r], which is row
+    # c * R + r of ``data``; the stack holds the rows with no error yet.
+    CR = len(start_errors)
+    errors = [e for m in methods for e in (dwls_errors if m == "dwls" else start_errors)]
+    live = np.flatnonzero([e is None for e in errors])
+    k, rows = np.array([METHODS.index(m) for m in methods], dtype=int)[live // CR], live % CR
+    stack = data[rows]
+    sol = solve(_EQUATIONS, stack, start[rows], k, **tols)
+    sigma, fault = _sigma(stack, sol.theta, np.where(k == METHODS.index("ml"), 0, start.shape[1]))
+    for i, (r, error, code) in enumerate(zip(live, sol.errors, fault)):
+        if error or code:
+            errors[r] = error or fault_error(stack.model(i), int(code))
+    ok = np.array([errors[r] is None for r in live], dtype=bool)
+    columns = {"theta_hat": sol.theta, "iterations": steps[rows] + sol.iterations,
+               "sigma_hat": sigma, "converged": sol.converged, "residual_norm": sol.residual_norm,
+               "tolerance": sol.tolerance}
+    for name, values in columns.items():
+        columns[name] = np.full((len(errors),) + values.shape[1:],
+                                np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
+        columns[name][live[ok]] = values[ok]
+    return [{m: FitBatch(method=m, errors=tuple(errors[a:a + R]),
+                         **{name: v[a:a + R] for name, v in columns.items()})
+             for i, m in enumerate(methods) for a in [i * CR + c * R]}
+            for c in range(len(curves))]
 
 
 def fit_methods(model: ModelFunction, x, Y, methods,
@@ -269,42 +317,8 @@ def fit_methods(model: ModelFunction, x, Y, methods,
     with ``n <= p`` every row fails. A start whose shape does not fit the
     model raises for the whole call.
     """
-    methods = list(dict.fromkeys(_check_method(m) for m in methods))
     opts = opts or FitOptions()
-    x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != x.size:
-        raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
-    n, p, R = x.size, model.p, len(Y)
-    if n <= p:
-        # No start is solved, and this error comes before any other.
-        start, steps = np.full((R, p), np.nan), np.zeros(R, dtype=int)
-        short = ValueError(f"need n > p observations, got n={n}, p={p}")
-        start_errors = dwls_errors = (short,) * R
-    else:
-        start, steps, start_errors = _start(model, x, Y, opts)
-        dwls_errors = first_errors(_dwls_response_errors(Y), start_errors)
-    # Row i * R + r fits methods[i] to Y[r]; the stack holds the rows with no error yet.
-    errors = [e for m in methods for e in (dwls_errors if m == "dwls" else start_errors)]
-    live = np.flatnonzero([e is None for e in errors])
-    k, data = np.array([METHODS.index(m) for m in methods], dtype=int)[live // R], live % R
-    sol = solve(_EQUATIONS, model, x, Y[data], start[data], k, tol_relative=opts.tol_residual,
-                tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
-    rel, fault = _rel_residuals(model, x, Y[data], sol.theta)
-    for r, error, code in zip(live, sol.errors, fault):
-        if error or code:
-            errors[r] = error or fault_error(model, int(code))
-    ok = np.array([errors[r] is None for r in live], dtype=bool)
-    columns = {"theta_hat": sol.theta, "iterations": steps[data] + sol.iterations,
-               "sigma_hat": np.where(k == METHODS.index("ml"), _sigma(rel), _sigma(rel, p)),
-               "converged": sol.converged, "residual_norm": sol.residual_norm,
-               "tolerance": sol.tolerance}
-    for name, values in columns.items():
-        columns[name] = np.full((len(errors),) + values.shape[1:],
-                                np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
-        columns[name][live[ok]] = values[ok]
-    return {m: FitBatch(method=m, errors=tuple(errors[i * R:(i + 1) * R]),
-                        **{name: v[i * R:(i + 1) * R] for name, v in columns.items()})
-            for i, m in enumerate(methods)}
+    return _fit_curves(((model, x, Y, opts.start),), methods, opts)[0]
 
 
 def fit(model: ModelFunction, data: Dataset, method: str,

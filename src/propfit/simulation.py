@@ -10,10 +10,11 @@ closed-form bias ``B_T`` that :func:`~propfit.equivalent_dose.formulae`
 gives at the true parameters. Replicates are
 drawn straight into one response array per curve, with the draws and draw
 order of :func:`generate_dataset`. The study's replicates, across the
-whole sigma grid, are fitted as one stack per curve holding every method's
-rows (see :func:`~propfit.estimators.fit_methods`), and every method's
-intersections as one more; their rows come out exactly as if fitted one
-by one, and each (method, sigma) summary reduces every target at once.
+whole sigma grid, are fitted as one stack holding every method's rows of
+both curves (see :func:`~propfit.equivalent_dose.fit_two_curves_methods`),
+and every method's intersections as one more; their rows come out exactly
+as if fitted one by one, and each (method, sigma) summary reduces every
+target at once.
 
 The bundled two-curve default mimics the published dose-response study:
 sample sizes 16 and 13 with the fitted parameter values of that data set.

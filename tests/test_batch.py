@@ -1,5 +1,6 @@
 """Stacked fits and intersections: every row as if solved alone."""
 
+import functools
 import re
 import warnings
 from dataclasses import replace
@@ -7,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from propfit import estimators
+from propfit import equivalent_dose, estimators
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
     MODE_SEPARATE,
+    default_gamma_bracket,
     dose_derivatives_batch,
     fit_two_curves,
     fit_two_curves_methods,
@@ -51,9 +53,9 @@ def count_solves(monkeypatch) -> list:
     """Records, for every solver call from now on, its rows' equation indices."""
     calls, solve = [], estimators.solve
 
-    def counted(table, model, x, Y, theta0, k, **kwargs):
+    def counted(table, data, theta0, k, **kwargs):
         calls.append(np.array(k))
-        return solve(table, model, x, Y, theta0, k, **kwargs)
+        return solve(table, data, theta0, k, **kwargs)
     monkeypatch.setattr(estimators, "solve", counted)
     return calls
 
@@ -138,9 +140,9 @@ class TestFitMethods:
         calls = count_solves(monkeypatch)
         together = fit_two_curves_methods(*args, METHODS, mode, opts)
         shared = sum(modes[m] == MODE_COMMON_SIGMA for m in METHODS)
-        if start == "auto":
-            # Per curve one start and one fit of every method, then each joint fit.
-            assert len(calls) == 2 * 2 + shared
+        # One start for both curves (with "auto"), one fit of every method on
+        # both curves, then each joint fit.
+        assert len(calls) == (2 if start == "auto" else 1) + shared
         for m in METHODS:
             assert together[m].mode == modes[m]
             np.testing.assert_array_equal(together[m].theta_hat, alone[m].theta_hat)
@@ -334,6 +336,126 @@ class TestMixedStacks:
             assert np.isnan(together[m].theta_hat).all()
 
 
+def two_curve_data(sigma, rows, seed):
+    """The default design's curves and a stack of noisy dataset pairs."""
+    design = default_partial_bleach_design()
+    pb, theta0 = design.model, design.theta0
+    Y1 = noisy_stack(pb.curve1, DEFAULT_UNBLEACHED_DOSES, theta0[:3], sigma, rows, seed)
+    Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], sigma, rows, seed + 1)
+    return pb, theta0, Y1, Y2
+
+
+def same_callables(pb):
+    """``pb`` with each curve's callables replaced by a wrapper of its own."""
+    def wrapped(curve):
+        return replace(curve, **{name: functools.wraps(fn)(lambda *a, _fn=fn: _fn(*a))
+                                 for name in ("eval_fn", "grad_fn", "hess_fn", "dx_fn",
+                                              "domain_guard")
+                                 for fn in [getattr(curve, name)]})
+    return replace(pb, curve1=wrapped(pb.curve1), curve2=wrapped(pb.curve2))
+
+
+class TestTwoCurveStack:
+    """Both curves' per-curve fits in one stack, curve 2 (13 points) padded to 16."""
+
+    @pytest.mark.parametrize("start", ["truth", "auto"])
+    def test_curve_rows_match_one_curve_fits(self, start):
+        pb, theta0, Y1, Y2 = two_curve_data(0.06, rows=8, seed=41)
+        Y1[2, 5] = -1.0  # fails DWLS on curve 1's row 2
+        starts = ["auto", "auto"]
+        if start == "truth":
+            joint = np.tile(theta0, (8, 1))
+            joint[3, 1], joint[5, 5] = np.nan, 0.0  # fail curve 1's row 3 and curve 2's row 5
+            starts = [joint[:, :3], joint[:, 3:]]
+        curves = ((pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1, starts[0]),
+                  (pb.curve2, DEFAULT_BLEACHED_DOSES, Y2, starts[1]))
+        stacked = estimators._fit_curves(curves, METHODS, FitOptions())
+        for (model, x, Y, spec), got in zip(curves, stacked):
+            alone = fit_methods(model, x, Y, METHODS, FitOptions(start=spec))
+            for m in METHODS:
+                if model is pb.curve1:
+                    # Curve 1 is the longest: no pads, so every bit is its own.
+                    assert_batches_equal(got[m], alone[m])
+                    continue
+                for name in ("theta_hat", "sigma_hat", "tolerance"):
+                    np.testing.assert_allclose(getattr(got[m], name), getattr(alone[m], name),
+                                               rtol=1e-12, atol=0.0)
+                for name in ("iterations", "converged"):
+                    np.testing.assert_array_equal(getattr(got[m], name), getattr(alone[m], name))
+                # max|G| at the root is rounding noise, moved by the padding.
+                done = got[m].converged
+                assert np.all(got[m].residual_norm[done] <= got[m].tolerance[done])
+                assert ([(type(e), str(e)) for e in got[m].errors]
+                        == [(type(e), str(e)) for e in alone[m].errors])
+        assert isinstance(stacked[0]["dwls"].errors[2], ZeroResponseError)
+        if start == "truth":
+            assert all(isinstance(stacked[c][m].errors[r], DomainError)
+                       for c, r in ((0, 3), (1, 5)) for m in METHODS)
+
+    @pytest.mark.parametrize("mode", [MODE_DEFAULT, MODE_COMMON_SIGMA])
+    def test_curves_with_their_own_callables_give_the_same_bits(self, mode):
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=5, seed=43)
+        args = (DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES, Y2, METHODS, mode)
+        shared = fit_two_curves_methods(pb, *args)
+        own = fit_two_curves_methods(same_callables(pb), *args)
+        for m in METHODS:
+            for name in ("theta_hat", "sigma_hats", "iterations", "converged",
+                         "residual_norm", "tolerance"):
+                np.testing.assert_array_equal(getattr(own[m], name), getattr(shared[m], name))
+            assert own[m].errors == shared[m].errors == (None,) * 5
+
+    def test_fault_on_a_curve_two_row_names_its_model(self):
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=3, seed=45)
+        starts = np.tile(theta0, (3, 1))
+        starts[1, 5] = 0.0  # beta3 = 0 is outside the bleached curve's domain
+        fits = fit_two_curves_methods(pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES,
+                                      Y2, ("ql",), MODE_SEPARATE, FitOptions(start=starts))["ql"]
+        assert isinstance(fits.errors[1], DomainError)
+        assert str(fits.errors[1]) == (
+            "model 'saturating_exponential_bleached' is undefined at the requested point")
+        assert fits.errors[0] is fits.errors[2] is None
+
+    def test_curves_with_different_parameter_counts(self, expo):
+        # A stack's rows share p, so such curves are fitted one stack each.
+        pb, theta0, Y1, _ = two_curve_data(0.03, rows=3, seed=46)
+        x2 = np.linspace(0.0, 4.0, 9)
+        Y2 = noisy_stack(expo, x2, np.array([5.0, 2.0]), 0.03, rows=3, seed=47)
+        mixed = replace(pb, curve2=expo)
+        fits = fit_two_curves_methods(mixed, DEFAULT_UNBLEACHED_DOSES, Y1, x2, Y2, METHODS,
+                                      MODE_SEPARATE)
+        for m in METHODS:
+            one = fit_methods(pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1, (m,))[m]
+            two = fit_methods(expo, x2, Y2, (m,))[m]
+            np.testing.assert_array_equal(fits[m].theta_hat,
+                                          np.concatenate([one.theta_hat, two.theta_hat], axis=1))
+
+    @pytest.mark.parametrize("method", METHODS + ("ols",))
+    def test_pads_add_nothing(self, satexp, method):
+        # Rows of 13 points stacked with rows of 16: the padded rows' equation,
+        # Jacobian, scale and objective agree with the same rows alone.
+        x = DEFAULT_BLEACHED_DOSES
+        Y = noisy_stack(satexp, x, PAPER_ALPHA, 0.05, rows=4, seed=47)
+        theta = PAPER_ALPHA * (1.0 + 0.01 * np.arange(1, 4))
+        k = np.full(4, (METHODS + ("ols",)).index(method))
+        table = estimators._EQUATIONS
+        alone = estimators._point(table, estimators._stack(((satexp, x, Y),)), [theta] * 4, k)
+        longer = noisy_stack(satexp, X, PAPER_ALPHA, 0.05, rows=4, seed=48)
+        data = estimators._stack(((satexp, x, Y), (satexp, X, longer)))
+        assert data.live is not None and not data.live[:4, 13:].any()
+        padded = estimators._point(table, data[np.arange(4)], [theta] * 4, k)
+        for name in ("residual", "scale", "objective", "s2"):
+            np.testing.assert_allclose(getattr(padded, name), getattr(alone, name), rtol=1e-13)
+        np.testing.assert_allclose(padded.jacobian(table), alone.jacobian(table), rtol=1e-12)
+
+
+class TestSolveContract:
+    def test_equation_rows_must_be_contiguous(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=49)
+        data = estimators._stack(((satexp, X, Y),))
+        with pytest.raises(ValueError, match="rows of each equation must be contiguous"):
+            estimators.solve(estimators._EQUATIONS, data, np.tile(PAPER_ALPHA, (3, 1)), [1, 2, 1])
+
+
 class TestSolveGammaBatch:
     @pytest.fixture
     def stack(self):
@@ -432,6 +554,35 @@ class TestSolveGammaBatch:
                 else:
                     with pytest.raises(type(errors[r]), match=str(errors[r])):
                         solve_gamma(pb, rows[r])
+
+    def test_bracket_bounds_per_row(self, stack):
+        # Each bound may give one value per row: row r scans its own range.
+        pb, rows = stack
+        lo, hi = np.array([-122.5, -300.0, -50.0]), np.array([-5.0, 0.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            gammas, errors = solve_gamma_batch(pb, rows, (lo, hi))
+            for r in range(3):
+                alone, alone_errors = solve_gamma_batch(pb, rows[r:r + 1], (lo[r], hi[r]))
+                np.testing.assert_array_equal(gammas[r], alone[0])
+                assert repr(errors[r]) == repr(alone_errors[0])
+        assert errors[2] is not None and errors[0] is errors[1] is None
+        with pytest.raises(ValueError, match="invalid bracket"):
+            solve_gamma_batch(pb, rows, (lo, np.array([-5.0, -400.0, 0.0])))
+
+    def test_dose_derivatives_resolve_default_brackets_once(self, stack, monkeypatch):
+        pb, rows = stack
+        defaults, resolve = [], equivalent_dose._brackets
+
+        def counted(model, theta, bracket):
+            defaults.append(bracket is None)
+            return resolve(model, theta, bracket)
+        monkeypatch.setattr(equivalent_dose, "_brackets", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            doses = dose_derivatives_batch(pb, rows)
+        assert defaults.count(True) == 1
+        assert doses[0].bracket == default_gamma_bracket(pb, rows[0])
 
 
     def test_dose_derivatives_rows(self, stack):

@@ -14,7 +14,10 @@ with ``--model saturating_exponential``, on every one-curve CSV, and
 ``propfit simulate --format json`` on every config at ``--threads 1`` and at
 ``--threads 8``. The exit code of every call is kept next to the reports.
 Every file that differs, or exists on one side only, is listed, and the
-exit status is 1 if there is any. Nothing under ``perfbench/`` is written.
+exit status is 1 if there is any. Under a JSON file that differs come the
+largest relative difference ``|a - b| / max(|a|, |b|)`` of each float
+field (by its key) and every other value that differs, by its path.
+Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import csv
 import filecmp
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -109,6 +113,39 @@ def differing(a: Path, b: Path) -> list[str]:
                     and filecmp.cmp(a / n, b / n, shallow=False))]
 
 
+def json_differences(a, b) -> tuple[dict[str, float], list[str]]:
+    """The largest relative difference of each float field of the JSON values
+    ``a`` and ``b`` (by its key; a NaN on one side only counts as inf), and
+    each other difference as ``path: a -> b``."""
+    floats: dict[str, float] = {}
+    others: list[str] = []
+
+    def walk(x, y, path: str, field: str) -> None:
+        if isinstance(x, float) and isinstance(y, float):
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                rel = abs(x - y) / max(abs(x), abs(y))
+                floats[field] = max(floats.get(field, 0.0), math.inf if math.isnan(rel) else rel)
+        elif isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            for key in x:
+                walk(x[key], y[key], f"{path}.{key}", key)
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{path}[{i}]", field)
+        elif x != y or type(x) is not type(y):
+            others.append(f"{path or '.'}: {json.dumps(x)} -> {json.dumps(y)}")
+
+    walk(a, b, "", "")
+    return floats, others
+
+
+def describe(parent: Path, change: Path) -> list[str]:
+    """The lines :func:`json_differences` gives for two JSON files."""
+    floats, others = json_differences(json.loads(parent.read_text(encoding="utf-8")),
+                                      json.loads(change.read_text(encoding="utf-8")))
+    return ([f"  {field}: max relative difference {rel:.3g}"
+             for field, rel in sorted(floats.items())] + [f"  {line}" for line in others])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path,
@@ -126,8 +163,14 @@ def main(argv=None) -> int:
             run_checkout(checkout.resolve(), inputs, out / side)
         diff = differing(out / "parent", out / "change")
         compared = sum(1 for p in (out / "parent").rglob("*") if p.is_file())
-    for name in diff:
-        print(f"differs: {name}")
+        lines = []
+        for name in diff:
+            lines.append(f"differs: {name}")
+            a, b = out / "parent" / name, out / "change" / name
+            if name.endswith(".json") and a.is_file() and b.is_file():
+                lines += describe(a, b)
+    for line in lines:
+        print(line)
     print(f"{len(diff)} of {compared} files differ (seed {args.seed})")
     return 1 if diff else 0
 
