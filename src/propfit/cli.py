@@ -36,7 +36,7 @@ from .equivalent_dose import (
     formulae,
     resolve_modes,
 )
-from .estimators import METHODS, fit_methods
+from .estimators import METHODS, fit_methods, scale_divisor
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
 from .simulation import compare_bias_table, run_study
@@ -173,9 +173,9 @@ def _fit_report(config: RunConfig, curves: dict) -> dict:
             continue
         sigma = res.sigma_hats[0] if two else res.sigma_hat
         if two and len(res.sigma_hats) == 2:
-            # Pool the per-curve scale estimates with their degrees of freedom.
-            dfs = np.array([d.n - c.p for d, c in zip(data, (model.curve1, model.curve2))],
-                           dtype=float)
+            # Pool the per-curve scale estimates with the divisors they were estimated with.
+            dfs = np.array([scale_divisor(method, d.n, c.p)
+                            for d, c in zip(data, (model.curve1, model.curve2))], dtype=float)
             sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
         entries[method] = _fit_entry(res, sigma, model.param_names, rows[method], **label)
     return {"kind": "fit_report", "model": config.model, "mode": config.mode if two else None,

@@ -218,31 +218,28 @@ def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: A
             ga: Array, xtol: Array) -> Array:
     """Roots of the gap in the brackets ``[a, b]`` (one per row, with a sign
     change and ``g(a) = ga``), by Newton steps on the analytic slope that
-    fall back to bisection outside the bracket; stops once a step is below
-    ``xtol``."""
+    fall back to bisection outside the bracket. A row stops, keeping its
+    value, at an exact zero or at the Newton root of a step within ``xtol``;
+    after ``_POLISH_MAX_ITER`` iterations a row returns its last iterate."""
     x = 0.5 * (a + b)
-    root = np.empty_like(x)
-    active = np.arange(x.size)
+    done = np.zeros(x.size, dtype=bool)
     c1, c2 = model.curve1, model.curve2
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_MAX_ITER):
-            xa, al, be = x[:, None], alpha[active], beta[active]
-            g = (c1.eval_fn(xa, al) - c2.eval_fn(xa, be))[:, 0]
-            slope = (c1.dx_rows(xa, al) - c2.dx_rows(xa, be))[:, 0]
+            xa = x[:, None]
+            g = (c1.eval_fn(xa, alpha) - c2.eval_fn(xa, beta))[:, 0]
+            slope = (c1.dx_rows(xa, alpha) - c2.dx_rows(xa, beta))[:, 0]
+            step = g / slope
             low = np.sign(g) == np.sign(ga)
-            a, ga = np.where(low, x, a), np.where(low, g, ga)
-            b = np.where(low, b, x)
-            new = x - g / slope
-            new = np.where((a < new) & (new < b), new, 0.5 * (a + b))
-            stop = (g == 0.0) | (np.abs(new - x) <= xtol)
-            root[active[stop]] = np.where(g == 0.0, x, new)[stop]
-            keep = ~stop
-            active, x, a, b, ga, xtol = (active[keep], new[keep], a[keep], b[keep], ga[keep],
-                                         xtol[keep])
-            if not active.size:
-                return root
-    root[active] = x
-    return root
+            a, ga, b = np.where(low, x, a), np.where(low, g, ga), np.where(low, b, x)
+            stop = (g == 0.0) | (np.abs(step) <= xtol)
+            newton = x - step
+            newton = np.where(stop | ((a < newton) & (newton < b)), newton, 0.5 * (a + b))
+            x = np.where(done | (g == 0.0), x, newton)
+            done |= stop
+            if done.all():
+                break
+    return x
 
 
 def solve_gamma_batch(model: PartialBleachModel, theta,
@@ -252,11 +249,9 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
     for that row (None where it returns; such a row's root is NaN). Each
-    row's root is the same whatever else is in the stack. A row with one
-    sign change, no grid zero and no fault takes its polished root by array
-    indexing; only rows with a fault, no crossing or more than one candidate
-    root are resolved one at a time, with :func:`solve_gamma`'s messages
-    and its :class:`MultipleRootWarning`.
+    row's root is the same whatever else is in the stack: one
+    :func:`_polish` loop finds every sign change's root, and one sort picks
+    every row's.
     """
     theta, lo, hi = _brackets(model, theta, bracket)
     R, p1 = len(theta), model.curve1.p
@@ -265,44 +260,29 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
 
     xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
     gs, curve, fault = _gap(model, xs, alpha, beta)
-    with np.errstate(invalid="ignore"):
-        change = (gs[:, :-1] != 0.0) & (gs[:, 1:] != 0.0) & (
-            np.sign(gs[:, :-1]) != np.sign(gs[:, 1:]))
-    change[fault != 0] = False
-    rows, ks = np.nonzero(change)
-    polished = _polish(model, alpha[rows], beta[rows], xs[rows, ks], xs[rows, ks + 1],
-                       gs[rows, ks], xtol[rows])
-    # Row r's polished roots are polished[first[r]:first[r + 1]]: np.nonzero sorts by row.
-    first = np.searchsorted(rows, np.arange(R + 1))
-
-    simple = (fault == 0) & (np.diff(first) == 1) & ~np.any(gs == 0.0, axis=1)
+    sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
+    rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    zero_rows, zero_ks = np.nonzero(sign == 0.0)
+    # Each row's candidates, its polished roots and its grid zeros, sorted
+    # closest to zero first (the smaller of two as close).
+    row = np.concatenate([rows, zero_rows])
+    root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
+                                   xs[rows, ks + 1], gs[rows, ks], xtol[rows]),
+                           xs[zero_rows, zero_ks]])
+    order = np.lexsort((root, np.abs(root), row))
+    first = np.searchsorted(row[order], np.arange(R + 1))
+    count = np.diff(first)
+    found = count > 0
     gammas, errors = np.full(R, np.nan), [None] * R
-    gammas[simple] = polished[first[:-1][simple]]
-    for r in np.flatnonzero(~simple):
-        if fault[r]:
-            errors[r] = fault_error(model.curve1 if curve[r] == 1 else model.curve2,
-                                    int(fault[r]))
-            continue
-        roots = [float(x) for x in xs[r, gs[r] == 0.0]] + polished[first[r]:first[r + 1]].tolist()
-        if not roots:
-            errors[r] = NoBracketError(
-                f"no sign change of the curve gap over [{lo[r]:.6g}, {hi[r]:.6g}]")
-            continue
-        if len(roots) > 1:
-            # Collapse near-duplicates (grid zeros adjacent to sign changes).
-            roots = sorted(roots)
-            distinct = [roots[0]]
-            for root in roots[1:]:
-                if abs(root - distinct[-1]) > max(10.0 * xtol[r], 1e-12):
-                    distinct.append(root)
-            roots = distinct
-            if len(roots) > 1:
-                warnings.warn(
-                    f"{len(roots)} intersection roots found; returning the one closest to zero",
-                    MultipleRootWarning,
-                    stacklevel=2,
-                )
-        gammas[r] = min(roots, key=abs)
+    gammas[found] = root[order][first[:-1][found]]
+    for r in np.flatnonzero(fault):
+        errors[r] = fault_error(model.curve1 if curve[r] == 1 else model.curve2, int(fault[r]))
+    for r in np.flatnonzero((fault == 0) & ~found):
+        errors[r] = NoBracketError(
+            f"no sign change of the curve gap over [{lo[r]:.6g}, {hi[r]:.6g}]")
+    for r in np.flatnonzero(count > 1):
+        warnings.warn(f"{count[r]} intersection roots found; returning the one closest to zero",
+                      MultipleRootWarning, stacklevel=2)
     return gammas, tuple(errors)
 
 
@@ -310,11 +290,14 @@ def solve_gamma(model: PartialBleachModel, theta,
                 bracket: tuple[float, float] | None = None) -> float:
     """Signed intersection dose: the root of g(x, theta) closest to zero.
 
-    Scans ``DEFAULT_GRID_POINTS`` points across the bracket for sign changes and
-    polishes each with Newton steps on the curves' slope, kept inside the
-    sign change by bisection, until a step is below ``1e-8 * (hi - lo)``.
-    More than one root raises :class:`MultipleRootWarning` and returns the
-    root closest to zero. A stack of one for :func:`solve_gamma_batch`.
+    Scans ``DEFAULT_GRID_POINTS`` points across the bracket for sign changes
+    and polishes each with Newton steps on the curves' slope, kept inside
+    the sign change by bisection, to the Newton root of the first step
+    within ``1e-8 * (hi - lo)``. Of those roots and the grid points where
+    the gap is exactly zero, returns the one closest to zero (the smaller
+    of two as close); more than one warns :class:`MultipleRootWarning`, and
+    none raises :class:`NoBracketError`. A stack of one for
+    :func:`solve_gamma_batch`.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):

@@ -195,21 +195,29 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
 # Sigma estimates
 # ---------------------------------------------------------------------------
 
-def _sigma(data: _Data, theta, p) -> tuple[Array, Array]:
-    """Per row of ``data`` at ``theta``, ``sqrt(sum(rel^2) / (n - p))`` of its
-    relative residuals ``rel = (y - f)/f`` (``p`` = 0 gives the ML scale) and a
-    fault code (as :meth:`ModelFunction.eval` plus a zero mean)."""
+def scale_divisor(method, n, p: int):
+    """The divisor of the squared scale estimate of a ``method`` fit (a name,
+    or an array of them) to ``n`` observations of a ``p``-parameter curve:
+    ``n`` for ``ml``, whose scale is its maximum-likelihood one, ``n - p``
+    for the others."""
+    return np.where(np.asarray(method) == "ml", n, n - p)
+
+
+def _sigma(data: _Data, theta, divisor) -> tuple[Array, Array]:
+    """Per row of ``data`` at ``theta``, ``sqrt(sum(rel^2) / divisor)`` of its
+    relative residuals ``rel = (y - f)/f`` and a fault code (as
+    :meth:`ModelFunction.eval` plus a zero mean)."""
     with np.errstate(all="ignore"):
         f = np.asarray(data.call("eval_fn", theta), dtype=float)
         fault = data.call("faults", theta)
         fault = np.where((fault == 0) & ~np.all(np.isfinite(f), axis=-1), FAULT_VALUE, fault)
         fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
-        return np.sqrt(_sum(((data.y - f) / f) ** 2, data.live) / (data.n - p)), fault
+        return np.sqrt(_sum(((data.y - f) / f) ** 2, data.live) / divisor), fault
 
 
-def _one_row(model: ModelFunction, data: Dataset, theta_hat, p: int = 0) -> float:
+def _one_row(model: ModelFunction, data: Dataset, theta_hat, divisor: int) -> float:
     sigma, fault = _sigma(_stack(((model, data.x, data.y[None, :]),)),
-                          model.check_theta(theta_hat)[None, :], p)
+                          model.check_theta(theta_hat)[None, :], divisor)
     if fault[0]:
         raise fault_error(model, int(fault[0]))
     return float(sigma[0])
@@ -217,7 +225,7 @@ def _one_row(model: ModelFunction, data: Dataset, theta_hat, p: int = 0) -> floa
 
 def estimate_sigma_ml(model: ModelFunction, data: Dataset, theta_hat) -> float:
     """Maximum-likelihood scale: sqrt(mean of squared relative residuals)."""
-    return _one_row(model, data, theta_hat)
+    return _one_row(model, data, theta_hat, data.n)
 
 
 def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
@@ -226,7 +234,7 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
     p = model.p if p is None else int(p)
     if data.n <= p:
         raise ValueError(f"need n > p, got n={data.n}, p={p}")
-    return _one_row(model, data, theta_hat, p)
+    return _one_row(model, data, theta_hat, data.n - p)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,8 @@ def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
     k, rows = np.array([METHODS.index(m) for m in methods], dtype=int)[live // CR], live % CR
     stack = data[rows]
     sol = solve(_EQUATIONS, stack, start[rows], k, **tols)
-    sigma, fault = _sigma(stack, sol.theta, np.where(k == METHODS.index("ml"), 0, start.shape[1]))
+    sigma, fault = _sigma(stack, sol.theta,
+                          scale_divisor(np.asarray(METHODS)[k], stack.n, start.shape[1]))
     for i, (r, error, code) in enumerate(zip(live, sol.errors, fault)):
         if error or code:
             errors[r] = error or fault_error(stack.model(i), int(code))

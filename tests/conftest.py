@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from propfit.models import (
     Dataset,
@@ -52,3 +56,15 @@ def make_noisy(model, x, theta, sigma, seed):
     rng = np.random.default_rng(seed)
     f = np.asarray(model.eval(np.asarray(x, dtype=float), theta))
     return Dataset(np.asarray(x, dtype=float), f * (1.0 + sigma * rng.standard_normal(f.size)))
+
+
+# Property tests draw the same examples on every run, a bounded number of
+# them, and keep no example database, so the suite is reproducible.
+settings.register_profile("propfit", derandomize=True, database=None, max_examples=60,
+                          deadline=None, print_blob=False)
+settings.load_profile("propfit")
+# Hypothesis still caches the constants it reads in the source under its
+# storage directory, ``.hypothesis/`` where the suite runs unless set: use a
+# temporary one, removed when the interpreter exits.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)

@@ -219,7 +219,10 @@ class TestFitCommand:
                 res = fit_two_curves(pb, d1, d2, method, mode=mode)
                 sigma = res.sigma_hats[0]
                 if len(res.sigma_hats) == 2:
-                    dfs = np.array([d1.n - pb.curve1.p, d2.n - pb.curve2.p], dtype=float)
+                    # Each curve's scale counts n - p degrees of freedom, ML's n.
+                    lost = 0 if method == "ml" else 1
+                    dfs = np.array([d1.n - lost * pb.curve1.p, d2.n - lost * pb.curve2.p],
+                                   dtype=float)
                     sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
                     alpha, beta = pb.split(res.theta_hat)
                     pieces = [library_bias_cov(method, pb.curve1, d1, alpha, sigma),

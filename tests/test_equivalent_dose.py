@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from propfit import equivalent_dose
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
@@ -108,6 +109,64 @@ class TestSolveGamma:
         root = solve_gamma(pb, theta0)
         lo, hi = default_gamma_bracket(pb, theta0)
         assert abs(pb.intersection_gap(root, theta0)) <= 1e-4
+
+    # Fits from the seed-7 noisy benchmark study (sigma 0.06) whose root a
+    # Newton step hits within rounding, so the step lands on the end of the
+    # sign change rather than strictly inside it.
+    @pytest.mark.parametrize("theta", [
+        [162356.6785410878, 134.26624509415657, 523.726252259006,
+         86087.97110723687, 165.3175394023404, 588.7783996942084],
+        [152082.03094301015, 142.3169967707676, 485.7976710648519,
+         99613.39676935818, 164.56516222039923, 743.6465952279838],
+        [148849.66871592565, 129.63248364708716, 423.65986670742797,
+         91394.62875439963, 157.0533296262342, 628.2708280359167],
+    ], ids=("simulate-005", "simulate-006", "simulate-011"))
+    def test_newton_step_on_the_bracket_end_stops_at_its_root(self, pb, theta):
+        theta = np.array(theta)
+        calls = Counter()
+
+        def counted(curve):
+            def dx_fn(x, t):
+                calls[curve.name] += 1
+                return curve.dx_fn(x, t)
+            return replace(curve, dx_fn=dx_fn)
+
+        model = replace(pb, curve1=counted(pb.curve1), curve2=counted(pb.curve2))
+        gamma = solve_gamma(model, theta)
+        # One slope per curve in each polish iteration.
+        assert calls[pb.curve1.name] == calls[pb.curve2.name] <= 4
+        alpha, beta = pb.split(theta)
+        step = pb.intersection_gap(gamma, theta) / (pb.curve1.dx(gamma, alpha)
+                                                    - pb.curve2.dx(gamma, beta))
+        assert abs(step) <= 1e-12 * abs(gamma)
+
+    def test_polish_out_of_iterations_returns_its_last_iterate(self, pb, theta0, monkeypatch):
+        lo, hi = default_gamma_bracket(pb, theta0)
+        xs = np.linspace(lo, hi, equivalent_dose.DEFAULT_GRID_POINTS)
+        gs = pb.intersection_gap(xs, theta0)
+        (k,) = np.flatnonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))
+        alpha, beta = pb.split(theta0)
+        a, b, x = xs[k], xs[k + 1], 0.5 * (xs[k] + xs[k + 1])
+        args = (pb, alpha[None, :], beta[None, :], xs[k:k + 1], xs[k + 1:k + 2], gs[k:k + 1],
+                np.array([1e-8 * (hi - lo)]))
+        root = equivalent_dose._polish(*args)[0]
+        monkeypatch.setattr(equivalent_dose, "_POLISH_MAX_ITER", 1)
+        last = equivalent_dose._polish(*args)[0]
+        # One Newton step from the midpoint, inside the sign change, and short
+        # of the root.
+        newton = x - pb.intersection_gap(x, theta0) / (pb.curve1.dx(x, alpha)
+                                                       - pb.curve2.dx(x, beta))
+        assert a < last < b and last == pytest.approx(newton, rel=1e-12)
+        assert abs(last - root) > 1e-8 * (hi - lo)
+
+    def test_equally_close_roots_give_the_smaller(self, pb):
+        # Identical curves meet at every grid point, and the two closest to
+        # zero of a bracket symmetric about it are equally close.
+        theta = np.concatenate([PAPER_ALPHA, PAPER_ALPHA])
+        with pytest.warns(MultipleRootWarning, match="256 intersection roots found"):
+            root = solve_gamma(pb, theta, bracket=(-1.0, 1.0))
+        xs = np.linspace(-1.0, 1.0, equivalent_dose.DEFAULT_GRID_POINTS)
+        assert xs[127] == -xs[128] < 0.0 and root == xs[127]
 
 
 class TestGammaGradient:
