@@ -244,7 +244,7 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
 def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
     """Per curve of ``curves``, ``(model, x (n,), Y (R, n), start)`` with one
     ``R`` and ``p``, :func:`fit_methods`'s batches, from one stack: one solve
-    finds every ``"auto"`` start (the hint at the row's own ``x``), one more
+    finds every ``"auto"`` start (one hint call per curve), one more
     fits every (method, curve, row), in that order."""
     methods = list(dict.fromkeys(_check_method(m) for m in methods))
     R = len(np.atleast_1d(curves[0][2]))
@@ -270,9 +270,9 @@ def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
         else:
             theta = np.ones((R, p))
             if model.start_hint is not None and R:
-                theta = np.stack([np.asarray(model.start_hint(x, y), dtype=float) for y in Y])
-                if theta.shape[1:] != (p,):
-                    raise ValueError(f"theta must have shape ({p},), got {theta.shape[1:]}")
+                theta = np.asarray(model.start_hint(x, Y), dtype=float)
+                if theta.shape != (R, p):
+                    raise ValueError(f"start hint must return shape ({R}, {p}), got {theta.shape}")
             auto.extend(range(len(blocks) * R, (len(blocks) + 1) * R))
         blocks.append((model, x, Y))
         start.append(theta)

@@ -114,7 +114,9 @@ class ModelFunction:
         ``(x, theta) -> bool`` per row of theta; False marks invalid
         evaluation points.
     start_hint : callable, optional
-        ``(x, y) -> theta`` rough data-driven starting values.
+        ``(x(n,), Y(..., n)) -> theta(..., p)`` rough data-driven starting
+        values, one row per row of responses. The fitters call it once per
+        stack, so a row's hint must not depend on the other rows of ``Y``.
     """
 
     name: str
@@ -350,7 +352,7 @@ def constant_model() -> ModelFunction:
         grad_fn=gr,
         hess_fn=he,
         dx_fn=lambda x, t: np.zeros(_value_shape(x, t)),
-        start_hint=lambda x, y: np.array([float(np.mean(y))]),
+        start_hint=lambda x, Y: np.mean(Y, axis=-1, keepdims=True),
     )
 
 
@@ -366,10 +368,11 @@ def scaled_shape_model(g: Callable[[Array], Array], name: str = "scaled_shape") 
     def he(x, t):
         return np.zeros(_value_shape(x, t) + (1, 1))
 
-    def hint(x, y):
-        gx = np.asarray(g(x), dtype=float)
-        denom = float(gx @ gx)
-        return np.array([float(y @ gx) / denom if denom > 0 else 1.0])
+    def hint(x, Y):
+        gx, Y = np.asarray(g(x), dtype=float), np.asarray(Y, dtype=float)
+        denom = np.sum(gx * gx)
+        return (np.sum(Y * gx, axis=-1, keepdims=True) / denom if denom > 0
+                else np.ones_like(Y[..., :1]))
 
     return ModelFunction(
         name=name,
@@ -404,7 +407,7 @@ def exponential_decay_model() -> ModelFunction:
     def dx(x, t):
         return -t[..., 0, None] / t[..., 1, None] * np.exp(-x / t[..., 1, None])
 
-    def hint(x, y):
+    def hint_row(x, y):
         pos = y > 0
         if pos.sum() >= 2 and np.ptp(x[pos]) > 0:
             slope, intercept = np.polyfit(x[pos], np.log(y[pos]), 1)
@@ -412,6 +415,11 @@ def exponential_decay_model() -> ModelFunction:
                 return np.array([float(np.exp(intercept)), -1.0 / slope])
         span = float(np.ptp(x)) or 1.0
         return np.array([float(np.max(np.abs(y))) or 1.0, span])
+
+    def hint(x, Y):
+        Y = np.asarray(Y, dtype=float)
+        rows = [hint_row(x, y) for y in Y.reshape(-1, Y.shape[-1])]
+        return np.reshape(rows, Y.shape[:-1] + (2,))
 
     return ModelFunction(
         name="exponential",
@@ -424,6 +432,11 @@ def exponential_decay_model() -> ModelFunction:
         domain_guard=lambda x, t: t[..., 1] != 0.0,
         start_hint=hint,
     )
+
+
+# The saturating exponential's start hint tries a3 at these multiples of the
+# dose span, log-spaced from 1/20 to 20 times it.
+_RATE_GRID = np.geomspace(0.05, 20.0, 48)
 
 
 def saturating_exponential_model() -> ModelFunction:
@@ -464,7 +477,7 @@ def saturating_exponential_model() -> ModelFunction:
     def dx(x, t):
         return t[..., 0, None] / t[..., 2, None] * _e(x, t)
 
-    def hint(x, y):
+    def heuristic(x, y):
         a1 = 1.05 * float(np.max(y))
         if a1 <= 0:
             a1 = 1.0
@@ -477,6 +490,37 @@ def saturating_exponential_model() -> ModelFunction:
         else:
             a2 = 0.1 * a3
         return np.array([a1, a2, a3])
+
+    def hint(x, Y):
+        # Variable projection: at a fixed a3 the mean is A + B z with
+        # z = exp(-(x - x0)/a3), linear in (A, B), so each grid a3 costs one
+        # 2x2 least-squares solve. The best grid point with A > 0 > B gives
+        # a1 = A and -B/A = exp(-(x0 + a2)/a3). Every sum runs along a row,
+        # so a row's hint does not depend on the other rows of Y.
+        x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
+        rows = Y.reshape(-1, x.size)
+        theta = np.full((len(rows), 3), np.nan)
+        span, n = float(np.ptp(x)), x.size
+        if span > 0 and n >= 4:
+            x0 = float(np.min(x))
+            a3 = span * _RATE_GRID
+            z = np.exp(-(x - x0) / a3[:, None])  # (grid, n)
+            sz, szz = np.sum(z, axis=-1), np.sum(z * z, axis=-1)
+            det = n * szz - sz * sz
+            sy = np.sum(rows, axis=-1, keepdims=True)
+            szy = np.sum(rows[:, None, :] * z, axis=-1)  # (rows, grid)
+            with np.errstate(all="ignore"):
+                A = (szz * sy - sz * szy) / det
+                B = (n * szy - sz * sy) / det
+                rss = np.sum((rows[:, None, :] - A[..., None] - B[..., None] * z) ** 2, axis=-1)
+                rss[(A <= 0.0) | (B >= 0.0) | np.any(rows <= 0.0, axis=-1, keepdims=True)] = np.inf
+                best = np.argmin(rss, axis=-1)
+                ok = np.isfinite(np.min(rss, axis=-1))
+                A, B, a3 = A[ok, best[ok]], B[ok, best[ok]], a3[best[ok]]
+                theta[ok] = np.stack([A, -a3 * np.log(-B / A) - x0, a3], axis=-1)
+        for i in np.flatnonzero(~np.all(np.isfinite(theta), axis=-1)):
+            theta[i] = heuristic(x, rows[i])
+        return theta.reshape(Y.shape[:-1] + (3,))
 
     return ModelFunction(
         name="saturating_exponential",

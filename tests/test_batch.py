@@ -265,6 +265,38 @@ class TestMixedStacks:
         for m in METHODS:
             assert together[m].converged[[0, 2]].all()
 
+    def test_separable_and_fallback_starts_fit_as_alone(self, satexp):
+        # Rows 0 and 3 start from the separable least-squares hint; row 1 (a
+        # non-positive y) and row 2 (falling, so no grid point has A > 0 > B)
+        # from the heuristic one, whose a3 is the dose span.
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=4, seed=44)
+        Y[1, 4] = -1.0
+        Y[2] = Y[2, ::-1]
+        hints = satexp.start_hint(X, Y)
+        np.testing.assert_array_equal(hints[:, 2] == np.ptp(X), [False, True, True, False])
+        opts = FitOptions(start="auto")
+        together = fit_methods(satexp, X, Y, METHODS, opts)
+        for r, y in enumerate(Y):
+            np.testing.assert_array_equal(satexp.start_hint(X, y), hints[r])
+            alone = fit_methods(satexp, X, y[None, :], METHODS, opts)
+            for m in METHODS:
+                assert repr(together[m].errors[r]) == repr(alone[m].errors[0])
+                if alone[m].errors[0] is None:
+                    assert_rows_equal(together[m], r, alone[m].result(0))
+
+    def test_constant_covariate_curve_beside_a_separable_one(self, satexp):
+        # Curve 2's covariate has no spread, so its rows start from the
+        # heuristic hint; each curve still fits as it does alone.
+        x2 = np.full(X.size, 400.0)
+        curves = ((satexp, X, noisy_stack(satexp, X, PAPER_ALPHA, 0.03, 3, seed=45), "auto"),
+                  (satexp, x2, noisy_stack(satexp, x2, PAPER_ALPHA, 0.03, 3, seed=46), "auto"))
+        assert np.all(satexp.start_hint(x2, curves[1][2])[:, 2] == 1.0)
+        stacked = estimators._fit_curves(curves, METHODS, FitOptions())
+        for (model, x, Y, spec), got in zip(curves, stacked):
+            alone = fit_methods(model, x, Y, METHODS, FitOptions(start=spec))
+            for m in METHODS:
+                assert_batches_equal(got[m], alone[m])
+
     def test_fault_mid_solve(self, expo):
         # NaN Hessian wherever theta1 > 4.5: the row fitted near 5 fails
         # while solving, for the methods whose iterates get there.

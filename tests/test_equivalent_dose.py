@@ -15,6 +15,7 @@ from propfit.equivalent_dose import (
     default_gamma_bracket,
     dose_derivatives_batch,
     fit_two_curves,
+    fit_two_curves_methods,
     formulae,
     gamma_bias_se,
     gamma_gradient,
@@ -404,3 +405,22 @@ class TestFitTwoCurves:
         stacked_data = Dataset(idx, np.concatenate([d1.y, d2.y]))
         r = equation_residual("ml", joint, stacked_data, res.theta_hat)
         assert np.max(np.abs(r)) <= res.tolerance
+
+
+class TestAutoStart:
+    def test_separable_start_cuts_iterations(self, pb, theta0):
+        # The 32 two-curve datasets the benchmark draws for seed 7 at sigma
+        # 0.03. From the heuristic start alone (1.05 max y and the medians)
+        # the ql fits take 11.1 iterations on average, 7.2 of them in the
+        # start's solve; from the separable one, 6.9.
+        alpha, beta = theta0[:3], theta0[3:]
+        Y1, Y2 = [], []
+        for k in range(32):
+            stream = replicate_stream(7, 0, k)
+            Y1.append(generate_dataset(pb.curve1, DEFAULT_UNBLEACHED_DOSES, alpha, 0.03, stream).y)
+            Y2.append(generate_dataset(pb.curve2, DEFAULT_BLEACHED_DOSES, beta, 0.03, stream).y)
+        batch = fit_two_curves_methods(pb, DEFAULT_UNBLEACHED_DOSES, np.array(Y1),
+                                       DEFAULT_BLEACHED_DOSES, np.array(Y2), ("ql",),
+                                       opts=FitOptions(start="auto"))["ql"]
+        assert batch.converged.all()
+        assert np.mean(batch.iterations) <= 8.0

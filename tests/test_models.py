@@ -1,5 +1,7 @@
 """Mean functions: evaluation, derivatives, guards, registry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,12 @@ from propfit.models import (
     FAULT_THETA,
     Dataset,
     ModelFunction,
+    constant_model,
+    exponential_decay_model,
     fd_check,
     get_model,
     register_model,
+    saturating_exponential_model,
     scaled_shape_model,
 )
 from conftest import PAPER_ALPHA
@@ -203,6 +208,38 @@ class TestStartHints:
         # A median response at or below zero has no log to take either.
         y = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0])
         np.testing.assert_array_equal(satexp.start_hint(x, y), [2.1, 50.0, 500.0])
+
+    @pytest.mark.parametrize("factory", [
+        constant_model, exponential_decay_model, saturating_exponential_model,
+        lambda: scaled_shape_model(lambda x: 1.0 + x)], ids=["constant", "exponential",
+                                                           "saturating", "scaled_shape"])
+    def test_hints_take_a_stack_of_rows(self, factory):
+        model = factory()
+        x = np.linspace(0.0, 10.0, 8)
+        Y = np.exp(-x / np.arange(1.0, 7.0).reshape(3, 2, 1)) * (2.0 - np.exp(-x / 4.0))
+        hints = model.start_hint(x, Y)
+        assert hints.shape == (3, 2, model.p)
+        for index in np.ndindex(3, 2):
+            np.testing.assert_array_equal(model.start_hint(x, Y[index]), hints[index])
+
+    def test_hint_must_return_a_row_per_response_row(self, satexp, satexp_grid):
+        # A hint written for one response row at a time gives one start for
+        # the whole stack: the fit call raises, naming the shape it needed.
+        model = replace(satexp, start_hint=lambda x, y: np.array([1.0, 2.0, 3.0]))
+        Y = np.tile(satexp_grid.y, (2, 1))
+        with pytest.raises(ValueError, match=r"start hint must return shape \(2, 3\), got \(3,\)"):
+            fit_methods(model, satexp_grid.x, Y, ("ql",))
+
+    @pytest.mark.parametrize("x", [np.full(6, 300.0), np.array([0.0, 500.0, 1000.0])],
+                             ids=["no spread", "three points"])
+    def test_satexp_hint_falls_back_for_a_degenerate_covariate(self, satexp, x):
+        # No separable fit is tried: every row gets the heuristic, alone or stacked.
+        Y = np.array([np.linspace(1.0, 2.0, x.size), np.linspace(5.0, 3.0, x.size)])
+        hints = satexp.start_hint(x, Y)
+        np.testing.assert_array_equal(hints[:, 0], 1.05 * Y.max(axis=1))
+        np.testing.assert_array_equal(hints[:, 2], np.ptp(x) or 1.0)
+        for y, hint in zip(Y, hints):
+            np.testing.assert_array_equal(satexp.start_hint(x, y), hint)
 
     @pytest.mark.parametrize("theta1", [2.0, -2.0])
     def test_exponential_hint_in_auto_fit(self, expo, theta1):

@@ -1,16 +1,23 @@
-"""Invariances of the estimating equations, checked on drawn examples."""
+"""Invariances of the estimating equations, the start hint and the dose
+root, checked on drawn examples."""
+
+import warnings
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from propfit.equivalent_dose import solve_gamma_batch
 from propfit.estimators import METHODS, equation_residual
+from propfit.exceptions import MultipleRootWarning
 from propfit.models import Dataset, saturating_exponential_model
-from propfit.simulation import DEFAULT_UNBLEACHED_DOSES
+from propfit.simulation import DEFAULT_UNBLEACHED_DOSES, default_partial_bleach_design
 from conftest import PAPER_ALPHA
 
 MODEL = saturating_exponential_model()
 X = DEFAULT_UNBLEACHED_DOSES
+DESIGN = default_partial_bleach_design()
+PB, THETA0 = DESIGN.model, DESIGN.theta0
 
 
 @given(k=st.integers(-64, 64),
@@ -28,3 +35,57 @@ def test_equation_residual_is_scale_equivariant(k, shape, noise):
         G = equation_residual(method, MODEL, Dataset(X, y), theta)
         scaled = equation_residual(method, MODEL, Dataset(X, c * y), theta * [c, 1.0, 1.0])
         np.testing.assert_array_equal(scaled, G * [1.0 / c, 1.0, 1.0], err_msg=method)
+
+
+def _hint_row(shape, noise, fallback):
+    """A response row for the start hint: noisy means at ``PAPER_ALPHA *
+    shape``, all positive (the separable branch), or with its first value
+    negated (the fallback, with a positive largest value)."""
+    y = MODEL.eval(X, PAPER_ALPHA * np.array(shape)) * (1.0 + np.array(noise))
+    if fallback:
+        y[0] = -y[0]
+    return y
+
+
+HINT_ROW = st.builds(_hint_row, st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+                     st.lists(st.floats(-0.3, 0.3), min_size=X.size, max_size=X.size),
+                     st.booleans())
+
+
+@given(k=st.integers(-64, 64), y=HINT_ROW)
+def test_start_hint_is_power_of_two_equivariant(k, y):
+    # Every sum, product and quotient of the separable hint, and the
+    # fallback's 1.05 max(y) and median(y)/a1, scale exactly by a power of
+    # two, so a1 follows y bit for bit and a2, a3 do not move.
+    c = 2.0 ** k
+    hint = MODEL.start_hint(X, y)
+    # The fallback's a3 is the dose span, which is not on the separable grid.
+    assert (hint[2] == np.ptp(X)) == (y[0] < 0)
+    np.testing.assert_array_equal(MODEL.start_hint(X, c * y), hint * [c, 1.0, 1.0])
+
+
+@given(rows=st.lists(HINT_ROW, min_size=1, max_size=6))
+def test_start_hint_rows_do_not_depend_on_the_stack(rows):
+    Y = np.array(rows)
+    together = MODEL.start_hint(X, Y)
+    assert together.shape == (len(rows), 3)
+    for y, hint in zip(Y, together):
+        np.testing.assert_array_equal(MODEL.start_hint(X, y), hint)
+    np.testing.assert_array_equal(MODEL.start_hint(X, Y[::-1]), together[::-1])
+
+
+@given(scales=st.lists(st.lists(st.floats(0.6, 1.6), min_size=6, max_size=6),
+                       min_size=1, max_size=8),
+       wide=st.booleans())
+def test_solve_gamma_batch_rows_do_not_depend_on_the_stack(scales, wide):
+    # Rows near the design's truth: most cross once, some twice or not at
+    # all inside the bracket; each row's root or error is its own.
+    theta = THETA0 * np.array(scales)
+    bracket = (-5000.0, 0.0) if wide else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleRootWarning)
+        gammas, errors = solve_gamma_batch(PB, theta, bracket)
+        for r in range(len(theta)):
+            alone, alone_errors = solve_gamma_batch(PB, theta[r:r + 1], bracket)
+            np.testing.assert_array_equal(gammas[r], alone[0])
+            assert repr(errors[r]) == repr(alone_errors[0])

@@ -156,7 +156,8 @@ def main(argv=None) -> int:
                         help="directory kept for inputs and reports (default: a temporary one)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
+        # Resolved here: the inputs are generated with the parent checkout as cwd.
+        work = args.work.resolve() if args.work else Path(tmp)
         inputs, out = work / "inputs", work / "out"
         generate_inputs(args.parent.resolve(), args.seed, inputs)
         for side, checkout in (("parent", args.parent), ("change", args.change)):
