@@ -607,15 +607,16 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
     and ``x2``; returns ``{method: TwoCurveFitBatch}``.
 
-    Both curves' per-curve fits share one stack (see :mod:`propfit.estimators`):
-    one solve finds both curves' ``start="auto"``, one more makes every
-    per-curve fit (curves with different numbers of parameters get a stack
-    each). A curve's rows equal its own :func:`~propfit.estimators.fit_methods`
-    bit for bit, or to rounding if it is the shorter curve (padded). A
-    common-sigma method then fits the stacked model from the joint start or,
-    with ``"auto"``, from its own per-curve fits, whose row errors come
-    first. A separate fit's ``iterations`` include those of ``start="auto"``;
-    a common-sigma fit counts only the stacked fit's own.
+    Both curves' per-curve fits share one stack and one solve (see
+    :mod:`propfit.estimators`), each curve starting at its own hint with
+    ``start="auto"`` (curves with different numbers of parameters get a
+    stack each). A curve's rows equal its own
+    :func:`~propfit.estimators.fit_methods` bit for bit, or to rounding if it
+    is the shorter curve (padded). A common-sigma method then fits the
+    stacked model from the joint start or, with ``"auto"``, from its own
+    per-curve fits, whose row errors come first. Every fit's ``iterations``
+    count its own solve: a separate fit's are the larger of its curves',
+    a common-sigma fit's the stacked fit's.
     """
     opts = opts or FitOptions()
     modes = resolve_modes(mode, methods)

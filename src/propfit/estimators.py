@@ -14,11 +14,14 @@ Each estimator is the root of an estimating equation in theta:
 QL, WLS and DWLS estimates never depend on how (or whether) sigma is
 estimated; their sigma is reported from the unbiased rule afterwards.
 
-:func:`fit_methods` fits several methods to a stack of datasets that share
-their covariate, from one start and in one solve with a row per (method,
-dataset), as one intersection scan finds every method's dose; :func:`fit` is
-one method on a stack of one. Both are the one-curve case of ``_fit_curves``,
-whose stack holds several curves, each row with its own model and covariate.
+Every fit solves its own method's equation and nothing else: with
+``start="auto"`` it starts at the model's data-driven hint, or at ones for
+a model without one. :func:`fit_methods` fits several methods to a stack of
+datasets that share their covariate, from one start and in one solve with a
+row per (method, dataset), as one intersection scan finds every method's
+dose; :func:`fit` is one method on a stack of one. Both are the one-curve
+case of ``_fit_curves``, whose stack holds several curves, each row with its
+own model and covariate.
 A row's numbers do not depend on the other rows of its stack; a curve
 stacked with a longer one is padded, which changes it only to rounding.
 This module holds the table of equations (each method's weights and
@@ -62,8 +65,8 @@ class FitOptions:
     ``max_j sum_i |c_i df_i/dtheta_j|``, the size of the terms of ``G =
     sum_i c_i grad f_i`` at the current iterate. ``start`` is a parameter
     vector (for a stack, one shared vector or one row per dataset) or
-    ``"auto"``, which solves unweighted least squares from the model's
-    data-driven hint first.
+    ``"auto"``: each row's :attr:`~propfit.models.ModelFunction.start_hint`,
+    or ones for a model without a hint.
     """
 
     tol_residual: float = 1e-8
@@ -134,8 +137,7 @@ def _ml_objective(f: Array, y: Array, live: Array | None, n: Array) -> Array:
     return np.where(np.all(q > 0.0, axis=-1), value, np.inf)
 
 
-# One row per method, in the order of ``METHODS``, then unweighted least
-# squares, which only the "auto" start solves.
+# One row per method, in the order of ``METHODS``.
 _EQUATIONS = _Table((
     _Equation(  # ml
         weight=lambda f, y: y * (f - y) / f**3,
@@ -158,12 +160,6 @@ _EQUATIONS = _Table((
         dweight=lambda f, y: -1.0 / y**2,
         scoring=lambda f, y: -1.0 / y**2,
         objective=lambda f, y, live, n: 0.5 * _sum(((y - f) / y) ** 2, live),
-        divides_by_f=False),
-    _Equation(  # ols
-        weight=lambda f, y: y - f,
-        dweight=lambda f, y: np.full_like(f, -1.0),
-        scoring=lambda f, y: np.full_like(f, -1.0),
-        objective=lambda f, y, live, n: 0.5 * _sum((y - f) ** 2, live),
         divides_by_f=False),
 ))
 
@@ -243,28 +239,26 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
 
 def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
     """Per curve of ``curves``, ``(model, x (n,), Y (R, n), start)`` with one
-    ``R`` and ``p``, :func:`fit_methods`'s batches, from one stack: one solve
-    finds every ``"auto"`` start (one hint call per curve), one more
-    fits every (method, curve, row), in that order."""
+    ``R`` and ``p``, :func:`fit_methods`'s batches, from one solve that fits
+    every (method, curve, row), in that order. An ``"auto"`` start is the
+    model's hint, one call per curve, or ones for a model without one."""
     methods = list(dict.fromkeys(_check_method(m) for m in methods))
     R = len(np.atleast_1d(curves[0][2]))
-    blocks, start, start_errors, responses, auto = [], [], [], [], []
+    blocks, start, start_errors, responses = [], [], [], []
     for model, x, Y, spec in curves:
         x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
         if Y.shape != (R, x.size):
             raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
         n, p = x.size, model.p
-        theta, errors, response = np.full((R, p), np.nan), (None,) * R, None
+        theta, response = np.full((R, p), np.nan), None
         if n <= p:
-            # No start is solved, and this error comes before any other.
-            errors = response = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R
+            # No start is taken, and this error comes before any other.
+            response = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R
         elif not isinstance(spec, str):
             theta = np.asarray(spec, dtype=float)
             if theta.shape not in ((p,), (R, p)):
                 raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
             theta = np.broadcast_to(theta, (R, p))
-            errors = tuple(None if ok else fault_error(model, FAULT_THETA)
-                           for ok in np.all(np.isfinite(theta), axis=-1))
         elif spec != "auto":
             raise ValueError(f"unknown start spec {spec!r}")
         else:
@@ -273,19 +267,12 @@ def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
                 theta = np.asarray(model.start_hint(x, Y), dtype=float)
                 if theta.shape != (R, p):
                     raise ValueError(f"start hint must return shape ({R}, {p}), got {theta.shape}")
-            auto.extend(range(len(blocks) * R, (len(blocks) + 1) * R))
         blocks.append((model, x, Y))
         start.append(theta)
-        start_errors.extend(errors)
+        start_errors.extend(response or tuple(None if ok else fault_error(model, FAULT_THETA)
+                                              for ok in np.all(np.isfinite(theta), axis=-1)))
         responses.extend(response or _dwls_response_errors(Y))
-    data, start, steps = _stack(blocks), np.concatenate(start), np.zeros(len(start_errors), int)
-    tols = dict(tol_relative=opts.tol_residual, tol_absolute=opts.tol_absolute,
-                max_iter=opts.max_iter)
-    if auto:
-        pre = solve(_EQUATIONS, data[auto], start[auto], np.full(len(auto), len(METHODS)), **tols)
-        start[auto], steps[auto] = pre.theta, pre.iterations
-        for r, error in zip(auto, pre.errors):
-            start_errors[r] = error
+    data, start = _stack(blocks), np.concatenate(start)
     dwls_errors = first_errors(responses, start_errors)
     # Row i * CR + c * R + r fits methods[i] to curve c's Y[r], which is row
     # c * R + r of ``data``; the stack holds the rows with no error yet.
@@ -294,14 +281,15 @@ def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
     live = np.flatnonzero([e is None for e in errors])
     k, rows = np.array([METHODS.index(m) for m in methods], dtype=int)[live // CR], live % CR
     stack = data[rows]
-    sol = solve(_EQUATIONS, stack, start[rows], k, **tols)
+    sol = solve(_EQUATIONS, stack, start[rows], k, tol_relative=opts.tol_residual,
+                tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
     sigma, fault = _sigma(stack, sol.theta,
                           scale_divisor(np.asarray(METHODS)[k], stack.n, start.shape[1]))
     for i, (r, error, code) in enumerate(zip(live, sol.errors, fault)):
         if error or code:
             errors[r] = error or fault_error(stack.model(i), int(code))
     ok = np.array([errors[r] is None for r in live], dtype=bool)
-    columns = {"theta_hat": sol.theta, "iterations": steps[rows] + sol.iterations,
+    columns = {"theta_hat": sol.theta, "iterations": sol.iterations,
                "sigma_hat": sigma, "converged": sol.converged, "residual_norm": sol.residual_norm,
                "tolerance": sol.tolerance}
     for name, values in columns.items():
@@ -319,9 +307,9 @@ def fit_methods(model: ModelFunction, x, Y, methods,
     """Fit each of ``methods`` to each row of ``Y (R, n)``, all observed at
     ``x (n,)``, from one start; returns ``{method: FitBatch}``.
 
-    ``start="auto"`` is solved once per row, and its iterations count in
-    every method's. Then one solve fits every (method, row) pair as one
-    stack. Row ``r`` of a batch is the fit of ``Dataset(x, Y[r])``, bit for
+    The ``"auto"`` start is one hint call for the stack. One solve fits
+    every (method, row) pair, and a fit's ``iterations`` are those of its
+    own row. Row ``r`` of a batch is the fit of ``Dataset(x, Y[r])``, bit for
     bit, and fails alone where that fit raises (see :class:`FitBatch`):
     with ``n <= p`` every row fails. A start whose shape does not fit the
     model raises for the whole call.
@@ -334,7 +322,7 @@ def fit(model: ModelFunction, data: Dataset, method: str,
         opts: FitOptions | None = None) -> FitResult:
     """Fit one estimator to one dataset: a stack of one for :func:`fit_methods`.
 
-    ``iterations`` counts every solver iteration, those of the unweighted
-    least-squares solve behind ``start="auto"`` included.
+    ``iterations`` counts the iterations of this method's solve, which starts
+    at ``opts.start`` (with ``"auto"``, the model's hint).
     """
     return fit_methods(model, data.x, data.y[None, :], (method,), opts)[method.lower()].result(0)

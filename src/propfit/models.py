@@ -114,9 +114,12 @@ class ModelFunction:
         ``(x, theta) -> bool`` per row of theta; False marks invalid
         evaluation points.
     start_hint : callable, optional
-        ``(x(n,), Y(..., n)) -> theta(..., p)`` rough data-driven starting
-        values, one row per row of responses. The fitters call it once per
-        stack, so a row's hint must not depend on the other rows of ``Y``.
+        ``(x(n,), Y(..., n)) -> theta(..., p)`` data-driven starting values,
+        one row per row of responses. With ``start="auto"`` every method's
+        solve starts at the hint (at ones for a model without one), so a
+        hint near the least-squares answer saves iterations. The fitters
+        call it once per stack, so a row's hint must not depend on the other
+        rows of ``Y``.
     """
 
     name: str
@@ -408,13 +411,16 @@ def exponential_decay_model() -> ModelFunction:
         return -t[..., 0, None] / t[..., 1, None] * np.exp(-x / t[..., 1, None])
 
     def hint_row(x, y):
-        pos = y > 0
-        if pos.sum() >= 2 and np.ptp(x[pos]) > 0:
-            slope, intercept = np.polyfit(x[pos], np.log(y[pos]), 1)
+        # A log-linear fit to the responses of the majority sign; theta1
+        # takes that sign.
+        sign = -1.0 if np.sum(y < 0) > np.sum(y > 0) else 1.0
+        keep = sign * y > 0
+        if keep.sum() >= 2 and np.ptp(x[keep]) > 0:
+            slope, intercept = np.polyfit(x[keep], np.log(sign * y[keep]), 1)
             if slope < 0:
-                return np.array([float(np.exp(intercept)), -1.0 / slope])
+                return np.array([sign * float(np.exp(intercept)), -1.0 / slope])
         span = float(np.ptp(x)) or 1.0
-        return np.array([float(np.max(np.abs(y))) or 1.0, span])
+        return np.array([sign * (float(np.max(np.abs(y))) or 1.0), span])
 
     def hint(x, Y):
         Y = np.asarray(Y, dtype=float)

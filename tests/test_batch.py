@@ -112,14 +112,33 @@ class TestFitMethods:
         alone = {m: fit_methods(satexp, X, Y, (m,))[m] for m in METHODS}
         calls = count_solves(monkeypatch)
         together = fit_methods(satexp, X, Y, METHODS)
-        # One least-squares start (the table's last equation), then one
-        # solve for every method's rows.
-        assert len(calls) == 2
-        np.testing.assert_array_equal(calls[0], np.full(len(Y), len(METHODS)))
-        np.testing.assert_array_equal(calls[1], np.repeat(np.arange(len(METHODS)), len(Y)))
+        # One solve for every method's rows, each from the model's hint.
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.repeat(np.arange(len(METHODS)), len(Y)))
         for m in METHODS:
             for r in range(len(Y)):
                 assert_rows_equal(together[m], r, alone[m].result(r))
+
+    def test_model_without_hint_starts_at_ones(self, monkeypatch):
+        # A positive line with no start hint: "auto" starts every method at
+        # ones, so each fit, its iterations included, is the one from that start.
+        model = ModelFunction(
+            name="line", p=2, param_names=("t0", "t1"),
+            eval_fn=lambda x, t: t[..., 0, None] + t[..., 1, None] * x,
+            grad_fn=lambda x, t: np.stack(np.broadcast_arrays(
+                np.ones(t.shape[:-1] + x.shape), x), axis=-1),
+            hess_fn=lambda x, t: np.zeros(t.shape[:-1] + (x.size, 2, 2)))
+        x, theta = np.linspace(0.0, 10.0, 12), np.array([5.0, 2.0])
+        Y = noisy_stack(model, x, theta, 0.03, rows=4, seed=33)
+        calls = count_solves(monkeypatch)
+        auto = fit_methods(model, x, Y, METHODS)
+        assert len(calls) == 1
+        ones = fit_methods(model, x, Y, METHODS, FitOptions(start=np.ones(2)))
+        for m in METHODS:
+            assert auto[m].converged.all() and auto[m].errors == (None,) * 4
+            np.testing.assert_allclose(auto[m].theta_hat, np.tile(theta, (4, 1)), rtol=0.1)
+            for r in range(len(Y)):
+                assert_rows_equal(auto[m], r, ones[m].result(r))
 
     def test_misshapen_start_raises_for_the_call(self, satexp):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=2, seed=28)
@@ -140,9 +159,8 @@ class TestFitMethods:
         calls = count_solves(monkeypatch)
         together = fit_two_curves_methods(*args, METHODS, mode, opts)
         shared = sum(modes[m] == MODE_COMMON_SIGMA for m in METHODS)
-        # One start for both curves (with "auto"), one fit of every method on
-        # both curves, then each joint fit.
-        assert len(calls) == (2 if start == "auto" else 1) + shared
+        # One fit of every method on both curves, then each joint fit.
+        assert len(calls) == 1 + shared
         for m in METHODS:
             assert together[m].mode == modes[m]
             np.testing.assert_array_equal(together[m].theta_hat, alone[m].theta_hat)
@@ -166,6 +184,19 @@ class TestFailingRows:
             fit(satexp, Dataset(X, Y[2]), "ql", FitOptions(start=starts[2]))
         with pytest.raises(DomainError, match=message):
             batch.result(2)
+
+    def test_two_curve_result_raises_its_row_error(self):
+        design = default_partial_bleach_design()
+        pb, theta0 = design.model, design.theta0
+        Y1 = noisy_stack(pb.curve1, DEFAULT_UNBLEACHED_DOSES, theta0[:3], 0.02, 2, seed=34)
+        Y2 = noisy_stack(pb.curve2, DEFAULT_BLEACHED_DOSES, theta0[3:], 0.02, 2, seed=35)
+        Y2[1, 0] = -Y2[1, 0]
+        batch = fit_two_curves_methods(pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES,
+                                       Y2, ("dwls",))["dwls"]
+        assert batch.result(0).converged
+        assert isinstance(batch.errors[1], ZeroResponseError)
+        with pytest.raises(ZeroResponseError, match=r"requires all y > 0"):
+            batch.result(1)
 
     def test_singular_scoring_matrix_fails_its_row_only(self):
         # Two parameters scaling one shape: their gradient columns coincide,
@@ -461,14 +492,14 @@ class TestTwoCurveStack:
             np.testing.assert_array_equal(fits[m].theta_hat,
                                           np.concatenate([one.theta_hat, two.theta_hat], axis=1))
 
-    @pytest.mark.parametrize("method", METHODS + ("ols",))
+    @pytest.mark.parametrize("method", METHODS)
     def test_pads_add_nothing(self, satexp, method):
         # Rows of 13 points stacked with rows of 16: the padded rows' equation,
         # Jacobian, scale and objective agree with the same rows alone.
         x = DEFAULT_BLEACHED_DOSES
         Y = noisy_stack(satexp, x, PAPER_ALPHA, 0.05, rows=4, seed=47)
         theta = PAPER_ALPHA * (1.0 + 0.01 * np.arange(1, 4))
-        k = np.full(4, (METHODS + ("ols",)).index(method))
+        k = np.full(4, METHODS.index(method))
         table = estimators._EQUATIONS
         alone = estimators._point(table, estimators._stack(((satexp, x, Y),)), [theta] * 4, k)
         longer = noisy_stack(satexp, X, PAPER_ALPHA, 0.05, rows=4, seed=48)

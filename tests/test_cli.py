@@ -335,8 +335,8 @@ class TestFitCommand:
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2
 
     def test_one_dose_scan_for_every_method(self, pair_csv, tmp_path, monkeypatch):
-        # One start for both curves, one fit of every method on both, then
-        # the common-sigma ML fit; and every method's dose from one scan.
+        # One fit of every method on both curves, then the common-sigma ML
+        # fit; and every method's dose from one scan.
         calls = {"solve": 0, "solve_gamma_batch": 0}
         for module, name in ((estimators, "solve"), (equivalent_dose, "solve_gamma_batch")):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
@@ -346,7 +346,7 @@ class TestFitCommand:
         code, entries = fit_entries(tmp_path, "--data", pair_csv)
         assert code == 0 and set(entries) == set(METHODS)
         assert all(e["dose"]["gamma_hat"] == pytest.approx(PAPER_GAMMA) for e in entries.values())
-        assert calls == {"solve": 3, "solve_gamma_batch": 1}
+        assert calls == {"solve": 2, "solve_gamma_batch": 1}
 
     def test_one_bundle_stack_per_curve_model(self, tmp_path, monkeypatch):
         # The default mode's bundles: one stack for each curve (the separate

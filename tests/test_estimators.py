@@ -13,8 +13,9 @@ from propfit.estimators import (
     estimate_sigma_ml,
     estimate_sigma_unbiased,
     fit,
+    fit_methods,
 )
-from propfit.exceptions import ZeroResponseError
+from propfit.exceptions import DomainError, ZeroResponseError
 from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset
 from propfit.simulation import DEFAULT_BLEACHED_DOSES, DEFAULT_UNBLEACHED_DOSES, QNL84_BETA2, \
@@ -285,6 +286,36 @@ class TestErrors:
     def test_unknown_method(self, const, const_123):
         with pytest.raises(ValueError):
             fit(const, const_123, "ols")
+
+    @pytest.mark.parametrize("controls, message", [
+        ({"tol_residual": 0.0}, "tolerances must be positive"),
+        ({"tol_absolute": -1e-10}, "tolerances must be positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1")])
+    def test_options_reject_bad_controls(self, controls, message):
+        with pytest.raises(ValueError, match=message):
+            FitOptions(**controls)
+
+    def test_residual_and_ml_scale_raise_outside_the_domain(self, satexp, satexp_grid):
+        theta = np.array([PAPER_ALPHA[0], PAPER_ALPHA[1], 0.0])  # alpha3 = 0
+        message = "model 'saturating_exponential' is undefined at the requested point"
+        for method in METHODS:
+            with pytest.raises(DomainError, match=message):
+                equation_residual(method, satexp, satexp_grid, theta)
+        with pytest.raises(DomainError, match=message):
+            estimate_sigma_ml(satexp, satexp_grid, theta)
+
+    def test_unbiased_scale_needs_more_points_than_parameters(self, const):
+        data = Dataset(np.arange(2.0), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="need n > p, got n=2, p=2"):
+            estimate_sigma_unbiased(const, data, np.array([1.5]), p=2)
+
+    def test_misshapen_responses_and_unknown_start_raise_for_the_call(self, satexp,
+                                                                       satexp_grid):
+        x = satexp_grid.x
+        with pytest.raises(ValueError, match=rf"Y must have shape \(R, {x.size}\), got \(2, 3\)"):
+            fit_methods(satexp, x, np.ones((2, 3)), METHODS)
+        with pytest.raises(ValueError, match="unknown start spec 'hint'"):
+            fit(satexp, satexp_grid, "ql", FitOptions(start="hint"))
 
     def test_nonconvergence_is_flagged_not_raised(self, satexp):
         # A tolerance below the cancellation floor cannot be met; the best

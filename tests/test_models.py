@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from propfit.estimators import FitOptions, fit_methods
-from propfit.exceptions import DomainError
+from propfit.exceptions import DomainError, NonFiniteError
 from propfit.models import (
     FAULT_DOMAIN,
     FAULT_THETA,
+    FAULT_VALUE,
     Dataset,
     ModelFunction,
     constant_model,
     exponential_decay_model,
+    fault_error,
     fd_check,
     get_model,
     register_model,
@@ -76,6 +78,13 @@ class TestFaults:
         x = np.arange(3.0)
         assert const.faults(x, np.array([[1.0], [np.nan]])).tolist() == [0, FAULT_THETA]
         assert int(const.faults(x, np.array([1.0]))) == 0
+
+    def test_fault_errors(self, expo):
+        error = fault_error(expo, FAULT_VALUE)
+        assert isinstance(error, NonFiniteError)
+        assert str(error) == "model 'exponential' evaluated non-finite"
+        with pytest.raises(ValueError, match="unknown fault code 99"):
+            fault_error(expo, 99)
 
 
 class TestGradients:
@@ -241,15 +250,22 @@ class TestStartHints:
         for y, hint in zip(Y, hints):
             np.testing.assert_array_equal(satexp.start_hint(x, y), hint)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exponential_hint_fallback_takes_the_majority_sign(self, expo, sign):
+        # Magnitudes that rise have no decay to fit: the hint falls back to
+        # the largest |y| with the majority's sign, and the span of x.
+        x = np.linspace(0.0, 10.0, 6)
+        y = sign * np.array([1.0, 2.0, 3.0, 4.0, 5.0, -6.0])
+        np.testing.assert_array_equal(expo.start_hint(x, y), [sign * 6.0, 10.0])
+
     @pytest.mark.parametrize("theta1", [2.0, -2.0])
     def test_exponential_hint_in_auto_fit(self, expo, theta1):
-        # Positive decaying responses give a log-linear fit; with no positive
-        # response the hint falls back to the largest |y| and the x span.
+        # Decaying responses of either sign give a log-linear fit to |y|,
+        # and theta1 takes the responses' sign.
         theta = np.array([theta1, 3.0])
         x = np.linspace(0.0, 10.0, 12)
         y = np.asarray(expo.eval(x, theta))
-        expected = theta if theta1 > 0 else [2.0, 10.0]
-        np.testing.assert_allclose(expo.start_hint(x, y), expected, rtol=1e-12)
+        np.testing.assert_allclose(expo.start_hint(x, y), theta, rtol=1e-12)
         fits = fit_methods(expo, x, y[None, :], ("ml", "ql", "wls"), FitOptions(start="auto"))
         for batch in fits.values():
             assert batch.converged[0]

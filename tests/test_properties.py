@@ -1,5 +1,5 @@
-"""Invariances of the estimating equations, the start hint and the dose
-root, checked on drawn examples."""
+"""Invariances of the estimating equations, the start hint, the fits and
+the dose root, checked on drawn examples."""
 
 import warnings
 
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from propfit.equivalent_dose import solve_gamma_batch
-from propfit.estimators import METHODS, equation_residual
+from propfit.estimators import METHODS, equation_residual, fit_methods
 from propfit.exceptions import MultipleRootWarning
 from propfit.models import Dataset, saturating_exponential_model
 from propfit.simulation import DEFAULT_UNBLEACHED_DOSES, default_partial_bleach_design
@@ -62,6 +62,26 @@ def test_start_hint_is_power_of_two_equivariant(k, y):
     # The fallback's a3 is the dose span, which is not on the separable grid.
     assert (hint[2] == np.ptp(X)) == (y[0] < 0)
     np.testing.assert_array_equal(MODEL.start_hint(X, c * y), hint * [c, 1.0, 1.0])
+
+
+@given(rows=st.lists(st.builds(_hint_row, st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+                               st.lists(st.floats(-0.3, 0.3), min_size=X.size, max_size=X.size),
+                               st.just(False)),
+                     min_size=1, max_size=4))
+def test_equation_vanishes_at_the_returned_root(rows):
+    # Every response is positive, so dwls applies too. A row that did not
+    # fail reports max|G| at its estimate: equation_residual's bits, since a
+    # one-curve stack is unpadded. A converged row's is within its tolerance.
+    Y = np.array(rows)
+    fits = fit_methods(MODEL, X, Y, METHODS)
+    for method, batch in fits.items():
+        for r, y in enumerate(Y):
+            if batch.errors[r] is not None:
+                continue
+            norm = np.max(np.abs(equation_residual(method, MODEL, Dataset(X, y),
+                                                   batch.theta_hat[r])))
+            assert norm == batch.residual_norm[r], method
+            assert norm <= batch.tolerance[r] or not batch.converged[r], method
 
 
 @given(rows=st.lists(HINT_ROW, min_size=1, max_size=6))
