@@ -7,22 +7,32 @@ and count of observations and the equation ``k[r]`` of a table, so one solve
 covers every method on every curve (as one intersection scan covers every
 method's dose). A row shorter than the longest is padded, and a pad adds
 exactly zero to ``G``, its Jacobian and scale, the objective and ML's scale.
-Rows share only the array operations, never a number, so a row's iterates
-are the same whatever else is in a stack of its length; padding reorders its
-sums, which changes them only to rounding. An iteration takes the exact
-Newton step when it lowers both the objective and ``max|G|``; otherwise it
-halves the scoring step (the Jacobian
-replaced by its expectation) until the objective falls. Near the root the
-objective stops changing beyond rounding, so a change within a few ulps counts
-as no rise when ``max|G|`` falls. A row has converged when ``max|G| <=
-max(tol_absolute, tol_relative * scale)`` at its current iterate.
+
+The first rows of a stack may be pairs: two rows, each with its own
+parameters, that are one dataset of both rows' observations, as a
+common-sigma fit of two curves is. A pair shares its objective, its
+``max|G|`` and scale (the larger of its rows') and ML's scale ``s^2`` over
+both rows' observations, whose derivative couples the rows' Newton step:
+one solve of the system in both rows' parameters. Everything below that
+holds for a row holds for a pair as a whole: its step decisions, its
+convergence, stop and failure, and its independence of the rest of the stack.
+
+Rows (and pairs) share only the array operations, never a number, so a
+row's iterates are the same whatever else is in a stack of its length;
+padding reorders its sums, which changes them only to rounding. An
+iteration takes the exact Newton step when it lowers both the objective
+and ``max|G|``; otherwise it halves the scoring step (the Jacobian
+replaced by its expectation, per row) until the objective falls. Near the
+root the objective stops changing beyond rounding, so a change within a
+few ulps counts as no rise when ``max|G|`` falls. A row has converged when
+``max|G| <= max(tol_absolute, tol_relative * scale)`` at its current iterate.
 
 A row stops moving once it converges, finds no step, runs out of
 iterations or fails. Non-convergence is not an error: the row's iterate with
 the smallest ``max|G|`` comes back flagged. A row fails alone, with the
 exception the one-row solve raises, when its equation is undefined or
 non-finite at its start, its Hessian is non-finite or its scoring matrix is
-singular.
+singular; a pair fails with its rows' first error.
 """
 
 from __future__ import annotations
@@ -70,12 +80,22 @@ def _sum(a: Array, live: Array | None) -> Array:
     return np.sum(a if live is None else np.where(live, a, 0.0), axis=-1)
 
 
+def _rows(mask: Array):
+    """The positions ``mask`` sets, as a slice if they are one run; None if none."""
+    where = np.flatnonzero(mask)
+    if not where.size:
+        return None
+    return slice(where[0], where[-1] + 1) if where[-1] - where[0] + 1 == where.size else where
+
+
 @dataclass(frozen=True)
 class _Data:
     """The datasets of a stack. Row ``r`` observes ``y[r]`` at ``x[r]`` (or at
     a shared ``x``) under ``models[curve[r]]``: ``n[r]`` observations, then
     pads (copies of the last) that ``live`` masks (None if there are none).
     ``callers[r]`` is the model whose callables evaluate row ``r`` (None: ``models[0]``'s).
+    Rows ``2j`` and ``2j + 1``, ``j < pairs``, are a pair: one dataset of both
+    rows' observations, whose parameters are both rows'.
     """
 
     models: tuple[ModelFunction, ...]
@@ -85,12 +105,27 @@ class _Data:
     n: Array
     live: Array | None
     callers: Array | None
+    pairs: int = 0
 
     def __getitem__(self, index) -> "_Data":
-        """The rows ``index`` selects (a boolean mask or positions)."""
+        """The rows ``index`` selects (a boolean mask or ascending positions),
+        which keeps pairs whole."""
+        pairs = self.pairs
+        if pairs:
+            index = np.asarray(index)
+            pairs = int(np.count_nonzero(index[:2 * pairs] if index.dtype == bool
+                                         else index < 2 * pairs)) // 2
         return _Data(self.models, self.curve[index], self.x if self.x.ndim == 1 else self.x[index],
                      self.y[index], self.n[index], None if self.live is None else self.live[index],
-                     None if self.callers is None else self.callers[index])
+                     None if self.callers is None else self.callers[index], pairs)
+
+    def pairwise(self, op, v: Array) -> Array:
+        """``v`` per row, with both rows of a pair set to ``op`` of their two values."""
+        if not self.pairs:
+            return v
+        two, out = 2 * self.pairs, v.copy()
+        out[:two] = np.repeat(op(v[0:two:2], v[1:two:2]), 2, axis=0)
+        return out
 
     def model(self, r: int) -> ModelFunction:
         return self.models[self.curve[r]]
@@ -188,7 +223,16 @@ class _Iterate:
 
     @property
     def defined(self) -> Array:
-        return (self.fault == 0) & np.isfinite(self.norm)
+        """Rows whose equation is defined and finite; a pair is both or neither."""
+        return ~self.data.pairwise(np.logical_or, (self.fault != 0) | ~np.isfinite(self.norm))
+
+    def errors(self, which) -> dict[int, Exception]:
+        """``{position: error}`` of the rows ``which`` selects, undefined ones
+        (see :attr:`defined`): a row's own fault, or else its pair mate's."""
+        own = {int(i): fault_error(self.data.model(i), int(self.fault[i])) if self.fault[i] else
+               NonFiniteError("estimating equation is non-finite at the starting point")
+               for i in np.flatnonzero((self.fault != 0) | ~np.isfinite(self.residual).all(-1))}
+        return {int(i): own.get(int(i)) or own[int(i) ^ 1] for i in np.flatnonzero(which)}
 
     def take(self, index) -> "_Iterate":
         """The rows ``index`` selects (a boolean mask or positions)."""
@@ -196,26 +240,41 @@ class _Iterate:
 
     def jacobian(self, table: _Table) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
-        scale terms). Rows with a non-finite Hessian are marked in ``fault``."""
+        scale terms) per row. Rows with a non-finite Hessian are marked in ``fault``."""
+        return self.blocks(table)[0]
+
+    def blocks(self, table: _Table) -> tuple[Array, Array | None]:
+        """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
+        in its mate's parameters (None with no pair): ML's ``sum J ds^2'``,
+        zero for the other equations."""
         y, f, G, c = self.data.y, self.f, self.G, self.c
-        p = G.shape[-1]
+        p, pairs = G.shape[-1], self.data.pairs
+        off = np.zeros(G.shape[:1] + (p, p)) if pairs else None
         with np.errstate(all="ignore"):
             H = self.data.call("hess_rows", self.theta)
             bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
             A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
                 c.shape[:-1] + (p, p))
             A += _t(G * _pick(table, self.k, "dweight", f, y)[..., None]) @ G
-            profiled = table.profiled[self.k]
-            if profiled.any():
+            ml = _rows(table.profiled[self.k])
+            if ml is not None:
+                y, f, G = y[ml], f[ml], G[ml]
                 J = G / f[..., None]
-                ds2 = (-2.0 / self.data.n)[:, None] * (
+                ds2 = (-2.0 / self.data.pairwise(np.add, self.data.n)[ml])[:, None] * (
                     _t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
-                A = np.where(profiled[:, None, None], A + (
-                    J.sum(axis=-2)[..., :, None] * ds2[..., None, :]
-                    - self.s2[:, None, None] * (_t(J) @ J)), A)
+                total = J.sum(axis=-2)
+                A[ml] += total[..., :, None] * ds2[..., None, :] - self.s2[ml, None, None] * (
+                    _t(J) @ J)
+                if pairs:
+                    # The ML rows of pairs come as (lead, mate) in ``rows``.
+                    rows = np.arange(len(self.k))[ml]
+                    both = np.flatnonzero(rows < 2 * pairs)
+                    lead, mate = both[0::2], both[1::2]
+                    off[rows[lead]] = total[lead, :, None] * ds2[mate, None, :]
+                    off[rows[mate]] = total[mate, :, None] * ds2[lead, None, :]
         if np.any(bad):
             self.fault[bad] = FAULT_HESSIAN
-        return A
+        return A, off
 
     def scoring(self, table: _Table) -> Array:
         """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
@@ -224,18 +283,20 @@ class _Iterate:
             return _t(self.G * w[..., None]) @ self.G
 
 
-def _join(pieces: list[_Iterate], data: _Data) -> _Iterate:
-    """The rows of ``pieces`` (iterates of one stack), in order, whose datasets are ``data``."""
-    return _Iterate(data=data, **{name: np.concatenate([vars(p)[name] for p in pieces])
+def _join(pieces: list[_Iterate], order: Array, data: _Data) -> _Iterate:
+    """The rows ``order`` of the rows of ``pieces`` (iterates of one stack),
+    whose datasets are ``data``."""
+    return _Iterate(data=data, **{name: np.concatenate([vars(p)[name] for p in pieces])[order]
                                   for name in vars(pieces[0]) if name != "data"})
 
 
 def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> _Iterate:
     """The equations ``table.equations[k]`` (one index per row) at ``theta (m, p)``
     for the datasets ``data``; ``sigma`` freezes ML's scale. Undefined rows
-    are flagged in ``fault``, not raised."""
+    are flagged in ``fault``, not raised. A pair's rows carry its objective,
+    scale and ``max|G|``, those of one dataset of both rows' observations."""
     theta, k = np.asarray(theta, dtype=float), np.asarray(k)
-    y, live = data.y, data.live
+    y, live, pairs = data.y, data.live, data.pairs
     with np.errstate(all="ignore"):
         f = np.asarray(data.call("eval_fn", theta), dtype=float)
         fault = data.call("faults", theta)
@@ -244,19 +305,37 @@ def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> 
         G = data.call("grad_rows", theta)
         c = _pick(table, k, "weight", f, y)
         s2 = np.zeros(len(k))
-        profiled = table.profiled[k]
-        if profiled.any():
-            s2 = np.where(profiled, _sum(((y - f) / f) ** 2, live) / data.n if sigma is None
-                          else float(sigma) ** 2, s2)
-            c = np.where(profiled[:, None], c + s2[:, None] / f, c)
+        ml = _rows(table.profiled[k])
+        if ml is not None:
+            if sigma is None:
+                # ML's scale over the observations of the row, or of its pair.
+                ssq = np.zeros(len(k))
+                ssq[ml] = _sum(((y[ml] - f[ml]) / f[ml]) ** 2, None if live is None else live[ml])
+                s2[ml] = data.pairwise(np.add, ssq)[ml] / data.pairwise(np.add, data.n)[ml]
+            else:
+                s2[ml] = float(sigma) ** 2
+            c[ml] += s2[ml, None] / f[ml]
         if live is not None:
             G, c = np.where(live[..., None], G, 0.0), np.where(live, c, 0.0)
         residual = (c[..., None, :] @ G)[..., 0, :]
         scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
-        objective = _pick(table, k, "objective", f, y, live, data.n)
+        norm = np.max(np.abs(residual), axis=-1)
+        if not pairs:
+            objective = _pick(table, k, "objective", f, y, live, data.n)
+        else:
+            norm, scale = data.pairwise(np.maximum, norm), data.pairwise(np.maximum, scale)
+            objective, two = np.empty(len(k)), 2 * pairs
+            if two < len(k):
+                objective[two:] = _pick(table, k[two:], "objective", f[two:], y[two:],
+                                        None if live is None else live[two:], data.n[two:])
+
+            def join(v):  # each pair's two rows as one
+                return None if v is None else v[:two].reshape(pairs, -1)
+            objective[:two] = np.repeat(_pick(
+                table, k[0:two:2], "objective", join(f), join(y), join(live),
+                data.n[0:two:2] + data.n[1:two:2]), 2)
     return _Iterate(theta=theta, k=k, objective=objective, residual=residual, scale=scale,
-                    norm=np.max(np.abs(residual), axis=-1), fault=fault, data=data, f=f, G=G,
-                    c=c, s2=s2)
+                    norm=norm, fault=fault, data=data, f=f, G=G, c=c, s2=s2)
 
 
 @dataclass
@@ -296,6 +375,22 @@ def _solve_rows(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def _newton_steps(jacobian: Array, off: Array | None, residual: Array, data: _Data) -> Array:
+    """``-J^-1 G`` per row of ``data``; a pair solves one system in both rows'
+    parameters, each row's block of ``jacobian`` on the diagonal and ``off``
+    across. NaN rows (a pair's both) where a matrix is singular."""
+    if not data.pairs:
+        return _solve_rows(jacobian, -residual)
+    two, p = 2 * data.pairs, residual.shape[-1]
+    step = np.empty_like(residual)
+    if two < len(step):
+        step[two:] = _solve_rows(jacobian[two:], -residual[two:])
+    step[:two] = _solve_rows(
+        np.block([[jacobian[0:two:2], off[0:two:2]], [off[1:two:2], jacobian[1:two:2]]]),
+        -residual[:two].reshape(data.pairs, 2 * p)).reshape(two, p)
+    return step
+
+
 def _no_rise(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     # An objective that is +inf on both sides leaves the decision to max|G|;
     # spacing(inf) is NaN, so only the first test can pass there.
@@ -311,18 +406,19 @@ def _advance(table: _Table, pt: _Iterate):
     """
     m = len(pt.k)
     failures = {}
-    jacobian = pt.jacobian(table)
-    live = np.arange(m)
+    jacobian, off = pt.blocks(table)
+    live, data = np.arange(m), pt.data
     if pt.fault.any():
-        for i in np.flatnonzero(pt.fault):
-            failures[int(i)] = fault_error(pt.data.model(i), int(pt.fault[i]))
-        live = np.flatnonzero(pt.fault == 0)
-        jacobian = jacobian[live]
+        failed = data.pairwise(np.logical_or, pt.fault != 0)
+        failures = pt.errors(failed)
+        live = np.flatnonzero(~failed)
+        data, jacobian = data[live], jacobian[live]
+        off = None if off is None else off[live]
     norm, objective = pt.norm, pt.objective
     pieces, moved = [], []
 
-    delta = _solve_rows(jacobian, -pt.residual[live])
-    finite = np.isfinite(delta).all(axis=-1)
+    delta = _newton_steps(jacobian, off, pt.residual[live], data)
+    finite = ~data.pairwise(np.logical_or, ~np.isfinite(delta).all(axis=-1))
     tried, delta = (live, delta) if finite.all() else (live[finite], delta[finite])
     newton = np.zeros(m, dtype=bool)
     if tried.size:
@@ -340,7 +436,7 @@ def _advance(table: _Table, pt: _Iterate):
     if need.size:
         sub = pt.take(need)
         step = _solve_rows(sub.scoring(table), -sub.residual)
-        singular = ~np.isfinite(step).all(axis=-1)
+        singular = sub.data.pairwise(np.logical_or, ~np.isfinite(step).all(axis=-1))
         for i in need[singular]:
             failures[int(i)] = SingularError("scoring matrix is singular at the iterate")
         pending, step = need[~singular], step[~singular]
@@ -362,7 +458,7 @@ def _advance(table: _Table, pt: _Iterate):
         return pieces[0], moved[0], failures
     positions = np.concatenate(moved)
     order = np.argsort(positions, kind="stable")
-    return _join(pieces, pt.data[positions]).take(order), positions[order], failures
+    return _join(pieces, order, pt.data[positions[order]]), positions[order], failures
 
 
 def solve(table: _Table, data: _Data, theta0, k, *,
@@ -380,6 +476,9 @@ def solve(table: _Table, data: _Data, theta0, k, *,
     runs = k[np.flatnonzero(np.diff(k, prepend=np.nan))].tolist()
     if len(set(runs)) < len(runs):
         raise ValueError("the rows of each equation must be contiguous in k")
+    two = 2 * data.pairs
+    if two > R or np.any(k[0:two:2] != k[1:two:2]):
+        raise ValueError("the rows of a pair must share their equation")
     result = SolveResult(theta=np.full(theta0.shape, np.nan), iterations=np.zeros(R, dtype=int),
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
                          tolerance=np.full(R, np.nan), errors=[None] * R)
@@ -389,10 +488,8 @@ def solve(table: _Table, data: _Data, theta0, k, *,
     pt = _point(table, data, theta0, k)
     keep = pt.defined
     if not keep.all():
-        for i in np.flatnonzero(~keep):
-            result.errors[i] = (fault_error(data.model(i), int(pt.fault[i])) if pt.fault[i] else
-                                NonFiniteError("estimating equation is non-finite at the "
-                                               "starting point"))
+        for i, error in pt.errors(~keep).items():
+            result.errors[i] = error
         pt, rows = pt.take(keep), rows[keep]
     best_theta, best_norm, best_scale = pt.theta, pt.norm, pt.scale
     # Active rows start together and leave when they stop, so they share a count.

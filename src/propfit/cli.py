@@ -66,23 +66,24 @@ def dump_json(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(text: str, json_text: str, fmt: str, out: str | None) -> int:
-    """Write a command's outputs; returns 0, or the input-error exit code
-    after printing the error line when a file cannot be written."""
+def _write_outputs(fmt: str, out: str | None, text, json_text) -> int:
+    """Write a command's outputs, rendering each only where ``fmt`` writes it
+    (``text()`` and ``json_text()`` give them); returns 0, or the
+    input-error exit code after printing the error line when a file cannot
+    be written."""
+    rendered = {suffix: render() for suffix, kind, render in ((".txt", "text", text),
+                                                              (".json", "json", json_text))
+                if fmt in (kind, "both")}
     if out is None:
-        if fmt in ("text", "both"):
-            sys.stdout.write(text)
-        if fmt in ("json", "both"):
-            sys.stdout.write(json_text)
+        sys.stdout.write("".join(rendered.values()))
         return 0
+    base = out
     if fmt == "both":
-        base = out
-        for suffix in (".txt", ".json"):
+        for suffix in rendered:
             if base.endswith(suffix):
                 base = base[: -len(suffix)]
-        files = {base + ".txt": text, base + ".json": json_text}
-    else:
-        files = {out: json_text if fmt == "json" else text}
+    files = {base + suffix if fmt == "both" else out: content
+             for suffix, content in rendered.items()}
     try:
         for path, content in files.items():
             with open(path, "w", encoding="utf-8") as fh:
@@ -237,7 +238,8 @@ def cmd_fit(args) -> int:
     report = round_floats(report)
     fmt = args.format or config.output_format
     converged_any = any(e.get("converged") for e in report["methods"].values())
-    return (_write_outputs(render_fit_text(report), dump_json(report), fmt, args.out)
+    return (_write_outputs(fmt, args.out, lambda: render_fit_text(report),
+                           lambda: dump_json(report))
             or (0 if converged_any else 3))
 
 
@@ -300,9 +302,9 @@ def cmd_simulate(args) -> int:
         # The design's truth has no dose or no usable formulae; run_study
         # finds this before fitting any replicate.
         return _input_error(exc)
-    report = round_floats(sim_report_dict(summary))
     fmt = args.format or config.output_format
-    return _write_outputs(render_sim_text(summary), dump_json(report), fmt, args.out)
+    return _write_outputs(fmt, args.out, lambda: render_sim_text(summary),
+                          lambda: dump_json(round_floats(sim_report_dict(summary))))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +321,22 @@ def cmd_check(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _default_threads() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
+# The ``--threads`` default: its type reads $PROPFIT_THREADS at each parse.
+_THREADS_FROM_ENV = f"${ENV_THREADS}"
+
+
+def _threads(raw: str) -> int:
+    """A ``--threads`` value; the default is $PROPFIT_THREADS, or 1 where that
+    is unset or not an integer, and at least 1."""
+    if raw != _THREADS_FROM_ENV:
+        return int(raw)
     try:
-        return max(1, int(raw))
+        return max(1, int(os.environ.get(ENV_THREADS, "1")))
     except ValueError:
         return 1
+
+
+_threads.__name__ = "int"  # argparse names the type in its error line
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,26 +353,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--mode", choices=[MODE_SEPARATE, MODE_COMMON_SIGMA])
     p_fit.add_argument("--out", help="output path (both: .txt and .json)")
     p_fit.add_argument("--format", choices=["text", "json", "both"])
-    p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo bias study")
     p_sim.add_argument("--config", required=True, help="JSON run configuration with sim section")
     p_sim.add_argument("--seed", type=int, help="override sim.seed")
-    p_sim.add_argument("--threads", type=int, default=_default_threads(),
+    p_sim.add_argument("--threads", type=_threads, default=_THREADS_FROM_ENV,
                        help="contiguous chunks of the study's replicates, fitted on at "
                             f"most one thread per CPU (default ${ENV_THREADS} or 1)")
     p_sim.add_argument("--out", help="output path (both: .txt and .json)")
     p_sim.add_argument("--format", choices=["text", "json", "both"])
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_check = sub.add_parser("check", help="run the bundled invariant suite")
-    p_check.set_defaults(func=cmd_check)
+    sub.add_parser("check", help="run the bundled invariant suite")
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Parse ``argv`` with one parser per process, built at the first call,
+    and run its command, ``cmd_<command>`` as this module holds it now."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

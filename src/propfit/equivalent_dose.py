@@ -15,13 +15,15 @@ covariance and delta-method dose (one curve or two), pushes the
 parameter-level formulae through those derivatives.
 
 Fitting supports two modes. ``separate`` fits each curve on its own (each
-with its own scale estimate). ``common-sigma`` stacks the two curves into a
-single six-parameter model sharing one relative-error scale; this changes
-the maximum-likelihood estimates (the profiled scale couples the curves) but
-not QL or WLS. DWLS has no scale, so it always fits separately.
+with its own scale estimate). ``common-sigma`` fits the two curves as one
+six-parameter dataset sharing one relative-error scale (the fit of
+:func:`stacked_model`); this changes the maximum-likelihood estimates (the
+profiled scale couples the curves, whose rows the solver takes as pairs)
+but not QL or WLS. DWLS has no scale, so it always fits separately.
 Every entry point takes each method's mode from :func:`resolve_modes`,
 the one owner of this rule. :func:`fit_two_curves_methods` fits a stack of
-dataset pairs; :func:`fit_two_curves` is one method on a stack of one.
+dataset pairs, every method in one solve; :func:`fit_two_curves` is one
+method on a stack of one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import bias_cov
-from .estimators import FitOptions, _fit_curves, fit_methods
+from .estimators import FitOptions, _fit_curves
 from .exceptions import (
     DomainError,
     ModeError,
@@ -119,9 +121,11 @@ def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Arr
 
     Returns the joint six-parameter model and the index array ``0..n1+n2-1``
     to use as its covariate; the actual doses are baked into the closure.
-    The stacked form makes a common-sigma fit an ordinary single-model fit.
-    Its callables take ``theta (..., 6)`` like the curves' own, and only that
-    index array as covariate: any other raises ``ValueError``.
+    The stacked form makes a common-sigma fit an ordinary single-model fit,
+    whose formulae :func:`formulae` builds; the fit itself runs as pairs of
+    per-curve rows (:func:`fit_two_curves_methods`). Its callables take
+    ``theta (..., 6)`` like the curves' own, and only that index array as
+    covariate: any other raises ``ValueError``.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -607,16 +611,18 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
     and ``x2``; returns ``{method: TwoCurveFitBatch}``.
 
-    Both curves' per-curve fits share one stack and one solve (see
-    :mod:`propfit.estimators`), each curve starting at its own hint with
-    ``start="auto"`` (curves with different numbers of parameters get a
-    stack each). A curve's rows equal its own
-    :func:`~propfit.estimators.fit_methods` bit for bit, or to rounding if it
-    is the shorter curve (padded). A common-sigma method then fits the
-    stacked model from the joint start or, with ``"auto"``, from its own
-    per-curve fits, whose row errors come first. Every fit's ``iterations``
-    count its own solve: a separate fit's are the larger of its curves',
-    a common-sigma fit's the stacked fit's.
+    Every fit is in one stack and one solve (see :mod:`propfit.estimators`),
+    each curve starting at its own hint with ``start="auto"`` and at its
+    part of a joint start otherwise (curves with different numbers of
+    parameters get a stack each, and fit only in separate mode: a
+    common-sigma fit of them raises :class:`ModeError`). A separate fit is
+    each curve's own :func:`~propfit.estimators.fit_methods` rows, bit for
+    bit, or to rounding for the shorter curve (padded); its ``iterations``
+    are the larger of its curves'. A common-sigma fit is the
+    :func:`stacked_model` fit, one scale over both curves' observations: the
+    ``ml`` rows of both curves are one coupled pair of solver rows, while
+    ``ql`` and ``wls``, whose equations do not involve the scale, solve each
+    curve alone (see :func:`~propfit.estimators._fit_curves`).
     """
     opts = opts or FitOptions()
     modes = resolve_modes(mode, methods)
@@ -626,35 +632,27 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     if not auto and start.shape[-1:] != (model.p,):
         raise ValueError(f"joint theta must have shape ({model.p},), got {start.shape}")
     starts = (start, start) if auto else (start[..., :p1], start[..., p1:])
-    per_curve = [m for m, md in modes.items() if md == MODE_SEPARATE or auto]
     curves = ((model.curve1, x1, Y1, starts[0]), (model.curve2, x2, Y2, starts[1]))
+    paired = [m for m, md in modes.items() if md == MODE_COMMON_SIGMA]
     if model.curve1.p == model.curve2.p:
-        fits1, fits2 = _fit_curves(curves, per_curve, opts)
+        fits1, fits2 = _fit_curves(curves, modes, opts, paired)
+    elif paired:
+        raise ModeError("common-sigma mode needs curves with the same number of parameters")
     else:  # a stack's rows share one number of parameters
-        (fits1,), (fits2,) = (_fit_curves((curve,), per_curve, opts) for curve in curves)
+        (fits1,), (fits2,) = (_fit_curves((curve,), modes, opts) for curve in curves)
     out = {}
     for method, md in modes.items():
-        prior = (None,) * len(Y1)
-        if md == MODE_SEPARATE:
-            fits = (fits1[method], fits2[method])
-        else:
-            joint_start = start
-            if auto:
-                pre1, pre2 = fits1[method], fits2[method]
-                joint_start = np.concatenate([pre1.theta_hat, pre2.theta_hat], axis=1)
-                prior = first_errors(pre1.errors, pre2.errors)
-            joint, idx = stacked_model(model, x1, x2)
-            fits = (fit_methods(joint, idx, np.concatenate([Y1, Y2], axis=1), (method,),
-                                replace(opts, start=joint_start))[method],)
+        fits = (fits1[method], fits2[method])
         out[method] = TwoCurveFitBatch(
             method=method, mode=md,
             theta_hat=np.concatenate([f.theta_hat for f in fits], axis=1),
-            sigma_hats=np.stack([f.sigma_hat for f in fits], axis=1),
+            sigma_hats=(fits1[method].sigma_hat[:, None] if md == MODE_COMMON_SIGMA
+                        else np.stack([f.sigma_hat for f in fits], axis=1)),
             iterations=np.max([f.iterations for f in fits], axis=0),
             converged=np.all([f.converged for f in fits], axis=0),
             residual_norm=np.max([f.residual_norm for f in fits], axis=0),
             tolerance=np.max([f.tolerance for f in fits], axis=0),
-            errors=first_errors(prior, *(f.errors for f in fits)))
+            errors=first_errors(*(f.errors for f in fits)))
     return out
 
 

@@ -30,7 +30,7 @@ objective) and the public API; :mod:`propfit._newton` solves them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,24 +199,24 @@ def scale_divisor(method, n, p: int):
     return np.where(np.asarray(method) == "ml", n, n - p)
 
 
-def _sigma(data: _Data, theta, divisor) -> tuple[Array, Array]:
-    """Per row of ``data`` at ``theta``, ``sqrt(sum(rel^2) / divisor)`` of its
-    relative residuals ``rel = (y - f)/f`` and a fault code (as
+def _squares(data: _Data, theta) -> tuple[Array, Array]:
+    """Per row of ``data`` at ``theta``, ``sum(rel^2)`` of its relative
+    residuals ``rel = (y - f)/f`` and a fault code (as
     :meth:`ModelFunction.eval` plus a zero mean)."""
     with np.errstate(all="ignore"):
         f = np.asarray(data.call("eval_fn", theta), dtype=float)
         fault = data.call("faults", theta)
         fault = np.where((fault == 0) & ~np.all(np.isfinite(f), axis=-1), FAULT_VALUE, fault)
         fault = np.where((fault == 0) & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
-        return np.sqrt(_sum(((data.y - f) / f) ** 2, data.live) / divisor), fault
+        return _sum(((data.y - f) / f) ** 2, data.live), fault
 
 
 def _one_row(model: ModelFunction, data: Dataset, theta_hat, divisor: int) -> float:
-    sigma, fault = _sigma(_stack(((model, data.x, data.y[None, :]),)),
-                          model.check_theta(theta_hat)[None, :], divisor)
+    squares, fault = _squares(_stack(((model, data.x, data.y[None, :]),)),
+                              model.check_theta(theta_hat)[None, :])
     if fault[0]:
         raise fault_error(model, int(fault[0]))
-    return float(sigma[0])
+    return float(np.sqrt(squares[0] / divisor))
 
 
 def estimate_sigma_ml(model: ModelFunction, data: Dataset, theta_hat) -> float:
@@ -237,31 +237,44 @@ def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat,
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
+def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, FitBatch]]:
     """Per curve of ``curves``, ``(model, x (n,), Y (R, n), start)`` with one
     ``R`` and ``p``, :func:`fit_methods`'s batches, from one solve that fits
-    every (method, curve, row), in that order. An ``"auto"`` start is the
-    model's hint, one call per curve, or ones for a model without one."""
+    every (method, curve, row). An ``"auto"`` start is the model's hint, one
+    call per curve, or ones for a model without one.
+
+    A method of ``paired`` (two curves) fits row ``r`` of both curves as one
+    dataset of ``n1 + n2`` observations and ``p1 + p2`` parameters with one
+    scale, and both curves' batches carry that fit's numbers and error
+    (``theta_hat`` each curve's part): its rows fail together, with the
+    first error in curve order. An ML pair is one pair of solver rows (its
+    scale couples them); another method's equation does not involve the
+    scale, so its rows solve alone and the pair's ``iterations``,
+    ``residual_norm`` and ``tolerance`` are the larger of its rows'. A pair
+    needs ``n1 + n2 > p1 + p2``, and from an ``"auto"`` start a hint for
+    each curve, which a curve with ``n <= p`` does not have.
+    """
     methods = list(dict.fromkeys(_check_method(m) for m in methods))
+    paired = {_check_method(m) for m in paired}
+    if paired and len(curves) != 2:
+        raise ValueError("a pair takes one row of each of two curves")
+    coupled = {m for m in paired if _EQUATIONS.profiled[METHODS.index(m)]}
     R = len(np.atleast_1d(curves[0][2]))
-    blocks, start, start_errors, responses = [], [], [], []
+    blocks, start, start_errors, theta_errors, responses = [], [], [], [], []
     for model, x, Y, spec in curves:
         x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
         if Y.shape != (R, x.size):
             raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
         n, p = x.size, model.p
-        theta, response = np.full((R, p), np.nan), None
-        if n <= p:
-            # No start is taken, and this error comes before any other.
-            response = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R
-        elif not isinstance(spec, str):
+        theta = np.full((R, p), np.nan)
+        if not isinstance(spec, str):
             theta = np.asarray(spec, dtype=float)
             if theta.shape not in ((p,), (R, p)):
                 raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
             theta = np.broadcast_to(theta, (R, p))
         elif spec != "auto":
             raise ValueError(f"unknown start spec {spec!r}")
-        else:
+        elif n > p:  # a curve too short to fit has no hint
             theta = np.ones((R, p))
             if model.start_hint is not None and R:
                 theta = np.asarray(model.start_hint(x, Y), dtype=float)
@@ -269,37 +282,69 @@ def _fit_curves(curves, methods, opts: FitOptions) -> list[dict[str, FitBatch]]:
                     raise ValueError(f"start hint must return shape ({R}, {p}), got {theta.shape}")
         blocks.append((model, x, Y))
         start.append(theta)
-        start_errors.extend(response or tuple(None if ok else fault_error(model, FAULT_THETA)
-                                              for ok in np.all(np.isfinite(theta), axis=-1)))
-        responses.extend(response or _dwls_response_errors(Y))
+        theta_errors.append(tuple(None if ok else fault_error(model, FAULT_THETA)
+                                  for ok in np.all(np.isfinite(theta), axis=-1)))
+        # A row too short to fit alone fails with this error before any other.
+        short = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R if n <= p else ()
+        start_errors.append(short or theta_errors[-1])
+        responses.extend(short or _dwls_response_errors(Y))
     data, start = _stack(blocks), np.concatenate(start)
+    C, p, sizes = len(curves), start.shape[1], [x.size for _, x, _ in blocks]
+    # A pair from an explicit start needs only more observations than
+    # parameters in all; from "auto" it needs each curve's hint.
+    pair_errors = first_errors(*start_errors)
+    if paired and not isinstance(curves[0][3], str):
+        pair_errors = ((ValueError(f"need n > p observations, got n={sum(sizes)}, "
+                                   f"p={C * p}"),) * R if sum(sizes) <= C * p
+                       else first_errors(*theta_errors))
+    start_errors = [e for errs in start_errors for e in errs]
     dwls_errors = first_errors(responses, start_errors)
-    # Row i * CR + c * R + r fits methods[i] to curve c's Y[r], which is row
-    # c * R + r of ``data``; the stack holds the rows with no error yet.
-    CR = len(start_errors)
-    errors = [e for m in methods for e in (dwls_errors if m == "dwls" else start_errors)]
-    live = np.flatnonzero([e is None for e in errors])
+    # Position i * CR + c * R + r fits methods[i] to curve c's Y[r], which is
+    # row c * R + r of ``data``. The stack holds the positions with no error
+    # yet: first an ML pair's, as pairs of rows (curve 1's row r, then curve
+    # 2's), then the others'.
+    CR = C * R
+    errors = [e for m in methods for e in (pair_errors * C if m in paired else
+                                           dwls_errors if m == "dwls" else start_errors)]
+    order = np.concatenate([np.zeros(0, dtype=int)] + [
+        i * CR + np.arange(CR).reshape(C, R).T.ravel() for i, m in enumerate(methods)
+        if m in coupled] + [i * CR + np.arange(CR) for i, m in enumerate(methods)
+                            if m not in coupled])
+    live = order[[errors[o] is None for o in order]]
     k, rows = np.array([METHODS.index(m) for m in methods], dtype=int)[live // CR], live % CR
-    stack = data[rows]
+    in_pairs = np.array([m in coupled for m in methods], dtype=bool)[live // CR]
+    stack = replace(data[rows], pairs=int(np.count_nonzero(in_pairs)) // 2)
     sol = solve(_EQUATIONS, stack, start[rows], k, tol_relative=opts.tol_residual,
                 tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
-    sigma, fault = _sigma(stack, sol.theta,
-                          scale_divisor(np.asarray(METHODS)[k], stack.n, start.shape[1]))
-    for i, (r, error, code) in enumerate(zip(live, sol.errors, fault)):
+    squares, fault = _squares(stack, sol.theta)
+    for i, (error, code) in enumerate(zip(sol.errors, fault)):
         if error or code:
-            errors[r] = error or fault_error(stack.model(i), int(code))
+            errors[live[i]] = error or fault_error(stack.model(i), int(code))
+    pairs = [(slice(a, a + R), slice(a + R, a + CR))
+             for i, m in enumerate(methods) if m in paired for a in [i * CR]]
+    for one, two in pairs:
+        errors[one] = errors[two] = first_errors(errors[one], errors[two])
     ok = np.array([errors[r] is None for r in live], dtype=bool)
-    columns = {"theta_hat": sol.theta, "iterations": sol.iterations,
-               "sigma_hat": sigma, "converged": sol.converged, "residual_norm": sol.residual_norm,
+    columns = {"theta_hat": sol.theta, "iterations": sol.iterations, "squares": squares,
+               "converged": sol.converged, "residual_norm": sol.residual_norm,
                "tolerance": sol.tolerance}
     for name, values in columns.items():
         columns[name] = np.full((len(errors),) + values.shape[1:],
                                 np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
         columns[name][live[ok]] = values[ok]
+    for one, two in pairs:
+        for name, op in (("iterations", np.maximum), ("squares", np.add),
+                         ("converged", np.logical_and), ("residual_norm", np.maximum),
+                         ("tolerance", np.maximum)):
+            v = columns[name]
+            v[one] = v[two] = op(v[one], v[two])
+    divisor = [scale_divisor(m, sum(sizes), C * p) if m in paired else scale_divisor(m, n, p)
+               for m in methods for n in sizes]
+    columns["sigma_hat"] = np.sqrt(columns.pop("squares") / np.repeat(divisor, R))
     return [{m: FitBatch(method=m, errors=tuple(errors[a:a + R]),
                          **{name: v[a:a + R] for name, v in columns.items()})
              for i, m in enumerate(methods) for a in [i * CR + c * R]}
-            for c in range(len(curves))]
+            for c in range(C)]
 
 
 def fit_methods(model: ModelFunction, x, Y, methods,

@@ -61,10 +61,11 @@ QNL84_BETA3 = 756.620
 QNL84_GAMMA = -87.45
 
 # Most of the study's replicates fitted as one chunk: memory grows with the
-# chunk (a stacked Hessian holds rows x n x p x p floats, about 8 MB at 1024
-# rows of the two-curve design, and a chunk's per-curve stacks and its
-# intersection scan hold a row per replicate and method), while past about
-# a thousand replicates a larger chunk saves little time.
+# chunk (its Hessian stack holds rows x n x p x p floats with a row per
+# method, curve and replicate, about 9 MB at 1024 replicates of the
+# two-curve design, and its intersection scan holds a row per replicate and
+# method), while past about a thousand replicates a larger chunk saves
+# little time.
 STACK_ROWS = 1024
 
 

@@ -25,9 +25,18 @@ from propfit.equivalent_dose import (
     solve_gamma_batch,
     stacked_model,
 )
-from propfit.estimators import METHODS, FitOptions, fit, fit_methods
+from propfit.estimators import (
+    METHODS,
+    FitOptions,
+    equation_residual,
+    estimate_sigma_ml,
+    estimate_sigma_unbiased,
+    fit,
+    fit_methods,
+)
 from propfit.exceptions import (
     DomainError,
+    ModeError,
     MultipleRootWarning,
     NoBracketError,
     NonFiniteError,
@@ -158,9 +167,8 @@ class TestFitMethods:
         alone = {m: fit_two_curves_methods(*args, (m,), modes[m], opts)[m] for m in METHODS}
         calls = count_solves(monkeypatch)
         together = fit_two_curves_methods(*args, METHODS, mode, opts)
-        shared = sum(modes[m] == MODE_COMMON_SIGMA for m in METHODS)
-        # One fit of every method on both curves, then each joint fit.
-        assert len(calls) == 1 + shared
+        # One solve fits every method on both curves, common-sigma ones as row pairs.
+        assert len(calls) == 1
         for m in METHODS:
             assert together[m].mode == modes[m]
             np.testing.assert_array_equal(together[m].theta_hat, alone[m].theta_hat)
@@ -511,12 +519,107 @@ class TestTwoCurveStack:
         np.testing.assert_allclose(padded.jacobian(table), alone.jacobian(table), rtol=1e-12)
 
 
+class TestCommonSigmaPairs:
+    """A common-sigma fit is one dataset of both curves' observations with one
+    scale: the stacked model's fit, each curve's part carried by its row."""
+
+    X1, X2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+
+    @pytest.mark.parametrize("method", ["ml", "ql", "wls"])
+    @pytest.mark.parametrize("start", ["truth", "auto"])
+    def test_rows_solve_the_stacked_model(self, method, start):
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=5, seed=61)
+        opts = FitOptions(start=theta0 if start == "truth" else "auto")
+        fits = fit_two_curves_methods(pb, self.X1, Y1, self.X2, Y2, (method,),
+                                      MODE_COMMON_SIGMA, opts)[method]
+        assert fits.errors == (None,) * 5 and fits.converged.all()
+        assert fits.sigma_hats.shape == (5, 1)
+        joint, idx = stacked_model(pb, self.X1, self.X2)
+        for r in range(5):
+            data, theta = Dataset(idx, np.concatenate([Y1[r], Y2[r]])), fits.theta_hat[r]
+            assert np.max(np.abs(equation_residual(method, joint, data, theta))) <= (
+                fits.tolerance[r])
+            sigma = (estimate_sigma_ml(joint, data, theta) if method == "ml"
+                     else estimate_sigma_unbiased(joint, data, theta, p=6))
+            np.testing.assert_allclose(fits.sigma_hats[r, 0], sigma, rtol=1e-14)
+
+    def test_ml_pairs_take_the_stacked_fit_iterates(self):
+        # From one start, the pair's Newton steps are the stacked model's, to rounding.
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=5, seed=62)
+        opts = FitOptions(start=theta0)
+        pairs = fit_two_curves_methods(pb, self.X1, Y1, self.X2, Y2, ("ml",),
+                                       MODE_COMMON_SIGMA, opts)["ml"]
+        joint, idx = stacked_model(pb, self.X1, self.X2)
+        stacked = fit_methods(joint, idx, np.concatenate([Y1, Y2], axis=1), ("ml",), opts)["ml"]
+        np.testing.assert_allclose(pairs.theta_hat, stacked.theta_hat, rtol=1e-10)
+        np.testing.assert_allclose(pairs.sigma_hats[:, 0], stacked.sigma_hat, rtol=1e-10)
+        np.testing.assert_array_equal(pairs.iterations, stacked.iterations)
+        np.testing.assert_array_equal(pairs.converged, stacked.converged)
+
+    def test_a_curve_two_fault_fails_its_pair_only(self, monkeypatch):
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=4, seed=63)
+        starts = np.tile(theta0, (4, 1))
+        starts[2, 5] = 0.0  # beta3 = 0 is outside the bleached curve's domain
+        calls = count_solves(monkeypatch)
+        fits = fit_two_curves_methods(pb, self.X1, Y1, self.X2, Y2, METHODS,
+                                      MODE_COMMON_SIGMA, FitOptions(start=starts))
+        assert len(calls) == 1
+        for m in METHODS:
+            assert isinstance(fits[m].errors[2], DomainError), m
+            assert str(fits[m].errors[2]) == (
+                "model 'saturating_exponential_bleached' is undefined at the requested point")
+            assert not fits[m].converged[2]
+            # A pair's rows fail together; DWLS fits its curves separately.
+            assert np.isnan(fits[m].theta_hat[2]).all() == (m != "dwls")
+        keep = [0, 1, 3]
+        rest = fit_two_curves_methods(pb, self.X1, Y1[keep], self.X2, Y2[keep], METHODS,
+                                      MODE_COMMON_SIGMA, FitOptions(start=starts[keep]))
+        for m in METHODS:
+            for name in ("theta_hat", "sigma_hats", "iterations", "converged",
+                         "residual_norm", "tolerance"):
+                np.testing.assert_array_equal(getattr(fits[m], name)[keep],
+                                              getattr(rest[m], name))
+            assert rest[m].errors == (None,) * 3
+
+    def test_a_short_curve_needs_an_explicit_start(self):
+        # Curve 2 keeps 3 points, as many as its parameters: a pair of 19
+        # points fits from a joint start, but the curve has no hint.
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=2, seed=66)
+        keep, methods = [0, 7, 12], ("ml", "ql", "wls")
+        args = (pb, self.X1, Y1, self.X2[keep], Y2[:, keep], methods, MODE_COMMON_SIGMA)
+        joint = fit_two_curves_methods(*args, FitOptions(start=theta0))
+        auto = fit_two_curves_methods(*args)
+        for m in methods:
+            assert joint[m].converged.all() and joint[m].errors == (None, None)
+            assert [str(e) for e in auto[m].errors] == [
+                "need n > p observations, got n=3, p=3"] * 2
+
+    def test_curves_with_different_parameter_counts_share_no_scale(self, expo, monkeypatch):
+        pb, theta0, Y1, _ = two_curve_data(0.03, rows=3, seed=64)
+        x2 = np.linspace(0.0, 4.0, 9)
+        Y2 = noisy_stack(expo, x2, np.array([5.0, 2.0]), 0.03, rows=3, seed=65)
+        calls = count_solves(monkeypatch)
+        for mode in (MODE_DEFAULT, MODE_COMMON_SIGMA):
+            with pytest.raises(ModeError, match="same number of parameters"):
+                fit_two_curves_methods(replace(pb, curve2=expo), self.X1, Y1, x2, Y2, METHODS,
+                                       mode)
+        assert calls == []
+
+
 class TestSolveContract:
     def test_equation_rows_must_be_contiguous(self, satexp):
         Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=49)
         data = estimators._stack(((satexp, X, Y),))
         with pytest.raises(ValueError, match="rows of each equation must be contiguous"):
             estimators.solve(estimators._EQUATIONS, data, np.tile(PAPER_ALPHA, (3, 1)), [1, 2, 1])
+
+    def test_a_pair_is_two_rows_of_one_equation(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.02, rows=3, seed=50)
+        data = replace(estimators._stack(((satexp, X, Y),)), pairs=1)
+        with pytest.raises(ValueError, match="rows of a pair must share their equation"):
+            estimators.solve(estimators._EQUATIONS, data, np.tile(PAPER_ALPHA, (3, 1)), [0, 1, 1])
+        with pytest.raises(ValueError, match="a pair takes one row of each of two curves"):
+            estimators._fit_curves(((satexp, X, Y, "auto"),), ("ml",), FitOptions(), ("ml",))
 
 
 class TestSolveGammaBatch:

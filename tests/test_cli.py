@@ -25,7 +25,7 @@ from propfit.equivalent_dose import (
 )
 from propfit.estimators import METHODS, fit
 from propfit.io import read_input_table
-from propfit.exceptions import ModeError, SingularError
+from propfit.exceptions import ModeError, PropfitError, SingularError
 from propfit.models import Dataset, ModelFunction, saturating_exponential_model
 from propfit.simulation import (
     default_partial_bleach_design,
@@ -335,8 +335,8 @@ class TestFitCommand:
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2
 
     def test_one_dose_scan_for_every_method(self, pair_csv, tmp_path, monkeypatch):
-        # One fit of every method on both curves, then the common-sigma ML
-        # fit; and every method's dose from one scan.
+        # One solve fits every method on both curves (common-sigma ML as row
+        # pairs), and every method's dose comes from one scan.
         calls = {"solve": 0, "solve_gamma_batch": 0}
         for module, name in ((estimators, "solve"), (equivalent_dose, "solve_gamma_batch")):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
@@ -346,7 +346,7 @@ class TestFitCommand:
         code, entries = fit_entries(tmp_path, "--data", pair_csv)
         assert code == 0 and set(entries) == set(METHODS)
         assert all(e["dose"]["gamma_hat"] == pytest.approx(PAPER_GAMMA) for e in entries.values())
-        assert calls == {"solve": 2, "solve_gamma_batch": 1}
+        assert calls == {"solve": 1, "solve_gamma_batch": 1}
 
     def test_one_bundle_stack_per_curve_model(self, tmp_path, monkeypatch):
         # The default mode's bundles: one stack for each curve (the separate
@@ -611,3 +611,41 @@ class TestCheckCommand:
         monkeypatch.setattr("propfit.cli.run_checks", checks.run_checks)
         assert main(["check"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+class TestEntryPoint:
+    def test_one_parser_per_process_reads_the_thread_count_each_call(self, sim_config,
+                                                                      monkeypatch):
+        builds, seen = [], []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+
+        def stop(design, threads):
+            seen.append(threads)
+            raise PropfitError("stopped before fitting")
+        monkeypatch.setattr(cli, "run_study", stop)
+        for count in ("2", "5"):
+            monkeypatch.setenv("PROPFIT_THREADS", count)
+            assert main(["simulate", "--config", sim_config]) == 2
+        assert seen == [2, 5] and len(builds) == 1
+        # The command is looked up when it runs, so a replaced one is called.
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert main(["check"]) == 7 and len(builds) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_json_renders_no_text_and_both_writes_each_format(self, command, pair_csv,
+                                                              sim_config, tmp_path,
+                                                              monkeypatch):
+        argv = (["fit", "--data", pair_csv] if command == "fit"
+                else ["simulate", "--config", sim_config])
+
+        def no_text(*args):
+            raise AssertionError("rendered a text report for JSON output")
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "render_fit_text", no_text)
+            patched.setattr(cli, "render_sim_text", no_text)
+            assert main([*argv, "--format", "json", "--out", str(tmp_path / "j.json")]) == 0
+        assert main([*argv, "--format", "text", "--out", str(tmp_path / "t.txt")]) == 0
+        assert main([*argv, "--format", "both", "--out", str(tmp_path / "b")]) == 0
+        for one, both in (("j.json", "b.json"), ("t.txt", "b.txt")):
+            assert (tmp_path / one).read_bytes() == (tmp_path / both).read_bytes()

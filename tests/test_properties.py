@@ -4,14 +4,18 @@ the dose root, checked on drawn examples."""
 import warnings
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propfit.equivalent_dose import solve_gamma_batch
+from propfit.equivalent_dose import MODE_COMMON_SIGMA, fit_two_curves_methods, solve_gamma_batch
 from propfit.estimators import METHODS, equation_residual, fit_methods
 from propfit.exceptions import MultipleRootWarning
 from propfit.models import Dataset, saturating_exponential_model
-from propfit.simulation import DEFAULT_UNBLEACHED_DOSES, default_partial_bleach_design
+from propfit.simulation import (
+    DEFAULT_BLEACHED_DOSES,
+    DEFAULT_UNBLEACHED_DOSES,
+    default_partial_bleach_design,
+)
 from conftest import PAPER_ALPHA
 
 MODEL = saturating_exponential_model()
@@ -109,3 +113,40 @@ def test_solve_gamma_batch_rows_do_not_depend_on_the_stack(scales, wide):
             alone, alone_errors = solve_gamma_batch(PB, theta[r:r + 1], bracket)
             np.testing.assert_array_equal(gammas[r], alone[0])
             assert repr(errors[r]) == repr(alone_errors[0])
+
+
+def _pair(shape, noise1, noise2):
+    """A dataset pair: noisy means of both curves at ``THETA0 * shape``."""
+    theta = THETA0 * np.array(shape)
+    return (PB.curve1.eval(X, theta[:3]) * (1.0 + np.array(noise1)),
+            PB.curve2.eval(DEFAULT_BLEACHED_DOSES, theta[3:]) * (1.0 + np.array(noise2)))
+
+
+PAIR = st.builds(_pair, st.lists(st.floats(0.8, 1.25), min_size=6, max_size=6),
+                 st.lists(st.floats(-0.2, 0.2), min_size=X.size, max_size=X.size),
+                 st.lists(st.floats(-0.2, 0.2), min_size=DEFAULT_BLEACHED_DOSES.size,
+                          max_size=DEFAULT_BLEACHED_DOSES.size))
+
+
+@settings(max_examples=40)
+@given(pairs=st.lists(PAIR, min_size=1, max_size=3))
+def test_common_sigma_pairs_do_not_depend_on_the_stack(pairs):
+    # Every method in common-sigma mode (ML's rows coupled as solver pairs),
+    # from each curve's hint: a pair's numbers and error are its own, alone,
+    # in the stack and in the reversed stack.
+    Y1, Y2 = (np.array(c) for c in zip(*pairs))
+
+    def fits(rows):
+        return fit_two_curves_methods(PB, X, Y1[rows], DEFAULT_BLEACHED_DOSES, Y2[rows],
+                                      METHODS, MODE_COMMON_SIGMA)
+
+    together, backwards = fits(slice(None)), fits(slice(None, None, -1))
+    for r in range(len(pairs)):
+        alone = fits(slice(r, r + 1))
+        for method, batch in together.items():
+            for other, i in ((alone[method], 0), (backwards[method], len(pairs) - 1 - r)):
+                for name in ("theta_hat", "sigma_hats", "iterations", "converged",
+                             "residual_norm", "tolerance"):
+                    np.testing.assert_array_equal(getattr(batch, name)[r],
+                                                  getattr(other, name)[i], err_msg=method)
+                assert repr(batch.errors[r]) == repr(other.errors[i]), method

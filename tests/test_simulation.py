@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from propfit import simulation
+from propfit import estimators, simulation
 from propfit.asymptotics import bias_order2
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
@@ -290,6 +290,18 @@ class TestStudyStack:
         # (3), and one intersection stack for every method's rows, not one
         # per method (4) or per method and sigma (12).
         assert calls == {"fit_two_curves_methods": 1, "solve_gamma_batch": 1}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_newton_solve_per_chunk(self, monkeypatch, threads):
+        # Every method's fits of a chunk, common-sigma ML's as row pairs, are one solve.
+        calls, solve = [], estimators.solve
+        monkeypatch.setattr(estimators, "solve",
+                            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        design = default_partial_bleach_design(sigma_grid=(0.01, 0.02), replicates=5,
+                                               master_seed=8)
+        assert design.mode_for("ml") == "common-sigma"
+        run_study(design, threads=threads)
+        assert len(calls) == threads
 
     def test_cell_statistics_match_per_target_columns(self):
         # Four iterations leave some of every method's fits unconverged.

@@ -9,9 +9,10 @@ root, one process at a time; the parent goes first in even pairs and the
 change in odd ones. The end-to-end metrics are read from the last line each
 run prints. The record goes to ``CHANGE/BENCH_<date>_<parent commit>.json``:
 per workload, and per metric, every run of both sides, both sides' medians
-and quartiles, change median / parent median, and the pairs in which the
-change did better (won) or worse (lost). The exit status is 1 if any run
-failed its correctness check.
+and quartiles, change median / parent median, the pairs in which the
+change did better (won) or worse (lost), and a verdict (see ``verdict``)
+against the metric's bound in ``BENCHMARK.json``, which the tool only reads.
+The exit status is 1 if any run failed its correctness check.
 """
 
 from __future__ import annotations
@@ -56,13 +57,30 @@ def summary(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3}
 
 
+def verdict(metric: dict, parent: dict, change: dict, won: int, pairs: int) -> str:
+    """``gain`` when the change won at least 9 in 10 of the pairs and its
+    median beats the parent's by more than the parent's quartile distance;
+    ``regression`` when its median is worse than the parent's by more than the
+    metric's ``bound`` (relative, as BENCHMARK.json gives it); ``unresolved``
+    otherwise."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    gap = sign * (change["median"] - parent["median"])
+    if gap < -metric["bound"] * abs(parent["median"]):
+        return "regression"
+    if 10 * won >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    return "unresolved"
+
+
 def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     sign = 1.0 if metric["better"] == "higher" else -1.0
     gains = [sign * (c - p) for p, c in zip(parent, change)]
     p, c = summary(parent), summary(change)
+    won = sum(g > 0 for g in gains)
     return {"unit": metric["unit"], "better": metric["better"], "parent": p, "change": c,
             "change_over_parent": c["median"] / p["median"] if p["median"] else None,
-            "pairs_won": sum(g > 0 for g in gains), "pairs_lost": sum(g < 0 for g in gains),
+            "pairs_won": won, "pairs_lost": sum(g < 0 for g in gains),
+            "verdict": verdict(metric, p, c, won, len(gains)),
             "parent_runs": parent, "change_runs": change}
 
 
