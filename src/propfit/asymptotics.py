@@ -30,7 +30,7 @@ import numpy as np
 
 from .estimators import METHODS
 from .exceptions import SingularError
-from .jacobian import JacobianBundle, build_jacobian_bundle
+from .jacobian import JacobianBundle, _block_diag, build_jacobian_bundle
 from .models import Array, Dataset, ModelFunction
 
 ORDER2 = "order2"
@@ -150,12 +150,7 @@ def bias_cov(method: str, bundles: Sequence[JacobianBundle], sigma: float) -> tu
     the block-diagonal covariance.
     """
     cov_rule = _cov_ml_exact if method.lower() == "ml" else _cov_order2
-    covs = [cov_rule(bundle, sigma) for bundle in bundles]
-    cov = np.zeros((sum(c.shape[0] for c in covs),) * 2)
-    at = 0
-    for c in covs:
-        cov[at:at + c.shape[0], at:at + c.shape[0]] = c
-        at += c.shape[0]
+    cov = _block_diag([cov_rule(bundle, sigma) for bundle in bundles])
     return np.concatenate([_bias(method, bundle, sigma) for bundle in bundles]), cov
 
 

@@ -16,10 +16,11 @@ parameter-level formulae through those derivatives.
 
 Fitting supports two modes. ``separate`` fits each curve on its own (each
 with its own scale estimate). ``common-sigma`` fits the two curves as one
-six-parameter dataset sharing one relative-error scale (the fit of
-:func:`stacked_model`); this changes the maximum-likelihood estimates (the
-profiled scale couples the curves, whose rows the solver takes as pairs)
-but not QL or WLS. DWLS has no scale, so it always fits separately.
+dataset sharing one relative-error scale; this changes the
+maximum-likelihood estimates (the profiled scale couples the curves, whose
+rows the solver takes as pairs) but not QL or WLS, and its formulae use the
+two curves' Jacobian bundles joined into one. DWLS has no scale, so it
+always fits separately.
 Every entry point takes each method's mode from :func:`resolve_modes`,
 the one owner of this rule. :func:`fit_two_curves_methods` fits a stack of
 dataset pairs, every method in one solve; :func:`fit_two_curves` is one
@@ -44,7 +45,7 @@ from .exceptions import (
     TangencyError,
     first_errors,
 )
-from .jacobian import JacobianBundle, build_jacobian_bundles
+from .jacobian import JacobianBundle, _build_bundles, build_jacobian_bundles, join_bundles
 from .models import (
     FAULT_GRADIENT,
     FAULT_HESSIAN,
@@ -114,49 +115,6 @@ def partial_bleach_model() -> PartialBleachModel:
     c2 = replace(c1, name="saturating_exponential_bleached",
                  param_names=("beta1", "beta2", "beta3"))
     return PartialBleachModel(curve1=c1, curve2=c2)
-
-
-def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Array]:
-    """Fuse the two curves into one model over an observation-index covariate.
-
-    Returns the joint six-parameter model and the index array ``0..n1+n2-1``
-    to use as its covariate; the actual doses are baked into the closure.
-    The stacked form makes a common-sigma fit an ordinary single-model fit,
-    whose formulae :func:`formulae` builds; the fit itself runs as pairs of
-    per-curve rows (:func:`fit_two_curves_methods`). Its callables take
-    ``theta (..., 6)`` like the curves' own, and only that index array as
-    covariate: any other raises ``ValueError``.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    n1, n2 = x1.size, x2.size
-    c1, c2 = model.curve1, model.curve2
-    p1, p = c1.p, model.p
-    full = np.arange(n1 + n2, dtype=float)
-
-    def _blocks(ix, t, fn1, fn2, tail):
-        if not np.array_equal(ix, full):
-            raise ValueError(f"the stacked model's covariate is the index 0..{n1 + n2 - 1}")
-        out = np.zeros(t.shape[:-1] + full.shape + tail)
-        out[(..., slice(0, n1)) + (slice(0, p1),) * len(tail)] = fn1(x1, t[..., :p1])
-        out[(..., slice(n1, None)) + (slice(p1, p),) * len(tail)] = fn2(x2, t[..., p1:])
-        return out
-
-    def guard(ix, t):
-        ok1 = True if c1.domain_guard is None else c1.domain_guard(x1, t[..., :p1])
-        ok2 = True if c2.domain_guard is None else c2.domain_guard(x2, t[..., p1:])
-        return np.logical_and(ok1, ok2)
-
-    joint = ModelFunction(
-        name=f"{c1.name}+{c2.name}",
-        p=p,
-        param_names=model.param_names,
-        eval_fn=lambda ix, t: _blocks(ix, t, c1.eval_fn, c2.eval_fn, ()),
-        grad_fn=lambda ix, t: _blocks(ix, t, c1.grad_fn, c2.grad_fn, (p,)),
-        hess_fn=lambda ix, t: _blocks(ix, t, c1.hess_fn, c2.hess_fn, (p, p)),
-        domain_guard=guard,
-    )
-    return joint, full.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -501,41 +459,40 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
     observed at the covariates ``xs`` (one per curve).
 
     A one-curve fit has one bundle. A two-curve fit has its dose and, in its
-    mode ``modes[method]`` (from :func:`resolve_modes`), the stacked model's
-    bundle for ``common-sigma`` or one per curve for ``separate``. Each
-    (model, covariate) pair, so curve 1, curve 2 and the stacked model, gets
-    one :func:`~propfit.jacobian.build_jacobian_bundles` stack of the
-    distinct parameter rows its fits need, and every distinct theta's dose
-    comes from one :func:`dose_derivatives_batch` scan in ``bracket``. A
-    piece keeps the :class:`PropfitError` building it raised; a fit with a
-    failed bundle keeps the first, in curve order.
+    mode ``modes[method]`` (from :func:`resolve_modes`), one bundle per curve
+    for ``separate`` or, for ``common-sigma``, the one
+    :func:`~propfit.jacobian.join_bundles` makes of them. Each curve gets one
+    :func:`~propfit.jacobian.build_jacobian_bundles` stack with a row per
+    method, and every dose comes from one :func:`dose_derivatives_batch`
+    scan in ``bracket``. A piece keeps the :class:`PropfitError` building it
+    raised; a fit with a failed bundle keeps the first, in curve order. A
+    fit needs more observations than parameters: per curve when separate,
+    in all when common-sigma; else the call raises ``ValueError``.
     """
-    thetas = {m: np.asarray(t, dtype=float) for m, t in thetas.items()}
-    # A stack is (model, covariate, the columns of theta it takes).
-    doses, stacks, uses = {}, [(model, xs[0], slice(None))], dict.fromkeys(thetas, (0,))
-    if isinstance(model, PartialBleachModel):
-        distinct = {t.tobytes(): t for t in thetas.values()}
-        if distinct:
-            doses = dict(zip(distinct, dose_derivatives_batch(model, list(distinct.values()),
-                                                              bracket)))
-        p1 = model.curve1.p
-        stacks = [(*stacked_model(model, *xs), slice(None)),
-                  (model.curve1, xs[0], slice(0, p1)), (model.curve2, xs[1], slice(p1, None))]
-        uses = {m: (0,) if modes[m] == MODE_COMMON_SIGMA else (1, 2) for m in thetas}
-    # Per stack, the distinct rows of the fits that use it, by their bytes.
-    rows: list[dict] = [{} for _ in stacks]
-    for method, theta in thetas.items():
-        for i in uses[method]:
-            row = theta[stacks[i][2]]
-            rows[i][row.tobytes()] = row
-    built = [dict(zip(r, build_jacobian_bundles(m, x, list(r.values())))) if r else {}
-             for (m, x, _), r in zip(stacks, rows)]
+    if not thetas:
+        return {}
+    methods = list(thetas)
+    T = np.array([thetas[m] for m in methods], dtype=float)
+    if isinstance(model, ModelFunction):
+        return {m: Formulae(m, b if isinstance(b, Exception) else (b,), None)
+                for m, b in zip(methods, build_jacobian_bundles(model, xs[0], T))}
+    doses = dose_derivatives_batch(model, T, bracket)
+    p1 = model.curve1.p
+    curves = ((model.curve1, np.asarray(xs[0], dtype=float), T[:, :p1]),
+              (model.curve2, np.asarray(xs[1], dtype=float), T[:, p1:]))
+    sizes = [(x.size, curve.p) for curve, x, _ in curves]
+    for method in methods:
+        for n, p in ([np.sum(sizes, axis=0)] if modes[method] == MODE_COMMON_SIGMA else sizes):
+            if n <= p:
+                raise ValueError(f"need n > p observations, got n={n}, p={p}")
+    built = [_build_bundles(*curve) for curve in curves]
     out = {}
-    for method, theta in thetas.items():
-        bundles = tuple(built[i][theta[stacks[i][2]].tobytes()] for i in uses[method])
+    for i, method in enumerate(methods):
+        bundles = tuple(b[i] for b in built)
         error = next((b for b in bundles if isinstance(b, Exception)), None)
-        out[method] = Formulae(method, bundles if error is None else error,
-                               doses.get(theta.tobytes()))
+        if error is None and modes[method] == MODE_COMMON_SIGMA:
+            bundles = (join_bundles(bundles),)
+        out[method] = Formulae(method, bundles if error is None else error, doses[i])
     return out
 
 
@@ -617,12 +574,13 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     parameters get a stack each, and fit only in separate mode: a
     common-sigma fit of them raises :class:`ModeError`). A separate fit is
     each curve's own :func:`~propfit.estimators.fit_methods` rows, bit for
-    bit, or to rounding for the shorter curve (padded); its ``iterations``
-    are the larger of its curves'. A common-sigma fit is the
-    :func:`stacked_model` fit, one scale over both curves' observations: the
-    ``ml`` rows of both curves are one coupled pair of solver rows, while
-    ``ql`` and ``wls``, whose equations do not involve the scale, solve each
-    curve alone (see :func:`~propfit.estimators._fit_curves`).
+    bit, or to rounding for the shorter curve (padded). A common-sigma fit
+    is one fit of both curves' observations with one scale: the ``ml`` rows
+    of both curves are one coupled pair of solver rows, while ``ql`` and
+    ``wls``, whose equations do not involve the scale, solve each curve
+    alone (see :func:`~propfit.estimators._fit_curves`). In either mode a
+    fit's ``iterations``, ``residual_norm`` and ``tolerance`` are the larger
+    of its curves', and it has converged when both have.
     """
     opts = opts or FitOptions()
     modes = resolve_modes(mode, methods)

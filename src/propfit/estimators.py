@@ -245,14 +245,14 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
 
     A method of ``paired`` (two curves) fits row ``r`` of both curves as one
     dataset of ``n1 + n2`` observations and ``p1 + p2`` parameters with one
-    scale, and both curves' batches carry that fit's numbers and error
-    (``theta_hat`` each curve's part): its rows fail together, with the
-    first error in curve order. An ML pair is one pair of solver rows (its
-    scale couples them); another method's equation does not involve the
-    scale, so its rows solve alone and the pair's ``iterations``,
-    ``residual_norm`` and ``tolerance`` are the larger of its rows'. A pair
-    needs ``n1 + n2 > p1 + p2``, and from an ``"auto"`` start a hint for
-    each curve, which a curve with ``n <= p`` does not have.
+    scale. Both curves' batches carry that fit's ``sigma_hat`` and error, so
+    its rows fail together, with the first error in curve order; each keeps
+    its own row's ``theta_hat`` and solver columns, which
+    :func:`~propfit.equivalent_dose.fit_two_curves_methods` merges. An ML
+    pair is one pair of solver rows (its scale couples them); another
+    method's equation does not involve the scale, so its rows solve alone.
+    A pair needs ``n1 + n2 > p1 + p2``, and from an ``"auto"`` start a hint
+    for each curve, which a curve with ``n <= p`` does not have.
     """
     methods = list(dict.fromkeys(_check_method(m) for m in methods))
     paired = {_check_method(m) for m in paired}
@@ -333,11 +333,8 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
                                 np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
         columns[name][live[ok]] = values[ok]
     for one, two in pairs:
-        for name, op in (("iterations", np.maximum), ("squares", np.add),
-                         ("converged", np.logical_and), ("residual_norm", np.maximum),
-                         ("tolerance", np.maximum)):
-            v = columns[name]
-            v[one] = v[two] = op(v[one], v[two])
+        v = columns["squares"]
+        v[one] = v[two] = v[one] + v[two]
     divisor = [scale_divisor(m, sum(sizes), C * p) if m in paired else scale_divisor(m, n, p)
                for m in methods for n in sizes]
     columns["sigma_hat"] = np.sqrt(columns.pop("squares") / np.repeat(divisor, R))

@@ -10,6 +10,8 @@ diagonal gives the leverages ``w1_i``, and the scaled Hessians
 that share their covariate, one model evaluation of the means, gradient and
 Hessian for the whole stack, with each row's failure kept as that row's
 error; :func:`build_jacobian_bundle` is its stack of one.
+:func:`join_bundles` joins the bundles of curves fitted with one shared
+scale into the bundle of their joint fit.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def build_jacobian_bundles(model: ModelFunction, x, thetas) -> tuple:
         raise ValueError(f"thetas must have shape (R, {p}), got {thetas.shape}")
     if n <= p:
         raise ValueError(f"need n > p observations, got n={n}, p={p}")
+    return _build_bundles(model, x, thetas)
+
+
+def _build_bundles(model: ModelFunction, x: Array, thetas: Array) -> tuple:
+    """:func:`build_jacobian_bundles` on a well-shaped stack, for any ``n``:
+    a curve with ``n <= p`` is still a block of a joint fit with more
+    observations than parameters (:func:`join_bundles`)."""
     out: list = [None] * len(thetas)
 
     f, fault = model.eval_rows(x, thetas)
@@ -133,6 +142,30 @@ def build_jacobian_bundles(model: ModelFunction, x, thetas) -> tuple:
                                       Jbar=J[i].mean(axis=0), w1=w1[i],
                                       w2=np.einsum("ijk,kj->i", K[i], JtJ_inv[i]), f=f[rows[i]])
     return tuple(out)
+
+
+def _block_diag(blocks) -> Array:
+    """The block-diagonal matrix of ``blocks`` (2-d arrays), zero elsewhere."""
+    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
+    i = j = 0
+    for b in blocks:
+        out[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
+
+
+def join_bundles(bundles) -> JacobianBundle:
+    """The bundle of curves fitted as one dataset with one shared scale, from
+    each curve's own bundle: each curve's parameters act on its own
+    observations only, so ``J``, ``J'J`` and ``(J'J)^{-1}`` are
+    block-diagonal, every ``w1_i`` and ``w2_i`` is its curve's, and ``Jbar``
+    is the mean of ``J`` over all ``n1 + n2 + ...`` rows."""
+    J = _block_diag([b.J for b in bundles])
+    return JacobianBundle(J=J, JtJ=_block_diag([b.JtJ for b in bundles]),
+                          JtJ_inv=_block_diag([b.JtJ_inv for b in bundles]),
+                          Jbar=J.mean(axis=0), w1=np.concatenate([b.w1 for b in bundles]),
+                          w2=np.concatenate([b.w2 for b in bundles]),
+                          f=np.concatenate([b.f for b in bundles]))
 
 
 def build_jacobian_bundle(model: ModelFunction, data: Dataset, theta) -> JacobianBundle:

@@ -23,7 +23,6 @@ from propfit.equivalent_dose import (
     resolve_modes,
     solve_gamma,
     solve_gamma_batch,
-    stacked_model,
 )
 from propfit.estimators import (
     METHODS,
@@ -53,7 +52,7 @@ from propfit.simulation import (
     _run_rows,
     default_partial_bleach_design,
 )
-from conftest import PAPER_ALPHA
+from conftest import PAPER_ALPHA, stacked_model
 
 X = np.linspace(0.0, 1000.0, 16)
 
@@ -905,7 +904,8 @@ class TestJacobianBundleStack:
         assert "Hessian" in str(bundles[4]) and "gradient" in str(bundles[6])
 
     def test_stacked_two_curve_rows_match(self):
-        # The models formulae stacks: each curve and the stacked model, at fitted-like rows.
+        # Each curve's stack and the stacked model's (the oracle of joined bundles), at
+        # fitted-like rows.
         pb = partial_bleach_model()
         x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
         beta = np.array([95717.80268403766, 192.547, 756.62])

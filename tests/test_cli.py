@@ -21,7 +21,6 @@ from propfit.equivalent_dose import (
     gamma_bias_se,
     partial_bleach_model,
     resolve_modes,
-    stacked_model,
 )
 from propfit.estimators import METHODS, fit
 from propfit.io import read_input_table
@@ -33,7 +32,7 @@ from propfit.simulation import (
     replicate_stream,
     run_study,
 )
-from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA
+from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA, stacked_model
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "partial_bleach_config.json"
 
@@ -349,11 +348,11 @@ class TestFitCommand:
         assert calls == {"solve": 1, "solve_gamma_batch": 1}
 
     def test_one_bundle_stack_per_curve_model(self, tmp_path, monkeypatch):
-        # The default mode's bundles: one stack for each curve (the separate
-        # fits' rows) and one for the stacked model (ML's row). The formulae
+        # The default mode's bundles: one stack for each curve, a row per
+        # method (ML's joined bundle is built from its rows). The formulae
         # evaluate means only for those stacks and the one dose scan's curves.
         stacks, means, inside = [], [], []
-        build, formulae = equivalent_dose.build_jacobian_bundles, equivalent_dose.formulae
+        build, formulae = equivalent_dose._build_bundles, equivalent_dose.formulae
         evaluate, evaluate_one = ModelFunction.eval_rows, ModelFunction.eval
 
         def counted_build(model, x, thetas):
@@ -376,17 +375,15 @@ class TestFitCommand:
             assert not inside, "formulae evaluated means one at a time"
             return evaluate_one(model, x, theta)
 
-        monkeypatch.setattr(equivalent_dose, "build_jacobian_bundles", counted_build)
+        monkeypatch.setattr(equivalent_dose, "_build_bundles", counted_build)
         monkeypatch.setattr(cli, "formulae", counted_formulae)
         monkeypatch.setattr(ModelFunction, "eval_rows", counted_eval)
         monkeypatch.setattr(ModelFunction, "eval", scalar_eval)
         code, entries = fit_entries(tmp_path, "--data", noisy_pair(tmp_path / "pair.csv")[1])
         assert code == 0 and all("error" not in e for e in entries.values())
         pb = partial_bleach_model()
-        joint = stacked_model(pb, [0.0], [0.0])[0].name
-        assert sorted(stacks) == sorted([(pb.curve1.name, 3), (pb.curve2.name, 3), (joint, 1)])
-        assert sorted(means) == sorted([pb.curve1.name, pb.curve2.name, joint]
-                                       + [pb.curve1.name, pb.curve2.name])
+        assert sorted(stacks) == sorted([(pb.curve1.name, 4), (pb.curve2.name, 4)])
+        assert sorted(means) == sorted([pb.curve1.name, pb.curve2.name] * 2)
 
     def test_bad_csv_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -589,6 +586,49 @@ class TestSimulateCommand:
             assert captured.err.startswith(f"error: {error}: ")
             assert "Traceback" not in captured.err
             assert captured.out == ""
+
+
+class TestInputErrorLines:
+    """Each malformed input file gives one error line and exit 2."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n", "input table contains no rows"),
+        ("", "empty input: missing CSV header"),
+        ("curve,x\na,1\n", "header must contain 'x' and 'y', got ['curve', 'x']"),
+    ], ids=["no-rows", "empty", "no-y"])
+    def test_bad_csv(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert main(["fit", "--data", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: ConfigError: {message}\n")
+
+    def test_blank_lines_inside_a_csv_are_skipped(self, const_csv, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n0,1\n\n1,2\n , \n2,3\n")
+        reports = []
+        for data in (str(path), const_csv):
+            assert main(["fit", "--data", data, "--model", "constant", "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"model": "partial_bleach",
+          "sim": {"theta0": [1.0] * 6, "x1": [0.0, 1.0], "sigma": [0.02], "replicates": 2}},
+         "two-curve simulation requires sim.x2"),
+        ({"model": "constant", "sim": {"theta0": [1.0], "sigma": [0.02], "replicates": 2}},
+         "sim section requires x1 (dose grid)"),
+    ], ids=["no-x2", "no-x1"])
+    def test_bad_sim_section(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: ConfigError: {message}\n")
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: ConfigError: cannot read config: [Errno 2] "
+                                           f"No such file or directory: '{path}'\n")
 
 
 class TestCheckCommand:

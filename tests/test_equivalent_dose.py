@@ -11,6 +11,7 @@ from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
     MODE_SEPARATE,
+    PartialBleachModel,
     beta1_from_gamma,
     default_gamma_bracket,
     dose_derivatives_batch,
@@ -23,24 +24,28 @@ from propfit.equivalent_dose import (
     partial_bleach_model,
     resolve_modes,
     solve_gamma,
-    stacked_model,
 )
-from propfit.estimators import FitOptions, equation_residual
+from propfit.asymptotics import bias_cov
+from propfit.estimators import METHODS, FitOptions, equation_residual
 from propfit.exceptions import (
+    DerivativeNoiseWarning,
     DomainError,
     ModeError,
     MultipleRootWarning,
     NoBracketError,
     TangencyError,
 )
+from propfit.jacobian import build_jacobian_bundles, join_bundles
 from propfit.models import Dataset
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
+    default_partial_bleach_design,
     generate_dataset,
     replicate_stream,
+    run_study,
 )
-from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA
+from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA, stacked_model
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +307,28 @@ class TestGammaBiasSe:
             gamma_bias_se(pb, DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES,
                           theta0, 0.02, "dwls", fit_mode=MODE_COMMON_SIGMA)
 
+    def test_curves_without_analytic_derivatives(self, pb, theta0):
+        # Finite-difference curves get common-sigma formulae too, close to the
+        # analytic ones: from gamma_bias_se and from a default-mode study's B_T.
+        fd = PartialBleachModel(*(replace(c, grad_fn=None, hess_fn=None)
+                                  for c in (pb.curve1, pb.curve2)))
+        design = default_partial_bleach_design(sigma_grid=(0.02,), replicates=20,
+                                               master_seed=4)
+        with pytest.warns(DerivativeNoiseWarning):
+            got = gamma_bias_se(fd, design.x1, design.x2, theta0, 0.02, "ml",
+                                fit_mode=MODE_COMMON_SIGMA)
+            fd_summary = run_study(replace(design, model=fd))
+        want = gamma_bias_se(pb, design.x1, design.x2, theta0, 0.02, "ml",
+                             fit_mode=MODE_COMMON_SIGMA)
+        assert got.bias == pytest.approx(want.bias, rel=1e-4)
+        assert got.se == pytest.approx(want.se, rel=1e-6)
+        summary = run_study(design)
+        for method in design.methods:
+            fd_cell = fd_summary.entry(method, 0.02).cell("gamma")
+            cell = summary.entry(method, 0.02).cell("gamma")
+            assert fd_cell.b_t == pytest.approx(cell.b_t, abs=5e-5), method
+            assert fd_cell.b_s == pytest.approx(cell.b_s, rel=1e-6), method
+
 
 class TestStackedModel:
     def test_eval_and_grad_block_structure(self, pb, theta0):
@@ -327,6 +354,52 @@ class TestStackedModel:
         joint, idx = stacked_model(pb, DEFAULT_UNBLEACHED_DOSES[:4], DEFAULT_BLEACHED_DOSES[:4])
         rep = fd_check(joint, theta0, idx)
         assert rep.passed
+
+
+class TestJoinBundles:
+    """Joined per-curve bundles against the stacked model's bundle (the oracle)."""
+
+    @staticmethod
+    def assert_matches_stacked(joined, stacked):
+        for name in ("J", "JtJ", "Jbar", "f"):
+            np.testing.assert_array_equal(getattr(joined, name), getattr(stacked, name),
+                                          err_msg=name)
+        for name in ("JtJ_inv", "w1", "w2"):
+            np.testing.assert_allclose(getattr(joined, name), getattr(stacked, name),
+                                       rtol=1e-13, atol=0.0, err_msg=name)
+        for method in METHODS:
+            for got, want in zip(bias_cov(method, (joined,), 0.03),
+                                 bias_cov(method, (stacked,), 0.03)):
+                np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0, err_msg=method)
+        np.testing.assert_array_equal(bias_cov("ml", (joined,), 0.03)[1],
+                                      bias_cov("ml", (stacked,), 0.03)[1])
+
+    def test_bundled_design(self, pb, theta0):
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        rng = np.random.default_rng(19)
+        thetas = theta0 * (1.0 + 0.05 * rng.standard_normal((60, 6)))
+        joint, idx = stacked_model(pb, x1, x2)
+        rows = zip(build_jacobian_bundles(pb.curve1, x1, thetas[:, :3]),
+                   build_jacobian_bundles(pb.curve2, x2, thetas[:, 3:]),
+                   build_jacobian_bundles(joint, idx, thetas))
+        for one, two, stacked in rows:
+            self.assert_matches_stacked(join_bundles((one, two)), stacked)
+
+    def test_short_curve_builds_in_a_shared_scale(self, pb, theta0):
+        # A 3-point curve has no bundle of its own, but is a block of the
+        # 16 + 3-point common-sigma fit; its separate fit raises.
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES[[0, 7, 12]]
+        joint, idx = stacked_model(pb, x1, x2)
+        rng = np.random.default_rng(3)
+        thetas = theta0 * (1.0 + 0.05 * rng.standard_normal((5, 6)))
+        modes = dict.fromkeys(("ml", "ql", "wls"), MODE_COMMON_SIGMA)
+        for theta, stacked in zip(thetas, build_jacobian_bundles(joint, idx, thetas)):
+            rows = formulae(pb, (x1, x2), dict.fromkeys(modes, theta), modes)
+            for row in rows.values():
+                (joined,) = row.bundles
+                self.assert_matches_stacked(joined, stacked)
+        with pytest.raises(ValueError, match="need n > p observations, got n=3, p=3"):
+            formulae(pb, (x1, x2), {"ml": theta0}, {"ml": MODE_SEPARATE})
 
 
 def _noisy_pair(pb, theta0, sigma1, sigma2, seed):

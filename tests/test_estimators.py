@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from propfit import estimators
-from propfit.equivalent_dose import partial_bleach_model, stacked_model
+from propfit.equivalent_dose import partial_bleach_model
 from propfit.estimators import (
     METHODS,
     FitOptions,
@@ -20,7 +20,7 @@ from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset
 from propfit.simulation import DEFAULT_BLEACHED_DOSES, DEFAULT_UNBLEACHED_DOSES, QNL84_BETA2, \
     QNL84_BETA3
-from conftest import PAPER_ALPHA, make_noisy
+from conftest import PAPER_ALPHA, make_noisy, stacked_model
 
 TIGHT = FitOptions(tol_residual=1e-12, tol_absolute=1e-14)
 

@@ -15,7 +15,6 @@ from propfit.equivalent_dose import (
     gamma_bias_se,
     resolve_modes,
     solve_gamma,
-    stacked_model,
 )
 from propfit.estimators import METHODS, FitOptions, fit_methods
 from propfit.exceptions import ModeError, Rejected
@@ -30,7 +29,7 @@ from propfit.simulation import (
     replicate_stream,
     run_study,
 )
-from conftest import PAPER_GAMMA
+from conftest import PAPER_GAMMA, stacked_model
 
 
 def constant_design(**overrides):
