@@ -238,6 +238,15 @@ class _Iterate:
         """The rows ``index`` selects (a boolean mask or positions)."""
         return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
 
+    def put(self, index, other: "_Iterate", which) -> None:
+        """Overwrite the rows ``index`` (of the same datasets) with the rows ``which`` of ``other``."""
+        for name, rows in vars(self).items():
+            if name not in ("data", "k"):
+                if not rows.flags.writeable:
+                    rows = rows.copy()
+                    setattr(self, name, rows)
+                rows[index] = vars(other)[name][which]
+
     def jacobian(self, table: _Table) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms) per row. Rows with a non-finite Hessian are marked in ``fault``."""
@@ -276,18 +285,12 @@ class _Iterate:
             self.fault[bad] = FAULT_HESSIAN
         return A, off
 
-    def scoring(self, table: _Table) -> Array:
-        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'``."""
+    def scoring(self, table: _Table, rows) -> Array:
+        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'`` of the rows ``rows``."""
         with np.errstate(all="ignore"):
-            w = _pick(table, self.k, "scoring", self.f, self.data.y)
-            return _t(self.G * w[..., None]) @ self.G
-
-
-def _join(pieces: list[_Iterate], order: Array, data: _Data) -> _Iterate:
-    """The rows ``order`` of the rows of ``pieces`` (iterates of one stack),
-    whose datasets are ``data``."""
-    return _Iterate(data=data, **{name: np.concatenate([vars(p)[name] for p in pieces])[order]
-                                  for name in vars(pieces[0]) if name != "data"})
+            G = self.G[rows]
+            w = _pick(table, self.k[rows], "scoring", self.f[rows], self.data.y[rows])
+            return _t(G * w[..., None]) @ G
 
 
 def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> _Iterate:
@@ -403,6 +406,9 @@ def _advance(table: _Table, pt: _Iterate):
 
     Returns the next iterate of the rows that moved, their positions in
     ``pt`` (ascending) and ``{position: error}`` for the rows that failed.
+    Every row that has not failed tries its Newton step (a non-finite one
+    lands on an undefined iterate); a scoring step each rejecting row
+    accepts is written into that trial at the row's position.
     """
     m = len(pt.k)
     failures = {}
@@ -412,53 +418,41 @@ def _advance(table: _Table, pt: _Iterate):
         failed = data.pairwise(np.logical_or, pt.fault != 0)
         failures = pt.errors(failed)
         live = np.flatnonzero(~failed)
+        if not live.size:
+            return None, live, failures
         data, jacobian = data[live], jacobian[live]
         off = None if off is None else off[live]
     norm, objective = pt.norm, pt.objective
-    pieces, moved = [], []
 
     delta = _newton_steps(jacobian, off, pt.residual[live], data)
-    finite = ~data.pairwise(np.logical_or, ~np.isfinite(delta).all(axis=-1))
-    tried, delta = (live, delta) if finite.all() else (live[finite], delta[finite])
-    newton = np.zeros(m, dtype=bool)
-    if tried.size:
-        new = _point(table, pt.data if tried.size == m else pt.data[tried],
-                     pt.theta[tried] + delta, pt.k[tried])
-        ok = new.defined & (new.norm < norm[tried]) & _no_rise(new.objective, objective[tried])
-        if ok.all() and tried.size == m:
-            return new, tried, failures
+    trial = _point(table, data, pt.theta[live] + delta, pt.k[live])
+    moved = trial.defined & (trial.norm < norm[live]) & _no_rise(trial.objective, objective[live])
+    if moved.all():
+        return trial, live, failures
+
+    # Positions in ``trial`` of the rows that fall back, and in ``pt``.
+    back = np.flatnonzero(~moved)
+    need = live[back]
+    step = _solve_rows(pt.scoring(table, need), -pt.residual[need])
+    singular = np.zeros(m, dtype=bool)
+    singular[need] = ~np.isfinite(step).all(axis=-1)
+    singular = pt.data.pairwise(np.logical_or, singular)[need]
+    for i in need[singular]:
+        failures[int(i)] = SingularError("scoring matrix is singular at the iterate")
+    pending, step = back[~singular], step[~singular]
+    for _ in range(_MAX_HALVINGS):
+        if not pending.size:
+            break
+        rows = live[pending]
+        new = _point(table, pt.data[rows], pt.theta[rows] + step, pt.k[rows])
+        old = objective[rows]
+        ok = new.defined & ((new.objective < old)
+                            | ((new.norm < norm[rows]) & _no_rise(new.objective, old)))
         if ok.any():
-            pieces.append(new.take(ok))
-            moved.append(tried[ok])
-            newton[tried[ok]] = True
-
-    need = live[~newton[live]]
-    if need.size:
-        sub = pt.take(need)
-        step = _solve_rows(sub.scoring(table), -sub.residual)
-        singular = sub.data.pairwise(np.logical_or, ~np.isfinite(step).all(axis=-1))
-        for i in need[singular]:
-            failures[int(i)] = SingularError("scoring matrix is singular at the iterate")
-        pending, step = need[~singular], step[~singular]
-        for _ in range(_MAX_HALVINGS):
-            if not pending.size:
-                break
-            new = _point(table, pt.data[pending], pt.theta[pending] + step, pt.k[pending])
-            old = objective[pending]
-            ok = new.defined & ((new.objective < old)
-                                | ((new.norm < norm[pending]) & _no_rise(new.objective, old)))
-            if ok.any():
-                pieces.append(new.take(ok))
-                moved.append(pending[ok])
-            pending, step = pending[~ok], 0.5 * step[~ok]
-
-    if not moved:
-        return None, np.zeros(0, dtype=int), failures
-    if len(moved) == 1:
-        return pieces[0], moved[0], failures
-    positions = np.concatenate(moved)
-    order = np.argsort(positions, kind="stable")
-    return _join(pieces, order, pt.data[positions[order]]), positions[order], failures
+            trial.put(pending[ok], new, ok)
+            moved[pending[ok]] = True
+        pending, step = pending[~ok], 0.5 * step[~ok]
+    return (trial if moved.all() else trial.take(moved)), live[moved], failures
 
 
 def solve(table: _Table, data: _Data, theta0, k, *,
