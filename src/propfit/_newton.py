@@ -19,10 +19,14 @@ convergence, stop and failure, and its independence of the rest of the stack.
 
 Rows (and pairs) share only the array operations, never a number, so a
 row's iterates are the same whatever else is in a stack of its length;
-padding reorders its sums, which changes them only to rounding. An
+padding reorders its sums, which changes them only to rounding. The
+Jacobian's ``sum_i c_i H_i`` is the model's contraction
+(:meth:`~propfit.models.ModelFunction.whess_rows`), so a model with a
+``whess_fn`` never builds its ``(rows, n, p, p)`` Hessian here. An
 iteration takes the exact Newton step when it lowers both the objective
 and ``max|G|``; otherwise it halves the scoring step (the Jacobian
-replaced by its expectation, per row) until the objective falls. Near the
+replaced by its expectation, per row) until the objective falls, and the
+step it takes replaces the row's rejected Newton trial. Near the
 root the objective stops changing beyond rounding, so a change within a
 few ulps counts as no rise when ``max|G|`` falls. A row has converged when
 ``max|G| <= max(tol_absolute, tol_relative * scale)`` at its current iterate.
@@ -130,12 +134,14 @@ class _Data:
     def model(self, r: int) -> ModelFunction:
         return self.models[self.curve[r]]
 
-    def call(self, name: str, theta: Array) -> Array:
-        """``models[curve[r]].<name>(x[r], theta[r])`` per row, in one call per
-        set of callables; elementwise models give the same bits either way."""
+    def call(self, name: str, theta: Array, *per_row: Array) -> Array:
+        """``models[curve[r]].<name>(x[r], theta[r], *(a[r] for a in per_row))``
+        per row, in one call per set of callables; elementwise models give the
+        same bits either way."""
         if self.callers is None or not len(theta):
-            return getattr(self.models[0], name)(self.x, theta)
-        parts = [(rows, np.asarray(getattr(self.models[g], name)(self.x[rows], theta[rows])))
+            return getattr(self.models[0], name)(self.x, theta, *per_row)
+        parts = [(rows, np.asarray(getattr(self.models[g], name)(
+                     self.x[rows], theta[rows], *(a[rows] for a in per_row))))
                  for g in dict.fromkeys(self.callers.tolist())
                  for rows in [np.flatnonzero(self.callers == g)]]
         out = np.empty(theta.shape[:1] + parts[0][1].shape[1:], dtype=parts[0][1].dtype)
@@ -156,7 +162,7 @@ def _stack(curves) -> _Data:
             a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])],
             mode="edge" if a.shape[-1] else "constant")
 
-    kernels = [(m.eval_fn, m.grad_fn, m.hess_fn, m.domain_guard) for m in models]
+    kernels = [(m.eval_fn, m.grad_fn, m.hess_fn, m.whess_fn, m.domain_guard) for m in models]
     owner = np.array([kernels.index(kernel) for kernel in kernels])
     curve = np.repeat(np.arange(len(curves)), [len(Y) for _, _, Y in curves])
     n = np.concatenate([np.full(len(Y), x.size) for _, x, Y in curves])
@@ -239,31 +245,30 @@ class _Iterate:
         return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
 
     def put(self, index, other: "_Iterate", which) -> None:
-        """Overwrite the rows ``index`` (of the same datasets) with the rows ``which`` of ``other``."""
+        """Overwrite the rows ``index`` with the rows ``which`` of ``other``
+        (iterates of the same datasets)."""
         for name, rows in vars(self).items():
             if name not in ("data", "k"):
-                if not rows.flags.writeable:
-                    rows = rows.copy()
-                    setattr(self, name, rows)
+                vars(self)[name] = rows = rows if rows.flags.writeable else rows.copy()
                 rows[index] = vars(other)[name][which]
 
     def jacobian(self, table: _Table) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
-        scale terms) per row. Rows with a non-finite Hessian are marked in ``fault``."""
+        scale terms) per row, ``sum c_i H_i`` from the row's model's
+        ``whess_rows``. Rows where that is non-finite are marked in ``fault``."""
         return self.blocks(table)[0]
 
     def blocks(self, table: _Table) -> tuple[Array, Array | None]:
         """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
         in its mate's parameters (None with no pair): ML's ``sum J ds^2'``,
-        zero for the other equations."""
+        zero for the other equations. The models contract their Hessians with
+        ``c`` (:meth:`~propfit.models.ModelFunction.whess_rows`)."""
         y, f, G, c = self.data.y, self.f, self.G, self.c
         p, pairs = G.shape[-1], self.data.pairs
         off = np.zeros(G.shape[:1] + (p, p)) if pairs else None
         with np.errstate(all="ignore"):
-            H = self.data.call("hess_rows", self.theta)
-            bad = ~np.all(np.isfinite(H), axis=(-3, -2, -1))
-            A = (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(
-                c.shape[:-1] + (p, p))
+            A = self.data.call("whess_rows", self.theta, c)
+            bad = ~np.all(np.isfinite(A), axis=(-2, -1))
             A += _t(G * _pick(table, self.k, "dweight", f, y)[..., None]) @ G
             ml = _rows(table.profiled[self.k])
             if ml is not None:

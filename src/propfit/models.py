@@ -9,7 +9,8 @@ The fitters and the intersection solver work on stacks of parameter rows,
 so a model's callables take ``theta`` of shape ``(..., p)``: the leading
 dimensions broadcast against those of ``x`` (``theta[..., j, None]`` is the
 idiom), and the trailing ``n`` of the value, ``(n, p)`` of the gradient and
-``(n, p, p)`` of the Hessian follow them. A stack evaluation reports why a
+``(n, p, p)`` of the Hessian follow them; weights ``c`` take the shape of the
+value and contract the Hessian to ``(p, p)``. A stack evaluation reports why a
 row is undefined as a fault code instead of raising, so one bad row fails
 alone; :func:`fault_error` turns a code into the exception the unbatched
 path raises.
@@ -107,6 +108,12 @@ class ModelFunction:
     hess_fn : callable, optional
         ``(x, theta) -> (..., n, p, p)`` analytic parameter Hessian.  When
         absent, nested central differences of the gradient, symmetrized.
+    whess_fn : callable, optional
+        ``(x, theta, c(..., n)) -> (..., p, p)``, the Hessian contracted with
+        the weights: ``sum_i c_i H_i``, which the Newton solver needs, without
+        the ``(..., n, p, p)`` array.  Used only together with ``hess_fn``,
+        so replace both or neither (:func:`fd_check` compares them); when
+        absent, :meth:`whess_rows` contracts :meth:`hess_rows`.
     dx_fn : callable, optional
         ``(x, theta) -> (..., n)`` derivative in the covariate (used by the
         curve-intersection machinery).  Finite differences when absent.
@@ -131,6 +138,7 @@ class ModelFunction:
     dx_fn: Callable[[Array, Array], Array] | None = None
     domain_guard: Callable[[Array, Array], bool] | None = None
     start_hint: Callable[[Array, Array], Array] | None = None
+    whess_fn: Callable[[Array, Array, Array], Array] | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -183,6 +191,14 @@ class ModelFunction:
             return np.asarray(self.hess_fn(x, theta), dtype=float)
         h = self._fd_hess(x, theta)
         return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+    def whess_rows(self, x, theta, c) -> Array:
+        """``sum_i c_i H_i`` over the rows of ``theta`` and of the weights
+        ``c``, unchecked: the model's contraction (``whess_fn``, heeded only
+        beside an analytic ``hess_fn``), else that of :meth:`hess_rows`."""
+        if self.whess_fn is not None and self.hess_fn is not None:
+            return np.asarray(self.whess_fn(x, theta, c), dtype=float)
+        return _contract(c, self.hess_rows(x, theta))
 
     def dx_rows(self, x, theta) -> Array:
         """The derivative in the covariate over the rows of ``theta``, unchecked."""
@@ -267,6 +283,12 @@ class ModelFunction:
         return np.stack(cols, axis=-1)
 
 
+def _contract(c: Array, H: Array) -> Array:
+    """``sum_i c_i H_i``: weights ``(..., n)`` times Hessians ``(..., n, p, p)``."""
+    p = H.shape[-1]
+    return (c[..., None, :] @ H.reshape(H.shape[:-2] + (p * p,))).reshape(c.shape[:-1] + (p, p))
+
+
 def fault_error(model: ModelFunction, code: int) -> PropfitError:
     """The exception the unbatched path raises for a row with fault ``code``."""
     if code == FAULT_THETA:
@@ -290,7 +312,11 @@ def fault_error(model: ModelFunction, code: int) -> PropfitError:
 
 @dataclass(frozen=True)
 class FdCheckReport:
-    """Outcome of comparing analytic derivatives against central differences."""
+    """Outcome of comparing analytic derivatives against central differences.
+
+    ``hess_max_rel_err`` also covers the contraction ``whess_fn`` against
+    ``hess_fn``'s Hessians under signed weights.
+    """
 
     model: str
     grad_max_rel_err: float
@@ -325,7 +351,11 @@ def fd_check(model: ModelFunction, theta, xs, tol: float = 1e-5) -> FdCheckRepor
     if model.hess_fn is not None:
         fd = model._fd_hess(xv, theta)
         fd = 0.5 * (fd + np.transpose(fd, (0, 2, 1)))
-        hess_err = rel_gap(np.asarray(model.hess_fn(xv, theta)), fd)
+        H = np.asarray(model.hess_fn(xv, theta))
+        hess_err = rel_gap(H, fd)
+        if model.whess_fn is not None:
+            c = np.random.default_rng(0).standard_normal(xv.size)
+            hess_err = max(hess_err, rel_gap(model.whess_rows(xv, theta, c), _contract(c, H)))
 
     return FdCheckReport(model=model.name, grad_max_rel_err=grad_err,
                          hess_max_rel_err=hess_err, tol=tol)
@@ -480,6 +510,19 @@ def saturating_exponential_model() -> ModelFunction:
         h[..., 2, 2] = a1 * e * u * (2.0 * a3 - u) / a3 ** 4
         return h
 
+    def whe(x, t, c):
+        # sum_i c_i H_i from S_k = sum_i c_i e_i u_i^k, k = 0, 1, 2.
+        a1, a3 = t[..., 0], t[..., 2]
+        ce, u = c * _e(x, t), x + t[..., 1, None]
+        s0, s1, s2 = np.sum(ce, axis=-1), np.sum(ce * u, axis=-1), np.sum(ce * u * u, axis=-1)
+        h = np.zeros(s0.shape + (3, 3))
+        h[..., 0, 1] = h[..., 1, 0] = s0 / a3
+        h[..., 0, 2] = h[..., 2, 0] = -s1 / a3 ** 2
+        h[..., 1, 1] = -a1 * s0 / a3 ** 2
+        h[..., 1, 2] = h[..., 2, 1] = a1 * (s1 - a3 * s0) / a3 ** 3
+        h[..., 2, 2] = a1 * (2.0 * a3 * s1 - s2) / a3 ** 4
+        return h
+
     def dx(x, t):
         return t[..., 0, None] / t[..., 2, None] * _e(x, t)
 
@@ -538,6 +581,7 @@ def saturating_exponential_model() -> ModelFunction:
         dx_fn=dx,
         domain_guard=lambda x, t: t[..., 2] != 0.0,
         start_hint=hint,
+        whess_fn=whe,
     )
 
 

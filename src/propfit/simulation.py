@@ -60,13 +60,13 @@ QNL84_BETA2 = 192.547
 QNL84_BETA3 = 756.620
 QNL84_GAMMA = -87.45
 
-# Most of the study's replicates fitted as one chunk: memory grows with the
-# chunk (its Hessian stack holds rows x n x p x p floats with a row per
-# method, curve and replicate, about 9 MB at 1024 replicates of the
-# two-curve design, and its intersection scan holds a row per replicate and
-# method), while past about a thousand replicates a larger chunk saves
-# little time.
-STACK_ROWS = 1024
+# The most observations (replicates times observations per replicate) a
+# study fits as one chunk: a chunk's solver arrays hold a row of n floats, or
+# n x p of gradient, per method, curve and replicate, so memory grows with
+# the product; past about a thousand replicates of the 16 + 13-point
+# two-curve design (1034 here) a larger chunk saves little time, while a
+# long single curve (n = 1024) gets chunks of 29 replicates.
+STACK_OBSERVATIONS = 30_000
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
 
     The study's replicates, sigma by sigma, are split into ``threads``
     contiguous chunks (at most one per replicate), more where a chunk would
-    pass ``STACK_ROWS`` rows, and each chunk is fitted as one stack,
+    pass ``STACK_OBSERVATIONS`` observations, and each chunk is fitted as one stack,
     whichever sigmas it spans, on a pool of at most one thread per CPU. A replicate's numbers do not depend
     on its stack, so the summary is identical whatever the split. The
     formula biases' pieces (:func:`~propfit.equivalent_dose.formulae`) are
@@ -321,7 +321,8 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     # The study as (sigma index, replicate) cells, sigma by sigma.
     flat = np.stack(np.divmod(np.arange(S * R), R), axis=1)
     workers = max(1, min(threads, S * R))
-    chunks = np.array_split(flat, max(workers, -(-(S * R) // STACK_ROWS)))
+    per_chunk = max(1, STACK_OBSERVATIONS // sum(x.size for x, _ in design.means))
+    chunks = np.array_split(flat, max(workers, -(-(S * R) // per_chunk)))
 
     def one(chunk: Array):
         return _run_rows(design, chunk, n_targets)

@@ -3,16 +3,18 @@
 import functools
 import re
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from propfit import equivalent_dose, estimators
+from propfit import _newton, equivalent_dose, estimators
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
     MODE_SEPARATE,
+    PartialBleachModel,
     default_gamma_bracket,
     dose_derivatives_batch,
     fit_two_curves,
@@ -225,6 +227,63 @@ class TestFailingRows:
         assert np.all(np.isnan(batch.theta_hat[1]))
         with pytest.raises(SingularError, match="scoring matrix is singular at the iterate"):
             fit(model, Dataset(x, Y[1]), "dwls", FitOptions(start=theta))
+
+    def test_singular_scoring_matrix_fails_its_pair_only(self, expo, monkeypatch):
+        # Curve 1 scales one shape by two parameters (as above): the common-sigma
+        # ML pair whose curve 1 is off its root fails both rows, curve 2's
+        # included, and no other row.
+        collinear = ModelFunction(
+            name="collinear", p=2, param_names=("a", "b"),
+            eval_fn=lambda x, t: (t[..., 0, None] + t[..., 1, None]) * np.exp(-x),
+            grad_fn=lambda x, t: np.stack([np.exp(-x)] * 2, axis=-1)
+            * np.ones(t.shape[:-1] + (1, 1)),
+            hess_fn=lambda x, t: np.zeros(t.shape[:-1] + (x.size, 2, 2)))
+        x1, x2 = np.linspace(0.0, 2.0, 6), np.linspace(0.0, 4.0, 7)
+        theta = np.array([1.0, 1.0, 5.0, 2.0])
+        exact1 = np.asarray(collinear.eval(x1, theta[:2]))
+        Y1 = np.stack([exact1, exact1 * (1.0 + 0.01 * np.arange(6)), exact1])
+        Y2 = np.tile(np.asarray(expo.eval(x2, theta[2:])), (3, 1))
+        solved, solve = [], estimators.solve
+
+        def kept(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+        monkeypatch.setattr(estimators, "solve", kept)
+        fits = fit_two_curves_methods(PartialBleachModel(collinear, expo), x1, Y1, x2, Y2,
+                                      ("ml",), MODE_COMMON_SIGMA, FitOptions(start=theta))["ml"]
+        # The stack's rows are the pairs (curve 1, curve 2) of replicates 0, 1, 2.
+        assert [type(e).__name__ for e in solved[0].errors] == [
+            "NoneType", "NoneType", "SingularError", "SingularError", "NoneType", "NoneType"]
+        assert isinstance(fits.errors[1], SingularError)
+        assert str(fits.errors[1]) == "scoring matrix is singular at the iterate"
+        assert np.isnan(fits.theta_hat[1]).all()
+        assert fits.errors[0] is fits.errors[2] is None
+        assert fits.converged[[0, 2]].all()
+        np.testing.assert_array_equal(fits.theta_hat[[0, 2]], np.tile(theta, (2, 1)))
+
+    def test_non_finite_contraction_fails_its_row_only(self, satexp):
+        # A NaN contracted Hessian wherever alpha1 > 1.5 x its paper value:
+        # only the row fitted near twice that value meets it.
+        model = replace(satexp, name="nan_contraction", whess_fn=lambda x, t, c: np.where(
+            (t[..., 0] > 1.5 * PAPER_ALPHA[0])[..., None, None], np.nan,
+            satexp.whess_fn(x, t, c)))
+        truths = PAPER_ALPHA * np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.2, 1.0, 1.0]])
+        rng = np.random.default_rng(36)
+        Y = np.stack([np.asarray(satexp.eval(X, t)) * (1.0 + 0.02 * rng.standard_normal(X.size))
+                      for t in truths])
+        starts = 1.1 * truths
+        message = "Hessian of model 'nan_contraction' is non-finite"
+        for method in METHODS:
+            batch = fit_methods(model, X, Y, (method,), FitOptions(start=starts))[method]
+            assert isinstance(batch.errors[1], NonFiniteError)
+            assert str(batch.errors[1]) == message
+            assert np.all(np.isnan(batch.theta_hat[1]))
+            with pytest.raises(NonFiniteError, match=message):
+                fit(model, Dataset(X, Y[1]), method, FitOptions(start=starts[1]))
+            for r in (0, 2):
+                assert batch.converged[r]
+                assert_rows_equal(batch, r, fit(satexp, Dataset(X, Y[r]), method,
+                                                FitOptions(start=starts[r])))
 
     def test_non_finite_hessian_fails_its_row_only(self, expo):
         # NaN Hessian wherever theta1 > 4.5: only the row fitted near 5 meets it.
@@ -474,6 +533,27 @@ class TestTwoCurveStack:
                 np.testing.assert_array_equal(getattr(own[m], name), getattr(shared[m], name))
             assert own[m].errors == shared[m].errors == (None,) * 5
 
+    def test_solve_calls_no_hessian(self):
+        # The solver takes sum c_i H_i from the curves' contraction and never
+        # builds their per-observation Hessians.
+        pb, theta0, Y1, Y2 = two_curve_data(0.06, rows=4, seed=71)
+        calls = Counter()
+
+        def counted(curve):
+            def wrap(name, fn):
+                def call(*args):
+                    calls[name] += 1
+                    return fn(*args)
+                return call
+            return replace(curve, **{name: wrap(name, getattr(curve, name))
+                                     for name in ("hess_fn", "whess_fn")})
+        counting = replace(pb, curve1=counted(pb.curve1), curve2=counted(pb.curve2))
+        for mode in (MODE_DEFAULT, MODE_SEPARATE, MODE_COMMON_SIGMA):
+            fits = fit_two_curves_methods(counting, DEFAULT_UNBLEACHED_DOSES, Y1,
+                                          DEFAULT_BLEACHED_DOSES, Y2, METHODS, mode)
+            assert all(fits[m].errors == (None,) * 4 for m in METHODS)
+        assert calls["hess_fn"] == 0 and calls["whess_fn"] > 0
+
     def test_fault_on_a_curve_two_row_names_its_model(self):
         pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=3, seed=45)
         starts = np.tile(theta0, (3, 1))
@@ -603,6 +683,33 @@ class TestCommonSigmaPairs:
                 fit_two_curves_methods(replace(pb, curve2=expo), self.X1, Y1, x2, Y2, METHODS,
                                        mode)
         assert calls == []
+
+
+class TestScoringFallback:
+    def test_rows_that_fall_back_solve_as_alone(self, monkeypatch):
+        # At sigma 0.06 from the truth some rows, ML pairs among them, reject
+        # a Newton step and take scoring steps, written into the stack's
+        # Newton trial; each row still solves as it does alone.
+        pb, theta0, Y1, Y2 = two_curve_data(0.06, rows=8, seed=72)
+        scored, scoring = [], _newton._Iterate.scoring
+
+        def counted(self, table, rows):
+            scored.extend(self.k[rows].tolist())
+            return scoring(self, table, rows)
+        monkeypatch.setattr(_newton._Iterate, "scoring", counted)
+        opts = FitOptions(start=theta0)
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        together = fit_two_curves_methods(pb, x1, Y1, x2, Y2, METHODS, MODE_DEFAULT, opts)
+        assert estimators._EQUATIONS.profiled[scored].any() and not all(
+            estimators._EQUATIONS.profiled[scored])
+        for r in range(len(Y1)):
+            alone = fit_two_curves_methods(pb, x1, Y1[r:r + 1], x2, Y2[r:r + 1], METHODS,
+                                           MODE_DEFAULT, opts)
+            for m in METHODS:
+                for name in ("theta_hat", "iterations", "converged", "residual_norm"):
+                    np.testing.assert_array_equal(getattr(together[m], name)[r],
+                                                  getattr(alone[m], name)[0], err_msg=name)
+                assert repr(together[m].errors[r]) == repr(alone[m].errors[0])
 
 
 class TestSolveContract:

@@ -161,6 +161,20 @@ class TestFdCheck:
         rep = fd_check(broken, PAPER_ALPHA, np.array([0.0, 100.0, 500.0]))
         assert not rep.passed
 
+    def test_stale_contraction_is_flagged(self, satexp):
+        # The curve at twice the dose: its gradient and Hessian are replaced,
+        # and pass, but the contraction left from the original is stale.
+        xs = np.array([0.0, 100.0, 500.0])
+        doubled = replace(satexp, eval_fn=lambda x, t: satexp.eval_fn(2.0 * x, t),
+                          grad_fn=lambda x, t: satexp.grad_fn(2.0 * x, t),
+                          hess_fn=lambda x, t: satexp.hess_fn(2.0 * x, t))
+        rep = fd_check(doubled, PAPER_ALPHA, xs)
+        assert rep.grad_max_rel_err < 1e-5 and not rep.passed
+        mended = replace(doubled, whess_fn=lambda x, t, c: satexp.whess_fn(2.0 * x, t, c))
+        assert fd_check(mended, PAPER_ALPHA, xs).passed
+        wrong = replace(satexp, whess_fn=lambda x, t, c: 1.01 * satexp.whess_fn(x, t, c))
+        assert fd_check(wrong, PAPER_ALPHA, xs).hess_max_rel_err > 5e-3
+
     def test_requires_analytic_derivatives(self):
         model = ModelFunction(name="bare", p=1, param_names=("a",),
                               eval_fn=lambda x, t: t[0] * x)

@@ -150,3 +150,25 @@ def test_common_sigma_pairs_do_not_depend_on_the_stack(pairs):
                     np.testing.assert_array_equal(getattr(batch, name)[r],
                                                   getattr(other, name)[i], err_msg=method)
                 assert repr(batch.errors[r]) == repr(other.errors[i]), method
+
+
+CONTRACTION_ROW = st.tuples(
+    st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    st.lists(st.floats(-1e3, 1e3), min_size=X.size, max_size=X.size),
+    st.integers(1, X.size))
+
+
+@given(rows=st.lists(CONTRACTION_ROW, min_size=1, max_size=4))
+def test_contracted_hessian_matches_the_hessian_stack(rows):
+    # Rows padded after their first ``live`` observations, as a solver stack
+    # pads a short curve: pads repeat the last dose and weigh zero.
+    live = np.array([n for _, _, n in rows])
+    pad = np.arange(X.size) >= live[:, None]
+    theta = PAPER_ALPHA * np.array([shape for shape, _, _ in rows])
+    x = np.where(pad, X[live - 1, None], X)
+    c = np.where(pad, 0.0, np.array([w for _, w, _ in rows]))
+    H = MODEL.hess_rows(x, theta)
+    want = np.einsum("ri,rijk->rjk", c, H)
+    size = np.einsum("ri,rijk->rjk", np.abs(c), np.abs(H)).max(axis=(-2, -1))
+    gap = np.abs(MODEL.whess_rows(x, theta, c) - want).max(axis=(-2, -1))
+    assert np.all(gap <= 1e-13 * size), gap / size

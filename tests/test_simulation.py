@@ -246,7 +246,8 @@ class TestStudyStack:
     def test_summary_does_not_depend_on_stack_rows(self, monkeypatch, stack_rows):
         design = self.redrawing_design()
         default = run_study(design)
-        monkeypatch.setattr(simulation, "STACK_ROWS", stack_rows)
+        monkeypatch.setattr(simulation, "STACK_OBSERVATIONS",
+                            stack_rows * sum(x.size for x, _ in design.means))
         split = run_study(design)
         assert split.truths == default.truths
         assert split.results == default.results
