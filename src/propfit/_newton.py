@@ -27,9 +27,22 @@ iteration takes the exact Newton step when it lowers both the objective
 and ``max|G|``; otherwise it halves the scoring step (the Jacobian
 replaced by its expectation, per row) until the objective falls, and the
 step it takes replaces the row's rejected Newton trial. Near the
-root the objective stops changing beyond rounding, so a change within a
-few ulps counts as no rise when ``max|G|`` falls. A row has converged when
-``max|G| <= max(tol_absolute, tol_relative * scale)`` at its current iterate.
+root the objective ``Q`` stops changing beyond rounding, so a rise within
+its rounding level ``16 eps (|Q| + sum_i |c_i f_i|)`` counts as no rise
+when ``max|G|`` falls: the first term is the rounding of ``Q``'s own
+terms, the second what rounding the means ``f`` to ``eps`` moves ``Q`` by
+(over ``s^2`` for ML's profiled objective, whose gradient is ``G/s^2``).
+
+A row has converged when every component of ``G`` at its current iterate
+meets ``|G_j| <= max(tol_relative * S_j, 64 eps F_j)``: ``S_j = sum_i |c_i
+df_i/dtheta_j|`` is the size of the terms of ``G_j`` and ``F_j = sum_i
+|c'_i f_i df_i/dtheta_j|`` the rounding level of ``G_j``, which rounding
+the means ``f`` to ``eps`` moves it by. Both follow the units of ``x`` and
+``y`` as ``G_j`` does, so the test is unit-free, and the second is the
+floor below which no step can lower ``|G_j|``: on noise-free data, where
+``S_j`` tends to zero at the root, the row stops there. A pair converges
+when both its rows do. A row's ``tolerance`` is the larger of its bounds
+(of its pair's), so ``max|G| <= tolerance`` when it has converged.
 
 A row stops moving once it converges, finds no step, runs out of
 iterations or fails. Non-convergence is not an error: the row's iterate with
@@ -50,8 +63,12 @@ from .exceptions import NonFiniteError, SingularError
 from .models import FAULT_HESSIAN, FAULT_ZERO_MEAN, Array, ModelFunction, fault_error
 
 _MAX_HALVINGS = 20
-# Objective changes within this many ulps are rounding, not a rise.
-_OBJECTIVE_ULPS = 8
+_EPS = np.finfo(float).eps
+# |G_j| within this many eps of its rounding level F_j has converged.
+_RESIDUAL_ULPS = 64
+# Objective rises within this many eps of |Q| + sum_i |c_i f_i| are
+# rounding, not a rise.
+_OBJECTIVE_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -206,19 +223,16 @@ class _Iterate:
     """Iterates over a stack of datasets, one row each, row ``r`` of the
     equation ``k[r]`` of a table: ``theta (m, p)`` with ``data`` (:class:`_Data`).
 
-    Per row: ``objective``, ``scale`` (the size ``max_j sum_i |c_i
-    df_i/dtheta_j|`` of the terms of ``G``), ``norm`` (``max|G|``) and
-    ``fault`` (0 where the equation is defined, else a
-    :func:`~propfit.models.fault_error` code); ``residual``
-    is ``G``, ``f`` the means, ``G`` their gradient, ``c`` the weights and
-    ``s2`` ML's scale (zero for the other equations).
+    Per row: ``objective``, ``norm`` (``max|G|``) and ``fault`` (0 where
+    the equation is defined, else a :func:`~propfit.models.fault_error`
+    code); ``residual`` is ``G``, ``f`` the means, ``G`` their gradient,
+    ``c`` the weights and ``s2`` ML's scale (zero for the other equations).
     """
 
     theta: Array
     k: Array
     objective: Array
     residual: Array
-    scale: Array
     norm: Array
     fault: Array
     data: _Data
@@ -252,24 +266,51 @@ class _Iterate:
                 vars(self)[name] = rows = rows if rows.flags.writeable else rows.copy()
                 rows[index] = vars(other)[name][which]
 
+    def dweight(self, table: _Table) -> Array:
+        """``c'``, the derivative of the weights in ``f``, per row and observation."""
+        with np.errstate(all="ignore"):
+            return _pick(table, self.k, "dweight", self.f, self.data.y)
+
+    def bounds(self, dc: Array, tol_relative: float) -> Array:
+        """Per row and parameter, the bound ``max(tol_relative * S_j, 64 eps
+        F_j)`` on ``|G_j|`` (see the module docstring), ``dc`` the rows'
+        :meth:`dweight`."""
+        G = np.abs(self.G)
+        with np.errstate(all="ignore"):
+            terms = (np.abs(self.c)[..., None, :] @ G)[..., 0, :]
+            rounding = (np.abs(dc * self.f)[..., None, :] @ G)[..., 0, :]
+            return np.maximum(tol_relative * terms, _RESIDUAL_ULPS * _EPS * rounding)
+
+    def rounding(self, table: _Table) -> Array:
+        """Per row, the objective's rounding level ``16 eps (|Q| + sum_i |c_i
+        f_i|)`` (the sum a pair's over both rows, and over ``s^2`` for ML's
+        profiled objective; see the module docstring)."""
+        with np.errstate(all="ignore"):
+            level = self.data.pairwise(np.add, np.sum(np.abs(self.c * self.f), axis=-1))
+            ml = _rows(table.profiled[self.k])
+            if ml is not None:
+                level[ml] /= self.s2[ml]
+            return _OBJECTIVE_ULPS * _EPS * (np.abs(self.objective) + level)
+
     def jacobian(self, table: _Table) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms) per row, ``sum c_i H_i`` from the row's model's
         ``whess_rows``. Rows where that is non-finite are marked in ``fault``."""
-        return self.blocks(table)[0]
+        return self.blocks(table, self.dweight(table))[0]
 
-    def blocks(self, table: _Table) -> tuple[Array, Array | None]:
+    def blocks(self, table: _Table, dc: Array) -> tuple[Array, Array | None]:
         """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
         in its mate's parameters (None with no pair): ML's ``sum J ds^2'``,
-        zero for the other equations. The models contract their Hessians with
-        ``c`` (:meth:`~propfit.models.ModelFunction.whess_rows`)."""
+        zero for the other equations; ``dc`` is the rows' :meth:`dweight`.
+        The models contract their Hessians with ``c``
+        (:meth:`~propfit.models.ModelFunction.whess_rows`)."""
         y, f, G, c = self.data.y, self.f, self.G, self.c
         p, pairs = G.shape[-1], self.data.pairs
         off = np.zeros(G.shape[:1] + (p, p)) if pairs else None
         with np.errstate(all="ignore"):
             A = self.data.call("whess_rows", self.theta, c)
             bad = ~np.all(np.isfinite(A), axis=(-2, -1))
-            A += _t(G * _pick(table, self.k, "dweight", f, y)[..., None]) @ G
+            A += _t(G * dc[..., None]) @ G
             ml = _rows(table.profiled[self.k])
             if ml is not None:
                 y, f, G = y[ml], f[ml], G[ml]
@@ -301,8 +342,8 @@ class _Iterate:
 def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> _Iterate:
     """The equations ``table.equations[k]`` (one index per row) at ``theta (m, p)``
     for the datasets ``data``; ``sigma`` freezes ML's scale. Undefined rows
-    are flagged in ``fault``, not raised. A pair's rows carry its objective,
-    scale and ``max|G|``, those of one dataset of both rows' observations."""
+    are flagged in ``fault``, not raised. A pair's rows carry its objective
+    and ``max|G|``, those of one dataset of both rows' observations."""
     theta, k = np.asarray(theta, dtype=float), np.asarray(k)
     y, live, pairs = data.y, data.live, data.pairs
     with np.errstate(all="ignore"):
@@ -326,12 +367,11 @@ def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> 
         if live is not None:
             G, c = np.where(live[..., None], G, 0.0), np.where(live, c, 0.0)
         residual = (c[..., None, :] @ G)[..., 0, :]
-        scale = np.max((np.abs(c)[..., None, :] @ np.abs(G))[..., 0, :], axis=-1)
         norm = np.max(np.abs(residual), axis=-1)
         if not pairs:
             objective = _pick(table, k, "objective", f, y, live, data.n)
         else:
-            norm, scale = data.pairwise(np.maximum, norm), data.pairwise(np.maximum, scale)
+            norm = data.pairwise(np.maximum, norm)
             objective, two = np.empty(len(k)), 2 * pairs
             if two < len(k):
                 objective[two:] = _pick(table, k[two:], "objective", f[two:], y[two:],
@@ -342,8 +382,8 @@ def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> 
             objective[:two] = np.repeat(_pick(
                 table, k[0:two:2], "objective", join(f), join(y), join(live),
                 data.n[0:two:2] + data.n[1:two:2]), 2)
-    return _Iterate(theta=theta, k=k, objective=objective, residual=residual, scale=scale,
-                    norm=norm, fault=fault, data=data, f=f, G=G, c=c, s2=s2)
+    return _Iterate(theta=theta, k=k, objective=objective, residual=residual, norm=norm,
+                    fault=fault, data=data, f=f, G=G, c=c, s2=s2)
 
 
 @dataclass
@@ -399,15 +439,16 @@ def _newton_steps(jacobian: Array, off: Array | None, residual: Array, data: _Da
     return step
 
 
-def _no_rise(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    # An objective that is +inf on both sides leaves the decision to max|G|;
-    # spacing(inf) is NaN, so only the first test can pass there.
+def _no_rise(new: np.ndarray, old: np.ndarray, level: np.ndarray) -> np.ndarray:
+    # Where the old objective is infinite its level is infinite or NaN, and
+    # the second test adds nothing to the first: an objective infinite on
+    # both sides leaves the decision to max|G|.
     with np.errstate(invalid="ignore"):
-        return (new <= old) | (new <= old + _OBJECTIVE_ULPS * np.spacing(np.abs(old)))
+        return (new <= old) | (new <= old + level)
 
 
-def _advance(table: _Table, pt: _Iterate):
-    """One iteration of every row of ``pt``.
+def _advance(table: _Table, pt: _Iterate, dc: Array):
+    """One iteration of every row of ``pt``, ``dc`` its :meth:`~_Iterate.dweight`.
 
     Returns the next iterate of the rows that moved, their positions in
     ``pt`` (ascending) and ``{position: error}`` for the rows that failed.
@@ -417,7 +458,7 @@ def _advance(table: _Table, pt: _Iterate):
     """
     m = len(pt.k)
     failures = {}
-    jacobian, off = pt.blocks(table)
+    jacobian, off = pt.blocks(table, dc)
     live, data = np.arange(m), pt.data
     if pt.fault.any():
         failed = data.pairwise(np.logical_or, pt.fault != 0)
@@ -427,11 +468,12 @@ def _advance(table: _Table, pt: _Iterate):
             return None, live, failures
         data, jacobian = data[live], jacobian[live]
         off = None if off is None else off[live]
-    norm, objective = pt.norm, pt.objective
+    norm, objective, level = pt.norm, pt.objective, pt.rounding(table)
 
     delta = _newton_steps(jacobian, off, pt.residual[live], data)
     trial = _point(table, data, pt.theta[live] + delta, pt.k[live])
-    moved = trial.defined & (trial.norm < norm[live]) & _no_rise(trial.objective, objective[live])
+    moved = trial.defined & (trial.norm < norm[live]) & _no_rise(
+        trial.objective, objective[live], level[live])
     if moved.all():
         return trial, live, failures
 
@@ -452,7 +494,7 @@ def _advance(table: _Table, pt: _Iterate):
         new = _point(table, pt.data[rows], pt.theta[rows] + step, pt.k[rows])
         old = objective[rows]
         ok = new.defined & ((new.objective < old)
-                            | ((new.norm < norm[rows]) & _no_rise(new.objective, old)))
+                            | ((new.norm < norm[rows]) & _no_rise(new.objective, old, level[rows])))
         if ok.any():
             trial.put(pending[ok], new, ok)
             moved[pending[ok]] = True
@@ -461,8 +503,7 @@ def _advance(table: _Table, pt: _Iterate):
 
 
 def solve(table: _Table, data: _Data, theta0, k, *,
-          tol_relative: float = 1e-8, tol_absolute: float = 1e-10,
-          max_iter: int = 100) -> SolveResult:
+          tol_relative: float = 1e-8, max_iter: int = 100) -> SolveResult:
     """Drive the equation ``table.equations[k[r]]`` to zero for every dataset
     of ``data``, from its row of ``theta0 (R, p)``. The rows of each equation
     must be contiguous in ``k``; ``ValueError`` otherwise.
@@ -490,22 +531,32 @@ def solve(table: _Table, data: _Data, theta0, k, *,
         for i, error in pt.errors(~keep).items():
             result.errors[i] = error
         pt, rows = pt.take(keep), rows[keep]
-    best_theta, best_norm, best_scale = pt.theta, pt.norm, pt.scale
+    # Each row's iterate with the smallest max|G| so far, with its tolerance.
+    best_theta, best_norm, best_tol = pt.theta, np.full(len(rows), np.inf), np.zeros(len(rows))
     # Active rows start together and leave when they stop, so they share a count.
     iterations = 0
 
     def stop(which) -> None:
         result.finish(rows[which], best_theta[which], iterations, False, best_norm[which],
-                      np.maximum(tol_absolute, tol_relative * best_scale[which]))
+                      best_tol[which])
 
     while rows.size:
-        tol = np.maximum(tol_absolute, tol_relative * pt.scale)
-        done = pt.norm <= tol
+        dc = pt.dweight(table)
+        bounds = pt.bounds(dc, tol_relative)
+        tol = pt.data.pairwise(np.maximum, np.max(bounds, axis=-1))
+        better = pt.norm < best_norm
+        if better.all():
+            best_theta, best_norm, best_tol = pt.theta, pt.norm, tol
+        elif better.any():
+            best_theta = np.where(better[:, None], pt.theta, best_theta)
+            best_norm = np.where(better, pt.norm, best_norm)
+            best_tol = np.where(better, tol, best_tol)
+        done = pt.data.pairwise(np.logical_and, np.all(np.abs(pt.residual) <= bounds, axis=-1))
         if done.any():
             result.finish(rows[done], pt.theta[done], iterations, True, pt.norm[done], tol[done])
             go = ~done
-            pt, rows = pt.take(go), rows[go]
-            best_theta, best_norm, best_scale = best_theta[go], best_norm[go], best_scale[go]
+            pt, rows, dc = pt.take(go), rows[go], dc[go]
+            best_theta, best_norm, best_tol = best_theta[go], best_norm[go], best_tol[go]
             if not rows.size:
                 break
         if iterations == max_iter:
@@ -513,7 +564,7 @@ def solve(table: _Table, data: _Data, theta0, k, *,
             break
         iterations += 1
 
-        nxt, moved, failures = _advance(table, pt)
+        nxt, moved, failures = _advance(table, pt, dc)
         for i, exc in failures.items():
             result.errors[rows[i]] = exc
         if len(moved) < len(rows):
@@ -522,15 +573,6 @@ def solve(table: _Table, data: _Data, theta0, k, *,
             stuck[list(failures)] = False
             stop(stuck)
             rows = rows[moved]
-            best_theta, best_norm, best_scale = (best_theta[moved], best_norm[moved],
-                                                 best_scale[moved])
+            best_theta, best_norm, best_tol = best_theta[moved], best_norm[moved], best_tol[moved]
         pt = nxt
-        if rows.size:
-            better = pt.norm < best_norm
-            if better.all():
-                best_theta, best_norm, best_scale = pt.theta, pt.norm, pt.scale
-            elif better.any():
-                best_theta = np.where(better[:, None], pt.theta, best_theta)
-                best_norm = np.where(better, pt.norm, best_norm)
-                best_scale = np.where(better, pt.scale, best_scale)
     return result

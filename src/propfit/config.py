@@ -119,7 +119,7 @@ def parse_config(document: dict) -> RunConfig:
         fields["output_format"] = document["output"]["format"]
 
     fit_section = document.get("fit", {})
-    casts = {"tol_residual": float, "tol_absolute": float, "max_iter": int}
+    casts = {"tol_residual": float, "max_iter": int}
     options = {key: cast(fit_section[key]) for key, cast in casts.items() if key in fit_section}
     if "start" in fit_section:
         start = fit_section["start"]

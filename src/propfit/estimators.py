@@ -60,22 +60,26 @@ def _check_method(method: str) -> str:
 class FitOptions:
     """Solver controls.
 
-    A fit has converged when ``max|G| <= max(tol_absolute, tol_residual *
-    scale)``, where ``G`` is the estimating equation and ``scale`` is
-    ``max_j sum_i |c_i df_i/dtheta_j|``, the size of the terms of ``G =
-    sum_i c_i grad f_i`` at the current iterate. ``start`` is a parameter
+    A fit has converged when, at the current iterate, every component of
+    the estimating equation ``G = sum_i c_i grad f_i`` meets ``|G_j| <=
+    max(tol_residual * S_j, 64 eps F_j)``: ``S_j = sum_i |c_i
+    df_i/dtheta_j|`` is the size of the terms of ``G_j`` and ``F_j = sum_i
+    |c'_i f_i df_i/dtheta_j|`` its rounding level, which the solver
+    computes (see :mod:`propfit._newton`). Both change with ``G_j`` when
+    ``x`` or ``y`` change units, so the test does not depend on units, and
+    the rounding floor makes every ``tol_residual`` reachable. The fit's
+    ``tolerance`` is the largest of these bounds. ``start`` is a parameter
     vector (for a stack, one shared vector or one row per dataset) or
     ``"auto"``: each row's :attr:`~propfit.models.ModelFunction.start_hint`,
     or ones for a model without a hint.
     """
 
     tol_residual: float = 1e-8
-    tol_absolute: float = 1e-10
     max_iter: int = 100
     start: object = "auto"
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.tol_absolute <= 0:
+        if self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -315,7 +319,7 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     in_pairs = np.array([m in coupled for m in methods], dtype=bool)[live // CR]
     stack = replace(data[rows], pairs=int(np.count_nonzero(in_pairs)) // 2)
     sol = solve(_EQUATIONS, stack, start[rows], k, tol_relative=opts.tol_residual,
-                tol_absolute=opts.tol_absolute, max_iter=opts.max_iter)
+                max_iter=opts.max_iter)
     squares, fault = _squares(stack, sol.theta)
     for i, (error, code) in enumerate(zip(sol.errors, fault)):
         if error or code:

@@ -166,7 +166,7 @@ def test_criterion_5_order_sigma_equivalence(satexp, satexp_grid):
     eps = rng.standard_normal(satexp_grid.n)
     bundle = build_jacobian_bundle(satexp, satexp_grid, PAPER_ALPHA)
     ols = bundle.JtJ_inv @ (bundle.J.T @ eps)
-    opts = dict(tol_residual=1e-14, tol_absolute=1e-18, max_iter=200)
+    opts = dict(tol_residual=1e-14, max_iter=200)
 
     ok = True
     details = []

@@ -582,7 +582,8 @@ class TestTwoCurveStack:
     @pytest.mark.parametrize("method", METHODS)
     def test_pads_add_nothing(self, satexp, method):
         # Rows of 13 points stacked with rows of 16: the padded rows' equation,
-        # Jacobian, scale and objective agree with the same rows alone.
+        # Jacobian, convergence bounds and objective (and its rounding level)
+        # agree with the same rows alone.
         x = DEFAULT_BLEACHED_DOSES
         Y = noisy_stack(satexp, x, PAPER_ALPHA, 0.05, rows=4, seed=47)
         theta = PAPER_ALPHA * (1.0 + 0.01 * np.arange(1, 4))
@@ -593,8 +594,11 @@ class TestTwoCurveStack:
         data = estimators._stack(((satexp, x, Y), (satexp, X, longer)))
         assert data.live is not None and not data.live[:4, 13:].any()
         padded = estimators._point(table, data[np.arange(4)], [theta] * 4, k)
-        for name in ("residual", "scale", "objective", "s2"):
+        for name in ("residual", "objective", "s2"):
             np.testing.assert_allclose(getattr(padded, name), getattr(alone, name), rtol=1e-13)
+        np.testing.assert_allclose(padded.bounds(padded.dweight(table), 1e-8),
+                                   alone.bounds(alone.dweight(table), 1e-8), rtol=1e-13)
+        np.testing.assert_allclose(padded.rounding(table), alone.rounding(table), rtol=1e-13)
         np.testing.assert_allclose(padded.jacobian(table), alone.jacobian(table), rtol=1e-12)
 
 

@@ -400,14 +400,12 @@ class TestFitCommand:
         assert main(["fit", "--data", str(path)]) == 2
 
     def test_all_methods_failing_exits_3(self, tmp_path, capsys):
-        # Unreachable tolerance: every method returns flagged, partial
-        # results still rendered.  (y chosen so no root is float-exact.)
+        # One iteration cannot reach any method's root: every method returns
+        # flagged, partial results still rendered.
         data = tmp_path / "data.csv"
         data.write_text("x,y\n0,1.1\n1,2.3\n2,2.9\n")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": "constant",
-                                   "fit": {"tol_residual": 1e-30,
-                                           "tol_absolute": 1e-300}}))
+        cfg.write_text(json.dumps({"model": "exponential", "fit": {"max_iter": 1}}))
         code = main(["fit", "--data", str(data), "--config", str(cfg),
                      "--format", "text"])
         assert code == 3
