@@ -366,7 +366,8 @@ class TestErrors:
         res = fit(satexp, data, "ql", replace(opts, max_iter=full.iterations - 1))
         assert not res.converged
         assert np.all(np.isfinite(res.theta_hat))
-        assert res.residual_norm < 1e-11  # best iterate is still excellent
+        # The best iterate is still excellent: it meets the default tolerance.
+        assert res.residual_norm <= fit(satexp, data, "ql", FitOptions(start=PAPER_ALPHA)).tolerance
 
     def test_max_iter_returns_best_iterate_flagged(self, satexp):
         data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), PAPER_ALPHA, 0.02, seed=2)
