@@ -41,8 +41,9 @@ the means ``f`` to ``eps`` moves it by. Both follow the units of ``x`` and
 ``y`` as ``G_j`` does, so the test is unit-free, and the second is the
 floor below which no step can lower ``|G_j|``: on noise-free data, where
 ``S_j`` tends to zero at the root, the row stops there. A pair converges
-when both its rows do. A row's ``tolerance`` is the larger of its bounds
-(of its pair's), so ``max|G| <= tolerance`` when it has converged.
+when both its rows do. A row's ``tolerance`` is the largest of its bounds
+(a pair's, of both rows' bounds), so ``max|G| <= tolerance`` when it has
+converged.
 
 A row stops moving once it converges, finds no step, runs out of
 iterations or fails. Non-convergence is not an error: the row's iterate with
