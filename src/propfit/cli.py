@@ -162,8 +162,7 @@ def _fit_report(config: RunConfig, curves: dict) -> dict:
     except (PropfitError, ValueError) as exc:
         fits = dict.fromkeys(methods, exc)
     rows = formulae(model, xs, {m: res.theta_hat for m, res in fits.items()
-                                if not isinstance(res, Exception)},
-                    modes, config.gamma_bracket)
+                                if not isinstance(res, Exception)}, modes)
     entries: dict = {}
     for method, res in fits.items():
         label = {"mode": modes[method]} if two else {}

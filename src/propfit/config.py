@@ -38,7 +38,6 @@ class RunConfig:
     model: str = "saturating_exponential"
     methods: tuple[str, ...] = METHODS
     mode: str = MODE_DEFAULT
-    gamma_bracket: tuple[float, float] | None = None
     fit_options: FitOptions = field(default_factory=FitOptions)
     sim: dict | None = None
     output_format: str = "text"
@@ -83,7 +82,6 @@ class RunConfig:
                 methods=self.methods,
                 fit_mode=self.mode,
                 fit_options=self.fit_options,
-                gamma_bracket=self.gamma_bracket,
                 **optional,
             )
         except ValueError as exc:
@@ -110,11 +108,6 @@ def parse_config(document: dict) -> RunConfig:
     fields = {key: document[key] for key in ("model", "mode") if key in document}
     if document.get("methods", "all") != "all":
         fields["methods"] = tuple(document["methods"])
-    if "gamma_bracket" in document:
-        lo, hi = fields["gamma_bracket"] = tuple(float(v) for v in document["gamma_bracket"])
-        if not -np.inf < lo < hi < np.inf:
-            raise ConfigError(f"invalid config at gamma_bracket: {[lo, hi]} is not lo < hi, "
-                              "both finite")
     if "format" in document.get("output", {}):
         fields["output_format"] = document["output"]["format"]
 

@@ -136,40 +136,13 @@ def beta1_from_gamma(alpha, beta2: float, beta3: float, gamma: float) -> float:
     return float(numer / denom)
 
 
-def _brackets(model: PartialBleachModel, theta, bracket) -> tuple[Array, Array, Array]:
-    """``theta`` as joint rows ``(R, p)``, and the scan range of each row:
-    ``bracket``'s bounds (each a float or one per row) or, for None,
-    :func:`default_gamma_bracket`'s."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != model.p:
-        raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
-    if bracket is None:
-        shift = np.minimum(theta[:, 1], theta[:, model.curve1.p + 1])
-        lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
-        return theta, np.where(lo < 0.0, lo, -1.0), np.zeros(len(theta))
-    lo, hi = np.asarray(bracket[0], dtype=float), np.asarray(bracket[1], dtype=float)
-    if not np.all(lo < hi):
-        raise ValueError(f"invalid bracket {bracket!r}")
-    return theta, np.broadcast_to(lo, (len(theta),)), np.broadcast_to(hi, (len(theta),))
-
-
-def default_gamma_bracket(model: PartialBleachModel, theta) -> tuple[float, float]:
-    """Scan range for the intersection: negative doses where both curves are live.
-
-    Extends 0.1% below the smaller dose shift so an intersection sitting
-    exactly at -min(alpha2, beta2), as for equal-shape curve pairs, is still
-    bracketed.
-    """
-    _, lo, hi = _brackets(model, np.concatenate(model.split(theta))[None, :], None)
-    return float(lo[0]), float(hi[0])
-
-
 def _gap(model: PartialBleachModel, x: Array, alpha: Array, beta: Array):
     """``g(x)`` per row, and per row the first curve (1 or 2) whose evaluation
     faults and its fault code (0 where neither does)."""
     g1, fault1 = model.curve1.eval_rows(x, alpha)
     g2, fault2 = model.curve2.eval_rows(x, beta)
-    return g1 - g2, np.where(fault1 != 0, 1, 2), np.where(fault1 != 0, fault1, fault2)
+    with np.errstate(invalid="ignore"):  # both curves overflow far below zero
+        return g1 - g2, np.where(fault1 != 0, 1, 2), np.where(fault1 != 0, fault1, fault2)
 
 
 # Iterations of the root polish; bisection alone halves the bracket each time.
@@ -204,6 +177,71 @@ def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: A
     return x
 
 
+# The most times a row's scan range doubles its depth. The bundled design's
+# fits overflow after 10 to 12 (a saturating exponential does so 709 rates
+# below its shift); the cap ends only scans of curves that never overflow.
+_WIDENINGS = 40
+
+
+def _roots(model: PartialBleachModel, theta, bracket) -> tuple[Array, tuple, Array, Array]:
+    """:func:`solve_gamma_batch`'s roots and errors, and per row the ends
+    ``lo`` and ``hi`` of the range that found its root (meaningless for a
+    row without one)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != model.p:
+        raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
+    R, p1 = len(theta), model.curve1.p
+    if bracket is None:
+        # 0.1% below -min(alpha2, beta2), where equal-shape curve pairs cross.
+        shift = np.minimum(theta[:, 1], theta[:, p1 + 1])
+        lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
+        lo, hi = np.where(lo < 0.0, lo, -1.0), np.zeros(R)
+    else:
+        lo, hi = (np.full(R, b, dtype=float) for b in bracket)
+        if not np.all(lo < hi):
+            raise ValueError(f"invalid bracket {bracket!r}")
+    top, active = hi.copy(), np.arange(R)
+    gammas, counts, errors = np.full(R, np.nan), np.zeros(R, dtype=int), [None] * R
+    for k in range(_WIDENINGS + 1 if bracket is None else 1):
+        if k:  # the rows left scan the extension [2 lo, lo] of their range
+            lo[active], hi[active] = 2.0 * lo[active], lo[active]
+        a, b = lo[active], hi[active]
+        alpha, beta = theta[active, :p1], theta[active, p1:]
+        xs = np.linspace(a, b, DEFAULT_GRID_POINTS, axis=-1)
+        gs, curve, fault = _gap(model, xs, alpha, beta)
+        sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
+        rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+        zero_rows, zero_ks = np.nonzero(sign == 0.0)
+        # Each row's candidates, its polished roots and its grid zeros, sorted
+        # closest to zero first (the smaller of two as close).
+        row = np.concatenate([rows, zero_rows])
+        root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
+                                       xs[rows, ks + 1], gs[rows, ks], 1e-8 * (b - a)[rows]),
+                               xs[zero_rows, zero_ks]])
+        order = np.lexsort((root, np.abs(root), row))
+        first = np.searchsorted(row[order], np.arange(len(active) + 1))
+        counts[active] = count = np.diff(first)
+        found = count > 0
+        gammas[active[found]] = root[order][first[:-1][found]]
+        if k:  # an extension that overflows ends its row on the last finite range
+            lo[active[fault != 0]] = b[fault != 0]
+        else:
+            for i in np.flatnonzero(fault):
+                errors[i] = fault_error(model.curve1 if curve[i] == 1 else model.curve2,
+                                        int(fault[i]))
+        active = active[(fault == 0) & ~found]
+        if not active.size:
+            break
+    for r in np.flatnonzero(counts == 0):
+        if errors[r] is None:
+            errors[r] = NoBracketError(
+                f"no sign change of the curve gap over [{lo[r]:.6g}, {top[r]:.6g}]")
+    for r in np.flatnonzero(counts > 1):
+        warnings.warn(f"{counts[r]} intersection roots found; returning the one closest to zero",
+                      MultipleRootWarning, stacklevel=3)
+    return gammas, tuple(errors), lo, hi
+
+
 def solve_gamma_batch(model: PartialBleachModel, theta,
                       bracket: tuple[float, float] | None = None) -> tuple[Array, tuple]:
     """:func:`solve_gamma` for every row of ``theta (R, p)`` at once; each
@@ -211,55 +249,29 @@ def solve_gamma_batch(model: PartialBleachModel, theta,
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
     for that row (None where it returns; such a row's root is NaN). Each
-    row's root is the same whatever else is in the stack: one
-    :func:`_polish` loop finds every sign change's root, and one sort picks
-    every row's.
+    row's root is the same whatever else is in the stack: each round's one
+    :func:`_polish` loop finds the root of every sign change in it, one sort
+    picks every row's, and only the rows without one go on to the next.
     """
-    theta, lo, hi = _brackets(model, theta, bracket)
-    R, p1 = len(theta), model.curve1.p
-    alpha, beta = theta[:, :p1], theta[:, p1:]
-    xtol = 1e-8 * (hi - lo)
-
-    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
-    gs, curve, fault = _gap(model, xs, alpha, beta)
-    sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
-    rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    zero_rows, zero_ks = np.nonzero(sign == 0.0)
-    # Each row's candidates, its polished roots and its grid zeros, sorted
-    # closest to zero first (the smaller of two as close).
-    row = np.concatenate([rows, zero_rows])
-    root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
-                                   xs[rows, ks + 1], gs[rows, ks], xtol[rows]),
-                           xs[zero_rows, zero_ks]])
-    order = np.lexsort((root, np.abs(root), row))
-    first = np.searchsorted(row[order], np.arange(R + 1))
-    count = np.diff(first)
-    found = count > 0
-    gammas, errors = np.full(R, np.nan), [None] * R
-    gammas[found] = root[order][first[:-1][found]]
-    for r in np.flatnonzero(fault):
-        errors[r] = fault_error(model.curve1 if curve[r] == 1 else model.curve2, int(fault[r]))
-    for r in np.flatnonzero((fault == 0) & ~found):
-        errors[r] = NoBracketError(
-            f"no sign change of the curve gap over [{lo[r]:.6g}, {hi[r]:.6g}]")
-    for r in np.flatnonzero(count > 1):
-        warnings.warn(f"{count[r]} intersection roots found; returning the one closest to zero",
-                      MultipleRootWarning, stacklevel=2)
-    return gammas, tuple(errors)
+    return _roots(model, theta, bracket)[:2]
 
 
 def solve_gamma(model: PartialBleachModel, theta,
                 bracket: tuple[float, float] | None = None) -> float:
     """Signed intersection dose: the root of g(x, theta) closest to zero.
 
-    Scans ``DEFAULT_GRID_POINTS`` points across the bracket for sign changes
-    and polishes each with Newton steps on the curves' slope, kept inside
-    the sign change by bisection, to the Newton root of the first step
-    within ``1e-8 * (hi - lo)``. Of those roots and the grid points where
-    the gap is exactly zero, returns the one closest to zero (the smaller
-    of two as close); more than one warns :class:`MultipleRootWarning`, and
-    none raises :class:`NoBracketError`. A stack of one for
-    :func:`solve_gamma_batch`.
+    Scans ``DEFAULT_GRID_POINTS`` points across a range ``[lo, hi]`` for sign
+    changes and polishes each with Newton steps on the curves' slope, kept
+    inside the sign change by bisection, to the Newton root of the first
+    step within ``1e-8 * (hi - lo)``. Of those roots and the grid points
+    where the gap is exactly zero, returns the one closest to zero (the
+    smaller of two as close); more than one warns
+    :class:`MultipleRootWarning`. The range is ``bracket`` or else starts at
+    ``[lo, 0]``, ``lo`` 0.1% below ``-min(alpha2, beta2)``; while it has no
+    root it widens by ``[2 lo, lo]``, scanned the same way, until a curve
+    overflows there or after ``_WIDENINGS`` widenings. No root raises
+    :class:`NoBracketError`, stated over the finite range scanned. A stack
+    of one for :func:`solve_gamma_batch`.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
@@ -390,7 +402,7 @@ class DoseEstimate:
 @dataclass(frozen=True)
 class DoseDerivatives:
     """The intersection dose at a joint theta with its first and second
-    derivatives in the six parameters, and the bracket it was solved in."""
+    derivatives in the six parameters, and the scan range that found it."""
 
     gamma: float
     grad: Array
@@ -398,15 +410,15 @@ class DoseDerivatives:
     bracket: tuple[float, float]
 
 
-def dose_derivatives_batch(model: PartialBleachModel, theta,
-                           bracket: tuple[float, float] | None = None) -> tuple:
+def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     """Solve for gamma at every row of ``theta (R, p)`` with one
     :func:`solve_gamma_batch` scan and differentiate every root found in one
-    array pass: per row its :class:`DoseDerivatives`, or the error solving or
+    array pass: per row its :class:`DoseDerivatives`, whose ``bracket`` is
+    the scan range that found the root, or the error solving or
     differentiating raised (a tangency, or a curve's non-finite gradient or
     Hessian at the root), the same as the row alone gives."""
-    theta, lo, hi = _brackets(model, theta, bracket)
-    gammas, errors = solve_gamma_batch(model, theta, (lo, hi))
+    theta = np.asarray(theta, dtype=float)
+    gammas, errors, lo, hi = _roots(model, theta, None)
     found = np.flatnonzero([e is None for e in errors])
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
@@ -453,8 +465,7 @@ class Formulae:
 
 
 def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
-             modes: dict[str, str] | None = None,
-             bracket: tuple[float, float] | None = None) -> dict[str, Formulae]:
+             modes: dict[str, str] | None = None) -> dict[str, Formulae]:
     """Per method, the :class:`Formulae` of its fit at ``thetas[method]``,
     observed at the covariates ``xs`` (one per curve).
 
@@ -464,7 +475,7 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
     :func:`~propfit.jacobian.join_bundles` makes of them. Each curve gets one
     :func:`~propfit.jacobian.build_jacobian_bundles` stack with a row per
     method, and every dose comes from one :func:`dose_derivatives_batch`
-    scan in ``bracket``. A piece keeps the :class:`PropfitError` building it
+    call. A piece keeps the :class:`PropfitError` building it
     raised; a fit with a failed bundle keeps the first, in curve order. A
     fit needs more observations than parameters: per curve when separate,
     in all when common-sigma; else the call raises ``ValueError``.
@@ -476,7 +487,7 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
     if isinstance(model, ModelFunction):
         return {m: Formulae(m, b if isinstance(b, Exception) else (b,), None)
                 for m, b in zip(methods, build_jacobian_bundles(model, xs[0], T))}
-    doses = dose_derivatives_batch(model, T, bracket)
+    doses = dose_derivatives_batch(model, T)
     p1 = model.curve1.p
     curves = ((model.curve1, np.asarray(xs[0], dtype=float), T[:, :p1]),
               (model.curve2, np.asarray(xs[1], dtype=float), T[:, p1:]))
@@ -497,8 +508,7 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
 
 
 def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method: str,
-                  fit_mode: str = MODE_DEFAULT,
-                  bracket: tuple[float, float] | None = None) -> DoseEstimate:
+                  fit_mode: str = MODE_DEFAULT) -> DoseEstimate:
     """Second-order delta-method bias and standard error of the intersection dose.
 
     Solves for gamma at ``theta`` and pushes the parameter-level order-
@@ -507,8 +517,7 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
     the implicit-function derivatives of gamma: :func:`formulae` for one fit.
     """
     method = method.lower()
-    row = formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)),
-                   bracket)[method]
+    row = formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)))[method]
     return row.estimate(*row.bias_cov(sigma))
 
 

@@ -90,7 +90,6 @@ class SimDesign:
     start: str = "theta0"
     fit_mode: str = MODE_DEFAULT
     fit_options: FitOptions = field(default_factory=FitOptions)
-    gamma_bracket: tuple[float, float] | None = None
     max_redraws: int = 100
 
     def __post_init__(self):
@@ -262,7 +261,7 @@ def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> dict[st
     found = np.ones(len(theta), dtype=bool)
     if design.two_curve:
         # Every method's converged rows are intersected as one stack.
-        gamma, errors = solve_gamma_batch(design.model, theta, bracket=design.gamma_bracket)
+        gamma, errors = solve_gamma_batch(design.model, theta)
         found = np.array([e is None for e in errors], dtype=bool)
         theta = np.concatenate([theta, gamma[:, None]], axis=1)
     out: dict[str, Array] = {}
@@ -308,7 +307,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     # fitted; a piece that cannot be built raises here.
     modes = resolve_modes(design.fit_mode, design.methods) if design.two_curve else None
     rows = formulae(design.model, [x for x, _ in design.means],
-                    dict.fromkeys(design.methods, design.theta0), modes, design.gamma_bracket)
+                    dict.fromkeys(design.methods, design.theta0), modes)
     for row in rows.values():
         for piece in (row.dose, row.bundles):
             if isinstance(piece, Exception):

@@ -26,6 +26,8 @@ PAPER_ALPHA = QNL84_ALPHA
 PAPER_BETA2 = QNL84_BETA2
 PAPER_BETA3 = QNL84_BETA3
 PAPER_GAMMA = QNL84_GAMMA
+# Curve 1 shifted 50 Gy to the left: a bleached curve that never crosses it.
+APART_BETA = np.array([PAPER_ALPHA[0], PAPER_ALPHA[1] + 50.0, PAPER_ALPHA[2]])
 
 
 @pytest.fixture

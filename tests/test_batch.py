@@ -15,7 +15,7 @@ from propfit.equivalent_dose import (
     MODE_DEFAULT,
     MODE_SEPARATE,
     PartialBleachModel,
-    default_gamma_bracket,
+    beta1_from_gamma,
     dose_derivatives_batch,
     fit_two_curves,
     fit_two_curves_methods,
@@ -54,7 +54,7 @@ from propfit.simulation import (
     _run_rows,
     default_partial_bleach_design,
 )
-from conftest import PAPER_ALPHA, stacked_model
+from conftest import APART_BETA, PAPER_ALPHA, stacked_model
 
 X = np.linspace(0.0, 1000.0, 16)
 
@@ -847,39 +847,50 @@ class TestSolveGammaBatch:
             solve_gamma_batch(pb, rows, (lo, np.array([-5.0, -400.0, 0.0])))
 
     def test_dose_derivatives_resolve_default_brackets_once(self, stack, monkeypatch):
+        # One scan of the start ranges finds every row's root.
         pb, rows = stack
-        defaults, resolve = [], equivalent_dose._brackets
+        calls, roots = [], equivalent_dose._roots
 
         def counted(model, theta, bracket):
-            defaults.append(bracket is None)
-            return resolve(model, theta, bracket)
-        monkeypatch.setattr(equivalent_dose, "_brackets", counted)
+            calls.append(bracket)
+            return roots(model, theta, bracket)
+        monkeypatch.setattr(equivalent_dose, "_roots", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootWarning)
             doses = dose_derivatives_batch(pb, rows)
-        assert defaults.count(True) == 1
-        assert doses[0].bracket == default_gamma_bracket(pb, rows[0])
-
+        assert calls == [None]
+        shift = min(PAPER_ALPHA[1], rows[0][4])
+        assert doses[0].bracket == (-shift - 1e-3 * shift, 0.0)
 
     def test_dose_derivatives_rows(self, stack):
-        # A crossing, no crossing in the bracket, and identical curves,
-        # whose closest root is a tangency.
+        # A crossing, one below the start range, curves that never cross,
+        # and identical curves, whose closest root is a tangency.
         pb, rows = stack
-        theta = np.stack([rows[0], rows[2], np.concatenate([PAPER_ALPHA, PAPER_ALPHA])])
-        for bracket in (None, (-122.5, -5.0)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MultipleRootWarning)
-                doses = dose_derivatives_batch(pb, theta, bracket)
-                for r, dose in enumerate(doses):
-                    alone = dose_derivatives_batch(pb, theta[r:r + 1], bracket)[0]
-                    if isinstance(dose, Exception):
-                        assert (type(alone), str(alone)) == (type(dose), str(dose))
-                        continue
-                    assert (dose.gamma, dose.bracket) == (alone.gamma, alone.bracket)
-                    np.testing.assert_array_equal(dose.grad, alone.grad)
-                    np.testing.assert_array_equal(dose.hess, alone.hess)
-        assert isinstance(doses[1], NoBracketError) and isinstance(doses[2], TangencyError)
-        assert doses[0].bracket == (-122.5, -5.0)
+        below = rows[0].copy()
+        below[3] = beta1_from_gamma(PAPER_ALPHA, below[4], below[5], -200.0)
+        theta = np.stack([rows[0], below, np.concatenate([PAPER_ALPHA, APART_BETA]),
+                          np.concatenate([PAPER_ALPHA, PAPER_ALPHA])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            doses = dose_derivatives_batch(pb, theta)
+            gammas, _ = solve_gamma_batch(pb, theta)
+            for r, dose in enumerate(doses):
+                alone = dose_derivatives_batch(pb, theta[r:r + 1])[0]
+                if isinstance(dose, Exception):
+                    assert (type(alone), str(alone)) == (type(dose), str(dose))
+                    continue
+                assert dose.gamma == gammas[r]
+                assert (dose.gamma, dose.bracket) == (alone.gamma, alone.bracket)
+                np.testing.assert_array_equal(dose.grad, alone.grad)
+                np.testing.assert_array_equal(dose.hess, alone.hess)
+        assert isinstance(doses[2], NoBracketError) and isinstance(doses[3], TangencyError)
+        shift = min(PAPER_ALPHA[1], rows[0][4])
+        lo = -shift - 1e-3 * shift
+        assert doses[0].bracket == (lo, 0.0)
+        # The crossing below the start range [lo, 0] is found in its extension.
+        assert doses[1].bracket == (2.0 * lo, lo)
+        assert 2.0 * lo < doses[1].gamma < lo
+        assert doses[1].gamma == pytest.approx(-200.0, abs=1e-6)
         with pytest.raises(ValueError, match=r"joint theta must have shape \(R, 6\)"):
             dose_derivatives_batch(pb, rows[:, :5])
 
@@ -1042,7 +1053,7 @@ class TestDoseDerivativeStack:
     BETA = np.array([95717.80268403766, 192.547, 756.62])
 
     def test_rows_match_the_one_row_code(self):
-        # A crossing, a scaled crossing, no crossing in the bracket, identical
+        # A crossing, a scaled crossing, curves that never cross, identical
         # curves (a tangency at the closest root) and crossings where a
         # curve's gradient or Hessian is non-finite.
         pb = partial_bleach_model()
@@ -1053,15 +1064,15 @@ class TestDoseDerivativeStack:
         thetas = np.array([
             theta0,
             theta0 * np.array([2.5, 1, 1, 2.5, 1, 1]),
-            np.concatenate([PAPER_ALPHA, [1.7 * PAPER_ALPHA[0], *PAPER_ALPHA[1:]]]),
+            np.concatenate([PAPER_ALPHA, APART_BETA]),
             np.concatenate([PAPER_ALPHA, PAPER_ALPHA]),
             np.concatenate([PAPER_ALPHA, [grad_marker, *self.BETA[1:]]]),
             np.concatenate([PAPER_ALPHA, [hess_marker, *self.BETA[1:]]]),
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootWarning)
-            doses = dose_derivatives_batch(model, thetas, (-122.5, -5.0))
-            gammas, _ = solve_gamma_batch(model, thetas, (-122.5, -5.0))
+            doses = dose_derivatives_batch(model, thetas)
+            gammas, _ = solve_gamma_batch(model, thetas)
             kinds = []
             for theta, gamma, dose in zip(thetas, gammas, doses):
                 kinds.append(type(dose).__name__)

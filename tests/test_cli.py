@@ -32,7 +32,14 @@ from propfit.simulation import (
     replicate_stream,
     run_study,
 )
-from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA, stacked_model
+from conftest import (
+    APART_BETA,
+    PAPER_ALPHA,
+    PAPER_BETA2,
+    PAPER_BETA3,
+    PAPER_GAMMA,
+    stacked_model,
+)
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "partial_bleach_config.json"
 
@@ -47,9 +54,14 @@ def const_csv(tmp_path):
 @pytest.fixture
 def pair_csv(tmp_path):
     """Noise-free two-curve CSV built from the published parameter values."""
-    pb = partial_bleach_model()
     beta1 = beta1_from_gamma(PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA)
-    beta = np.array([beta1, PAPER_BETA2, PAPER_BETA3])
+    return write_pair(tmp_path / "pair.csv", np.array([beta1, PAPER_BETA2, PAPER_BETA3]))
+
+
+def write_pair(path, beta):
+    """Write the noise-free two-curve CSV of the published unbleached curve
+    and the bleached curve ``beta``; returns its path."""
+    pb = partial_bleach_model()
     x1 = np.array([0.0, 0.0, 50.0, 50.0, 100.0, 100.0, 200.0, 200.0,
                    400.0, 400.0, 600.0, 600.0, 800.0, 800.0, 1000.0, 1000.0])
     x2 = np.array([0.0, 0.0, 50.0, 100.0, 100.0, 200.0, 200.0,
@@ -59,7 +71,6 @@ def pair_csv(tmp_path):
         lines.append(f"unbleached,{x},{float(pb.curve1.eval(float(x), PAPER_ALPHA))!r}")
     for x in x2:
         lines.append(f"bleached,{x},{float(pb.curve2.eval(float(x), beta))!r}")
-    path = tmp_path / "pair.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -183,14 +194,14 @@ class TestFitCommand:
         assert shown[1] == pytest.approx(params["bias"], abs=5e-4)
         assert shown[2] == pytest.approx(params["se"], abs=5e-4)
 
-    def test_missing_dose_renders_as_nan(self, pair_csv, tmp_path):
-        # The curves cross near -87, so a bracket of [1, 2] holds no crossing:
-        # the dose fields are missing, the parameter rows keep bias and se.
+    def test_missing_dose_renders_as_nan(self, tmp_path):
+        # Curves that never cross have no dose: the dose fields are missing,
+        # the parameter rows keep bias and se.
+        apart_csv = write_pair(tmp_path / "apart.csv", APART_BETA)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": "partial_bleach", "gamma_bracket": [1.0, 2.0],
-                                   "methods": ["ql"]}))
+        cfg.write_text(json.dumps({"model": "partial_bleach", "methods": ["ql"]}))
         out = tmp_path / "rep"
-        assert main(["fit", "--data", pair_csv, "--config", str(cfg), "--format", "both",
+        assert main(["fit", "--data", apart_csv, "--config", str(cfg), "--format", "both",
                      "--out", str(out)]) == 0
         report = json.loads((tmp_path / "rep.json").read_text())
         jsonschema.validate(report, load_schema("fit_report"))
@@ -336,8 +347,8 @@ class TestFitCommand:
     def test_one_dose_scan_for_every_method(self, pair_csv, tmp_path, monkeypatch):
         # One solve fits every method on both curves (common-sigma ML as row
         # pairs), and every method's dose comes from one scan.
-        calls = {"solve": 0, "solve_gamma_batch": 0}
-        for module, name in ((estimators, "solve"), (equivalent_dose, "solve_gamma_batch")):
+        calls = {"solve": 0, "_roots": 0}
+        for module, name in ((estimators, "solve"), (equivalent_dose, "_roots")):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -345,7 +356,7 @@ class TestFitCommand:
         code, entries = fit_entries(tmp_path, "--data", pair_csv)
         assert code == 0 and set(entries) == set(METHODS)
         assert all(e["dose"]["gamma_hat"] == pytest.approx(PAPER_GAMMA) for e in entries.values())
-        assert calls == {"solve": 1, "solve_gamma_batch": 1}
+        assert calls == {"solve": 1, "_roots": 1}
 
     def test_one_bundle_stack_per_curve_model(self, tmp_path, monkeypatch):
         # The default mode's bundles: one stack for each curve, a row per
@@ -475,14 +486,14 @@ class TestSimulateCommand:
             assert f"{m}:B_T" in header and f"{m}:B_s" in header
 
     def test_text_notes_fit_failures(self):
-        # At sigma 0.06 a few of this study's replicates fail; at 0.02 none do.
-        design = default_partial_bleach_design(sigma_grid=(0.02, 0.06), replicates=40,
+        # At sigma 0.1 a few of this study's replicates fail; at 0.02 none do.
+        design = default_partial_bleach_design(sigma_grid=(0.02, 0.1), replicates=40,
                                                master_seed=9)
         summary = run_study(design)
         noted = [e for e in summary.results if e.failure_count or e.rejected_count]
-        assert {e.sigma for e in noted} == {0.06}
+        assert {e.sigma for e in noted} == {0.1}
         notes = [l for l in render_sim_text(summary).splitlines() if l.startswith("note: ")]
-        assert notes == [f"note: {e.method} at sigma=0.06: {e.failure_count} fit failures, "
+        assert notes == [f"note: {e.method} at sigma=0.1: {e.failure_count} fit failures, "
                          f"{e.rejected_count} rejected replicates" for e in noted]
 
     def test_bad_config_exits_2(self, tmp_path):
@@ -534,15 +545,16 @@ class TestSimulateCommand:
             assert capsys.readouterr() == ("", line)
 
     @pytest.mark.parametrize("entry, message", [
-        ('"gamma_bracket": [2.0, 1.0]',
-         "invalid config at gamma_bracket: [2.0, 1.0] is not lo < hi, both finite"),
+        ('"gamma_bracket": [2.0, 1.0]', "invalid config at (top level): Additional properties "
+         "are not allowed ('gamma_bracket' was unexpected)"),
         ('"gamma_bracket": [NaN, 0]', "config holds a non-finite number: NaN"),
         ('"gamma_bracket": [-1e999, 0]', "config holds a non-finite number: -1e999"),
         ('"fit": {"tol_residual": NaN}', "config holds a non-finite number: NaN"),
         ('"fit": {"tol_residual": Infinity}', "config holds a non-finite number: Infinity"),
     ], ids=["reversed-bracket", "nan-bracket", "overflow-bracket", "nan-tol", "inf-tol"])
     def test_bad_config_number_exits_2(self, pair_csv, tmp_path, capsys, entry, message):
-        # A runnable config with one bad number: both commands print one error line.
+        # A runnable config with one bad entry: both commands print one error
+        # line. `gamma_bracket` is not a key; a number is checked first.
         text, path = DEMO_CONFIG.read_text(), tmp_path / "cfg.json"
         path.write_text(text[:text.rindex("}")] + f", {entry}}}")
         for argv in (["simulate", "--config", str(path)],
@@ -566,9 +578,10 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
 
     def test_truth_without_formulae_exits_2(self, tmp_path, capsys):
-        # A truth whose curves do not cross in the bracket, a design whose
-        # J'J is singular, and one with no more points than parameters.
-        no_dose = dict(json.loads(DEMO_CONFIG.read_text()), gamma_bracket=[1.0, 2.0])
+        # A truth whose curves never cross, a design whose J'J is singular,
+        # and one with no more points than parameters.
+        no_dose = json.loads(DEMO_CONFIG.read_text())
+        no_dose["sim"]["theta0"] = [*PAPER_ALPHA, *APART_BETA]
         singular = {"model": "exponential", "methods": ["ql"],
                     "sim": {"theta0": [2, 3], "x1": [1, 1, 1, 1], "sigma": [0.02],
                             "replicates": 4, "seed": 1}}

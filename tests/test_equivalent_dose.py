@@ -1,5 +1,6 @@
 """Two-curve intersection machinery for the partial bleach design."""
 
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from propfit.equivalent_dose import (
     MODE_SEPARATE,
     PartialBleachModel,
     beta1_from_gamma,
-    default_gamma_bracket,
     dose_derivatives_batch,
     fit_two_curves,
     fit_two_curves_methods,
@@ -33,6 +33,7 @@ from propfit.exceptions import (
     ModeError,
     MultipleRootWarning,
     NoBracketError,
+    NonFiniteError,
     TangencyError,
 )
 from propfit.jacobian import build_jacobian_bundles, join_bundles
@@ -45,7 +46,14 @@ from propfit.simulation import (
     replicate_stream,
     run_study,
 )
-from conftest import PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA, stacked_model
+from conftest import (
+    APART_BETA,
+    PAPER_ALPHA,
+    PAPER_BETA2,
+    PAPER_BETA3,
+    PAPER_GAMMA,
+    stacked_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +88,11 @@ class TestBeta1FromGamma:
 class TestSolveGamma:
     def test_round_trip_over_gamma_grid(self, pb):
         # Constructions below -alpha2 intersect where both curves go negative,
-        # outside the default scan, so hand solve_gamma a covering bracket.
+        # below the start range, so the scan widens to them.
         for gamma in np.linspace(-200.0, -10.0, 9):
             beta1 = beta1_from_gamma(PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, gamma)
             theta = np.concatenate([PAPER_ALPHA, [beta1, PAPER_BETA2, PAPER_BETA3]])
-            assert solve_gamma(pb, theta, bracket=(-220.0, 0.0)) == pytest.approx(
-                gamma, abs=1e-4)
+            assert solve_gamma(pb, theta) == pytest.approx(gamma, abs=1e-4)
 
     def test_doubled_scale_has_root_at_minus_alpha2(self, pb):
         # curve2 = 2x curve1 with the same shape: the gap is a pure
@@ -107,13 +114,24 @@ class TestSolveGamma:
         with pytest.raises(NoBracketError):
             solve_gamma(pb, theta, bracket=(-60.0, -5.0))
 
+    def test_curves_that_never_cross_widen_until_they_overflow(self, pb):
+        # The gap keeps its sign at every dose. Widening stops where the
+        # curves overflow, which is no crossing, not a non-finite model.
+        theta = np.concatenate([PAPER_ALPHA, APART_BETA])
+        with pytest.raises(NoBracketError, match="no sign change") as raised:
+            solve_gamma(pb, theta)
+        lo, hi = map(float, re.search(r"over \[(\S+), (\S+)\]", str(raised.value)).groups())
+        assert hi == 0.0 and lo < -1000.0 * PAPER_ALPHA[1]
+        assert np.isfinite(pb.intersection_gap(lo, theta))
+        with pytest.raises(NonFiniteError):
+            pb.intersection_gap(2.0 * lo, theta)
+
     def test_explicit_bracket_respected(self, pb, theta0):
         root = solve_gamma(pb, theta0, bracket=(-120.0, -20.0))
         assert root == pytest.approx(PAPER_GAMMA, abs=1e-4)
 
     def test_residual_at_root(self, pb, theta0):
         root = solve_gamma(pb, theta0)
-        lo, hi = default_gamma_bracket(pb, theta0)
         assert abs(pb.intersection_gap(root, theta0)) <= 1e-4
 
     # Fits from the seed-7 noisy benchmark study (sigma 0.06) whose root a
@@ -147,7 +165,7 @@ class TestSolveGamma:
         assert abs(step) <= 1e-12 * abs(gamma)
 
     def test_polish_out_of_iterations_returns_its_last_iterate(self, pb, theta0, monkeypatch):
-        lo, hi = default_gamma_bracket(pb, theta0)
+        lo, hi = -1.001 * PAPER_ALPHA[1], 0.0  # the start range
         xs = np.linspace(lo, hi, equivalent_dose.DEFAULT_GRID_POINTS)
         gs = pb.intersection_gap(xs, theta0)
         (k,) = np.flatnonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))

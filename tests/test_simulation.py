@@ -208,6 +208,15 @@ class TestRunStudy:
         summary = run_study(design)
         assert all(r.rejected_count == 0 and r.redraw_count == 0 for r in summary.results)
 
+    def test_every_replicate_whose_curves_cross_is_kept(self):
+        # At sigma 0.06, about 1% of the fitted curve pairs cross below the
+        # smaller fitted shift. Dropping them biases gamma's B_s toward zero.
+        design = default_partial_bleach_design(sigma_grid=(0.06,), replicates=2000)
+        for entry in run_study(design).results:
+            gamma = entry.cell("gamma")
+            assert entry.failure_count == 0
+            assert abs(gamma.b_s - gamma.b_t) <= 3.0 * gamma.mc_se
+
 
 class TestStudyStack:
     """The study is fitted as one flat stack across the sigma grid."""
