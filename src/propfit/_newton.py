@@ -7,6 +7,9 @@ and count of observations and the equation ``k[r]`` of a table, so one solve
 covers every method on every curve (as one intersection scan covers every
 method's dose). A row shorter than the longest is padded, and a pad adds
 exactly zero to ``G``, its Jacobian and scale, the objective and ML's scale.
+The stack's equation layout, its runs of rows of one equation and its ML
+rows, is built once (:meth:`_Table.assign`) and cut with the stack as rows
+stop, so each evaluation calls every equation once on its run's rows.
 
 The first rows of a stack may be pairs: two rows, each with its own
 parameters, that are one dataset of both rows' observations, as a
@@ -55,7 +58,7 @@ singular; a pair fails with its rows' first error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -99,15 +102,14 @@ def _t(a: Array) -> Array:
 
 def _sum(a: Array, live: Array | None) -> Array:
     """The sum over each row's observations, ``live`` masking its pads."""
-    return np.sum(a if live is None else np.where(live, a, 0.0), axis=-1)
+    return (a if live is None else np.where(live, a, 0.0)).sum(axis=-1)
 
 
-def _rows(mask: Array):
-    """The positions ``mask`` sets, as a slice if they are one run; None if none."""
-    where = np.flatnonzero(mask)
-    if not where.size:
-        return None
-    return slice(where[0], where[-1] + 1) if where[-1] - where[0] + 1 == where.size else where
+def _cut(runs: tuple, index: Array) -> tuple:
+    """The runs (see :class:`_Data`) of the rows ``index`` (ascending
+    positions) keeps, the ones it empties dropped."""
+    ends = np.searchsorted(index, [b for _, _, b in runs]).tolist()
+    return tuple((eq, a, b) for (eq, _, _), a, b in zip(runs, [0, *ends], ends) if a < b)
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,11 @@ class _Data:
     ``callers[r]`` is the model whose callables evaluate row ``r`` (None: ``models[0]``'s).
     Rows ``2j`` and ``2j + 1``, ``j < pairs``, are a pair: one dataset of both
     rows' observations, whose parameters are both rows'.
+
+    The equation layout (:meth:`_Table.assign`, empty until then): ``runs``
+    holds ``(equation, a, b)`` per run of rows ``a:b`` that solve one
+    equation, all of them pairs or none, and ``ml`` is the slice of the rows
+    whose equation is profiled (None if none). A cut keeps the layout.
     """
 
     models: tuple[ModelFunction, ...]
@@ -128,18 +135,24 @@ class _Data:
     live: Array | None
     callers: Array | None
     pairs: int = 0
+    runs: tuple = ()
+    ml: slice | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        ml = [(a, b) for eq, a, b in self.runs if eq.profiled]
+        object.__setattr__(self, "ml", slice(ml[0][0], ml[-1][1]) if ml else None)
 
     def __getitem__(self, index) -> "_Data":
         """The rows ``index`` selects (a boolean mask or ascending positions),
         which keeps pairs whole."""
-        pairs = self.pairs
-        if pairs:
-            index = np.asarray(index)
-            pairs = int(np.count_nonzero(index[:2 * pairs] if index.dtype == bool
-                                         else index < 2 * pairs)) // 2
+        index = np.asarray(index)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        pairs = self.pairs and int(np.count_nonzero(index < 2 * self.pairs)) // 2
         return _Data(self.models, self.curve[index], self.x if self.x.ndim == 1 else self.x[index],
                      self.y[index], self.n[index], None if self.live is None else self.live[index],
-                     None if self.callers is None else self.callers[index], pairs)
+                     None if self.callers is None else self.callers[index], pairs,
+                     _cut(self.runs, index))
 
     def pairwise(self, op, v: Array) -> Array:
         """``v`` per row, with both rows of a pair set to ``op`` of their two values."""
@@ -193,36 +206,41 @@ def _stack(curves) -> _Data:
 
 @dataclass(frozen=True)
 class _Table:
-    """A table of estimating equations, row ``r`` of a stack solving
-    ``equations[k[r]]``, with each boolean field of the equations as one
-    array over the table, built once: ``profiled[k]`` flags a stack's rows.
-    """
+    """A table of estimating equations, at most one of them ``profiled``."""
 
     equations: tuple[_Equation, ...]
-    divides_by_f: Array = field(init=False)
-    profiled: Array = field(init=False)
 
-    def __post_init__(self):
-        for name in ("divides_by_f", "profiled"):
-            object.__setattr__(self, name, np.array([getattr(eq, name) for eq in self.equations]))
+    def assign(self, data: _Data, k) -> _Data:
+        """``data`` with row ``r`` solving ``equations[k[r]]``: its layout,
+        built once for the stack and kept by every cut of it. The rows of
+        each equation must be contiguous in ``k``, and those of a pair share
+        their equation; ``ValueError`` otherwise."""
+        k, two = np.asarray(k), 2 * data.pairs
+        starts = np.flatnonzero(np.diff(k, prepend=np.nan)).tolist()
+        runs = k[starts].tolist()
+        if len(set(runs)) < len(runs):
+            raise ValueError("the rows of each equation must be contiguous in k")
+        if two > len(k) or np.any(k[0:two:2] != k[1:two:2]):
+            raise ValueError("the rows of a pair must share their equation")
+        starts = sorted({*starts, two} - {len(k)})
+        return replace(data, runs=tuple((self.equations[k[a]], a, b)
+                                        for a, b in zip(starts, [*starts[1:], len(k)])))
 
 
-def _pick(table: _Table, k: Array, name: str, *rows) -> Array:
-    """``table.equations[k[r]].<name>(*(a[r] for a in rows))`` per row ``r``
-    (None stays None). A stack keeps each equation's rows together, so one
-    whose first and last rows share an equation holds no other and takes one
-    call on the whole stack; otherwise each run of equal ``k`` gets its own."""
-    if k[0] == k[-1]:
-        return getattr(table.equations[k[0]], name)(*rows)
-    edges = [0, *(np.flatnonzero(np.diff(k)) + 1), len(k)]
-    return np.concatenate([getattr(table.equations[k[a]], name)(
-        *(None if v is None else v[a:b] for v in rows)) for a, b in zip(edges[:-1], edges[1:])])
+def _pick(runs: tuple, name: str, *rows) -> Array:
+    """``<equation of row r>.<name>(*(a[r] for a in rows))`` per row ``r``
+    (None stays None), one call per run of the stack's layout ``runs`` (see
+    :class:`_Data`) on that run's rows."""
+    if len(runs) == 1:
+        return getattr(runs[0][0], name)(*rows)
+    return np.concatenate([getattr(eq, name)(*(None if v is None else v[a:b] for v in rows))
+                           for eq, a, b in runs])
 
 
 @dataclass
 class _Iterate:
-    """Iterates over a stack of datasets, one row each, row ``r`` of the
-    equation ``k[r]`` of a table: ``theta (m, p)`` with ``data`` (:class:`_Data`).
+    """Iterates over a stack of datasets, one row each: ``theta (m, p)`` with
+    ``data`` (:class:`_Data`, with its equation layout).
 
     Per row: ``objective``, ``norm`` (``max|G|``) and ``fault`` (0 where
     the equation is defined, else a :func:`~propfit.models.fault_error`
@@ -231,7 +249,6 @@ class _Iterate:
     """
 
     theta: Array
-    k: Array
     objective: Array
     residual: Array
     norm: Array
@@ -256,21 +273,23 @@ class _Iterate:
         return {int(i): own.get(int(i)) or own[int(i) ^ 1] for i in np.flatnonzero(which)}
 
     def take(self, index) -> "_Iterate":
-        """The rows ``index`` selects (a boolean mask or positions)."""
-        return _Iterate(**{name: rows[index] for name, rows in vars(self).items()})
+        """The rows ``index`` selects (a boolean mask or ascending positions)."""
+        return _Iterate(self.theta[index], self.objective[index], self.residual[index],
+                        self.norm[index], self.fault[index], self.data[index], self.f[index],
+                        self.G[index], self.c[index], self.s2[index])
 
     def put(self, index, other: "_Iterate", which) -> None:
         """Overwrite the rows ``index`` with the rows ``which`` of ``other``
         (iterates of the same datasets)."""
         for name, rows in vars(self).items():
-            if name not in ("data", "k"):
+            if name != "data":
                 vars(self)[name] = rows = rows if rows.flags.writeable else rows.copy()
                 rows[index] = vars(other)[name][which]
 
-    def dweight(self, table: _Table) -> Array:
+    def dweight(self) -> Array:
         """``c'``, the derivative of the weights in ``f``, per row and observation."""
         with np.errstate(all="ignore"):
-            return _pick(table, self.k, "dweight", self.f, self.data.y)
+            return _pick(self.data.runs, "dweight", self.f, self.data.y)
 
     def bounds(self, dc: Array, tol_relative: float) -> Array:
         """Per row and parameter, the bound ``max(tol_relative * S_j, 64 eps
@@ -282,37 +301,36 @@ class _Iterate:
             rounding = (np.abs(dc * self.f)[..., None, :] @ G)[..., 0, :]
             return np.maximum(tol_relative * terms, _RESIDUAL_ULPS * _EPS * rounding)
 
-    def rounding(self, table: _Table) -> Array:
+    def rounding(self) -> Array:
         """Per row, the objective's rounding level ``16 eps (|Q| + sum_i |c_i
         f_i|)`` (the sum a pair's over both rows, and over ``s^2`` for ML's
         profiled objective; see the module docstring)."""
         with np.errstate(all="ignore"):
             level = self.data.pairwise(np.add, np.sum(np.abs(self.c * self.f), axis=-1))
-            ml = _rows(table.profiled[self.k])
+            ml = self.data.ml
             if ml is not None:
                 level[ml] /= self.s2[ml]
             return _OBJECTIVE_ULPS * _EPS * (np.abs(self.objective) + level)
 
-    def jacobian(self, table: _Table) -> Array:
+    def jacobian(self) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms) per row, ``sum c_i H_i`` from the row's model's
         ``whess_rows``. Rows where that is non-finite are marked in ``fault``."""
-        return self.blocks(table, self.dweight(table))[0]
+        return self.blocks(self.dweight())[0]
 
-    def blocks(self, table: _Table, dc: Array) -> tuple[Array, Array | None]:
+    def blocks(self, dc: Array) -> tuple[Array, Array | None]:
         """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
         in its mate's parameters (None with no pair): ML's ``sum J ds^2'``,
         zero for the other equations; ``dc`` is the rows' :meth:`dweight`.
         The models contract their Hessians with ``c``
         (:meth:`~propfit.models.ModelFunction.whess_rows`)."""
         y, f, G, c = self.data.y, self.f, self.G, self.c
-        p, pairs = G.shape[-1], self.data.pairs
-        off = np.zeros(G.shape[:1] + (p, p)) if pairs else None
+        p, two, ml = G.shape[-1], 2 * self.data.pairs, self.data.ml
+        off = np.zeros(G.shape[:1] + (p, p)) if two else None
         with np.errstate(all="ignore"):
             A = self.data.call("whess_rows", self.theta, c)
             bad = ~np.all(np.isfinite(A), axis=(-2, -1))
             A += _t(G * dc[..., None]) @ G
-            ml = _rows(table.profiled[self.k])
             if ml is not None:
                 y, f, G = y[ml], f[ml], G[ml]
                 J = G / f[..., None]
@@ -321,69 +339,64 @@ class _Iterate:
                 total = J.sum(axis=-2)
                 A[ml] += total[..., :, None] * ds2[..., None, :] - self.s2[ml, None, None] * (
                     _t(J) @ J)
-                if pairs:
-                    # The ML rows of pairs come as (lead, mate) in ``rows``.
-                    rows = np.arange(len(self.k))[ml]
-                    both = np.flatnonzero(rows < 2 * pairs)
-                    lead, mate = both[0::2], both[1::2]
-                    off[rows[lead]] = total[lead, :, None] * ds2[mate, None, :]
-                    off[rows[mate]] = total[mate, :, None] * ds2[lead, None, :]
+                # The ML rows of pairs, (lead, mate) each, are the first ``e`` of ``ml``.
+                a, e = ml.start, min(ml.stop, two) - ml.start
+                if e > 0:
+                    off[a:a + e:2] = total[0:e:2, :, None] * ds2[1:e:2, None, :]
+                    off[a + 1:a + e:2] = total[1:e:2, :, None] * ds2[0:e:2, None, :]
         if np.any(bad):
             self.fault[bad] = FAULT_HESSIAN
         return A, off
 
-    def scoring(self, table: _Table, rows) -> Array:
-        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'`` of the rows ``rows``."""
+    def scoring(self, rows) -> Array:
+        """The expected Jacobian ``sum_i w_i grad f_i grad f_i'`` of the rows
+        ``rows`` (ascending positions)."""
         with np.errstate(all="ignore"):
             G = self.G[rows]
-            w = _pick(table, self.k[rows], "scoring", self.f[rows], self.data.y[rows])
+            w = _pick(_cut(self.data.runs, rows), "scoring", self.f[rows], self.data.y[rows])
             return _t(G * w[..., None]) @ G
 
 
-def _point(table: _Table, data: _Data, theta, k, sigma: float | None = None) -> _Iterate:
-    """The equations ``table.equations[k]`` (one index per row) at ``theta (m, p)``
-    for the datasets ``data``; ``sigma`` freezes ML's scale. Undefined rows
-    are flagged in ``fault``, not raised. A pair's rows carry its objective
-    and ``max|G|``, those of one dataset of both rows' observations."""
-    theta, k = np.asarray(theta, dtype=float), np.asarray(k)
-    y, live, pairs = data.y, data.live, data.pairs
+def _point(data: _Data, theta, sigma: float | None = None) -> _Iterate:
+    """The equations of ``data``'s layout (see :class:`_Data`) at ``theta (m,
+    p)``; ``sigma`` freezes ML's scale. Undefined rows are flagged in
+    ``fault``, not raised. A pair's rows carry its objective and ``max|G|``,
+    those of one dataset of both rows' observations."""
+    theta = np.asarray(theta, dtype=float)
+    y, live, n, two, ml = data.y, data.live, data.n, 2 * data.pairs, data.ml
     with np.errstate(all="ignore"):
         f = np.asarray(data.call("eval_fn", theta), dtype=float)
         fault = data.call("faults", theta)
-        fault = np.where(table.divides_by_f[k] & (fault == 0)
-                         & ~np.all(f != 0.0, axis=-1), FAULT_ZERO_MEAN, fault)
+        zero = ~np.all(f != 0.0, axis=-1)
+        if zero.any():
+            for eq, a, b in data.runs:
+                zero[a:b] &= eq.divides_by_f
+            fault = np.where((fault == 0) & zero, FAULT_ZERO_MEAN, fault)
         G = data.call("grad_rows", theta)
-        c = _pick(table, k, "weight", f, y)
-        s2 = np.zeros(len(k))
-        ml = _rows(table.profiled[k])
+        c = _pick(data.runs, "weight", f, y)
+        s2 = np.zeros(len(theta))
         if ml is not None:
             if sigma is None:
                 # ML's scale over the observations of the row, or of its pair.
-                ssq = np.zeros(len(k))
+                ssq = np.zeros(len(theta))
                 ssq[ml] = _sum(((y[ml] - f[ml]) / f[ml]) ** 2, None if live is None else live[ml])
-                s2[ml] = data.pairwise(np.add, ssq)[ml] / data.pairwise(np.add, data.n)[ml]
+                s2[ml] = data.pairwise(np.add, ssq)[ml] / data.pairwise(np.add, n)[ml]
             else:
                 s2[ml] = float(sigma) ** 2
             c[ml] += s2[ml, None] / f[ml]
         if live is not None:
             G, c = np.where(live[..., None], G, 0.0), np.where(live, c, 0.0)
         residual = (c[..., None, :] @ G)[..., 0, :]
-        norm = np.max(np.abs(residual), axis=-1)
-        if not pairs:
-            objective = _pick(table, k, "objective", f, y, live, data.n)
-        else:
-            norm = data.pairwise(np.maximum, norm)
-            objective, two = np.empty(len(k)), 2 * pairs
-            if two < len(k):
-                objective[two:] = _pick(table, k[two:], "objective", f[two:], y[two:],
-                                        None if live is None else live[two:], data.n[two:])
-
-            def join(v):  # each pair's two rows as one
-                return None if v is None else v[:two].reshape(pairs, -1)
-            objective[:two] = np.repeat(_pick(
-                table, k[0:two:2], "objective", join(f), join(y), join(live),
-                data.n[0:two:2] + data.n[1:two:2]), 2)
-    return _Iterate(theta=theta, k=k, objective=objective, residual=residual, norm=norm,
+        norm = data.pairwise(np.maximum, np.max(np.abs(residual), axis=-1))
+        objective = np.empty(len(theta))
+        for eq, a, b in data.runs:
+            rows = [None if v is None else v[a:b] for v in (f, y, live)]
+            if b <= two:  # pairs, each one dataset of both rows' observations
+                rows = [None if v is None else v.reshape((b - a) // 2, -1) for v in rows]
+                objective[a:b] = np.repeat(eq.objective(*rows, n[a:b:2] + n[a + 1:b:2]), 2)
+            else:
+                objective[a:b] = eq.objective(*rows, n[a:b])
+    return _Iterate(theta=theta, objective=objective, residual=residual, norm=norm,
                     fault=fault, data=data, f=f, G=G, c=c, s2=s2)
 
 
@@ -434,9 +447,10 @@ def _newton_steps(jacobian: Array, off: Array | None, residual: Array, data: _Da
     step = np.empty_like(residual)
     if two < len(step):
         step[two:] = _solve_rows(jacobian[two:], -residual[two:])
-    step[:two] = _solve_rows(
-        np.block([[jacobian[0:two:2], off[0:two:2]], [off[1:two:2], jacobian[1:two:2]]]),
-        -residual[:two].reshape(data.pairs, 2 * p)).reshape(two, p)
+    system = np.empty((data.pairs, 2 * p, 2 * p))
+    system[:, :p, :p], system[:, :p, p:] = jacobian[0:two:2], off[0:two:2]
+    system[:, p:, :p], system[:, p:, p:] = off[1:two:2], jacobian[1:two:2]
+    step[:two] = _solve_rows(system, -residual[:two].reshape(data.pairs, 2 * p)).reshape(two, p)
     return step
 
 
@@ -448,7 +462,7 @@ def _no_rise(new: np.ndarray, old: np.ndarray, level: np.ndarray) -> np.ndarray:
         return (new <= old) | (new <= old + level)
 
 
-def _advance(table: _Table, pt: _Iterate, dc: Array):
+def _advance(pt: _Iterate, dc: Array):
     """One iteration of every row of ``pt``, ``dc`` its :meth:`~_Iterate.dweight`.
 
     Returns the next iterate of the rows that moved, their positions in
@@ -457,9 +471,9 @@ def _advance(table: _Table, pt: _Iterate, dc: Array):
     lands on an undefined iterate); a scoring step each rejecting row
     accepts is written into that trial at the row's position.
     """
-    m = len(pt.k)
+    m = len(pt.theta)
     failures = {}
-    jacobian, off = pt.blocks(table, dc)
+    jacobian, off = pt.blocks(dc)
     live, data = np.arange(m), pt.data
     if pt.fault.any():
         failed = data.pairwise(np.logical_or, pt.fault != 0)
@@ -469,10 +483,10 @@ def _advance(table: _Table, pt: _Iterate, dc: Array):
             return None, live, failures
         data, jacobian = data[live], jacobian[live]
         off = None if off is None else off[live]
-    norm, objective, level = pt.norm, pt.objective, pt.rounding(table)
+    norm, objective, level = pt.norm, pt.objective, pt.rounding()
 
     delta = _newton_steps(jacobian, off, pt.residual[live], data)
-    trial = _point(table, data, pt.theta[live] + delta, pt.k[live])
+    trial = _point(data, pt.theta[live] + delta)
     moved = trial.defined & (trial.norm < norm[live]) & _no_rise(
         trial.objective, objective[live], level[live])
     if moved.all():
@@ -481,7 +495,7 @@ def _advance(table: _Table, pt: _Iterate, dc: Array):
     # Positions in ``trial`` of the rows that fall back, and in ``pt``.
     back = np.flatnonzero(~moved)
     need = live[back]
-    step = _solve_rows(pt.scoring(table, need), -pt.residual[need])
+    step = _solve_rows(pt.scoring(need), -pt.residual[need])
     singular = np.zeros(m, dtype=bool)
     singular[need] = ~np.isfinite(step).all(axis=-1)
     singular = pt.data.pairwise(np.logical_or, singular)[need]
@@ -492,7 +506,7 @@ def _advance(table: _Table, pt: _Iterate, dc: Array):
         if not pending.size:
             break
         rows = live[pending]
-        new = _point(table, pt.data[rows], pt.theta[rows] + step, pt.k[rows])
+        new = _point(pt.data[rows], pt.theta[rows] + step)
         old = objective[rows]
         ok = new.defined & ((new.objective < old)
                             | ((new.norm < norm[rows]) & _no_rise(new.objective, old, level[rows])))
@@ -512,21 +526,15 @@ def solve(table: _Table, data: _Data, theta0, k, *,
     ``iterations`` counts the iterations each row ran, a last one that found
     no step included.
     """
-    theta0, k = np.array(theta0, dtype=float), np.asarray(k)
+    theta0, data = np.array(theta0, dtype=float), table.assign(data, k)
     R = len(theta0)
-    runs = k[np.flatnonzero(np.diff(k, prepend=np.nan))].tolist()
-    if len(set(runs)) < len(runs):
-        raise ValueError("the rows of each equation must be contiguous in k")
-    two = 2 * data.pairs
-    if two > R or np.any(k[0:two:2] != k[1:two:2]):
-        raise ValueError("the rows of a pair must share their equation")
     result = SolveResult(theta=np.full(theta0.shape, np.nan), iterations=np.zeros(R, dtype=int),
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
                          tolerance=np.full(R, np.nan), errors=[None] * R)
     rows = np.arange(R)
     if not R:
         return result
-    pt = _point(table, data, theta0, k)
+    pt = _point(data, theta0)
     keep = pt.defined
     if not keep.all():
         for i, error in pt.errors(~keep).items():
@@ -542,7 +550,7 @@ def solve(table: _Table, data: _Data, theta0, k, *,
                       best_tol[which])
 
     while rows.size:
-        dc = pt.dweight(table)
+        dc = pt.dweight()
         bounds = pt.bounds(dc, tol_relative)
         tol = pt.data.pairwise(np.maximum, np.max(bounds, axis=-1))
         better = pt.norm < best_norm
@@ -565,7 +573,7 @@ def solve(table: _Table, data: _Data, theta0, k, *,
             break
         iterations += 1
 
-        nxt, moved, failures = _advance(table, pt, dc)
+        nxt, moved, failures = _advance(pt, dc)
         for i, exc in failures.items():
             result.errors[rows[i]] = exc
         if len(moved) < len(rows):

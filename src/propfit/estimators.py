@@ -184,8 +184,8 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     method = _check_method(method)
     if method == "dwls" and (error := _dwls_response_errors(data.y[None, :])[0]) is not None:
         raise error
-    pt = _point(_EQUATIONS, _stack(((model, data.x, data.y[None, :]),)),
-                model.check_theta(theta)[None, :], [METHODS.index(method)], sigma)
+    pt = _point(_EQUATIONS.assign(_stack(((model, data.x, data.y[None, :]),)),
+                                  [METHODS.index(method)]), model.check_theta(theta)[None, :], sigma)
     if pt.fault[0]:
         raise fault_error(model, int(pt.fault[0]))
     return pt.residual[0]
@@ -262,7 +262,7 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     paired = {_check_method(m) for m in paired}
     if paired and len(curves) != 2:
         raise ValueError("a pair takes one row of each of two curves")
-    coupled = {m for m in paired if _EQUATIONS.profiled[METHODS.index(m)]}
+    coupled = {m for m in paired if _EQUATIONS.equations[METHODS.index(m)].profiled}
     R = len(np.atleast_1d(curves[0][2]))
     blocks, start, start_errors, theta_errors, responses = [], [], [], [], []
     for model, x, Y, spec in curves:

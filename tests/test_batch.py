@@ -554,6 +554,32 @@ class TestTwoCurveStack:
             assert all(fits[m].errors == (None,) * 4 for m in METHODS)
         assert calls["hess_fn"] == 0 and calls["whess_fn"] > 0
 
+    def test_runs_that_stop_early_leave_the_rest_as_alone(self):
+        # ML pairs, then QL, WLS and DWLS on every row of both curves (curve 2
+        # padded). The WLS rows start at their own roots and stop in round 0,
+        # so the runs after theirs move up in the stack while the others go on;
+        # every run's rows still solve as they do alone.
+        pb, theta0, Y1, Y2 = two_curve_data(0.06, rows=4, seed=73)
+        table = estimators._EQUATIONS
+        data = estimators._stack(((pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1),
+                                  (pb.curve2, DEFAULT_BLEACHED_DOSES, Y2)))
+        start = np.repeat([theta0[:3], theta0[3:]], 4, axis=0)
+        roots = estimators.solve(table, data, start, [2] * 8).theta
+        rows = np.concatenate([np.arange(8).reshape(2, 4).T.ravel(), np.tile(np.arange(8), 3)])
+        k = np.repeat(np.arange(4), 8)
+        start = np.concatenate([start[rows[:16]], roots, start])
+        together = estimators.solve(table, replace(data[rows], pairs=4), start, k)
+        assert together.iterations[16:24].max() == 0 < np.delete(together.iterations,
+                                                                   np.s_[16:24]).min()
+        for run in range(4):
+            part = slice(8 * run, 8 * run + 8)
+            alone = estimators.solve(table, replace(data[rows[part]], pairs=4 * (run == 0)),
+                                     start[part], k[part])
+            for name in ("theta", "iterations", "converged", "residual_norm", "tolerance"):
+                np.testing.assert_array_equal(getattr(together, name)[part],
+                                              getattr(alone, name), err_msg=name)
+            assert together.errors[part] == alone.errors == [None] * 8
+
     def test_fault_on_a_curve_two_row_names_its_model(self):
         pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=3, seed=45)
         starts = np.tile(theta0, (3, 1))
@@ -589,17 +615,18 @@ class TestTwoCurveStack:
         theta = PAPER_ALPHA * (1.0 + 0.01 * np.arange(1, 4))
         k = np.full(4, METHODS.index(method))
         table = estimators._EQUATIONS
-        alone = estimators._point(table, estimators._stack(((satexp, x, Y),)), [theta] * 4, k)
+        alone = estimators._point(table.assign(estimators._stack(((satexp, x, Y),)), k),
+                                  [theta] * 4)
         longer = noisy_stack(satexp, X, PAPER_ALPHA, 0.05, rows=4, seed=48)
         data = estimators._stack(((satexp, x, Y), (satexp, X, longer)))
         assert data.live is not None and not data.live[:4, 13:].any()
-        padded = estimators._point(table, data[np.arange(4)], [theta] * 4, k)
+        padded = estimators._point(table.assign(data, np.repeat(k, 2))[np.arange(4)], [theta] * 4)
         for name in ("residual", "objective", "s2"):
             np.testing.assert_allclose(getattr(padded, name), getattr(alone, name), rtol=1e-13)
-        np.testing.assert_allclose(padded.bounds(padded.dweight(table), 1e-8),
-                                   alone.bounds(alone.dweight(table), 1e-8), rtol=1e-13)
-        np.testing.assert_allclose(padded.rounding(table), alone.rounding(table), rtol=1e-13)
-        np.testing.assert_allclose(padded.jacobian(table), alone.jacobian(table), rtol=1e-12)
+        np.testing.assert_allclose(padded.bounds(padded.dweight(), 1e-8),
+                                   alone.bounds(alone.dweight(), 1e-8), rtol=1e-13)
+        np.testing.assert_allclose(padded.rounding(), alone.rounding(), rtol=1e-13)
+        np.testing.assert_allclose(padded.jacobian(), alone.jacobian(), rtol=1e-12)
 
 
 class TestCommonSigmaPairs:
@@ -697,15 +724,15 @@ class TestScoringFallback:
         pb, theta0, Y1, Y2 = two_curve_data(0.06, rows=8, seed=72)
         scored, scoring = [], _newton._Iterate.scoring
 
-        def counted(self, table, rows):
-            scored.extend(self.k[rows].tolist())
-            return scoring(self, table, rows)
+        def counted(self, rows):
+            scored.extend(eq.profiled for eq, a, b in _newton._cut(self.data.runs, rows)
+                          for _ in range(a, b))
+            return scoring(self, rows)
         monkeypatch.setattr(_newton._Iterate, "scoring", counted)
         opts = FitOptions(start=theta0)
         x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
         together = fit_two_curves_methods(pb, x1, Y1, x2, Y2, METHODS, MODE_DEFAULT, opts)
-        assert estimators._EQUATIONS.profiled[scored].any() and not all(
-            estimators._EQUATIONS.profiled[scored])
+        assert any(scored) and not all(scored)
         for r in range(len(Y1)):
             alone = fit_two_curves_methods(pb, x1, Y1[r:r + 1], x2, Y2[r:r + 1], METHODS,
                                            MODE_DEFAULT, opts)
