@@ -132,9 +132,10 @@ def _finite(text: str) -> float:
 
 
 def load_config(path) -> RunConfig:
-    """Read, validate, and default-fill a configuration file."""
+    """Read, validate, and default-fill a configuration file (a leading UTF-8
+    byte-order mark is dropped)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             document = json.load(handle, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None

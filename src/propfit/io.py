@@ -56,12 +56,12 @@ def _parse_cell(value: str, column: str, line: int) -> float:
 
 
 def read_input_table(path_or_text) -> InputTable:
-    """Parse a CSV file path or literal CSV text into an input table."""
+    """Parse a CSV file path or literal CSV text into an input table; a
+    leading UTF-8 byte-order mark, as spreadsheets write, is dropped."""
     if isinstance(path_or_text, str) and "\n" in path_or_text:
-        handle = _io.StringIO(path_or_text)
-        return _read(handle)
+        return _read(_io.StringIO(path_or_text.removeprefix("\ufeff")))
     try:
-        with open(path_or_text, "r", encoding="utf-8", newline="") as handle:
+        with open(path_or_text, "r", encoding="utf-8-sig", newline="") as handle:
             return _read(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read input table: {exc}") from None

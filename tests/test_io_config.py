@@ -59,6 +59,14 @@ class TestReadTable:
         # serialize(parse(serialize(...))) is byte-stable too
         assert write_input_table(again) == write_input_table(table)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_text(CSV, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        for table in (read_input_table(str(path)), read_input_table("\ufeff" + CSV)):
+            assert write_input_table(table) == write_input_table(read_input_table(CSV))
+
 
 class TestConfig:
     def test_defaults(self):
@@ -126,6 +134,14 @@ class TestConfig:
         path.write_text(json.dumps({"model": "constant", "methods": ["ql"]}))
         cfg = load_config(path)
         assert cfg.methods == ("ql",)
+
+    def test_load_config_with_byte_order_mark(self, tmp_path):
+        text = json.dumps({"model": "constant", "methods": ["ql", "ml"], "fit": {"max_iter": 7}})
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(bom) == load_config(plain)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
