@@ -13,6 +13,14 @@ once in the default mode and once with each ``--mode`` of ``MODES``, and,
 with ``--model saturating_exponential``, on every one-curve CSV, and
 ``propfit simulate --format json`` on every config at ``--threads 1`` and at
 ``--threads 8``. The exit code of every call is kept next to the reports.
+
+Reports round their floats to 12 significant digits, so a change in the
+last bits of an estimate can hide behind the rounding. Next to each call's
+reports, ``<name>.unrounded.json`` therefore holds what the call passed to
+``propfit.cli.round_floats``: the reports before rounding, written with
+Python's shortest round-trip ``repr`` of every float (NaN and infinities
+as ``NaN``/``Infinity``), so equal bytes mean equal bits.
+
 Every file that differs, or exists on one side only, is listed, and the
 exit status is 1 if there is any. Under a JSON file that differs come the
 largest relative difference ``|a - b| / max(|a|, |b|)`` of each float
@@ -41,17 +49,34 @@ FIRST_CURVE = "fit_first_curve"
 # Where the redrawing simulate config goes, under the inputs.
 REDRAWING = "simulate_redrawing"
 
-# Runs the CLI calls given as JSON on stdin with the propfit of ``sys.argv[1]``.
+# Runs the CLI calls given as JSON on stdin with the propfit of ``sys.argv[1]``
+# and writes each call's reports before rounding next to its outputs.
 RUNNER = """
 import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import propfit
-from propfit.cli import main
+from propfit import cli
 if Path(propfit.__file__).resolve().parent != Path(sys.argv[1]).resolve() / "propfit":
     sys.exit(f"propfit was imported from {propfit.__file__}")
-calls = json.load(sys.stdin)
-codes = {out: main(argv) for out, argv in calls}
+rounder, unrounded, depth = cli.round_floats, [], [0]
+
+def recording(obj, *args):
+    if not depth[0]:  # a report, not one of round_floats' own recursive calls
+        unrounded.append(json.loads(json.dumps(obj)))
+    depth[0] += 1
+    try:
+        return rounder(obj, *args)
+    finally:
+        depth[0] -= 1
+
+cli.round_floats = recording
+out, codes = Path(sys.argv[2]).parent, {}
+for name, argv in json.load(sys.stdin):
+    unrounded.clear()
+    codes[name] = cli.main(argv)
+    (out / f"{name}.unrounded.json").write_text(
+        json.dumps(unrounded, indent=1, sort_keys=True) + "\\n", encoding="utf-8")
 Path(sys.argv[2]).write_text(json.dumps(codes, indent=1, sort_keys=True) + "\\n")
 """
 
