@@ -217,8 +217,8 @@ class _Table:
         their equation; ``ValueError`` otherwise."""
         k, two = np.asarray(k), 2 * data.pairs
         starts = np.flatnonzero(np.diff(k, prepend=np.nan)).tolist()
-        runs = k[starts].tolist()
-        if len(set(runs)) < len(runs):
+        run_k = k[starts].tolist()
+        if len(set(run_k)) < len(run_k):
             raise ValueError("the rows of each equation must be contiguous in k")
         if two > len(k) or np.any(k[0:two:2] != k[1:two:2]):
             raise ValueError("the rows of a pair must share their equation")
