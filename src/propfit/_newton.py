@@ -390,12 +390,12 @@ def _point(data: _Data, theta, sigma: float | None = None) -> _Iterate:
         norm = data.pairwise(np.maximum, np.max(np.abs(residual), axis=-1))
         objective = np.empty(len(theta))
         for eq, a, b in data.runs:
-            rows = [None if v is None else v[a:b] for v in (f, y, live)]
+            run = [None if v is None else v[a:b] for v in (f, y, live)]
             if b <= two:  # pairs, each one dataset of both rows' observations
-                rows = [None if v is None else v.reshape((b - a) // 2, -1) for v in rows]
-                objective[a:b] = np.repeat(eq.objective(*rows, n[a:b:2] + n[a + 1:b:2]), 2)
+                run = [None if v is None else v.reshape((b - a) // 2, -1) for v in run]
+                objective[a:b] = np.repeat(eq.objective(*run, n[a:b:2] + n[a + 1:b:2]), 2)
             else:
-                objective[a:b] = eq.objective(*rows, n[a:b])
+                objective[a:b] = eq.objective(*run, n[a:b])
     return _Iterate(theta=theta, objective=objective, residual=residual, norm=norm,
                     fault=fault, data=data, f=f, G=G, c=c, s2=s2)
 
