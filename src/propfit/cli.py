@@ -36,7 +36,7 @@ from .equivalent_dose import (
     formulae,
     resolve_modes,
 )
-from .estimators import METHODS, fit_methods, scale_divisor
+from .estimators import METHODS, fit_methods
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
 from .simulation import compare_bias_table, run_study
@@ -48,16 +48,17 @@ ENV_THREADS = "PROPFIT_THREADS"
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def round_floats(obj, digits: int = 12):
-    """Recursively round floats to ``digits`` significant digits."""
+def round_floats(obj):
+    """Recursively round floats to 12 significant digits; a non-finite one
+    becomes None (null in JSON)."""
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, digits) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
@@ -116,16 +117,16 @@ def _pct(bias: float, se: float) -> float:
 DOSE_FIELDS = ("gamma_hat", "equivalent_dose", "bias", "se", "bias_over_rmse_pct")
 
 
-def _fit_entry(res, sigma: float, names, row, **extra) -> dict:
+def _fit_entry(res, names, row, **extra) -> dict:
     """A fitted method's entry: its fit and, from ``row`` (its
-    :class:`~propfit.equivalent_dose.Formulae`) at ``sigma``, each
-    parameter's bias and se and, for two curves, its dose; a piece that
-    fails leaves NaNs and its error."""
+    :class:`~propfit.equivalent_dose.Formulae`) at the fit's scale
+    ``res.sigma_hat``, each parameter's bias and se and, for two curves, its
+    dose; a piece that fails leaves NaNs and its error."""
     bias = se = np.full(len(names), np.nan)
     if row.dose is not None:
         extra["dose"] = dict.fromkeys(DOSE_FIELDS, float("nan"))
     try:
-        bias, cov = row.bias_cov(sigma)
+        bias, cov = row.bias_cov(res.sigma_hat)
         se = np.sqrt(np.diag(cov))
         if row.dose is not None:
             est = row.estimate(bias, cov)
@@ -138,7 +139,7 @@ def _fit_entry(res, sigma: float, names, row, **extra) -> dict:
                "bias_over_rmse_pct": _pct(float(b), float(e))}
               for name, t, b, e in zip(names, res.theta_hat, bias, se)]
     return {"converged": bool(res.converged), "iterations": res.iterations,
-            "residual_norm": float(res.residual_norm), "sigma_hat": float(sigma),
+            "residual_norm": float(res.residual_norm), "sigma_hat": float(res.sigma_hat),
             "parameters": params, **extra}
 
 
@@ -171,13 +172,7 @@ def _fit_report(config: RunConfig, curves: dict) -> dict:
                                "residual_norm": float("nan"), "sigma_hat": float("nan"),
                                "parameters": [], **label}
             continue
-        sigma = res.sigma_hats[0] if two else res.sigma_hat
-        if two and len(res.sigma_hats) == 2:
-            # Pool the per-curve scale estimates with the divisors they were estimated with.
-            dfs = np.array([scale_divisor(method, d.n, c.p)
-                            for d, c in zip(data, (model.curve1, model.curve2))], dtype=float)
-            sigma = float(np.sqrt(np.sum(dfs * np.square(res.sigma_hats)) / dfs.sum()))
-        entries[method] = _fit_entry(res, sigma, model.param_names, rows[method], **label)
+        entries[method] = _fit_entry(res, model.param_names, rows[method], **label)
     return {"kind": "fit_report", "model": config.model, "mode": config.mode if two else None,
             "curves": {name: d.n for name, d in curves.items()}, "methods": entries}
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import bias_cov
-from .estimators import FitOptions, _fit_curves
+from .estimators import FitOptions, _fit_curves, scale_divisor
 from .exceptions import (
     DomainError,
     ModeError,
@@ -183,81 +183,89 @@ def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: A
 _WIDENINGS = 40
 
 
-def _roots(model: PartialBleachModel, theta, bracket) -> tuple[Array, tuple, Array, Array]:
+def _scan(model: PartialBleachModel, theta: Array, lo: Array, hi: Array):
+    """One scan of the range ``[lo, hi]`` of each row of ``theta (R, p)``:
+    per row the root closest to zero (the smaller of two as close; NaN
+    where there is none), the number of roots, and the first curve (1 or 2)
+    whose evaluation faults and its fault code (0 where neither does; such a
+    row has no roots).
+
+    The gap is evaluated at ``DEFAULT_GRID_POINTS`` points across the range;
+    the roots are the grid points where it is exactly zero and, polished by
+    :func:`_polish` to ``1e-8 * (hi - lo)``, one per sign change. Each row's
+    numbers are the same whatever else is in the stack.
+    """
+    p1 = model.curve1.p
+    alpha, beta = theta[:, :p1], theta[:, p1:]
+    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
+    gs, curve, fault = _gap(model, xs, alpha, beta)
+    sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
+    rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    zero_rows, zero_ks = np.nonzero(sign == 0.0)
+    # Each row's candidates, its polished roots and its grid zeros, sorted
+    # closest to zero first (the smaller of two as close).
+    row = np.concatenate([rows, zero_rows])
+    root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
+                                   xs[rows, ks + 1], gs[rows, ks], 1e-8 * (hi - lo)[rows]),
+                           xs[zero_rows, zero_ks]])
+    order = np.lexsort((root, np.abs(root), row))
+    first = np.searchsorted(row[order], np.arange(len(theta) + 1))
+    count = np.diff(first)
+    gamma, found = np.full(len(theta), np.nan), count > 0
+    gamma[found] = root[order][first[:-1][found]]
+    return gamma, count, curve, fault
+
+
+def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, Array, Array]:
     """:func:`solve_gamma_batch`'s roots and errors, and per row the ends
     ``lo`` and ``hi`` of the range that found its root (meaningless for a
-    row without one)."""
+    row without one): one :func:`_scan` per round of the widening."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != model.p:
         raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
-    R, p1 = len(theta), model.curve1.p
-    if bracket is None:
-        # 0.1% below -min(alpha2, beta2), where equal-shape curve pairs cross.
-        shift = np.minimum(theta[:, 1], theta[:, p1 + 1])
-        lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
-        lo, hi = np.where(lo < 0.0, lo, -1.0), np.zeros(R)
-    else:
-        lo, hi = (np.full(R, b, dtype=float) for b in bracket)
-        if not np.all(lo < hi):
-            raise ValueError(f"invalid bracket {bracket!r}")
-    top, active = hi.copy(), np.arange(R)
+    R = len(theta)
+    # 0.1% below -min(alpha2, beta2), where equal-shape curve pairs cross.
+    shift = np.minimum(theta[:, 1], theta[:, model.curve1.p + 1])
+    lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
+    lo, hi = np.where(lo < 0.0, lo, -1.0), np.zeros(R)
+    active = np.arange(R)
     gammas, counts, errors = np.full(R, np.nan), np.zeros(R, dtype=int), [None] * R
-    for k in range(_WIDENINGS + 1 if bracket is None else 1):
+    for k in range(_WIDENINGS + 1):
         if k:  # the rows left scan the extension [2 lo, lo] of their range
             lo[active], hi[active] = 2.0 * lo[active], lo[active]
-        a, b = lo[active], hi[active]
-        alpha, beta = theta[active, :p1], theta[active, p1:]
-        xs = np.linspace(a, b, DEFAULT_GRID_POINTS, axis=-1)
-        gs, curve, fault = _gap(model, xs, alpha, beta)
-        sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
-        rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-        zero_rows, zero_ks = np.nonzero(sign == 0.0)
-        # Each row's candidates, its polished roots and its grid zeros, sorted
-        # closest to zero first (the smaller of two as close).
-        row = np.concatenate([rows, zero_rows])
-        root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
-                                       xs[rows, ks + 1], gs[rows, ks], 1e-8 * (b - a)[rows]),
-                               xs[zero_rows, zero_ks]])
-        order = np.lexsort((root, np.abs(root), row))
-        first = np.searchsorted(row[order], np.arange(len(active) + 1))
-        counts[active] = count = np.diff(first)
-        found = count > 0
-        gammas[active[found]] = root[order][first[:-1][found]]
+        b = hi[active]
+        gammas[active], counts[active], curve, fault = _scan(model, theta[active], lo[active], b)
         if k:  # an extension that overflows ends its row on the last finite range
             lo[active[fault != 0]] = b[fault != 0]
         else:
             for i in np.flatnonzero(fault):
                 errors[i] = fault_error(model.curve1 if curve[i] == 1 else model.curve2,
                                         int(fault[i]))
-        active = active[(fault == 0) & ~found]
+        active = active[(fault == 0) & (counts[active] == 0)]
         if not active.size:
             break
     for r in np.flatnonzero(counts == 0):
         if errors[r] is None:
-            errors[r] = NoBracketError(
-                f"no sign change of the curve gap over [{lo[r]:.6g}, {top[r]:.6g}]")
+            errors[r] = NoBracketError(f"no sign change of the curve gap over [{lo[r]:.6g}, 0]")
     for r in np.flatnonzero(counts > 1):
         warnings.warn(f"{counts[r]} intersection roots found; returning the one closest to zero",
                       MultipleRootWarning, stacklevel=3)
     return gammas, tuple(errors), lo, hi
 
 
-def solve_gamma_batch(model: PartialBleachModel, theta,
-                      bracket: tuple[float, float] | None = None) -> tuple[Array, tuple]:
-    """:func:`solve_gamma` for every row of ``theta (R, p)`` at once; each
-    bound of ``bracket`` may also give one value per row.
+def solve_gamma_batch(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
+    """:func:`solve_gamma` for every row of ``theta (R, p)`` at once.
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
     for that row (None where it returns; such a row's root is NaN). Each
     row's root is the same whatever else is in the stack: each round's one
-    :func:`_polish` loop finds the root of every sign change in it, one sort
-    picks every row's, and only the rows without one go on to the next.
+    :func:`_scan` finds the root of every sign change in it and picks every
+    row's, and only the rows without one go on to the next.
     """
-    return _roots(model, theta, bracket)[:2]
+    return _roots(model, theta)[:2]
 
 
-def solve_gamma(model: PartialBleachModel, theta,
-                bracket: tuple[float, float] | None = None) -> float:
+def solve_gamma(model: PartialBleachModel, theta) -> float:
     """Signed intersection dose: the root of g(x, theta) closest to zero.
 
     Scans ``DEFAULT_GRID_POINTS`` points across a range ``[lo, hi]`` for sign
@@ -266,17 +274,17 @@ def solve_gamma(model: PartialBleachModel, theta,
     step within ``1e-8 * (hi - lo)``. Of those roots and the grid points
     where the gap is exactly zero, returns the one closest to zero (the
     smaller of two as close); more than one warns
-    :class:`MultipleRootWarning`. The range is ``bracket`` or else starts at
-    ``[lo, 0]``, ``lo`` 0.1% below ``-min(alpha2, beta2)``; while it has no
-    root it widens by ``[2 lo, lo]``, scanned the same way, until a curve
-    overflows there or after ``_WIDENINGS`` widenings. No root raises
-    :class:`NoBracketError`, stated over the finite range scanned. A stack
-    of one for :func:`solve_gamma_batch`.
+    :class:`MultipleRootWarning`. The range starts at ``[lo, 0]``, ``lo``
+    0.1% below ``-min(alpha2, beta2)``; while it has no root it widens by
+    ``[2 lo, lo]``, scanned the same way, until a curve overflows there or
+    after ``_WIDENINGS`` widenings. No root raises :class:`NoBracketError`,
+    stated over the finite range scanned. A stack of one for
+    :func:`solve_gamma_batch`.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
         raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
-    gammas, errors = solve_gamma_batch(model, theta[None, :], bracket)
+    gammas, errors = solve_gamma_batch(model, theta[None, :])
     if errors[0] is not None:
         raise errors[0]
     return float(gammas[0])
@@ -418,7 +426,7 @@ def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     differentiating raised (a tangency, or a curve's non-finite gradient or
     Hessian at the root), the same as the row alone gives."""
     theta = np.asarray(theta, dtype=float)
-    gammas, errors, lo, hi = _roots(model, theta, None)
+    gammas, errors, lo, hi = _roots(model, theta)
     found = np.flatnonzero([e is None for e in errors])
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
@@ -530,13 +538,17 @@ class TwoCurveFitResult:
     """Joint result of fitting both curves.
 
     ``sigma_hats`` has two entries in separate mode (one per curve) and a
-    single shared entry in common-sigma mode.
+    single shared entry in common-sigma mode. ``sigma_hat`` is the one scale
+    the fit's formulae use: the shared one, or in separate mode the curves'
+    scales pooled with the divisors they were estimated with
+    (:func:`~propfit.estimators.scale_divisor`).
     """
 
     method: str
     mode: str
     theta_hat: Array
     sigma_hats: tuple[float, ...]
+    sigma_hat: float
     iterations: int
     converged: bool
     residual_norm: float
@@ -553,6 +565,7 @@ class TwoCurveFitBatch:
     mode: str
     theta_hat: Array  # (R, p)
     sigma_hats: Array  # (R, 2) separate, (R, 1) common-sigma
+    sigma_hat: Array  # (R,) the one scale of each fit
     iterations: Array
     converged: Array
     residual_norm: Array
@@ -566,6 +579,7 @@ class TwoCurveFitBatch:
         return TwoCurveFitResult(
             method=self.method, mode=self.mode, theta_hat=self.theta_hat[r].copy(),
             sigma_hats=tuple(float(v) for v in self.sigma_hats[r]),
+            sigma_hat=float(self.sigma_hat[r]),
             iterations=int(self.iterations[r]), converged=bool(self.converged[r]),
             residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]))
 
@@ -610,11 +624,18 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     out = {}
     for method, md in modes.items():
         fits = (fits1[method], fits2[method])
+        if md == MODE_COMMON_SIGMA:
+            sigma_hat = fits1[method].sigma_hat
+            sigma_hats = sigma_hat[:, None]
+        else:  # pooled with the divisors the scales were estimated with
+            sigma_hats = np.stack([f.sigma_hat for f in fits], axis=1)
+            dfs = np.array([scale_divisor(method, np.size(x), c.p)
+                            for c, x in ((model.curve1, x1), (model.curve2, x2))], dtype=float)
+            sigma_hat = np.sqrt(np.sum(dfs * np.square(sigma_hats), axis=1) / dfs.sum())
         out[method] = TwoCurveFitBatch(
             method=method, mode=md,
             theta_hat=np.concatenate([f.theta_hat for f in fits], axis=1),
-            sigma_hats=(fits1[method].sigma_hat[:, None] if md == MODE_COMMON_SIGMA
-                        else np.stack([f.sigma_hat for f in fits], axis=1)),
+            sigma_hats=sigma_hats, sigma_hat=sigma_hat,
             iterations=np.max([f.iterations for f in fits], axis=0),
             converged=np.all([f.converged for f in fits], axis=0),
             residual_norm=np.max([f.residual_norm for f in fits], axis=0),

@@ -1,6 +1,6 @@
-"""CSV input tables.
+"""CSV input tables, read from and written to files.
 
-The on-disk format is a headed CSV with columns ``curve`` (optional label,
+The format is a headed CSV with columns ``curve`` (optional label,
 default "1"), ``x`` and ``y``.  Rows with the same curve label form one
 dataset, in file order; duplicate (curve, x) pairs are replicates and kept.
 Parsing is strict: the header is mandatory, no extra columns are allowed,
@@ -38,12 +38,6 @@ class InputTable:
             raise ConfigError(f"expected one curve, found {len(self.curves)}: {self.labels}")
         return next(iter(self.curves.values()))
 
-    def pair(self) -> tuple[Dataset, Dataset]:
-        if len(self.curves) != 2:
-            raise ConfigError(f"expected two curves, found {len(self.curves)}: {self.labels}")
-        a, b = self.curves.values()
-        return a, b
-
 
 def _parse_cell(value: str, column: str, line: int) -> float:
     try:
@@ -55,13 +49,11 @@ def _parse_cell(value: str, column: str, line: int) -> float:
     return out
 
 
-def read_input_table(path_or_text) -> InputTable:
-    """Parse a CSV file path or literal CSV text into an input table; a
-    leading UTF-8 byte-order mark, as spreadsheets write, is dropped."""
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        return _read(_io.StringIO(path_or_text.removeprefix("\ufeff")))
+def read_input_table(path) -> InputTable:
+    """Parse the CSV file at ``path`` into an input table; a leading UTF-8
+    byte-order mark, as spreadsheets write, is dropped."""
     try:
-        with open(path_or_text, "r", encoding="utf-8-sig", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             return _read(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read input table: {exc}") from None

@@ -589,23 +589,23 @@ def saturating_exponential_model() -> ModelFunction:
 # Registry
 # ---------------------------------------------------------------------------
 
-MODEL_REGISTRY: dict[str, Callable[..., ModelFunction]] = {
+MODEL_REGISTRY: dict[str, Callable[[], ModelFunction]] = {
     "constant": constant_model,
     "exponential": exponential_decay_model,
     "saturating_exponential": saturating_exponential_model,
 }
 
 
-def register_model(name: str, factory: Callable[..., ModelFunction]) -> None:
-    """Register a user model factory under ``name``."""
+def register_model(name: str, factory: Callable[[], ModelFunction]) -> None:
+    """Register a user model factory, called with no arguments, under ``name``."""
     MODEL_REGISTRY[name] = factory
 
 
-def get_model(name: str, **options) -> ModelFunction:
+def get_model(name: str) -> ModelFunction:
     """Instantiate a registered model by name."""
     try:
         factory = MODEL_REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise KeyError(f"unknown model {name!r}; registered models: {known}") from None
-    return factory(**options)
+    return factory()

@@ -42,6 +42,10 @@ class TestBiasOrder2:
             rep = bias_order2(method, model, data, theta, 0.02)
             assert rep.bias[0] == pytest.approx(0.0, abs=1e-18)
 
+    def test_unknown_method_rejected(self, const_design):
+        with pytest.raises(ValueError, match="unknown method 'ols'"):
+            bias_order2("ols", *const_design, 0.02)
+
     def test_wls_closed_form(self, const_design):
         # Oracle: expanding sum(y^2)/sum(y) with y = theta(1 + sigma eps) to
         # O(sigma^2) gives E theta_hat - theta = theta sigma^2 (1 - 1/n).

@@ -47,7 +47,7 @@ from propfit.exceptions import (
     ZeroResponseError,
 )
 from propfit.jacobian import RCOND_MIN, build_jacobian_bundle, build_jacobian_bundles
-from propfit.models import Dataset, ModelFunction
+from propfit.models import FAULT_DOMAIN, Dataset, ModelFunction
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
@@ -650,7 +650,7 @@ class TestCommonSigmaPairs:
             assert np.max(np.abs(equation_residual(method, joint, data, theta))) <= (
                 fits.tolerance[r])
             sigma = (estimate_sigma_ml(joint, data, theta) if method == "ml"
-                     else estimate_sigma_unbiased(joint, data, theta, p=6))
+                     else estimate_sigma_unbiased(joint, data, theta))
             np.testing.assert_allclose(fits.sigma_hats[r, 0], sigma, rtol=1e-14)
 
     def test_ml_pairs_take_the_stacked_fit_iterates(self):
@@ -768,30 +768,42 @@ class TestSolveGammaBatch:
             np.concatenate([PAPER_ALPHA, beta_truth]),  # one crossing, at -87.45
             np.concatenate([PAPER_ALPHA, [396216.15, 123.252, 1155.57]]),  # two crossings
             np.concatenate([PAPER_ALPHA, [1.7 * PAPER_ALPHA[0], PAPER_ALPHA[1],
-                                          PAPER_ALPHA[2]]]),  # none inside the bracket
+                                          PAPER_ALPHA[2]]]),  # both vanish at -alpha2 only
+            np.concatenate([PAPER_ALPHA, APART_BETA]),  # never cross
         ])
         return pb, rows
 
     def test_rows_match_single_solves(self, stack):
         pb, rows = stack
-        bracket = (-122.5, -5.0)
+        theta = rows[[0, 1, 2, 3, 1]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            gammas, errors = solve_gamma_batch(pb, rows, bracket=bracket)
-        assert [w.category for w in caught] == [MultipleRootWarning]
-        assert errors[0] is None and errors[1] is None
-        assert isinstance(errors[2], NoBracketError) and np.isnan(gammas[2])
-
-        assert gammas[0] == solve_gamma(pb, rows[0], bracket=bracket)
+            gammas, errors = solve_gamma_batch(pb, theta)
+        together = [str(w.message) for w in caught]
+        alone = []
+        for r in range(len(theta)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if errors[r] is None:
+                    assert gammas[r] == solve_gamma(pb, theta[r])
+                else:
+                    assert np.isnan(gammas[r])
+                    with pytest.raises(type(errors[r]), match=re.escape(str(errors[r]))):
+                        solve_gamma(pb, theta[r])
+            alone += [str(w.message) for w in caught]
+        # One warning per row with two roots.
+        assert together == alone == ["2 intersection roots found; "
+                                     "returning the one closest to zero"] * 2
+        assert [e is None for e in errors] == [True] * 3 + [False, True]
         assert gammas[0] == pytest.approx(-87.45, abs=1e-6)
-        with pytest.warns(MultipleRootWarning, match="2 intersection roots found"):
-            two = solve_gamma(pb, rows[1], bracket=bracket)
-        assert gammas[1] == two
         # The root closest to zero, where the curves meet.
-        assert -60.0 < two < -50.0  # the other crossing is near -122
-        assert abs(pb.intersection_gap(two, rows[1])) <= 1e-6 * PAPER_ALPHA[0]
-        with pytest.raises(NoBracketError, match=r"over \[-122.5, -5\]"):
-            solve_gamma(pb, rows[2], bracket=bracket)
+        assert -60.0 < gammas[1] < -50.0  # the other crossing is near -122
+        assert abs(pb.intersection_gap(gammas[1], rows[1])) <= 1e-6 * PAPER_ALPHA[0]
+        assert gammas[2] == pytest.approx(-PAPER_ALPHA[1], abs=1e-6)
+        # No crossing is stated over every range scanned: up to the last
+        # finite extension, eleven doublings below the start range.
+        assert isinstance(errors[3], NoBracketError)
+        assert str(errors[3]) == "no sign change of the curve gap over [-252529, 0]"
 
     def test_faulting_rows_name_their_curve(self, stack):
         pb, rows = stack
@@ -814,7 +826,7 @@ class TestSolveGammaBatch:
         pb, rows = stack
         # Step 1 from -150: -100 is a grid point. Curves with shift 100
         # both vanish there, so their gap is exactly zero on the grid.
-        bracket = (-150.0, 105.0)
+        lo, hi = np.full(6, -150.0), np.full(6, 105.0)
         late = 1000.0 * (1.0 - np.exp(-0.015)) / (1.0 - np.exp(-0.03))
         theta = np.array([
             rows[0],  # one crossing, at -87.45
@@ -825,24 +837,15 @@ class TestSolveGammaBatch:
              1.7 * PAPER_ALPHA[0], 200.0, PAPER_ALPHA[2]],  # meets at -200 only
             np.concatenate([PAPER_ALPHA[:2], [0.0], rows[0][3:]]),  # alpha3 = 0
         ])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gammas, errors = solve_gamma_batch(pb, theta, bracket=bracket)
-        together = [str(w.message) for w in caught]
-        alone = []
+        together = equivalent_dose._scan(pb, theta, lo, hi)
         for r in range(len(theta)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                if errors[r] is None:
-                    assert gammas[r] == solve_gamma(pb, theta[r], bracket=bracket)
-                else:
-                    assert np.isnan(gammas[r])
-                    with pytest.raises(type(errors[r]), match=re.escape(str(errors[r]))):
-                        solve_gamma(pb, theta[r], bracket=bracket)
-            alone += [str(w.message) for w in caught]
-        assert together == alone == ["2 intersection roots found; "
-                                     "returning the one closest to zero"] * 2
-        assert [type(e) for e in errors] == [type(None)] * 4 + [NoBracketError, DomainError]
+            alone = equivalent_dose._scan(pb, theta[r:r + 1], lo[r:r + 1], hi[r:r + 1])
+            for part, one in zip(together, alone):
+                np.testing.assert_array_equal(part[r], one[0])
+        gammas, counts, curve, fault = together
+        assert counts.tolist() == [1, 1, 2, 2, 0, 0]
+        assert fault.tolist() == [0] * 5 + [FAULT_DOMAIN] and curve[5] == 1
+        assert np.isnan(gammas[4:]).all()
         assert gammas[1] == -100.0 and gammas[2] == pytest.approx(-98.5, abs=1e-6)
         assert gammas[3] == pytest.approx(-53.6, abs=0.1)
 
@@ -851,41 +854,26 @@ class TestSolveGammaBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootWarning)
             gammas, errors = solve_gamma_batch(pb, rows)
-            for r in range(3):
+            for r in range(len(rows)):
                 if errors[r] is None:
                     assert gammas[r] == solve_gamma(pb, rows[r])
                 else:
-                    with pytest.raises(type(errors[r]), match=str(errors[r])):
+                    with pytest.raises(type(errors[r]), match=re.escape(str(errors[r]))):
                         solve_gamma(pb, rows[r])
-
-    def test_bracket_bounds_per_row(self, stack):
-        # Each bound may give one value per row: row r scans its own range.
-        pb, rows = stack
-        lo, hi = np.array([-122.5, -300.0, -50.0]), np.array([-5.0, 0.0, -1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MultipleRootWarning)
-            gammas, errors = solve_gamma_batch(pb, rows, (lo, hi))
-            for r in range(3):
-                alone, alone_errors = solve_gamma_batch(pb, rows[r:r + 1], (lo[r], hi[r]))
-                np.testing.assert_array_equal(gammas[r], alone[0])
-                assert repr(errors[r]) == repr(alone_errors[0])
-        assert errors[2] is not None and errors[0] is errors[1] is None
-        with pytest.raises(ValueError, match="invalid bracket"):
-            solve_gamma_batch(pb, rows, (lo, np.array([-5.0, -400.0, 0.0])))
 
     def test_dose_derivatives_resolve_default_brackets_once(self, stack, monkeypatch):
         # One scan of the start ranges finds every row's root.
         pb, rows = stack
         calls, roots = [], equivalent_dose._roots
 
-        def counted(model, theta, bracket):
-            calls.append(bracket)
-            return roots(model, theta, bracket)
+        def counted(model, theta):
+            calls.append(len(theta))
+            return roots(model, theta)
         monkeypatch.setattr(equivalent_dose, "_roots", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootWarning)
             doses = dose_derivatives_batch(pb, rows)
-        assert calls == [None]
+        assert calls == [len(rows)]
         shift = min(PAPER_ALPHA[1], rows[0][4])
         assert doses[0].bracket == (-shift - 1e-3 * shift, 0.0)
 

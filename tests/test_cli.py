@@ -218,7 +218,7 @@ class TestFitCommand:
         # equal those built from the library's own pieces.
         pb = partial_bleach_model()
         path = noisy_pair(tmp_path / "pair.csv")[1]
-        d1, d2 = read_input_table(path).pair()
+        d1, d2 = read_input_table(path).curves.values()
         joint, idx = stacked_model(pb, d1.x, d2.x)
         stacked = Dataset(idx, np.concatenate([d1.y, d2.y]))
         for requested in (MODE_DEFAULT, MODE_SEPARATE, MODE_COMMON_SIGMA):
@@ -239,6 +239,7 @@ class TestFitCommand:
                               library_bias_cov(method, pb.curve2, d2, beta, sigma)]
                 else:
                     pieces = [library_bias_cov(method, joint, stacked, res.theta_hat, sigma)]
+                assert res.sigma_hat == sigma, (requested, method)
                 bias = np.concatenate([b for b, _ in pieces])
                 se = np.concatenate([np.sqrt(np.diag(c)) for _, c in pieces])
                 assert entries[method]["parameters"] == round_floats(
@@ -405,6 +406,16 @@ class TestFitCommand:
         assert main(["fit", "--data", pair_csv, "--method", "dwls",
                      "--mode", "common-sigma"]) == 2
 
+    @pytest.mark.parametrize("curves, model, message", [
+        (2, "saturating_exponential", "a two-curve CSV requires the partial_bleach model"),
+        (1, "partial_bleach", "two-curve model requested but the CSV has one curve"),
+    ], ids=["two-curve-csv", "one-curve-csv"])
+    def test_model_that_does_not_fit_the_csv_exits_2(self, pair_csv, tmp_path, capsys,
+                                                      curves, model, message):
+        path = pair_csv if curves == 2 else single_csv(tmp_path / "one.csv")
+        assert main(["fit", "--data", path, "--model", model]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
     def test_three_curves_exits_2(self, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text("curve,x,y\na,1,1\nb,1,1\nc,1,1\n")
@@ -463,6 +474,13 @@ class TestSimulateCommand:
         monkeypatch.setenv("PROPFIT_THREADS", "3")
         args = build_parser().parse_args(["simulate", "--config", sim_config])
         assert args.threads == 3
+
+    def test_non_integer_env_var_means_one_thread(self, sim_config, monkeypatch):
+        from propfit.cli import build_parser
+
+        monkeypatch.setenv("PROPFIT_THREADS", "two")
+        args = build_parser().parse_args(["simulate", "--config", sim_config])
+        assert args.threads == 1
 
     def test_table3_shaped_text(self, tmp_path):
         cfg = {

@@ -84,6 +84,15 @@ class TestBeta1FromGamma:
         with pytest.raises(DomainError):
             beta1_from_gamma(PAPER_ALPHA, 50.0, PAPER_BETA3, -50.0)
 
+    def test_misshapen_parameters_raise(self, pb):
+        with pytest.raises(ValueError, match="alpha must be a 3-vector"):
+            beta1_from_gamma(PAPER_ALPHA[:2], PAPER_BETA2, PAPER_BETA3, PAPER_GAMMA)
+        message = re.escape("joint theta must have shape (6,), got (3,)")
+        with pytest.raises(ValueError, match=message):
+            pb.split(PAPER_ALPHA)
+        with pytest.raises(ValueError, match=message):
+            solve_gamma(pb, PAPER_ALPHA)
+
 
 class TestSolveGamma:
     def test_round_trip_over_gamma_grid(self, pb):
@@ -107,12 +116,14 @@ class TestSolveGamma:
         with pytest.warns(MultipleRootWarning):
             solve_gamma(pb, theta)
 
-    def test_no_intersection_raises(self, pb):
-        # Separated curves with the same shape never cross at negative dose.
+    def test_range_without_a_crossing_has_no_root(self, pb):
+        # Curves with the same shape and different scales meet only where
+        # both vanish, at -alpha2, outside the range.
         theta = np.concatenate([PAPER_ALPHA,
                                 [1.7 * PAPER_ALPHA[0], PAPER_ALPHA[1], PAPER_ALPHA[2]]])
-        with pytest.raises(NoBracketError):
-            solve_gamma(pb, theta, bracket=(-60.0, -5.0))
+        gamma, count, _, fault = equivalent_dose._scan(pb, theta[None, :], np.array([-60.0]),
+                                                       np.array([-5.0]))
+        assert np.isnan(gamma[0]) and count[0] == 0 and fault[0] == 0
 
     def test_curves_that_never_cross_widen_until_they_overflow(self, pb):
         # The gap keeps its sign at every dose. Widening stops where the
@@ -127,8 +138,9 @@ class TestSolveGamma:
             pb.intersection_gap(2.0 * lo, theta)
 
     def test_explicit_bracket_respected(self, pb, theta0):
-        root = solve_gamma(pb, theta0, bracket=(-120.0, -20.0))
-        assert root == pytest.approx(PAPER_GAMMA, abs=1e-4)
+        gamma, count, _, _ = equivalent_dose._scan(pb, theta0[None, :], np.array([-120.0]),
+                                                   np.array([-20.0]))
+        assert count[0] == 1 and gamma[0] == pytest.approx(PAPER_GAMMA, abs=1e-4)
 
     def test_residual_at_root(self, pb, theta0):
         root = solve_gamma(pb, theta0)
@@ -185,12 +197,13 @@ class TestSolveGamma:
 
     def test_equally_close_roots_give_the_smaller(self, pb):
         # Identical curves meet at every grid point, and the two closest to
-        # zero of a bracket symmetric about it are equally close.
+        # zero of a range symmetric about it are equally close.
         theta = np.concatenate([PAPER_ALPHA, PAPER_ALPHA])
-        with pytest.warns(MultipleRootWarning, match="256 intersection roots found"):
-            root = solve_gamma(pb, theta, bracket=(-1.0, 1.0))
+        root, count, _, _ = equivalent_dose._scan(pb, theta[None, :], np.array([-1.0]),
+                                                  np.array([1.0]))
         xs = np.linspace(-1.0, 1.0, equivalent_dose.DEFAULT_GRID_POINTS)
-        assert xs[127] == -xs[128] < 0.0 and root == xs[127]
+        assert count[0] == 256
+        assert xs[127] == -xs[128] < 0.0 and root[0] == xs[127]
 
 
 class TestGammaGradient:

@@ -343,9 +343,9 @@ class TestErrors:
             estimate_sigma_ml(satexp, satexp_grid, theta)
 
     def test_unbiased_scale_needs_more_points_than_parameters(self, const):
-        data = Dataset(np.arange(2.0), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="need n > p, got n=2, p=2"):
-            estimate_sigma_unbiased(const, data, np.array([1.5]), p=2)
+        data = Dataset(np.arange(1.0), np.array([1.0]))
+        with pytest.raises(ValueError, match="need n > p, got n=1, p=1"):
+            estimate_sigma_unbiased(const, data, np.array([1.5]))
 
     def test_misshapen_responses_and_unknown_start_raise_for_the_call(self, satexp,
                                                                        satexp_grid):

@@ -14,24 +14,33 @@ from propfit.io import read_input_table, write_input_table
 CSV = "curve,x,y\n1,0.0,1.0\n1,1.0,2.0\n1,2.0,3.0\n2,0.5,1.5\n"
 
 
+def read_text(tmp_path, text: str):
+    """``text`` written to a file as is, then read back as an input table."""
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    return read_input_table(str(path))
+
+
 class TestReadTable:
-    def test_basic_two_curves(self):
-        table = read_input_table(CSV)
+    def test_basic_two_curves(self, tmp_path):
+        table = read_text(tmp_path, CSV)
         assert table.labels == ("1", "2")
         d1 = table.curves["1"]
         np.testing.assert_array_equal(d1.x, [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(d1.y, [1.0, 2.0, 3.0])
+        with pytest.raises(ConfigError, match=re.escape("expected one curve, found 2: ('1', '2')")):
+            table.single()
 
-    def test_curve_column_optional(self):
-        table = read_input_table("x,y\n1,2\n3,4\n")
+    def test_curve_column_optional(self, tmp_path):
+        table = read_text(tmp_path, "x,y\n1,2\n3,4\n")
         assert table.labels == ("1",)
 
-    def test_duplicate_x_rows_kept(self):
-        table = read_input_table("x,y\n1,2\n1,3\n")
+    def test_duplicate_x_rows_kept(self, tmp_path):
+        table = read_text(tmp_path, "x,y\n1,2\n1,3\n")
         assert table.single().n == 2
 
-    def test_crlf_accepted(self):
-        table = read_input_table("x,y\r\n1,2\r\n3,4\r\n")
+    def test_crlf_accepted(self, tmp_path):
+        table = read_text(tmp_path, "x,y\r\n1,2\r\n3,4\r\n")
         assert table.single().n == 2
 
     @pytest.mark.parametrize("text", [
@@ -43,12 +52,12 @@ class TestReadTable:
         "x,y\n1\n",                  # ragged row
         "curve,x,y\n,1,2\n",         # empty label
     ])
-    def test_strict_rejection(self, text):
+    def test_strict_rejection(self, tmp_path, text):
         with pytest.raises(ConfigError):
-            read_input_table(text)
+            read_text(tmp_path, text)
 
     def test_round_trip_identity(self, tmp_path):
-        table = read_input_table(CSV)
+        table = read_text(tmp_path, CSV)
         path = tmp_path / "t.csv"
         write_input_table(table, path)
         again = read_input_table(str(path))
@@ -64,8 +73,8 @@ class TestReadTable:
         path = tmp_path / "bom.csv"
         path.write_text(CSV, encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-        for table in (read_input_table(str(path)), read_input_table("\ufeff" + CSV)):
-            assert write_input_table(table) == write_input_table(read_input_table(CSV))
+        assert (write_input_table(read_input_table(str(path)))
+                == write_input_table(read_text(tmp_path, CSV)))
 
 
 class TestConfig:

@@ -45,8 +45,9 @@ class TestEval:
             assert satexp.eval(float(x), PAPER_ALPHA) == v
 
     def test_domain_guard_rejects_zero_rate(self, satexp):
-        with pytest.raises(DomainError):
-            satexp.eval(1.0, np.array([1.0, 1.0, 0.0]))
+        for call in (satexp.eval, satexp.grad, satexp.hess):
+            with pytest.raises(DomainError):
+                call(1.0, np.array([1.0, 1.0, 0.0]))
 
     def test_nonfinite_theta_rejected(self, const):
         with pytest.raises(DomainError):
@@ -192,6 +193,7 @@ class TestDataset:
         ([], []),
         ([np.inf], [1.0]),
         ([1.0], [np.nan]),
+        ([[1.0]], [[1.0]]),
     ])
     def test_invalid_rejected(self, x, y):
         with pytest.raises(ValueError):
@@ -207,6 +209,12 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_model("no_such_model")
+
+    def test_model_shape_is_checked(self, const):
+        with pytest.raises(ValueError, match="model must have at least one parameter"):
+            replace(const, p=0, param_names=())
+        with pytest.raises(ValueError, match="param_names length must equal p"):
+            replace(const, param_names=("a", "b"))
 
     def test_register_custom(self):
         register_model("tests_linear", lambda: scaled_shape_model(lambda x: x, name="tests_linear"))

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propfit import equivalent_dose
 from propfit.equivalent_dose import MODE_COMMON_SIGMA, fit_two_curves_methods, solve_gamma_batch
 from propfit.estimators import METHODS, equation_residual, fit_methods
 from propfit.exceptions import MultipleRootWarning
@@ -103,16 +104,24 @@ def test_start_hint_rows_do_not_depend_on_the_stack(rows):
        wide=st.booleans())
 def test_solve_gamma_batch_rows_do_not_depend_on_the_stack(scales, wide):
     # Rows near the design's truth: most cross once, some twice or not at
-    # all inside the bracket; each row's root or error is its own.
+    # all inside one range; each row's root or error is its own, from the
+    # widening scan or from one scan of a wide range.
     theta = THETA0 * np.array(scales)
-    bracket = (-5000.0, 0.0) if wide else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MultipleRootWarning)
-        gammas, errors = solve_gamma_batch(PB, theta, bracket)
+    if wide:
+        lo, hi = np.full(len(theta), -5000.0), np.zeros(len(theta))
+        together = equivalent_dose._scan(PB, theta, lo, hi)
         for r in range(len(theta)):
-            alone, alone_errors = solve_gamma_batch(PB, theta[r:r + 1], bracket)
-            np.testing.assert_array_equal(gammas[r], alone[0])
-            assert repr(errors[r]) == repr(alone_errors[0])
+            alone = equivalent_dose._scan(PB, theta[r:r + 1], lo[r:r + 1], hi[r:r + 1])
+            for part, one in zip(together, alone):
+                np.testing.assert_array_equal(part[r], one[0])
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            gammas, errors = solve_gamma_batch(PB, theta)
+            for r in range(len(theta)):
+                alone, alone_errors = solve_gamma_batch(PB, theta[r:r + 1])
+                np.testing.assert_array_equal(gammas[r], alone[0])
+                assert repr(errors[r]) == repr(alone_errors[0])
 
 
 def _pair(shape, noise1, noise2):

@@ -95,6 +95,10 @@ class TestRunStudy:
             assert cell.b_s == 0.0
             assert cell.b_t == 0.0
             assert entry.failure_count == 0
+        with pytest.raises(KeyError):
+            summary.entry("ml", 0.02)
+        with pytest.raises(KeyError):
+            entry.cell("gamma")
 
     def test_wls_bias_matches_formula_on_constant_model(self):
         # Table-2 specialization: E theta_hat - theta = theta sigma^2 (1-1/n).
@@ -410,6 +414,10 @@ class TestSimDesignValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             constant_design(methods=("ols",))
+
+    def test_unknown_start(self):
+        with pytest.raises(ValueError, match="start must be 'theta0' or 'auto'"):
+            constant_design(start="truth")
 
     def test_unknown_fit_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'joint'"):
