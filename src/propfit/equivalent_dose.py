@@ -184,17 +184,12 @@ _WIDENINGS = 40
 
 
 def _scan(model: PartialBleachModel, theta: Array, lo: Array, hi: Array):
-    """One scan of the range ``[lo, hi]`` of each row of ``theta (R, p)``:
-    per row the root closest to zero (the smaller of two as close; NaN
-    where there is none), the number of roots, and the first curve (1 or 2)
-    whose evaluation faults and its fault code (0 where neither does; such a
-    row has no roots).
-
-    The gap is evaluated at ``DEFAULT_GRID_POINTS`` points across the range;
-    the roots are the grid points where it is exactly zero and, polished by
-    :func:`_polish` to ``1e-8 * (hi - lo)``, one per sign change. Each row's
-    numbers are the same whatever else is in the stack.
-    """
+    """One scan of each row's range ``[lo, hi]`` (``theta (R, p)``): per row
+    the root closest to zero (the smaller of two as close; NaN for none),
+    the number of roots, and the first curve (1 or 2) that faults and its
+    fault code (0 for none; such a row has no roots). The roots are the
+    ``DEFAULT_GRID_POINTS`` grid's exact zeros of the gap and, polished to
+    ``1e-8 * (hi - lo)``, one per sign change; a row's are its own."""
     p1 = model.curve1.p
     alpha, beta = theta[:, :p1], theta[:, p1:]
     xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
@@ -202,8 +197,6 @@ def _scan(model: PartialBleachModel, theta: Array, lo: Array, hi: Array):
     sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
     rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     zero_rows, zero_ks = np.nonzero(sign == 0.0)
-    # Each row's candidates, its polished roots and its grid zeros, sorted
-    # closest to zero first (the smaller of two as close).
     row = np.concatenate([rows, zero_rows])
     root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
                                    xs[rows, ks + 1], gs[rows, ks], 1e-8 * (hi - lo)[rows]),
@@ -233,10 +226,10 @@ def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, Array, Array
     for k in range(_WIDENINGS + 1):
         if k:  # the rows left scan the extension [2 lo, lo] of their range
             lo[active], hi[active] = 2.0 * lo[active], lo[active]
-        b = hi[active]
-        gammas[active], counts[active], curve, fault = _scan(model, theta[active], lo[active], b)
+        gammas[active], counts[active], curve, fault = _scan(model, theta[active], lo[active],
+                                                             hi[active])
         if k:  # an extension that overflows ends its row on the last finite range
-            lo[active[fault != 0]] = b[fault != 0]
+            lo[active[fault != 0]] = hi[active][fault != 0]
         else:
             for i in np.flatnonzero(fault):
                 errors[i] = fault_error(model.curve1 if curve[i] == 1 else model.curve2,
@@ -538,10 +531,9 @@ class TwoCurveFitResult:
     """Joint result of fitting both curves.
 
     ``sigma_hats`` has two entries in separate mode (one per curve) and a
-    single shared entry in common-sigma mode. ``sigma_hat`` is the one scale
-    the fit's formulae use: the shared one, or in separate mode the curves'
-    scales pooled with the divisors they were estimated with
-    (:func:`~propfit.estimators.scale_divisor`).
+    single shared entry in common-sigma mode. ``sigma_hat``, the one scale
+    the fit's formulae use, is the shared one or the two pooled with their
+    divisors (:func:`~propfit.estimators.scale_divisor`).
     """
 
     method: str
@@ -629,8 +621,8 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
             sigma_hats = sigma_hat[:, None]
         else:  # pooled with the divisors the scales were estimated with
             sigma_hats = np.stack([f.sigma_hat for f in fits], axis=1)
-            dfs = np.array([scale_divisor(method, np.size(x), c.p)
-                            for c, x in ((model.curve1, x1), (model.curve2, x2))], dtype=float)
+            dfs = scale_divisor(method, np.array([np.size(x1), np.size(x2)]),
+                                np.array([model.curve1.p, model.curve2.p]))
             sigma_hat = np.sqrt(np.sum(dfs * np.square(sigma_hats), axis=1) / dfs.sum())
         out[method] = TwoCurveFitBatch(
             method=method, mode=md,
