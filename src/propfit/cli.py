@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -40,9 +39,6 @@ from .estimators import METHODS, fit_methods
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
 from .simulation import compare_bias_table, run_study
-
-ENV_THREADS = "PROPFIT_THREADS"
-
 
 # ---------------------------------------------------------------------------
 # Output helpers
@@ -315,24 +311,6 @@ def cmd_check(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-# The ``--threads`` default: its type reads $PROPFIT_THREADS at each parse.
-_THREADS_FROM_ENV = f"${ENV_THREADS}"
-
-
-def _threads(raw: str) -> int:
-    """A ``--threads`` value; the default is $PROPFIT_THREADS, or 1 where that
-    is unset or not an integer, and at least 1."""
-    if raw != _THREADS_FROM_ENV:
-        return int(raw)
-    try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        return 1
-
-
-_threads.__name__ = "int"  # argparse names the type in its error line
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="propfit",
                                      description="proportional-error regression toolkit")
@@ -351,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo bias study")
     p_sim.add_argument("--config", required=True, help="JSON run configuration with sim section")
     p_sim.add_argument("--seed", type=int, help="override sim.seed")
-    p_sim.add_argument("--threads", type=_threads, default=_THREADS_FROM_ENV,
+    p_sim.add_argument("--threads", type=int, default=1,
                        help="contiguous chunks of the study's replicates, fitted on at "
-                            f"most one thread per CPU (default ${ENV_THREADS} or 1)")
+                            "most one thread per CPU (default 1)")
     p_sim.add_argument("--out", help="output path (both: .txt and .json)")
     p_sim.add_argument("--format", choices=["text", "json", "both"])
 

@@ -35,7 +35,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import bias_cov
-from .estimators import FitOptions, _fit_curves, scale_divisor
+from .estimators import (
+    MODE_SEPARATE,
+    FitBatch,
+    FitOptions,
+    FitResult,
+    _fit_curves,
+    _join,
+    scale_divisor,
+)
 from .exceptions import (
     DomainError,
     ModeError,
@@ -43,7 +51,6 @@ from .exceptions import (
     NoBracketError,
     PropfitError,
     TangencyError,
-    first_errors,
 )
 from .jacobian import JacobianBundle, _build_bundles, build_jacobian_bundles, join_bundles
 from .models import (
@@ -56,7 +63,6 @@ from .models import (
     saturating_exponential_model,
 )
 
-MODE_SEPARATE = "separate"
 MODE_COMMON_SIGMA = "common-sigma"
 MODES = (MODE_SEPARATE, MODE_COMMON_SIGMA)
 MODE_DEFAULT = "default"  # per-method: ML shares sigma, the rest fit separately
@@ -209,10 +215,14 @@ def _scan(model: PartialBleachModel, theta: Array, lo: Array, hi: Array):
     return gamma, count, curve, fault
 
 
-def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, Array, Array]:
+def _roots(model: PartialBleachModel, theta,
+           stacklevel: int) -> tuple[Array, tuple, Array, Array]:
     """:func:`solve_gamma_batch`'s roots and errors, and per row the ends
     ``lo`` and ``hi`` of the range that found its root (meaningless for a
-    row without one): one :func:`_scan` per round of the widening."""
+    row without one): one :func:`_scan` per round of the widening. A
+    :class:`MultipleRootWarning` names the frame ``stacklevel`` counts up
+    from this one, as :func:`warnings.warn` counts: the public function's
+    caller, so each private helper between them adds one."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != model.p:
         raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
@@ -242,7 +252,7 @@ def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, Array, Array
             errors[r] = NoBracketError(f"no sign change of the curve gap over [{lo[r]:.6g}, 0]")
     for r in np.flatnonzero(counts > 1):
         warnings.warn(f"{counts[r]} intersection roots found; returning the one closest to zero",
-                      MultipleRootWarning, stacklevel=3)
+                      MultipleRootWarning, stacklevel=stacklevel)
     return gammas, tuple(errors), lo, hi
 
 
@@ -255,7 +265,7 @@ def solve_gamma_batch(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
     :func:`_scan` finds the root of every sign change in it and picks every
     row's, and only the rows without one go on to the next.
     """
-    return _roots(model, theta)[:2]
+    return _roots(model, theta, stacklevel=3)[:2]
 
 
 def solve_gamma(model: PartialBleachModel, theta) -> float:
@@ -277,7 +287,7 @@ def solve_gamma(model: PartialBleachModel, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
         raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
-    gammas, errors = solve_gamma_batch(model, theta[None, :])
+    gammas, errors, _, _ = _roots(model, theta[None, :], stacklevel=3)
     if errors[0] is not None:
         raise errors[0]
     return float(gammas[0])
@@ -418,8 +428,13 @@ def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     the scan range that found the root, or the error solving or
     differentiating raised (a tangency, or a curve's non-finite gradient or
     Hessian at the root), the same as the row alone gives."""
+    return _doses(model, theta, stacklevel=3)
+
+
+def _doses(model: PartialBleachModel, theta, stacklevel: int) -> tuple:
+    """:func:`dose_derivatives_batch`, warning as :func:`_roots` does."""
     theta = np.asarray(theta, dtype=float)
-    gammas, errors, lo, hi = _roots(model, theta)
+    gammas, errors, lo, hi = _roots(model, theta, stacklevel + 1)
     found = np.flatnonzero([e is None for e in errors])
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
@@ -481,6 +496,12 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
     fit needs more observations than parameters: per curve when separate,
     in all when common-sigma; else the call raises ``ValueError``.
     """
+    return _formulae(model, xs, thetas, modes, stacklevel=3)
+
+
+def _formulae(model: PartialBleachModel | ModelFunction, xs, thetas, modes,
+              stacklevel: int) -> dict[str, Formulae]:
+    """:func:`formulae`, warning as :func:`_roots` does."""
     if not thetas:
         return {}
     methods = list(thetas)
@@ -488,7 +509,7 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
     if isinstance(model, ModelFunction):
         return {m: Formulae(m, b if isinstance(b, Exception) else (b,), None)
                 for m, b in zip(methods, build_jacobian_bundles(model, xs[0], T))}
-    doses = dose_derivatives_batch(model, T)
+    doses = _doses(model, T, stacklevel + 1)
     p1 = model.curve1.p
     curves = ((model.curve1, np.asarray(xs[0], dtype=float), T[:, :p1]),
               (model.curve2, np.asarray(xs[1], dtype=float), T[:, p1:]))
@@ -518,7 +539,8 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
     the implicit-function derivatives of gamma: :func:`formulae` for one fit.
     """
     method = method.lower()
-    row = formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)))[method]
+    row = _formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)),
+                    stacklevel=3)[method]
     return row.estimate(*row.bias_cov(sigma))
 
 
@@ -526,62 +548,12 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
 # Two-curve fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoCurveFitResult:
-    """Joint result of fitting both curves.
-
-    ``sigma_hats`` has two entries in separate mode (one per curve) and a
-    single shared entry in common-sigma mode. ``sigma_hat``, the one scale
-    the fit's formulae use, is the shared one or the two pooled with their
-    divisors (:func:`~propfit.estimators.scale_divisor`).
-    """
-
-    method: str
-    mode: str
-    theta_hat: Array
-    sigma_hats: tuple[float, ...]
-    sigma_hat: float
-    iterations: int
-    converged: bool
-    residual_norm: float
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class TwoCurveFitBatch:
-    """Two-curve fits of a stack of dataset pairs; row ``r`` is what
-    :func:`fit_two_curves` returns for pair ``r``, or NaN numbers and its
-    exception in ``errors[r]``."""
-
-    method: str
-    mode: str
-    theta_hat: Array  # (R, p)
-    sigma_hats: Array  # (R, 2) separate, (R, 1) common-sigma
-    sigma_hat: Array  # (R,) the one scale of each fit
-    iterations: Array
-    converged: Array
-    residual_norm: Array
-    tolerance: Array
-    errors: tuple
-
-    def result(self, r: int) -> TwoCurveFitResult:
-        """Row ``r`` as a :class:`TwoCurveFitResult`; raises the row's error if it failed."""
-        if self.errors[r] is not None:
-            raise self.errors[r]
-        return TwoCurveFitResult(
-            method=self.method, mode=self.mode, theta_hat=self.theta_hat[r].copy(),
-            sigma_hats=tuple(float(v) for v in self.sigma_hats[r]),
-            sigma_hat=float(self.sigma_hat[r]),
-            iterations=int(self.iterations[r]), converged=bool(self.converged[r]),
-            residual_norm=float(self.residual_norm[r]), tolerance=float(self.tolerance[r]))
-
-
 def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
                            mode: str = MODE_DEFAULT,
-                           opts: FitOptions | None = None) -> dict[str, TwoCurveFitBatch]:
+                           opts: FitOptions | None = None) -> dict[str, FitBatch]:
     """Fit each of ``methods``, in the mode :func:`resolve_modes` gives it, to
     every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
-    and ``x2``; returns ``{method: TwoCurveFitBatch}``.
+    and ``x2``; returns ``{method: FitBatch}``, row ``r`` the fit of pair ``r``.
 
     Every fit is in one stack and one solve (see :mod:`propfit.estimators`),
     each curve starting at its own hint with ``start="auto"`` and at its
@@ -617,27 +589,18 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     for method, md in modes.items():
         fits = (fits1[method], fits2[method])
         if md == MODE_COMMON_SIGMA:
-            sigma_hat = fits1[method].sigma_hat
-            sigma_hats = sigma_hat[:, None]
+            sigma_hats, sigma_hat = fits[0].sigma_hats, fits[0].sigma_hat
         else:  # pooled with the divisors the scales were estimated with
             sigma_hats = np.stack([f.sigma_hat for f in fits], axis=1)
             dfs = scale_divisor(method, np.array([np.size(x1), np.size(x2)]),
                                 np.array([model.curve1.p, model.curve2.p]))
             sigma_hat = np.sqrt(np.sum(dfs * np.square(sigma_hats), axis=1) / dfs.sum())
-        out[method] = TwoCurveFitBatch(
-            method=method, mode=md,
-            theta_hat=np.concatenate([f.theta_hat for f in fits], axis=1),
-            sigma_hats=sigma_hats, sigma_hat=sigma_hat,
-            iterations=np.max([f.iterations for f in fits], axis=0),
-            converged=np.all([f.converged for f in fits], axis=0),
-            residual_norm=np.max([f.residual_norm for f in fits], axis=0),
-            tolerance=np.max([f.tolerance for f in fits], axis=0),
-            errors=first_errors(*(f.errors for f in fits)))
+        out[method] = _join(fits, md, sigma_hats, sigma_hat)
     return out
 
 
 def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,
-                   mode: str = MODE_DEFAULT, opts: FitOptions | None = None) -> TwoCurveFitResult:
+                   mode: str = MODE_DEFAULT, opts: FitOptions | None = None) -> FitResult:
     """Fit the two curves either independently or sharing one scale, in the
     mode :func:`resolve_modes` gives ``method``: a stack of one for
     :func:`fit_two_curves_methods`."""

@@ -31,6 +31,7 @@ objective) and the public API; :mod:`propfit._newton` solves them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .models import (
 )
 
 METHODS = ("ml", "ql", "wls", "dwls")
+MODE_SEPARATE = "separate"  # the mode of a fit whose every curve has its own scale
 
 
 def _check_method(method: str) -> str:
@@ -87,8 +89,21 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit: of one curve, or of two (see
+    :func:`~propfit.equivalent_dose.fit_two_curves`).
+
+    ``theta_hat`` holds every curve's parameters in curve order. ``mode`` is
+    ``"separate"`` when each curve has its own scale, with one entry per curve
+    in ``sigma_hats``, and ``"common-sigma"`` when the curves share one, its
+    one entry. ``sigma_hat``, the one scale the fit's formulae use, is the
+    one curve's or the shared scale, or the separate curves' pooled with
+    their divisors (:func:`scale_divisor`).
+    """
+
     method: str
+    mode: str
     theta_hat: Array
+    sigma_hats: tuple[float, ...]
     sigma_hat: float
     iterations: int
     converged: bool
@@ -96,16 +111,24 @@ class FitResult:
     tolerance: float
 
 
+# The per-fit numbers a FitBatch holds as columns (one entry per row).
+_NUMBERS = ("sigma_hat", "iterations", "converged", "residual_norm", "tolerance")
+
+
 @dataclass(frozen=True)
 class FitBatch:
-    """Fits of one method to a stack of datasets sharing their covariate.
+    """Fits of one method to a stack of datasets (or of dataset pairs).
 
-    Row ``r`` holds what :func:`fit` returns for dataset ``r``, or, where
-    that fit raises, NaN numbers and the exception in ``errors[r]``.
+    Row ``r`` holds what :func:`fit` (or
+    :func:`~propfit.equivalent_dose.fit_two_curves`) returns for dataset
+    ``r``, or, where that fit raises, NaN numbers and the exception in
+    ``errors[r]``.
     """
 
     method: str
+    mode: str
     theta_hat: Array  # (R, p)
+    sigma_hats: Array  # (R, 1), or (R, 2) for two curves fitted separately
     sigma_hat: Array  # (R,)
     iterations: Array
     converged: Array
@@ -117,11 +140,9 @@ class FitBatch:
         """Row ``r`` as a :class:`FitResult`; raises the row's error if it failed."""
         if self.errors[r] is not None:
             raise self.errors[r]
-        return FitResult(method=self.method, theta_hat=self.theta_hat[r].copy(),
-                         sigma_hat=float(self.sigma_hat[r]), iterations=int(self.iterations[r]),
-                         converged=bool(self.converged[r]),
-                         residual_norm=float(self.residual_norm[r]),
-                         tolerance=float(self.tolerance[r]))
+        return FitResult(method=self.method, mode=self.mode, theta_hat=self.theta_hat[r].copy(),
+                         sigma_hats=tuple(self.sigma_hats[r].tolist()),
+                         **{name: getattr(self, name)[r].item() for name in _NUMBERS})
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +271,10 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     dataset of ``n1 + n2`` observations and ``p1 + p2`` parameters with one
     scale. Both curves' batches carry that fit's ``sigma_hat`` and error, so
     its rows fail together, with the first error in curve order; each keeps
-    its own row's ``theta_hat`` and solver columns, which
-    :func:`~propfit.equivalent_dose.fit_two_curves_methods` merges. An ML
-    pair is one pair of solver rows (its scale couples them); another
-    method's equation does not involve the scale, so its rows solve alone.
+    its own row's ``theta_hat`` and solver columns, which :func:`_join`
+    joins. An ML pair is one pair of solver rows (its scale couples them);
+    another method's equation does not involve the scale, so its rows solve
+    alone.
     A pair needs ``n1 + n2 > p1 + p2``, and from an ``"auto"`` start a hint
     for each curve, which a curve with ``n <= p`` does not have.
     """
@@ -341,10 +362,29 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     divisor = [scale_divisor(m, sum(sizes), C * p) if m in paired else scale_divisor(m, n, p)
                for m in methods for n in sizes]
     columns["sigma_hat"] = np.sqrt(columns.pop("squares") / np.repeat(divisor, R))
-    return [{m: FitBatch(method=m, errors=tuple(errors[a:a + R]),
+    columns["sigma_hats"] = columns["sigma_hat"][:, None]
+    return [{m: FitBatch(method=m, mode=MODE_SEPARATE, errors=tuple(errors[a:a + R]),
                          **{name: v[a:a + R] for name, v in columns.items()})
              for i, m in enumerate(methods) for a in [i * CR + c * R]}
             for c in range(C)]
+
+
+# How a fit of several curves joins its curves' columns, one rule per column.
+_JOINS = {"theta_hat": partial(np.concatenate, axis=1), "iterations": partial(np.max, axis=0),
+          "converged": partial(np.all, axis=0), "residual_norm": partial(np.max, axis=0),
+          "tolerance": partial(np.max, axis=0)}
+
+
+def _join(batches, mode: str, sigma_hats: Array, sigma_hat: Array) -> FitBatch:
+    """One method's fits of several curves, row by row, from each curve's
+    batch of ``_fit_curves``, in ``mode`` with the scales given: every
+    curve's parameters in curve order, the larger iterations, residual norm
+    and tolerance, converged where every curve is, and the first error in
+    curve order."""
+    return FitBatch(method=batches[0].method, mode=mode, sigma_hats=sigma_hats,
+                    sigma_hat=sigma_hat, errors=first_errors(*(b.errors for b in batches)),
+                    **{name: join([getattr(b, name) for b in batches])
+                       for name, join in _JOINS.items()})
 
 
 def fit_methods(model: ModelFunction, x, Y, methods,

@@ -104,6 +104,8 @@ class SimDesign:
             raise ValueError("sigma values must lie in [0, 0.5]")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.max_redraws < 0:
+            raise ValueError("max_redraws must be at least 0")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")

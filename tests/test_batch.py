@@ -115,6 +115,39 @@ class TestFitBatch:
             assert batch.iterations[r] == one.iterations
             assert tuple(batch.sigma_hats[r]) == one.sigma_hats
 
+    def test_one_curve_fits_are_separate_with_their_one_scale(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=3, seed=24)
+        batches = fit_methods(satexp, X, Y, METHODS)
+        for m, batch in batches.items():
+            assert batch.mode == MODE_SEPARATE
+            np.testing.assert_array_equal(batch.sigma_hats, batch.sigma_hat[:, None])
+            one = fit(satexp, Dataset(X, Y[0]), m)
+            assert one.mode == MODE_SEPARATE and one.sigma_hats == (one.sigma_hat,)
+
+    def test_result_is_the_batch_row_in_python_scalars(self, satexp):
+        Y = noisy_stack(satexp, X, PAPER_ALPHA, 0.03, rows=3, seed=25)
+        pb, _, Y1, Y2 = two_curve_data(0.03, rows=3, seed=26)
+        stacks = [fit_methods(satexp, X, Y, METHODS)] + [
+            fit_two_curves_methods(pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES, Y2,
+                                   METHODS, mode) for mode in (MODE_SEPARATE, MODE_COMMON_SIGMA)]
+        kinds = {"iterations": int, "converged": bool}
+        for batches in stacks:
+            for batch in batches.values():
+                for r in range(3):
+                    res = batch.result(r)
+                    assert (res.method, res.mode) == (batch.method, batch.mode)
+                    assert type(res.theta_hat) is np.ndarray
+                    assert not np.shares_memory(res.theta_hat, batch.theta_hat)
+                    np.testing.assert_array_equal(res.theta_hat, batch.theta_hat[r])
+                    assert all(type(v) is float for v in res.sigma_hats)
+                    assert res.sigma_hats == tuple(batch.sigma_hats[r])
+                    for name in ("sigma_hat", "iterations", "converged", "residual_norm",
+                                 "tolerance"):
+                        value = getattr(res, name)
+                        assert type(value) is kinds.get(name, float)
+                        assert value == getattr(batch, name)[r]
+        assert [batches["ml"].sigma_hats.shape for batches in stacks] == [(3, 1), (3, 2), (3, 1)]
+
 
 class TestFitMethods:
     def test_rows_match_one_method_fits_from_one_start(self, satexp, monkeypatch):
@@ -866,9 +899,9 @@ class TestSolveGammaBatch:
         pb, rows = stack
         calls, roots = [], equivalent_dose._roots
 
-        def counted(model, theta):
+        def counted(model, theta, stacklevel):
             calls.append(len(theta))
-            return roots(model, theta)
+            return roots(model, theta, stacklevel)
         monkeypatch.setattr(equivalent_dose, "_roots", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootWarning)

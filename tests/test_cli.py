@@ -468,20 +468,6 @@ class TestSimulateCommand:
               "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_env_var_sets_default_threads(self, sim_config, monkeypatch):
-        from propfit.cli import build_parser
-
-        monkeypatch.setenv("PROPFIT_THREADS", "3")
-        args = build_parser().parse_args(["simulate", "--config", sim_config])
-        assert args.threads == 3
-
-    def test_non_integer_env_var_means_one_thread(self, sim_config, monkeypatch):
-        from propfit.cli import build_parser
-
-        monkeypatch.setenv("PROPFIT_THREADS", "two")
-        args = build_parser().parse_args(["simulate", "--config", sim_config])
-        assert args.threads == 1
-
     def test_table3_shaped_text(self, tmp_path):
         cfg = {
             "model": "partial_bleach",
@@ -694,8 +680,7 @@ class TestEntryPoint:
             raise PropfitError("stopped before fitting")
         monkeypatch.setattr(cli, "run_study", stop)
         for count in ("2", "5"):
-            monkeypatch.setenv("PROPFIT_THREADS", count)
-            assert main(["simulate", "--config", sim_config]) == 2
+            assert main(["simulate", "--config", sim_config, "--threads", count]) == 2
         assert seen == [2, 5] and len(builds) == 1
         # The command is looked up when it runs, so a replaced one is called.
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)

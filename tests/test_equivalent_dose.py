@@ -1,6 +1,7 @@
 """Two-curve intersection machinery for the partial bleach design."""
 
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -115,6 +116,21 @@ class TestSolveGamma:
         theta = np.concatenate([PAPER_ALPHA, PAPER_ALPHA])
         with pytest.warns(MultipleRootWarning):
             solve_gamma(pb, theta)
+
+    def test_multiple_root_warning_names_the_calling_line(self, pb):
+        # The default filter shows a warning once per line it names, so each
+        # call must name its own line, not one inside propfit.
+        theta = np.concatenate([PAPER_ALPHA, [396216.15, 123.252, 1155.57]])  # two crossings
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            solve_gamma(pb, theta)
+            solve_gamma(pb, theta)
+            gamma_bias_se(pb, x1, x2, theta, 0.02, "ml")
+            gamma_bias_se(pb, x1, x2, theta, 0.02, "ml")
+        assert [w.category for w in caught] == [MultipleRootWarning] * 4
+        assert {w.filename for w in caught} == {__file__}
+        assert len({w.lineno for w in caught}) == 4
 
     def test_range_without_a_crossing_has_no_root(self, pb):
         # Curves with the same shape and different scales meet only where

@@ -411,6 +411,12 @@ class TestSimDesignValidation:
         with pytest.raises(ValueError):
             constant_design(replicates=0)
 
+    def test_max_redraws_not_negative(self):
+        # With -1, every replicate would count as rejected after 0 redraws.
+        with pytest.raises(ValueError, match="max_redraws must be at least 0"):
+            constant_design(max_redraws=-1)
+        assert constant_design(max_redraws=0).max_redraws == 0
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             constant_design(methods=("ols",))
