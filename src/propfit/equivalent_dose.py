@@ -6,6 +6,10 @@ where the curves intersect, found as a root of
 
     g(x, theta) = f1(x, alpha) - f2(x, beta) = 0.
 
+For two saturating exponentials g's slope vanishes at most once, so g has at
+most two roots (Rolle; Polya & Szego, *Problems and Theorems in Analysis* II,
+Part V), and :func:`solve_gamma_batch` finds them on one fixed grid per row.
+
 ``beta1_from_gamma`` constructs the bleached scale so the true curves
 intersect exactly at a chosen ``gamma``; :func:`dose_derivatives_batch`
 solves for and differentiates the implicit root in the six joint parameters
@@ -51,11 +55,13 @@ from .exceptions import (
     NoBracketError,
     PropfitError,
     TangencyError,
+    outside_stacklevel,
 )
 from .jacobian import JacobianBundle, _build_bundles, build_jacobian_bundles, join_bundles
 from .models import (
     FAULT_GRADIENT,
     FAULT_HESSIAN,
+    FAULT_VALUE,
     Array,
     Dataset,
     ModelFunction,
@@ -66,8 +72,6 @@ from .models import (
 MODE_COMMON_SIGMA = "common-sigma"
 MODES = (MODE_SEPARATE, MODE_COMMON_SIGMA)
 MODE_DEFAULT = "default"  # per-method: ML shares sigma, the rest fit separately
-
-DEFAULT_GRID_POINTS = 256
 
 
 def resolve_modes(requested: str, methods) -> dict[str, str]:
@@ -142,31 +146,25 @@ def beta1_from_gamma(alpha, beta2: float, beta3: float, gamma: float) -> float:
     return float(numer / denom)
 
 
-def _gap(model: PartialBleachModel, x: Array, alpha: Array, beta: Array):
-    """``g(x)`` per row, and per row the first curve (1 or 2) whose evaluation
-    faults and its fault code (0 where neither does)."""
-    g1, fault1 = model.curve1.eval_rows(x, alpha)
-    g2, fault2 = model.curve2.eval_rows(x, beta)
-    with np.errstate(invalid="ignore"):  # both curves overflow far below zero
-        return g1 - g2, np.where(fault1 != 0, 1, 2), np.where(fault1 != 0, fault1, fault2)
-
-
 # Iterations of the root polish; bisection alone halves the bracket each time.
 _POLISH_MAX_ITER = 100
 
 
 def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: Array,
-            ga: Array, xtol: Array) -> Array:
+            ga: Array, gb: Array, xtol: Array) -> Array:
     """Roots of the gap in the brackets ``[a, b]`` (one per row, with a sign
-    change and ``g(a) = ga``), by Newton steps on the analytic slope that
-    fall back to bisection outside the bracket. A row stops, keeping its
-    value, at an exact zero or at the Newton root of a step within ``xtol``;
-    after ``_POLISH_MAX_ITER`` iterations a row returns its last iterate."""
-    x = 0.5 * (a + b)
+    change, ``g(a) = ga`` and ``g(b) = gb``), by Newton steps on the analytic
+    slope from the secant's root, falling back to bisection outside the
+    bracket. A row stops, keeping its value, at an exact zero or at the
+    Newton root of a step within ``xtol``; after ``_POLISH_MAX_ITER``
+    iterations a row returns its last iterate."""
+    x = b - gb * (b - a) / (gb - ga)
     done = np.zeros(x.size, dtype=bool)
     c1, c2 = model.curve1, model.curve2
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_MAX_ITER):
+            if done.all():
+                break
             xa = x[:, None]
             g = (c1.eval_fn(xa, alpha) - c2.eval_fn(xa, beta))[:, 0]
             slope = (c1.dx_rows(xa, alpha) - c2.dx_rows(xa, beta))[:, 0]
@@ -178,82 +176,77 @@ def _polish(model: PartialBleachModel, alpha: Array, beta: Array, a: Array, b: A
             newton = np.where(stop | ((a < newton) & (newton < b)), newton, 0.5 * (a + b))
             x = np.where(done | (g == 0.0), x, newton)
             done |= stop
-            if done.all():
-                break
     return x
 
 
-# The most times a row's scan range doubles its depth. The bundled design's
-# fits overflow after 10 to 12 (a saturating exponential does so 709 rates
-# below its shift); the cap ends only scans of curves that never overflow.
-_WIDENINGS = 40
+# The grid every row is searched on: 0 and -2**k for k = 0.._DEPTH. A
+# saturating exponential overflows 709 rates below its shift, near -2**18
+# for the bundled design's fits; curves that never overflow are searched
+# down to -2**47.
+_DEPTH = 47
+_GRID = np.concatenate([[0.0], -np.exp2(np.arange(_DEPTH + 1))])
+# The doses the log ratio of the curves' slopes is drawn through.
+_ENDS = np.array([0.0, -1.0])
 
 
-def _scan(model: PartialBleachModel, theta: Array, lo: Array, hi: Array):
-    """One scan of each row's range ``[lo, hi]`` (``theta (R, p)``): per row
-    the root closest to zero (the smaller of two as close; NaN for none),
-    the number of roots, and the first curve (1 or 2) that faults and its
-    fault code (0 for none; such a row has no roots). The roots are the
-    ``DEFAULT_GRID_POINTS`` grid's exact zeros of the gap and, polished to
-    ``1e-8 * (hi - lo)``, one per sign change; a row's are its own."""
-    p1 = model.curve1.p
-    alpha, beta = theta[:, :p1], theta[:, p1:]
-    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS, axis=-1)
-    gs, curve, fault = _gap(model, xs, alpha, beta)
-    sign = np.where(fault[:, None] == 0, np.sign(gs), np.nan)  # a faulting row has no roots
-    rows, ks = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    zero_rows, zero_ks = np.nonzero(sign == 0.0)
-    row = np.concatenate([rows, zero_rows])
-    root = np.concatenate([_polish(model, alpha[rows], beta[rows], xs[rows, ks],
-                                   xs[rows, ks + 1], gs[rows, ks], 1e-8 * (hi - lo)[rows]),
-                           xs[zero_rows, zero_ks]])
-    order = np.lexsort((root, np.abs(root), row))
-    first = np.searchsorted(row[order], np.arange(len(theta) + 1))
-    count = np.diff(first)
-    gamma, found = np.full(len(theta), np.nan), count > 0
-    gamma[found] = root[order][first[:-1][found]]
-    return gamma, count, curve, fault
+def _turning_points(model: PartialBleachModel, alpha: Array, beta: Array) -> Array:
+    """Per row, the zero of the line through ``log(s1 / s2)`` at ``_ENDS``,
+    ``s1`` and ``s2`` the curves' slopes in x: where the gap's slope is zero
+    when each slope is one exponential in x (NaN where the line has none)."""
+    with np.errstate(all="ignore"):
+        ratio = np.log(model.curve1.dx_rows(_ENDS, alpha) / model.curve2.dx_rows(_ENDS, beta))
+        return ratio[:, 0] / (ratio[:, 1] - ratio[:, 0])
 
 
-def _roots(model: PartialBleachModel, theta,
-           stacklevel: int) -> tuple[Array, tuple, Array, Array]:
-    """:func:`solve_gamma_batch`'s roots and errors, and per row the ends
-    ``lo`` and ``hi`` of the range that found its root (meaningless for a
-    row without one): one :func:`_scan` per round of the widening. A
-    :class:`MultipleRootWarning` names the frame ``stacklevel`` counts up
-    from this one, as :func:`warnings.warn` counts: the public function's
-    caller, so each private helper between them adds one."""
+def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
+    """:func:`solve_gamma_batch`: one evaluation of each curve on every row's
+    grid, ``_GRID`` with the row's turning point inside it, in falling order."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != model.p:
         raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
-    R = len(theta)
-    # 0.1% below -min(alpha2, beta2), where equal-shape curve pairs cross.
-    shift = np.minimum(theta[:, 1], theta[:, model.curve1.p + 1])
-    lo = -shift - np.maximum(1e-3 * np.abs(shift), 1e-6)
-    lo, hi = np.where(lo < 0.0, lo, -1.0), np.zeros(R)
-    active = np.arange(R)
-    gammas, counts, errors = np.full(R, np.nan), np.zeros(R, dtype=int), [None] * R
-    for k in range(_WIDENINGS + 1):
-        if k:  # the rows left scan the extension [2 lo, lo] of their range
-            lo[active], hi[active] = 2.0 * lo[active], lo[active]
-        gammas[active], counts[active], curve, fault = _scan(model, theta[active], lo[active],
-                                                             hi[active])
-        if k:  # an extension that overflows ends its row on the last finite range
-            lo[active[fault != 0]] = hi[active][fault != 0]
-        else:
-            for i in np.flatnonzero(fault):
-                errors[i] = fault_error(model.curve1 if curve[i] == 1 else model.curve2,
-                                        int(fault[i]))
-        active = active[(fault == 0) & (counts[active] == 0)]
-        if not active.size:
-            break
-    for r in np.flatnonzero(counts == 0):
-        if errors[r] is None:
-            errors[r] = NoBracketError(f"no sign change of the curve gap over [{lo[r]:.6g}, 0]")
-    for r in np.flatnonzero(counts > 1):
-        warnings.warn(f"{counts[r]} intersection roots found; returning the one closest to zero",
-                      MultipleRootWarning, stacklevel=stacklevel)
-    return gammas, tuple(errors), lo, hi
+    R, p1 = len(theta), model.curve1.p
+    alpha, beta = theta[:, :p1], theta[:, p1:]
+    turn = _turning_points(model, alpha, beta)
+    xs = np.empty((R, _GRID.size + 1))
+    xs[:, :-1] = _GRID
+    xs[:, -1] = np.where((_GRID[-1] < turn) & (turn < 0.0), turn, np.nan)
+    xs = -np.sort(-xs, axis=1)  # a row without a turning point ends on NaN
+    fs, faults = [], []
+    for curve, t in ((model.curve1, alpha), (model.curve2, beta)):
+        f, fault = curve.eval_rows(xs, t)
+        # A mean that is non-finite only below 0 ends the row's range there.
+        fs.append(f)
+        faults.append(np.where((fault == FAULT_VALUE) & np.isfinite(f[:, 0]), 0, fault))
+    with np.errstate(invalid="ignore"):  # both curves overflow far below zero
+        g = fs[0] - fs[1]
+    curve = np.where(faults[0] != 0, 1, 2)
+    fault = np.where(faults[0] != 0, faults[0], faults[1])
+    # A row's range ends at its first non-finite point going down from 0.
+    inside = np.logical_and.accumulate(np.isfinite(g), axis=1) & (fault[:, None] == 0)
+    sign = np.where(inside, np.sign(g), np.nan)
+    events = np.zeros((R, 2 * xs.shape[1] - 1), dtype=bool)  # point k at 2k, cell below at 2k + 1
+    events[:, ::2], events[:, 1::2] = sign == 0.0, sign[:, :-1] * sign[:, 1:] < 0.0
+    counts, first = np.count_nonzero(events, axis=1), np.argmax(events, axis=1)
+    gammas = np.full(R, np.nan)
+    rows = np.flatnonzero(counts)
+    k = first[rows] // 2
+    gammas[rows] = xs[rows, k]  # an exact zero, or the top of a sign change
+    cells = first[rows] % 2 == 1
+    r, k = rows[cells], k[cells]
+    a, b = xs[r, k + 1], xs[r, k]
+    gammas[r] = _polish(model, alpha[r], beta[r], a, b, g[r, k + 1], g[r, k], 1e-8 * (b - a))
+    errors: list = [None] * R
+    for i in np.flatnonzero(fault):
+        errors[i] = fault_error(model.curve1 if curve[i] == 1 else model.curve2, int(fault[i]))
+    last = np.maximum(np.count_nonzero(inside, axis=1) - 1, 0)
+    for i in np.flatnonzero((counts == 0) & (fault == 0)):
+        errors[i] = NoBracketError(f"no sign change of the curve gap over [{xs[i, last[i]]:.6g}, 0]")
+    several = np.count_nonzero(counts > 1)
+    if several:
+        warnings.warn(f"{several} of {R} rows have more than one intersection root at or below 0; "
+                      "each returns the one closest to zero", MultipleRootWarning,
+                      stacklevel=outside_stacklevel())
+    return gammas, tuple(errors)
 
 
 def solve_gamma_batch(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
@@ -261,33 +254,34 @@ def solve_gamma_batch(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
 
     Returns the roots and, per row, the exception :func:`solve_gamma` raises
     for that row (None where it returns; such a row's root is NaN). Each
-    row's root is the same whatever else is in the stack: each round's one
-    :func:`_scan` finds the root of every sign change in it and picks every
-    row's, and only the rows without one go on to the next.
+    row's grid, root and error are its own, whatever else is in the stack;
+    one :class:`MultipleRootWarning` per call names how many rows have more
+    than one root.
     """
-    return _roots(model, theta, stacklevel=3)[:2]
+    return _roots(model, theta)
 
 
 def solve_gamma(model: PartialBleachModel, theta) -> float:
-    """Signed intersection dose: the root of g(x, theta) closest to zero.
+    """Signed intersection dose: the root of g(x, theta) closest to zero, at
+    or below 0.
 
-    Scans ``DEFAULT_GRID_POINTS`` points across a range ``[lo, hi]`` for sign
-    changes and polishes each with Newton steps on the curves' slope, kept
-    inside the sign change by bisection, to the Newton root of the first
-    step within ``1e-8 * (hi - lo)``. Of those roots and the grid points
-    where the gap is exactly zero, returns the one closest to zero (the
-    smaller of two as close); more than one warns
-    :class:`MultipleRootWarning`. The range starts at ``[lo, 0]``, ``lo``
-    0.1% below ``-min(alpha2, beta2)``; while it has no root it widens by
-    ``[2 lo, lo]``, scanned the same way, until a curve overflows there or
-    after ``_WIDENINGS`` widenings. No root raises :class:`NoBracketError`,
-    stated over the finite range scanned. A stack of one for
-    :func:`solve_gamma_batch`.
+    Each curve is evaluated once on ``0``, ``-2**k`` for ``k = 0..47`` and
+    the gap's turning point: the zero of the line through the log ratio of
+    the curves' slopes at ``x = 0`` and ``x = -1``. Where each slope is one
+    exponential in x (saturating exponential, exponential decay) the gap is
+    monotone between those points, so each root is alone in its cell. The
+    range ends where the gap first turns non-finite going down (the curves
+    overflow). The first exact zero or sign change going down is the root;
+    a sign change is polished by Newton steps on the curves' slope, kept in
+    the cell by bisection, to the Newton root of the first step within
+    ``1e-8`` of the cell's width. More than one root in the range warns
+    :class:`MultipleRootWarning`; none raises :class:`NoBracketError`,
+    stated over the range. A stack of one for :func:`solve_gamma_batch`.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
         raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
-    gammas, errors, _, _ = _roots(model, theta[None, :], stacklevel=3)
+    gammas, errors = _roots(model, theta[None, :])
     if errors[0] is not None:
         raise errors[0]
     return float(gammas[0])
@@ -398,7 +392,6 @@ class DoseEstimate:
     bias: float
     se: float
     method: str
-    bracket: tuple[float, float]
 
     @property
     def equivalent_dose(self) -> float:
@@ -413,34 +406,27 @@ class DoseEstimate:
 @dataclass(frozen=True)
 class DoseDerivatives:
     """The intersection dose at a joint theta with its first and second
-    derivatives in the six parameters, and the scan range that found it."""
+    derivatives in the six parameters."""
 
     gamma: float
     grad: Array
     hess: Array
-    bracket: tuple[float, float]
 
 
 def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     """Solve for gamma at every row of ``theta (R, p)`` with one
-    :func:`solve_gamma_batch` scan and differentiate every root found in one
-    array pass: per row its :class:`DoseDerivatives`, whose ``bracket`` is
-    the scan range that found the root, or the error solving or
-    differentiating raised (a tangency, or a curve's non-finite gradient or
-    Hessian at the root), the same as the row alone gives."""
-    return _doses(model, theta, stacklevel=3)
-
-
-def _doses(model: PartialBleachModel, theta, stacklevel: int) -> tuple:
-    """:func:`dose_derivatives_batch`, warning as :func:`_roots` does."""
+    :func:`solve_gamma_batch` call and differentiate every root found in one
+    array pass: per row its :class:`DoseDerivatives`, or the error solving
+    or differentiating raised (a tangency, or a curve's non-finite gradient
+    or Hessian at the root), the same as the row alone gives."""
     theta = np.asarray(theta, dtype=float)
-    gammas, errors, lo, hi = _roots(model, theta, stacklevel + 1)
+    gammas, errors = _roots(model, theta)
     found = np.flatnonzero([e is None for e in errors])
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
     for i, r in enumerate(found):
         out[r] = failed[i] if failed[i] is not None else DoseDerivatives(
-            float(gammas[r]), grad[i], hess[i], (float(lo[r]), float(hi[r])))
+            float(gammas[r]), grad[i], hess[i])
     return tuple(out)
 
 
@@ -477,7 +463,7 @@ class Formulae:
         return DoseEstimate(gamma_hat=d.gamma,
                             bias=float(d.grad @ bias) + 0.5 * float(np.trace(d.hess @ cov)),
                             se=float(np.sqrt(max(d.grad @ cov @ d.grad, 0.0))),
-                            method=self.method, bracket=d.bracket)
+                            method=self.method)
 
 
 def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
@@ -496,12 +482,6 @@ def formulae(model: PartialBleachModel | ModelFunction, xs, thetas,
     fit needs more observations than parameters: per curve when separate,
     in all when common-sigma; else the call raises ``ValueError``.
     """
-    return _formulae(model, xs, thetas, modes, stacklevel=3)
-
-
-def _formulae(model: PartialBleachModel | ModelFunction, xs, thetas, modes,
-              stacklevel: int) -> dict[str, Formulae]:
-    """:func:`formulae`, warning as :func:`_roots` does."""
     if not thetas:
         return {}
     methods = list(thetas)
@@ -509,7 +489,7 @@ def _formulae(model: PartialBleachModel | ModelFunction, xs, thetas, modes,
     if isinstance(model, ModelFunction):
         return {m: Formulae(m, b if isinstance(b, Exception) else (b,), None)
                 for m, b in zip(methods, build_jacobian_bundles(model, xs[0], T))}
-    doses = _doses(model, T, stacklevel + 1)
+    doses = dose_derivatives_batch(model, T)
     p1 = model.curve1.p
     curves = ((model.curve1, np.asarray(xs[0], dtype=float), T[:, :p1]),
               (model.curve2, np.asarray(xs[1], dtype=float), T[:, p1:]))
@@ -539,8 +519,7 @@ def gamma_bias_se(model: PartialBleachModel, x1, x2, theta, sigma: float, method
     the implicit-function derivatives of gamma: :func:`formulae` for one fit.
     """
     method = method.lower()
-    row = _formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)),
-                    stacklevel=3)[method]
+    row = formulae(model, (x1, x2), {method: theta}, resolve_modes(fit_mode, (method,)))[method]
     return row.estimate(*row.bias_cov(sigma))
 
 

@@ -1,5 +1,10 @@
 """Exception and warning types shared across the package."""
 
+import os
+import sys
+
+_PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
 
 class PropfitError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,7 +31,8 @@ class ZeroResponseError(PropfitError):
 
 
 class NoBracketError(PropfitError):
-    """No sign change found when scanning for a curve-intersection root."""
+    """The curves do not cross at or below 0 before their gap turns non-finite:
+    the intersection dose has no root."""
 
 
 class TangencyError(PropfitError):
@@ -55,8 +61,20 @@ def first_errors(*per_row) -> tuple:
 
 
 class MultipleRootWarning(UserWarning):
-    """The intersection scan found more than one root; the one closest to zero was returned."""
+    """Some rows' curves cross more than once at or below 0; each row's root
+    is the crossing closest to zero. One warning per call counts the rows."""
 
 
 class DerivativeNoiseWarning(UserWarning):
     """Curvature weights were computed from doubly finite-differenced Hessians."""
+
+
+def outside_stacklevel() -> int:
+    """The ``stacklevel`` at which :func:`warnings.warn`, called by the
+    function calling this one, names the first frame outside propfit: the
+    line that called into the package, however deep the call went."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE)):
+        frame, level = frame.f_back, level + 1
+    return level

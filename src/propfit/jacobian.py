@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DerivativeNoiseWarning, SingularError, ZeroMeanError
+from .exceptions import DerivativeNoiseWarning, SingularError, ZeroMeanError, outside_stacklevel
 from .models import FAULT_GRADIENT, FAULT_HESSIAN, Array, Dataset, ModelFunction, fault_error
 
 # Reciprocal-condition floor below which J'J is declared singular.
@@ -129,7 +129,7 @@ def _build_bundles(model: ModelFunction, x: Array, thetas: Array) -> tuple:
             "curvature weights use a doubly finite-differenced Hessian; "
             "expect relative noise near cbrt(eps)",
             DerivativeNoiseWarning,
-            stacklevel=2,
+            stacklevel=outside_stacklevel(),
         )
     H = model.hess_rows(x, thetas[rows])
     finite = np.all(np.isfinite(H), axis=(1, 2, 3))

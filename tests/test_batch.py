@@ -47,7 +47,7 @@ from propfit.exceptions import (
     ZeroResponseError,
 )
 from propfit.jacobian import RCOND_MIN, build_jacobian_bundle, build_jacobian_bundles
-from propfit.models import FAULT_DOMAIN, Dataset, ModelFunction
+from propfit.models import Dataset, ModelFunction
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
@@ -824,19 +824,21 @@ class TestSolveGammaBatch:
                     with pytest.raises(type(errors[r]), match=re.escape(str(errors[r]))):
                         solve_gamma(pb, theta[r])
             alone += [str(w.message) for w in caught]
-        # One warning per row with two roots.
-        assert together == alone == ["2 intersection roots found; "
-                                     "returning the one closest to zero"] * 2
+        # One warning per call, counting the rows with two roots.
+        message = ("{} of {} rows have more than one intersection root at or below 0; "
+                   "each returns the one closest to zero")
+        assert together == [message.format(2, 5)]
+        assert alone == [message.format(1, 1)] * 2
         assert [e is None for e in errors] == [True] * 3 + [False, True]
         assert gammas[0] == pytest.approx(-87.45, abs=1e-6)
         # The root closest to zero, where the curves meet.
         assert -60.0 < gammas[1] < -50.0  # the other crossing is near -122
         assert abs(pb.intersection_gap(gammas[1], rows[1])) <= 1e-6 * PAPER_ALPHA[0]
         assert gammas[2] == pytest.approx(-PAPER_ALPHA[1], abs=1e-6)
-        # No crossing is stated over every range scanned: up to the last
-        # finite extension, eleven doublings below the start range.
+        # No crossing is stated over the grid's finite range: down to -2**18,
+        # above the point where the curves overflow.
         assert isinstance(errors[3], NoBracketError)
-        assert str(errors[3]) == "no sign change of the curve gap over [-252529, 0]"
+        assert str(errors[3]) == "no sign change of the curve gap over [-262144, 0]"
 
     def test_faulting_rows_name_their_curve(self, stack):
         pb, rows = stack
@@ -857,30 +859,31 @@ class TestSolveGammaBatch:
 
     def test_mixed_rows_match_single_solves(self, stack):
         pb, rows = stack
-        # Step 1 from -150: -100 is a grid point. Curves with shift 100
-        # both vanish there, so their gap is exactly zero on the grid.
-        lo, hi = np.full(6, -150.0), np.full(6, 105.0)
+        # Curves with shift 128 both vanish at -128, a grid point, so their
+        # gap is exactly zero on the grid.
         late = 1000.0 * (1.0 - np.exp(-0.015)) / (1.0 - np.exp(-0.03))
         theta = np.array([
             rows[0],  # one crossing, at -87.45
-            [1000.0, 100.0, 100.0, 2000.0, 100.0, 100.0],  # only the grid zero
-            [1000.0, 100.0, 100.0, late, 100.0, 50.0],  # the grid zero and one at -98.5
+            [1000.0, 128.0, 100.0, 2000.0, 128.0, 100.0],  # only the grid zero
+            [1000.0, 128.0, 100.0, late, 128.0, 50.0],  # the grid zero and one at -126.5
             rows[1],  # two crossings
             [PAPER_ALPHA[0], 200.0, PAPER_ALPHA[2],
              1.7 * PAPER_ALPHA[0], 200.0, PAPER_ALPHA[2]],  # meets at -200 only
             np.concatenate([PAPER_ALPHA[:2], [0.0], rows[0][3:]]),  # alpha3 = 0
         ])
-        together = equivalent_dose._scan(pb, theta, lo, hi)
-        for r in range(len(theta)):
-            alone = equivalent_dose._scan(pb, theta[r:r + 1], lo[r:r + 1], hi[r:r + 1])
-            for part, one in zip(together, alone):
-                np.testing.assert_array_equal(part[r], one[0])
-        gammas, counts, curve, fault = together
-        assert counts.tolist() == [1, 1, 2, 2, 0, 0]
-        assert fault.tolist() == [0] * 5 + [FAULT_DOMAIN] and curve[5] == 1
-        assert np.isnan(gammas[4:]).all()
-        assert gammas[1] == -100.0 and gammas[2] == pytest.approx(-98.5, abs=1e-6)
+        with pytest.warns(MultipleRootWarning, match="^2 of 6 rows have more than one"):
+            gammas, errors = solve_gamma_batch(pb, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootWarning)
+            for r in range(len(theta)):
+                alone, alone_errors = solve_gamma_batch(pb, theta[r:r + 1])
+                np.testing.assert_array_equal(gammas[r], alone[0])
+                assert repr(errors[r]) == repr(alone_errors[0])
+        assert [e is None for e in errors] == [True] * 5 + [False]
+        assert isinstance(errors[5], DomainError) and pb.curve1.name in str(errors[5])
+        assert gammas[1] == -128.0 and gammas[2] == pytest.approx(-126.5, abs=1e-6)
         assert gammas[3] == pytest.approx(-53.6, abs=0.1)
+        assert gammas[4] == pytest.approx(-200.0, abs=1e-6)
 
     def test_default_brackets_per_row(self, stack):
         pb, rows = stack
@@ -895,20 +898,19 @@ class TestSolveGammaBatch:
                         solve_gamma(pb, rows[r])
 
     def test_dose_derivatives_resolve_default_brackets_once(self, stack, monkeypatch):
-        # One scan of the start ranges finds every row's root.
+        # One solve of the whole stack finds every row's root.
         pb, rows = stack
         calls, roots = [], equivalent_dose._roots
 
-        def counted(model, theta, stacklevel):
+        def counted(model, theta):
             calls.append(len(theta))
-            return roots(model, theta, stacklevel)
+            return roots(model, theta)
         monkeypatch.setattr(equivalent_dose, "_roots", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootWarning)
             doses = dose_derivatives_batch(pb, rows)
         assert calls == [len(rows)]
-        shift = min(PAPER_ALPHA[1], rows[0][4])
-        assert doses[0].bracket == (-shift - 1e-3 * shift, 0.0)
+        assert doses[0].gamma == pytest.approx(-87.45, abs=1e-6)
 
     def test_dose_derivatives_rows(self, stack):
         # A crossing, one below the start range, curves that never cross,
@@ -927,17 +929,12 @@ class TestSolveGammaBatch:
                 if isinstance(dose, Exception):
                     assert (type(alone), str(alone)) == (type(dose), str(dose))
                     continue
-                assert dose.gamma == gammas[r]
-                assert (dose.gamma, dose.bracket) == (alone.gamma, alone.bracket)
+                assert dose.gamma == gammas[r] == alone.gamma
                 np.testing.assert_array_equal(dose.grad, alone.grad)
                 np.testing.assert_array_equal(dose.hess, alone.hess)
         assert isinstance(doses[2], NoBracketError) and isinstance(doses[3], TangencyError)
-        shift = min(PAPER_ALPHA[1], rows[0][4])
-        lo = -shift - 1e-3 * shift
-        assert doses[0].bracket == (lo, 0.0)
-        # The crossing below the start range [lo, 0] is found in its extension.
-        assert doses[1].bracket == (2.0 * lo, lo)
-        assert 2.0 * lo < doses[1].gamma < lo
+        # The crossing below both shifts, where both curves are negative.
+        assert doses[1].gamma < -max(PAPER_ALPHA[1], rows[0][4])
         assert doses[1].gamma == pytest.approx(-200.0, abs=1e-6)
         with pytest.raises(ValueError, match=r"joint theta must have shape \(R, 6\)"):
             dose_derivatives_batch(pb, rows[:, :5])

@@ -97,8 +97,8 @@ class TestBeta1FromGamma:
 
 class TestSolveGamma:
     def test_round_trip_over_gamma_grid(self, pb):
-        # Constructions below -alpha2 intersect where both curves go negative,
-        # below the start range, so the scan widens to them.
+        # Constructions below -alpha2 intersect where both curves go negative;
+        # the grid reaches them all the same.
         for gamma in np.linspace(-200.0, -10.0, 9):
             beta1 = beta1_from_gamma(PAPER_ALPHA, PAPER_BETA2, PAPER_BETA3, gamma)
             theta = np.concatenate([PAPER_ALPHA, [beta1, PAPER_BETA2, PAPER_BETA3]])
@@ -132,14 +132,15 @@ class TestSolveGamma:
         assert {w.filename for w in caught} == {__file__}
         assert len({w.lineno for w in caught}) == 4
 
-    def test_range_without_a_crossing_has_no_root(self, pb):
+    def test_equal_shapes_cross_once_where_both_vanish(self, pb):
         # Curves with the same shape and different scales meet only where
-        # both vanish, at -alpha2, outside the range.
+        # both vanish, at -alpha2: their gap is one exponential, with one root.
         theta = np.concatenate([PAPER_ALPHA,
                                 [1.7 * PAPER_ALPHA[0], PAPER_ALPHA[1], PAPER_ALPHA[2]]])
-        gamma, count, _, fault = equivalent_dose._scan(pb, theta[None, :], np.array([-60.0]),
-                                                       np.array([-5.0]))
-        assert np.isnan(gamma[0]) and count[0] == 0 and fault[0] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MultipleRootWarning)
+            gamma = solve_gamma(pb, theta)
+        assert gamma == pytest.approx(-PAPER_ALPHA[1], abs=1e-6)
 
     def test_curves_that_never_cross_widen_until_they_overflow(self, pb):
         # The gap keeps its sign at every dose. Widening stops where the
@@ -153,10 +154,40 @@ class TestSolveGamma:
         with pytest.raises(NonFiniteError):
             pb.intersection_gap(2.0 * lo, theta)
 
-    def test_explicit_bracket_respected(self, pb, theta0):
-        gamma, count, _, _ = equivalent_dose._scan(pb, theta0[None, :], np.array([-120.0]),
-                                                   np.array([-20.0]))
-        assert count[0] == 1 and gamma[0] == pytest.approx(PAPER_GAMMA, abs=1e-4)
+    def test_curves_that_never_cross_evaluate_each_curve_once(self, pb):
+        # One evaluation of each curve on the whole grid finds that the gap
+        # keeps its sign down to where the curves overflow.
+        calls = Counter()
+
+        def counted(curve):
+            def eval_fn(x, t):
+                calls[curve.name] += 1
+                return curve.eval_fn(x, t)
+            return replace(curve, eval_fn=eval_fn)
+
+        model = replace(pb, curve1=counted(pb.curve1), curve2=counted(pb.curve2))
+        with pytest.raises(NoBracketError, match="no sign change"):
+            solve_gamma(model, np.concatenate([PAPER_ALPHA, APART_BETA]))
+        assert calls == {pb.curve1.name: 1, pb.curve2.name: 1}
+
+    def test_the_design_truth_crosses_once(self, pb, theta0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MultipleRootWarning)
+            gamma = solve_gamma(pb, theta0)
+        assert gamma == pytest.approx(PAPER_GAMMA, abs=1e-4)
+
+    def test_turning_point_matches_its_closed_form(self, pb, theta0):
+        # The gap's slope vanishes at [log(b1 a3 / (a1 b3)) + a2/a3 - b2/b3]
+        # / (1/b3 - 1/a3), for rates and scales of either sign.
+        theta = np.array([theta0,
+                          np.concatenate([PAPER_ALPHA, [396216.15, 123.252, 1155.57]]),
+                          theta0 * [1.0, 1.0, 1.0, 1.0, 1.0, 0.6],
+                          theta0 * [-1.0, 1.0, -1.0, 1.0, -2.0, 1.0],
+                          theta0 * [1.0, 1.0, -1.0, -1.0, 1.0, 1.5]])
+        a1, a2, a3, b1, b2, b3 = theta.T
+        want = (np.log(b1 * a3 / (a1 * b3)) + a2 / a3 - b2 / b3) / (1.0 / b3 - 1.0 / a3)
+        got = equivalent_dose._turning_points(pb, theta[:, :3], theta[:, 3:])
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_residual_at_root(self, pb, theta0):
         root = solve_gamma(pb, theta0)
@@ -193,33 +224,21 @@ class TestSolveGamma:
         assert abs(step) <= 1e-12 * abs(gamma)
 
     def test_polish_out_of_iterations_returns_its_last_iterate(self, pb, theta0, monkeypatch):
-        lo, hi = -1.001 * PAPER_ALPHA[1], 0.0  # the start range
-        xs = np.linspace(lo, hi, equivalent_dose.DEFAULT_GRID_POINTS)
-        gs = pb.intersection_gap(xs, theta0)
-        (k,) = np.flatnonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))
+        a, b = -128.0, -64.0  # the grid's cell around the truth's root
+        ga, gb = pb.intersection_gap(np.array([a, b]), theta0)
         alpha, beta = pb.split(theta0)
-        a, b, x = xs[k], xs[k + 1], 0.5 * (xs[k] + xs[k + 1])
-        args = (pb, alpha[None, :], beta[None, :], xs[k:k + 1], xs[k + 1:k + 2], gs[k:k + 1],
-                np.array([1e-8 * (hi - lo)]))
+        x = b - gb * (b - a) / (gb - ga)
+        args = (pb, alpha[None, :], beta[None, :], np.array([a]), np.array([b]),
+                np.array([ga]), np.array([gb]), np.array([1e-8 * (b - a)]))
         root = equivalent_dose._polish(*args)[0]
         monkeypatch.setattr(equivalent_dose, "_POLISH_MAX_ITER", 1)
         last = equivalent_dose._polish(*args)[0]
-        # One Newton step from the midpoint, inside the sign change, and short
-        # of the root.
+        # One Newton step from the secant's root, inside the sign change, and
+        # short of the root.
         newton = x - pb.intersection_gap(x, theta0) / (pb.curve1.dx(x, alpha)
                                                        - pb.curve2.dx(x, beta))
         assert a < last < b and last == pytest.approx(newton, rel=1e-12)
-        assert abs(last - root) > 1e-8 * (hi - lo)
-
-    def test_equally_close_roots_give_the_smaller(self, pb):
-        # Identical curves meet at every grid point, and the two closest to
-        # zero of a range symmetric about it are equally close.
-        theta = np.concatenate([PAPER_ALPHA, PAPER_ALPHA])
-        root, count, _, _ = equivalent_dose._scan(pb, theta[None, :], np.array([-1.0]),
-                                                  np.array([1.0]))
-        xs = np.linspace(-1.0, 1.0, equivalent_dose.DEFAULT_GRID_POINTS)
-        assert count[0] == 256
-        assert xs[127] == -xs[128] < 0.0 and root[0] == xs[127]
+        assert abs(last - root) > 1e-8 * (b - a)
 
 
 class TestGammaGradient:
@@ -347,7 +366,6 @@ class TestGammaBiasSe:
         assert est.equivalent_dose == pytest.approx(-PAPER_GAMMA, abs=1e-4)
         assert est.equivalent_dose_bias == -est.bias  # gamma < 0 flips the sign
         assert est.se > 0
-        assert est.bracket[0] < est.gamma_hat < est.bracket[1]
 
     def test_dwls_rejects_common_sigma(self, pb, theta0):
         with pytest.raises(ModeError):

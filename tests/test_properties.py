@@ -4,7 +4,8 @@ the dose root, checked on drawn examples."""
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from scipy.optimize import brentq
 from hypothesis import strategies as st
 
 from propfit import equivalent_dose
@@ -100,28 +101,107 @@ def test_start_hint_rows_do_not_depend_on_the_stack(rows):
 
 
 @given(scales=st.lists(st.lists(st.floats(0.6, 1.6), min_size=6, max_size=6),
-                       min_size=1, max_size=8),
-       wide=st.booleans())
-def test_solve_gamma_batch_rows_do_not_depend_on_the_stack(scales, wide):
+                       min_size=1, max_size=8))
+def test_solve_gamma_batch_rows_do_not_depend_on_the_stack(scales):
     # Rows near the design's truth: most cross once, some twice or not at
-    # all inside one range; each row's root or error is its own, from the
-    # widening scan or from one scan of a wide range.
+    # all; each row's root or error is its own.
     theta = THETA0 * np.array(scales)
-    if wide:
-        lo, hi = np.full(len(theta), -5000.0), np.zeros(len(theta))
-        together = equivalent_dose._scan(PB, theta, lo, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleRootWarning)
+        gammas, errors = solve_gamma_batch(PB, theta)
         for r in range(len(theta)):
-            alone = equivalent_dose._scan(PB, theta[r:r + 1], lo[r:r + 1], hi[r:r + 1])
-            for part, one in zip(together, alone):
-                np.testing.assert_array_equal(part[r], one[0])
+            alone, alone_errors = solve_gamma_batch(PB, theta[r:r + 1])
+            np.testing.assert_array_equal(gammas[r], alone[0])
+            assert repr(errors[r]) == repr(alone_errors[0])
+
+
+def _either_sign(low, high):
+    return st.floats(low, high).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+CURVE = st.tuples(_either_sign(1e4, 1e6), st.floats(-300.0, 300.0), _either_sign(20.0, 2000.0))
+
+
+@st.composite
+def _close_pair(draw):
+    """Curve 1 drawn, and curve 2 built so that the gap turns at ``t`` with
+    the value ``delta``: two roots close about ``t`` where ``delta`` has the
+    sign of the gap far from it, else none. With equal rates the
+    exponentials cancel and the gap is the constant ``delta``, so the rates
+    differ."""
+    a1, a2, a3 = draw(CURVE)
+    b3 = draw(_either_sign(20.0, 2000.0))
+    assume(abs(b3 - a3) > 1e-6 * abs(a3))
+    t = draw(st.floats(-5000.0, -1.0))
+    delta = draw(_either_sign(1e-6, 1e-2)) * abs(a1)
+    with np.errstate(all="ignore"):
+        e1 = np.exp(-(t + a2) / a3)
+        slope = a1 * e1 / a3  # both curves' slope at t
+        b1 = a1 * (1.0 - e1) + b3 * slope - delta
+        b2 = -t - b3 * np.log(b3 * slope / b1)
+    assume(np.isfinite(b1) and np.isfinite(b2))
+    return (a1, a2, a3), (float(b1), float(b2), b3)
+
+
+@given(curves=st.one_of(st.tuples(CURVE, CURVE), _close_pair()))
+def test_root_count_matches_a_dense_grid(curves):
+    # Two saturating exponentials of any signs: the gap's slope vanishes at
+    # most once, at its closed-form turning point, so a dense grid through
+    # that point brackets every root alone. Over the same finite range the
+    # solver finds as many roots (0, 1 or, warning, more) and the same first
+    # one going down from 0.
+    theta = np.array(curves[0] + curves[1])
+    a1, a2, a3, b1, b2, b3 = theta
+    with np.errstate(all="ignore"):
+        turn = (np.log(b1 * a3 / (a1 * b3)) + a2 / a3 - b2 / b3) / (1.0 / b3 - 1.0 / a3)
+        f1, f2 = PB.curve1.eval_fn(turn, theta[:3])[0], PB.curve2.eval_fn(turn, theta[3:])[0]
+        tangent = abs(f1 - f2) <= 1e-9 * (abs(f1) + abs(f2))
+    # Pairs whose roots rounding decides are left out: curves whose
+    # parameters agree to 1e-6, whose gap is near its rounding everywhere;
+    # curves that meet tangentially, whose gap is near it at the turning
+    # point; and curves with one asymptote below 0 (scales within 1e-6,
+    # negative rates), whose gap is near it wherever both exponentials are
+    # below eps.
+    apart = np.abs(theta[:3] - theta[3:]) > 1e-6 * np.maximum(np.abs(theta[:3]), 1.0)
+    assume(apart.any() and not tangent)
+    assume(apart[0] or a3 > 0.0 or b3 > 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gammas, errors = solve_gamma_batch(PB, theta[None, :])
+    found = 0 if errors[0] is not None else 2 if caught else 1
+
+    coarse = np.concatenate([[0.0], -np.exp2(np.arange(48))])
+    if -2.0 ** 47 < turn < 0.0:
+        coarse = np.sort(np.append(coarse, turn))[::-1]
+    with np.errstate(all="ignore"):
+        coarse = coarse[np.logical_and.accumulate(np.isfinite(_gap(coarse, theta)))]
+        dense = np.concatenate([np.linspace(hi, lo, 17)[:-1] for hi, lo in
+                                zip(coarse[:-1], coarse[1:])] + [coarse[-1:]])
+        g = _gap(dense, theta)
+    changes = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)
+    zeros = np.flatnonzero(g == 0.0)
+    assert changes.size + zeros.size <= 2
+    assert min(changes.size + zeros.size, 2) == found
+    if not found:
+        return
+    if zeros.size and not (changes.size and changes[0] < zeros[0]):
+        root = dense[zeros[0]]
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MultipleRootWarning)
-            gammas, errors = solve_gamma_batch(PB, theta)
-            for r in range(len(theta)):
-                alone, alone_errors = solve_gamma_batch(PB, theta[r:r + 1])
-                np.testing.assert_array_equal(gammas[r], alone[0])
-                assert repr(errors[r]) == repr(alone_errors[0])
+        k = changes[0]
+        root = brentq(lambda x: _gap(x, theta)[0], dense[k + 1], dense[k],
+                      xtol=1e-14 * max(1.0, -dense[k + 1]))
+    # Near a root the computed gap is noise of a few ulps of the curves, so
+    # a root is known to that noise over the gap's slope.
+    x = np.array([root])
+    size = np.abs(PB.curve1.eval_fn(x, theta[:3])) + np.abs(PB.curve2.eval_fn(x, theta[3:]))
+    slope = PB.curve1.dx_rows(x, theta[:3]) - PB.curve2.dx_rows(x, theta[3:])
+    noise = 64 * np.finfo(float).eps * size[0] / abs(slope[0])
+    assert abs(gammas[0] - root) <= 1e-9 * max(1.0, abs(root)) + noise
+
+
+def _gap(x, theta):
+    """The gap of the two curves at ``x``, with no domain or finiteness check."""
+    return PB.curve1.eval_fn(x, theta[:3]) - PB.curve2.eval_fn(x, theta[3:])
 
 
 def _pair(shape, noise1, noise2):

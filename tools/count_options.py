@@ -1,9 +1,10 @@
 """Count the settings a user of propfit can set, one per line, then the total.
 
-    python3 tools/count_options.py [ROOT]
+    python3 tools/count_options.py [ROOT] [--max N]
 
 ROOT is a checkout (default: the one holding this script); its
-``src/propfit`` is imported in this interpreter. A setting is each of
+``src/propfit`` is imported in this interpreter. With ``--max N`` the exit
+status is 1 when the total is above N. A setting is each of
 
 * ``parameter``: a parameter with a default, or a ``*args``/``**kwargs``,
   of a public function or class of a public propfit module (the names in
@@ -33,7 +34,13 @@ import sys
 from pathlib import Path
 
 sys.dont_write_bytecode = True
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
+_parser = argparse.ArgumentParser(description="Count the settings a user of propfit can set.")
+_parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1],
+                     help="the checkout to count (default: the one holding this script)")
+_parser.add_argument("--max", type=int, default=None,
+                     help="exit 1 when the total is above this")
+ARGS = _parser.parse_args()
+ROOT = ARGS.root
 PACKAGE = ROOT / "src" / "propfit"
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -141,6 +148,9 @@ def main() -> int:
     for name, kind in seen.items():
         print(f"{kind:<10} {name}")
     print(f"total {len(seen)}")
+    if ARGS.max is not None and len(seen) > ARGS.max:
+        print(f"more than --max {ARGS.max} settings", file=sys.stderr)
+        return 1
     return 0
 
 
