@@ -76,11 +76,23 @@ class FactorizationCheck:
 
 
 def _finalize_cov(cov: Array, what: str) -> Array:
-    cov = 0.5 * (cov + cov.T)
-    eigmin = float(np.linalg.eigvalsh(cov)[0])
-    if eigmin < -1e-10 * max(float(np.trace(cov)), 0.0):
-        raise SingularError(f"{what} is not positive semidefinite (min eigenvalue {eigmin:.3e})")
+    """``cov`` (one matrix, or a stack of them) symmetrized; raises for the
+    first that is not positive semidefinite."""
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    eigmin = np.linalg.eigvalsh(cov)[..., 0]
+    floor = -1e-10 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 0.0)
+    for low, bound in zip(np.ravel(eigmin), np.ravel(floor)):
+        if low < bound:
+            raise SingularError(f"{what} is not positive semidefinite (min eigenvalue {low:.3e})")
     return cov
+
+
+def _squares(sigma) -> Array:
+    """``float(s) ** 2`` for the scale ``sigma`` (shape ``()``) or each of a
+    1-D array of them (shape ``(S,)``)."""
+    if np.ndim(sigma):
+        return np.array([float(s) ** 2 for s in sigma])
+    return np.array(float(sigma) ** 2)
 
 
 def bias_kernel(method: str, bundle: JacobianBundle) -> Array:
@@ -103,12 +115,12 @@ def bias_kernel(method: str, bundle: JacobianBundle) -> Array:
     return bundle.JtJ_inv @ v
 
 
-def _bias(method: str, bundle: JacobianBundle, sigma: float) -> Array:
-    return float(sigma) ** 2 * bias_kernel(method, bundle)
+def _bias(method: str, bundle: JacobianBundle, sigma) -> Array:
+    return _squares(sigma)[..., None] * bias_kernel(method, bundle)
 
 
-def _cov_order2(bundle: JacobianBundle, sigma: float) -> Array:
-    return _finalize_cov(float(sigma) ** 2 * bundle.JtJ_inv, "order-2 covariance")
+def _cov_order2(bundle: JacobianBundle, sigma) -> Array:
+    return _finalize_cov(_squares(sigma)[..., None, None] * bundle.JtJ_inv, "order-2 covariance")
 
 
 def bias_order2(method: str, model: ModelFunction, data: Dataset, theta,
@@ -128,11 +140,11 @@ def cov_order2(model: ModelFunction, data: Dataset, theta, sigma: float) -> Cova
 # Exact maximum-likelihood covariance and its information-matrix source
 # ---------------------------------------------------------------------------
 
-def _cov_ml_exact(bundle: JacobianBundle, sigma: float) -> Array:
-    sigma = float(sigma)
+def _cov_ml_exact(bundle: JacobianBundle, sigma) -> Array:
+    s2 = _squares(sigma)[..., None, None]
     centered = bundle.J - bundle.Jbar
-    inner = bundle.JtJ + 2.0 * sigma**2 * (centered.T @ centered)
-    return _finalize_cov(sigma**2 * np.linalg.inv(inner), "ML covariance")
+    inner = bundle.JtJ + 2.0 * s2 * (centered.T @ centered)
+    return _finalize_cov(s2 * np.linalg.inv(inner), "ML covariance")
 
 
 def cov_ml_exact(model: ModelFunction, data: Dataset, theta, sigma: float) -> CovarianceReport:
@@ -141,17 +153,19 @@ def cov_ml_exact(model: ModelFunction, data: Dataset, theta, sigma: float) -> Co
     return CovarianceReport(method="ml", cov=cov, order=ML_EXACT)
 
 
-def bias_cov(method: str, bundles: Sequence[JacobianBundle], sigma: float) -> tuple[Array, Array]:
+def bias_cov(method: str, bundles: Sequence[JacobianBundle], sigma) -> tuple[Array, Array]:
     """A fit's reported bias and covariance from its Jacobian bundles.
 
     Each bundle gives :func:`bias_order2`'s bias and, for ``ml``,
     :func:`cov_ml_exact`'s covariance, else :func:`cov_order2`'s; several
     bundles (independently fitted curves) give the concatenated bias and
-    the block-diagonal covariance.
+    the block-diagonal covariance. ``sigma`` is one scale, or a 1-D array
+    of them that gives each result a leading axis, a row per scale, with
+    every bit of that scale's own call; each bundle's kernel is built once.
     """
     cov_rule = _cov_ml_exact if method.lower() == "ml" else _cov_order2
     cov = _block_diag([cov_rule(bundle, sigma) for bundle in bundles])
-    return np.concatenate([_bias(method, bundle, sigma) for bundle in bundles]), cov
+    return np.concatenate([_bias(method, bundle, sigma) for bundle in bundles], axis=-1), cov
 
 
 def cov_ml_unreduced(model: ModelFunction, data: Dataset, theta, sigma: float) -> Array:

@@ -19,10 +19,10 @@ significant digits and is byte-stable for a fixed seed regardless of
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -58,9 +58,61 @@ def round_floats(obj):
     return obj
 
 
+def _write_json(obj, write, pad: str) -> None:
+    """Write ``obj``'s JSON text piece by piece through ``write`` as
+    ``json.dumps(round_floats(obj), indent=2, sort_keys=True)`` writes it,
+    nested at ``pad``. A float's ``.12g`` text is what ``repr`` gives its
+    rounded value unless it lacks a ``.`` (a whole number) or has an
+    exponent."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            write("null")
+            return
+        text = f"{obj:.12g}"
+        write(text if "." in text and "e" not in text else repr(float(text)))
+    elif isinstance(obj, str):
+        write(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            write(sep + _quote(key) + ": ")
+            sep = ",\n" + inner
+            _write_json(obj[key], write, inner)
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            write(sep)
+            sep = ",\n" + inner
+            _write_json(value, write, inner)
+        write("\n" + pad + "]")
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, bool):
+        write("true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dump_json(report) -> str:
-    """A report already passed through :func:`round_floats`, as JSON text."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """A report as JSON text, its floats rounded as :func:`round_floats`
+    rounds them: ``json.dumps(round_floats(report), indent=2,
+    sort_keys=True)`` and a newline. Written by :func:`_write_json`, since
+    ``json.dumps`` with ``indent`` set runs the pure-Python encoder."""
+    out: list[str] = []
+    _write_json(report, out.append, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def _write_outputs(fmt: str, out: str | None, text, json_text) -> int:
@@ -225,10 +277,9 @@ def cmd_fit(args) -> int:
     except (ConfigError, ModeError) as exc:
         return _input_error(exc)
 
-    report = round_floats(report)
     fmt = args.format or config.output_format
     converged_any = any(e.get("converged") for e in report["methods"].values())
-    return (_write_outputs(fmt, args.out, lambda: render_fit_text(report),
+    return (_write_outputs(fmt, args.out, lambda: render_fit_text(round_floats(report)),
                            lambda: dump_json(report))
             or (0 if converged_any else 3))
 
@@ -294,7 +345,7 @@ def cmd_simulate(args) -> int:
         return _input_error(exc)
     fmt = args.format or config.output_format
     return _write_outputs(fmt, args.out, lambda: render_sim_text(summary),
-                          lambda: dump_json(round_floats(sim_report_dict(summary))))
+                          lambda: dump_json(sim_report_dict(summary)))
 
 
 # ---------------------------------------------------------------------------

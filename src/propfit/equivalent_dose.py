@@ -198,8 +198,9 @@ def _turning_points(model: PartialBleachModel, alpha: Array, beta: Array) -> Arr
         return ratio[:, 0] / (ratio[:, 1] - ratio[:, 0])
 
 
-def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
-    """:func:`solve_gamma_batch`: one evaluation of each curve on every row's
+def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, int]:
+    """:func:`solve_gamma_batch` without its warning, and the number of rows
+    with more than one root: one evaluation of each curve on every row's
     grid, ``_GRID`` with the row's turning point inside it, in falling order."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != model.p:
@@ -241,12 +242,17 @@ def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
     last = np.maximum(np.count_nonzero(inside, axis=1) - 1, 0)
     for i in np.flatnonzero((counts == 0) & (fault == 0)):
         errors[i] = NoBracketError(f"no sign change of the curve gap over [{xs[i, last[i]]:.6g}, 0]")
-    several = np.count_nonzero(counts > 1)
+    return gammas, tuple(errors), int(np.count_nonzero(counts > 1))
+
+
+def _warn_multiple_roots(several: int, rows: int) -> None:
+    """Warn :class:`MultipleRootWarning` once, naming the line that called
+    into propfit, when ``several`` of ``rows`` intersected rows have more
+    than one root."""
     if several:
-        warnings.warn(f"{several} of {R} rows have more than one intersection root at or below 0; "
-                      "each returns the one closest to zero", MultipleRootWarning,
+        warnings.warn(f"{several} of {rows} rows have more than one intersection root at or "
+                      "below 0; each returns the one closest to zero", MultipleRootWarning,
                       stacklevel=outside_stacklevel())
-    return gammas, tuple(errors)
 
 
 def solve_gamma_batch(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
@@ -258,7 +264,9 @@ def solve_gamma_batch(model: PartialBleachModel, theta) -> tuple[Array, tuple]:
     one :class:`MultipleRootWarning` per call names how many rows have more
     than one root.
     """
-    return _roots(model, theta)
+    gammas, errors, several = _roots(model, theta)
+    _warn_multiple_roots(several, len(gammas))
+    return gammas, errors
 
 
 def solve_gamma(model: PartialBleachModel, theta) -> float:
@@ -281,7 +289,8 @@ def solve_gamma(model: PartialBleachModel, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
         raise ValueError(f"joint theta must have shape ({model.p},), got {theta.shape}")
-    gammas, errors = _roots(model, theta[None, :])
+    gammas, errors, several = _roots(model, theta[None, :])
+    _warn_multiple_roots(several, 1)
     if errors[0] is not None:
         raise errors[0]
     return float(gammas[0])
@@ -420,7 +429,8 @@ def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     or differentiating raised (a tangency, or a curve's non-finite gradient
     or Hessian at the root), the same as the row alone gives."""
     theta = np.asarray(theta, dtype=float)
-    gammas, errors = _roots(model, theta)
+    gammas, errors, several = _roots(model, theta)
+    _warn_multiple_roots(several, len(gammas))
     found = np.flatnonzero([e is None for e in errors])
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
     out = list(errors)
@@ -441,8 +451,9 @@ class Formulae:
     bundles: tuple[JacobianBundle, ...] | PropfitError
     dose: DoseDerivatives | PropfitError | None
 
-    def bias_cov(self, sigma: float) -> tuple[Array, Array]:
-        """:func:`~propfit.asymptotics.bias_cov` of the fit at ``sigma``."""
+    def bias_cov(self, sigma) -> tuple[Array, Array]:
+        """:func:`~propfit.asymptotics.bias_cov` of the fit at ``sigma``, one
+        scale or a 1-D array of them."""
         if isinstance(self.bundles, Exception):
             raise self.bundles
         return bias_cov(self.method, self.bundles, sigma)

@@ -145,12 +145,14 @@ def _build_bundles(model: ModelFunction, x: Array, thetas: Array) -> tuple:
 
 
 def _block_diag(blocks) -> Array:
-    """The block-diagonal matrix of ``blocks`` (2-d arrays), zero elsewhere."""
-    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
+    """The block-diagonal matrix of ``blocks`` (arrays whose last two axes
+    are the blocks, any leading axes shared), zero elsewhere."""
+    rows, cols = (sum(b.shape[axis] for b in blocks) for axis in (-2, -1))
+    out = np.zeros(blocks[0].shape[:-2] + (rows, cols))
     i = j = 0
     for b in blocks:
-        out[i:i + b.shape[0], j:j + b.shape[1]] = b
-        i, j = i + b.shape[0], j + b.shape[1]
+        out[..., i:i + b.shape[-2], j:j + b.shape[-1]] = b
+        i, j = i + b.shape[-2], j + b.shape[-1]
     return out
 
 

@@ -7,10 +7,10 @@ for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
 closed-form bias ``B_T`` that :func:`~propfit.equivalent_dose.formulae`
-gives at the true parameters. Replicates are
-drawn straight into one response array per curve, with the draws and draw
-order of :func:`generate_dataset`. The study's replicates, across the
-whole sigma grid, are fitted as one stack holding every method's rows of
+gives at the true parameters. A chunk's replicates are drawn into one
+response array, with the draws and draw order of :func:`generate_dataset`,
+and scaled and checked at once. The study's replicates, across the whole
+sigma grid, are fitted as one stack holding every method's rows of
 both curves (see :func:`~propfit.equivalent_dose.fit_two_curves_methods`),
 and every method's intersections as one more; their rows come out exactly
 as if fitted one by one, and each (method, sigma) summary reduces every
@@ -35,12 +35,13 @@ import numpy as np
 from .equivalent_dose import (
     MODE_DEFAULT,
     PartialBleachModel,
+    _roots,
+    _warn_multiple_roots,
     beta1_from_gamma,
     fit_two_curves_methods,
     formulae,
     partial_bleach_model,
     resolve_modes,
-    solve_gamma_batch,
 )
 from .estimators import METHODS, FitOptions, fit_methods
 from .exceptions import Rejected
@@ -235,7 +236,8 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
     ``k``'s draw as :func:`generate_dataset` would make it from the
     replicate's stream: each attempt draws curve 1, then curve 2, and a
     rejected curve starts the next attempt. Returns (drawn, redraws);
-    drawn is False when every attempt was rejected."""
+    drawn is False when every attempt was rejected. A study draws a
+    replicate with it when its first attempt is rejected."""
     stream = replicate_stream(design.master_seed, sigma_idx, k)
     for redraws in range(design.max_redraws + 1):
         for row, (_, f) in zip(rows, design.means):
@@ -247,9 +249,11 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
     return False, design.max_redraws + 1
 
 
-def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> dict[str, Array]:
+def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> tuple[dict, Array]:
     """Estimates per method for a stack of replicates, each curve's
-    responses one ``(rows, n)`` array; NaNs mark failures."""
+    responses one ``(rows, n)`` array, NaNs marking failures, and how many
+    of the intersected rows have more than one root, of how many (no
+    warning: the study warns once for all its chunks)."""
     start = design.theta0 if design.start == "theta0" else "auto"
     opts = replace(design.fit_options, start=start)
     R = len(curves[0])
@@ -261,9 +265,11 @@ def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> dict[st
     rows = {m: np.flatnonzero(res.converged) for m, res in fits.items()}
     theta = np.concatenate([fits[m].theta_hat[r] for m, r in rows.items()])
     found = np.ones(len(theta), dtype=bool)
+    several = np.zeros(2, dtype=int)  # rows with more than one root, rows intersected
     if design.two_curve:
         # Every method's converged rows are intersected as one stack.
-        gamma, errors = solve_gamma_batch(design.model, theta)
+        gamma, errors, count = _roots(design.model, theta)
+        several[:] = count, len(theta)
         found = np.array([e is None for e in errors], dtype=bool)
         theta = np.concatenate([theta, gamma[:, None]], axis=1)
     out: dict[str, Array] = {}
@@ -271,22 +277,36 @@ def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> dict[st
     for (method, r), t, f in zip(rows.items(), np.split(theta, ends), np.split(found, ends)):
         out[method] = np.full((R, n_targets), np.nan)
         out[method][r[f]] = t[f]
-    return out
+    return out, several
 
 
 def _run_rows(design: SimDesign, cells: Array, n_targets: int):
     """Draw and fit the replicates ``cells``, ``(sigma index, replicate)``
-    pairs: their estimates per method, rejected flags and redraw counts."""
-    curves = [np.empty((len(cells), x.size)) for x, _ in design.means]
-    outcomes = [_draw_replicate(design, design.sigma_grid[i], int(i), int(k),
-                                [c[j] for c in curves]) for j, (i, k) in enumerate(cells)]
-    drawn = np.array([d for d, _ in outcomes], dtype=bool)
-    redraws = np.array([n for _, n in outcomes], dtype=int)
+    pairs: their estimates per method, rejected flags, redraw counts and
+    :func:`_fit_rows`' multiple-root count."""
+    # Each replicate's first attempt, both curves' normals in one call: the
+    # draws of curve 1 then curve 2. The scaling and rejection run once.
+    ys = np.empty((len(cells), sum(x.size for x, _ in design.means)))
+    for row, (i, k) in zip(ys, cells):
+        replicate_stream(design.master_seed, i, k).standard_normal(out=row)
+    sigma = np.array(design.sigma_grid)[cells[:, 0], None]
+    np.multiply(np.concatenate([f for _, f in design.means]), 1.0 + sigma * ys, out=ys)
+    drawn = np.ones(len(cells), dtype=bool)
+    redraws = np.zeros(len(cells), dtype=int)
+    curves = np.split(ys, np.cumsum([x.size for x, _ in design.means])[:-1], axis=1)
+    if design.reject_nonpositive:
+        # A rejected row is drawn again from a fresh stream, attempt by attempt.
+        for j in np.flatnonzero(np.any(ys <= 0.0, axis=1)):
+            i, k = cells[j]
+            drawn[j], redraws[j] = _draw_replicate(design, design.sigma_grid[i], int(i), int(k),
+                                                   [c[j] for c in curves])
     estimates = {m: np.full((len(cells), n_targets), np.nan) for m in design.methods}
+    several = np.zeros(2, dtype=int)
     if drawn.any():
-        for method, est in _fit_rows(design, [c[drawn] for c in curves], n_targets).items():
+        fits, several = _fit_rows(design, [c[drawn] for c in curves], n_targets)
+        for method, est in fits.items():
             estimates[method][drawn] = est
-    return estimates, ~drawn, redraws
+    return estimates, ~drawn, redraws, several
 
 
 def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
@@ -300,7 +320,9 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     formula biases' pieces (:func:`~propfit.equivalent_dose.formulae`) are
     built at the truth before any replicate is fitted, so a truth without a
     dose, a singular design or a ``common-sigma`` request no method can
-    share (:func:`resolve_modes`) raises at once.
+    share (:func:`resolve_modes`) raises at once. Replicates whose fitted
+    curves cross more than once warn one
+    :class:`~propfit.exceptions.MultipleRootWarning` for the whole study.
     """
     targets = design.target_names
     n_targets = len(targets)
@@ -338,12 +360,15 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
                  for m in design.methods}
     rejected = np.concatenate([o[1] for o in outcomes]).reshape(S, R)
     redraws = np.concatenate([o[2] for o in outcomes]).reshape(S, R)
+    _warn_multiple_roots(*sum(o[3] for o in outcomes))
 
+    # B_T: each method's bias and covariance over the whole grid at once.
+    formula = {m: rows[m].bias_cov(np.array(design.sigma_grid)) for m in design.methods}
     results: list[MethodSigmaSummary] = []
     for sigma_idx, sigma in enumerate(design.sigma_grid):
         n_rejected = int(rejected[sigma_idx].sum())
         for method in design.methods:
-            b_t, cov = rows[method].bias_cov(sigma)
+            b_t, cov = (a[sigma_idx] for a in formula[method])
             if design.two_curve:
                 b_t = np.append(b_t, rows[method].estimate(b_t, cov).bias)
             est = estimates[method][sigma_idx]

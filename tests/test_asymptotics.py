@@ -1,9 +1,13 @@
 """Bias formulae, covariances, limit laws, and their algebraic identities."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from propfit.asymptotics import (
+    bias_cov,
     bias_order2,
     check_theta1_factorization,
     cov_ml_exact,
@@ -15,6 +19,7 @@ from propfit.asymptotics import (
     ml_expected_information,
     ml_score_covariance,
 )
+from propfit.exceptions import SingularError
 from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset
 from conftest import PAPER_ALPHA
@@ -147,6 +152,22 @@ class TestCovariances:
 
         ratio = rel_gap(0.1) / rel_gap(0.01)
         assert 50.0 <= ratio <= 200.0
+
+
+class TestBiasCovOverSigmas:
+    def test_first_sigma_that_is_not_psd_raises_its_own_error(self, expo_design):
+        # A negated (J'J)^{-1} scales to a covariance that is not positive
+        # semidefinite at every sigma but 0; the stack raises what the first
+        # such sigma alone raises.
+        bundle = build_jacobian_bundle(*expo_design)
+        flipped = replace(bundle, JtJ_inv=-bundle.JtJ_inv)
+        bias, cov = bias_cov("wls", (flipped,), np.array([0.0]))
+        np.testing.assert_array_equal(cov[0], np.zeros((2, 2)))
+        with pytest.raises(SingularError) as alone:
+            bias_cov("wls", (flipped,), 0.02)
+        assert str(alone.value).startswith("order-2 covariance is not positive semidefinite")
+        with pytest.raises(SingularError, match=re.escape(str(alone.value))):
+            bias_cov("wls", (flipped,), np.array([0.0, 0.02, 0.05]))
 
 
 class TestMlFull:

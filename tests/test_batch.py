@@ -945,7 +945,7 @@ class TestStudyRows:
         design = default_partial_bleach_design(sigma_grid=(0.03,), replicates=6,
                                                master_seed=31)
         cells = np.stack([np.zeros(6, dtype=int), np.arange(6)], axis=1)
-        whole, _, _ = _run_rows(design, cells, 7)
+        whole, *_ = _run_rows(design, cells, 7)
         chunks = [_run_rows(design, part, 7)[0] for part in np.array_split(cells, 4)]
         alone = [_run_rows(design, cells[k:k + 1], 7)[0] for k in range(6)]
         for method in design.methods:
@@ -958,7 +958,7 @@ class TestStudyRows:
         design = default_partial_bleach_design(sigma_grid=(0.02, 0.04), replicates=4,
                                                master_seed=32)
         cells = np.stack(np.divmod(np.arange(8), 4), axis=1)
-        whole, _, _ = _run_rows(design, cells, 7)
+        whole, *_ = _run_rows(design, cells, 7)
         # Boundaries inside each sigma's block (3 and 6, so the chunk 3:6
         # straddles the blocks), then each sigma's block alone (4).
         straddling = [_run_rows(design, part, 7)[0] for part in np.split(cells, [3, 6])]

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, schemas."""
 
+import gc
 import json
 import re
 from pathlib import Path
@@ -7,11 +8,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from propfit import cli, equivalent_dose, estimators
 from propfit.asymptotics import bias_order2, cov_ml_exact, cov_order2
-from propfit.cli import _pct, main, render_sim_text, round_floats
-from propfit.config import load_schema
+from propfit.cli import _pct, dump_json, main, render_fit_text, render_sim_text, round_floats
+from propfit.config import TWO_CURVE_MODEL, RunConfig, load_schema
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
@@ -703,3 +706,55 @@ class TestEntryPoint:
         assert main([*argv, "--format", "both", "--out", str(tmp_path / "b")]) == 0
         for one, both in (("j.json", "b.json"), ("t.txt", "b.txt")):
             assert (tmp_path / one).read_bytes() == (tmp_path / both).read_bytes()
+
+
+# Floats a report can hold: any double (NaN, infinities, -0.0, subnormals
+# included), whole numbers around where ``.12g`` turns to an exponent, and
+# numpy's float64.
+REPORT_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.integers(-10**17, 10**17).filter(lambda v: abs(v) >= 10**11).map(float),
+    st.floats(allow_nan=True).map(np.float64))
+REPORT_LEAVES = st.one_of(REPORT_FLOATS, st.integers(), st.booleans(), st.none(), st.text())
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    """``dump_json`` writes what ``json.dumps`` writes of the rounded report."""
+
+    @given(REPORT_VALUES)
+    @example({"a": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e11, 1e16,
+                    1e17, 123456789012.5, np.float64(0.1)], "\u00e9\u2603": [(), {}, [[]]],
+              "b": {"c": (1, True, False, None)}})
+    def test_matches_the_rounded_reference(self, value):
+        reference = json.dumps(round_floats(value), indent=2, sort_keys=True) + "\n"
+        assert dump_json(value) == reference
+
+    def test_what_json_cannot_write_raises_type_error(self):
+        for value in ({"a": np.int64(1)}, [1.0, object()]):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                json.dumps(round_floats(value))
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                dump_json(value)
+
+    def test_rendering_leaves_no_garbage(self, pair_csv):
+        # Rendering builds no reference cycle: with the collector off,
+        # nothing is left for it to find.
+        config = RunConfig(model=TWO_CURVE_MODEL)
+        fit_report = cli._fit_report(config, read_input_table(pair_csv).curves)
+        summary = run_study(default_partial_bleach_design(sigma_grid=(0.02,), replicates=3))
+        gc.collect()
+        gc.disable()
+        try:
+            dump_json(fit_report)
+            render_fit_text(round_floats(fit_report))
+            dump_json(cli.sim_report_dict(summary))
+            render_sim_text(summary)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -467,6 +467,25 @@ class TestJoinBundles:
             formulae(pb, (x1, x2), {"ml": theta0}, {"ml": MODE_SEPARATE})
 
 
+class TestBiasCovOverSigmas:
+    """bias_cov on a sigma array against its calls one sigma at a time."""
+
+    @pytest.mark.parametrize("mode", [MODE_SEPARATE, MODE_COMMON_SIGMA])
+    def test_each_row_is_its_sigma_alone(self, pb, theta0, mode):
+        sigmas = np.array([0.0, 0.01, 0.03, 0.06, 0.45])
+        rows = formulae(pb, [DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES],
+                        dict.fromkeys(METHODS, theta0), dict.fromkeys(METHODS, mode))
+        for method, row in rows.items():
+            assert len(row.bundles) == (2 if mode == MODE_SEPARATE else 1)
+            bias, cov = bias_cov(method, row.bundles, sigmas)
+            assert bias.shape == (5, 6) and cov.shape == (5, 6, 6)
+            for sigma, b, c in zip(sigmas, bias, cov):
+                alone = bias_cov(method, row.bundles, float(sigma))
+                assert alone[0].shape == (6,) and alone[1].shape == (6, 6)
+                np.testing.assert_array_equal(b, alone[0], err_msg=f"{method} at {sigma}")
+                np.testing.assert_array_equal(c, alone[1], err_msg=f"{method} at {sigma}")
+
+
 def _noisy_pair(pb, theta0, sigma1, sigma2, seed):
     stream = replicate_stream(seed, 0, 0)
     d1 = generate_dataset(pb.curve1, DEFAULT_UNBLEACHED_DOSES, theta0[:3], sigma1, stream)

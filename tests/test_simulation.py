@@ -1,5 +1,6 @@
 """Monte Carlo engine: generation, streams, determinism, aggregation."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from propfit.equivalent_dose import (
     solve_gamma,
 )
 from propfit.estimators import METHODS, FitOptions, fit_methods
-from propfit.exceptions import ModeError, Rejected
+from propfit.exceptions import ModeError, MultipleRootWarning, Rejected
 from propfit.models import Dataset, constant_model, saturating_exponential_model
 from propfit.simulation import (
     SimDesign,
@@ -221,6 +222,24 @@ class TestRunStudy:
             assert entry.failure_count == 0
             assert abs(gamma.b_s - gamma.b_t) <= 3.0 * gamma.mc_se
 
+    def test_one_multiple_root_warning_per_study(self):
+        # The sigma-0.06 design of the test above: about 1% of the fitted
+        # curve pairs cross more than once. Three chunks warn once, with
+        # the count the one-chunk study gives, naming the line that called.
+        design = default_partial_bleach_design(sigma_grid=(0.06,), replicates=300)
+        messages = []
+        for threads in (1, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_study(design, threads=threads)
+            [warning] = caught
+            assert warning.category is MultipleRootWarning
+            assert warning.filename == __file__
+            messages.append(str(warning.message))
+        assert messages[0] == messages[1]
+        several, rows = (int(n) for n in messages[0].split(" rows ")[0].split(" of "))
+        assert 0 < several < rows <= 4 * design.replicates
+
 
 class TestStudyStack:
     """The study is fitted as one flat stack across the sigma grid."""
@@ -269,7 +288,7 @@ class TestStudyStack:
         design = default_partial_bleach_design(sigma_grid=(0.03,), replicates=4,
                                                master_seed=10, start="auto")
         cells = np.array([(0, k) for k in range(design.replicates)])
-        estimates, rejected, _ = _run_rows(design, cells, len(design.target_names))
+        estimates, rejected, *_ = _run_rows(design, cells, len(design.target_names))
         assert not rejected.any()
         opts = FitOptions(start="auto")
         for k in range(design.replicates):
@@ -283,7 +302,7 @@ class TestStudyStack:
                                               np.append(res.theta_hat, gamma))
 
     def test_one_stack_per_method_across_sigmas(self, monkeypatch):
-        calls = {"fit_two_curves_methods": 0, "solve_gamma_batch": 0}
+        calls = {"fit_two_curves_methods": 0, "_roots": 0}
 
         def counted(name):
             original = getattr(simulation, name)
@@ -302,7 +321,7 @@ class TestStudyStack:
         # One fit of every method for all 30 replicates, not one per sigma
         # (3), and one intersection stack for every method's rows, not one
         # per method (4) or per method and sigma (12).
-        assert calls == {"fit_two_curves_methods": 1, "solve_gamma_batch": 1}
+        assert calls == {"fit_two_curves_methods": 1, "_roots": 1}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_newton_solve_per_chunk(self, monkeypatch, threads):
@@ -323,7 +342,7 @@ class TestStudyStack:
                            replicates=37, master_seed=5, fit_options=FitOptions(max_iter=4))
         summary = run_study(design)
         cells = np.stack([np.zeros(37, dtype=int), np.arange(37)], axis=1)
-        estimates, rejected, _ = _run_rows(design, cells, 3)
+        estimates, rejected, *_ = _run_rows(design, cells, 3)
         assert not rejected.any()
         for method in design.methods:
             est = estimates[method]
@@ -376,16 +395,23 @@ class TestDrawOrder:
 
         def recorded(design, curves, n_targets):
             fitted.append(curves)
-            return {m: np.full((len(curves[0]), n_targets), np.nan) for m in design.methods}
+            return ({m: np.full((len(curves[0]), n_targets), np.nan) for m in design.methods},
+                    np.zeros(2, dtype=int))
 
         monkeypatch.setattr(simulation, "_fit_rows", recorded)
         S, R = len(design.sigma_grid), design.replicates
         cells = np.stack(np.divmod(np.arange(S * R), R), axis=1)
-        _, rejected, redraws = _run_rows(design, cells, len(design.target_names))
+        _, rejected, redraws, _ = _run_rows(design, cells, len(design.target_names))
         [curves] = fitted
         kept, rejected_at = [], []
         for j, (i, k) in enumerate(cells):
             ys, n, at = replay(design, design.sigma_grid[i], i, k)
+            # A row rejected in its chunk is drawn again by _draw_replicate.
+            alone = [np.empty(x.size) for x, _ in design.means]
+            assert _draw_replicate(design, design.sigma_grid[i], i, k, alone) == (ys is not None, n)
+            if ys is not None:
+                for a, y in zip(alone, ys):
+                    np.testing.assert_array_equal(a, y)
             assert redraws[j] == n
             assert rejected[j] == (ys is None)
             kept += [] if ys is None else [ys]

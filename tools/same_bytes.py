@@ -16,10 +16,12 @@ with ``--model saturating_exponential``, on every one-curve CSV, and
 
 Reports round their floats to 12 significant digits, so a change in the
 last bits of an estimate can hide behind the rounding. Next to each call's
-reports, ``<name>.unrounded.json`` therefore holds what the call passed to
-``propfit.cli.round_floats``: the reports before rounding, written with
-Python's shortest round-trip ``repr`` of every float (NaN and infinities
-as ``NaN``/``Infinity``), so equal bytes mean equal bits.
+reports, ``<name>.unrounded.json`` therefore holds each report the call
+passed, before rounding, to ``propfit.cli.round_floats`` or to
+``propfit.cli.dump_json`` (which rounds as it writes), once, whichever it
+reached first; what ``round_floats`` returned is not a report. It is
+written with Python's shortest round-trip ``repr`` of every float (NaN and
+infinities as ``NaN``/``Infinity``), so equal bytes mean equal bits.
 
 Every file that differs, or exists on one side only, is listed, and the
 exit status is 1 if there is any. Under a JSON file that differs come the
@@ -59,21 +61,38 @@ import propfit
 from propfit import cli
 if Path(propfit.__file__).resolve().parent != Path(sys.argv[1]).resolve() / "propfit":
     sys.exit(f"propfit was imported from {propfit.__file__}")
-rounder, unrounded, depth = cli.round_floats, [], [0]
+rounder, writer = cli.round_floats, cli.dump_json
+# Every report recorded and every object round_floats returned, by id, kept
+# alive so that no id is reused within a call.
+unrounded, known, depth = [], {}, [0]
 
-def recording(obj, *args):
-    if not depth[0]:  # a report, not one of round_floats' own recursive calls
+def record(obj):
+    if id(obj) not in known:
+        known[id(obj)] = obj
         unrounded.append(json.loads(json.dumps(obj)))
+
+def rounding(obj, *args):
+    top = not depth[0]  # a report, not one of round_floats' own recursive calls
+    if top:
+        record(obj)
     depth[0] += 1
     try:
-        return rounder(obj, *args)
+        result = rounder(obj, *args)
     finally:
         depth[0] -= 1
+    if top:
+        known[id(result)] = result
+    return result
 
-cli.round_floats = recording
+def writing(obj, *args):
+    record(obj)
+    return writer(obj, *args)
+
+cli.round_floats, cli.dump_json = rounding, writing
 out, codes = Path(sys.argv[2]).parent, {}
 for name, argv in json.load(sys.stdin):
     unrounded.clear()
+    known.clear()
     codes[name] = cli.main(argv)
     (out / f"{name}.unrounded.json").write_text(
         json.dumps(unrounded, indent=1, sort_keys=True) + "\\n", encoding="utf-8")
