@@ -9,7 +9,10 @@ method's dose). A row shorter than the longest is padded, and a pad adds
 exactly zero to ``G``, its Jacobian and scale, the objective and ML's scale.
 The stack's equation layout, its runs of rows of one equation and its ML
 rows, is built once (:meth:`_Table.assign`) and cut with the stack as rows
-stop, so each evaluation calls every equation once on its run's rows.
+stop, and so are the stack's constants: each row's pooled count of
+observations and each run's views of ``y``, ``live`` and ``n``. So each
+evaluation calls every equation once on its run's rows, and finds the
+weights ``c`` and their derivative ``c'`` in one pass over the runs.
 
 The first rows of a stack may be pairs: two rows, each with its own
 parameters, that are one dataset of both rows' observations, as a
@@ -97,7 +100,7 @@ class _Equation:
 
 
 def _t(a: Array) -> Array:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _sum(a: Array, live: Array | None) -> Array:
@@ -108,7 +111,7 @@ def _sum(a: Array, live: Array | None) -> Array:
 def _cut(runs: tuple, index: Array) -> tuple:
     """The runs (see :class:`_Data`) of the rows ``index`` (ascending
     positions) keeps, the ones it empties dropped."""
-    ends = np.searchsorted(index, [b for _, _, b in runs]).tolist()
+    ends = index.searchsorted([b for _, _, b in runs]).tolist()
     return tuple((eq, a, b) for (eq, _, _), a, b in zip(runs, [0, *ends], ends) if a < b)
 
 
@@ -124,7 +127,11 @@ class _Data:
     The equation layout (:meth:`_Table.assign`, empty until then): ``runs``
     holds ``(equation, a, b)`` per run of rows ``a:b`` that solve one
     equation, all of them pairs or none, and ``ml`` is the slice of the rows
-    whose equation is profiled (None if none). A cut keeps the layout.
+    whose equation is profiled (None if none). ``views`` holds per run
+    ``(y[a:b], y, live, n)`` of its datasets: a row's, or a pair's both
+    rows' observations, which its objective sums. ``pooled`` is the count
+    of observations of each row's dataset (a pair's in both rows). A cut
+    keeps the layout and builds its own constants.
     """
 
     models: tuple[ModelFunction, ...]
@@ -137,18 +144,32 @@ class _Data:
     pairs: int = 0
     runs: tuple = ()
     ml: slice | None = field(init=False, default=None)
+    views: tuple = field(init=False, default=())
+    pooled: Array = field(init=False, default=None)
 
     def __post_init__(self):
         ml = [(a, b) for eq, a, b in self.runs if eq.profiled]
         object.__setattr__(self, "ml", slice(ml[0][0], ml[-1][1]) if ml else None)
+        pooled = self.pairwise(np.add, self.n)
+        views = []
+        for _, a, b in self.runs:
+            y, live = self.y[a:b], None if self.live is None else self.live[a:b]
+            if b <= 2 * self.pairs:
+                views.append((y, y.reshape((b - a) // 2, -1),
+                              None if live is None else live.reshape((b - a) // 2, -1),
+                              pooled[a:b:2]))
+            else:
+                views.append((y, y, live, self.n[a:b]))
+        object.__setattr__(self, "views", tuple(views))
+        object.__setattr__(self, "pooled", pooled)
 
     def __getitem__(self, index) -> "_Data":
         """The rows ``index`` selects (a boolean mask or ascending positions),
         which keeps pairs whole."""
         index = np.asarray(index)
         if index.dtype == bool:
-            index = np.flatnonzero(index)
-        pairs = self.pairs and int(np.count_nonzero(index < 2 * self.pairs)) // 2
+            index = index.nonzero()[0]
+        pairs = self.pairs and int(index.searchsorted(2 * self.pairs)) // 2
         return _Data(self.models, self.curve[index], self.x if self.x.ndim == 1 else self.x[index],
                      self.y[index], self.n[index], None if self.live is None else self.live[index],
                      None if self.callers is None else self.callers[index], pairs,
@@ -159,7 +180,7 @@ class _Data:
         if not self.pairs:
             return v
         two, out = 2 * self.pairs, v.copy()
-        out[:two] = np.repeat(op(v[0:two:2], v[1:two:2]), 2, axis=0)
+        out[:two].reshape(self.pairs, 2, *v.shape[1:])[...] = op(v[0:two:2], v[1:two:2])[:, None]
         return out
 
     def model(self, r: int) -> ModelFunction:
@@ -245,7 +266,10 @@ class _Iterate:
     Per row: ``objective``, ``norm`` (``max|G|``) and ``fault`` (0 where
     the equation is defined, else a :func:`~propfit.models.fault_error`
     code); ``residual`` is ``G``, ``f`` the means, ``G`` their gradient,
-    ``c`` the weights and ``s2`` ML's scale (zero for the other equations).
+    ``c`` the weights, ``dc`` their derivative ``c'`` in ``f`` and ``s2``
+    ML's scale (zero for the other equations). The methods but
+    :meth:`jacobian` compute in the caller's floating-point error state;
+    :func:`solve` ignores every error.
     """
 
     theta: Array
@@ -257,6 +281,7 @@ class _Iterate:
     f: Array
     G: Array
     c: Array
+    dc: Array
     s2: Array
 
     @property
@@ -276,7 +301,7 @@ class _Iterate:
         """The rows ``index`` selects (a boolean mask or ascending positions)."""
         return _Iterate(self.theta[index], self.objective[index], self.residual[index],
                         self.norm[index], self.fault[index], self.data[index], self.f[index],
-                        self.G[index], self.c[index], self.s2[index])
+                        self.G[index], self.c[index], self.dc[index], self.s2[index])
 
     def put(self, index, other: "_Iterate", which) -> None:
         """Overwrite the rows ``index`` with the rows ``which`` of ``other``
@@ -288,35 +313,33 @@ class _Iterate:
 
     def dweight(self) -> Array:
         """``c'``, the derivative of the weights in ``f``, per row and observation."""
-        with np.errstate(all="ignore"):
-            return _pick(self.data.runs, "dweight", self.f, self.data.y)
+        return self.dc
 
     def bounds(self, dc: Array, tol_relative: float) -> Array:
         """Per row and parameter, the bound ``max(tol_relative * S_j, 64 eps
         F_j)`` on ``|G_j|`` (see the module docstring), ``dc`` the rows'
         :meth:`dweight`."""
         G = np.abs(self.G)
-        with np.errstate(all="ignore"):
-            terms = (np.abs(self.c)[..., None, :] @ G)[..., 0, :]
-            rounding = (np.abs(dc * self.f)[..., None, :] @ G)[..., 0, :]
-            return np.maximum(tol_relative * terms, _RESIDUAL_ULPS * _EPS * rounding)
+        terms = (np.abs(self.c)[..., None, :] @ G)[..., 0, :]
+        rounding = (np.abs(dc * self.f)[..., None, :] @ G)[..., 0, :]
+        return np.maximum(tol_relative * terms, _RESIDUAL_ULPS * _EPS * rounding)
 
     def rounding(self) -> Array:
         """Per row, the objective's rounding level ``16 eps (|Q| + sum_i |c_i
         f_i|)`` (the sum a pair's over both rows, and over ``s^2`` for ML's
         profiled objective; see the module docstring)."""
-        with np.errstate(all="ignore"):
-            level = self.data.pairwise(np.add, np.sum(np.abs(self.c * self.f), axis=-1))
-            ml = self.data.ml
-            if ml is not None:
-                level[ml] /= self.s2[ml]
-            return _OBJECTIVE_ULPS * _EPS * (np.abs(self.objective) + level)
+        level = self.data.pairwise(np.add, np.abs(self.c * self.f).sum(axis=-1))
+        ml = self.data.ml
+        if ml is not None:
+            level[ml] /= self.s2[ml]
+        return _OBJECTIVE_ULPS * _EPS * (np.abs(self.objective) + level)
 
     def jacobian(self) -> Array:
         """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
         scale terms) per row, ``sum c_i H_i`` from the row's model's
         ``whess_rows``. Rows where that is non-finite are marked in ``fault``."""
-        return self.blocks(self.dweight())[0]
+        with np.errstate(all="ignore"):
+            return self.blocks(self.dc)[0]
 
     def blocks(self, dc: Array) -> tuple[Array, Array | None]:
         """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
@@ -327,34 +350,32 @@ class _Iterate:
         y, f, G, c = self.data.y, self.f, self.G, self.c
         p, two, ml = G.shape[-1], 2 * self.data.pairs, self.data.ml
         off = np.zeros(G.shape[:1] + (p, p)) if two else None
-        with np.errstate(all="ignore"):
-            A = self.data.call("whess_rows", self.theta, c)
-            bad = ~np.all(np.isfinite(A), axis=(-2, -1))
-            A += _t(G * dc[..., None]) @ G
-            if ml is not None:
-                y, f, G = y[ml], f[ml], G[ml]
-                J = G / f[..., None]
-                ds2 = (-2.0 / self.data.pairwise(np.add, self.data.n)[ml])[:, None] * (
-                    _t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
-                total = J.sum(axis=-2)
-                A[ml] += total[..., :, None] * ds2[..., None, :] - self.s2[ml, None, None] * (
-                    _t(J) @ J)
-                # The ML rows of pairs, (lead, mate) each, are the first ``e`` of ``ml``.
-                a, e = ml.start, min(ml.stop, two) - ml.start
-                if e > 0:
-                    off[a:a + e:2] = total[0:e:2, :, None] * ds2[1:e:2, None, :]
-                    off[a + 1:a + e:2] = total[1:e:2, :, None] * ds2[0:e:2, None, :]
-        if np.any(bad):
+        A = self.data.call("whess_rows", self.theta, c)
+        bad = ~np.isfinite(A).all(axis=(-2, -1))
+        A += _t(G * dc[..., None]) @ G
+        if ml is not None:
+            y, f, G = y[ml], f[ml], G[ml]
+            J = G / f[..., None]
+            ds2 = (-2.0 / self.data.pooled[ml])[:, None] * (
+                _t(G) @ (y * (y - f) / f**3)[..., None])[..., 0]
+            total = J.sum(axis=-2)
+            A[ml] += total[..., :, None] * ds2[..., None, :] - self.s2[ml, None, None] * (
+                _t(J) @ J)
+            # The ML rows of pairs, (lead, mate) each, are the first ``e`` of ``ml``.
+            a, e = ml.start, min(ml.stop, two) - ml.start
+            if e > 0:
+                off[a:a + e:2] = total[0:e:2, :, None] * ds2[1:e:2, None, :]
+                off[a + 1:a + e:2] = total[1:e:2, :, None] * ds2[0:e:2, None, :]
+        if bad.any():
             self.fault[bad] = FAULT_HESSIAN
         return A, off
 
     def scoring(self, rows) -> Array:
         """The expected Jacobian ``sum_i w_i grad f_i grad f_i'`` of the rows
         ``rows`` (ascending positions)."""
-        with np.errstate(all="ignore"):
-            G = self.G[rows]
-            w = _pick(_cut(self.data.runs, rows), "scoring", self.f[rows], self.data.y[rows])
-            return _t(G * w[..., None]) @ G
+        G = self.G[rows]
+        w = _pick(_cut(self.data.runs, rows), "scoring", self.f[rows], self.data.y[rows])
+        return _t(G * w[..., None]) @ G
 
 
 def _point(data: _Data, theta, sigma: float | None = None) -> _Iterate:
@@ -363,41 +384,44 @@ def _point(data: _Data, theta, sigma: float | None = None) -> _Iterate:
     ``fault``, not raised. A pair's rows carry its objective and ``max|G|``,
     those of one dataset of both rows' observations."""
     theta = np.asarray(theta, dtype=float)
-    y, live, n, two, ml = data.y, data.live, data.n, 2 * data.pairs, data.ml
+    y, live, two, ml = data.y, data.live, 2 * data.pairs, data.ml
     with np.errstate(all="ignore"):
         f = np.asarray(data.call("eval_fn", theta), dtype=float)
         fault = data.call("faults", theta)
-        zero = ~np.all(f != 0.0, axis=-1)
+        zero = ~(f != 0.0).all(axis=-1)
         if zero.any():
             for eq, a, b in data.runs:
                 zero[a:b] &= eq.divides_by_f
             fault = np.where((fault == 0) & zero, FAULT_ZERO_MEAN, fault)
         G = data.call("grad_rows", theta)
-        c = _pick(data.runs, "weight", f, y)
+        # One pass over the runs: weights, their derivative and the objective.
+        objective, cs, dcs = np.empty(len(theta)), [], []
+        for (eq, a, b), (y_rows, y_set, live_set, n_set) in zip(data.runs, data.views):
+            f_rows = f[a:b]
+            cs.append(eq.weight(f_rows, y_rows))
+            dcs.append(eq.dweight(f_rows, y_rows))
+            if b <= two:  # pairs, each one dataset of both rows' observations
+                objective[a:b] = eq.objective(f_rows.reshape(len(n_set), -1), y_set, live_set,
+                                              n_set).repeat(2)
+            else:
+                objective[a:b] = eq.objective(f_rows, y_set, live_set, n_set)
+        c, dc = (cs[0], dcs[0]) if len(cs) == 1 else (np.concatenate(cs), np.concatenate(dcs))
         s2 = np.zeros(len(theta))
         if ml is not None:
             if sigma is None:
                 # ML's scale over the observations of the row, or of its pair.
                 ssq = np.zeros(len(theta))
                 ssq[ml] = _sum(((y[ml] - f[ml]) / f[ml]) ** 2, None if live is None else live[ml])
-                s2[ml] = data.pairwise(np.add, ssq)[ml] / data.pairwise(np.add, n)[ml]
+                s2[ml] = data.pairwise(np.add, ssq)[ml] / data.pooled[ml]
             else:
                 s2[ml] = float(sigma) ** 2
             c[ml] += s2[ml, None] / f[ml]
         if live is not None:
             G, c = np.where(live[..., None], G, 0.0), np.where(live, c, 0.0)
         residual = (c[..., None, :] @ G)[..., 0, :]
-        norm = data.pairwise(np.maximum, np.max(np.abs(residual), axis=-1))
-        objective = np.empty(len(theta))
-        for eq, a, b in data.runs:
-            run = [None if v is None else v[a:b] for v in (f, y, live)]
-            if b <= two:  # pairs, each one dataset of both rows' observations
-                run = [None if v is None else v.reshape((b - a) // 2, -1) for v in run]
-                objective[a:b] = np.repeat(eq.objective(*run, n[a:b:2] + n[a + 1:b:2]), 2)
-            else:
-                objective[a:b] = eq.objective(*run, n[a:b])
+        norm = data.pairwise(np.maximum, np.abs(residual).max(axis=-1))
     return _Iterate(theta=theta, objective=objective, residual=residual, norm=norm,
-                    fault=fault, data=data, f=f, G=G, c=c, s2=s2)
+                    fault=fault, data=data, f=f, G=G, c=c, dc=dc, s2=s2)
 
 
 @dataclass
@@ -458,12 +482,11 @@ def _no_rise(new: np.ndarray, old: np.ndarray, level: np.ndarray) -> np.ndarray:
     # Where the old objective is infinite its level is infinite or NaN, and
     # the second test adds nothing to the first: an objective infinite on
     # both sides leaves the decision to max|G|.
-    with np.errstate(invalid="ignore"):
-        return (new <= old) | (new <= old + level)
+    return (new <= old) | (new <= old + level)
 
 
-def _advance(pt: _Iterate, dc: Array):
-    """One iteration of every row of ``pt``, ``dc`` its :meth:`~_Iterate.dweight`.
+def _advance(pt: _Iterate):
+    """One iteration of every row of ``pt``.
 
     Returns the next iterate of the rows that moved, their positions in
     ``pt`` (ascending) and ``{position: error}`` for the rows that failed.
@@ -473,27 +496,29 @@ def _advance(pt: _Iterate, dc: Array):
     """
     m = len(pt.theta)
     failures = {}
-    jacobian, off = pt.blocks(dc)
-    live, data = np.arange(m), pt.data
+    jacobian, off = pt.blocks(pt.dc)
+    norm, objective, level = pt.norm, pt.objective, pt.rounding()
+    # ``live`` holds the positions of the rows that try a step; ``at`` indexes
+    # them, whole arrays when no row failed.
+    live, at, data = np.arange(m), slice(None), pt.data
     if pt.fault.any():
         failed = data.pairwise(np.logical_or, pt.fault != 0)
         failures = pt.errors(failed)
-        live = np.flatnonzero(~failed)
+        live = at = (~failed).nonzero()[0]
         if not live.size:
             return None, live, failures
         data, jacobian = data[live], jacobian[live]
         off = None if off is None else off[live]
-    norm, objective, level = pt.norm, pt.objective, pt.rounding()
 
-    delta = _newton_steps(jacobian, off, pt.residual[live], data)
-    trial = _point(data, pt.theta[live] + delta)
-    moved = trial.defined & (trial.norm < norm[live]) & _no_rise(
-        trial.objective, objective[live], level[live])
+    delta = _newton_steps(jacobian, off, pt.residual[at], data)
+    trial = _point(data, pt.theta[at] + delta)
+    moved = trial.defined & (trial.norm < norm[at]) & _no_rise(
+        trial.objective, objective[at], level[at])
     if moved.all():
         return trial, live, failures
 
     # Positions in ``trial`` of the rows that fall back, and in ``pt``.
-    back = np.flatnonzero(~moved)
+    back = (~moved).nonzero()[0]
     need = live[back]
     step = _solve_rows(pt.scoring(need), -pt.residual[need])
     singular = np.zeros(m, dtype=bool)
@@ -549,39 +574,41 @@ def solve(table: _Table, data: _Data, theta0, k, *,
         result.finish(rows[which], best_theta[which], iterations, False, best_norm[which],
                       best_tol[which])
 
-    while rows.size:
-        dc = pt.dweight()
-        bounds = pt.bounds(dc, tol_relative)
-        tol = pt.data.pairwise(np.maximum, np.max(bounds, axis=-1))
-        better = pt.norm < best_norm
-        if better.all():
-            best_theta, best_norm, best_tol = pt.theta, pt.norm, tol
-        elif better.any():
-            best_theta = np.where(better[:, None], pt.theta, best_theta)
-            best_norm = np.where(better, pt.norm, best_norm)
-            best_tol = np.where(better, tol, best_tol)
-        done = pt.data.pairwise(np.logical_and, np.all(np.abs(pt.residual) <= bounds, axis=-1))
-        if done.any():
-            result.finish(rows[done], pt.theta[done], iterations, True, pt.norm[done], tol[done])
-            go = ~done
-            pt, rows, dc = pt.take(go), rows[go], dc[go]
-            best_theta, best_norm, best_tol = best_theta[go], best_norm[go], best_tol[go]
-            if not rows.size:
+    with np.errstate(all="ignore"):
+        while rows.size:
+            bounds = pt.bounds(pt.dc, tol_relative)
+            tol = pt.data.pairwise(np.maximum, bounds.max(axis=-1))
+            better = pt.norm < best_norm
+            if better.all():
+                best_theta, best_norm, best_tol = pt.theta, pt.norm, tol
+            elif better.any():
+                best_theta = np.where(better[:, None], pt.theta, best_theta)
+                best_norm = np.where(better, pt.norm, best_norm)
+                best_tol = np.where(better, tol, best_tol)
+            done = pt.data.pairwise(np.logical_and, (np.abs(pt.residual) <= bounds).all(axis=-1))
+            if done.any():
+                result.finish(rows[done], pt.theta[done], iterations, True, pt.norm[done],
+                              tol[done])
+                go = ~done
+                pt, rows = pt.take(go), rows[go]
+                best_theta, best_norm, best_tol = best_theta[go], best_norm[go], best_tol[go]
+                if not rows.size:
+                    break
+            if iterations == max_iter:
+                stop(slice(None))
                 break
-        if iterations == max_iter:
-            stop(slice(None))
-            break
-        iterations += 1
+            iterations += 1
 
-        nxt, moved, failures = _advance(pt, dc)
-        for i, exc in failures.items():
-            result.errors[rows[i]] = exc
-        if len(moved) < len(rows):
-            stuck = np.ones(len(rows), dtype=bool)
-            stuck[moved] = False
-            stuck[list(failures)] = False
-            stop(stuck)
-            rows = rows[moved]
-            best_theta, best_norm, best_tol = best_theta[moved], best_norm[moved], best_tol[moved]
-        pt = nxt
+            nxt, moved, failures = _advance(pt)
+            for i, exc in failures.items():
+                result.errors[rows[i]] = exc
+            if len(moved) < len(rows):
+                stuck = np.ones(len(rows), dtype=bool)
+                stuck[moved] = False
+                stuck[list(failures)] = False
+                stop(stuck)
+                rows = rows[moved]
+                best_theta, best_norm = best_theta[moved], best_norm[moved]
+                best_tol = best_tol[moved]
+            pt = nxt
     return result

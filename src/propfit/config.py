@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .equivalent_dose import MODE_DEFAULT, partial_bleach_model
@@ -90,7 +89,10 @@ class RunConfig:
 
 @functools.cache
 def _config_validator():
-    """The config schema's validator, checked and built on first use only."""
+    """The config schema's validator, checked and built on first use only
+    (jsonschema is imported here: a command without a config never loads it)."""
+    import jsonschema
+
     schema = load_schema("config")
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -99,8 +101,10 @@ def _config_validator():
 
 def parse_config(document: dict) -> RunConfig:
     """Validate a raw JSON document and apply defaults."""
+    from jsonschema.exceptions import best_match
+
     # The error jsonschema.validate would raise, without re-checking the schema.
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(document))
+    exc = best_match(_config_validator().iter_errors(document))
     if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"invalid config at {where}: {exc.message}") from None

@@ -229,6 +229,11 @@ class SimSummary:
                 return r
         raise KeyError((method, sigma))
 
+    @cached_property
+    def cells(self) -> dict[tuple[str, str, float], SimCell]:
+        """Every cell, by ``(target, method, sigma)``."""
+        return {(c.target, r.method, r.sigma): c for r in self.results for c in r.cells}
+
 
 def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
                     rows) -> tuple[bool, int]:
@@ -436,11 +441,8 @@ def compare_bias_table(summary: SimSummary, target: str | None = None) -> BiasTa
         target = "gamma" if design.two_curve else design.target_names[0]
     sigmas = design.sigma_grid
     methods = design.methods
-    b_t = np.full((len(sigmas), len(methods)), np.nan)
-    b_s = np.full((len(sigmas), len(methods)), np.nan)
-    for i, s in enumerate(sigmas):
-        for j, m in enumerate(methods):
-            cell = summary.entry(m, s).cell(target)
-            b_t[i, j] = cell.b_t
-            b_s[i, j] = cell.b_s
-    return BiasTable(target=target, methods=methods, sigmas=sigmas, b_t=b_t, b_s=b_s)
+    cells = [summary.cells[target, m, s] for s in sigmas for m in methods]
+    shape = (len(sigmas), len(methods))
+    return BiasTable(target=target, methods=methods, sigmas=sigmas,
+                     b_t=np.array([c.b_t for c in cells], dtype=float).reshape(shape),
+                     b_s=np.array([c.b_s for c in cells], dtype=float).reshape(shape))

@@ -792,6 +792,54 @@ class TestSolveContract:
             estimators._fit_curves(((satexp, X, Y, "auto"),), ("ml",), FitOptions(), ("ml",))
 
 
+class TestStackConstants:
+    """A padded stack whose first two rows are an ML pair (of a 13-point and
+    a 16-point curve), then one more ML row and one row of each other
+    equation: the weights' derivative kept on the iterate and the constants
+    every cut carries."""
+
+    K = np.array([0, 0, 0, 1, 1, 2, 3])
+
+    @pytest.fixture
+    def data(self, satexp):
+        x = DEFAULT_BLEACHED_DOSES
+        Y = [noisy_stack(satexp, grid, PAPER_ALPHA, 0.05, rows=rows, seed=seed)
+             for grid, rows, seed in ((x, 1, 71), (X, 1, 72), (x, 5, 73))]
+        data = replace(estimators._stack(((satexp, x, Y[0]), (satexp, X, Y[1]),
+                                          (satexp, x, Y[2]))), pairs=1)
+        assert data.live is not None
+        return estimators._EQUATIONS.assign(data, self.K)
+
+    def test_kept_dweight_is_the_equations_own(self, data):
+        theta = PAPER_ALPHA * (1.0 + 0.01 * np.arange(7))[:, None]
+        pt = estimators._point(data, theta)
+        assert len(data.runs) == 5 and data.ml == slice(0, 3)
+        with np.errstate(all="ignore"):
+            expected = _newton._pick(data.runs, "dweight", pt.f, data.y)
+        assert pt.dweight().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("index", [[0, 1, 2, 4, 6], [2, 3, 5], [0, 1], [6],
+                                       np.arange(7) != 3])
+    def test_a_cut_carries_a_fresh_stacks_constants(self, data, index):
+        cut = data[index]
+        rows = np.arange(7)[index]
+        fresh = estimators._EQUATIONS.assign(
+            estimators._Data(data.models, data.curve[rows], data.x[rows], data.y[rows],
+                             data.n[rows], data.live[rows], None, int(0 in rows)),
+            self.K[rows])
+        assert cut.pairs == fresh.pairs and cut.ml == fresh.ml
+        assert [(eq, a, b) for eq, a, b in cut.runs] == [(eq, a, b) for eq, a, b in fresh.runs]
+        assert cut.pooled.dtype == fresh.pooled.dtype
+        np.testing.assert_array_equal(cut.pooled, fresh.pooled)
+        np.testing.assert_array_equal(fresh.pooled[:2 * fresh.pairs],
+                                      [13 + 16] * 2 * fresh.pairs)
+        assert len(cut.views) == len(fresh.views) == len(fresh.runs)
+        for ours, theirs in zip(cut.views, fresh.views):
+            for a, b in zip(ours, theirs):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+
 class TestSolveGammaBatch:
     @pytest.fixture
     def stack(self):

@@ -2,7 +2,10 @@
 
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -27,7 +30,7 @@ from propfit.equivalent_dose import (
 )
 from propfit.estimators import METHODS, fit
 from propfit.io import read_input_table
-from propfit.exceptions import ModeError, PropfitError, SingularError
+from propfit.exceptions import DerivativeNoiseWarning, ModeError, PropfitError, SingularError
 from propfit.models import Dataset, ModelFunction, saturating_exponential_model
 from propfit.simulation import (
     default_partial_bleach_design,
@@ -656,6 +659,21 @@ class TestCheckCommand:
         assert "PASS" in out and "FAIL" not in out
         assert re.search(r"sum w1 - p = [+-]\d", out)
 
+    def test_no_derivative_check_without_analytic_derivatives(self):
+        # A model with neither gradient nor Hessian has nothing to check
+        # against central differences; the other checks still run on it
+        # (its curvature weights warn of their finite-differenced Hessian).
+        import propfit.checks as checks
+        from dataclasses import replace as dc_replace
+
+        expo = next(f for f in checks.builtin_fixtures() if f.name == "exponential")
+        plain = checks.Fixture("plain", dc_replace(expo.model, grad_fn=None, hess_fn=None,
+                                                   whess_fn=None), expo.data, expo.theta)
+        with pytest.warns(DerivativeNoiseWarning):
+            names = [r.name for r in checks.run_checks([plain])]
+        assert "hat_trace[plain]" in names
+        assert not [name for name in names if name.startswith("derivatives[")]
+
     def test_broken_gradient_fails(self, capsys, monkeypatch):
         import propfit.checks as checks
         from dataclasses import replace as dc_replace
@@ -669,6 +687,29 @@ class TestCheckCommand:
         monkeypatch.setattr("propfit.cli.run_checks", checks.run_checks)
         assert main(["check"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+class TestSchemaImport:
+    def test_jsonschema_loads_only_to_validate_a_config(self, pair_csv, tmp_path):
+        # In a fresh interpreter: a fit without --config never imports
+        # jsonschema; a config is still validated, with today's error line.
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({"modle": "constant"}))
+        script = ("import sys\n"
+                  "from propfit.cli import main\n"
+                  "code = main(['fit', '--data', sys.argv[1], '--format', 'json',"
+                  " '--out', sys.argv[3]])\n"
+                  "print(code, 'jsonschema' in sys.modules)\n"
+                  "code = main(['fit', '--data', sys.argv[1], '--config', sys.argv[2]])\n"
+                  "print(code, 'jsonschema' in sys.modules)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, pair_csv, str(bad),
+                               str(tmp_path / "fit.json")],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.splitlines() == ["0 False", "2 True"]
+        assert proc.stderr == ("error: ConfigError: invalid config at (top level): Additional "
+                               "properties are not allowed ('modle' was unexpected)\n")
+
 
 class TestEntryPoint:
     def test_one_parser_per_process_reads_the_thread_count_each_call(self, sim_config,

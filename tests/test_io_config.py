@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from propfit.config import load_config, load_schema, parse_config
+from propfit.config import RunConfig, load_config, load_schema, parse_config
 from propfit.exceptions import ConfigError
 from propfit.io import read_input_table, write_input_table
 
@@ -129,6 +129,13 @@ class TestConfig:
                             "sim": {"theta0": [1.0, 2.0], "x1": [0, 1, 2],
                                     "sigma": [0.01], "replicates": 2}})
         with pytest.raises(ConfigError, match="theta0"):
+            cfg.build_design()
+
+    def test_design_error_is_a_config_error(self):
+        # A sim section the schema never saw: SimDesign's own check, as a ConfigError.
+        cfg = RunConfig(model="constant", sim={"theta0": [1.0], "x1": [0, 1, 2],
+                                               "sigma": [0.01], "replicates": 0})
+        with pytest.raises(ConfigError, match=r"^need at least one replicate$"):
             cfg.build_design()
 
     def test_x2_only_for_two_curves(self):

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 from hypothesis import strategies as st
 
-from propfit import equivalent_dose
+from propfit import _newton, equivalent_dose
 from propfit.equivalent_dose import MODE_COMMON_SIGMA, fit_two_curves_methods, solve_gamma_batch
 from propfit.estimators import METHODS, equation_residual, fit_methods
 from propfit.exceptions import MultipleRootWarning
@@ -261,3 +262,28 @@ def test_contracted_hessian_matches_the_hessian_stack(rows):
     size = np.einsum("ri,rijk->rjk", np.abs(c), np.abs(H)).max(axis=(-2, -1))
     gap = np.abs(MODEL.whess_rows(x, theta, c) - want).max(axis=(-2, -1))
     assert np.all(gap <= 1e-13 * size), gap / size
+
+
+# The ops a stack applies pairwise, each with the values it applies it to.
+PAIRWISE_OPS = ((np.add, np.dtype(float)), (np.add, np.dtype(int)), (np.maximum, np.dtype(float)),
+                (np.logical_or, np.dtype(bool)), (np.logical_and, np.dtype(bool)))
+
+
+@given(pairs=st.integers(0, 3), alone=st.integers(0, 2), width=st.integers(0, 3),
+       op=st.sampled_from(PAIRWISE_OPS), data=st.data())
+def test_pairwise_matches_its_repeat_definition(pairs, alone, width, op, data):
+    # Both rows of a pair set to ``op`` of their two values, as ``np.repeat``
+    # of the pairs' values defines it, bit for bit, on 1-D and 2-D values
+    # (``width`` 0 is 1-D).
+    op, dtype = op
+    rows = 2 * pairs + alone
+    v = data.draw(hnp.arrays(dtype, (rows, width) if width else (rows,)))
+    stack = _newton._Data((MODEL,), np.zeros(rows, dtype=int), X, np.ones((rows, X.size)),
+                          np.full(rows, X.size), None, None, pairs)
+    want = v.copy()
+    if pairs:
+        two = 2 * pairs
+        want[:two] = np.repeat(op(v[0:two:2], v[1:two:2]), 2, axis=0)
+    got = stack.pairwise(op, v)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
