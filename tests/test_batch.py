@@ -834,10 +834,18 @@ class TestStackConstants:
         np.testing.assert_array_equal(fresh.pooled[:2 * fresh.pairs],
                                       [13 + 16] * 2 * fresh.pairs)
         assert len(cut.views) == len(fresh.views) == len(fresh.runs)
-        for ours, theirs in zip(cut.views, fresh.views):
-            for a, b in zip(ours, theirs):
-                assert a.shape == b.shape
-                np.testing.assert_array_equal(a, b)
+        for (_, a, b), ours, theirs in zip(fresh.runs, cut.views, fresh.views):
+            # Per run: its rows' y, and its datasets' y, live and count.
+            y, live, n = fresh.y[a:b], fresh.live[a:b], fresh.n[a:b]
+            if b <= 2 * fresh.pairs:
+                y_set, live_set = y.reshape((b - a) // 2, -1), live.reshape((b - a) // 2, -1)
+                n_set = n[0::2] + n[1::2]
+            else:
+                y_set, live_set, n_set = y, live, n
+            for got, other, want in zip(ours, theirs, (y, y_set, live_set, n_set)):
+                assert got.shape == other.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(other, want)
 
 
 class TestSolveGammaBatch:
