@@ -8,7 +8,7 @@ covers every method on every curve (as one intersection scan covers every
 method's dose). A row shorter than the longest is padded, and a pad adds
 exactly zero to ``G``, its Jacobian and scale, the objective and ML's scale.
 The stack's equation layout, its runs of rows of one equation and its ML
-rows, is built once (:meth:`_Table.assign`) and cut with the stack as rows
+rows, is built once (:func:`_assign`) and cut with the stack as rows
 stop, and so are the stack's constants: each row's pooled count of
 observations and each run's views of ``y``, ``live`` and ``n``. So each
 evaluation calls every equation once on its run's rows, and finds the
@@ -124,7 +124,7 @@ class _Data:
     Rows ``2j`` and ``2j + 1``, ``j < pairs``, are a pair: one dataset of both
     rows' observations, whose parameters are both rows'.
 
-    The equation layout (:meth:`_Table.assign`, empty until then): ``runs``
+    The equation layout (:func:`_assign`, empty until then): ``runs``
     holds ``(equation, a, b)`` per run of rows ``a:b`` that solve one
     equation, all of them pairs or none, and ``ml`` is the slice of the rows
     whose equation is profiled (None if none). ``views`` holds per run
@@ -225,27 +225,21 @@ def _stack(curves) -> _Data:
                  owner[curve] if owner.any() else None)
 
 
-@dataclass(frozen=True)
-class _Table:
-    """A table of estimating equations, at most one of them ``profiled``."""
-
-    equations: tuple[_Equation, ...]
-
-    def assign(self, data: _Data, k) -> _Data:
-        """``data`` with row ``r`` solving ``equations[k[r]]``: its layout,
-        built once for the stack and kept by every cut of it. The rows of
-        each equation must be contiguous in ``k``, and those of a pair share
-        their equation; ``ValueError`` otherwise."""
-        k, two = np.asarray(k), 2 * data.pairs
-        starts = np.flatnonzero(np.diff(k, prepend=np.nan)).tolist()
-        run_k = k[starts].tolist()
-        if len(set(run_k)) < len(run_k):
-            raise ValueError("the rows of each equation must be contiguous in k")
-        if two > len(k) or np.any(k[0:two:2] != k[1:two:2]):
-            raise ValueError("the rows of a pair must share their equation")
-        starts = sorted({*starts, two} - {len(k)})
-        return replace(data, runs=tuple((self.equations[k[a]], a, b)
-                                        for a, b in zip(starts, [*starts[1:], len(k)])))
+def _assign(equations: tuple[_Equation, ...], data: _Data, k) -> _Data:
+    """``data`` with row ``r`` solving ``equations[k[r]]`` (at most one of
+    them ``profiled``): its layout, built once for the stack and kept by
+    every cut of it. The rows of each equation must be contiguous in ``k``,
+    and those of a pair share their equation; ``ValueError`` otherwise."""
+    k, two = np.asarray(k), 2 * data.pairs
+    starts = np.flatnonzero(np.diff(k, prepend=np.nan)).tolist()
+    run_k = k[starts].tolist()
+    if len(set(run_k)) < len(run_k):
+        raise ValueError("the rows of each equation must be contiguous in k")
+    if two > len(k) or np.any(k[0:two:2] != k[1:two:2]):
+        raise ValueError("the rows of a pair must share their equation")
+    starts = sorted({*starts, two} - {len(k)})
+    return replace(data, runs=tuple((equations[k[a]], a, b)
+                                    for a, b in zip(starts, [*starts[1:], len(k)])))
 
 
 def _pick(runs: tuple, name: str, *rows) -> Array:
@@ -311,17 +305,12 @@ class _Iterate:
                 vars(self)[name] = rows = rows if rows.flags.writeable else rows.copy()
                 rows[index] = vars(other)[name][which]
 
-    def dweight(self) -> Array:
-        """``c'``, the derivative of the weights in ``f``, per row and observation."""
-        return self.dc
-
-    def bounds(self, dc: Array, tol_relative: float) -> Array:
+    def bounds(self, tol_relative: float) -> Array:
         """Per row and parameter, the bound ``max(tol_relative * S_j, 64 eps
-        F_j)`` on ``|G_j|`` (see the module docstring), ``dc`` the rows'
-        :meth:`dweight`."""
+        F_j)`` on ``|G_j|`` (see the module docstring)."""
         G = np.abs(self.G)
         terms = (np.abs(self.c)[..., None, :] @ G)[..., 0, :]
-        rounding = (np.abs(dc * self.f)[..., None, :] @ G)[..., 0, :]
+        rounding = (np.abs(self.dc * self.f)[..., None, :] @ G)[..., 0, :]
         return np.maximum(tol_relative * terms, _RESIDUAL_ULPS * _EPS * rounding)
 
     def rounding(self) -> Array:
@@ -339,15 +328,14 @@ class _Iterate:
         scale terms) per row, ``sum c_i H_i`` from the row's model's
         ``whess_rows``. Rows where that is non-finite are marked in ``fault``."""
         with np.errstate(all="ignore"):
-            return self.blocks(self.dc)[0]
+            return self.blocks()[0]
 
-    def blocks(self, dc: Array) -> tuple[Array, Array | None]:
+    def blocks(self) -> tuple[Array, Array | None]:
         """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
         in its mate's parameters (None with no pair): ML's ``sum J ds^2'``,
-        zero for the other equations; ``dc`` is the rows' :meth:`dweight`.
-        The models contract their Hessians with ``c``
+        zero for the other equations. The models contract their Hessians with ``c``
         (:meth:`~propfit.models.ModelFunction.whess_rows`)."""
-        y, f, G, c = self.data.y, self.f, self.G, self.c
+        y, f, G, c, dc = self.data.y, self.f, self.G, self.c, self.dc
         p, two, ml = G.shape[-1], 2 * self.data.pairs, self.data.ml
         off = np.zeros(G.shape[:1] + (p, p)) if two else None
         A = self.data.call("whess_rows", self.theta, c)
@@ -496,7 +484,7 @@ def _advance(pt: _Iterate):
     """
     m = len(pt.theta)
     failures = {}
-    jacobian, off = pt.blocks(pt.dc)
+    jacobian, off = pt.blocks()
     norm, objective, level = pt.norm, pt.objective, pt.rounding()
     # ``live`` holds the positions of the rows that try a step; ``at`` indexes
     # them, whole arrays when no row failed.
@@ -542,16 +530,16 @@ def _advance(pt: _Iterate):
     return (trial if moved.all() else trial.take(moved)), live[moved], failures
 
 
-def solve(table: _Table, data: _Data, theta0, k, *,
+def solve(equations: tuple[_Equation, ...], data: _Data, theta0, k, *,
           tol_relative: float = 1e-8, max_iter: int = 100) -> SolveResult:
-    """Drive the equation ``table.equations[k[r]]`` to zero for every dataset
+    """Drive the equation ``equations[k[r]]`` to zero for every dataset
     of ``data``, from its row of ``theta0 (R, p)``. The rows of each equation
     must be contiguous in ``k``; ``ValueError`` otherwise.
 
     ``iterations`` counts the iterations each row ran, a last one that found
     no step included.
     """
-    theta0, data = np.array(theta0, dtype=float), table.assign(data, k)
+    theta0, data = np.array(theta0, dtype=float), _assign(equations, data, k)
     R = len(theta0)
     result = SolveResult(theta=np.full(theta0.shape, np.nan), iterations=np.zeros(R, dtype=int),
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
@@ -576,7 +564,7 @@ def solve(table: _Table, data: _Data, theta0, k, *,
 
     with np.errstate(all="ignore"):
         while rows.size:
-            bounds = pt.bounds(pt.dc, tol_relative)
+            bounds = pt.bounds(tol_relative)
             tol = pt.data.pairwise(np.maximum, bounds.max(axis=-1))
             better = pt.norm < best_norm
             if better.all():

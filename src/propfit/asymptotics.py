@@ -36,6 +36,9 @@ from .models import Array, Dataset, ModelFunction
 ORDER2 = "order2"
 ML_EXACT = "ml_exact"
 SANDWICH = "sandwich"
+# How close to ``[theta1, 0, ..., 0]``, relative to ``|theta1|``,
+# :func:`check_theta1_factorization` needs ``v`` to be.
+_FACTORIZATION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -283,13 +286,13 @@ def limit_distribution(method: str, model: ModelFunction, data: Dataset, theta,
                              simplified=simplified)
 
 
-def check_theta1_factorization(model: ModelFunction, data: Dataset, theta,
-                               rtol: float = 1e-8) -> FactorizationCheck:
+def check_theta1_factorization(model: ModelFunction, data: Dataset, theta) -> FactorizationCheck:
     """Detect the scale-factor structure f = theta1 * f*(theta2..thetap).
 
     Computes ``v = (J'J)^{-1} sum J_i``; for factorized models this is
-    exactly ``[theta1, 0, ..., 0]``, and the ML and WLS biases then agree on
-    every component but the first (reported as ``ml_wls_tail_gap``).
+    exactly ``[theta1, 0, ..., 0]`` (here: to within ``1e-8 |theta1|``), and
+    the ML and WLS biases then agree on every component but the first
+    (reported as ``ml_wls_tail_gap``).
     """
     theta = model.check_theta(theta)
     bundle = build_jacobian_bundle(model, data, theta)
@@ -297,7 +300,7 @@ def check_theta1_factorization(model: ModelFunction, data: Dataset, theta,
     target = np.zeros(bundle.p)
     target[0] = theta[0]
     scale = max(abs(float(theta[0])), 1e-300)
-    factorized = bool(np.max(np.abs(v - target)) <= rtol * scale)
+    factorized = bool(np.max(np.abs(v - target)) <= _FACTORIZATION_RTOL * scale)
 
     gap = float("nan")
     if factorized and bundle.p > 1:

@@ -67,7 +67,7 @@ def builtin_fixtures() -> list[Fixture]:
     """The (model, data, theta) triples every invariant is checked on."""
     const = constant_model()
     expo = exponential_decay_model()
-    shape = scaled_shape_model(lambda x: np.exp(-x / 3.0), name="scaled_exp_shape")
+    shape = scaled_shape_model(lambda x: np.exp(-x / 3.0))
     beta = np.array([95717.802684, 192.547, 756.620])
     x_expo = np.linspace(0.5, 6.0, 9)
     x_shape = np.linspace(0.0, 5.0, 7)
@@ -98,8 +98,8 @@ def _random_fixtures(count: int, seed: int = 1234) -> list[Fixture]:
     return out
 
 
-def run_checks(fixtures: list[Fixture] | None = None) -> list[CheckResult]:
-    fixtures = builtin_fixtures() if fixtures is None else fixtures
+def run_checks() -> list[CheckResult]:
+    fixtures = builtin_fixtures()
     results: list[CheckResult] = []
 
     # Hat-matrix trace and leverage range per fixture.

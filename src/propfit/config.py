@@ -67,7 +67,7 @@ class RunConfig:
             if "x2" in sim:
                 raise ConfigError("sim.x2 is only valid for the two-curve model")
             x1, x2 = sim["x1"], None
-        casts = {"reject_nonpositive": bool, "start": str, "max_redraws": int}
+        casts = {"start": str, "max_redraws": int}
         optional = {key: cast(sim[key]) for key, cast in casts.items() if key in sim}
         try:
             return SimDesign(

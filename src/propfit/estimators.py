@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from ._newton import _Data, _Equation, _point, _stack, _sum, _Table, solve
+from ._newton import _assign, _Data, _Equation, _point, _stack, _sum, solve
 from .exceptions import ZeroResponseError, first_errors
 from .models import (
     FAULT_THETA,
@@ -151,7 +151,7 @@ class FitBatch:
 
 def _ql_objective(f: Array, y: Array, live: Array | None, n: Array) -> Array:
     q = y / f
-    return np.where(np.all(q > 0.0, axis=-1), _sum(q - np.log(q), live), np.inf)
+    return np.where((q > 0.0).all(axis=-1), _sum(q - np.log(q), live), np.inf)
 
 
 def _ml_objective(f: Array, y: Array, live: Array | None, n: Array) -> Array:
@@ -159,11 +159,11 @@ def _ml_objective(f: Array, y: Array, live: Array | None, n: Array) -> Array:
     q = y / f
     s2 = _sum((q - 1.0) ** 2, live) / n
     value = np.where(s2 > 0.0, 0.5 * n * np.log(s2) - _sum(np.log(q), live), -np.inf)
-    return np.where(np.all(q > 0.0, axis=-1), value, np.inf)
+    return np.where((q > 0.0).all(axis=-1), value, np.inf)
 
 
 # One row per method, in the order of ``METHODS``.
-_EQUATIONS = _Table((
+_EQUATIONS = (
     _Equation(  # ml
         weight=lambda f, y: y * (f - y) / f**3,
         dweight=lambda f, y: y * (3.0 * y - 2.0 * f) / f**4,
@@ -186,7 +186,7 @@ _EQUATIONS = _Table((
         scoring=lambda f, y: -1.0 / y**2,
         objective=lambda f, y, live, n: 0.5 * _sum(((y - f) / y) ** 2, live),
         divides_by_f=False),
-))
+)
 
 
 def _dwls_response_errors(Y: Array) -> tuple:
@@ -205,8 +205,8 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     method = _check_method(method)
     if method == "dwls" and (error := _dwls_response_errors(data.y[None, :])[0]) is not None:
         raise error
-    pt = _point(_EQUATIONS.assign(_stack(((model, data.x, data.y[None, :]),)),
-                                  [METHODS.index(method)]), model.check_theta(theta)[None, :], sigma)
+    pt = _point(_assign(_EQUATIONS, _stack(((model, data.x, data.y[None, :]),)),
+                        [METHODS.index(method)]), model.check_theta(theta)[None, :], sigma)
     if pt.fault[0]:
         raise fault_error(model, int(pt.fault[0]))
     return pt.residual[0]
@@ -282,7 +282,7 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     paired = {_check_method(m) for m in paired}
     if paired and len(curves) != 2:
         raise ValueError("a pair takes one row of each of two curves")
-    coupled = {m for m in paired if _EQUATIONS.equations[METHODS.index(m)].profiled}
+    coupled = {m for m in paired if _EQUATIONS[METHODS.index(m)].profiled}
     R = len(np.atleast_1d(curves[0][2]))
     blocks, start, start_errors, theta_errors, responses = [], [], [], [], []
     for model, x, Y, spec in curves:

@@ -1,4 +1,4 @@
-"""CSV input tables, read from and written to files.
+"""CSV input tables, read from files.
 
 The format is a headed CSV with columns ``curve`` (optional label,
 default "1"), ``x`` and ``y``.  Rows with the same curve label form one
@@ -10,7 +10,6 @@ and every x/y cell must parse as a finite number.
 from __future__ import annotations
 
 import csv
-import io as _io
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,20 +91,3 @@ def _read(handle) -> InputTable:
     }
     return InputTable(curves=curves)
 
-
-def write_input_table(table: InputTable, path=None) -> str:
-    """Serialize back to CSV text (and optionally a file).
-
-    Floats use ``repr`` so that parse -> serialize -> parse is the identity.
-    """
-    out = _io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["curve", "x", "y"])
-    for label, data in table.curves.items():
-        for x, y in zip(data.x, data.y):
-            writer.writerow([label, repr(float(x)), repr(float(y))])
-    text = out.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return text

@@ -36,6 +36,9 @@ Array = NDArray[np.float64]
 # Central-difference step scale for first derivatives; second derivatives
 # nest the same scheme and are symmetrized afterwards.
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
+# The largest relative gap between analytic and finite-difference
+# derivatives that :func:`fd_check` passes.
+_FD_TOL = 1e-5
 
 
 # Why a row of a stack evaluation is undefined; 0 means it is not.
@@ -160,7 +163,7 @@ class ModelFunction:
         """Fault code per row of ``theta (..., p)``: :data:`FAULT_THETA` where
         it has a non-finite entry, :data:`FAULT_DOMAIN` where the domain guard
         rejects it, else 0."""
-        finite = np.all(np.isfinite(theta), axis=-1)
+        finite = np.isfinite(theta).all(axis=-1)
         guard = True
         if self.domain_guard is not None:
             guard = np.asarray(self.domain_guard(x, theta), dtype=bool)
@@ -328,11 +331,12 @@ class FdCheckReport:
         return self.grad_max_rel_err <= self.tol and self.hess_max_rel_err <= self.tol
 
 
-def fd_check(model: ModelFunction, theta, xs, tol: float = 1e-5) -> FdCheckReport:
+def fd_check(model: ModelFunction, theta, xs) -> FdCheckReport:
     """Compare a model's analytic derivatives against finite differences.
 
     Requires at least one analytic derivative to be supplied; the report
-    flags (never raises on) discrepancies above ``tol`` relative error.
+    flags (never raises on) discrepancies above its ``tol``, 1e-5 relative
+    error.
     """
     if model.grad_fn is None and model.hess_fn is None:
         raise ValueError("fd_check requires analytic derivatives to compare against")
@@ -358,7 +362,7 @@ def fd_check(model: ModelFunction, theta, xs, tol: float = 1e-5) -> FdCheckRepor
             hess_err = max(hess_err, rel_gap(model.whess_rows(xv, theta, c), _contract(c, H)))
 
     return FdCheckReport(model=model.name, grad_max_rel_err=grad_err,
-                         hess_max_rel_err=hess_err, tol=tol)
+                         hess_max_rel_err=hess_err, tol=_FD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,7 @@ def constant_model() -> ModelFunction:
     )
 
 
-def scaled_shape_model(g: Callable[[Array], Array], name: str = "scaled_shape") -> ModelFunction:
+def scaled_shape_model(g: Callable[[Array], Array]) -> ModelFunction:
     """Fixed shape scaled by one parameter: f = theta1 * g(x)."""
 
     def ev(x, t):
@@ -408,7 +412,7 @@ def scaled_shape_model(g: Callable[[Array], Array], name: str = "scaled_shape") 
                 else np.ones_like(Y[..., :1]))
 
     return ModelFunction(
-        name=name,
+        name="scaled_shape",
         p=1,
         param_names=("theta1",),
         eval_fn=ev,
@@ -514,7 +518,7 @@ def saturating_exponential_model() -> ModelFunction:
         # sum_i c_i H_i from S_k = sum_i c_i e_i u_i^k, k = 0, 1, 2.
         a1, a3 = t[..., 0], t[..., 2]
         ce, u = c * _e(x, t), x + t[..., 1, None]
-        s0, s1, s2 = np.sum(ce, axis=-1), np.sum(ce * u, axis=-1), np.sum(ce * u * u, axis=-1)
+        s0, s1, s2 = ce.sum(axis=-1), (ce * u).sum(axis=-1), (ce * u * u).sum(axis=-1)
         h = np.zeros(s0.shape + (3, 3))
         h[..., 0, 1] = h[..., 1, 0] = s0 / a3
         h[..., 0, 2] = h[..., 2, 0] = -s1 / a3 ** 2
@@ -596,13 +600,8 @@ MODEL_REGISTRY: dict[str, Callable[[], ModelFunction]] = {
 }
 
 
-def register_model(name: str, factory: Callable[[], ModelFunction]) -> None:
-    """Register a user model factory, called with no arguments, under ``name``."""
-    MODEL_REGISTRY[name] = factory
-
-
 def get_model(name: str) -> ModelFunction:
-    """Instantiate a registered model by name."""
+    """Instantiate a built-in model (one of :data:`MODEL_REGISTRY`) by name."""
     try:
         factory = MODEL_REGISTRY[name]
     except KeyError:

@@ -87,7 +87,6 @@ class SimDesign:
     master_seed: int
     x2: Array | None = None
     methods: tuple[str, ...] = METHODS
-    reject_nonpositive: bool = True
     start: str = "theta0"
     fit_mode: str = MODE_DEFAULT
     fit_options: FitOptions = field(default_factory=FitOptions)
@@ -172,16 +171,16 @@ def replicate_stream(master_seed: int, sigma_index: int, replicate_index: int) -
 
 
 def generate_dataset(model: ModelFunction, x_grid, theta0, sigma: float,
-                     stream: np.random.Generator, reject_nonpositive: bool = True) -> Dataset:
+                     stream: np.random.Generator) -> Dataset:
     """Draw one dataset y = f(x, theta0)(1 + sigma eps) from the stream.
 
-    Raises :class:`Rejected` when ``reject_nonpositive`` is set and any
-    response lands at or below zero; callers redraw the whole replicate.
+    Raises :class:`Rejected` when any response lands at or below zero;
+    callers redraw the whole replicate.
     """
     x = np.asarray(x_grid, dtype=float)
     y = np.asarray(model.eval(x, theta0), dtype=float) * (
         1.0 + float(sigma) * stream.standard_normal(x.size))
-    if reject_nonpositive and np.any(y <= 0.0):
+    if np.any(y <= 0.0):
         raise Rejected
     return Dataset(x, y)
 
@@ -247,7 +246,7 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
     for redraws in range(design.max_redraws + 1):
         for row, (_, f) in zip(rows, design.means):
             np.multiply(f, 1.0 + sigma * stream.standard_normal(row.size), out=row)
-            if design.reject_nonpositive and np.any(row <= 0.0):
+            if np.any(row <= 0.0):
                 break
         else:
             return True, redraws
@@ -299,12 +298,11 @@ def _run_rows(design: SimDesign, cells: Array, n_targets: int):
     drawn = np.ones(len(cells), dtype=bool)
     redraws = np.zeros(len(cells), dtype=int)
     curves = np.split(ys, np.cumsum([x.size for x, _ in design.means])[:-1], axis=1)
-    if design.reject_nonpositive:
-        # A rejected row is drawn again from a fresh stream, attempt by attempt.
-        for j in np.flatnonzero(np.any(ys <= 0.0, axis=1)):
-            i, k = cells[j]
-            drawn[j], redraws[j] = _draw_replicate(design, design.sigma_grid[i], int(i), int(k),
-                                                   [c[j] for c in curves])
+    # A rejected row is drawn again from a fresh stream, attempt by attempt.
+    for j in np.flatnonzero(np.any(ys <= 0.0, axis=1)):
+        i, k = cells[j]
+        drawn[j], redraws[j] = _draw_replicate(design, design.sigma_grid[i], int(i), int(k),
+                                               [c[j] for c in curves])
     estimates = {m: np.full((len(cells), n_targets), np.nan) for m in design.methods}
     several = np.zeros(2, dtype=int)
     if drawn.any():

@@ -162,8 +162,8 @@ class TestEquationJacobian:
             data = make_noisy(satexp, np.linspace(0.0, 1000.0, 16), theta, 0.05, seed=4)
         # Off the root, so every term of the Jacobian is exercised.
         theta = theta * (1.0 + 0.02 * np.arange(1, theta.size + 1))
-        stack = estimators._EQUATIONS.assign(
-            estimators._stack(((model, data.x, data.y[None, :]),)), [METHODS.index(method)])
+        stack = estimators._assign(estimators._EQUATIONS, estimators._stack(
+            ((model, data.x, data.y[None, :]),)), [METHODS.index(method)])
         analytic = estimators._point(stack, theta[None, :]).jacobian()[0]
         np.testing.assert_allclose(analytic, _central_jacobian(method, model, data, theta),
                                    rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
@@ -174,8 +174,8 @@ class TestEquationJacobian:
         theta = np.concatenate([PAPER_ALPHA, [95717.8, QNL84_BETA2, QNL84_BETA3]])
         data = make_noisy(joint, idx, theta, 0.03, seed=8)
         theta = theta * (1.0 + 0.01 * np.arange(1, 7))
-        stack = estimators._EQUATIONS.assign(
-            estimators._stack(((joint, data.x, data.y[None, :]),)), [METHODS.index("ml")])
+        stack = estimators._assign(estimators._EQUATIONS, estimators._stack(
+            ((joint, data.x, data.y[None, :]),)), [METHODS.index("ml")])
         analytic = estimators._point(stack, theta[None, :]).jacobian()[0]
         np.testing.assert_allclose(analytic, _central_jacobian("ml", joint, data, theta),
                                    rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))

@@ -18,7 +18,6 @@ from propfit.models import (
     fault_error,
     fd_check,
     get_model,
-    register_model,
     saturating_exponential_model,
     scaled_shape_model,
 )
@@ -215,10 +214,6 @@ class TestRegistry:
             replace(const, p=0, param_names=())
         with pytest.raises(ValueError, match="param_names length must equal p"):
             replace(const, param_names=("a", "b"))
-
-    def test_register_custom(self):
-        register_model("tests_linear", lambda: scaled_shape_model(lambda x: x, name="tests_linear"))
-        assert get_model("tests_linear").p == 1
 
 
 class TestStartHints:

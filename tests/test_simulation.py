@@ -59,8 +59,7 @@ class TestGenerateDataset:
         # Law of large numbers oracle on 50000 single-point replicates.
         sigma, R = 0.05, 50000
         stream = replicate_stream(3, 0, 0)
-        data = generate_dataset(const, np.zeros(R), np.array([1.0]), sigma, stream,
-                                reject_nonpositive=False)
+        data = generate_dataset(const, np.zeros(R), np.array([1.0]), sigma, stream)
         assert np.mean(data.y) == pytest.approx(1.0, abs=3.0 * sigma / np.sqrt(R))
         assert np.std(data.y, ddof=1) == pytest.approx(sigma, rel=0.02)
 
