@@ -19,6 +19,7 @@ from propfit import (
     Dataset,
     SimDesign,
     bias_order2,
+    build_jacobian_bundle,
     constant_model,
     cov_ml_exact,
     cov_order2,
@@ -36,8 +37,9 @@ print(f"{'method':>6} {'formula bias':>14} {'simulated bias':>15} {'mc se':>9}")
 design = SimDesign(model=model, x1=data.x, theta0=np.array([theta]),
                    sigma_grid=(sigma,), replicates=4000, master_seed=1)
 summary = run_study(design)
+bundle = build_jacobian_bundle(model, data, np.array([theta]))
 for method in ("ml", "ql", "wls", "dwls"):
-    b_t = bias_order2(method, model, data, np.array([theta]), sigma).bias[0]
+    b_t = bias_order2(method, bundle, sigma)[0]
     cell = summary.entry(method, sigma).cell("theta1")
     print(f"{method:>6} {b_t:14.4f} {cell.b_s:15.4f} {cell.mc_se:9.4f}")
 
@@ -47,9 +49,10 @@ satexp = saturating_exponential_model()
 alpha = np.array([142853.0, 123.182, 393.065])
 x = np.linspace(0.0, 1000.0, 16)
 curve = Dataset(x, satexp.eval(x, alpha))
+bundle = build_jacobian_bundle(satexp, curve, alpha)  # every formula below reads it
 for s in (0.02, 0.1):
-    c2 = cov_order2(satexp, curve, alpha, s).cov
-    ce = cov_ml_exact(satexp, curve, alpha, s).cov
+    c2 = cov_order2(bundle, s)
+    ce = cov_ml_exact(bundle, s)
     gain = np.diag(c2) / np.diag(ce)
     print(f"  sigma={s}: variance ratios order2/exact per parameter: "
           + " ".join(f"{g:.4f}" for g in gain))
@@ -57,7 +60,7 @@ for s in (0.02, 0.1):
 print()
 print("bounded sqrt(n)*sigma limit law for the biased equations:")
 for method in ("wls", "dwls"):
-    lim = limit_distribution(method, satexp, curve, alpha, 0.02, simplified=True)
+    lim = limit_distribution(method, bundle, 0.02, simplified=True)
     print(f"  {method:>4}: mean shift of sqrt(n)(theta_hat-theta)/sigma = "
           + np.array2string(lim.mean_shift, precision=3, suppress_small=True))
 print("(the dwls shift is exactly -2x the wls shift, and both point along")

@@ -30,29 +30,12 @@ import numpy as np
 
 from .estimators import METHODS
 from .exceptions import SingularError
-from .jacobian import JacobianBundle, _block_diag, build_jacobian_bundle
-from .models import Array, Dataset, ModelFunction
+from .jacobian import JacobianBundle, _block_diag
+from .models import Array
 
-ORDER2 = "order2"
-ML_EXACT = "ml_exact"
-SANDWICH = "sandwich"
 # How close to ``[theta1, 0, ..., 0]``, relative to ``|theta1|``,
 # :func:`check_theta1_factorization` needs ``v`` to be.
 _FACTORIZATION_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BiasReport:
-    method: str
-    bias: Array
-    bundle: JacobianBundle
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    method: str
-    cov: Array
-    order: str
 
 
 @dataclass(frozen=True)
@@ -98,8 +81,9 @@ def _squares(sigma) -> Array:
     return np.array(float(sigma) ** 2)
 
 
-def bias_kernel(method: str, bundle: JacobianBundle) -> Array:
-    """Bias divided by sigma^2, from the bundle's J, w1, w2 summaries."""
+def bias_order2(method: str, bundle: JacobianBundle, sigma) -> Array:
+    """Order-sigma^2 bias vector of the chosen estimator, from the bundle's
+    J, w1, w2 summaries; a 1-D array of scales gives a row per scale."""
     method = method.lower()
     S1 = bundle.sum_J()
     Sw1 = bundle.J.T @ bundle.w1
@@ -115,45 +99,24 @@ def bias_kernel(method: str, bundle: JacobianBundle) -> Array:
         v = -2.0 * S1 + 2.0 * Sw1 - 0.5 * Sw2
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return bundle.JtJ_inv @ v
+    return _squares(sigma)[..., None] * (bundle.JtJ_inv @ v)
 
 
-def _bias(method: str, bundle: JacobianBundle, sigma) -> Array:
-    return _squares(sigma)[..., None] * bias_kernel(method, bundle)
-
-
-def _cov_order2(bundle: JacobianBundle, sigma) -> Array:
-    return _finalize_cov(_squares(sigma)[..., None, None] * bundle.JtJ_inv, "order-2 covariance")
-
-
-def bias_order2(method: str, model: ModelFunction, data: Dataset, theta,
-                sigma: float) -> BiasReport:
-    """Order-sigma^2 bias vector of the chosen estimator at ``theta``."""
-    bundle = build_jacobian_bundle(model, data, theta)
-    return BiasReport(method=method.lower(), bias=_bias(method, bundle, sigma), bundle=bundle)
-
-
-def cov_order2(model: ModelFunction, data: Dataset, theta, sigma: float) -> CovarianceReport:
+def cov_order2(bundle: JacobianBundle, sigma) -> Array:
     """Order-sigma^2 covariance sigma^2 (J'J)^{-1}, shared by all four methods."""
-    cov = _cov_order2(build_jacobian_bundle(model, data, theta), sigma)
-    return CovarianceReport(method="all", cov=cov, order=ORDER2)
+    return _finalize_cov(_squares(sigma)[..., None, None] * bundle.JtJ_inv, "order-2 covariance")
 
 
 # ---------------------------------------------------------------------------
 # Exact maximum-likelihood covariance and its information-matrix source
 # ---------------------------------------------------------------------------
 
-def _cov_ml_exact(bundle: JacobianBundle, sigma) -> Array:
+def cov_ml_exact(bundle: JacobianBundle, sigma) -> Array:
+    """Large-sample ML covariance, exact beyond order sigma^2."""
     s2 = _squares(sigma)[..., None, None]
     centered = bundle.J - bundle.Jbar
     inner = bundle.JtJ + 2.0 * s2 * (centered.T @ centered)
     return _finalize_cov(s2 * np.linalg.inv(inner), "ML covariance")
-
-
-def cov_ml_exact(model: ModelFunction, data: Dataset, theta, sigma: float) -> CovarianceReport:
-    """Large-sample ML covariance, exact beyond order sigma^2."""
-    cov = _cov_ml_exact(build_jacobian_bundle(model, data, theta), sigma)
-    return CovarianceReport(method="ml", cov=cov, order=ML_EXACT)
 
 
 def bias_cov(method: str, bundles: Sequence[JacobianBundle], sigma) -> tuple[Array, Array]:
@@ -164,20 +127,19 @@ def bias_cov(method: str, bundles: Sequence[JacobianBundle], sigma) -> tuple[Arr
     bundles (independently fitted curves) give the concatenated bias and
     the block-diagonal covariance. ``sigma`` is one scale, or a 1-D array
     of them that gives each result a leading axis, a row per scale, with
-    every bit of that scale's own call; each bundle's kernel is built once.
+    every bit of that scale's own call.
     """
-    cov_rule = _cov_ml_exact if method.lower() == "ml" else _cov_order2
-    cov = _block_diag([cov_rule(bundle, sigma) for bundle in bundles])
-    return np.concatenate([_bias(method, bundle, sigma) for bundle in bundles], axis=-1), cov
+    cov_rule = cov_ml_exact if method.lower() == "ml" else cov_order2
+    cov = _block_diag([cov_rule(b, sigma) for b in bundles])
+    return np.concatenate([bias_order2(method, b, sigma) for b in bundles], axis=-1), cov
 
 
-def cov_ml_unreduced(model: ModelFunction, data: Dataset, theta, sigma: float) -> Array:
+def cov_ml_unreduced(bundle: JacobianBundle, sigma: float) -> Array:
     """The same ML covariance in its unreduced algebraic form.
 
     ``[(2 + sigma^-2) sum J J' - (2/n)(sum J)(sum J)']^{-1}`` -- kept as an
     independent code path so the two forms can be checked against each other.
     """
-    bundle = build_jacobian_bundle(model, data, theta)
     sigma = float(sigma)
     S1 = bundle.sum_J()
     M = (2.0 + sigma**-2) * bundle.JtJ - (2.0 / bundle.n) * np.outer(S1, S1)
@@ -224,12 +186,11 @@ def ml_score_covariance(bundle: JacobianBundle, sigma: float,
     return out
 
 
-def cov_ml_full(model: ModelFunction, data: Dataset, theta, sigma: float) -> Array:
+def cov_ml_full(bundle: JacobianBundle, sigma: float) -> Array:
     """Joint (p+1)x(p+1) covariance of (theta_hat, sigma_hat) under ML.
 
     The upper-left p x p block reproduces :func:`cov_ml_exact`.
     """
-    bundle = build_jacobian_bundle(model, data, theta)
     info = ml_expected_information(bundle, float(sigma))
     eigvals = np.linalg.eigvalsh(info)
     if eigvals[0] <= 0.0:
@@ -238,25 +199,23 @@ def cov_ml_full(model: ModelFunction, data: Dataset, theta, sigma: float) -> Arr
     return 0.5 * (cov + cov.T)
 
 
-def cov_ql_sandwich(model: ModelFunction, data: Dataset, theta, var_y) -> CovarianceReport:
+def cov_ql_sandwich(bundle: JacobianBundle, var_y) -> Array:
     """Quasi-likelihood sandwich covariance for arbitrary response variances."""
     var_y = np.asarray(var_y, dtype=float)
-    if var_y.shape != (data.n,):
-        raise ValueError(f"var_y must have shape ({data.n},)")
-    if np.any(var_y < 0.0):
-        raise ValueError("var_y must be nonnegative")
-    bundle = build_jacobian_bundle(model, data, theta)
+    if var_y.shape != (bundle.n,):
+        raise ValueError(f"var_y must have shape ({bundle.n},)")
+    if not np.all(np.isfinite(var_y) & (var_y >= 0.0)):
+        raise ValueError("var_y must be finite and nonnegative")
     meat = (bundle.J * (var_y / bundle.f**2)[:, None]).T @ bundle.J
-    cov = _finalize_cov(bundle.JtJ_inv @ meat @ bundle.JtJ_inv, "sandwich covariance")
-    return CovarianceReport(method="ql", cov=cov, order=SANDWICH)
+    return _finalize_cov(bundle.JtJ_inv @ meat @ bundle.JtJ_inv, "sandwich covariance")
 
 
 # ---------------------------------------------------------------------------
 # Bounded sqrt(n) sigma limit laws for the biased equations
 # ---------------------------------------------------------------------------
 
-def limit_distribution(method: str, model: ModelFunction, data: Dataset, theta,
-                       sigma: float, simplified: bool = False) -> LimitDistribution:
+def limit_distribution(method: str, bundle: JacobianBundle, sigma: float,
+                       simplified: bool = False) -> LimitDistribution:
     """Normal limit of sqrt(n)(theta_hat - theta)/sigma for WLS or DWLS.
 
     ``simplified=True`` drops the leverage and curvature terms (they average
@@ -266,7 +225,6 @@ def limit_distribution(method: str, model: ModelFunction, data: Dataset, theta,
     method = method.lower()
     if method not in ("wls", "dwls"):
         raise ValueError("limit distributions apply to 'wls' and 'dwls' only")
-    bundle = build_jacobian_bundle(model, data, theta)
     n = bundle.n
     delta = float(np.sqrt(n) * sigma)
     Sigma = n * bundle.JtJ_inv
@@ -286,26 +244,25 @@ def limit_distribution(method: str, model: ModelFunction, data: Dataset, theta,
                              simplified=simplified)
 
 
-def check_theta1_factorization(model: ModelFunction, data: Dataset, theta) -> FactorizationCheck:
+def check_theta1_factorization(bundle: JacobianBundle, theta1: float) -> FactorizationCheck:
     """Detect the scale-factor structure f = theta1 * f*(theta2..thetap).
 
-    Computes ``v = (J'J)^{-1} sum J_i``; for factorized models this is
+    Computes ``v = (J'J)^{-1} sum J_i`` from the bundle at a parameter
+    vector whose first entry is ``theta1``; for factorized models this is
     exactly ``[theta1, 0, ..., 0]`` (here: to within ``1e-8 |theta1|``), and
     the ML and WLS biases then agree on every component but the first
     (reported as ``ml_wls_tail_gap``).
     """
-    theta = model.check_theta(theta)
-    bundle = build_jacobian_bundle(model, data, theta)
     v = bundle.JtJ_inv @ bundle.sum_J()
     target = np.zeros(bundle.p)
-    target[0] = theta[0]
-    scale = max(abs(float(theta[0])), 1e-300)
+    target[0] = theta1
+    scale = max(abs(float(theta1)), 1e-300)
     factorized = bool(np.max(np.abs(v - target)) <= _FACTORIZATION_RTOL * scale)
 
     gap = float("nan")
     if factorized and bundle.p > 1:
-        b_ml = bias_kernel("ml", bundle)[1:]
-        b_wls = bias_kernel("wls", bundle)[1:]
+        b_ml = bias_order2("ml", bundle, 1.0)[1:]
+        b_wls = bias_order2("wls", bundle, 1.0)[1:]
         denom = max(float(np.max(np.abs(b_ml))), float(np.max(np.abs(b_wls))), 1e-300)
         gap = float(np.max(np.abs(b_ml - b_wls))) / denom
     return FactorizationCheck(factorized=factorized, v=v, ml_wls_tail_gap=gap)

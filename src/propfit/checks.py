@@ -100,11 +100,12 @@ def _random_fixtures(count: int, seed: int = 1234) -> list[Fixture]:
 
 def run_checks() -> list[CheckResult]:
     fixtures = builtin_fixtures()
+    bundles = [build_jacobian_bundle(fx.model, fx.data, fx.theta)
+               for fx in fixtures + _random_fixtures(50)]
     results: list[CheckResult] = []
 
     # Hat-matrix trace and leverage range per fixture.
-    for fx in fixtures:
-        bundle = build_jacobian_bundle(fx.model, fx.data, fx.theta)
+    for fx, bundle in zip(fixtures, bundles):
         err = abs(float(bundle.w1.sum()) - bundle.p)
         results.append(CheckResult(
             f"hat_trace[{fx.name}]", err < 1e-10, err, 1e-10,
@@ -126,25 +127,23 @@ def run_checks() -> list[CheckResult]:
     sigma = 0.05
     worst_forms = worst_block = worst_bartlett = 0.0
     worst_order = 0.0
-    for fx in fixtures + _random_fixtures(50):
-        exact = cov_ml_exact(fx.model, fx.data, fx.theta, sigma).cov
-        unred = cov_ml_unreduced(fx.model, fx.data, fx.theta, sigma)
+    for bundle in bundles:
+        exact = cov_ml_exact(bundle, sigma)
+        unred = cov_ml_unreduced(bundle, sigma)
         scale = float(np.max(np.abs(exact)))
         worst_forms = max(worst_forms, float(np.max(np.abs(exact - unred))) / scale)
 
-        full = cov_ml_full(fx.model, fx.data, fx.theta, sigma)
-        p = fx.model.p
+        full = cov_ml_full(bundle, sigma)
+        p = bundle.p
         worst_block = max(worst_block, float(np.max(np.abs(full[:p, :p] - exact))) / scale)
 
-        bundle = build_jacobian_bundle(fx.model, fx.data, fx.theta)
         info = ml_expected_information(bundle, sigma)
         score = ml_score_covariance(bundle, sigma)
         worst_bartlett = max(
             worst_bartlett,
             float(np.max(np.abs(info - score))) / float(np.max(np.abs(info))))
 
-        order2 = cov_order2(fx.model, fx.data, fx.theta, sigma).cov
-        gap = order2 - exact
+        gap = cov_order2(bundle, sigma) - exact
         min_eig = float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
         worst_order = max(worst_order, max(-min_eig, 0.0) / scale)
 
@@ -157,10 +156,10 @@ def run_checks() -> list[CheckResult]:
                                detail="order2 - ml_exact stays PSD"))
 
     # Scale-factor structure on the saturating exponential fixture.
-    for fx in fixtures:
+    for fx, bundle in zip(fixtures, bundles):
         if fx.model.name != "saturating_exponential":
             continue
-        fc = check_theta1_factorization(fx.model, fx.data, fx.theta)
+        fc = check_theta1_factorization(bundle, fx.theta[0])
         v_err = float(np.max(np.abs(fc.v - np.concatenate([[fx.theta[0]],
                                                            np.zeros(fx.model.p - 1)]))))
         rel = v_err / abs(float(fx.theta[0]))

@@ -102,13 +102,19 @@ class SimDesign:
             raise ValueError("need at least one sigma value")
         if any(not (0.0 <= s <= 0.5) for s in self.sigma_grid):
             raise ValueError("sigma values must lie in [0, 0.5]")
+        if len(set(self.sigma_grid)) < len(self.sigma_grid):
+            raise ValueError("sigma values must be distinct")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.max_redraws < 0:
             raise ValueError("max_redraws must be at least 0")
+        if not self.methods:
+            raise ValueError("need at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must be distinct")
         if self.start not in ("theta0", "auto"):
             raise ValueError("start must be 'theta0' or 'auto'")
         resolve_modes(self.fit_mode, METHODS)  # raises ValueError on an unknown mode

@@ -132,7 +132,8 @@ def test_simulated_bias_grows_quadratically(two_curve_study):
 
 def test_criterion_3_scale_factorization_structure(satexp, satexp_grid):
     """(J'J)^{-1} sum J = [alpha1, 0, 0]; ML and WLS shape biases coincide."""
-    fc = check_theta1_factorization(satexp, satexp_grid, PAPER_ALPHA)
+    fc = check_theta1_factorization(build_jacobian_bundle(satexp, satexp_grid, PAPER_ALPHA),
+                                    PAPER_ALPHA[0])
     off = np.max(np.abs(fc.v[1:]))
     ok = fc.factorized and off < 1e-8 * abs(PAPER_ALPHA[0]) and fc.ml_wls_tail_gap < 1e-10
     report(3, "scale-factor structure and ML/WLS shape-bias agreement", ok,
@@ -146,14 +147,15 @@ def test_criterion_4_ml_covariance_identities():
     worst_forms = worst_block = 0.0
     psd_ok = True
     for fx in fixtures:
-        exact = cov_ml_exact(fx.model, fx.data, fx.theta, sigma).cov
-        unred = cov_ml_unreduced(fx.model, fx.data, fx.theta, sigma)
+        bundle = build_jacobian_bundle(fx.model, fx.data, fx.theta)
+        exact = cov_ml_exact(bundle, sigma)
+        unred = cov_ml_unreduced(bundle, sigma)
         scale = np.max(np.abs(exact))
         worst_forms = max(worst_forms, np.max(np.abs(exact - unred)) / scale)
-        full = cov_ml_full(fx.model, fx.data, fx.theta, sigma)
+        full = cov_ml_full(bundle, sigma)
         p = fx.model.p
         worst_block = max(worst_block, np.max(np.abs(full[:p, :p] - exact)) / scale)
-        gap = cov_order2(fx.model, fx.data, fx.theta, sigma).cov - exact
+        gap = cov_order2(bundle, sigma) - exact
         psd_ok = psd_ok and np.linalg.eigvalsh(0.5 * (gap + gap.T))[0] >= -1e-10 * np.trace(gap + exact)
     ok = worst_forms <= 1e-10 and worst_block <= 1e-10 and psd_ok
     report(4, "ML covariance identities on 50+ fixtures", ok,

@@ -30,6 +30,7 @@ from propfit.equivalent_dose import (
 )
 from propfit.estimators import METHODS, fit
 from propfit.io import read_input_table
+from propfit.jacobian import build_jacobian_bundle
 from propfit.exceptions import DerivativeNoiseWarning, ModeError, PropfitError, SingularError
 from propfit.models import Dataset, ModelFunction, saturating_exponential_model
 from propfit.simulation import (
@@ -114,8 +115,8 @@ SHORT = "ValueError: need n > p observations, got n=3, p=3"
 def library_bias_cov(method, model, data, theta, sigma):
     """A fit's bias and covariance from the public one-curve formulae."""
     cov = cov_ml_exact if method == "ml" else cov_order2
-    return (bias_order2(method, model, data, theta, sigma).bias,
-            cov(model, data, theta, sigma).cov)
+    bundle = build_jacobian_bundle(model, data, theta)
+    return bias_order2(method, bundle, sigma), cov(bundle, sigma)
 
 
 def library_rows(names, theta, bias, se) -> list[dict]:
@@ -520,6 +521,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", "error: ConfigError: invalid config at sim/sigma: [] should be non-empty\n")
+        assert not out.exists()
+
+    def test_repeated_sigma_exits_2(self, sim_config, tmp_path, capsys):
+        cfg = json.loads(Path(sim_config).read_text())
+        cfg["sim"]["sigma"] = [0.01, 0.01]
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: ConfigError: invalid config at sim/sigma: "
+                                           "[0.01, 0.01] has non-unique elements\n")
         assert not out.exists()
 
     def test_dwls_common_sigma_alone_exits_2(self, pair_csv, tmp_path, capsys):

@@ -207,9 +207,8 @@ class TestRootContract:
         sigma = 0.02
         x = np.linspace(0.0, 1000.0, 16)
         data = make_noisy(satexp, x, PAPER_ALPHA, sigma, seed=12)
-        se = np.sqrt(np.diag(cov_order2(
-            satexp, Dataset(x, np.asarray(satexp.eval(x, PAPER_ALPHA))),
-            PAPER_ALPHA, sigma).cov))
+        se = np.sqrt(np.diag(cov_order2(build_jacobian_bundle(
+            satexp, Dataset(x, np.asarray(satexp.eval(x, PAPER_ALPHA))), PAPER_ALPHA), sigma)))
         for method in ("ml", "ql", "wls", "dwls"):
             res = fit(satexp, data, method, FitOptions(start=PAPER_ALPHA))
             assert res.converged

@@ -138,6 +138,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^need at least one replicate$"):
             cfg.build_design()
 
+    def test_repeated_sigma_is_a_config_error(self):
+        cfg = RunConfig(model="constant", sim={"theta0": [1.0], "x1": [0, 1, 2],
+                                               "sigma": [0.01, 0.01], "replicates": 2})
+        with pytest.raises(ConfigError, match=r"^sigma values must be distinct$"):
+            cfg.build_design()
+
     def test_x2_only_for_two_curves(self):
         cfg = parse_config({"model": "constant",
                             "sim": {"theta0": [1.0], "x1": [0, 1, 2], "x2": [0, 1],

@@ -19,6 +19,7 @@ from propfit.equivalent_dose import (
 )
 from propfit.estimators import METHODS, FitOptions, fit_methods
 from propfit.exceptions import ModeError, MultipleRootWarning, Rejected
+from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset, constant_model, saturating_exponential_model
 from propfit.simulation import (
     SimDesign,
@@ -194,11 +195,12 @@ class TestRunStudy:
         for method in design.methods:
             mode = design.mode_for(method)
             if mode == "common-sigma":
-                expected = bias_order2(method, joint, Dataset(idx, joint.eval(idx, theta0)),
-                                       theta0, sigma).bias
+                expected = bias_order2(method, build_jacobian_bundle(
+                    joint, Dataset(idx, joint.eval(idx, theta0)), theta0), sigma)
             else:
                 expected = np.concatenate([
-                    bias_order2(method, curve, Dataset(x, curve.eval(x, t)), t, sigma).bias
+                    bias_order2(method, build_jacobian_bundle(
+                        curve, Dataset(x, curve.eval(x, t)), t), sigma)
                     for curve, x, t in ((pb.curve1, x1, alpha), (pb.curve2, x2, beta))])
             dose = gamma_bias_se(pb, x1, x2, theta0, sigma, method, fit_mode=mode)
             expected = np.append(expected, dose.bias)
@@ -432,6 +434,13 @@ class TestSimDesignValidation:
         with pytest.raises(ValueError, match="need at least one sigma value"):
             constant_design(sigma_grid=())
 
+    def test_sigma_grid_distinct(self):
+        # A summary keeps one table cell per (target, method, sigma), so a
+        # repeated sigma would report tables that disagree with its results.
+        with pytest.raises(ValueError, match="sigma values must be distinct"):
+            default_partial_bleach_design(sigma_grid=(0.02, 0.02), replicates=50,
+                                          methods=("ml",))
+
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             constant_design(replicates=0)
@@ -445,6 +454,14 @@ class TestSimDesignValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             constant_design(methods=("ols",))
+
+    @pytest.mark.parametrize("methods, message", [
+        ((), "need at least one method"), (("ml", "ml"), "methods must be distinct")],
+        ids=["empty", "repeated"])
+    def test_methods_not_empty_or_repeated(self, methods, message):
+        for design in (constant_design, default_partial_bleach_design):
+            with pytest.raises(ValueError, match=message):
+                design(methods=methods)
 
     def test_unknown_start(self):
         with pytest.raises(ValueError, match="start must be 'theta0' or 'auto'"):
