@@ -15,9 +15,9 @@ import numpy as np
 from propfit import (
     FitOptions,
     beta1_from_gamma,
+    dose_derivatives_batch,
     fit_two_curves,
     gamma_bias_se,
-    gamma_gradient,
     partial_bleach_model,
     solve_gamma,
 )
@@ -37,8 +37,9 @@ theta0 = np.concatenate([alpha, [beta1, beta2, beta3]])
 print(f"constructed beta1 = {beta1:.1f} so the curves intersect at {gamma_true}")
 print(f"solve_gamma recovers: {solve_gamma(pb, theta0):.4f}")
 
-grad = gamma_gradient(pb, theta0, gamma_true)
-print("d gamma / d theta =", np.array2string(grad, precision=4, suppress_small=True))
+# The root's derivatives, for a stack of joint thetas; here a stack of one.
+dose = dose_derivatives_batch(pb, theta0[None, :])[0]
+print("d gamma / d theta =", np.array2string(dose.grad, precision=4, suppress_small=True))
 print("(the intersection barely feels the two scales alpha1, beta1 --")
 print(" that is why ML and WLS give nearly the same equivalent dose)")
 

@@ -38,6 +38,7 @@ from .equivalent_dose import (
 from .estimators import METHODS, fit_methods
 from .exceptions import ConfigError, ModeError, PropfitError
 from .io import read_input_table
+from .models import MODEL_REGISTRY
 from .simulation import compare_bias_table, run_study
 
 # ---------------------------------------------------------------------------
@@ -317,11 +318,9 @@ def sim_report_dict(summary) -> dict:
 
 
 def render_sim_text(summary) -> str:
-    design = summary.design
-    main_target = "gamma" if design.two_curve else design.target_names[0]
+    design, table = summary.design, compare_bias_table(summary)
     lines = [f"simulation: {design.replicates} replicates, seed {design.master_seed}",
-             f"formula (B_T) vs simulation (B_s) bias for {main_target}:", ""]
-    lines.append(compare_bias_table(summary, main_target).text())
+             f"formula (B_T) vs simulation (B_s) bias for {table.target}:", "", table.text()]
     anomalies = [r for r in summary.results if r.failure_count or r.rejected_count]
     for r in anomalies:
         lines.append(f"note: {r.method} at sigma={r.sigma:g}: "
@@ -370,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit CSV data and report bias/SE per estimator")
     p_fit.add_argument("--data", required=True, help="CSV with columns [curve,]x,y")
     p_fit.add_argument("--config", help="JSON run configuration")
-    p_fit.add_argument("--model", choices=["constant", "exponential",
-                                           "saturating_exponential", "partial_bleach"])
+    p_fit.add_argument("--model", choices=[*MODEL_REGISTRY, TWO_CURVE_MODEL])
     p_fit.add_argument("--method", choices=list(METHODS) + ["all"])
     p_fit.add_argument("--mode", choices=[MODE_SEPARATE, MODE_COMMON_SIGMA])
     p_fit.add_argument("--out", help="output path (both: .txt and .json)")

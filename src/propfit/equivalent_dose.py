@@ -13,9 +13,9 @@ Part V), and :func:`solve_gamma_batch` finds them on one fixed grid per row.
 ``beta1_from_gamma`` constructs the bleached scale so the true curves
 intersect exactly at a chosen ``gamma``; :func:`dose_derivatives_batch`
 solves for and differentiates the implicit root in the six joint parameters
-for a stack of parameter rows (``gamma_gradient`` and ``gamma_hessian`` are
-stacks of one); :func:`formulae`, the one builder of every fit's bias,
-covariance and delta-method dose (one curve or two), pushes the
+for a stack of parameter rows (one joint theta is the stack
+``theta[None, :]``); :func:`formulae`, the one builder of every fit's
+bias, covariance and delta-method dose (one curve or two), pushes the
 parameter-level formulae through those derivatives.
 
 Fitting supports two modes. ``separate`` fits each curve on its own (each
@@ -224,6 +224,11 @@ def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, int]:
     fault = np.where(faults[0] != 0, faults[0], faults[1])
     # A row's range ends at its first non-finite point going down from 0.
     inside = np.logical_and.accumulate(np.isfinite(g), axis=1) & (fault[:, None] == 0)
+    zero = g == 0.0
+    if zero.any():  # a run of zeros below a nonzero point is the means rounded alike
+        run = np.zeros_like(zero)
+        run[:, 1:-1] = (g[:, :-2] != 0.0) & zero[:, 1:-1] & zero[:, 2:]
+        inside &= ~np.logical_or.accumulate(run, axis=1)  # the range ends above it
     sign = np.where(inside, np.sign(g), np.nan)
     events = np.zeros((R, 2 * xs.shape[1] - 1), dtype=bool)  # point k at 2k, cell below at 2k + 1
     events[:, ::2], events[:, 1::2] = sign == 0.0, sign[:, :-1] * sign[:, 1:] < 0.0
@@ -279,12 +284,14 @@ def solve_gamma(model: PartialBleachModel, theta) -> float:
     exponential in x (saturating exponential, exponential decay) the gap is
     monotone between those points, so each root is alone in its cell. The
     range ends where the gap first turns non-finite going down (the curves
-    overflow). The first exact zero or sign change going down is the root;
-    a sign change is polished by Newton steps on the curves' slope, kept in
-    the cell by bisection, to the Newton root of the first step within
-    ``1e-8`` of the cell's width. More than one root in the range warns
-    :class:`MultipleRootWarning`; none raises :class:`NoBracketError`,
-    stated over the range. A stack of one for :func:`solve_gamma_batch`.
+    overflow), or above a run of exact zeros below a nonzero point (the
+    means rounded alike). The first exact zero or sign change going down
+    is the root; a sign change is polished by Newton steps on the curves'
+    slope, kept in the cell by bisection, to the Newton root of the first
+    step within ``1e-8`` of the cell's width. More than one root in the
+    range warns :class:`MultipleRootWarning`; none raises
+    :class:`NoBracketError`, stated over the range. A stack of one for
+    :func:`solve_gamma_batch`.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
@@ -296,19 +303,28 @@ def solve_gamma(model: PartialBleachModel, theta) -> float:
     return float(gammas[0])
 
 
-def _implicit_derivatives(model: PartialBleachModel, theta: Array, gamma: Array,
-                          hessian: bool) -> tuple[Array, Array | None, list]:
-    """Per row of ``theta (R, p)`` and its root ``gamma (R,)``: the gradient of
-    the implicit root gamma(theta) and, when ``hessian`` is set, its Hessian
-    (see :func:`gamma_gradient` and :func:`gamma_hessian`), and the error of a
-    row where they are undefined (None elsewhere; such a row's numbers mean nothing).
+def _implicit_derivatives(model: PartialBleachModel, theta: Array,
+                          gamma: Array) -> tuple[Array, Array, list]:
+    """Per row of ``theta (R, p)`` and its root ``gamma (R,)``: the gradient
+    and Hessian of the implicit root gamma(theta) in the joint parameters,
+    and the error of a row where they are undefined (None elsewhere; such a
+    row's numbers mean nothing).
 
-    Each curve's gradient and slope in x are evaluated once for the stack, at
-    gamma - h, gamma and gamma + h with ``h = cbrt(eps) * max(1, |gamma|)``,
-    and its Hessian once, at gamma, on the rows that pass the tangency check.
-    A row fails, first check first, where a curve's parameters are undefined
-    there or its gradient is non-finite (curve 1, then curve 2), where the
-    curves meet tangentially, or where a curve's Hessian is non-finite.
+    Differentiating g(gamma(theta), theta) = 0 once and twice gives
+
+      gamma' = -grad_theta g / g_x
+      gamma'' = -[g_tt + g_xt gamma'^T + gamma' g_xt^T + g_xx gamma' gamma'^T] / g_x
+
+    with all pieces evaluated at (gamma, theta). The mixed x/theta
+    derivatives come from central differences of the analytic gradient and
+    slope in x: each curve's gradient and slope are evaluated once for the
+    stack, at gamma - h, gamma and gamma + h with
+    ``h = cbrt(eps) * max(1, |gamma|)``, and its Hessian once, at gamma, on
+    the rows that pass the tangency check. A row fails, first check first,
+    where a curve's parameters are undefined there or its gradient is
+    non-finite (curve 1, then curve 2), where the curves' slopes at gamma
+    are equal to within 1e-12 relative (:class:`TangencyError`: the root is
+    then not locally defined), or where a curve's Hessian is non-finite.
     """
     p1 = model.curve1.p
     curves = ((model.curve1, theta[:, :p1]), (model.curve2, theta[:, p1:]))
@@ -338,9 +354,6 @@ def _implicit_derivatives(model: PartialBleachModel, theta: Array, gamma: Array,
         fail(np.flatnonzero(tangent),
              lambda r: TangencyError("curves meet tangentially; dose gradient is undefined"))
         gp = -np.concatenate([grad1[:, 1], -grad2[:, 1]], axis=1) / g_x[:, None]
-        if not hessian:
-            return gp, None, errors
-
         rows = np.flatnonzero([e is None for e in errors])
         g_tt = np.zeros((len(theta), model.p, model.p))
         for (curve, t), block, sign in zip(curves, (slice(0, p1), slice(p1, None)), (1.0, -1.0)):
@@ -355,42 +368,6 @@ def _implicit_derivatives(model: PartialBleachModel, theta: Array, gamma: Array,
         hess = -(g_tt + g_xt[:, :, None] * gp[:, None, :] + gp[:, :, None] * g_xt[:, None, :]
                  + g_xx[:, None, None] * (gp[:, :, None] * gp[:, None, :])) / g_x[:, None, None]
     return gp, hess, errors
-
-
-def _one_root(model: PartialBleachModel, theta, gamma: float, hessian: bool):
-    """:func:`_implicit_derivatives` at one joint ``theta`` and its root."""
-    theta = np.concatenate(model.split(theta))[None, :]
-    grad, hess, errors = _implicit_derivatives(model, theta, np.array([float(gamma)]), hessian)
-    if errors[0] is not None:
-        raise errors[0]
-    return grad[0], None if hess is None else hess[0]
-
-
-def gamma_gradient(model: PartialBleachModel, theta, gamma: float) -> Array:
-    """Derivative of the implicit root gamma(theta) in the six parameters.
-
-    By implicit differentiation of g(gamma, theta) = 0:
-    ``d gamma / d theta = -grad_theta g / (dg/dx)``.  Raises
-    :class:`TangencyError` when the curves' slopes at gamma are equal to
-    within 1e-12 relative (the root is then not locally defined). A stack
-    of one for the derivatives :func:`dose_derivatives_batch` takes.
-    """
-    return _one_root(model, theta, gamma, hessian=False)[0]
-
-
-def gamma_hessian(model: PartialBleachModel, theta, gamma: float) -> Array:
-    """Second derivative of the implicit root gamma(theta).
-
-    Differentiating g(gamma(theta), theta) = 0 twice gives
-
-      d2 gamma = -[g_tt + g_xt gamma'^T + gamma' g_xt^T + g_xx gamma' gamma'^T] / g_x
-
-    with all pieces evaluated at (gamma, theta). The mixed x/theta
-    derivatives come from central differences of the analytic gradient and
-    slope in x. A stack of one for the derivatives
-    :func:`dose_derivatives_batch` takes.
-    """
-    return _one_root(model, theta, gamma, hessian=True)[1]
 
 
 @dataclass(frozen=True)
@@ -432,7 +409,7 @@ def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     gammas, errors, several = _roots(model, theta)
     _warn_multiple_roots(several, len(gammas))
     found = np.flatnonzero([e is None for e in errors])
-    grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found], hessian=True)
+    grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found])
     out = list(errors)
     for i, r in enumerate(found):
         out[r] = failed[i] if failed[i] is not None else DoseDerivatives(

@@ -236,27 +236,6 @@ def _squares(data: _Data, theta) -> tuple[Array, Array]:
         return _sum(((data.y - f) / f) ** 2, data.live), fault
 
 
-def _one_row(model: ModelFunction, data: Dataset, theta_hat, method: str) -> float:
-    squares, fault = _squares(_stack(((model, data.x, data.y[None, :]),)),
-                              model.check_theta(theta_hat)[None, :])
-    if fault[0]:
-        raise fault_error(model, int(fault[0]))
-    return float(np.sqrt(squares[0] / scale_divisor(method, data.n, model.p)))
-
-
-def estimate_sigma_ml(model: ModelFunction, data: Dataset, theta_hat) -> float:
-    """Maximum-likelihood scale: sqrt(mean of squared relative residuals)."""
-    return _one_row(model, data, theta_hat, "ml")
-
-
-def estimate_sigma_unbiased(model: ModelFunction, data: Dataset, theta_hat) -> float:
-    """Degrees-of-freedom corrected scale: divisor n - p instead of n, as in
-    every fit's scale but ML's (:func:`scale_divisor`)."""
-    if data.n <= model.p:
-        raise ValueError(f"need n > p, got n={data.n}, p={model.p}")
-    return _one_row(model, data, theta_hat, "ql")
-
-
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------

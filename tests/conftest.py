@@ -63,6 +63,15 @@ def make_noisy(model, x, theta, sigma, seed):
     return Dataset(np.asarray(x, dtype=float), f * (1.0 + sigma * rng.standard_normal(f.size)))
 
 
+def relative_scale(model, data, theta, method):
+    """The scale a ``method`` fit estimates at ``theta``, from its definition:
+    ``sqrt(sum(((y - f)/f)^2) / d)`` with ``d = n`` for ``ml`` (its
+    maximum-likelihood scale) and ``d = n - p`` for the other methods."""
+    f = np.asarray(model.eval(data.x, theta), dtype=float)
+    divisor = data.n if method == "ml" else data.n - model.p
+    return float(np.sqrt(np.sum(((data.y - f) / f) ** 2) / divisor))
+
+
 def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Array]:
     """Fuse the two curves into one model over an observation-index covariate.
 

@@ -19,8 +19,6 @@ from propfit.equivalent_dose import (
     dose_derivatives_batch,
     fit_two_curves,
     fit_two_curves_methods,
-    gamma_gradient,
-    gamma_hessian,
     partial_bleach_model,
     resolve_modes,
     solve_gamma,
@@ -30,8 +28,6 @@ from propfit.estimators import (
     METHODS,
     FitOptions,
     equation_residual,
-    estimate_sigma_ml,
-    estimate_sigma_unbiased,
     fit,
     fit_methods,
 )
@@ -54,7 +50,7 @@ from propfit.simulation import (
     _run_rows,
     default_partial_bleach_design,
 )
-from conftest import APART_BETA, PAPER_ALPHA, stacked_model
+from conftest import APART_BETA, PAPER_ALPHA, relative_scale, stacked_model
 
 X = np.linspace(0.0, 1000.0, 16)
 
@@ -682,8 +678,7 @@ class TestCommonSigmaPairs:
             data, theta = Dataset(idx, np.concatenate([Y1[r], Y2[r]])), fits.theta_hat[r]
             assert np.max(np.abs(equation_residual(method, joint, data, theta))) <= (
                 fits.tolerance[r])
-            sigma = (estimate_sigma_ml(joint, data, theta) if method == "ml"
-                     else estimate_sigma_unbiased(joint, data, theta))
+            sigma = relative_scale(joint, data, theta, method)
             np.testing.assert_allclose(fits.sigma_hats[r, 0], sigma, rtol=1e-14)
 
     def test_ml_pairs_take_the_stacked_fit_iterates(self):
@@ -1187,8 +1182,6 @@ class TestDoseDerivativeStack:
                 assert dose.gamma == gamma
                 np.testing.assert_array_equal(dose.grad, want[0])
                 np.testing.assert_array_equal(dose.hess, want[1])
-                np.testing.assert_array_equal(gamma_gradient(model, theta, gamma), want[0])
-                np.testing.assert_array_equal(gamma_hessian(model, theta, gamma), want[1])
         assert kinds == ["DoseDerivatives", "DoseDerivatives", "NoBracketError",
                          "TangencyError", "NonFiniteError", "NonFiniteError"]
         assert "gradient" in str(doses[4]) and "Hessian" in str(doses[5])

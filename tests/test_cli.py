@@ -722,6 +722,11 @@ class TestSchemaImport:
         assert proc.stderr == ("error: ConfigError: invalid config at (top level): Additional "
                                "properties are not allowed ('modle' was unexpected)\n")
 
+    def test_model_choices_are_the_config_schema_enum(self):
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        model = next(a for a in commands.choices["fit"]._actions if a.dest == "model")
+        assert model.choices == load_schema("config")["properties"]["model"]["enum"]
+
 
 class TestEntryPoint:
     def test_one_parser_per_process_reads_the_thread_count_each_call(self, sim_config,

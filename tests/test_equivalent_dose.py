@@ -20,11 +20,10 @@ from propfit.equivalent_dose import (
     fit_two_curves_methods,
     formulae,
     gamma_bias_se,
-    gamma_gradient,
-    gamma_hessian,
     partial_bleach_model,
     resolve_modes,
     solve_gamma,
+    solve_gamma_batch,
 )
 from propfit.asymptotics import bias_cov
 from propfit.estimators import METHODS, FitOptions, equation_residual
@@ -170,6 +169,20 @@ class TestSolveGamma:
             solve_gamma(model, np.concatenate([PAPER_ALPHA, APART_BETA]))
         assert calls == {pb.curve1.name: 1, pb.curve2.name: 1}
 
+    @pytest.mark.parametrize("scale", [-1e4, 1e4])
+    def test_means_rounded_to_one_scale_are_no_root(self, pb, scale):
+        # The gap a1 (exp((x + 5)/21) - exp(x/20)) has no root at or below 0,
+        # but below -512 both means round to a1, so the computed gap is
+        # exactly zero from there down: a rounding run, not a root.
+        theta = np.array([scale, 0.0, -20.0, scale, 5.0, -21.0])
+        message = re.escape("no sign change of the curve gap over [-512, 0]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MultipleRootWarning)
+            gammas, errors = solve_gamma_batch(pb, theta[None, :])
+            with pytest.raises(NoBracketError, match=message):
+                solve_gamma(pb, theta)
+        assert np.isnan(gammas[0]) and re.fullmatch(message, str(errors[0]))
+
     def test_the_design_truth_crosses_once(self, pb, theta0):
         with warnings.catch_warnings():
             warnings.simplefilter("error", MultipleRootWarning)
@@ -245,12 +258,11 @@ class TestGammaGradient:
     def test_identical_curves_raise_tangency(self, pb):
         theta = np.concatenate([PAPER_ALPHA, PAPER_ALPHA])
         with pytest.raises(TangencyError, match="curves meet tangentially"):
-            gamma_gradient(pb, theta, -50.0)
+            raise dose_derivatives_batch(pb, theta[None, :])[0]
 
     def test_against_resolve_oracle(self, pb, theta0):
         # Oracle: perturb each component, re-solve the intersection.
-        gamma = solve_gamma(pb, theta0)
-        grad = gamma_gradient(pb, theta0, gamma)
+        grad = dose_derivatives_batch(pb, theta0[None, :])[0].grad
         fd = np.empty(6)
         for j in range(6):
             h = 1e-5 * max(1.0, abs(theta0[j]))
@@ -267,8 +279,7 @@ class TestGammaGradient:
         # moves the root by -1, i.e. the root rides the common shift.
         theta = np.concatenate([PAPER_ALPHA,
                                 [2 * PAPER_ALPHA[0], PAPER_ALPHA[1], PAPER_ALPHA[2]]])
-        gamma = solve_gamma(pb, theta)
-        grad = gamma_gradient(pb, theta, gamma)
+        grad = dose_derivatives_batch(pb, theta[None, :])[0].grad
         assert grad[1] == pytest.approx(1.0, rel=1e-6)
         assert grad[4] == pytest.approx(-2.0, rel=1e-6)
         assert grad[1] + grad[4] == pytest.approx(-1.0, rel=1e-6)
@@ -281,14 +292,12 @@ class TestGammaGradient:
         g0 = solve_gamma(pb, theta0)
         g1 = solve_gamma(pb, scaled)
         assert g1 == pytest.approx(g0, abs=1e-6)
-        d0 = gamma_gradient(pb, theta0, g0)
-        d1 = gamma_gradient(pb, scaled, g1)
+        d0, d1 = (d.grad for d in dose_derivatives_batch(pb, np.stack([theta0, scaled])))
         np.testing.assert_allclose(d1[[1, 2, 4, 5]], d0[[1, 2, 4, 5]], rtol=1e-8)
         np.testing.assert_allclose(d1[[0, 3]], d0[[0, 3]] / c, rtol=1e-8)
 
     def test_hessian_against_resolve_oracle(self, pb, theta0):
-        gamma = solve_gamma(pb, theta0)
-        hess = gamma_hessian(pb, theta0, gamma)
+        hess = dose_derivatives_batch(pb, theta0[None, :])[0].hess
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
         fd = np.empty((6, 6))
         for j in range(6):
@@ -330,8 +339,9 @@ class TestGammaGradient:
         calls.subtract(solving)
         assert +calls == Counter(grad_fn=2, dx_fn=2, hess_fn=2)
         assert dose.gamma == gamma
-        np.testing.assert_array_equal(dose.grad, gamma_gradient(pb, theta0, gamma))
-        np.testing.assert_array_equal(dose.hess, gamma_hessian(pb, theta0, gamma))
+        plain = dose_derivatives_batch(pb, theta0[None, :])[0]
+        np.testing.assert_array_equal(dose.grad, plain.grad)
+        np.testing.assert_array_equal(dose.hess, plain.hess)
 
 
 class TestGammaBiasSe:

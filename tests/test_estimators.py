@@ -12,8 +12,6 @@ from propfit.estimators import (
     METHODS,
     FitOptions,
     equation_residual,
-    estimate_sigma_ml,
-    estimate_sigma_unbiased,
     fit,
     fit_methods,
 )
@@ -22,7 +20,7 @@ from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset
 from propfit.simulation import DEFAULT_BLEACHED_DOSES, DEFAULT_UNBLEACHED_DOSES, QNL84_BETA2, \
     QNL84_BETA3, default_partial_bleach_design, generate_dataset, replicate_stream
-from conftest import PAPER_ALPHA, make_noisy, stacked_model
+from conftest import PAPER_ALPHA, make_noisy, relative_scale, stacked_model
 
 TIGHT = FitOptions(tol_residual=1e-12)
 
@@ -82,25 +80,17 @@ class TestZeroNoiseFixedPoint:
 
 
 class TestSigmaEstimates:
-    def test_zero_residuals(self, const):
-        data = Dataset(np.arange(3.0), np.full(3, 2.0))
-        assert estimate_sigma_ml(const, data, np.array([2.0])) == 0.0
-        assert estimate_sigma_unbiased(const, data, np.array([2.0])) == 0.0
-
-    def test_two_point_relative_residuals(self, const):
-        data = Dataset(np.arange(2.0), np.array([1.1, 0.9]))
-        assert estimate_sigma_ml(const, data, np.array([1.0])) == pytest.approx(0.1, rel=1e-12)
-
-    def test_constant_arithmetic(self, const, const_123):
-        theta = np.array([2.0])
-        assert estimate_sigma_ml(const, const_123, theta) == pytest.approx(
-            np.sqrt(1.0 / 6.0), rel=1e-12)
-        assert estimate_sigma_unbiased(const, const_123, theta) == pytest.approx(0.5, rel=1e-12)
-
-    def test_divisor_ratio(self, const, const_123):
-        ml = estimate_sigma_ml(const, const_123, np.array([2.0]))
-        ub = estimate_sigma_unbiased(const, const_123, np.array([2.0]))
-        assert ub / ml == pytest.approx(np.sqrt(3.0 / 2.0), rel=1e-12)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_scale_is_its_definition(self, satexp, method):
+        # Each row's scale is sum(((y - f)/f)^2) at the row's own theta_hat
+        # over n for ml and n - p for the other methods.
+        x = DEFAULT_UNBLEACHED_DOSES
+        Y = np.stack([make_noisy(satexp, x, PAPER_ALPHA, 0.05, seed).y for seed in range(3)])
+        fits = fit_methods(satexp, x, Y, (method,))[method]
+        assert fits.converged.all()
+        for r in range(len(Y)):
+            want = relative_scale(satexp, Dataset(x, Y[r]), fits.theta_hat[r], method)
+            np.testing.assert_allclose(fits.sigma_hat[r], want, rtol=1e-14)
 
 
 class TestEquationResidual:
@@ -120,7 +110,7 @@ class TestEquationResidual:
 
     def test_ml_frozen_sigma_matches_profiled_at_consistent_point(self, const, const_123):
         theta = np.array([2.0])
-        s = estimate_sigma_ml(const, const_123, theta)
+        s = relative_scale(const, const_123, theta, "ml")
         np.testing.assert_allclose(
             equation_residual("ml", const, const_123, theta),
             equation_residual("ml", const, const_123, theta, sigma=s),
@@ -338,13 +328,6 @@ class TestErrors:
         for method in METHODS:
             with pytest.raises(DomainError, match=message):
                 equation_residual(method, satexp, satexp_grid, theta)
-        with pytest.raises(DomainError, match=message):
-            estimate_sigma_ml(satexp, satexp_grid, theta)
-
-    def test_unbiased_scale_needs_more_points_than_parameters(self, const):
-        data = Dataset(np.arange(1.0), np.array([1.0]))
-        with pytest.raises(ValueError, match="need n > p, got n=1, p=1"):
-            estimate_sigma_unbiased(const, data, np.array([1.5]))
 
     def test_misshapen_responses_and_unknown_start_raise_for_the_call(self, satexp,
                                                                        satexp_grid):
