@@ -7,7 +7,11 @@ for any degree of execution parallelism. Every replicate is fitted by all
 requested estimators, the intersection dose is solved when the design has
 two curves, and the empirical bias ``B_s`` is tabulated next to the
 closed-form bias ``B_T`` that :func:`~propfit.equivalent_dose.formulae`
-gives at the true parameters. A chunk's replicates are drawn into one
+gives at the true parameters. With ``start="theta0"`` each replicate's
+solve starts at its first-order solution ``theta0 + L`` (every estimator's
+root to order sigma, from the Jacobian bundles ``B_T`` is built from), or
+at ``theta0`` where L would move a parameter by more than
+``WARM_START_CAP`` of its value. A chunk's replicates are drawn into one
 response array, with the draws and draw order of :func:`generate_dataset`,
 and scaled and checked at once. The study's replicates, across the whole
 sigma grid, are fitted as one stack holding every method's rows of
@@ -34,6 +38,7 @@ import numpy as np
 
 from .equivalent_dose import (
     MODE_DEFAULT,
+    Formulae,
     PartialBleachModel,
     _roots,
     _warn_multiple_roots,
@@ -45,6 +50,7 @@ from .equivalent_dose import (
 )
 from .estimators import METHODS, FitOptions, fit_methods
 from .exceptions import Rejected
+from .jacobian import join_bundles
 from .models import Array, Dataset, ModelFunction
 
 # Stand-in dose grids (Gray) echoing the published sample sizes n1=16, n2=13.
@@ -69,6 +75,11 @@ QNL84_GAMMA = -87.45
 # long single curve (n = 1024) gets chunks of 29 replicates.
 STACK_OBSERVATIONS = 30_000
 
+# A replicate starts at its first-order solution theta0 + L only where no
+# component of L exceeds this share of its truth, and at theta0 elsewhere:
+# a larger step can flip a rate's sign and send the fit to another root.
+WARM_START_CAP = 0.25
+
 
 @dataclass(frozen=True)
 class SimDesign:
@@ -76,7 +87,10 @@ class SimDesign:
 
     Single-curve designs leave ``x2`` as None. ``fit_mode`` applies to
     two-curve designs: ``"default"`` gives maximum likelihood the shared
-    scale and everything else separate fits.
+    scale and everything else separate fits. ``start="theta0"`` starts each
+    replicate at its first-order solution ``theta0 + L`` under the
+    ``WARM_START_CAP`` guard, at ``theta0`` where the guard trips (see
+    :func:`_fit_rows`); ``"auto"`` at each curve's data-driven hint.
     """
 
     model: ModelFunction | PartialBleachModel
@@ -140,6 +154,27 @@ class SimDesign:
             return ((self.x1, np.asarray(self.model.curve1.eval(self.x1, alpha), dtype=float)),
                     (self.x2, np.asarray(self.model.curve2.eval(self.x2, beta), dtype=float)))
         return ((self.x1, np.asarray(self.model.eval(self.x1, self.theta0), dtype=float)),)
+
+    @cached_property
+    def truth_formulae(self) -> dict[str, Formulae]:
+        """Each method's :func:`~propfit.equivalent_dose.formulae` at
+        ``theta0``, the pieces of ``B_T`` and of the first-order starts;
+        built on first use and kept. A piece that cannot be built holds
+        its error."""
+        modes = resolve_modes(self.fit_mode, self.methods) if self.two_curve else None
+        return formulae(self.model, [x for x, _ in self.means],
+                        dict.fromkeys(self.methods, self.theta0), modes)
+
+    @cached_property
+    def first_order_map(self) -> Array:
+        """``(J'J)^{-1} J'`` at ``theta0``, ``(p, n)`` over every curve's
+        parameters and observations, from the first method's bundles at
+        the truth: block-diagonal, so each curve's step uses its own
+        observations only. It maps a replicate's relative residuals at the
+        truth to its first-order step L (see :func:`_fit_rows`)."""
+        bundles = self.truth_formulae[self.methods[0]].bundles
+        joint = bundles[0] if len(bundles) == 1 else join_bundles(bundles)
+        return joint.JtJ_inv @ joint.J.T
 
 
 def default_partial_bleach_design(sigma_grid=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
@@ -259,12 +294,39 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
     return False, design.max_redraws + 1
 
 
+def _guarded_starts(theta0: Array, steps: Array) -> Array:
+    """Per row of ``steps (R, p)``, ``theta0 + step``, or ``theta0`` where
+    any component of the step is more than ``WARM_START_CAP`` of that
+    component of ``theta0`` (or is not finite)."""
+    warm = np.all(np.abs(steps) <= WARM_START_CAP * np.abs(theta0), axis=1)
+    return np.where(warm[:, None], theta0 + steps, theta0)
+
+
+def _first_order_starts(design: SimDesign, curves: list[Array]) -> Array:
+    """Each replicate row's guarded first-order solution (see
+    :func:`_fit_rows`)."""
+    rel = (np.concatenate(curves, axis=1)
+           / np.concatenate([f for _, f in design.means]) - 1.0)
+    # A product summed along each row, not a matrix product, whose blocking
+    # would make a row's step depend on the other rows of its chunk.
+    return _guarded_starts(design.theta0,
+                           (rel[:, None, :] * design.first_order_map).sum(axis=-1))
+
+
 def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> tuple[dict, Array]:
     """Estimates per method for a stack of replicates, each curve's
     responses one ``(rows, n)`` array, NaNs marking failures, and how many
     of the intersected rows have more than one root, of how many (no
-    warning: the study warns once for all its chunks)."""
-    start = design.theta0 if design.start == "theta0" else "auto"
+    warning: the study warns once for all its chunks).
+
+    With ``start="theta0"`` a row starts at ``theta0 + L``, where
+    ``L = (J'J)^{-1} J' (y/f - 1)``, with ``J`` the relative Jacobian and
+    ``f`` the means at ``theta0``, is every estimator's root to order
+    sigma (:attr:`SimDesign.first_order_map`, one per study), so a
+    solve starts O(sigma^2) from its root, not O(sigma). A row whose L
+    moves any parameter of any curve by more than ``WARM_START_CAP`` of
+    its value starts at ``theta0``."""
+    start = _first_order_starts(design, curves) if design.start == "theta0" else "auto"
     opts = replace(design.fit_options, start=start)
     R = len(curves[0])
     if design.two_curve:
@@ -338,9 +400,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     truths = {name: float(v) for name, v in zip(targets, design.theta0)}
     # B_T's sigma-free pieces at the truth, built before any replicate is
     # fitted; a piece that cannot be built raises here.
-    modes = resolve_modes(design.fit_mode, design.methods) if design.two_curve else None
-    rows = formulae(design.model, [x for x, _ in design.means],
-                    dict.fromkeys(design.methods, design.theta0), modes)
+    rows = design.truth_formulae
     for row in rows.values():
         for piece in (row.dose, row.bundles):
             if isinstance(piece, Exception):

@@ -7,23 +7,30 @@ import numpy as np
 import pytest
 
 from propfit import estimators, simulation
+from propfit._newton import _assign, _point, _stack
 from propfit.asymptotics import bias_order2
 from propfit.equivalent_dose import (
     MODE_COMMON_SIGMA,
     MODE_DEFAULT,
     MODE_SEPARATE,
     fit_two_curves,
+    fit_two_curves_methods,
     gamma_bias_se,
     resolve_modes,
     solve_gamma,
 )
-from propfit.estimators import METHODS, FitOptions, fit_methods
+from propfit.estimators import _EQUATIONS, METHODS, FitOptions, fit_methods
 from propfit.exceptions import ModeError, MultipleRootWarning, Rejected
 from propfit.jacobian import build_jacobian_bundle
 from propfit.models import Dataset, constant_model, saturating_exponential_model
 from propfit.simulation import (
+    DEFAULT_UNBLEACHED_DOSES,
+    QNL84_ALPHA,
+    WARM_START_CAP,
     SimDesign,
     _draw_replicate,
+    _first_order_starts,
+    _guarded_starts,
     _run_rows,
     compare_bias_table,
     default_partial_bleach_design,
@@ -356,6 +363,138 @@ class TestStudyStack:
                                               np.mean(column) - design.theta0[j])
                 np.testing.assert_array_equal(entry.cell(target).mc_se,
                                               np.std(column, ddof=1) / np.sqrt(ok.sum()))
+
+
+def drawn_curves(design, sigma_idx):
+    """Each curve's responses ``(R, n)`` for every replicate of sigma
+    ``sigma_idx``, as the study draws them; no replicate may be rejected."""
+    curves = [np.empty((design.replicates, x.size)) for x, _ in design.means]
+    for k in range(design.replicates):
+        assert _draw_replicate(design, design.sigma_grid[sigma_idx], sigma_idx, k,
+                               [c[k] for c in curves]) == (True, 0)
+    return curves
+
+
+def equation_rows(method, model, x, Y, theta):
+    """Per row, ``method``'s estimating equation for ``Y[r]`` at
+    ``theta[r]`` (:func:`~propfit.estimators.equation_residual`) as one stack."""
+    data = _assign(_EQUATIONS, _stack(((model, x, Y),)), np.full(len(Y), METHODS.index(method)))
+    return _point(data, theta).residual
+
+
+class TestFirstOrderStart:
+    """With ``start="theta0"`` a replicate starts at ``theta0 + L`` under the guard."""
+
+    def test_guard_falls_back_when_a_component_passes_the_cap(self):
+        theta0 = np.array([100.0, -20.0, 5.0])
+        at_cap = WARM_START_CAP * np.array([100.0, -20.0, -5.0])
+        steps = np.array([at_cap,
+                          [25.0, np.nextafter(-5.0, -6.0), 1.0],  # just past the cap
+                          [1.0, np.nan, 1.0]])
+        starts = _guarded_starts(theta0, steps)
+        np.testing.assert_array_equal(starts, [theta0 + at_cap, theta0, theta0])
+
+    def test_guard_keeps_a_sign_flipping_start_off(self):
+        # The draws of replicate 1568 at sigma 0.10 as a one-sigma study
+        # draws them: L flips beta3's sign, and dwls from theta0 + L runs
+        # off towards the saturating exponential's linear limit.
+        design = default_partial_bleach_design(sigma_grid=(0.10,), replicates=1,
+                                               master_seed=20260810)
+        curves = [np.empty((1, x.size)) for x, _ in design.means]
+        assert _draw_replicate(design, 0.10, 0, 1568, [c[0] for c in curves]) == (True, 0)
+        rel = np.concatenate([c[0] for c in curves]) / np.concatenate(
+            [f for _, f in design.means]) - 1.0
+        step = design.first_order_map @ rel
+        assert step[5] / design.theta0[5] < -1.0
+        np.testing.assert_array_equal(_first_order_starts(design, curves), design.theta0[None])
+
+        estimates, *_ = _run_rows(design, np.array([[0, 1568]]), 7)
+
+        def dwls_from(start):
+            return fit_two_curves_methods(design.model, design.x1, curves[0], design.x2,
+                                          curves[1], ("dwls",), design.fit_mode,
+                                          FitOptions(start=start))["dwls"]
+        cold = dwls_from(design.theta0)
+        assert cold.converged[0]
+        np.testing.assert_array_equal(estimates["dwls"][0, :6], cold.theta_hat[0])
+        np.testing.assert_allclose(cold.theta_hat[0, 3:], [6.66e4, 111.0, 320.0], rtol=5e-3)
+        unguarded = dwls_from(design.theta0 + step)
+        assert not np.allclose(unguarded.theta_hat[0], cold.theta_hat[0], rtol=1e-3)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.06])
+    def test_warm_and_cold_starts_agree_within_the_stop_rule(self, sigma):
+        design = default_partial_bleach_design(sigma_grid=(sigma,), replicates=100,
+                                               master_seed=20260810)
+        curves = drawn_curves(design, 0)
+        warm_starts = _first_order_starts(design, curves)
+        assert np.any(warm_starts != design.theta0)
+        fits = {name: fit_two_curves_methods(design.model, design.x1, curves[0], design.x2,
+                                             curves[1], design.methods, design.fit_mode,
+                                             FitOptions(start=start))
+                for name, start in (("cold", design.theta0), ("warm", warm_starts))}
+        cells = np.stack([np.zeros(design.replicates, dtype=int),
+                          np.arange(design.replicates)], axis=1)
+        study, *_ = _run_rows(design, cells, 7)
+        joint, index = stacked_model(design.model, design.x1, design.x2)
+        both = np.concatenate(curves, axis=1)
+        p1 = design.model.curve1.p
+        for method in design.methods:
+            cold, warm = fits["cold"][method], fits["warm"][method]
+            np.testing.assert_array_equal(warm.converged, cold.converged)
+            ok = warm.converged
+            assert ok.any()
+            np.testing.assert_array_equal(study[method][ok, :6], warm.theta_hat[ok])
+
+            def G(theta):
+                if design.mode_for(method) == MODE_COMMON_SIGMA:
+                    return equation_rows(method, joint, index, both[ok], theta)
+                return np.concatenate([
+                    equation_rows(method, design.model.curve1, design.x1, curves[0][ok],
+                                  theta[:, :p1]),
+                    equation_rows(method, design.model.curve2, design.x2, curves[1][ok],
+                                  theta[:, p1:])], axis=1)
+
+            # dG/dtheta at the cold root by central differences. Both fits
+            # stopped with every |G_j| within their tolerance, so to first
+            # order |warm - cold| <= |(dG/dtheta)^-1| (tol_warm + tol_cold).
+            theta = cold.theta_hat[ok]
+            dG = np.empty((len(theta), 6, 6))
+            for j in range(6):
+                h = np.zeros_like(theta)
+                h[:, j] = 1e-6 * np.abs(theta[:, j])
+                dG[:, :, j] = (G(theta + h) - G(theta - h)) / (2.0 * h[:, j, None])
+            bound = (np.abs(np.linalg.inv(dG)).sum(axis=2)
+                     * (warm.tolerance[ok] + cold.tolerance[ok])[:, None])
+            assert np.all(np.abs(warm.theta_hat[ok] - theta) <= bound)
+
+    def test_one_curve_study_starts_rows_at_the_guarded_first_order_solution(self):
+        model = saturating_exponential_model()
+        design = SimDesign(model=model, x1=DEFAULT_UNBLEACHED_DOSES, theta0=QNL84_ALPHA,
+                           sigma_grid=(0.02, 0.08), replicates=40, master_seed=41)
+        summary = run_study(design)
+        x, f = design.means[0]
+        bundle = build_jacobian_bundle(model, Dataset(x, f), design.theta0)
+        steps = bundle.JtJ_inv @ bundle.J.T
+        kinds = set()
+        for sigma_idx, sigma in enumerate(design.sigma_grid):
+            [Y] = drawn_curves(design, sigma_idx)
+            L = ((Y / f - 1.0)[:, None, :] * steps).sum(axis=-1)
+            warm = np.all(np.abs(L) <= WARM_START_CAP * np.abs(design.theta0), axis=1)
+            kinds |= set(warm.tolist())
+            start = np.where(warm[:, None], design.theta0 + L, design.theta0)
+            fits = fit_methods(model, x, Y, design.methods, FitOptions(start=start))
+            for method in design.methods:
+                ok = fits[method].converged
+                vals = np.ascontiguousarray(fits[method].theta_hat[ok].T)
+                entry = summary.entry(method, sigma)
+                assert entry.r_effective == ok.sum()
+                np.testing.assert_array_equal(
+                    [entry.cell(t).b_s for t in design.target_names],
+                    np.mean(vals, axis=1) - design.theta0)
+                np.testing.assert_array_equal(
+                    [entry.cell(t).mc_se for t in design.target_names],
+                    np.std(vals, axis=1, ddof=1) / np.sqrt(ok.sum()))
+        assert kinds == {True, False}
 
 
 def replay(design, sigma, sigma_idx, k):
