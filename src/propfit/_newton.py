@@ -48,8 +48,8 @@ the means ``f`` to ``eps`` moves it by. Both follow the units of ``x`` and
 floor below which no step can lower ``|G_j|``: on noise-free data, where
 ``S_j`` tends to zero at the root, the row stops there. A pair converges
 when both its rows do. A row's ``tolerance`` is the largest of its bounds
-(a pair's, of both rows' bounds), so ``max|G| <= tolerance`` when it has
-converged.
+(a pair's, of both rows' bounds), whose units differ by component, so it
+bounds nothing about the small components.
 
 A row stops moving once it converges, finds no step, runs out of
 iterations or fails. Non-convergence is not an error: the row's iterate with
@@ -261,9 +261,8 @@ class _Iterate:
     the equation is defined, else a :func:`~propfit.models.fault_error`
     code); ``residual`` is ``G``, ``f`` the means, ``G`` their gradient,
     ``c`` the weights, ``dc`` their derivative ``c'`` in ``f`` and ``s2``
-    ML's scale (zero for the other equations). The methods but
-    :meth:`jacobian` compute in the caller's floating-point error state;
-    :func:`solve` ignores every error.
+    ML's scale (zero for the other equations). The methods compute in the
+    caller's floating-point error state; :func:`solve` ignores every error.
     """
 
     theta: Array
@@ -323,18 +322,13 @@ class _Iterate:
             level[ml] /= self.s2[ml]
         return _OBJECTIVE_ULPS * _EPS * (np.abs(self.objective) + level)
 
-    def jacobian(self) -> Array:
-        """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
-        scale terms) per row, ``sum c_i H_i`` from the row's model's
-        ``whess_rows``. Rows where that is non-finite are marked in ``fault``."""
-        with np.errstate(all="ignore"):
-            return self.blocks()[0]
-
     def blocks(self) -> tuple[Array, Array | None]:
-        """:meth:`jacobian` and, per row of a pair, the block of ``dG/dtheta``
+        """``dG/dtheta = sum c_i H_i + sum c'_i grad f_i grad f_i'`` (plus ML's
+        scale terms) per row and, per row of a pair, the block of ``dG/dtheta``
         in its mate's parameters (None with no pair): ML's ``sum J ds^2'``,
-        zero for the other equations. The models contract their Hessians with ``c``
-        (:meth:`~propfit.models.ModelFunction.whess_rows`)."""
+        zero for the other equations. ``sum c_i H_i`` is the row's model's
+        :meth:`~propfit.models.ModelFunction.whess_rows`; rows where it is
+        non-finite are marked in ``fault``."""
         y, f, G, c, dc = self.data.y, self.f, self.G, self.c, self.dc
         p, two, ml = G.shape[-1], 2 * self.data.pairs, self.data.ml
         off = np.zeros(G.shape[:1] + (p, p)) if two else None

@@ -112,11 +112,6 @@ class PartialBleachModel:
             raise ValueError(f"joint theta must have shape ({self.p},), got {theta.shape}")
         return theta[: self.curve1.p], theta[self.curve1.p:]
 
-    def intersection_gap(self, x, theta) -> Array | float:
-        """g(x, theta) = f1(x, alpha) - f2(x, beta)."""
-        alpha, beta = self.split(theta)
-        return self.curve1.eval(x, alpha) - self.curve2.eval(x, beta)
-
 
 def partial_bleach_model() -> PartialBleachModel:
     """Unbleached and bleached saturating exponentials with labelled parameters."""

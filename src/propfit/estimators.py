@@ -69,11 +69,13 @@ class FitOptions:
     |c'_i f_i df_i/dtheta_j|`` its rounding level, which the solver
     computes (see :mod:`propfit._newton`). Both change with ``G_j`` when
     ``x`` or ``y`` change units, so the test does not depend on units, and
-    the rounding floor makes every ``tol_residual`` reachable. The fit's
-    ``tolerance`` is the largest of these bounds. ``start`` is a parameter
-    vector (for a stack, one shared vector or one row per dataset) or
-    ``"auto"``: each row's :attr:`~propfit.models.ModelFunction.start_hint`,
-    or ones for a model without a hint.
+    the rounding floor makes every ``tol_residual`` reachable. A fit
+    converges component by component; its ``tolerance`` is the largest
+    bound, in its component's units, so it bounds nothing about the small
+    components. ``start`` is a parameter vector (for a stack, one shared
+    vector or one row per dataset) or ``"auto"``: each row's
+    :attr:`~propfit.models.ModelFunction.start_hint`, or ones for a model
+    without a hint.
     """
 
     tol_residual: float = 1e-8
@@ -97,7 +99,9 @@ class FitResult:
     in ``sigma_hats``, and ``"common-sigma"`` when the curves share one, its
     one entry. ``sigma_hat``, the one scale the fit's formulae use, is the
     one curve's or the shared scale, or the separate curves' pooled with
-    their divisors (:func:`scale_divisor`).
+    their divisors (:func:`scale_divisor`). ``tolerance`` is the largest
+    per-component stop bound (:class:`FitOptions`): it says nothing of the
+    small components.
     """
 
     method: str
@@ -122,7 +126,7 @@ class FitBatch:
     Row ``r`` holds what :func:`fit` (or
     :func:`~propfit.equivalent_dose.fit_two_curves`) returns for dataset
     ``r``, or, where that fit raises, NaN numbers and the exception in
-    ``errors[r]``.
+    ``errors[r]``. ``tolerance`` is per row as in :class:`FitResult`.
     """
 
     method: str

@@ -10,10 +10,11 @@ so a model's callables take ``theta`` of shape ``(..., p)``: the leading
 dimensions broadcast against those of ``x`` (``theta[..., j, None]`` is the
 idiom), and the trailing ``n`` of the value, ``(n, p)`` of the gradient and
 ``(n, p, p)`` of the Hessian follow them; weights ``c`` take the shape of the
-value and contract the Hessian to ``(p, p)``. A stack evaluation reports why a
-row is undefined as a fault code instead of raising, so one bad row fails
-alone; :func:`fault_error` turns a code into the exception the unbatched
-path raises.
+value and contract the Hessian to ``(p, p)``. These callables and their
+``*_rows`` methods are the model's API (:meth:`ModelFunction.eval` is its one
+checked single-row convenience). A stack evaluation reports why a row is
+undefined as a fault code instead of raising, so one bad row fails alone;
+:func:`fault_error` turns a code into the exception that row reports.
 
 Built-in models cover the shapes the bias formulae distinguish: a constant
 mean, a fixed shape scaled by a single parameter, a two-parameter
@@ -212,48 +213,14 @@ class ModelFunction:
 
     # -- evaluation ---------------------------------------------------
 
-    def _checked(self, x, theta) -> tuple[Array, Array]:
-        """``x`` as 1-D and the checked ``theta``; raises what :meth:`eval`
-        raises where ``theta`` is outside the model's domain."""
-        xv, theta = _as_1d(x), self.check_theta(theta)
-        fault = self.faults(xv, theta)
-        if fault:
-            raise fault_error(self, int(fault))
-        return xv, theta
-
     def eval(self, x, theta) -> Array | float:
-        """Mean response f(x, theta); scalar in, scalar out."""
+        """Mean response f(x, theta) at one checked theta; scalar in, scalar out."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xv = _as_1d(x)
         f, fault = self.eval_rows(xv, self.check_theta(theta))
         if fault:
             raise fault_error(self, int(fault))
         return float(f[0]) if scalar else f
-
-    def grad(self, x, theta) -> Array:
-        """Parameter gradient; shape (p,) for scalar x, else (n, p)."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv, theta = self._checked(x, theta)
-        g = self.grad_rows(xv, theta)
-        if not np.all(np.isfinite(g)):
-            raise fault_error(self, FAULT_GRADIENT)
-        return g[0] if scalar else g
-
-    def hess(self, x, theta) -> Array:
-        """Parameter Hessian; shape (p, p) for scalar x, else (n, p, p)."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv, theta = self._checked(x, theta)
-        h = self.hess_rows(xv, theta)
-        if not np.all(np.isfinite(h)):
-            raise fault_error(self, FAULT_HESSIAN)
-        return h[0] if scalar else h
-
-    def dx(self, x, theta) -> Array | float:
-        """Derivative of the mean in the covariate."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv, theta = self._checked(x, theta)
-        d = self.dx_rows(xv, theta)
-        return float(d[0]) if scalar else d
 
     # -- finite differences --------------------------------------------
 
@@ -293,7 +260,7 @@ def _contract(c: Array, H: Array) -> Array:
 
 
 def fault_error(model: ModelFunction, code: int) -> PropfitError:
-    """The exception the unbatched path raises for a row with fault ``code``."""
+    """The exception a row with fault ``code`` reports (:meth:`ModelFunction.eval` raises it)."""
     if code == FAULT_THETA:
         return DomainError("parameter vector contains non-finite entries")
     if code == FAULT_DOMAIN:

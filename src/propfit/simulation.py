@@ -112,6 +112,10 @@ class SimDesign:
             object.__setattr__(self, "x2", np.asarray(self.x2, dtype=float))
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
+        if isinstance(self.model, PartialBleachModel) and not self.two_curve:
+            raise ValueError("a two-curve model needs x2")
+        if self.two_curve and not isinstance(self.model, PartialBleachModel):
+            raise ValueError("x2 is only valid for a two-curve model")
         if not self.sigma_grid:
             raise ValueError("need at least one sigma value")
         if any(not (0.0 <= s <= 0.5) for s in self.sigma_grid):

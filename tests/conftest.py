@@ -72,6 +72,20 @@ def relative_scale(model, data, theta, method):
     return float(np.sqrt(np.sum(((data.y - f) / f) ** 2) / divisor))
 
 
+def curve_gap(model: PartialBleachModel, x, theta):
+    """The curves' gap ``f1(x, alpha) - f2(x, beta)`` at one joint ``theta``;
+    raises what either curve's ``eval`` raises."""
+    alpha, beta = model.split(theta)
+    return model.curve1.eval(x, alpha) - model.curve2.eval(x, beta)
+
+
+def gap_slope(model: PartialBleachModel, x: float, theta) -> float:
+    """The gap's derivative in the dose at one dose ``x`` and joint ``theta``."""
+    alpha, beta = model.split(theta)
+    x = np.array([x], dtype=float)
+    return float((model.curve1.dx_rows(x, alpha) - model.curve2.dx_rows(x, beta))[0])
+
+
 def stacked_model(model: PartialBleachModel, x1, x2) -> tuple[ModelFunction, Array]:
     """Fuse the two curves into one model over an observation-index covariate.
 

@@ -43,14 +43,21 @@ from propfit.exceptions import (
     ZeroResponseError,
 )
 from propfit.jacobian import RCOND_MIN, build_jacobian_bundle, build_jacobian_bundles
-from propfit.models import Dataset, ModelFunction
+from propfit.models import (
+    FAULT_GRADIENT,
+    FAULT_HESSIAN,
+    Array,
+    Dataset,
+    ModelFunction,
+    fault_error,
+)
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
     _run_rows,
     default_partial_bleach_design,
 )
-from conftest import APART_BETA, PAPER_ALPHA, relative_scale, stacked_model
+from conftest import APART_BETA, PAPER_ALPHA, curve_gap, relative_scale, stacked_model
 
 X = np.linspace(0.0, 1000.0, 16)
 
@@ -655,7 +662,7 @@ class TestTwoCurveStack:
             np.testing.assert_allclose(getattr(padded, name), getattr(alone, name), rtol=1e-13)
         np.testing.assert_allclose(padded.bounds(1e-8), alone.bounds(1e-8), rtol=1e-13)
         np.testing.assert_allclose(padded.rounding(), alone.rounding(), rtol=1e-13)
-        np.testing.assert_allclose(padded.jacobian(), alone.jacobian(), rtol=1e-12)
+        np.testing.assert_allclose(padded.blocks()[0], alone.blocks()[0], rtol=1e-12)
 
 
 class TestCommonSigmaPairs:
@@ -885,7 +892,7 @@ class TestSolveGammaBatch:
         assert gammas[0] == pytest.approx(-87.45, abs=1e-6)
         # The root closest to zero, where the curves meet.
         assert -60.0 < gammas[1] < -50.0  # the other crossing is near -122
-        assert abs(pb.intersection_gap(gammas[1], rows[1])) <= 1e-6 * PAPER_ALPHA[0]
+        assert abs(curve_gap(pb, gammas[1], rows[1])) <= 1e-6 * PAPER_ALPHA[0]
         assert gammas[2] == pytest.approx(-PAPER_ALPHA[1], abs=1e-6)
         # No crossing is stated over the grid's finite range: down to -2**18,
         # above the point where the curves overflow.
@@ -1025,6 +1032,22 @@ class TestStudyRows:
 
 # The one-row code the stacks replaced, kept as the reference they must match bit for bit.
 
+def checked_rows(model: ModelFunction, name: str, x, theta) -> Array:
+    """``model``'s ``name`` (``"grad_rows"``, ``"hess_rows"`` or ``"dx_rows"``)
+    at the covariates ``x`` and one checked ``theta``: raises what
+    ``model.eval`` raises there, or the error of a non-finite gradient or
+    Hessian."""
+    x, theta = np.atleast_1d(np.asarray(x, dtype=float)), model.check_theta(theta)
+    fault = int(model.faults(x, theta))
+    if fault:
+        raise fault_error(model, fault)
+    out = getattr(model, name)(x, theta)
+    code = {"grad_rows": FAULT_GRADIENT, "hess_rows": FAULT_HESSIAN}.get(name)
+    if code and not np.all(np.isfinite(out)):
+        raise fault_error(model, code)
+    return out
+
+
 def one_row_bundle(model: ModelFunction, data: Dataset, theta):
     theta = model.check_theta(theta)
     if data.n <= model.p:
@@ -1033,7 +1056,7 @@ def one_row_bundle(model: ModelFunction, data: Dataset, theta):
     if np.any(f == 0.0):
         idx = int(np.flatnonzero(f == 0.0)[0])
         raise ZeroMeanError(f"mean response is zero at x={data.x[idx]!r}")
-    J = np.asarray(model.grad(data.x, theta), dtype=float) / f[:, None]
+    J = checked_rows(model, "grad_rows", data.x, theta) / f[:, None]
     JtJ = J.T @ J
     eigvals = np.linalg.eigvalsh(JtJ)
     if eigvals[0] <= 0.0 or eigvals[0] < RCOND_MIN * eigvals[-1]:
@@ -1042,7 +1065,7 @@ def one_row_bundle(model: ModelFunction, data: Dataset, theta):
     JtJ_inv = np.linalg.inv(JtJ)
     JtJ_inv = 0.5 * (JtJ_inv + JtJ_inv.T)
     w1 = np.einsum("ij,jk,ik->i", J, JtJ_inv, J)
-    K = np.asarray(model.hess(data.x, theta), dtype=float) / f[:, None, None]
+    K = checked_rows(model, "hess_rows", data.x, theta) / f[:, None, None]
     return {"J": J, "JtJ": JtJ, "JtJ_inv": JtJ_inv, "Jbar": J.mean(axis=0), "w1": w1,
             "w2": np.einsum("ijk,kj->i", K, JtJ_inv), "f": f}
 
@@ -1052,16 +1075,17 @@ def one_row_dose_derivatives(model, theta, gamma):
     c1, c2 = model.curve1, model.curve2
     h = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(gamma))
     xs = np.array([gamma - h, gamma, gamma + h])
-    grad1, grad2 = c1.grad(xs, alpha), c2.grad(xs, beta)
-    dx1, dx2 = c1.dx(xs, alpha), c2.dx(xs, beta)
+    grad1 = checked_rows(c1, "grad_rows", xs, alpha)
+    grad2 = checked_rows(c2, "grad_rows", xs, beta)
+    dx1, dx2 = checked_rows(c1, "dx_rows", xs, alpha), checked_rows(c2, "dx_rows", xs, beta)
     s1, s2 = float(dx1[1]), float(dx2[1])
     g_x = s1 - s2
     if abs(g_x) < 1e-12 * max(abs(s1), abs(s2), 1e-300):
         raise TangencyError("curves meet tangentially; dose gradient is undefined")
     gp = -np.concatenate([grad1[1], -grad2[1]]) / g_x
     g_tt = np.zeros((6, 6))
-    g_tt[:3, :3] = c1.hess(gamma, alpha)
-    g_tt[3:, 3:] = -c2.hess(gamma, beta)
+    g_tt[:3, :3] = checked_rows(c1, "hess_rows", gamma, alpha)[0]
+    g_tt[3:, 3:] = -checked_rows(c2, "hess_rows", gamma, beta)[0]
     g_xt = np.concatenate([(grad1[2] - grad1[0]) / (2 * h), -(grad2[2] - grad2[0]) / (2 * h)])
     g_xx = ((dx1[2] - dx1[0]) - (dx2[2] - dx2[0])) / (2 * h)
     return gp, -(g_tt + np.outer(g_xt, gp) + np.outer(gp, g_xt)

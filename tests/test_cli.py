@@ -31,7 +31,13 @@ from propfit.equivalent_dose import (
 from propfit.estimators import METHODS, fit
 from propfit.io import read_input_table
 from propfit.jacobian import build_jacobian_bundle
-from propfit.exceptions import DerivativeNoiseWarning, ModeError, PropfitError, SingularError
+from propfit.exceptions import (
+    DerivativeNoiseWarning,
+    ModeError,
+    MultipleRootWarning,
+    PropfitError,
+    SingularError,
+)
 from propfit.models import Dataset, ModelFunction, saturating_exponential_model
 from propfit.simulation import (
     default_partial_bleach_design,
@@ -500,7 +506,8 @@ class TestSimulateCommand:
         # At sigma 0.1 a few of this study's replicates fail; at 0.02 none do.
         design = default_partial_bleach_design(sigma_grid=(0.02, 0.1), replicates=40,
                                                master_seed=9)
-        summary = run_study(design)
+        with pytest.warns(MultipleRootWarning, match="^12 of 320 rows have more than one"):
+            summary = run_study(design)
         noted = [e for e in summary.results if e.failure_count or e.rejected_count]
         assert {e.sigma for e in noted} == {0.1}
         notes = [l for l in render_sim_text(summary).splitlines() if l.startswith("note: ")]

@@ -154,7 +154,7 @@ class TestEquationJacobian:
         theta = theta * (1.0 + 0.02 * np.arange(1, theta.size + 1))
         stack = estimators._assign(estimators._EQUATIONS, estimators._stack(
             ((model, data.x, data.y[None, :]),)), [METHODS.index(method)])
-        analytic = estimators._point(stack, theta[None, :]).jacobian()[0]
+        analytic = estimators._point(stack, theta[None, :]).blocks()[0][0]
         np.testing.assert_allclose(analytic, _central_jacobian(method, model, data, theta),
                                    rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
 
@@ -166,7 +166,7 @@ class TestEquationJacobian:
         theta = theta * (1.0 + 0.01 * np.arange(1, 7))
         stack = estimators._assign(estimators._EQUATIONS, estimators._stack(
             ((joint, data.x, data.y[None, :]),)), [METHODS.index("ml")])
-        analytic = estimators._point(stack, theta[None, :]).jacobian()[0]
+        analytic = estimators._point(stack, theta[None, :]).blocks()[0][0]
         np.testing.assert_allclose(analytic, _central_jacobian("ml", joint, data, theta),
                                    rtol=1e-5, atol=1e-7 * np.max(np.abs(analytic)))
 

@@ -13,7 +13,13 @@ from propfit import _newton, equivalent_dose
 from propfit.equivalent_dose import MODE_COMMON_SIGMA, fit_two_curves_methods, solve_gamma_batch
 from propfit.estimators import METHODS, equation_residual, fit_methods
 from propfit.exceptions import MultipleRootWarning
-from propfit.models import Dataset, saturating_exponential_model
+from propfit.models import (
+    Dataset,
+    constant_model,
+    exponential_decay_model,
+    saturating_exponential_model,
+    scaled_shape_model,
+)
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
@@ -262,6 +268,46 @@ def test_contracted_hessian_matches_the_hessian_stack(rows):
     size = np.einsum("ri,rijk->rjk", np.abs(c), np.abs(H)).max(axis=(-2, -1))
     gap = np.abs(MODEL.whess_rows(x, theta, c) - want).max(axis=(-2, -1))
     assert np.all(gap <= 1e-13 * size), gap / size
+
+
+# Each built-in model, with a reference parameter row and the covariate range
+# its rows are drawn over.
+ROW_MODELS = {
+    "constant": (constant_model(), [2.0], 10.0),
+    "exponential": (exponential_decay_model(), [10.0, 3.0], 8.0),
+    "saturating_exponential": (MODEL, PAPER_ALPHA, 1000.0),
+    "scaled_shape": (scaled_shape_model(lambda x: 1.0 + x), [4.0], 4.0),
+}
+# Entries a drawn stack may set to make its row fault: zero is the domain
+# guard's fault for a rate or a scale.
+ROW_POISON = st.sampled_from([0.0, np.nan, np.inf])
+
+
+@given(name=st.sampled_from(sorted(ROW_MODELS)), rows=st.integers(1, 5), data=st.data())
+def test_model_rows_do_not_depend_on_the_stack(name, rows, data):
+    # Every per-row method on an (R, p) stack, each row with its own
+    # covariates and weights, gives each row bit for bit what it gives alone.
+    model, reference, span = ROW_MODELS[name]
+    theta = np.asarray(reference) * data.draw(
+        hnp.arrays(float, (rows, model.p), elements=st.floats(-2.0, 2.0)))
+    for r, j, value in data.draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, model.p - 1), ROW_POISON), max_size=2)):
+        theta[r, j] = value
+    x = data.draw(hnp.arrays(float, (rows, 6), elements=st.floats(-0.2 * span, span)))
+    c = data.draw(hnp.arrays(float, (rows, 6), elements=st.floats(-1e3, 1e3)))
+    with np.errstate(all="ignore"):
+        f, fault = model.eval_rows(x, theta)
+        stack = {"grad_rows": model.grad_rows(x, theta), "hess_rows": model.hess_rows(x, theta),
+                 "dx_rows": model.dx_rows(x, theta), "whess_rows": model.whess_rows(x, theta, c)}
+        assert fault.shape == (rows,)
+        for r in range(rows):
+            f_r, fault_r = model.eval_rows(x[r], theta[r])
+            np.testing.assert_array_equal(f[r], f_r, strict=True)
+            assert fault[r] == fault_r
+            for method, got in stack.items():
+                extra = (c[r],) if method == "whess_rows" else ()
+                alone = getattr(model, method)(x[r], theta[r], *extra)
+                np.testing.assert_array_equal(got[r], alone, strict=True, err_msg=method)
 
 
 # The ops a stack applies pairwise, each with the values it applies it to.

@@ -225,7 +225,9 @@ class TestRunStudy:
         # At sigma 0.06, about 1% of the fitted curve pairs cross below the
         # smaller fitted shift. Dropping them biases gamma's B_s toward zero.
         design = default_partial_bleach_design(sigma_grid=(0.06,), replicates=2000)
-        for entry in run_study(design).results:
+        with pytest.warns(MultipleRootWarning, match="^107 of 8000 rows have more than one"):
+            results = run_study(design).results
+        for entry in results:
             gamma = entry.cell("gamma")
             assert entry.failure_count == 0
             assert abs(gamma.b_s - gamma.b_t) <= 3.0 * gamma.mc_se
@@ -601,6 +603,14 @@ class TestSimDesignValidation:
         for design in (constant_design, default_partial_bleach_design):
             with pytest.raises(ValueError, match=message):
                 design(methods=methods)
+
+    def test_two_curve_model_needs_x2(self):
+        with pytest.raises(ValueError, match="a two-curve model needs x2"):
+            default_partial_bleach_design(x2=None)
+
+    def test_one_curve_model_takes_no_x2(self):
+        with pytest.raises(ValueError, match="x2 is only valid for a two-curve model"):
+            constant_design(x2=np.arange(5.0))
 
     def test_unknown_start(self):
         with pytest.raises(ValueError, match="start must be 'theta0' or 'auto'"):
