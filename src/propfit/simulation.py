@@ -9,8 +9,8 @@ two curves, and the empirical bias ``B_s`` is tabulated next to the
 closed-form bias ``B_T`` that :func:`~propfit.equivalent_dose.formulae`
 gives at the true parameters. With ``start="theta0"`` each replicate's
 solve starts at its first-order solution ``theta0 + L`` (every estimator's
-root to order sigma, from the Jacobian bundles ``B_T`` is built from), or
-at ``theta0`` where L would move a parameter by more than
+root to order sigma, from the Jacobian bundles ``B_T`` is built from),
+shortened along L where it would move a parameter by more than
 ``WARM_START_CAP`` of its value. A chunk's replicates are drawn into one
 response array, with the draws and draw order of :func:`generate_dataset`,
 and scaled and checked at once. The study's replicates, across the whole
@@ -75,9 +75,10 @@ QNL84_GAMMA = -87.45
 # long single curve (n = 1024) gets chunks of 29 replicates.
 STACK_OBSERVATIONS = 30_000
 
-# A replicate starts at its first-order solution theta0 + L only where no
-# component of L exceeds this share of its truth, and at theta0 elsewhere:
-# a larger step can flip a rate's sign and send the fit to another root.
+# The largest share of its truth that a replicate's first-order step L may
+# move any component by: a longer L is shortened until its farthest-moved
+# component moves by exactly this share, since a larger step can flip a
+# rate's sign and send the fit to another root.
 WARM_START_CAP = 0.25
 
 
@@ -88,8 +89,8 @@ class SimDesign:
     Single-curve designs leave ``x2`` as None. ``fit_mode`` applies to
     two-curve designs: ``"default"`` gives maximum likelihood the shared
     scale and everything else separate fits. ``start="theta0"`` starts each
-    replicate at its first-order solution ``theta0 + L`` under the
-    ``WARM_START_CAP`` guard, at ``theta0`` where the guard trips (see
+    replicate at its first-order solution ``theta0 + L``, with L shortened
+    to the ``WARM_START_CAP`` guard where it passes it (see
     :func:`_fit_rows`); ``"auto"`` at each curve's data-driven hint.
     """
 
@@ -299,11 +300,20 @@ def _draw_replicate(design: SimDesign, sigma: float, sigma_idx: int, k: int,
 
 
 def _guarded_starts(theta0: Array, steps: Array) -> Array:
-    """Per row of ``steps (R, p)``, ``theta0 + step``, or ``theta0`` where
-    any component of the step is more than ``WARM_START_CAP`` of that
-    component of ``theta0`` (or is not finite)."""
-    warm = np.all(np.abs(steps) <= WARM_START_CAP * np.abs(theta0), axis=1)
-    return np.where(warm[:, None], theta0 + steps, theta0)
+    """Per row of ``steps (R, p)``, ``theta0 + t * step`` with the largest
+    ``t <= 1`` that moves no component by more than ``WARM_START_CAP`` of
+    that component of ``theta0``: ``theta0 + step`` bit for bit where the
+    whole step is within the cap, and ``theta0`` where the step is not
+    finite or moves a zero component of ``theta0``."""
+    move = np.abs(steps)
+    reach = WARM_START_CAP * np.abs(theta0)
+    # t = min_j reach_j / move_j over the components past their reach, where
+    # move_j > reach_j >= 0, so no share divides by zero.
+    t = np.divide(reach, move, out=np.ones_like(move), where=move > reach).min(axis=1)
+    moved = (t > 0.0) & np.all(np.isfinite(steps), axis=1)
+    starts = np.tile(theta0, (len(steps), 1))
+    starts[moved] = theta0 + t[moved, None] * steps[moved]
+    return starts
 
 
 def _first_order_starts(design: SimDesign, curves: list[Array]) -> Array:
@@ -329,7 +339,9 @@ def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> tuple[d
     sigma (:attr:`SimDesign.first_order_map`, one per study), so a
     solve starts O(sigma^2) from its root, not O(sigma). A row whose L
     moves any parameter of any curve by more than ``WARM_START_CAP`` of
-    its value starts at ``theta0``."""
+    its value starts at ``theta0 + t L`` instead, with the share ``t < 1``
+    that moves the farthest parameter by exactly the cap (see
+    :func:`_guarded_starts`)."""
     start = _first_order_starts(design, curves) if design.start == "theta0" else "auto"
     opts = replace(design.fit_options, start=start)
     R = len(curves[0])

@@ -54,6 +54,8 @@ from propfit.models import (
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
+    _draw_replicate,
+    _first_order_starts,
     _run_rows,
     default_partial_bleach_design,
 )
@@ -999,19 +1001,43 @@ class TestSolveGammaBatch:
             dose_derivatives_batch(pb, rows[:, :5])
 
 
+def assert_rows_alone(design):
+    """The study rows of the design's one sigma, fitted as one stack, in four
+    chunks and one by one, are the same bits; returns the whole stack's."""
+    R = design.replicates
+    cells = np.stack([np.zeros(R, dtype=int), np.arange(R)], axis=1)
+    whole, *_ = _run_rows(design, cells, 7)
+    chunks = [_run_rows(design, part, 7)[0] for part in np.array_split(cells, 4)]
+    alone = [_run_rows(design, cells[k:k + 1], 7)[0] for k in range(R)]
+    for method in design.methods:
+        np.testing.assert_array_equal(
+            whole[method], np.concatenate([c[method] for c in chunks]))
+        np.testing.assert_array_equal(
+            whole[method], np.concatenate([a[method] for a in alone]))
+    return whole
+
+
 class TestStudyRows:
     def test_replicates_do_not_depend_on_their_stack(self):
         design = default_partial_bleach_design(sigma_grid=(0.03,), replicates=6,
                                                master_seed=31)
-        cells = np.stack([np.zeros(6, dtype=int), np.arange(6)], axis=1)
-        whole, *_ = _run_rows(design, cells, 7)
-        chunks = [_run_rows(design, part, 7)[0] for part in np.array_split(cells, 4)]
-        alone = [_run_rows(design, cells[k:k + 1], 7)[0] for k in range(6)]
+        assert_rows_alone(design)
+
+    def test_shortened_starts_do_not_depend_on_their_stack(self):
+        # At sigma 0.06 the guard shortens some of these rows' first-order
+        # steps to the cap and starts the others at the whole step.
+        design = default_partial_bleach_design(sigma_grid=(0.06,), replicates=6,
+                                               master_seed=31)
+        curves = [np.empty((6, x.size)) for x, _ in design.means]
+        for k in range(6):
+            assert _draw_replicate(design, 0.06, 0, k, [c[k] for c in curves]) == (True, 0)
+        rel = np.concatenate(curves, axis=1) / np.concatenate([f for _, f in design.means]) - 1.0
+        steps = (rel[:, None, :] * design.first_order_map).sum(axis=-1)
+        whole_step = np.all(_first_order_starts(design, curves) == design.theta0 + steps, axis=1)
+        assert whole_step.any() and not whole_step.all()
+        whole = assert_rows_alone(design)
         for method in design.methods:
-            np.testing.assert_array_equal(
-                whole[method], np.concatenate([c[method] for c in chunks]))
-            np.testing.assert_array_equal(
-                whole[method], np.concatenate([a[method] for a in alone]))
+            assert not np.isnan(whole[method]).any()
 
     def test_stacks_spanning_two_sigmas(self):
         design = default_partial_bleach_design(sigma_grid=(0.02, 0.04), replicates=4,

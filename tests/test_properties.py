@@ -23,6 +23,8 @@ from propfit.models import (
 from propfit.simulation import (
     DEFAULT_BLEACHED_DOSES,
     DEFAULT_UNBLEACHED_DOSES,
+    WARM_START_CAP,
+    _guarded_starts,
     default_partial_bleach_design,
 )
 from conftest import PAPER_ALPHA
@@ -333,3 +335,42 @@ def test_pairwise_matches_its_repeat_definition(pairs, alone, width, op, data):
     got = stack.pairwise(op, v)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@given(p=st.integers(1, 6), rows=st.integers(1, 6), data=st.data())
+def test_guarded_starts_shorten_each_row_alone(p, rows, data):
+    # Steps within the cap, past it, on zero components of theta0, not
+    # finite, and all zero. Each row starts at theta0 + t * step with
+    # t = min(1, min_j cap |theta0_j| / |step_j|), the minimum taken over the
+    # components past the cap, or at theta0 where the step is not finite,
+    # whatever the other rows.
+    theta0 = data.draw(hnp.arrays(float, p, elements=st.one_of(
+        st.just(0.0), _either_sign(1e-3, 1e6))))
+    steps = theta0 * data.draw(hnp.arrays(float, (rows, p), elements=st.floats(-2.0, 2.0)))
+    for r, j, value in data.draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, p - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf, 1.0])), max_size=3)):
+        steps[r, j] = value
+    for r in data.draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        steps[r] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        starts = _guarded_starts(theta0, steps)
+        for r in range(rows):
+            np.testing.assert_array_equal(_guarded_starts(theta0, steps[r:r + 1])[0], starts[r],
+                                          strict=True)
+    reach = WARM_START_CAP * np.abs(theta0)
+    for step, start in zip(steps, starts):
+        if not np.all(np.isfinite(step)):
+            np.testing.assert_array_equal(start, theta0, strict=True)
+        elif np.all(np.abs(step) <= reach):
+            np.testing.assert_array_equal(start, theta0 + step, strict=True)
+        else:
+            t = min(c / abs(s) for c, s in zip(reach, step) if abs(s) > c)
+            assert 0.0 <= t < 1.0
+            np.testing.assert_array_equal(start, theta0 + t * step)
+    assert np.all(np.abs(starts - theta0) <= (reach + 4.0 * np.finfo(float).eps
+                                              * np.abs(theta0)))
+    nonzero = theta0 != 0.0
+    np.testing.assert_array_equal(np.sign(starts[:, nonzero]),
+                                  np.broadcast_to(np.sign(theta0[nonzero]), (rows, nonzero.sum())))

@@ -385,21 +385,30 @@ def equation_rows(method, model, x, Y, theta):
 
 
 class TestFirstOrderStart:
-    """With ``start="theta0"`` a replicate starts at ``theta0 + L`` under the guard."""
+    """With ``start="theta0"`` a replicate starts at ``theta0 + L``, shortened
+    along L to the guard's cap where L passes it."""
 
-    def test_guard_falls_back_when_a_component_passes_the_cap(self):
+    def test_guard_shortens_a_step_past_the_cap(self):
         theta0 = np.array([100.0, -20.0, 5.0])
         at_cap = WARM_START_CAP * np.array([100.0, -20.0, -5.0])
-        steps = np.array([at_cap,
-                          [25.0, np.nextafter(-5.0, -6.0), 1.0],  # just past the cap
-                          [1.0, np.nan, 1.0]])
+        past = np.array([25.0, np.nextafter(-5.0, -6.0), 1.0])  # just past the cap
+        steps = np.array([at_cap, past, [1.0, np.nan, 1.0]])
         starts = _guarded_starts(theta0, steps)
-        np.testing.assert_array_equal(starts, [theta0 + at_cap, theta0, theta0])
+        np.testing.assert_array_equal(starts[[0, 2]], [theta0 + at_cap, theta0])
+        # The second row moves along its step, by a share just under 1, until
+        # its largest move is the cap.
+        share = (starts[1] - theta0) / past
+        np.testing.assert_allclose(share, share[1], rtol=1e-15)
+        assert 1.0 - 1e-15 < share[1] < 1.0
+        assert np.max(np.abs(starts[1] - theta0) / np.abs(theta0)) == pytest.approx(
+            WARM_START_CAP, rel=1e-15)
 
     def test_guard_keeps_a_sign_flipping_start_off(self):
         # The draws of replicate 1568 at sigma 0.10 as a one-sigma study
         # draws them: L flips beta3's sign, and dwls from theta0 + L runs
-        # off towards the saturating exponential's linear limit.
+        # off towards the saturating exponential's linear limit. Shortened
+        # to the cap, L moves beta3 to 0.75 of its truth, and every method
+        # reaches the root it reaches from theta0.
         design = default_partial_bleach_design(sigma_grid=(0.10,), replicates=1,
                                                master_seed=20260810)
         curves = [np.empty((1, x.size)) for x, _ in design.means]
@@ -408,20 +417,26 @@ class TestFirstOrderStart:
             [f for _, f in design.means]) - 1.0
         step = design.first_order_map @ rel
         assert step[5] / design.theta0[5] < -1.0
-        np.testing.assert_array_equal(_first_order_starts(design, curves), design.theta0[None])
+        [start] = _first_order_starts(design, curves)
+        assert start[5] / design.theta0[5] == pytest.approx(1.0 - WARM_START_CAP, rel=1e-15)
+        np.testing.assert_allclose(start - design.theta0, step * (start[5] - design.theta0[5])
+                                   / step[5], rtol=1e-13)
 
         estimates, *_ = _run_rows(design, np.array([[0, 1568]]), 7)
 
-        def dwls_from(start):
+        def fits_from(start, methods=design.methods):
             return fit_two_curves_methods(design.model, design.x1, curves[0], design.x2,
-                                          curves[1], ("dwls",), design.fit_mode,
-                                          FitOptions(start=start))["dwls"]
-        cold = dwls_from(design.theta0)
-        assert cold.converged[0]
-        np.testing.assert_array_equal(estimates["dwls"][0, :6], cold.theta_hat[0])
-        np.testing.assert_allclose(cold.theta_hat[0, 3:], [6.66e4, 111.0, 320.0], rtol=5e-3)
-        unguarded = dwls_from(design.theta0 + step)
-        assert not np.allclose(unguarded.theta_hat[0], cold.theta_hat[0], rtol=1e-3)
+                                          curves[1], methods, design.fit_mode,
+                                          FitOptions(start=start))
+        cold, warm = fits_from(design.theta0), fits_from(start[None])
+        for method in design.methods:
+            assert cold[method].converged[0] and warm[method].converged[0]
+            np.testing.assert_array_equal(estimates[method][0, :6], warm[method].theta_hat[0])
+            assert_within_stop_rule(design, curves, method, warm[method], cold[method])
+        np.testing.assert_allclose(cold["dwls"].theta_hat[0, 3:], [6.66e4, 111.0, 320.0],
+                                   rtol=5e-3)
+        unguarded = fits_from(design.theta0 + step, ("dwls",))["dwls"]
+        assert not np.allclose(unguarded.theta_hat[0], cold["dwls"].theta_hat[0], rtol=1e-3)
 
     @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.06])
     def test_warm_and_cold_starts_agree_within_the_stop_rule(self, sigma):
@@ -437,37 +452,13 @@ class TestFirstOrderStart:
         cells = np.stack([np.zeros(design.replicates, dtype=int),
                           np.arange(design.replicates)], axis=1)
         study, *_ = _run_rows(design, cells, 7)
-        joint, index = stacked_model(design.model, design.x1, design.x2)
-        both = np.concatenate(curves, axis=1)
-        p1 = design.model.curve1.p
         for method in design.methods:
             cold, warm = fits["cold"][method], fits["warm"][method]
             np.testing.assert_array_equal(warm.converged, cold.converged)
             ok = warm.converged
             assert ok.any()
             np.testing.assert_array_equal(study[method][ok, :6], warm.theta_hat[ok])
-
-            def G(theta):
-                if design.mode_for(method) == MODE_COMMON_SIGMA:
-                    return equation_rows(method, joint, index, both[ok], theta)
-                return np.concatenate([
-                    equation_rows(method, design.model.curve1, design.x1, curves[0][ok],
-                                  theta[:, :p1]),
-                    equation_rows(method, design.model.curve2, design.x2, curves[1][ok],
-                                  theta[:, p1:])], axis=1)
-
-            # dG/dtheta at the cold root by central differences. Both fits
-            # stopped with every |G_j| within their tolerance, so to first
-            # order |warm - cold| <= |(dG/dtheta)^-1| (tol_warm + tol_cold).
-            theta = cold.theta_hat[ok]
-            dG = np.empty((len(theta), 6, 6))
-            for j in range(6):
-                h = np.zeros_like(theta)
-                h[:, j] = 1e-6 * np.abs(theta[:, j])
-                dG[:, :, j] = (G(theta + h) - G(theta - h)) / (2.0 * h[:, j, None])
-            bound = (np.abs(np.linalg.inv(dG)).sum(axis=2)
-                     * (warm.tolerance[ok] + cold.tolerance[ok])[:, None])
-            assert np.all(np.abs(warm.theta_hat[ok] - theta) <= bound)
+            assert_within_stop_rule(design, curves, method, warm, cold)
 
     def test_one_curve_study_starts_rows_at_the_guarded_first_order_solution(self):
         model = saturating_exponential_model()
@@ -481,9 +472,12 @@ class TestFirstOrderStart:
         for sigma_idx, sigma in enumerate(design.sigma_grid):
             [Y] = drawn_curves(design, sigma_idx)
             L = ((Y / f - 1.0)[:, None, :] * steps).sum(axis=-1)
-            warm = np.all(np.abs(L) <= WARM_START_CAP * np.abs(design.theta0), axis=1)
-            kinds |= set(warm.tolist())
-            start = np.where(warm[:, None], design.theta0 + L, design.theta0)
+            # The share of L that moves the farthest component by the cap,
+            # or all of L where no component passes it.
+            share = np.minimum(1.0, np.min(WARM_START_CAP * np.abs(design.theta0) / np.abs(L),
+                                           axis=1))
+            kinds |= set((share == 1.0).tolist())
+            start = design.theta0 + share[:, None] * L
             fits = fit_methods(model, x, Y, design.methods, FitOptions(start=start))
             for method in design.methods:
                 ok = fits[method].converged
@@ -497,6 +491,37 @@ class TestFirstOrderStart:
                     [entry.cell(t).mc_se for t in design.target_names],
                     np.std(vals, axis=1, ddof=1) / np.sqrt(ok.sum()))
         assert kinds == {True, False}
+
+
+def assert_within_stop_rule(design, curves, method, warm, cold):
+    """A two-curve fit from two starts, ``warm`` and ``cold`` (their
+    :class:`~propfit.estimators.FitBatch` rows for ``curves``), agrees
+    wherever both converged: both stopped with every |G_j| within their
+    tolerance, so to first order |warm - cold| <= |(dG/dtheta)^-1|
+    (tol_warm + tol_cold), with dG/dtheta at the cold root by central
+    differences."""
+    ok = warm.converged & cold.converged
+    joint, index = stacked_model(design.model, design.x1, design.x2)
+    both = np.concatenate(curves, axis=1)
+    p1 = design.model.curve1.p
+
+    def G(theta):
+        if design.mode_for(method) == MODE_COMMON_SIGMA:
+            return equation_rows(method, joint, index, both[ok], theta)
+        return np.concatenate([
+            equation_rows(method, design.model.curve1, design.x1, curves[0][ok], theta[:, :p1]),
+            equation_rows(method, design.model.curve2, design.x2, curves[1][ok], theta[:, p1:])],
+            axis=1)
+
+    theta = cold.theta_hat[ok]
+    dG = np.empty((len(theta), 6, 6))
+    for j in range(6):
+        h = np.zeros_like(theta)
+        h[:, j] = 1e-6 * np.abs(theta[:, j])
+        dG[:, :, j] = (G(theta + h) - G(theta - h)) / (2.0 * h[:, j, None])
+    bound = (np.abs(np.linalg.inv(dG)).sum(axis=2)
+             * (warm.tolerance[ok] + cold.tolerance[ok])[:, None])
+    assert np.all(np.abs(warm.theta_hat[ok] - theta) <= bound), method
 
 
 def replay(design, sigma, sigma_idx, k):
