@@ -339,8 +339,8 @@ def cmd_simulate(args) -> int:
     try:
         summary = run_study(design, threads=args.threads)
     except (PropfitError, ValueError) as exc:
-        # The design's truth has no dose or no usable formulae; run_study
-        # finds this before fitting any replicate.
+        # The thread count is below 1, or the design's truth has no dose or
+        # no usable formulae; run_study finds this before fitting any replicate.
         return _input_error(exc)
     fmt = args.format or config.output_format
     return _write_outputs(fmt, args.out, lambda: render_sim_text(summary),

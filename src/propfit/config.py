@@ -128,11 +128,12 @@ def parse_config(document: dict) -> RunConfig:
     return RunConfig(fit_options=FitOptions(**options), sim=sim, **fields)
 
 
-def _finite(text: str) -> float:
-    """A JSON number; ``NaN``, ``Infinity`` and numbers beyond the float range raise."""
+def _finite(text: str) -> float | int:
+    """A JSON number, an integer kept as one; ``NaN``, ``Infinity`` and
+    numbers beyond the float range raise."""
     if not np.isfinite(value := float(text)):
         raise ConfigError(f"config holds a non-finite number: {text}")
-    return value
+    return int(text) if text.lstrip("-").isdigit() else value
 
 
 def load_config(path) -> RunConfig:
@@ -140,7 +141,8 @@ def load_config(path) -> RunConfig:
     byte-order mark is dropped)."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            document = json.load(handle, parse_constant=_finite, parse_float=_finite)
+            document = json.load(handle, parse_constant=_finite, parse_float=_finite,
+                                 parse_int=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -45,8 +45,6 @@ from .estimators import (
     FitOptions,
     FitResult,
     _fit_curves,
-    _join,
-    scale_divisor,
 )
 from .exceptions import (
     DomainError,
@@ -93,10 +91,17 @@ def resolve_modes(requested: str, methods) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class PartialBleachModel:
-    """The pair of dose-response curves fitted in the partial bleach design."""
+    """The pair of dose-response curves fitted in the partial bleach design,
+    with one number of parameters: a model whose curves differ raises
+    ``ValueError``."""
 
     curve1: ModelFunction
     curve2: ModelFunction
+
+    def __post_init__(self):
+        if self.curve1.p != self.curve2.p:
+            raise ValueError(f"the curves must have one number of parameters, "
+                             f"got {self.curve1.p} and {self.curve2.p}")
 
     @property
     def p(self) -> int:
@@ -517,48 +522,17 @@ def fit_two_curves_methods(model: PartialBleachModel, x1, Y1, x2, Y2, methods,
     every row pair of ``Y1 (R, n1)`` and ``Y2 (R, n2)``, observed at ``x1``
     and ``x2``; returns ``{method: FitBatch}``, row ``r`` the fit of pair ``r``.
 
-    Every fit is in one stack and one solve (see :mod:`propfit.estimators`),
-    each curve starting at its own hint with ``start="auto"`` and at its
-    part of a joint start otherwise (curves with different numbers of
-    parameters get a stack each, and fit only in separate mode: a
-    common-sigma fit of them raises :class:`ModeError`). A separate fit is
-    each curve's own :func:`~propfit.estimators.fit_methods` rows, bit for
-    bit, or to rounding for the shorter curve (padded). A common-sigma fit
-    is one fit of both curves' observations with one scale: the ``ml`` rows
-    of both curves are one coupled pair of solver rows, while ``ql`` and
-    ``wls``, whose equations do not involve the scale, solve each curve
-    alone (see :func:`~propfit.estimators._fit_curves`). In either mode a
-    fit's ``iterations``, ``residual_norm`` and ``tolerance`` are the larger
-    of its curves', and it has converged when both have.
+    Every fit is in one stack and one solve (see
+    :func:`~propfit.estimators._fit_curves`, which joins the curves' rows
+    and estimates the scales), each curve starting at its own hint with
+    ``start="auto"`` and at its part of a joint start otherwise. A separate
+    fit is each curve's own :func:`~propfit.estimators.fit_methods` rows,
+    bit for bit, or to rounding for the shorter curve (padded), where both
+    curves' fits succeed; where either fails, the fit's numbers are NaN. A
+    common-sigma fit is one fit of both curves' observations with one scale.
     """
-    opts = opts or FitOptions()
-    modes = resolve_modes(mode, methods)
-    Y1, Y2 = np.asarray(Y1, dtype=float), np.asarray(Y2, dtype=float)
-    auto, p1 = isinstance(opts.start, str), model.curve1.p
-    start = opts.start if auto else np.asarray(opts.start, dtype=float)
-    if not auto and start.shape[-1:] != (model.p,):
-        raise ValueError(f"joint theta must have shape ({model.p},), got {start.shape}")
-    starts = (start, start) if auto else (start[..., :p1], start[..., p1:])
-    curves = ((model.curve1, x1, Y1, starts[0]), (model.curve2, x2, Y2, starts[1]))
-    paired = [m for m, md in modes.items() if md == MODE_COMMON_SIGMA]
-    if model.curve1.p == model.curve2.p:
-        fits1, fits2 = _fit_curves(curves, modes, opts, paired)
-    elif paired:
-        raise ModeError("common-sigma mode needs curves with the same number of parameters")
-    else:  # a stack's rows share one number of parameters
-        (fits1,), (fits2,) = (_fit_curves((curve,), modes, opts) for curve in curves)
-    out = {}
-    for method, md in modes.items():
-        fits = (fits1[method], fits2[method])
-        if md == MODE_COMMON_SIGMA:
-            sigma_hats, sigma_hat = fits[0].sigma_hats, fits[0].sigma_hat
-        else:  # pooled with the divisors the scales were estimated with
-            sigma_hats = np.stack([f.sigma_hat for f in fits], axis=1)
-            dfs = scale_divisor(method, np.array([np.size(x1), np.size(x2)]),
-                                np.array([model.curve1.p, model.curve2.p]))
-            sigma_hat = np.sqrt(np.sum(dfs * np.square(sigma_hats), axis=1) / dfs.sum())
-        out[method] = _join(fits, md, sigma_hats, sigma_hat)
-    return out
+    curves = ((model.curve1, x1, Y1), (model.curve2, x2, Y2))
+    return _fit_curves(curves, resolve_modes(mode, methods), opts or FitOptions())
 
 
 def fit_two_curves(model: PartialBleachModel, data1: Dataset, data2: Dataset, method: str,

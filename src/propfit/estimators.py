@@ -20,8 +20,8 @@ a model without one. :func:`fit_methods` fits several methods to a stack of
 datasets that share their covariate, from one start and in one solve with a
 row per (method, dataset), as one intersection scan finds every method's
 dose; :func:`fit` is one method on a stack of one. Both are the one-curve
-case of ``_fit_curves``, whose stack holds several curves, each row with its
-own model and covariate.
+case of ``_fit_curves``, which also fits two curves in one stack, each row
+with its own model and covariate, and joins each fit's curves.
 A row's numbers do not depend on the other rows of its stack; a curve
 stacked with a longer one is padded, which changes it only to rounding.
 This module holds the table of equations (each method's weights and
@@ -31,7 +31,6 @@ objective) and the public API; :mod:`propfit._newton` solves them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -75,7 +74,8 @@ class FitOptions:
     components. ``start`` is a parameter vector (for a stack, one shared
     vector or one row per dataset) or ``"auto"``: each row's
     :attr:`~propfit.models.ModelFunction.start_hint`, or ones for a model
-    without a hint.
+    without a hint. Other controls than a finite positive ``tol_residual``
+    and an integer ``max_iter`` of at least 1 raise ``ValueError``.
     """
 
     tol_residual: float = 1e-8
@@ -83,10 +83,10 @@ class FitOptions:
     start: object = "auto"
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (0.0 < self.tol_residual < np.inf):
+            raise ValueError(f"tolerances must be positive and finite, got {self.tol_residual}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1 and an integer, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,10 @@ class FitBatch:
 
     Row ``r`` holds what :func:`fit` (or
     :func:`~propfit.equivalent_dose.fit_two_curves`) returns for dataset
-    ``r``, or, where that fit raises, NaN numbers and the exception in
-    ``errors[r]``. ``tolerance`` is per row as in :class:`FitResult`.
+    ``r``, or, where that fit raises, the exception in ``errors[r]`` and
+    NaN numbers, with ``iterations`` 0 and ``converged`` False, for one
+    curve or two in either mode. ``tolerance`` is per row as in
+    :class:`FitResult`.
     """
 
     method: str
@@ -244,43 +246,55 @@ def _squares(data: _Data, theta) -> tuple[Array, Array]:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, FitBatch]]:
-    """Per curve of ``curves``, ``(model, x (n,), Y (R, n), start)`` with one
-    ``R`` and ``p``, :func:`fit_methods`'s batches, from one solve that fits
-    every (method, curve, row). An ``"auto"`` start is the model's hint, one
-    call per curve, or ones for a model without one.
+def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, FitBatch]:
+    """``{method: FitBatch}``, each method of ``modes`` (``{method: mode}``,
+    lower-case) fitted in its mode to every row of ``curves``, one or two
+    ``(model, x (n,), Y (R, n))`` with one ``R`` and ``p``, in one solve.
+    Row ``r`` of a batch is the fit of row ``r`` of every curve, from
+    ``opts.start``: ``"auto"`` (each model's hint, one call per curve, or
+    ones for a model without one) or every curve's parameters in curve
+    order (one vector, or one row per ``r``).
 
-    A method of ``paired`` (two curves) fits row ``r`` of both curves as one
-    dataset of ``n1 + n2`` observations and ``p1 + p2`` parameters with one
-    scale. Both curves' batches carry that fit's ``sigma_hat`` and error, so
-    its rows fail together, with the first error in curve order; each keeps
-    its own row's ``theta_hat`` and solver columns, which :func:`_join`
-    joins. An ML pair is one pair of solver rows (its scale couples them);
-    another method's equation does not involve the scale, so its rows solve
-    alone.
-    A pair needs ``n1 + n2 > p1 + p2``, and from an ``"auto"`` start a hint
-    for each curve, which a curve with ``n <= p`` does not have.
+    A fit joins its curves' rows: parameters in curve order, the larger
+    ``iterations``, ``residual_norm`` and ``tolerance``, converged where
+    every curve is, and the first error in curve order. A fit with an error
+    has NaN numbers, ``iterations`` 0 and ``converged`` False.
+
+    A separate fit has each curve's own scale and, as ``sigma_hat``, their
+    pool with their divisors (:func:`scale_divisor`), or the one curve's. A
+    ``"common-sigma"`` fit of two curves fits row ``r`` of both as one
+    dataset of ``n1 + n2`` observations and ``2 p`` parameters with one
+    scale, of the summed squares over the joint divisor. Its ML rows are a
+    pair of solver rows (the scale couples them); another method's rows
+    solve alone, since its equation does not involve the scale. A pair
+    needs ``n1 + n2 > 2 p``, and from ``"auto"`` a hint for each curve,
+    which a curve with ``n <= p`` does not have.
     """
-    methods = list(dict.fromkeys(_check_method(m) for m in methods))
-    paired = {_check_method(m) for m in paired}
-    if paired and len(curves) != 2:
+    methods = [_check_method(m) for m in modes]
+    paired = {m for m in methods if modes[m] != MODE_SEPARATE}
+    C, p = len(curves), curves[0][0].p
+    if paired and C != 2:
         raise ValueError("a pair takes one row of each of two curves")
     coupled = {m for m in paired if _EQUATIONS[METHODS.index(m)].profiled}
+    auto = isinstance(opts.start, str)
+    if auto and opts.start != "auto":
+        raise ValueError(f"unknown start spec {opts.start!r}")
+    joint = opts.start if auto else np.asarray(opts.start, dtype=float)
+    if not auto and C > 1 and joint.shape[-1:] != (C * p,):
+        raise ValueError(f"joint theta must have shape ({C * p},), got {joint.shape}")
     R = len(np.atleast_1d(curves[0][2]))
     blocks, start, start_errors, theta_errors, responses = [], [], [], [], []
-    for model, x, Y, spec in curves:
+    for c, (model, x, Y) in enumerate(curves):
         x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
         if Y.shape != (R, x.size):
             raise ValueError(f"Y must have shape (R, {x.size}), got {Y.shape}")
-        n, p = x.size, model.p
+        n = x.size
         theta = np.full((R, p), np.nan)
-        if not isinstance(spec, str):
-            theta = np.asarray(spec, dtype=float)
+        if not auto:  # this curve's part of the start
+            theta = joint if C == 1 else joint[..., c * p:(c + 1) * p]
             if theta.shape not in ((p,), (R, p)):
                 raise ValueError(f"theta must have shape ({p},), got {theta.shape}")
             theta = np.broadcast_to(theta, (R, p))
-        elif spec != "auto":
-            raise ValueError(f"unknown start spec {spec!r}")
         elif n > p:  # a curve too short to fit has no hint
             theta = np.ones((R, p))
             if model.start_hint is not None and R:
@@ -295,12 +309,11 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
         short = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R if n <= p else ()
         start_errors.append(short or theta_errors[-1])
         responses.extend(short or _dwls_response_errors(Y))
-    data, start = _stack(blocks), np.concatenate(start)
-    C, p, sizes = len(curves), start.shape[1], [x.size for _, x, _ in blocks]
+    data, start, sizes = _stack(blocks), np.concatenate(start), [x.size for _, x, _ in blocks]
     # A pair from an explicit start needs only more observations than
     # parameters in all; from "auto" it needs each curve's hint.
     pair_errors = first_errors(*start_errors)
-    if paired and not isinstance(curves[0][3], str):
+    if paired and not auto:
         pair_errors = ((ValueError(f"need n > p observations, got n={sum(sizes)}, "
                                    f"p={C * p}"),) * R if sum(sizes) <= C * p
                        else first_errors(*theta_errors))
@@ -310,7 +323,7 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     # row c * R + r of ``data``. The stack holds the positions with no error
     # yet: first an ML pair's, as pairs of rows (curve 1's row r, then curve
     # 2's), then the others'.
-    CR = C * R
+    M, CR = len(methods), C * R
     errors = [e for m in methods for e in (pair_errors * C if m in paired else
                                            dwls_errors if m == "dwls" else start_errors)]
     order = np.concatenate([np.zeros(0, dtype=int)] + [
@@ -327,47 +340,33 @@ def _fit_curves(curves, methods, opts: FitOptions, paired=()) -> list[dict[str, 
     for i, (error, code) in enumerate(zip(sol.errors, fault)):
         if error or code:
             errors[live[i]] = error or fault_error(stack.model(i), int(code))
-    pairs = [(slice(a, a + R), slice(a + R, a + CR))
-             for i, m in enumerate(methods) if m in paired for a in [i * CR]]
-    for one, two in pairs:
-        errors[one] = errors[two] = first_errors(errors[one], errors[two])
-    ok = np.array([errors[r] is None for r in live], dtype=bool)
+    joined = [first_errors(*(errors[a:a + R] for a in range(i * CR, (i + 1) * CR, R)))
+              for i in range(M)]
+    # A position keeps its solve's numbers only where its whole fit has no error.
+    ok = np.array([joined[o // CR][o % R] is None for o in live], dtype=bool)
     columns = {"theta_hat": sol.theta, "iterations": sol.iterations, "squares": squares,
                "converged": sol.converged, "residual_norm": sol.residual_norm,
                "tolerance": sol.tolerance}
     for name, values in columns.items():
-        columns[name] = np.full((len(errors),) + values.shape[1:],
-                                np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
-        columns[name][live[ok]] = values[ok]
-    for one, two in pairs:
-        v = columns["squares"]
-        v[one] = v[two] = v[one] + v[two]
-    divisor = [scale_divisor(m, sum(sizes), C * p) if m in paired else scale_divisor(m, n, p)
-               for m in methods for n in sizes]
-    columns["sigma_hat"] = np.sqrt(columns.pop("squares") / np.repeat(divisor, R))
-    columns["sigma_hats"] = columns["sigma_hat"][:, None]
-    return [{m: FitBatch(method=m, mode=MODE_SEPARATE, errors=tuple(errors[a:a + R]),
-                         **{name: v[a:a + R] for name, v in columns.items()})
-             for i, m in enumerate(methods) for a in [i * CR + c * R]}
-            for c in range(C)]
-
-
-# How a fit of several curves joins its curves' columns, one rule per column.
-_JOINS = {"theta_hat": partial(np.concatenate, axis=1), "iterations": partial(np.max, axis=0),
-          "converged": partial(np.all, axis=0), "residual_norm": partial(np.max, axis=0),
-          "tolerance": partial(np.max, axis=0)}
-
-
-def _join(batches, mode: str, sigma_hats: Array, sigma_hat: Array) -> FitBatch:
-    """One method's fits of several curves, row by row, from each curve's
-    batch of ``_fit_curves``, in ``mode`` with the scales given: every
-    curve's parameters in curve order, the larger iterations, residual norm
-    and tolerance, converged where every curve is, and the first error in
-    curve order."""
-    return FitBatch(method=batches[0].method, mode=mode, sigma_hats=sigma_hats,
-                    sigma_hat=sigma_hat, errors=first_errors(*(b.errors for b in batches)),
-                    **{name: join([getattr(b, name) for b in batches])
-                       for name, join in _JOINS.items()})
+        full = np.full((M * CR,) + values.shape[1:],
+                       np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
+        full[live[ok]] = values[ok]
+        columns[name] = full.reshape((M, C, R) + values.shape[1:])
+    out = {}
+    for i, m in enumerate(methods):
+        squares, dfs = columns["squares"][i], scale_divisor(m, np.array(sizes), p)
+        sigma_hats = (np.sqrt(squares.sum(axis=0) / scale_divisor(m, sum(sizes), C * p))[:, None]
+                      if m in paired else np.sqrt(squares.T / dfs))
+        sigma_hat = sigma_hats[:, 0] if sigma_hats.shape[1] == 1 else np.sqrt(
+            np.sum(dfs * np.square(sigma_hats), axis=1) / dfs.sum())
+        out[m] = FitBatch(
+            method=m, mode=modes[m], sigma_hats=sigma_hats, sigma_hat=sigma_hat,
+            theta_hat=np.concatenate(columns["theta_hat"][i], axis=1),
+            iterations=columns["iterations"][i].max(axis=0),
+            converged=columns["converged"][i].all(axis=0),
+            residual_norm=columns["residual_norm"][i].max(axis=0),
+            tolerance=columns["tolerance"][i].max(axis=0), errors=joined[i])
+    return out
 
 
 def fit_methods(model: ModelFunction, x, Y, methods,
@@ -382,8 +381,8 @@ def fit_methods(model: ModelFunction, x, Y, methods,
     with ``n <= p`` every row fails. A start whose shape does not fit the
     model raises for the whole call.
     """
-    opts = opts or FitOptions()
-    return _fit_curves(((model, x, Y, opts.start),), methods, opts)[0]
+    modes = dict.fromkeys((m.lower() for m in methods), MODE_SEPARATE)
+    return _fit_curves(((model, x, Y),), modes, opts or FitOptions())
 
 
 def fit(model: ModelFunction, data: Dataset, method: str,

@@ -410,7 +410,10 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     share (:func:`resolve_modes`) raises at once. Replicates whose fitted
     curves cross more than once warn one
     :class:`~propfit.exceptions.MultipleRootWarning` for the whole study.
+    Fewer than one thread raises ``ValueError``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     targets = design.target_names
     n_targets = len(targets)
     truths = {name: float(v) for name, v in zip(targets, design.theta0)}
@@ -428,7 +431,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     S, R = len(design.sigma_grid), design.replicates
     # The study as (sigma index, replicate) cells, sigma by sigma.
     flat = np.stack(np.divmod(np.arange(S * R), R), axis=1)
-    workers = max(1, min(threads, S * R))
+    workers = min(threads, S * R)
     per_chunk = max(1, STACK_OBSERVATIONS // sum(x.size for x, _ in design.means))
     chunks = np.array_split(flat, max(workers, -(-(S * R) // per_chunk)))
 

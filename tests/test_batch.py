@@ -30,10 +30,10 @@ from propfit.estimators import (
     equation_residual,
     fit,
     fit_methods,
+    scale_divisor,
 )
 from propfit.exceptions import (
     DomainError,
-    ModeError,
     MultipleRootWarning,
     NoBracketError,
     NonFiniteError,
@@ -79,6 +79,44 @@ def noisy_stack(model, x, theta, sigma, rows, seed):
     rng = np.random.default_rng(seed)
     f = np.asarray(model.eval(x, theta))
     return f * (1.0 + sigma * rng.standard_normal((rows, x.size)))
+
+
+def assert_joined(batch, ones, sizes, rtol=0.0):
+    """``batch``, one method's separate fits of curves of ``sizes``
+    observations whose own one-curve batches are ``ones``, is their join:
+    the first error in curve order and, where a curve failed, NaN numbers
+    with 0 iterations, not converged; elsewhere the parameters in curve
+    order, each curve's scale and their pool, the larger iterations,
+    residual norm and tolerance, and converged where every curve is.
+    ``rtol`` allows a padded curve's rounding; the residual norm, rounding
+    noise there, then only meets the tolerance."""
+    errors = [next((e for e in errs if e is not None), None)
+              for errs in zip(*(b.errors for b in ones))]
+    assert ([(type(e), str(e)) for e in batch.errors]
+            == [(type(e), str(e)) for e in errors])
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    for name in ("theta_hat", "sigma_hats", "sigma_hat", "residual_norm", "tolerance"):
+        assert np.isnan(getattr(batch, name)[failed]).all(), name
+    assert not batch.iterations[failed].any() and not batch.converged[failed].any()
+    sigma_hats = np.stack([b.sigma_hat for b in ones], axis=1)
+    dfs = scale_divisor(batch.method, np.array(sizes), ones[0].theta_hat.shape[1])
+    want = {"theta_hat": np.concatenate([b.theta_hat for b in ones], axis=1),
+            "sigma_hats": sigma_hats,
+            "sigma_hat": np.sqrt(np.sum(dfs * np.square(sigma_hats), axis=1) / dfs.sum()),
+            "tolerance": np.max([b.tolerance for b in ones], axis=0),
+            "residual_norm": np.max([b.residual_norm for b in ones], axis=0),
+            "iterations": np.max([b.iterations for b in ones], axis=0),
+            "converged": np.all([b.converged for b in ones], axis=0)}
+    done = ~failed & batch.converged
+    assert np.all(batch.residual_norm[done] <= batch.tolerance[done])
+    for name, value in want.items():
+        got = getattr(batch, name)[~failed]
+        if rtol and name == "residual_norm":
+            continue
+        if rtol and got.dtype.kind == "f":
+            np.testing.assert_allclose(got, value[~failed], rtol=rtol, atol=0.0, err_msg=name)
+        else:
+            np.testing.assert_array_equal(got, value[~failed], err_msg=name)
 
 
 def assert_rows_equal(batch, r, single):
@@ -423,14 +461,14 @@ class TestMixedStacks:
         # Curve 2's covariate has no spread, so its rows start from the
         # heuristic hint; each curve still fits as it does alone.
         x2 = np.full(X.size, 400.0)
-        curves = ((satexp, X, noisy_stack(satexp, X, PAPER_ALPHA, 0.03, 3, seed=45), "auto"),
-                  (satexp, x2, noisy_stack(satexp, x2, PAPER_ALPHA, 0.03, 3, seed=46), "auto"))
+        curves = ((satexp, X, noisy_stack(satexp, X, PAPER_ALPHA, 0.03, 3, seed=45)),
+                  (satexp, x2, noisy_stack(satexp, x2, PAPER_ALPHA, 0.03, 3, seed=46)))
         assert np.all(satexp.start_hint(x2, curves[1][2])[:, 2] == 1.0)
-        stacked = estimators._fit_curves(curves, METHODS, FitOptions())
-        for (model, x, Y, spec), got in zip(curves, stacked):
-            alone = fit_methods(model, x, Y, METHODS, FitOptions(start=spec))
-            for m in METHODS:
-                assert_batches_equal(got[m], alone[m])
+        stacked = estimators._fit_curves(curves, dict.fromkeys(METHODS, MODE_SEPARATE),
+                                         FitOptions())
+        alone = [fit_methods(*curve, METHODS) for curve in curves]
+        for m in METHODS:
+            assert_joined(stacked[m], [a[m] for a in alone], (X.size, x2.size))
 
     def test_fault_mid_solve(self, expo):
         # NaN Hessian wherever theta1 > 4.5: the row fitted near 5 fails
@@ -529,35 +567,28 @@ class TestTwoCurveStack:
     def test_curve_rows_match_one_curve_fits(self, start):
         pb, theta0, Y1, Y2 = two_curve_data(0.06, rows=8, seed=41)
         Y1[2, 5] = -1.0  # fails DWLS on curve 1's row 2
-        starts = ["auto", "auto"]
+        joint, starts = "auto", ["auto", "auto"]
         if start == "truth":
             joint = np.tile(theta0, (8, 1))
             joint[3, 1], joint[5, 5] = np.nan, 0.0  # fail curve 1's row 3 and curve 2's row 5
             starts = [joint[:, :3], joint[:, 3:]]
-        curves = ((pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1, starts[0]),
-                  (pb.curve2, DEFAULT_BLEACHED_DOSES, Y2, starts[1]))
-        stacked = estimators._fit_curves(curves, METHODS, FitOptions())
-        for (model, x, Y, spec), got in zip(curves, stacked):
-            alone = fit_methods(model, x, Y, METHODS, FitOptions(start=spec))
-            for m in METHODS:
-                if model is pb.curve1:
-                    # Curve 1 is the longest: no pads, so every bit is its own.
-                    assert_batches_equal(got[m], alone[m])
-                    continue
-                for name in ("theta_hat", "sigma_hat", "tolerance"):
-                    np.testing.assert_allclose(getattr(got[m], name), getattr(alone[m], name),
-                                               rtol=1e-12, atol=0.0)
-                for name in ("iterations", "converged"):
-                    np.testing.assert_array_equal(getattr(got[m], name), getattr(alone[m], name))
-                # max|G| at the root is rounding noise, moved by the padding.
-                done = got[m].converged
-                assert np.all(got[m].residual_norm[done] <= got[m].tolerance[done])
-                assert ([(type(e), str(e)) for e in got[m].errors]
-                        == [(type(e), str(e)) for e in alone[m].errors])
-        assert isinstance(stacked[0]["dwls"].errors[2], ZeroResponseError)
+        curves = ((pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1),
+                  (pb.curve2, DEFAULT_BLEACHED_DOSES, Y2))
+        stacked = estimators._fit_curves(curves, dict.fromkeys(METHODS, MODE_SEPARATE),
+                                         FitOptions(start=joint))
+        alone = [fit_methods(*curve, METHODS, FitOptions(start=spec))
+                 for curve, spec in zip(curves, starts)]
+        for m in METHODS:
+            # Curve 1 is the longest, so its bits are its own; curve 2's rows
+            # are padded, so they agree to rounding.
+            assert_joined(stacked[m], [a[m] for a in alone], (16, 13), rtol=1e-12)
+            ok = np.array([e is None for e in stacked[m].errors], dtype=bool)
+            np.testing.assert_array_equal(stacked[m].theta_hat[ok, :3], alone[0][m].theta_hat[ok])
+            np.testing.assert_array_equal(stacked[m].sigma_hats[ok, 0], alone[0][m].sigma_hat[ok])
+        assert isinstance(stacked["dwls"].errors[2], ZeroResponseError)
         if start == "truth":
-            assert all(isinstance(stacked[c][m].errors[r], DomainError)
-                       for c, r in ((0, 3), (1, 5)) for m in METHODS)
+            assert all(isinstance(stacked[m].errors[r], DomainError)
+                       for r in (3, 5) for m in METHODS)
 
     @pytest.mark.parametrize("mode", [MODE_DEFAULT, MODE_COMMON_SIGMA])
     def test_curves_with_their_own_callables_give_the_same_bits(self, mode):
@@ -629,19 +660,35 @@ class TestTwoCurveStack:
             "model 'saturating_exponential_bleached' is undefined at the requested point")
         assert fits.errors[0] is fits.errors[2] is None
 
-    def test_curves_with_different_parameter_counts(self, expo):
-        # A stack's rows share p, so such curves are fitted one stack each.
-        pb, theta0, Y1, _ = two_curve_data(0.03, rows=3, seed=46)
-        x2 = np.linspace(0.0, 4.0, 9)
-        Y2 = noisy_stack(expo, x2, np.array([5.0, 2.0]), 0.03, rows=3, seed=47)
-        mixed = replace(pb, curve2=expo)
-        fits = fit_two_curves_methods(mixed, DEFAULT_UNBLEACHED_DOSES, Y1, x2, Y2, METHODS,
-                                      MODE_SEPARATE)
+    def test_a_failed_curve_fails_its_whole_fit(self):
+        # Curve 2 of row 1 starts at beta3 = 0, outside its domain, while
+        # curve 1 of that row fits alone: the separate fit of row 1 fails as
+        # a whole, and the other rows join their curves' own fits.
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=3, seed=45)
+        starts = np.tile(theta0, (3, 1))
+        starts[1, 5] = 0.0
+        curves = ((pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1),
+                  (pb.curve2, DEFAULT_BLEACHED_DOSES, Y2))
+        alone = [fit_methods(*curve, METHODS, FitOptions(start=part))
+                 for curve, part in zip(curves, (starts[:, :3], starts[:, 3:]))]
+        args = (pb, DEFAULT_UNBLEACHED_DOSES, Y1, DEFAULT_BLEACHED_DOSES, Y2)
+        separate = fit_two_curves_methods(*args, METHODS, MODE_SEPARATE, FitOptions(start=starts))
+        shared = ("ml", "ql", "wls")
+        common = fit_two_curves_methods(*args, shared, MODE_COMMON_SIGMA, FitOptions(start=starts))
+        for m, fits in [(m, separate[m]) for m in METHODS] + [(m, common[m]) for m in shared]:
+            assert alone[0][m].converged[1] and alone[0][m].errors[1] is None
+            assert isinstance(fits.errors[1], DomainError)
+            for name in ("theta_hat", "sigma_hats", "sigma_hat", "residual_norm", "tolerance"):
+                assert np.isnan(getattr(fits, name)[1]).all(), name
+            assert fits.iterations[1] == 0 and not fits.converged[1]
+            assert fits.converged[[0, 2]].all() and fits.errors[0] is fits.errors[2] is None
         for m in METHODS:
-            one = fit_methods(pb.curve1, DEFAULT_UNBLEACHED_DOSES, Y1, (m,))[m]
-            two = fit_methods(expo, x2, Y2, (m,))[m]
-            np.testing.assert_array_equal(fits[m].theta_hat,
-                                          np.concatenate([one.theta_hat, two.theta_hat], axis=1))
+            assert_joined(separate[m], [a[m] for a in alone], (16, 13), rtol=1e-12)
+
+    def test_curves_with_different_parameter_counts(self, satexp, expo):
+        # A pair's rows share p, so curves that differ make no model.
+        with pytest.raises(ValueError, match="one number of parameters, got 3 and 2"):
+            PartialBleachModel(satexp, expo)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_pads_add_nothing(self, satexp, method):
@@ -716,8 +763,8 @@ class TestCommonSigmaPairs:
             assert str(fits[m].errors[2]) == (
                 "model 'saturating_exponential_bleached' is undefined at the requested point")
             assert not fits[m].converged[2]
-            # A pair's rows fail together; DWLS fits its curves separately.
-            assert np.isnan(fits[m].theta_hat[2]).all() == (m != "dwls")
+            # A failed fit's numbers are NaN, a pair's and a separate fit's alike.
+            assert np.isnan(fits[m].theta_hat[2]).all()
         keep = [0, 1, 3]
         rest = fit_two_curves_methods(pb, self.X1, Y1[keep], self.X2, Y2[keep], METHODS,
                                       MODE_COMMON_SIGMA, FitOptions(start=starts[keep]))
@@ -742,14 +789,12 @@ class TestCommonSigmaPairs:
                 "need n > p observations, got n=3, p=3"] * 2
 
     def test_curves_with_different_parameter_counts_share_no_scale(self, expo, monkeypatch):
-        pb, theta0, Y1, _ = two_curve_data(0.03, rows=3, seed=64)
-        x2 = np.linspace(0.0, 4.0, 9)
-        Y2 = noisy_stack(expo, x2, np.array([5.0, 2.0]), 0.03, rows=3, seed=65)
+        # Swapping in a curve of another size is refused before any fit,
+        # so no mode pools the scale of curves that differ in size.
+        pb = two_curve_data(0.03, rows=3, seed=64)[0]
         calls = count_solves(monkeypatch)
-        for mode in (MODE_DEFAULT, MODE_COMMON_SIGMA):
-            with pytest.raises(ModeError, match="same number of parameters"):
-                fit_two_curves_methods(replace(pb, curve2=expo), self.X1, Y1, x2, Y2, METHODS,
-                                       mode)
+        with pytest.raises(ValueError, match="one number of parameters, got 3 and 2"):
+            replace(pb, curve2=expo)
         assert calls == []
 
 
@@ -793,7 +838,7 @@ class TestSolveContract:
         with pytest.raises(ValueError, match="rows of a pair must share their equation"):
             estimators.solve(estimators._EQUATIONS, data, np.tile(PAPER_ALPHA, (3, 1)), [0, 1, 1])
         with pytest.raises(ValueError, match="a pair takes one row of each of two curves"):
-            estimators._fit_curves(((satexp, X, Y, "auto"),), ("ml",), FitOptions(), ("ml",))
+            estimators._fit_curves(((satexp, X, Y),), {"ml": MODE_COMMON_SIGMA}, FitOptions())
 
 
 class TestStackConstants:

@@ -590,6 +590,26 @@ class TestSimulateCommand:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"error: ConfigError: {message}\n")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "theta0", [10**400, 123.182, 393.065, 95717.8, 192.547, 756.62]),
+        ("sim", "x1", [10**400, *range(15)]),
+        ("fit", "tol_residual", 10**400),
+        ("fit", "start", [10**400, 123.182, 393.065, 95717.8, 192.547, 756.62]),
+    ], ids=["sim.theta0", "sim.x1", "fit.tol_residual", "fit.start"])
+    def test_integer_beyond_the_float_range_exits_2(self, pair_csv, tmp_path, capsys,
+                                                   section, key, value):
+        # A runnable config but for one 401-digit integer literal: both
+        # commands print one error line.
+        config = json.loads(DEMO_CONFIG.read_text())
+        config.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        for argv in (["simulate", "--config", str(path)],
+                     ["fit", "--data", pair_csv, "--config", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", f"error: ConfigError: config holds a non-finite number: {10**400}\n")
+
     @pytest.mark.parametrize("fmt", ["json", "both"])
     def test_unwritable_out_exits_2(self, pair_csv, sim_config, tmp_path, capsys, fmt):
         # An output file in a directory that does not exist gives the error line.
@@ -753,6 +773,12 @@ class TestEntryPoint:
         # The command is looked up when it runs, so a replaced one is called.
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
         assert main(["check"]) == 7 and len(builds) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_fewer_than_one_thread_exits_2(self, sim_config, capsys, count):
+        assert main(["simulate", "--config", sim_config, "--threads", count]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: ValueError: threads must be at least 1, got {count}\n")
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_json_renders_no_text_and_both_writes_each_format(self, command, pair_csv,

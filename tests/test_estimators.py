@@ -317,7 +317,13 @@ class TestErrors:
     @pytest.mark.parametrize("controls, message", [
         ({"tol_residual": 0.0}, "tolerances must be positive"),
         ({"tol_residual": -1e-10}, "tolerances must be positive"),
-        ({"max_iter": 0}, "max_iter must be at least 1")])
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        # The solver stops at iterations == max_iter and compares |G| with the
+        # tolerance: 2.5 would never stop it, NaN never converges and inf
+        # converges at the start.
+        ({"max_iter": 2.5}, r"max_iter must be at least 1 and an integer, got 2\.5"),
+        ({"tol_residual": np.nan}, "tolerances must be positive and finite, got nan"),
+        ({"tol_residual": np.inf}, "tolerances must be positive and finite, got inf")])
     def test_options_reject_bad_controls(self, controls, message):
         with pytest.raises(ValueError, match=message):
             FitOptions(**controls)

@@ -137,6 +137,11 @@ class TestRunStudy:
             for cs, ct in zip(rs.cells, rt.cells):
                 assert cs == ct  # bit-identical, not merely close
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_thread_raises(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_study(constant_design(replicates=5), threads=threads)
+
     @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [1]), (None, [1])])
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
         # --threads sets the number of chunks; the pool never outnumbers the CPUs.
