@@ -53,10 +53,11 @@ bounds nothing about the small components.
 
 A row stops moving once it converges, finds no step, runs out of
 iterations or fails. Non-convergence is not an error: the row's iterate with
-the smallest ``max|G|`` comes back flagged. A row fails alone, with the
-exception the one-row solve raises, when its equation is undefined or
-non-finite at its start, its Hessian is non-finite or its scoring matrix is
-singular; a pair fails with its rows' first error.
+the smallest ``max|G|`` comes back flagged. A row fails alone when its
+equation is undefined or non-finite at its start, its Hessian is non-finite
+or its scoring matrix is singular: its numbers are NaN and its ``fault`` is
+a :func:`~propfit.models.fault_error` code. A pair fails whole, and its
+other row has NaN numbers and code 0.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import NonFiniteError, SingularError
-from .models import FAULT_HESSIAN, FAULT_ZERO_MEAN, Array, ModelFunction, fault_error
+from .models import FAULT_EQUATION, FAULT_HESSIAN, FAULT_SINGULAR, FAULT_ZERO_MEAN, Array, ModelFunction
 
 _MAX_HALVINGS = 20
 _EPS = np.finfo(float).eps
@@ -282,14 +282,6 @@ class _Iterate:
         """Rows whose equation is defined and finite; a pair is both or neither."""
         return ~self.data.pairwise(np.logical_or, (self.fault != 0) | ~np.isfinite(self.norm))
 
-    def errors(self, which) -> dict[int, Exception]:
-        """``{position: error}`` of the rows ``which`` selects, undefined ones
-        (see :attr:`defined`): a row's own fault, or else its pair mate's."""
-        own = {int(i): fault_error(self.data.model(i), int(self.fault[i])) if self.fault[i] else
-               NonFiniteError("estimating equation is non-finite at the starting point")
-               for i in np.flatnonzero((self.fault != 0) | ~np.isfinite(self.residual).all(-1))}
-        return {int(i): own.get(int(i)) or own[int(i) ^ 1] for i in np.flatnonzero(which)}
-
     def take(self, index) -> "_Iterate":
         """The rows ``index`` selects (a boolean mask or ascending positions)."""
         return _Iterate(self.theta[index], self.objective[index], self.residual[index],
@@ -409,15 +401,16 @@ def _point(data: _Data, theta, sigma: float | None = None) -> _Iterate:
 @dataclass
 class SolveResult:
     """Per row: the root (or best iterate), iterations run, convergence flag,
-    ``max|G|`` and tolerance there, and the error of a failed row (whose
-    numbers are NaN)."""
+    ``max|G|`` and tolerance there, and ``fault``, 0 unless the row failed:
+    then its :func:`~propfit.models.fault_error` code. A failed row's
+    numbers are NaN, and so are those of its pair mate, whose code stays 0."""
 
     theta: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     residual_norm: np.ndarray
     tolerance: np.ndarray
-    errors: list
+    fault: np.ndarray
 
     def finish(self, rows, theta, iterations, converged: bool, norm, tol) -> None:
         if not rows.size:
@@ -470,25 +463,21 @@ def _no_rise(new: np.ndarray, old: np.ndarray, level: np.ndarray) -> np.ndarray:
 def _advance(pt: _Iterate):
     """One iteration of every row of ``pt``.
 
-    Returns the next iterate of the rows that moved, their positions in
-    ``pt`` (ascending) and ``{position: error}`` for the rows that failed.
+    Returns the next iterate of the rows that moved and their positions in
+    ``pt`` (ascending); a row that fails gets its code in ``pt.fault``.
     Every row that has not failed tries its Newton step (a non-finite one
     lands on an undefined iterate); a scoring step each rejecting row
     accepts is written into that trial at the row's position.
     """
-    m = len(pt.theta)
-    failures = {}
     jacobian, off = pt.blocks()
     norm, objective, level = pt.norm, pt.objective, pt.rounding()
     # ``live`` holds the positions of the rows that try a step; ``at`` indexes
     # them, whole arrays when no row failed.
-    live, at, data = np.arange(m), slice(None), pt.data
+    live, at, data = np.arange(len(pt.theta)), slice(None), pt.data
     if pt.fault.any():
-        failed = data.pairwise(np.logical_or, pt.fault != 0)
-        failures = pt.errors(failed)
-        live = at = (~failed).nonzero()[0]
+        live = at = (~data.pairwise(np.logical_or, pt.fault != 0)).nonzero()[0]
         if not live.size:
-            return None, live, failures
+            return None, live
         data, jacobian = data[live], jacobian[live]
         off = None if off is None else off[live]
 
@@ -497,17 +486,14 @@ def _advance(pt: _Iterate):
     moved = trial.defined & (trial.norm < norm[at]) & _no_rise(
         trial.objective, objective[at], level[at])
     if moved.all():
-        return trial, live, failures
+        return trial, live
 
     # Positions in ``trial`` of the rows that fall back, and in ``pt``.
     back = (~moved).nonzero()[0]
     need = live[back]
     step = _solve_rows(pt.scoring(need), -pt.residual[need])
-    singular = np.zeros(m, dtype=bool)
-    singular[need] = ~np.isfinite(step).all(axis=-1)
-    singular = pt.data.pairwise(np.logical_or, singular)[need]
-    for i in need[singular]:
-        failures[int(i)] = SingularError("scoring matrix is singular at the iterate")
+    pt.fault[need[~np.isfinite(step).all(axis=-1)]] = FAULT_SINGULAR
+    singular = pt.data.pairwise(np.logical_or, pt.fault != 0)[need]
     pending, step = back[~singular], step[~singular]
     for _ in range(_MAX_HALVINGS):
         if not pending.size:
@@ -521,7 +507,7 @@ def _advance(pt: _Iterate):
             trial.put(pending[ok], new, ok)
             moved[pending[ok]] = True
         pending, step = pending[~ok], 0.5 * step[~ok]
-    return (trial if moved.all() else trial.take(moved)), live[moved], failures
+    return (trial if moved.all() else trial.take(moved)), live[moved]
 
 
 def solve(equations: tuple[_Equation, ...], data: _Data, theta0, k, *,
@@ -537,15 +523,15 @@ def solve(equations: tuple[_Equation, ...], data: _Data, theta0, k, *,
     R = len(theta0)
     result = SolveResult(theta=np.full(theta0.shape, np.nan), iterations=np.zeros(R, dtype=int),
                          converged=np.zeros(R, dtype=bool), residual_norm=np.full(R, np.nan),
-                         tolerance=np.full(R, np.nan), errors=[None] * R)
+                         tolerance=np.full(R, np.nan), fault=np.zeros(R, dtype=int))
     rows = np.arange(R)
     if not R:
         return result
     pt = _point(data, theta0)
     keep = pt.defined
     if not keep.all():
-        for i, error in pt.errors(~keep).items():
-            result.errors[i] = error
+        result.fault = np.where((pt.fault == 0) & ~np.isfinite(pt.residual).all(axis=-1),
+                                FAULT_EQUATION, pt.fault)
         pt, rows = pt.take(keep), rows[keep]
     # Each row's iterate with the smallest max|G| so far, with its tolerance.
     best_theta, best_norm, best_tol = pt.theta, np.full(len(rows), np.inf), np.zeros(len(rows))
@@ -581,13 +567,13 @@ def solve(equations: tuple[_Equation, ...], data: _Data, theta0, k, *,
                 break
             iterations += 1
 
-            nxt, moved, failures = _advance(pt)
-            for i, exc in failures.items():
-                result.errors[rows[i]] = exc
+            nxt, moved = _advance(pt)
             if len(moved) < len(rows):
                 stuck = np.ones(len(rows), dtype=bool)
                 stuck[moved] = False
-                stuck[list(failures)] = False
+                if pt.fault.any():  # failed rows, and their pair mates, keep NaN numbers
+                    result.fault[rows] = pt.fault
+                    stuck &= ~pt.data.pairwise(np.logical_or, pt.fault != 0)
                 stop(stuck)
                 rows = rows[moved]
                 best_theta, best_norm = best_theta[moved], best_norm[moved]

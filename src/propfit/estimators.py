@@ -258,7 +258,10 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
     A fit joins its curves' rows: parameters in curve order, the larger
     ``iterations``, ``residual_norm`` and ``tolerance``, converged where
     every curve is, and the first error in curve order. A fit with an error
-    has NaN numbers, ``iterations`` 0 and ``converged`` False.
+    has NaN numbers, ``iterations`` 0 and ``converged`` False, and if it
+    failed before the solve, its later curves' rows are not solved. A row's
+    error is its solver code's or, where the solver returned numbers, their
+    code's (:func:`fault_error`); a failed pair's other row has code 0.
 
     A separate fit has each curve's own scale and, as ``sigma_hat``, their
     pool with their divisors (:func:`scale_divisor`), or the one curve's. A
@@ -320,9 +323,9 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
     start_errors = [e for errs in start_errors for e in errs]
     dwls_errors = first_errors(responses, start_errors)
     # Position i * CR + c * R + r fits methods[i] to curve c's Y[r], which is
-    # row c * R + r of ``data``. The stack holds the positions with no error
-    # yet: first an ML pair's, as pairs of rows (curve 1's row r, then curve
-    # 2's), then the others'.
+    # row c * R + r of ``data``. The stack holds the positions whose fit has
+    # no error yet at their curve or an earlier one: first an ML pair's, as
+    # pairs of rows (curve 1's row r, then curve 2's), then the others'.
     M, CR = len(methods), C * R
     errors = [e for m in methods for e in (pair_errors * C if m in paired else
                                            dwls_errors if m == "dwls" else start_errors)]
@@ -330,16 +333,18 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
         i * CR + np.arange(CR).reshape(C, R).T.ravel() for i, m in enumerate(methods)
         if m in coupled] + [i * CR + np.arange(CR) for i, m in enumerate(methods)
                             if m not in coupled])
-    live = order[[errors[o] is None for o in order]]
+    failed = np.array([e is not None for e in errors], dtype=bool).reshape(M, C, R)
+    live = order[~np.logical_or.accumulate(failed, axis=1).ravel()[order]]
     k, rows = np.array([METHODS.index(m) for m in methods], dtype=int)[live // CR], live % CR
     in_pairs = np.array([m in coupled for m in methods], dtype=bool)[live // CR]
     stack = replace(data[rows], pairs=int(np.count_nonzero(in_pairs)) // 2)
     sol = solve(_EQUATIONS, stack, start[rows], k, tol_relative=opts.tol_residual,
                 max_iter=opts.max_iter)
     squares, fault = _squares(stack, sol.theta)
-    for i, (error, code) in enumerate(zip(sol.errors, fault)):
-        if error or code:
-            errors[live[i]] = error or fault_error(stack.model(i), int(code))
+    # The solver's code where it returned no numbers, else that of its numbers.
+    fault = np.where(np.isnan(sol.theta[:, 0]), sol.fault, fault)
+    for i in np.flatnonzero(fault):
+        errors[live[i]] = fault_error(stack.model(i), int(fault[i]))
     joined = [first_errors(*(errors[a:a + R] for a in range(i * CR, (i + 1) * CR, R)))
               for i in range(M)]
     # A position keeps its solve's numbers only where its whole fit has no error.

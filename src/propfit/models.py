@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import DomainError, NonFiniteError, PropfitError, ZeroMeanError
+from .exceptions import DomainError, NonFiniteError, PropfitError, SingularError, ZeroMeanError
 
 Array = NDArray[np.float64]
 
@@ -42,13 +42,15 @@ _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 _FD_TOL = 1e-5
 
 
-# Why a row of a stack evaluation is undefined; 0 means it is not.
+# Why a row of a stack evaluation, or of a solve, fails; 0 means it does not.
 FAULT_THETA = 1  # non-finite parameters
 FAULT_DOMAIN = 2  # the domain guard rejects the parameters
 FAULT_VALUE = 3  # the mean is non-finite
 FAULT_ZERO_MEAN = 4  # the mean is zero at an observation
 FAULT_HESSIAN = 5  # the parameter Hessian is non-finite
 FAULT_GRADIENT = 6  # the parameter gradient is non-finite
+FAULT_EQUATION = 7  # the estimating equation is non-finite at the start
+FAULT_SINGULAR = 8  # the scoring matrix is singular
 
 
 def _as_1d(x) -> Array:
@@ -260,7 +262,7 @@ def _contract(c: Array, H: Array) -> Array:
 
 
 def fault_error(model: ModelFunction, code: int) -> PropfitError:
-    """The exception a row with fault ``code`` reports (:meth:`ModelFunction.eval` raises it)."""
+    """The exception a row with fault ``code`` raises in a fit (or :meth:`ModelFunction.eval`)."""
     if code == FAULT_THETA:
         return DomainError("parameter vector contains non-finite entries")
     if code == FAULT_DOMAIN:
@@ -273,6 +275,10 @@ def fault_error(model: ModelFunction, code: int) -> PropfitError:
         return NonFiniteError(f"Hessian of model {model.name!r} is non-finite")
     if code == FAULT_GRADIENT:
         return NonFiniteError(f"gradient of model {model.name!r} is non-finite")
+    if code == FAULT_EQUATION:
+        return NonFiniteError("estimating equation is non-finite at the starting point")
+    if code == FAULT_SINGULAR:
+        return SingularError("scoring matrix is singular at the iterate")
     raise ValueError(f"unknown fault code {code!r}")
 
 

@@ -92,6 +92,8 @@ class SimDesign:
     replicate at its first-order solution ``theta0 + L``, with L shortened
     to the ``WARM_START_CAP`` guard where it passes it (see
     :func:`_fit_rows`); ``"auto"`` at each curve's data-driven hint.
+    ``replicates``, ``master_seed`` and ``max_redraws`` that are not
+    integers raise ``ValueError``, as other invalid settings do.
     """
 
     model: ModelFunction | PartialBleachModel
@@ -123,6 +125,9 @@ class SimDesign:
             raise ValueError("sigma values must lie in [0, 0.5]")
         if len(set(self.sigma_grid)) < len(self.sigma_grid):
             raise ValueError("sigma values must be distinct")
+        for name in ("replicates", "master_seed", "max_redraws"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.max_redraws < 0:
@@ -410,8 +415,10 @@ def run_study(design: SimDesign, threads: int = 1) -> SimSummary:
     share (:func:`resolve_modes`) raises at once. Replicates whose fitted
     curves cross more than once warn one
     :class:`~propfit.exceptions.MultipleRootWarning` for the whole study.
-    Fewer than one thread raises ``ValueError``.
+    Fewer than one thread, or a non-integer count, raises ``ValueError``.
     """
+    if not isinstance(threads, (int, np.integer)):
+        raise ValueError(f"threads must be an integer, got {threads}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     targets = design.target_names

@@ -44,8 +44,11 @@ from propfit.exceptions import (
 )
 from propfit.jacobian import RCOND_MIN, build_jacobian_bundle, build_jacobian_bundles
 from propfit.models import (
+    FAULT_DOMAIN,
+    FAULT_EQUATION,
     FAULT_GRADIENT,
     FAULT_HESSIAN,
+    FAULT_SINGULAR,
     Array,
     Dataset,
     ModelFunction,
@@ -327,9 +330,9 @@ class TestFailingRows:
         monkeypatch.setattr(estimators, "solve", kept)
         fits = fit_two_curves_methods(PartialBleachModel(collinear, expo), x1, Y1, x2, Y2,
                                       ("ml",), MODE_COMMON_SIGMA, FitOptions(start=theta))["ml"]
-        # The stack's rows are the pairs (curve 1, curve 2) of replicates 0, 1, 2.
-        assert [type(e).__name__ for e in solved[0].errors] == [
-            "NoneType", "NoneType", "SingularError", "SingularError", "NoneType", "NoneType"]
+        # The stack's rows are the pairs (curve 1, curve 2) of replicates 0, 1, 2;
+        # the solver codes the singular row, curve 1's, and not its mate.
+        assert solved[0].fault.tolist() == [0, 0, FAULT_SINGULAR, 0, 0, 0]
         assert isinstance(fits.errors[1], SingularError)
         assert str(fits.errors[1]) == "scoring matrix is singular at the iterate"
         assert np.isnan(fits.theta_hat[1]).all()
@@ -383,6 +386,39 @@ class TestFailingRows:
                 assert batch.converged[r]
                 assert_rows_equal(batch, r, fit(model, Dataset(x, Y[r]), method,
                                                 FitOptions(start=starts[r])))
+
+    def test_non_finite_equation_at_the_start_fails_its_row_only(self, satexp):
+        # At a1 = 1e-300 the means underflow: ML's, QL's and WLS's weights,
+        # which divide by f, overflow at the start, while DWLS's divide by y
+        # and its scoring matrix is singular there. Row 1 fails so alone, in
+        # a stack whose other rows keep their bits and as curve 1 of a
+        # common-sigma ML pair.
+        pb, theta0, Y1, Y2 = two_curve_data(0.02, rows=3, seed=57)
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        starts = np.tile(theta0, (3, 1))
+        starts[1, 0] = 1e-300
+        failures = dict.fromkeys(("ml", "ql", "wls"), (
+            NonFiniteError, "estimating equation is non-finite at the starting point"))
+        failures["dwls"] = (SingularError, "scoring matrix is singular at the iterate")
+        opts = [FitOptions(start=start[:3]) for start in starts]
+        together = fit_methods(pb.curve1, x1, Y1, METHODS, FitOptions(start=starts[:, :3]))
+        for m, (kind, message) in failures.items():
+            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+                fit(pb.curve1, Dataset(x1, Y1[1]), m, opts[1])
+            assert type(together[m].errors[1]) is kind and str(together[m].errors[1]) == message
+            assert np.isnan(together[m].theta_hat[1]).all()
+            for r in (0, 2):
+                assert_rows_equal(together[m], r, fit(pb.curve1, Dataset(x1, Y1[r]), m, opts[r]))
+        pair = fit_two_curves_methods(pb, x1, Y1, x2, Y2, ("ml",), MODE_COMMON_SIGMA,
+                                      FitOptions(start=starts))["ml"]
+        kind, message = failures["ml"]
+        assert type(pair.errors[1]) is kind and str(pair.errors[1]) == message
+        assert np.isnan(pair.theta_hat[1]).all() and not pair.converged[1]
+        rest = fit_two_curves_methods(pb, x1, Y1[[0, 2]], x2, Y2[[0, 2]], ("ml",),
+                                      MODE_COMMON_SIGMA, FitOptions(start=theta0))["ml"]
+        for name in ("theta_hat", "sigma_hats", "iterations", "converged", "residual_norm",
+                     "tolerance"):
+            np.testing.assert_array_equal(getattr(pair, name)[[0, 2]], getattr(rest, name))
 
     def test_too_few_observations_fail_every_row(self, satexp):
         # n <= p fails every row, before a nonpositive response would.
@@ -647,7 +683,7 @@ class TestTwoCurveStack:
             for name in ("theta", "iterations", "converged", "residual_norm", "tolerance"):
                 np.testing.assert_array_equal(getattr(together, name)[part],
                                               getattr(alone, name), err_msg=name)
-            assert together.errors[part] == alone.errors == [None] * 8
+            assert together.fault[part].tolist() == alone.fault.tolist() == [0] * 8
 
     def test_fault_on_a_curve_two_row_names_its_model(self):
         pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=3, seed=45)
@@ -684,6 +720,33 @@ class TestTwoCurveStack:
             assert fits.converged[[0, 2]].all() and fits.errors[0] is fits.errors[2] is None
         for m in METHODS:
             assert_joined(separate[m], [a[m] for a in alone], (16, 13), rtol=1e-12)
+
+    def test_a_fit_failed_before_the_solve_sends_no_later_curve(self, monkeypatch):
+        # Curve 1's row 1 has a y <= 0, so its separate DWLS fit fails before
+        # the solve, and curve 2's row 1 is not solved either: 4 rows, not 5.
+        # A y <= 0 in curve 2 instead skips no curve-1 solve, whose error
+        # would come first. Every field is the join of the curves' own fits.
+        pb, theta0, *Ys = two_curve_data(0.03, rows=3, seed=48)
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        opts = FitOptions(start=theta0)
+        for c, sent in [(0, 4), (1, 5)]:
+            Y1, Y2 = (Y.copy() for Y in Ys)
+            (Y1, Y2)[c][1, 4] *= -1.0
+            alone = [fit_methods(curve, x, Y, ("dwls",), FitOptions(start=part))["dwls"]
+                     for curve, x, Y, part in [(pb.curve1, x1, Y1, theta0[:3]),
+                                               (pb.curve2, x2, Y2, theta0[3:])]]
+            rest = fit_two_curves_methods(pb, x1, Y1[[0, 2]], x2, Y2[[0, 2]], ("dwls",),
+                                          MODE_SEPARATE, opts)["dwls"]
+            with monkeypatch.context() as patched:
+                calls = count_solves(patched)
+                fits = fit_two_curves_methods(pb, x1, Y1, x2, Y2, ("dwls",), MODE_SEPARATE,
+                                              opts)["dwls"]
+            assert [len(k) for k in calls] == [sent]
+            assert isinstance(fits.errors[1], ZeroResponseError)
+            assert_joined(fits, alone, (x1.size, x2.size), rtol=1e-12)
+            for name in ("theta_hat", "sigma_hats", "sigma_hat", "iterations", "converged",
+                         "residual_norm", "tolerance"):
+                np.testing.assert_array_equal(getattr(fits, name)[[0, 2]], getattr(rest, name))
 
     def test_curves_with_different_parameter_counts(self, satexp, expo):
         # A pair's rows share p, so curves that differ make no model.
@@ -839,6 +902,37 @@ class TestSolveContract:
             estimators.solve(estimators._EQUATIONS, data, np.tile(PAPER_ALPHA, (3, 1)), [0, 1, 1])
         with pytest.raises(ValueError, match="a pair takes one row of each of two curves"):
             estimators._fit_curves(((satexp, X, Y),), {"ml": MODE_COMMON_SIGMA}, FitOptions())
+
+
+    def test_each_failure_leaves_its_code(self, satexp):
+        # ML pairs first: (curve 1, curve 2) with curve 2 outside its domain
+        # at the start, a healthy pair, and a pair whose row of a model with a
+        # NaN contracted Hessian fails at its first iteration; then QL and
+        # DWLS rows, each one started at a1 = 1e-300. A failed row has its
+        # code and NaN numbers; its pair mate has code 0 and NaN numbers.
+        pb, theta0, Y1, Y2 = two_curve_data(0.02, rows=3, seed=57)
+        nan_model = replace(satexp, name="nan_contraction", whess_fn=lambda x, t, c: np.where(
+            (t[..., 0] > 1.5 * PAPER_ALPHA[0])[..., None, None], np.nan,
+            satexp.whess_fn(x, t, c)))
+        x1, x2 = DEFAULT_UNBLEACHED_DOSES, DEFAULT_BLEACHED_DOSES
+        Yn = noisy_stack(satexp, x1, 2.0 * PAPER_ALPHA, 0.02, rows=1, seed=38)
+        data = estimators._stack(((pb.curve1, x1, Y1), (pb.curve2, x2, Y2), (nan_model, x1, Yn)))
+        # Rows 0-2 are curve 1's datasets, 3-5 curve 2's and 6 the NaN model's.
+        rows = [0, 3, 1, 4, 6, 5, 1, 2, 1, 0]
+        k = [0] * 6 + [1, 1, 3, 3]
+        start = np.tile(theta0[:3], (len(rows), 1))
+        start[data.curve[rows] == 1] = theta0[3:]
+        start[4] = 2.2 * PAPER_ALPHA
+        start[1, 2] = 0.0
+        start[[6, 8], 0] = 1e-300
+        sol = estimators.solve(estimators._EQUATIONS, replace(data[rows], pairs=3), start, k)
+        codes = [0, FAULT_DOMAIN, 0, 0, FAULT_HESSIAN, 0, FAULT_EQUATION, 0, FAULT_SINGULAR, 0]
+        assert sol.fault.tolist() == codes
+        failed = np.array([0, 1, 4, 5, 6, 8])
+        for name in ("theta", "residual_norm", "tolerance"):
+            assert np.isnan(getattr(sol, name)[failed]).all(), name
+        assert not sol.iterations[failed].any() and not sol.converged[failed].any()
+        assert sol.converged[[2, 3, 7, 9]].all()
 
 
 class TestStackConstants:

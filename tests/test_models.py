@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from propfit.estimators import FitOptions, fit_methods
-from propfit.exceptions import DomainError, NonFiniteError
+from propfit.exceptions import DomainError, NonFiniteError, SingularError, ZeroMeanError
 from propfit.models import (
     FAULT_DOMAIN,
+    FAULT_EQUATION,
+    FAULT_GRADIENT,
+    FAULT_HESSIAN,
+    FAULT_SINGULAR,
     FAULT_THETA,
     FAULT_VALUE,
+    FAULT_ZERO_MEAN,
     Dataset,
     ModelFunction,
     constant_model,
@@ -84,6 +89,24 @@ class TestFaults:
         assert str(error) == "model 'exponential' evaluated non-finite"
         with pytest.raises(ValueError, match="unknown fault code 99"):
             fault_error(expo, 99)
+
+    # Every code, from the models' to the solver's, with its exception.
+    ERRORS = {
+        FAULT_THETA: (DomainError, "parameter vector contains non-finite entries"),
+        FAULT_DOMAIN: (DomainError, "model 'exponential' is undefined at the requested point"),
+        FAULT_VALUE: (NonFiniteError, "model 'exponential' evaluated non-finite"),
+        FAULT_ZERO_MEAN: (ZeroMeanError, "mean response is zero at an observation"),
+        FAULT_HESSIAN: (NonFiniteError, "Hessian of model 'exponential' is non-finite"),
+        FAULT_GRADIENT: (NonFiniteError, "gradient of model 'exponential' is non-finite"),
+        FAULT_EQUATION: (NonFiniteError, "estimating equation is non-finite at the starting point"),
+        FAULT_SINGULAR: (SingularError, "scoring matrix is singular at the iterate"),
+    }
+
+    @pytest.mark.parametrize("code", range(FAULT_THETA, FAULT_SINGULAR + 1))
+    def test_each_code_has_its_error(self, expo, code):
+        kind, message = self.ERRORS[code]
+        error = fault_error(expo, code)
+        assert type(error) is kind and str(error) == message
 
 
 class TestGradients:

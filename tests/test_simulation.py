@@ -142,6 +142,12 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
             run_study(constant_design(replicates=5), threads=threads)
 
+    @pytest.mark.parametrize("threads", [2.5, 2.0])
+    def test_non_integer_threads_raise(self, threads):
+        # 2.5 ran as many chunks as int() of it would, silently.
+        with pytest.raises(ValueError, match=f"threads must be an integer, got {threads}"):
+            run_study(constant_design(replicates=5), threads=threads)
+
     @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [1]), (None, [1])])
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
         # --threads sets the number of chunks; the pool never outnumbers the CPUs.
@@ -615,6 +621,14 @@ class TestSimDesignValidation:
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             constant_design(replicates=0)
+
+    @pytest.mark.parametrize("name", ["replicates", "master_seed", "max_redraws"])
+    def test_counts_and_seed_are_integers(self, name):
+        # replicates=2.5 died with an IndexError inside run_study, and
+        # master_seed=1.5 ran seed 1's streams while reporting seed 1.5.
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.5$"):
+            constant_design(**{name: 2.5})
+        assert getattr(constant_design(**{name: np.int64(3)}), name) == 3
 
     def test_max_redraws_not_negative(self):
         # With -1, every replicate would count as rejected after 0 redraws.
