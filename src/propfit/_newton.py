@@ -183,9 +183,6 @@ class _Data:
         out[:two].reshape(self.pairs, 2, *v.shape[1:])[...] = op(v[0:two:2], v[1:two:2])[:, None]
         return out
 
-    def model(self, r: int) -> ModelFunction:
-        return self.models[self.curve[r]]
-
     def call(self, name: str, theta: Array, *per_row: Array) -> Array:
         """``models[curve[r]].<name>(x[r], theta[r], *(a[r] for a in per_row))``
         per row, in one call per set of callables; elementwise models give the

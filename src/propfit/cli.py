@@ -332,9 +332,9 @@ def cmd_simulate(args) -> int:
     try:
         config = load_config(args.config)
         design = config.build_design()
-        if args.seed is not None:
+        if args.seed is not None:  # SimDesign's checks raise ValueError
             design = replace(design, master_seed=args.seed)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         return _input_error(exc)
     try:
         summary = run_study(design, threads=args.threads)

@@ -201,7 +201,8 @@ def _turning_points(model: PartialBleachModel, alpha: Array, beta: Array) -> Arr
 def _roots(model: PartialBleachModel, theta) -> tuple[Array, tuple, int]:
     """:func:`solve_gamma_batch` without its warning, and the number of rows
     with more than one root: one evaluation of each curve on every row's
-    grid, ``_GRID`` with the row's turning point inside it, in falling order."""
+    grid, ``_GRID`` with the row's turning point inside it, in falling order.
+    A row's root is NaN exactly where it has an error."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != model.p:
         raise ValueError(f"joint theta must have shape (R, {model.p}), got {theta.shape}")
@@ -408,7 +409,7 @@ def dose_derivatives_batch(model: PartialBleachModel, theta) -> tuple:
     theta = np.asarray(theta, dtype=float)
     gammas, errors, several = _roots(model, theta)
     _warn_multiple_roots(several, len(gammas))
-    found = np.flatnonzero([e is None for e in errors])
+    found = np.flatnonzero(~np.isnan(gammas))
     grad, hess, failed = _implicit_derivatives(model, theta[found], gammas[found])
     out = list(errors)
     for i, r in enumerate(found):

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._newton import _assign, _Data, _Equation, _point, _stack, _sum, solve
-from .exceptions import ZeroResponseError, first_errors
 from .models import (
+    FAULT_RESPONSE,
     FAULT_THETA,
     FAULT_VALUE,
     FAULT_ZERO_MEAN,
@@ -48,6 +48,8 @@ from .models import (
 
 METHODS = ("ml", "ql", "wls", "dwls")
 MODE_SEPARATE = "separate"  # the mode of a fit whose every curve has its own scale
+# The code, in _fit_curves, of a fit with too few observations (no model's fault).
+_TOO_FEW = -1
 
 
 def _check_method(method: str) -> str:
@@ -127,8 +129,9 @@ class FitBatch:
     :func:`~propfit.equivalent_dose.fit_two_curves`) returns for dataset
     ``r``, or, where that fit raises, the exception in ``errors[r]`` and
     NaN numbers, with ``iterations`` 0 and ``converged`` False, for one
-    curve or two in either mode. ``tolerance`` is per row as in
-    :class:`FitResult`.
+    curve or two in either mode. A failed row's exception is built once,
+    from the fault code of its first failing curve; ``errors`` holds None
+    elsewhere. ``tolerance`` is per row as in :class:`FitResult`.
     """
 
     method: str
@@ -195,12 +198,6 @@ _EQUATIONS = (
 )
 
 
-def _dwls_response_errors(Y: Array) -> tuple:
-    """Per row of ``Y (R, n)``, DWLS's error (its weights divide by y), or None if all y > 0."""
-    return tuple(ZeroResponseError("data-weighted least squares requires all y > 0")
-                 if bad else None for bad in np.any(Y <= 0.0, axis=1))
-
-
 def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
                       sigma: float | None = None) -> Array:
     """Left-hand side of the method's estimating equation at ``theta``.
@@ -209,8 +206,8 @@ def equation_residual(method: str, model: ModelFunction, data: Dataset, theta,
     the profiled value ``sqrt(mean(((y-f)/f)^2))`` at ``theta`` is used.
     """
     method = _check_method(method)
-    if method == "dwls" and (error := _dwls_response_errors(data.y[None, :])[0]) is not None:
-        raise error
+    if method == "dwls" and np.any(data.y <= 0.0):
+        raise fault_error(model, FAULT_RESPONSE)
     pt = _point(_assign(_EQUATIONS, _stack(((model, data.x, data.y[None, :]),)),
                         [METHODS.index(method)]), model.check_theta(theta)[None, :], sigma)
     if pt.fault[0]:
@@ -256,12 +253,16 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
     order (one vector, or one row per ``r``).
 
     A fit joins its curves' rows: parameters in curve order, the larger
-    ``iterations``, ``residual_norm`` and ``tolerance``, converged where
-    every curve is, and the first error in curve order. A fit with an error
-    has NaN numbers, ``iterations`` 0 and ``converged`` False, and if it
-    failed before the solve, its later curves' rows are not solved. A row's
-    error is its solver code's or, where the solver returned numbers, their
-    code's (:func:`fault_error`); a failed pair's other row has code 0.
+    ``iterations``, ``residual_norm`` and ``tolerance``, and converged where
+    every curve is. One int array holds each (method, curve, row)'s code
+    (:func:`fault_error`, 0 for none): before the solve, too few
+    observations (per curve, or in all for a pair from an explicit start),
+    then DWLS's ``y <= 0``, then a non-finite start; where solved (no code
+    at that curve or an earlier one, nor at a pair's other), the solver's
+    code or, where it returned numbers, theirs (a failed pair's other row
+    has 0). A fit fails with its first failing curve's code (one argmax over
+    the curves): NaN numbers, ``iterations`` 0, ``converged`` False, and one
+    exception, from that code and the curve's model.
 
     A separate fit has each curve's own scale and, as ``sigma_hat``, their
     pool with their divisors (:func:`scale_divisor`), or the one curve's. A
@@ -286,7 +287,7 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
     if not auto and C > 1 and joint.shape[-1:] != (C * p,):
         raise ValueError(f"joint theta must have shape ({C * p},), got {joint.shape}")
     R = len(np.atleast_1d(curves[0][2]))
-    blocks, start, start_errors, theta_errors, responses = [], [], [], [], []
+    blocks, start = [], []
     for c, (model, x, Y) in enumerate(curves):
         x, Y = np.asarray(x, dtype=float), np.asarray(Y, dtype=float)
         if Y.shape != (R, x.size):
@@ -306,35 +307,32 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
                     raise ValueError(f"start hint must return shape ({R}, {p}), got {theta.shape}")
         blocks.append((model, x, Y))
         start.append(theta)
-        theta_errors.append(tuple(None if ok else fault_error(model, FAULT_THETA)
-                                  for ok in np.all(np.isfinite(theta), axis=-1)))
-        # A row too short to fit alone fails with this error before any other.
-        short = (ValueError(f"need n > p observations, got n={n}, p={p}"),) * R if n <= p else ()
-        start_errors.append(short or theta_errors[-1])
-        responses.extend(short or _dwls_response_errors(Y))
     data, start, sizes = _stack(blocks), np.concatenate(start), [x.size for _, x, _ in blocks]
+    # Per curve and row, the code of a fit that fails before the solve: a
+    # curve too short to fit alone first, then (DWLS, whose weights divide
+    # by y) a response y <= 0, then a non-finite start.
+    nonfinite = np.where(np.isfinite(start).all(axis=-1), 0, FAULT_THETA).reshape(C, R)
+    starts = np.where(np.array(sizes)[:, None] <= p, _TOO_FEW, nonfinite)
+    responses = np.any(data.y <= 0.0, axis=-1).reshape(C, R)  # a pad repeats an observation
+    dwls = np.where((starts != _TOO_FEW) & responses, FAULT_RESPONSE, starts)
     # A pair from an explicit start needs only more observations than
     # parameters in all; from "auto" it needs each curve's hint.
-    pair_errors = first_errors(*start_errors)
-    if paired and not auto:
-        pair_errors = ((ValueError(f"need n > p observations, got n={sum(sizes)}, "
-                                   f"p={C * p}"),) * R if sum(sizes) <= C * p
-                       else first_errors(*theta_errors))
-    start_errors = [e for errs in start_errors for e in errs]
-    dwls_errors = first_errors(responses, start_errors)
+    pairs = starts if auto else np.where(sum(sizes) <= C * p, _TOO_FEW, nonfinite)
     # Position i * CR + c * R + r fits methods[i] to curve c's Y[r], which is
-    # row c * R + r of ``data``. The stack holds the positions whose fit has
-    # no error yet at their curve or an earlier one: first an ML pair's, as
-    # pairs of rows (curve 1's row r, then curve 2's), then the others'.
+    # row c * R + r of ``data``; ``code`` holds its code. The stack holds the
+    # positions whose fit has no code yet at their curve or an earlier one
+    # (a pair's at either curve): first an ML pair's, as pairs of rows
+    # (curve 1's row r, then curve 2's), then the others'.
     M, CR = len(methods), C * R
-    errors = [e for m in methods for e in (pair_errors * C if m in paired else
-                                           dwls_errors if m == "dwls" else start_errors)]
+    code = np.array([pairs if m in paired else dwls if m == "dwls" else starts
+                     for m in methods], dtype=int).reshape(M, C, R)
+    skip = np.logical_or.accumulate(code != 0, axis=1)
+    skip |= np.array([m in paired for m in methods], dtype=bool)[:, None, None] & skip[:, -1:]
     order = np.concatenate([np.zeros(0, dtype=int)] + [
         i * CR + np.arange(CR).reshape(C, R).T.ravel() for i, m in enumerate(methods)
         if m in coupled] + [i * CR + np.arange(CR) for i, m in enumerate(methods)
                             if m not in coupled])
-    failed = np.array([e is not None for e in errors], dtype=bool).reshape(M, C, R)
-    live = order[~np.logical_or.accumulate(failed, axis=1).ravel()[order]]
+    live = order[~skip.ravel()[order]]
     k, rows = np.array([METHODS.index(m) for m in methods], dtype=int)[live // CR], live % CR
     in_pairs = np.array([m in coupled for m in methods], dtype=bool)[live // CR]
     stack = replace(data[rows], pairs=int(np.count_nonzero(in_pairs)) // 2)
@@ -342,13 +340,12 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
                 max_iter=opts.max_iter)
     squares, fault = _squares(stack, sol.theta)
     # The solver's code where it returned no numbers, else that of its numbers.
-    fault = np.where(np.isnan(sol.theta[:, 0]), sol.fault, fault)
-    for i in np.flatnonzero(fault):
-        errors[live[i]] = fault_error(stack.model(i), int(fault[i]))
-    joined = [first_errors(*(errors[a:a + R] for a in range(i * CR, (i + 1) * CR, R)))
-              for i in range(M)]
-    # A position keeps its solve's numbers only where its whole fit has no error.
-    ok = np.array([joined[o // CR][o % R] is None for o in live], dtype=bool)
+    np.put(code, live, np.where(np.isnan(sol.theta[:, 0]), sol.fault, fault))
+    # Each fit's first failing curve (0 if none) and its code, the fit's.
+    first = np.argmax(code != 0, axis=1)
+    failed = np.take_along_axis(code, first[:, None], axis=1)[:, 0]
+    # A position keeps its solve's numbers only where its whole fit has no code.
+    ok = failed.ravel()[live // CR * R + live % R] == 0
     columns = {"theta_hat": sol.theta, "iterations": sol.iterations, "squares": squares,
                "converged": sol.converged, "residual_norm": sol.residual_norm,
                "tolerance": sol.tolerance}
@@ -359,6 +356,12 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
         columns[name] = full.reshape((M, C, R) + values.shape[1:])
     out = {}
     for i, m in enumerate(methods):
+        errors = [None] * R
+        for r in np.flatnonzero(failed[i]):  # one exception per failed fit
+            c, fault = first[i, r], int(failed[i, r])
+            n, q = (sum(sizes), C * p) if m in paired and not auto else (sizes[c], p)
+            errors[r] = (fault_error(blocks[c][0], fault) if fault != _TOO_FEW
+                         else ValueError(f"need n > p observations, got n={n}, p={q}"))
         squares, dfs = columns["squares"][i], scale_divisor(m, np.array(sizes), p)
         sigma_hats = (np.sqrt(squares.sum(axis=0) / scale_divisor(m, sum(sizes), C * p))[:, None]
                       if m in paired else np.sqrt(squares.T / dfs))
@@ -370,7 +373,7 @@ def _fit_curves(curves, modes: dict[str, str], opts: FitOptions) -> dict[str, Fi
             iterations=columns["iterations"][i].max(axis=0),
             converged=columns["converged"][i].all(axis=0),
             residual_norm=columns["residual_norm"][i].max(axis=0),
-            tolerance=columns["tolerance"][i].max(axis=0), errors=joined[i])
+            tolerance=columns["tolerance"][i].max(axis=0), errors=tuple(errors))
     return out
 
 

@@ -55,11 +55,6 @@ class Rejected(Exception):
     """
 
 
-def first_errors(*per_row) -> tuple:
-    """Per row, the first error (not None) among equal-length per-row sequences."""
-    return tuple(next((e for e in errs if e is not None), None) for errs in zip(*per_row))
-
-
 class MultipleRootWarning(UserWarning):
     """Some rows' curves cross more than once at or below 0; each row's root
     is the crossing closest to zero. One warning per call counts the rows."""

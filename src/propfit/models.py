@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import DomainError, NonFiniteError, PropfitError, SingularError, ZeroMeanError
+from .exceptions import (DomainError, NonFiniteError, PropfitError, SingularError, ZeroMeanError,
+                         ZeroResponseError)
 
 Array = NDArray[np.float64]
 
@@ -42,7 +43,8 @@ _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 _FD_TOL = 1e-5
 
 
-# Why a row of a stack evaluation, or of a solve, fails; 0 means it does not.
+# Why a row of a stack evaluation, of a solve or of a fit's checks before
+# the solve fails; 0 means it does not. A fit keeps one per curve and row.
 FAULT_THETA = 1  # non-finite parameters
 FAULT_DOMAIN = 2  # the domain guard rejects the parameters
 FAULT_VALUE = 3  # the mean is non-finite
@@ -51,6 +53,7 @@ FAULT_HESSIAN = 5  # the parameter Hessian is non-finite
 FAULT_GRADIENT = 6  # the parameter gradient is non-finite
 FAULT_EQUATION = 7  # the estimating equation is non-finite at the start
 FAULT_SINGULAR = 8  # the scoring matrix is singular
+FAULT_RESPONSE = 9  # a response y <= 0 where DWLS's weights divide by y
 
 
 def _as_1d(x) -> Array:
@@ -262,7 +265,8 @@ def _contract(c: Array, H: Array) -> Array:
 
 
 def fault_error(model: ModelFunction, code: int) -> PropfitError:
-    """The exception a row with fault ``code`` raises in a fit (or :meth:`ModelFunction.eval`)."""
+    """The exception a row with fault ``code`` raises in a fit (or
+    :meth:`ModelFunction.eval`); a fit builds one only where it failed."""
     if code == FAULT_THETA:
         return DomainError("parameter vector contains non-finite entries")
     if code == FAULT_DOMAIN:
@@ -279,6 +283,8 @@ def fault_error(model: ModelFunction, code: int) -> PropfitError:
         return NonFiniteError("estimating equation is non-finite at the starting point")
     if code == FAULT_SINGULAR:
         return SingularError("scoring matrix is singular at the iterate")
+    if code == FAULT_RESPONSE:
+        return ZeroResponseError("data-weighted least squares requires all y > 0")
     raise ValueError(f"unknown fault code {code!r}")
 
 

@@ -93,7 +93,8 @@ class SimDesign:
     to the ``WARM_START_CAP`` guard where it passes it (see
     :func:`_fit_rows`); ``"auto"`` at each curve's data-driven hint.
     ``replicates``, ``master_seed`` and ``max_redraws`` that are not
-    integers raise ``ValueError``, as other invalid settings do.
+    integers, and a negative ``master_seed``, raise ``ValueError``, as
+    other invalid settings do.
     """
 
     model: ModelFunction | PartialBleachModel
@@ -132,6 +133,8 @@ class SimDesign:
             raise ValueError("need at least one replicate")
         if self.max_redraws < 0:
             raise ValueError("max_redraws must be at least 0")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be at least 0, got {self.master_seed}")
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
@@ -361,9 +364,9 @@ def _fit_rows(design: SimDesign, curves: list[Array], n_targets: int) -> tuple[d
     several = np.zeros(2, dtype=int)  # rows with more than one root, rows intersected
     if design.two_curve:
         # Every method's converged rows are intersected as one stack.
-        gamma, errors, count = _roots(design.model, theta)
+        gamma, _, count = _roots(design.model, theta)
         several[:] = count, len(theta)
-        found = np.array([e is None for e in errors], dtype=bool)
+        found = ~np.isnan(gamma)
         theta = np.concatenate([theta, gamma[:, None]], axis=1)
     out: dict[str, Array] = {}
     ends = np.cumsum([len(r) for r in rows.values()])[:-1]

@@ -851,6 +851,31 @@ class TestCommonSigmaPairs:
             assert [str(e) for e in auto[m].errors] == [
                 "need n > p observations, got n=3, p=3"] * 2
 
+    @pytest.mark.parametrize("keep2", [[0, 7, 12], [0, 4, 8, 12]], ids=["3+3", "3+4"])
+    def test_a_joint_start_needs_more_observations_than_parameters_in_all(self, keep2,
+                                                                         monkeypatch):
+        # Curve 1 keeps 3 points, as many as its parameters. From a joint
+        # start a common-sigma pair needs only n1 + n2 > 2 p: 3 + 3 fails
+        # before the solve and 3 + 4 fits, while DWLS, fitted separately,
+        # fails on curve 1 either way.
+        pb, theta0, Y1, Y2 = two_curve_data(0.03, rows=2, seed=66)
+        keep1 = [0, 7, 12]
+        calls = count_solves(monkeypatch)
+        fits = fit_two_curves_methods(pb, self.X1[keep1], Y1[:, keep1], self.X2[keep2],
+                                      Y2[:, keep2], METHODS, MODE_COMMON_SIGMA,
+                                      FitOptions(start=theta0))
+        assert [str(e) for e in fits["dwls"].errors] == [
+            "need n > p observations, got n=3, p=3"] * 2
+        for m in ("ml", "ql", "wls"):
+            if len(keep2) == 3:
+                assert [(type(e), str(e)) for e in fits[m].errors] == [
+                    (ValueError, "need n > p observations, got n=6, p=6")] * 2
+                assert np.isnan(fits[m].theta_hat).all() and not fits[m].converged.any()
+            else:
+                assert fits[m].errors == (None, None) and fits[m].converged.all()
+        sent = {METHODS[k] for k in np.concatenate([[], *calls]).astype(int).tolist()}
+        assert sent == (set() if len(keep2) == 3 else {"ml", "ql", "wls"})
+
     def test_curves_with_different_parameter_counts_share_no_scale(self, expo, monkeypatch):
         # Swapping in a curve of another size is refused before any fit,
         # so no mode pools the scale of curves that differ in size.

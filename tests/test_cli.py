@@ -540,6 +540,21 @@ class TestSimulateCommand:
                                            "[0.01, 0.01] has non-unique elements\n")
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, sim_config, tmp_path, capsys):
+        # A negative seed in the config or on the command line: one error
+        # line naming the setting, and no report.
+        cfg = json.loads(Path(sim_config).read_text())
+        cfg["sim"]["seed"] = -5
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: ConfigError: invalid config at sim/seed: "
+                                           "-5 is less than the minimum of 0\n")
+        assert main(["simulate", "--config", sim_config, "--seed", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: ValueError: master_seed must be at least 0, got -3\n")
+        assert not out.exists()
+
     def test_dwls_common_sigma_alone_exits_2(self, pair_csv, tmp_path, capsys):
         # Every entry point gives the one mode error, and simulate fits nothing.
         cfg = dict(json.loads(DEMO_CONFIG.read_text()), methods=["dwls"], mode=MODE_COMMON_SIGMA)

@@ -94,6 +94,12 @@ class TestConfig:
             parse_config({"sim": {"theta0": [1.0], "x1": [0, 1], "sigma": [0.9],
                                   "replicates": 5}})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "invalid config at sim/seed: -5 is less than the minimum of 0")):
+            parse_config({"sim": {"theta0": [1.0], "x1": [0, 1], "sigma": [0.01],
+                                  "replicates": 5, "seed": -5}})
+
     @pytest.mark.parametrize("bracket", [[2.0, 1.0], [1.0, 1.0], [float("nan"), 0.0],
                                          [-float("inf"), 0.0], [-5000.0, 0.0]])
     def test_bad_gamma_bracket_rejected(self, bracket):

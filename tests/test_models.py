@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from propfit.estimators import FitOptions, fit_methods
-from propfit.exceptions import DomainError, NonFiniteError, SingularError, ZeroMeanError
+from propfit.exceptions import (
+    DomainError,
+    NonFiniteError,
+    SingularError,
+    ZeroMeanError,
+    ZeroResponseError,
+)
 from propfit.models import (
     FAULT_DOMAIN,
     FAULT_EQUATION,
     FAULT_GRADIENT,
     FAULT_HESSIAN,
+    FAULT_RESPONSE,
     FAULT_SINGULAR,
     FAULT_THETA,
     FAULT_VALUE,
@@ -100,9 +107,10 @@ class TestFaults:
         FAULT_GRADIENT: (NonFiniteError, "gradient of model 'exponential' is non-finite"),
         FAULT_EQUATION: (NonFiniteError, "estimating equation is non-finite at the starting point"),
         FAULT_SINGULAR: (SingularError, "scoring matrix is singular at the iterate"),
+        FAULT_RESPONSE: (ZeroResponseError, "data-weighted least squares requires all y > 0"),
     }
 
-    @pytest.mark.parametrize("code", range(FAULT_THETA, FAULT_SINGULAR + 1))
+    @pytest.mark.parametrize("code", range(FAULT_THETA, FAULT_RESPONSE + 1))
     def test_each_code_has_its_error(self, expo, code):
         kind, message = self.ERRORS[code]
         error = fault_error(expo, code)

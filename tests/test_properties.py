@@ -4,15 +4,22 @@ the dose root, checked on drawn examples."""
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 from hypothesis import strategies as st
 
 from propfit import _newton, equivalent_dose
-from propfit.equivalent_dose import MODE_COMMON_SIGMA, fit_two_curves_methods, solve_gamma_batch
-from propfit.estimators import METHODS, equation_residual, fit_methods
-from propfit.exceptions import MultipleRootWarning
+from propfit.equivalent_dose import (
+    MODE_COMMON_SIGMA,
+    MODE_SEPARATE,
+    MODES,
+    fit_two_curves_methods,
+    resolve_modes,
+    solve_gamma_batch,
+)
+from propfit.estimators import METHODS, FitOptions, equation_residual, fit_methods
+from propfit.exceptions import DomainError, MultipleRootWarning
 from propfit.models import (
     Dataset,
     constant_model,
@@ -178,6 +185,7 @@ def test_root_count_matches_a_dense_grid(curves):
         warnings.simplefilter("always")
         gammas, errors = solve_gamma_batch(PB, theta[None, :])
     found = 0 if errors[0] is not None else 2 if caught else 1
+    assert np.isnan(gammas[0]) == (errors[0] is not None)  # a root is NaN where it fails
 
     coarse = np.concatenate([[0.0], -np.exp2(np.arange(48))])
     if -2.0 ** 47 < turn < 0.0:
@@ -248,6 +256,91 @@ def test_common_sigma_pairs_do_not_depend_on_the_stack(pairs):
                     np.testing.assert_array_equal(getattr(batch, name)[r],
                                                   getattr(other, name)[i], err_msg=method)
                 assert repr(batch.errors[r]) == repr(other.errors[i]), method
+
+
+# A curve's failure in a row: none, a non-finite start entry, a response
+# y <= 0 or a zero rate in the start (the domain guard's fault, which the
+# solver finds).
+FAILURE = st.sampled_from([None, None, "nan_start", "y_nonpositive", "zero_rate"])
+SHORT = [0, 7, 12]  # a curve kept at these doses has n = p = 3
+
+
+def _pair_error(sizes, start, p):
+    """The error a common-sigma pair of curves with ``sizes`` observations
+    fails with before its solve, or None: from a joint ``start``, too few
+    observations in all, then a non-finite start; from "auto" (``start``
+    None), too few in a curve."""
+    few = ([n for n in sizes if n <= p][:1] if start is None
+           else [sum(sizes)] if sum(sizes) <= 2 * p else [])
+    if few:
+        return ValueError(f"need n > p observations, got n={few[0]}, "
+                          f"p={p if start is None else 2 * p}")
+    if start is not None and not np.isfinite(start).all():
+        return DomainError("parameter vector contains non-finite entries")
+    return None
+
+
+@settings(max_examples=30)
+@given(two=st.booleans(), rows=st.integers(1, 3), mode=st.sampled_from(["default", *MODES]),
+       auto=st.sampled_from([False, False, True]), short=st.tuples(st.booleans(), st.booleans()),
+       failures=st.lists(st.tuples(FAILURE, FAILURE), min_size=3, max_size=3),
+       seed=st.integers(0, 2**16))
+@example(two=True, rows=2, mode=MODE_SEPARATE, auto=False, short=(False, False),
+         failures=[(None, None), ("y_nonpositive", "nan_start"), (None, None)], seed=0)
+@example(two=True, rows=2, mode=MODE_COMMON_SIGMA, auto=False, short=(False, False),
+         failures=[("zero_rate", "nan_start"), (None, None), (None, None)], seed=0)
+def test_failed_rows_join_as_each_row_fitted_alone(two, rows, mode, auto, short, failures,
+                                                    seed):
+    # Each row of a stack, one curve or two, in every mode, gets the numbers
+    # of its row fitted alone and the error its curves' rules give: a
+    # separate fit the first failing curve's error, each curve fitted alone;
+    # a common-sigma pair the error found before the solve (too few
+    # observations in all from a joint start, or per curve from "auto",
+    # then a non-finite start) without solving either curve, else its error
+    # fitted alone.
+    rng = np.random.default_rng(seed)
+    curves = [(PB.curve1, X, THETA0[:3]), (PB.curve2, DEFAULT_BLEACHED_DOSES, THETA0[3:])]
+    if not two:
+        curves = [(MODEL, X, PAPER_ALPHA)]
+    curves = [(model, x[SHORT] if cut else x, theta) for (model, x, theta), cut
+              in zip(curves, short)]
+    C, p = len(curves), 3
+    Y = [model.eval(x, theta) * (1.0 + 0.02 * rng.standard_normal((rows, x.size)))
+         for model, x, theta in curves]
+    start = np.tile(np.concatenate([theta for _, _, theta in curves]), (rows, 1))
+    start *= 1.0 + 0.01 * rng.standard_normal(start.shape)
+    for (r, c), kind in np.ndenumerate(np.array(failures, dtype=object)[:rows, :C]):
+        if kind == "y_nonpositive":
+            Y[c][r, 1] = 0.0
+        elif kind is not None:
+            start[r, c * p + (0 if kind == "nan_start" else 2)] = (
+                np.nan if kind == "nan_start" else 0.0)
+    modes = resolve_modes(mode, METHODS)
+
+    def fits(r):
+        opts = FitOptions(start="auto" if auto else start[r])
+        if not two:
+            return fit_methods(MODEL, curves[0][1], Y[0][r], METHODS, opts)
+        return fit_two_curves_methods(PB, curves[0][1], Y[0][r], curves[1][1], Y[1][r],
+                                      METHODS, mode, opts)
+
+    together, sizes = fits(slice(None)), [x.size for _, x, _ in curves]
+    for r in range(rows):
+        alone = fits(slice(r, r + 1))
+        each = [alone] if not two else [fit_methods(model, x, Y[c][r:r + 1], METHODS, FitOptions(
+            start="auto" if auto else start[r:r + 1, c * p:(c + 1) * p]))
+            for c, (model, x, _) in enumerate(curves)]
+        for m, batch in together.items():
+            for name in ("theta_hat", "sigma_hats", "iterations", "converged",
+                         "residual_norm", "tolerance"):
+                np.testing.assert_array_equal(getattr(batch, name)[r],
+                                              getattr(alone[m], name)[0], err_msg=m)
+            if two and modes[m] == MODE_COMMON_SIGMA:
+                want = _pair_error(sizes, None if auto else start[r], p) or alone[m].errors[0]
+            else:
+                want = next((b[m].errors[0] for b in each if b[m].errors[0] is not None), None)
+            assert type(batch.errors[r]) is type(want), (m, r, batch.errors[r], want)
+            assert str(batch.errors[r]) == str(want), (m, r)
 
 
 CONTRACTION_ROW = st.tuples(

@@ -636,6 +636,12 @@ class TestSimDesignValidation:
             constant_design(max_redraws=-1)
         assert constant_design(max_redraws=0).max_redraws == 0
 
+    def test_master_seed_not_negative(self):
+        # numpy's SeedSequence refused it inside run_study, naming no setting.
+        with pytest.raises(ValueError, match=r"^master_seed must be at least 0, got -1$"):
+            constant_design(master_seed=-1)
+        assert constant_design(master_seed=0).master_seed == 0
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             constant_design(methods=("ols",))
